@@ -116,9 +116,9 @@ def gerstenhaber(x, y):
     comps = {}
     per_terms = {}
     diagnostics = []
-    for g, xg in sorted(x.comps.items()):
+    for g, xg in sorted(x.terms.items()):
         gmat = group.matrix(g)
-        for h, yh in sorted(y.comps.items()):
+        for h, yh in sorted(y.terms.items()):
             raw = pair_commutator(xg, gmat, yh, group.matrix(h))
             if raw.is_zero():
                 diagnostics.append((g, h, "schouten zero"))
@@ -143,7 +143,7 @@ def minimal_degree_vanishing(x, y):
     group = x.group
     kernel = set(group.kernel_indices)
     for c in (x, y):
-        for g in c.comps:
+        for g in c.terms:
             if g in kernel:
                 return False
             if geometry(group, g).codim != c.degree:

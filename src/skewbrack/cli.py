@@ -11,12 +11,10 @@ file holds {"homologicalDegree": p, "terms": [...]} where each term is
 1-based, matching the printed names d1..dn.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
-Set SKEWBRACK_THREADS to parallelize independent verification tuples.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .bracket import gerstenhaber, perp_vanishing_applies
@@ -40,14 +38,13 @@ from .polyvec import Polyvector
 from .scalars import parse_scalar, print_scalar
 
 
-IDENTITY_NAMES = (
-    ["lEQ%d" % i for i in range(1, 6)]
-    + ["rEQ%d" % i for i in range(1, 6)]
-    + ["lrEQ%d" % i for i in range(1, 8)]
-)
-
-
 # ----------------------------------------------------------- file formats
+
+
+def _is_int(value):
+    """Whether a parsed JSON value is an integer (JSON true/false load
+    as bool, which Python counts as int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_group_file(path):
@@ -61,9 +58,9 @@ def load_group_file(path):
             raise ValueError(f"{path}: missing field {key!r}")
     n = data["dimension"]
     order = data["cyclotomicOrder"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"{path}: dimension must be a positive integer")
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise ValueError(f"{path}: cyclotomicOrder must be a positive integer")
     raw_gens = data["generators"]
     if not isinstance(raw_gens, list) or not raw_gens:
@@ -86,7 +83,7 @@ def load_group_file(path):
             raise ValueError(f"{path}: names must be distinct nonempty "
                              "strings without '*', one per generator")
     bound = data.get("bound", 1024)
-    if not isinstance(bound, int) or bound < 1:
+    if not _is_int(bound) or bound < 1:
         raise ValueError(f"{path}: bound must be a positive integer")
     group = enumerate_group(gens, bound)
     return group, names
@@ -115,8 +112,10 @@ def load_class_file(path, group, to_internal=None):
         if key not in data:
             raise ValueError(f"{path}: missing field {key!r}")
     p = data["homologicalDegree"]
-    if not isinstance(p, int) or p < 0:
+    if not _is_int(p) or p < 0:
         raise ValueError(f"{path}: homologicalDegree must be a nonnegative integer")
+    if not isinstance(data["terms"], list):
+        raise ValueError(f"{path}: terms must be a list")
     n, order = group.dim, group.scalar_order
     comps = {}
     for pos, term in enumerate(data["terms"], 1):
@@ -129,6 +128,8 @@ def load_class_file(path, group, to_internal=None):
         gref = term["group"]
         if isinstance(gref, str):
             gref = "*".join(to_internal.get(tok, tok) for tok in gref.split("*"))
+        elif not _is_int(gref):
+            raise ValueError(f"{where}: group must be a word or an element index")
         try:
             g = resolve_word(group, gref)
         except ValueError as exc:
@@ -139,11 +140,11 @@ def load_class_file(path, group, to_internal=None):
             raise ValueError(f"{where}: coeff: {exc}") from exc
         exps = term["exponents"]
         if (not isinstance(exps, list) or len(exps) != n
-                or any(not isinstance(e, int) or e < 0 for e in exps)):
+                or any(not _is_int(e) or e < 0 for e in exps)):
             raise ValueError(f"{where}: exponents must be {n} nonnegative integers")
         wedge = term["wedge"]
         if (not isinstance(wedge, list) or len(wedge) != p
-                or any(not isinstance(i, int) for i in wedge)
+                or any(not _is_int(i) for i in wedge)
                 or any(not 1 <= i <= n for i in wedge)
                 or any(a >= b for a, b in zip(wedge, wedge[1:]))):
             raise ValueError(f"{where}: wedge must be a strictly increasing "
@@ -158,11 +159,11 @@ def cochain_to_classfile(c, to_display=None):
     """Serialize a cochain to the class-file dictionary form."""
     to_display = to_display or {}
     terms = []
-    for g in sorted(c.comps):
+    for g in sorted(c.terms):
         word = _word_display(c.group.elements[g].word, to_display)
-        pv = c.comps[g]
-        for idx in sorted(pv.comps, key=lambda i: (len(i), i)):
-            poly = pv.comps[idx]
+        pv = c.terms[g]
+        for idx in sorted(pv.terms, key=lambda i: (len(i), i)):
+            poly = pv.terms[idx]
             for exps in sorted(poly.terms):
                 terms.append({
                     "group": word,
@@ -256,7 +257,7 @@ def cmd_cohomology(args):
 
 
 def _support_codim(c):
-    return max((geometry(c.group, g).codim for g in c.comps), default=0)
+    return max((geometry(c.group, g).codim for g in c.terms), default=0)
 
 
 def cmd_bracket(args):
@@ -297,25 +298,9 @@ def cmd_bracket(args):
 # ----------------------------------------------------------------- verify
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("SKEWBRACK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _verify_appendix(args):
     bound = args.max
-    threads = _thread_count()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(
-                lambda name: appendix_suite(bound, bound, bound, only={name}),
-                IDENTITY_NAMES)
-        entries = [e for chunk in chunks for e in chunk]
-    else:
-        entries = appendix_suite(bound, bound, bound)
+    entries = appendix_suite(bound, bound, bound)
     failures = [e for e in entries if not e["pass"]]
     names_seen = sorted({e["identity"] for e in entries})
     report = {
@@ -488,10 +473,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

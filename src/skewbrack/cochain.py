@@ -9,14 +9,15 @@ computations per (exterior degree, polynomial degree) piece.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from operator import attrgetter
 
 from .groups import geometry
 from .linalg import Matrix, echelon_span, kernel_basis, solve_membership
-from .polyvec import Poly, Polyvector, act, euler_field
+from .polyvec import Poly, Polyvector, SparseTerms, act, euler_field
 from .scalars import Cyc
 
 
-class Cochain:
+class Cochain(SparseTerms):
     """Map from group-element indices to polyvectors of one exterior degree.
 
     Absent components are zero.  The group is carried along so actions and
@@ -24,98 +25,57 @@ class Cochain:
     arguments.
     """
 
-    __slots__ = ("group", "degree", "comps")
+    __slots__ = ("group", "degree")
+    head = property(attrgetter("group", "degree"))
 
-    def __init__(self, group, degree, comps=None):
+    def __init__(self, group, degree, terms=None):
         clean = {}
-        for g, pv in (comps or {}).items():
+        for g, pv in (terms or {}).items():
             if pv.is_zero():
                 continue
             if pv.degree() != degree:
                 raise ValueError("component exterior degree disagrees with cochain degree")
             clean[g] = pv
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain is immutable")
-
-    @staticmethod
-    def zero(group, degree):
-        return Cochain(group, degree, {})
+        self._init(clean, group=group, degree=degree)
 
     @staticmethod
     def single(group, g, pv):
         return Cochain(group, pv.degree(), {g: pv})
 
-    def is_zero(self):
-        return not self.comps
-
     def component(self, g):
-        got = self.comps.get(g)
+        got = self.terms.get(g)
         if got is not None:
             return got
         return Polyvector.zero(self.group.dim, self.group.scalar_order)
 
     def support(self):
-        return sorted(self.comps)
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return (self.group is other.group and self.degree == other.degree
-                and self.comps == other.comps)
-
-    def __add__(self, other):
-        if self.group is not other.group or self.degree != other.degree:
-            raise ValueError("cochain mismatch")
-        out = dict(self.comps)
-        for g, pv in other.comps.items():
-            out[g] = out[g] + pv if g in out else pv
-        return Cochain(self.group, self.degree, out)
-
-    def __neg__(self):
-        return Cochain(self.group, self.degree,
-                       {g: -pv for g, pv in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        return Cochain(self.group, self.degree,
-                       {g: pv * scalar for g, pv in self.comps.items()})
+        return sorted(self.terms)
 
     def poly_degrees(self):
         out = set()
-        for pv in self.comps.values():
-            for p in pv.comps.values():
+        for pv in self.terms.values():
+            for p in pv.terms.values():
                 out.update(p.degrees())
         return sorted(out)
 
     def __str__(self):
-        if not self.comps:
+        if not self.terms:
             return "0"
         bits = []
-        for g in sorted(self.comps):
+        for g in sorted(self.terms):
             word = self.group.elements[g].word
-            bits.append(f"({self.comps[g]}) {word}")
+            bits.append(f"({self.terms[g]}) {word}")
         return " + ".join(bits)
 
     def __repr__(self):
         return f"Cochain({self})"
 
 
-def euler(geom):
-    """The Euler field of one group element, sum_i (x_i - g.x_i) d_i."""
-    return euler_field(geom.matrix)
-
-
 def differential(c):
     """Componentwise left wedge with the Euler field; raises both the
     exterior and the polynomial degree by one."""
     out = {}
-    for g, pv in c.comps.items():
+    for g, pv in c.terms.items():
         w = euler_field(c.group.matrix(g)).wedge(pv)
         if not w.is_zero():
             out[g] = w
@@ -133,7 +93,7 @@ def act_cochain(c, h):
     hm = group.matrix(h)
     hm_inv = group.matrix(group.inverse(h))
     out = {}
-    for g, pv in c.comps.items():
+    for g, pv in c.terms.items():
         k = group.conjugate(g, group.inverse(h))
         moved = act(pv, hm, hm_inv)
         out[k] = out[k] + moved if k in out else moved
@@ -158,7 +118,7 @@ def _filter_reduced_adapted(pv, n, codim):
     coordinates where the moved directions are the last codim ones."""
     moved = frozenset(range(n - codim, n))
     comps = {}
-    for idx, p in pv.comps.items():
+    for idx, p in pv.terms.items():
         if not moved <= set(idx):
             continue
         kept = {e: c for e, c in p.terms.items()
@@ -177,7 +137,7 @@ def project(c):
     """
     group = c.group
     out = {}
-    for g, pv in c.comps.items():
+    for g, pv in c.terms.items():
         geom = geometry(group, g)
         if geom.codim == 0:
             out[g] = pv
@@ -198,7 +158,7 @@ def codim_decompose(c):
     """Split by codim V^g; keys are the codimensions that occur."""
     group = c.group
     parts = {}
-    for g, pv in c.comps.items():
+    for g, pv in c.terms.items():
         i = geometry(group, g).codim
         parts.setdefault(i, {})[g] = pv
     return {i: Cochain(group, c.degree, comps) for i, comps in sorted(parts.items())}
@@ -229,7 +189,7 @@ def ambient_keys(n, p, m):
 def flatten_polyvector(pv, keys, zero):
     out = []
     for idx, exps in keys:
-        p = pv.comps.get(idx)
+        p = pv.terms.get(idx)
         out.append(p.terms.get(exps, zero) if p is not None else zero)
     return out
 
@@ -270,7 +230,7 @@ def is_coboundary(c):
     src_keys = ambient_keys(n, p - 1, m - 1)
     tgt_keys = ambient_keys(n, p, m)
     witness = {}
-    for g, pv in c.comps.items():
+    for g, pv in c.terms.items():
         e_g = euler_field(group.matrix(g))
         columns = []
         sources = []

@@ -237,7 +237,7 @@ def geometry(group, g):
         })
         omega = omega.wedge(covec)
     if codim and not omega.is_zero():
-        lead = omega.comps[min(omega.comps)]
+        lead = omega.terms[min(omega.terms)]
         lead_c = lead.terms[min(lead.terms)]
         omega = omega * lead_c.inverse()
     return GroupGeometry(g, m, fixed, moved, codim, adapted, dual_change, omega)

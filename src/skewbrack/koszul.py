@@ -21,15 +21,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from math import factorial
+from operator import attrgetter
 
 from .linalg import Matrix
 from .scalars import Cyc
 from .polyvec import (
     Poly,
     Polyvector,
-    circle_product,
+    SparseTerms,
     minor_det,
+    prod_comb,
     rev_sign,
     schouten,
     sort_sign,
@@ -53,17 +55,6 @@ def c_coeff(s, t, z, r):
     return sign * xi(s, t, z, r)
 
 
-def zeta(l, d, t, r, m):
-    """Collapsed per-permutation weight in the closed circle formula:
-    (-1)^((m-1)(l+d)) / t!, independent of r.  The splitting sum over
-    the straightening map telescopes to the 1/t! magnitude, and the
-    sign follows the reversed-word pairing normalization; see the
-    oracle agreement tests."""
-    assert 1 <= l <= d and t >= 1 and 1 <= r <= t
-    sign = -1 if ((m - 1) * (l + d)) % 2 else 1
-    return Fraction(sign, factorial(t))
-
-
 def _zero_exp(n):
     return (0,) * n
 
@@ -72,27 +63,26 @@ def _add_exp(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-class KoszulElt:
-    """Sum of terms  x^eL (tensor) o(x_I) (tensor) x^eR  with Cyc coefficients."""
+class KoszulTerms(SparseTerms):
+    """Cyc-valued terms over the polynomial ring in n variables; the key
+    layout is fixed by the subclass."""
 
-    __slots__ = ("n", "order", "terms")
+    __slots__ = ("n", "order")
+    head = property(attrgetter("n", "order"))
 
     def __init__(self, n, order, terms=None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", order)
         clean = {}
         for key, c in (terms or {}).items():
             c = Cyc.of(c, order)
             if not c.is_zero():
                 clean[key] = c
-        object.__setattr__(self, "terms", clean)
+        self._init(clean, n=n, order=order)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("KoszulElt is immutable")
 
-    @staticmethod
-    def zero(n, order):
-        return KoszulElt(n, order, {})
+class KoszulElt(KoszulTerms):
+    """Sum of terms  x^eL (tensor) o(x_I) (tensor) x^eR  with Cyc coefficients."""
+
+    __slots__ = ()
 
     @staticmethod
     def basis(n, order, idx):
@@ -101,33 +91,6 @@ class KoszulElt:
         if sgn == 0:
             return KoszulElt.zero(n, order)
         return KoszulElt(n, order, {(key, _zero_exp(n), _zero_exp(n)): Cyc.of(sgn, order)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KoszulElt)
-            and self.n == other.n
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return KoszulElt(self.n, self.order, out)
-
-    def __neg__(self):
-        return KoszulElt(self.n, self.order, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Cyc.of(c, self.order)
-        return KoszulElt(self.n, self.order, {k: v * c for k, v in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -138,29 +101,12 @@ class KoszulElt:
         return " + ".join(bits)
 
 
-class KoszulTensor2:
+class KoszulTensor2(KoszulTerms):
     """Sum of terms  x^eL (tensor) o(x_S) (tensor) x^eM (tensor) o(x_Z)
     (tensor) x^eR  over the polynomial ring: the tensor square of the
     resolution with its middle legs multiplied together."""
 
-    __slots__ = ("n", "order", "terms")
-
-    def __init__(self, n, order, terms=None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", order)
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = Cyc.of(c, order)
-            if not c.is_zero():
-                clean[key] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KoszulTensor2 is immutable")
-
-    @staticmethod
-    def zero(n, order):
-        return KoszulTensor2(n, order, {})
+    __slots__ = ()
 
     @staticmethod
     def term(n, order, s_idx, z_idx, el, em, er, coeff=1):
@@ -172,33 +118,6 @@ class KoszulTensor2:
             return KoszulTensor2.zero(n, order)
         c = Cyc.of(coeff, order) * (sgn1 * sgn2)
         return KoszulTensor2(n, order, {(key1, key2, tuple(el), tuple(em), tuple(er)): c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KoszulTensor2)
-            and self.n == other.n
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return KoszulTensor2(self.n, self.order, out)
-
-    def __neg__(self):
-        return KoszulTensor2(self.n, self.order, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Cyc.of(c, self.order)
-        return KoszulTensor2(self.n, self.order, {k: v * c for k, v in self.terms.items()})
 
 
 def koszul_diff(e: KoszulElt) -> KoszulElt:
@@ -346,19 +265,12 @@ def phi(e: KoszulTensor2) -> KoszulElt:
                     c_coeff(s, t, z, r)
                     * (factorial(r - 1) * factorial(t - r))
                     * a_i
-                    * _prod_comb(beta, lpart)
+                    * prod_comb(beta, lpart)
                 )
                 rest = tuple(b - l for b, l in zip(beta, lpart))
                 key = (wkey, _add_exp(el, lpart), _add_exp(er, rest))
                 put(key, c * (weight * wsgn))
     return KoszulElt(n, order, out)
-
-
-def _prod_comb(beta, lpart):
-    out = 1
-    for b, l in zip(beta, lpart):
-        out *= comb(b, l)
-    return out
 
 
 def homotopy_residual(e: KoszulTensor2) -> KoszulElt:
@@ -492,20 +404,17 @@ def chain_bracket_avatar(
     return first - second * sign
 
 
-def appendix_suite(max_s=6, max_t=6, max_z=6, only=None):
+def appendix_suite(max_s=6, max_t=6, max_z=6):
     """Exact sweep of the seventeen coefficient identities behind phi.
 
     Returns a list of {identity, tuple, lhs, rhs, pass} entries, one per
     checked instance, covering every valid (s, t, z, r) in the bounds.
     Identities whose statement needs s >= 1 or z >= 1 start there; terms
-    whose scalar factor is zero are dropped before evaluating xi.  Pass
-    ``only`` (a set of identity names) to restrict the sweep.
+    whose scalar factor is zero are dropped before evaluating xi.
     """
     entries = []
 
     def check(name, tup, lhs, rhs):
-        if only is not None and name not in only:
-            return
         entries.append({
             "identity": name,
             "tuple": tup,
@@ -617,37 +526,6 @@ def homotopy_sweep(n, max_s, max_z, max_t, order=1):
     return checked, failures
 
 
-def phi_circle_chain(f, g, e: KoszulElt):
-    """Chain-level circle product of two cochains, evaluated on an
-    element of the resolution.
-
-    Returns the value in the skew group algebra as a map from group
-    index to polynomial.  Every wedge block of e must have the degree
-    of the composite, |f| + |g| - 1.
-    """
-    if f.group is not g.group:
-        raise ValueError("cochains live over different groups")
-    group = f.group
-    n, order = group.dim, group.scalar_order
-    want = f.degree + g.degree - 1
-    out = {}
-    for (idx, el, er), c in e.terms.items():
-        if len(idx) != want:
-            raise ValueError("resolution degree does not match the composite degree")
-        for a, xg in f.comps.items():
-            amat = group.matrix(a)
-            for b, yh in g.comps.items():
-                base = chain_circle_component(xg, amat, yh, group.matrix(b), idx)
-                if base.is_zero():
-                    continue
-                k = group.mult(a, b)
-                left = Poly.monomial(el, c, order)
-                right = subst_matrix(Poly.monomial(er, 1, order), group.matrix(k))
-                v = left * base * right
-                out[k] = out[k] + v if k in out else v
-    return {k: p for k, p in out.items() if not p.is_zero()}
-
-
 def chain_bracket_cochain(x, y):
     """Graded commutator of chain-level circle products, assembled into
     a cochain through the basis pairing."""
@@ -664,39 +542,12 @@ def chain_bracket_cochain(x, y):
             return
         out[k] = out[k] + pv if k in out else pv
 
-    for a, xg in x.comps.items():
-        for b, yh in y.comps.items():
+    for a, xg in x.terms.items():
+        for b, yh in y.terms.items():
             add(group.mult(a, b),
                 chain_circle_avatar(xg, group.matrix(a), yh, group.matrix(b)))
             add(group.mult(b, a),
                 chain_circle_avatar(yh, group.matrix(b), xg, group.matrix(a)) * (-sign))
-    return Cochain(group, x.degree + y.degree - 1, out)
-
-
-def circle_closed(x, y):
-    """Closed-formula circle product of two cochains.
-
-    The right operand must be in reduced form componentwise (wedge part
-    divisible by the volume form of its element, polynomial part free of
-    moved variables); outside that subspace the closed formula and the
-    chain-level product genuinely disagree, so the input is refused.
-    """
-    from .cochain import Cochain, is_reduced
-
-    if x.group is not y.group:
-        raise ValueError("cochains live over different groups")
-    if not is_reduced(y):
-        raise ValueError("right operand is not in reduced form (apply project first)")
-    group = x.group
-    out = {}
-    for a, xg in x.comps.items():
-        amat = group.matrix(a)
-        for b, yh in y.comps.items():
-            term = circle_product(xg, yh, amat)
-            if term.is_zero():
-                continue
-            k = group.mult(a, b)
-            out[k] = out[k] + term if k in out else term
     return Cochain(group, x.degree + y.degree - 1, out)
 
 
@@ -705,18 +556,18 @@ def vector_field_commutator(x: Polyvector, y: Polyvector) -> Polyvector:
     with no reference to the circle product: [x, y](x_j) = x(y_j) - y(x_j).
     """
     for pv in (x, y):
-        if any(len(idx) != 1 for idx in pv.comps):
+        if any(len(idx) != 1 for idx in pv.terms):
             raise ValueError("inputs must be vector fields (degree one)")
     n, order = x.n, x.order
     zero = Poly.zero(n, order)
     comps = {}
     for j in range(n):
         acc = zero
-        fj = x.comps.get((j,), zero)
-        gj = y.comps.get((j,), zero)
+        fj = x.terms.get((j,), zero)
+        gj = y.terms.get((j,), zero)
         for i in range(n):
-            fi = x.comps.get((i,))
-            gi = y.comps.get((i,))
+            fi = x.terms.get((i,))
+            gi = y.terms.get((i,))
             if fi is not None:
                 acc = acc + fi * gj.deriv(i)
             if gi is not None:

@@ -216,27 +216,6 @@ def mat_inverse(m: Matrix) -> Matrix:
     return Matrix(m.order, [r[n:] for r in rows])
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
-
-
-def vec_is_zero(a):
-    return all(not x for x in a)
-
-
-def zero_vec(n, order):
-    z = Cyc.zero(order)
-    return tuple(z for _ in range(n))
-
-
 def echelon_span(vectors, order):
     """Canonical echelonized basis of the span of the given row vectors."""
     if not vectors:

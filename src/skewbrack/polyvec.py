@@ -4,16 +4,19 @@ A polyvector is a sum of terms  p * d_{i_1} ^ ... ^ d_{i_k}  with p a
 polynomial and the d_i dual basis directions; it is stored as a map
 from strictly increasing index tuples to polynomial coefficients.
 These are the reduced representatives of Hochschild cohomology
-components, and the closed bracket formula lives here.
+components, and the closed bracket formula lives here.  SparseTerms,
+the immutable sparse container that polynomials, polyvectors, cochains
+and the Koszul resolution terms share, is defined here too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from math import comb, factorial
+from operator import attrgetter
 
-from .linalg import Matrix
+from .linalg import Matrix, det
 from .scalars import Cyc, print_scalar
 
 
@@ -61,28 +64,78 @@ def merge_sign(a, b):
     return sign, tuple(out)
 
 
-class Poly:
+class SparseTerms:
+    """Immutable sparse vector: a dict ``terms`` from keys to nonzero
+    values, plus header fields (``head``) that two operands must share.
+
+    Subclasses list their header fields in ``__slots__``, expose them as
+    ``head`` in constructor order, and construct as ``cls(*head, terms)``,
+    dropping zero values and validating keys.  The termwise linear
+    arithmetic, equality and hashing live here.
+    """
+
+    __slots__ = ("terms",)
+
+    def _init(self, terms, **head):
+        for name, value in head.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, *head):
+        return cls(*head, {})
+
+    def _like(self, terms):
+        return type(self)(*self.head, terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.head == other.head and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.head, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        if self.head != other.head:
+            raise ValueError(f"{type(self).__name__.lower()} mismatch")
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out[k] + v if k in out else v
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    __mul__ = scale
+
+
+class Poly(SparseTerms):
     """Polynomial in n variables, exponent-tuple keyed, Cyc coefficients."""
 
-    __slots__ = ("n", "order", "terms")
+    __slots__ = ("n", "order")
+    head = property(attrgetter("n", "order"))
 
     def __init__(self, n, order, terms=None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", order)
         clean = {}
         for exps, c in (terms or {}).items():
             c = Cyc.of(c, order)
             if not c.is_zero():
                 assert len(exps) == n and all(e >= 0 for e in exps)
                 clean[tuple(exps)] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    @staticmethod
-    def zero(n, order):
-        return Poly(n, order, {})
+        self._init(clean, n=n, order=order)
 
     @staticmethod
     def const(value, n, order):
@@ -98,37 +151,9 @@ class Poly:
     def monomial(exps, coeff, order):
         return Poly(len(exps), order, {tuple(exps): Cyc.of(coeff, order)})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.n == other.n
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.order, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        assert self.n == other.n
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Cyc.zero(self.order)) + c
-        return Poly(self.n, self.order, out)
-
-    def __neg__(self):
-        return Poly(self.n, self.order, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyc)):
-            c = Cyc.of(other, self.order)
-            return Poly(self.n, self.order, {e: v * c for e, v in self.terms.items()})
+            return self.scale(Cyc.of(other, self.order))
         assert isinstance(other, Poly) and self.n == other.n
         out = {}
         for e1, c1 in self.terms.items():
@@ -201,34 +226,24 @@ def minor_det(m: Matrix, rows, cols):
     if k == 0:
         return Cyc.one(order)
     sub = [[m.rows[r][c] for c in cols] for r in rows]
-    from .linalg import det as _det
-
-    return _det(Matrix(order, sub))
+    return det(Matrix(order, sub))
 
 
-class Polyvector:
+class Polyvector(SparseTerms):
     """Map from strictly increasing index tuples to Poly coefficients."""
 
-    __slots__ = ("n", "order", "comps")
+    __slots__ = ("n", "order")
+    head = property(attrgetter("n", "order"))
 
-    def __init__(self, n, order, comps=None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", order)
+    def __init__(self, n, order, terms=None):
         clean = {}
-        for idx, p in (comps or {}).items():
+        for idx, p in (terms or {}).items():
             idx = tuple(idx)
             assert all(0 <= i < n for i in idx)
             assert all(a < b for a, b in zip(idx, idx[1:]))
             if not p.is_zero():
                 clean[idx] = p
-        object.__setattr__(self, "comps", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polyvector is immutable")
-
-    @staticmethod
-    def zero(n, order):
-        return Polyvector(n, order, {})
+        self._init(clean, n=n, order=order)
 
     @staticmethod
     def from_poly(p: Poly, idx=()):
@@ -243,39 +258,10 @@ class Polyvector:
         p = Poly.monomial(exps, Cyc.of(coeff, order) * sgn, order)
         return Polyvector(len(exps), order, {key: p})
 
-    def is_zero(self):
-        return not self.comps
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Polyvector)
-            and self.n == other.n
-            and self.order == other.order
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.order, frozenset(self.comps.items())))
-
-    def __add__(self, other):
-        assert self.n == other.n
-        out = dict(self.comps)
-        for idx, p in other.comps.items():
-            out[idx] = out[idx] + p if idx in out else p
-        return Polyvector(self.n, self.order, out)
-
-    def __neg__(self):
-        return Polyvector(self.n, self.order, {i: -p for i, p in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         """Scalar or polynomial multiple (polynomials are even, no signs)."""
         if isinstance(other, (int, Fraction, Cyc, Poly)):
-            return Polyvector(
-                self.n, self.order, {i: p * other for i, p in self.comps.items()}
-            )
+            return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -287,13 +273,13 @@ class Polyvector:
         sgn, key = sort_sign(idx)
         if sgn == 0:
             return Poly.zero(self.n, self.order)
-        p = self.comps.get(key)
+        p = self.terms.get(key)
         if p is None:
             return Poly.zero(self.n, self.order)
         return p * (sgn * rev_sign(len(key)))
 
     def exterior_degrees(self):
-        return sorted({len(i) for i in self.comps})
+        return sorted({len(i) for i in self.terms})
 
     def degree(self):
         degs = self.exterior_degrees()
@@ -303,10 +289,9 @@ class Polyvector:
 
     def wedge(self, other: "Polyvector") -> "Polyvector":
         assert self.n == other.n
-        out = Polyvector.zero(self.n, self.order)
         acc = {}
-        for i1, p1 in self.comps.items():
-            for i2, p2 in other.comps.items():
+        for i1, p1 in self.terms.items():
+            for i2, p2 in other.terms.items():
                 sgn, key = merge_sign(i1, i2)
                 if sgn == 0:
                     continue
@@ -315,11 +300,11 @@ class Polyvector:
         return Polyvector(self.n, self.order, acc)
 
     def __str__(self):
-        if not self.comps:
+        if not self.terms:
             return "0"
         parts = []
-        for idx in sorted(self.comps, key=lambda i: (len(i), i)):
-            p = self.comps[idx]
+        for idx in sorted(self.terms, key=lambda i: (len(i), i)):
+            p = self.terms[idx]
             for exps, c in sorted(p.terms.items()):
                 parts.append(_term_str(c, exps, idx))
         return " + ".join(parts)
@@ -352,26 +337,20 @@ def act(x: Polyvector, h: Matrix, h_inv: Matrix) -> Polyvector:
     wedge factors through minors of h."""
     n, order = x.n, x.order
     out = {}
-    for idx, p in x.comps.items():
+    for idx, p in x.terms.items():
         p2 = subst_matrix(p, h_inv)
         k = len(idx)
         if k == 0:
             key = ()
             out[key] = out[key] + p2 if key in out else p2
             continue
-        for cols in _increasing_tuples(n, k):
+        for cols in combinations(range(n), k):
             d = minor_det(h, idx, cols)
             if d.is_zero():
                 continue
             q = p2 * d
             out[cols] = out[cols] + q if cols in out else q
     return Polyvector(n, order, out)
-
-
-def _increasing_tuples(n, k):
-    from itertools import combinations
-
-    return combinations(range(n), k)
 
 
 def euler_field(g: Matrix) -> Polyvector:
@@ -396,66 +375,81 @@ def sub_multisets(beta):
     return iter_product(*[range(b + 1) for b in beta])
 
 
-def circle_product(x: Polyvector, y: Polyvector, gmat: Matrix | None = None) -> Polyvector:
-    """Closed-form circle product of polyvectors.
-
-    For components f d_I and q d_J this inserts the d_J block at each
-    slot l of d_I, differentiates q by the displaced direction, and
-    splits the remaining polynomial factors around the insertion point;
-    the right-hand split factors are twisted by gmat when given.  The
-    permutation average collapses to multiset weights
-
-        a_i * prod_j C(beta_j, L_j) * |L|! (t-1-|L|)! / t!
-
-    over sub-multisets L of beta = alpha - e_i, summing to the plain
-    interior derivative when gmat is None.  The per-slot sign
-    (-1)^((m-1)(l+d)) matches the chain-level contraction under the
-    reversed-word pairing (see the oracle agreement tests).
-    """
-    n, order = x.n, x.order
-    assert y.n == n
-    acc: dict[tuple, Poly] = {}
-    for idx_i, f in x.comps.items():
+def _insertions(x: Polyvector, y: Polyvector):
+    """Every insertion of a component q d_J of y at slot pos of a
+    component f d_I of x: yields (f, q, the displaced direction I[pos],
+    sign, normalized wedge key).  The sign is the wedge reordering sign
+    times (-1)^((m-1)(l+d)), which matches the chain-level contraction
+    under the reversed-word pairing (see the oracle agreement tests)."""
+    assert y.n == x.n
+    for idx_i, f in x.terms.items():
         d = len(idx_i)
-        for idx_j, q in y.comps.items():
+        for idx_j, q in y.terms.items():
             m = len(idx_j)
-            for pos in range(d):
-                jl = idx_i[pos]
-                sgn_zeta = -1 if ((m - 1) * (pos + d - 1)) % 2 else 1
+            for pos, jl in enumerate(idx_i):
                 wsgn, wkey = sort_sign(idx_i[:pos] + idx_j + idx_i[pos + 1:])
                 if wsgn == 0:
                     continue
-                for alpha, qc in q.terms.items():
-                    a_i = alpha[jl]
-                    if a_i == 0:
-                        continue
-                    t = sum(alpha)
-                    beta = list(alpha)
-                    beta[jl] -= 1
-                    tot = t - 1
-                    for L in sub_multisets(beta):
-                        ls = sum(L)
-                        weight = Fraction(
-                            a_i
-                            * _prod_comb(beta, L)
-                            * factorial(ls)
-                            * factorial(tot - ls),
-                            factorial(t),
-                        )
-                        rest = tuple(b - l for b, l in zip(beta, L))
-                        right = Poly.monomial(rest, Cyc.one(order), order)
-                        if gmat is not None:
-                            right = subst_matrix(right, gmat)
-                        p = f * Poly.monomial(L, qc * (weight * sgn_zeta * wsgn), order) * right
-                        acc[wkey] = acc[wkey] + p if wkey in acc else p
-    return Polyvector(n, order, acc)
+                sgn_zeta = -1 if ((m - 1) * (pos + d - 1)) % 2 else 1
+                yield f, q, jl, wsgn * sgn_zeta, wkey
 
 
-def _prod_comb(beta, L):
+def circle_product(x: Polyvector, y: Polyvector, gmat: Matrix) -> Polyvector:
+    """Closed-form circle product of polyvectors, twisted by gmat.
+
+    For components f d_I and q d_J this inserts the d_J block at each
+    slot of d_I, differentiates q by the displaced direction, and
+    splits the remaining polynomial factors around the insertion point;
+    the right-hand split factors are twisted by gmat.  The permutation
+    average collapses to multiset weights
+
+        a_i * prod_j C(beta_j, L_j) * |L|! (t-1-|L|)! / t!
+
+    over sub-multisets L of beta = alpha - e_i.
+    """
+    order = x.order
+    acc: dict[tuple, Poly] = {}
+    for f, q, jl, sgn, wkey in _insertions(x, y):
+        for alpha, qc in q.terms.items():
+            a_i = alpha[jl]
+            if a_i == 0:
+                continue
+            t = sum(alpha)
+            beta = list(alpha)
+            beta[jl] -= 1
+            tot = t - 1
+            for L in sub_multisets(beta):
+                ls = sum(L)
+                weight = Fraction(
+                    a_i
+                    * prod_comb(beta, L)
+                    * factorial(ls)
+                    * factorial(tot - ls),
+                    factorial(t),
+                )
+                rest = tuple(b - l for b, l in zip(beta, L))
+                right = subst_matrix(Poly.monomial(rest, Cyc.one(order), order), gmat)
+                p = f * Poly.monomial(L, qc * (weight * sgn), order) * right
+                acc[wkey] = acc[wkey] + p if wkey in acc else p
+    return Polyvector(x.n, order, acc)
+
+
+def prod_comb(beta, L):
     out = 1
     for b, l in zip(beta, L):
         out *= comb(b, l)
     return out
+
+
+def _interior(x: Polyvector, y: Polyvector) -> Polyvector:
+    """Untwisted circle product: at each insertion, f times the
+    derivative of q by the displaced direction.  (With no twist the
+    circle_product weights over L sum to a_i by Vandermonde.)"""
+    acc = {}
+    for f, q, jl, sgn, wkey in _insertions(x, y):
+        p = f * q.deriv(jl) * sgn
+        acc[wkey] = acc[wkey] + p if wkey in acc else p
+    return Polyvector(x.n, x.order, acc)
 
 
 def schouten(x: Polyvector, y: Polyvector) -> Polyvector:
@@ -463,7 +457,5 @@ def schouten(x: Polyvector, y: Polyvector) -> Polyvector:
     the untwisted circle product."""
     dx = x.degree() if not x.is_zero() else 0
     dy = y.degree() if not y.is_zero() else 0
-    first = circle_product(x, y)
-    second = circle_product(y, x)
     sign = -1 if ((dx - 1) * (dy - 1)) % 2 else 1
-    return first - second * sign
+    return _interior(x, y) - _interior(y, x) * sign

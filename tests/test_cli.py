@@ -13,6 +13,7 @@ from skewbrack.cli import (
 )
 from skewbrack.cochain import cohomology_basis
 from skewbrack.fixtures import rotation_bracket_pair
+from skewbrack.koszul import appendix_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -73,6 +74,20 @@ def test_group_file_errors(tmp_path, capsys):
 
     code, _, err = run(capsys, "group", str(tmp_path / "missing.json"))
     assert code == 2
+
+    # JSON booleans are not integers
+    sign = [[["-1", "0"], ["0", "1"]]]
+    for field, doc in (
+        ("bound", {"dimension": 2, "cyclotomicOrder": 1, "generators": sign,
+                   "bound": True}),
+        ("dimension", {"dimension": True, "cyclotomicOrder": 1,
+                       "generators": [[["-1"]]]}),
+        ("cyclotomicOrder", {"dimension": 2, "cyclotomicOrder": True,
+                             "generators": sign}),
+    ):
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "group", str(bad))
+        assert code == 2 and f"{field} must be" in err
 
 
 def test_group_generator_names(tmp_path, capsys):
@@ -255,6 +270,20 @@ def test_class_file_errors(tmp_path, capsys):
     code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
     assert code == 2
 
+    term = {"group": "g1", "coeff": "1", "exponents": [0, 0, 0], "wedge": [1, 2]}
+    for field, doc in (
+        ("terms", {"homologicalDegree": 2, "terms": 5}),
+        ("homologicalDegree", {"homologicalDegree": True, "terms": [term]}),
+        ("group", {"homologicalDegree": 2, "terms": [{**term, "group": ["g1"]}]}),
+        ("group", {"homologicalDegree": 2, "terms": [{**term, "group": True}]}),
+        ("exponents", {"homologicalDegree": 2,
+                       "terms": [{**term, "exponents": [True, 0, 0]}]}),
+        ("wedge", {"homologicalDegree": 2, "terms": [{**term, "wedge": [True, 2]}]}),
+    ):
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
+        assert code == 2 and f"{field} must be" in err
+
 
 # ---------------------------------------------------------------- verify
 
@@ -265,15 +294,12 @@ def test_verify_appendix_small(capsys):
     assert "17/17 identities pass" in out
 
 
-def test_verify_appendix_json_threads(capsys, monkeypatch):
-    monkeypatch.setenv("SKEWBRACK_THREADS", "3")
+def test_verify_appendix_json(capsys):
     code, out, _ = run(capsys, "verify", "appendix", "--max", "3", "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["pass"] and data["identities"] == 17
-    monkeypatch.setenv("SKEWBRACK_THREADS", "1")
-    code, out2, _ = run(capsys, "verify", "appendix", "--max", "3", "--json")
-    assert json.loads(out2)["checked"] == data["checked"]
+    assert data["pass"] and data["identities"] == 17 and data["failures"] == []
+    assert data["checked"] == len(appendix_suite(3, 3, 3))
 
 
 def test_verify_homotopy_small(capsys):

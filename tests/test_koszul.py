@@ -25,7 +25,6 @@ from skewbrack.koszul import (
     phi,
     triple_splits,
     xi,
-    zeta,
 )
 
 
@@ -53,17 +52,6 @@ def test_c_coeff_values():
     # sign alternates with z (and s z)
     assert c_coeff(0, 1, 1, 1) == -xi(0, 1, 1, 1)
     assert c_coeff(1, 1, 2, 1) == xi(1, 1, 2, 1)
-
-
-def test_zeta_values():
-    for m in range(0, 5):
-        assert zeta(1, 1, 1, 1, m) == 1
-    # magnitude is 1/t!, independent of r and of the slot beyond its sign
-    assert zeta(2, 2, 1, 1, 2) == 1
-    assert zeta(1, 2, 1, 1, 2) == -1
-    assert zeta(2, 3, 2, 1, 3) == Fraction(1, 2)
-    assert zeta(2, 3, 2, 2, 3) == Fraction(1, 2)
-    assert zeta(1, 2, 3, 2, 4) == Fraction(-1, 6)
 
 
 def test_koszul_diff_degree_one():
@@ -293,11 +281,26 @@ def test_chain_bracket_rank_two_example():
     assert closed == got
 
 
-def test_chain_circle_trivial_group_is_schouten_circle():
-    idm = Matrix.identity(3, 1)
-    x = Polyvector.term(2, (0, 1, 0), (0, 2), 1)
-    y = Polyvector.term(1, (1, 0, 1), (1,), 1)
-    assert chain_circle_avatar(x, idm, y, idm) == circle_product(x, y)
+@st.composite
+def homogeneous_polyvector(draw, n):
+    """Nonzero polyvector on k^n of one exterior degree in 0..min(n, 3)."""
+    wedges = list(combinations(range(n), draw(st.integers(0, min(n, 3)))))
+    terms = draw(st.dictionaries(
+        st.tuples(st.sampled_from(wedges), st.tuples(*[st.integers(0, 2)] * n)),
+        st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=2))
+    out = Polyvector.zero(n, 1)
+    for (idx, exps), c in terms.items():
+        out = out + Polyvector.term(c, exps, idx, 1)
+    return out
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(homogeneous_polyvector(n), homogeneous_polyvector(n))))
+@settings(max_examples=40, deadline=None)
+def test_chain_bracket_trivial_group_is_schouten(pair):
+    x, y = pair
+    idm = Matrix.identity(x.n, 1)
+    assert schouten(x, y) == chain_bracket_avatar(x, idm, y, idm)
 
 
 def test_chain_circle_component_degree_mismatch_is_zero_padding():
