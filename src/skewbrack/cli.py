@@ -40,6 +40,13 @@ from .scalars import parse_scalar, print_scalar
 
 # ----------------------------------------------------------- file formats
 
+# Size bounds on input files, checked before any arithmetic.  The order
+# bounds the field degree and the cost of building Phi_N; the total degree
+# of a class term bounds the work of substituting into it, which grows
+# with each unit of exponent.
+MAX_CYCLOTOMIC_ORDER = 1000
+MAX_TERM_DEGREE = 16
+
 
 def _is_int(value):
     """Whether a parsed JSON value is an integer (JSON true/false load
@@ -62,6 +69,9 @@ def load_group_file(path):
         raise ValueError(f"{path}: dimension must be a positive integer")
     if not _is_int(order) or order < 1:
         raise ValueError(f"{path}: cyclotomicOrder must be a positive integer")
+    if order > MAX_CYCLOTOMIC_ORDER:
+        raise ValueError(f"{path}: cyclotomicOrder must be at most "
+                         f"{MAX_CYCLOTOMIC_ORDER}")
     raw_gens = data["generators"]
     if not isinstance(raw_gens, list) or not raw_gens:
         raise ValueError(f"{path}: generators must be a nonempty list")
@@ -142,6 +152,9 @@ def load_class_file(path, group, to_internal=None):
         if (not isinstance(exps, list) or len(exps) != n
                 or any(not _is_int(e) or e < 0 for e in exps)):
             raise ValueError(f"{where}: exponents must be {n} nonnegative integers")
+        if sum(exps) > MAX_TERM_DEGREE:
+            raise ValueError(f"{where}: exponents must be of total degree "
+                             f"at most {MAX_TERM_DEGREE}")
         wedge = term["wedge"]
         if (not isinstance(wedge, list) or len(wedge) != p
                 or any(not _is_int(i) for i in wedge)
@@ -265,10 +278,15 @@ def cmd_bracket(args):
     to_internal, to_display = _name_maps(names)
     x = load_class_file(args.x, group, to_internal)
     y = load_class_file(args.y, group, to_internal)
+    steps = []
     if args.reynolds:
         x, y = reynolds(x), reynolds(y)
+        steps.append("--reynolds")
     if args.project:
         x, y = project(x), project(y)
+        steps.append("--project")
+    zero_operands = [side for side, c in (("left", x), ("right", y))
+                     if steps and c.is_zero()]
     report_obj = gerstenhaber(x, y)
     i, j = _support_codim(x), _support_codim(y)
     result = report_obj.result
@@ -286,6 +304,10 @@ def cmd_bracket(args):
         f"bracket: {result}",
         f"grading: D({i}) x D({j}) -> D({i + j})",
     ]
+    if zero_operands:
+        report["zeroOperands"] = zero_operands
+        lines += [f"{side} operand is zero after {' '.join(steps)}"
+                  for side in zero_operands]
     for t in report["terms"]:
         lines.append(f"  term at ({t['left']}, {t['right']}): {t['value']}")
     for v in report["vanishing"]:

@@ -110,7 +110,9 @@ def reynolds(c):
 
 
 def is_invariant(c):
-    return all(act_cochain(c, h) == c for h in range(len(c.group)))
+    """Whether c.h == c for every h in G.  Since (c.h).k == c.(hk), it
+    suffices to check the generators."""
+    return all(act_cochain(c, h) == c for h in c.group.generator_indices)
 
 
 def _filter_reduced_adapted(pv, n, codim):

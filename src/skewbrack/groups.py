@@ -40,33 +40,37 @@ class Group:
     """A finite matrix group with its multiplication table.
 
     elements[0] is always the identity.  mult_table[i][j] is the index of
-    elements[i].matrix * elements[j].matrix.  kernel_indices lists the
-    elements acting as the identity on V (trivial for faithful actions).
+    elements[i].matrix * elements[j].matrix.  generator_indices[j] is the
+    index of generators[j].  kernel_indices lists the elements acting as
+    the identity on V (trivial for faithful actions).  The geometry of
+    each element is computed on first use and kept on the group.
     """
 
     __slots__ = (
         "dim",
         "scalar_order",
         "generators",
+        "generator_indices",
         "elements",
         "mult_table",
         "inverses",
         "conj_classes",
         "kernel_indices",
-        "_index_of",
+        "_geometries",
     )
 
-    def __init__(self, dim, scalar_order, generators, elements, mult_table,
-                 inverses, conj_classes, kernel_indices, index_of):
+    def __init__(self, dim, scalar_order, generators, generator_indices,
+                 elements, mult_table, inverses, conj_classes, kernel_indices):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "scalar_order", scalar_order)
         object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "generator_indices", generator_indices)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "mult_table", mult_table)
         object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "conj_classes", conj_classes)
         object.__setattr__(self, "kernel_indices", kernel_indices)
-        object.__setattr__(self, "_index_of", index_of)
+        object.__setattr__(self, "_geometries", [None] * len(elements))
 
     def __setattr__(self, name, value):
         raise AttributeError("Group is immutable")
@@ -82,13 +86,6 @@ class Group:
 
     def inverse(self, i):
         return self.inverses[i]
-
-    def index_of(self, matrix):
-        """Index of the element with this matrix, or a ValueError."""
-        try:
-            return self._index_of[matrix]
-        except KeyError:
-            raise ValueError("matrix is not an element of the group")
 
     def conjugate(self, g, h):
         """Index of h g h^-1."""
@@ -117,29 +114,40 @@ def enumerate_group(generators, bound=1024):
     identity = Matrix.identity(n, order)
     elements = [GroupElement(0, identity, "e")]
     index_of = {identity: 0}
+    # right[i][j] is the index of elements[i] * generators[j]; element k > 0
+    # was first reached as elements[p] * generators[j], (p, j) = reached[k - 1].
+    right = []
+    reached = []
     frontier = [0]
     while frontier:
         fresh = []
         for i in frontier:
             base = elements[i]
+            row = []
             for j, gen in enumerate(generators):
                 m = base.matrix * gen
-                if m in index_of:
-                    continue
-                if len(elements) >= bound:
-                    raise RuntimeError("group not finite within bound")
-                word = f"g{j + 1}" if base.word == "e" else f"{base.word}*g{j + 1}"
-                elt = GroupElement(len(elements), m, word)
-                index_of[m] = elt.index
-                elements.append(elt)
-                fresh.append(elt.index)
+                k = index_of.get(m)
+                if k is None:
+                    if len(elements) >= bound:
+                        raise RuntimeError("group not finite within bound")
+                    word = f"g{j + 1}" if base.word == "e" else f"{base.word}*g{j + 1}"
+                    k = index_of[m] = len(elements)
+                    elements.append(GroupElement(k, m, word))
+                    reached.append((i, j))
+                    fresh.append(k)
+                row.append(k)
+            right.append(row)
         frontier = fresh
 
+    # i * k = (i * elements[p]) * generators[j] for (p, j) = reached[k - 1],
+    # and p < k, so each row fills left to right.
     size = len(elements)
-    mult_table = [
-        [index_of[elements[i].matrix * elements[j].matrix] for j in range(size)]
-        for i in range(size)
-    ]
+    mult_table = []
+    for i in range(size):
+        row = [i]
+        for p, j in reached:
+            row.append(right[row[p]][j])
+        mult_table.append(row)
     inverses = [mult_table[i].index(0) for i in range(size)]
 
     assigned = [False] * size
@@ -156,8 +164,8 @@ def enumerate_group(generators, bound=1024):
         conj_classes.append(cls)
 
     kernel_indices = [i for i in range(size) if elements[i].matrix == identity]
-    return Group(n, order, list(generators), elements, mult_table, inverses,
-                 conj_classes, kernel_indices, index_of)
+    return Group(n, order, list(generators), tuple(right[0]), elements,
+                 mult_table, inverses, conj_classes, kernel_indices)
 
 
 def resolve_word(group, word):
@@ -183,7 +191,7 @@ def resolve_word(group, word):
         k = int(token[1:])
         if not 1 <= k <= len(group.generators):
             raise ValueError(f"generator {token!r} out of range")
-        i = group.index_of(group.matrix(i) * group.generators[k - 1])
+        i = group.mult(i, group.generator_indices[k - 1])
     return i
 
 
@@ -216,9 +224,12 @@ class GroupGeometry:
 
 
 def geometry(group, g):
-    """GroupGeometry of the element with index g."""
+    """GroupGeometry of the element with index g, computed once per group."""
     if not 0 <= g < len(group.elements):
         raise ValueError(f"element index {g} out of range")
+    cached = group._geometries[g]
+    if cached is not None:
+        return cached
     n, order = group.dim, group.scalar_order
     m = group.matrix(g)
     diff = Matrix.identity(n, order) - m
@@ -240,7 +251,9 @@ def geometry(group, g):
         lead = omega.terms[min(omega.terms)]
         lead_c = lead.terms[min(lead.terms)]
         omega = omega * lead_c.inverse()
-    return GroupGeometry(g, m, fixed, moved, codim, adapted, dual_change, omega)
+    geom = group._geometries[g] = GroupGeometry(g, m, fixed, moved, codim,
+                                                adapted, dual_change, omega)
+    return geom
 
 
 def conjugate_geometry_check(group, g, h):

@@ -13,7 +13,7 @@ from .scalars import Cyc
 class Matrix:
     """Immutable dense matrix with Cyc entries (all of one order)."""
 
-    __slots__ = ("order", "nrows", "ncols", "rows")
+    __slots__ = ("order", "nrows", "ncols", "rows", "_memo")
 
     def __init__(self, order, rows):
         object.__setattr__(self, "order", order)
@@ -21,10 +21,25 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", len(rows[0]) if rows else 0)
+        object.__setattr__(self, "_memo", None)
         assert all(len(r) == self.ncols for r in rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def memo(self, name):
+        """The dict called `name` of values derived from this matrix (its
+        minors, the images of monomials under it), made empty on first
+        use.  The entries cannot go stale, since the matrix is immutable,
+        and they are freed with it; equality and hashing ignore them."""
+        memo = self._memo
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+        table = memo.get(name)
+        if table is None:
+            table = memo[name] = {}
+        return table
 
     @staticmethod
     def identity(n, order):

@@ -331,23 +331,50 @@ def _term_str(c: Cyc, exps, idx):
     return f"({cs})*" + "*".join(factors)
 
 
+def monomial_image(m: Matrix, exps) -> Poly:
+    """subst_matrix of the monomial x^exps by m, kept on m after the
+    first call."""
+    images = m.memo("monomial images")
+    got = images.get(exps)
+    if got is None:
+        got = images[exps] = subst_matrix(Poly.monomial(exps, 1, m.order), m)
+    return got
+
+
+def minor_row(m: Matrix, rows):
+    """The nonzero minors of m on the given rows, as (cols, det) pairs
+    with cols increasing: one row of the exterior power of m, kept on m
+    after the first call."""
+    minors = m.memo("minors")
+    got = minors.get(rows)
+    if got is None:
+        got = []
+        for cols in combinations(range(m.ncols), len(rows)):
+            d = minor_det(m, rows, cols)
+            if not d.is_zero():
+                got.append((cols, d))
+        got = minors[rows] = tuple(got)
+    return got
+
+
 def act(x: Polyvector, h: Matrix, h_inv: Matrix) -> Polyvector:
     """Right action of a group element (matrix h) on a polyvector:
     polynomial factors through the inverse substitution, dual-basis
-    wedge factors through minors of h."""
+    wedge factors through minors of h.  Monomial images and minors are
+    read from the caches on h_inv and h."""
     n, order = x.n, x.order
     out = {}
     for idx, p in x.terms.items():
-        p2 = subst_matrix(p, h_inv)
-        k = len(idx)
-        if k == 0:
-            key = ()
-            out[key] = out[key] + p2 if key in out else p2
+        acc = {}
+        for exps, c in p.terms.items():
+            for e, v in monomial_image(h_inv, exps).terms.items():
+                v = v * c
+                acc[e] = acc[e] + v if e in acc else v
+        p2 = Poly(n, order, acc)
+        if not idx:
+            out[idx] = out[idx] + p2 if idx in out else p2
             continue
-        for cols in combinations(range(n), k):
-            d = minor_det(h, idx, cols)
-            if d.is_zero():
-                continue
+        for cols, d in minor_row(h, idx):
             q = p2 * d
             out[cols] = out[cols] + q if cols in out else q
     return Polyvector(n, order, out)
@@ -400,7 +427,8 @@ def circle_product(x: Polyvector, y: Polyvector, gmat: Matrix) -> Polyvector:
     For components f d_I and q d_J this inserts the d_J block at each
     slot of d_I, differentiates q by the displaced direction, and
     splits the remaining polynomial factors around the insertion point;
-    the right-hand split factors are twisted by gmat.  The permutation
+    the right-hand split factors are twisted by gmat, through the
+    monomial images cached on it.  The permutation
     average collapses to multiset weights
 
         a_i * prod_j C(beta_j, L_j) * |L|! (t-1-|L|)! / t!
@@ -428,7 +456,7 @@ def circle_product(x: Polyvector, y: Polyvector, gmat: Matrix) -> Polyvector:
                     factorial(t),
                 )
                 rest = tuple(b - l for b, l in zip(beta, L))
-                right = subst_matrix(Poly.monomial(rest, Cyc.one(order), order), gmat)
+                right = monomial_image(gmat, rest)
                 p = f * Poly.monomial(L, qc * (weight * sgn), order) * right
                 acc[wkey] = acc[wkey] + p if wkey in acc else p
     return Polyvector(x.n, order, acc)

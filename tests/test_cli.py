@@ -84,6 +84,11 @@ def test_group_file_errors(tmp_path, capsys):
                        "generators": [[["-1"]]]}),
         ("cyclotomicOrder", {"dimension": 2, "cyclotomicOrder": True,
                              "generators": sign}),
+        # too large: refused before any cyclotomic arithmetic
+        ("cyclotomicOrder", {"dimension": 2, "cyclotomicOrder": 10**30,
+                             "generators": sign}),
+        ("cyclotomicOrder", {"dimension": 2, "cyclotomicOrder": 5000,
+                             "generators": sign}),
     ):
         bad.write_text(json.dumps(doc))
         code, _, err = run(capsys, "group", str(bad))
@@ -172,12 +177,33 @@ def test_bracket_requires_invariance(capsys):
     assert "not G-invariant" in err
 
 
-def test_bracket_reynolds_averages_to_zero(capsys):
-    code, out, _ = run(capsys, "bracket", fixture("klein_signs_k3.json"),
-                       fixture("class_wedge12_first.json"),
+def test_bracket_reynolds_averages_to_zero(tmp_path, capsys):
+    group_file = fixture("klein_signs_k3.json")
+    first = fixture("class_wedge12_first.json")
+    code, out, _ = run(capsys, "bracket", group_file, first,
                        fixture("class_x2_wedge23_second.json"), "--reynolds")
     assert code == 0
     assert "bracket: 0" in out
+    assert "left operand is zero after --reynolds" in out
+    assert "right operand is zero after --reynolds" in out
+
+    # x2*d2 at e is invariant, so only the left operand averages to zero
+    invariant = tmp_path / "invariant.json"
+    invariant.write_text(json.dumps({"homologicalDegree": 1, "terms": [
+        {"group": "e", "coeff": "1", "exponents": [0, 1, 0], "wedge": [2]}]}))
+    code, out, _ = run(capsys, "bracket", group_file, first, str(invariant),
+                       "--reynolds", "--project", "--json")
+    assert code == 0
+    assert json.loads(out)["zeroOperands"] == ["left"]
+    code, out, _ = run(capsys, "bracket", group_file, first, str(invariant),
+                       "--reynolds", "--project")
+    assert "left operand is zero after --reynolds --project" in out
+    assert "right operand" not in out
+
+    # nonzero operands: no extra line or key
+    code, out, _ = run(capsys, "bracket", group_file, str(invariant),
+                       str(invariant), "--reynolds", "--json")
+    assert code == 0 and "zeroOperands" not in json.loads(out)
 
 
 def test_bracket_perp_fixture_vanishes(capsys):
@@ -283,6 +309,15 @@ def test_class_file_errors(tmp_path, capsys):
         bad.write_text(json.dumps(doc))
         code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
         assert code == 2 and f"{field} must be" in err
+
+    # an unbounded degree is refused at load, before any substitution
+    bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
+        {**term, "exponents": [10**30, 0, 0]}]}))
+    group, _ = load_group_file(group_file)
+    with pytest.raises(ValueError, match="exponents must be"):
+        load_class_file(str(bad), group)
+    code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
+    assert code == 2 and "exponents must be" in err
 
 
 # ---------------------------------------------------------------- verify

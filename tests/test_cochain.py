@@ -137,6 +137,43 @@ def test_act_is_right_action():
             assert lhs == rhs
 
 
+def invariant_under_every_element(c):
+    return all(act_cochain(c, h) == c for h in range(len(c.group)))
+
+
+def s3_permuting_k3():
+    swap = mat(1, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    cycle = mat(1, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    return enumerate_group([swap, cycle])
+
+
+def dihedral_k2():
+    """The symmetries of the square: a reflection, then a rotation."""
+    reflection = mat(1, [[1, 0], [0, -1]])
+    rotation = mat(1, [[0, -1], [1, 0]])
+    return enumerate_group([reflection, rotation])
+
+
+def test_invariance_on_generators_agrees_with_every_element():
+    for group, first_only in (
+        (s3_permuting_k3(), Poly(3, 1, {(1, 0, 0): 1, (0, 1, 0): 1})),  # x1 + x2
+        (dihedral_k2(), Poly.variable(0, 2, 1)),  # x1
+    ):
+        n = group.dim
+        g1, g2 = group.generator_indices
+        c = Cochain.single(group, 0, Polyvector.from_poly(first_only))
+        assert act_cochain(c, g1) == c and act_cochain(c, g2) != c
+        assert not is_invariant(c)
+        cases = [c]
+        for g in range(len(group)):
+            for idx in ((), (0,), (0, 1)):
+                c = Cochain.single(group, g, Polyvector.term(1, (1,) * n, idx, 1))
+                cases += [c, reynolds(c)]
+        verdicts = [is_invariant(c) for c in cases]
+        assert verdicts == [invariant_under_every_element(c) for c in cases]
+        assert any(verdicts) and not all(verdicts)
+
+
 def test_act_commutes_with_differential():
     group = swap_group_k2()
     c = Cochain.single(group, 1, Polyvector.term(1, (2, 0), (1,), 1))

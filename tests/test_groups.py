@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewbrack.cli import load_group_file
+from skewbrack.fixtures import fixture_groups
 from skewbrack.groups import (
     Group,
     conjugate_geometry_check,
@@ -81,12 +85,49 @@ def test_mult_table_and_words():
         resolve_word(g, "h1")
 
 
+def brute_force_tables(g):
+    """Multiplication table, inverses and conjugacy classes from matrix
+    products alone."""
+    mats = [g.matrix(i) for i in range(len(g))]
+    index = {m: i for i, m in enumerate(mats)}
+    ident = Matrix.identity(g.dim, g.scalar_order)
+    table = [[index[a * b] for b in mats] for a in mats]
+    inverses = [next(j for j, b in enumerate(mats) if a * b == ident) for a in mats]
+    classes = []
+    for i, a in enumerate(mats):
+        if any(i in cls for cls in classes):
+            continue
+        classes.append(tuple(sorted({index[h * a * mats[inverses[k]]]
+                                     for k, h in enumerate(mats)})))
+    return table, inverses, classes
+
+
+def test_mult_data_matches_matrix_products():
+    s4_file = Path(__file__).resolve().parent.parent / "perfbench/data/groups/s4.json"
+    groups = {**fixture_groups(), "s4": load_group_file(str(s4_file))[0]}
+    assert len(groups["s4"]) == 24
+    for name, g in groups.items():
+        table, inverses, classes = brute_force_tables(g)
+        assert g.mult_table == table, name
+        assert g.inverses == inverses, name
+        assert g.conj_classes == classes, name
+        assert [g.matrix(i) for i in g.generator_indices] == g.generators, name
+
+
 def test_symmetric_two_conjugacy():
     swap = mat(1, [[0, 1], [1, 0]])
     g = enumerate_group([swap, diag(1, -1, -1)])
     assert len(g) == 4
     sizes = sorted(len(c) for c in g.conj_classes)
     assert sum(sizes) == 4
+
+
+def test_geometry_is_computed_once_per_group():
+    g = klein_four()
+    assert geometry(g, 3) is geometry(g, 3)
+    fresh = klein_four()
+    assert geometry(fresh, 3) is not geometry(g, 3)
+    assert geometry(fresh, 3).omega == geometry(g, 3).omega
 
 
 def test_geometry_identity():

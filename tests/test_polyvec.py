@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from skewbrack.polyvec import (
     circle_product,
     euler_field,
     merge_sign,
+    minor_det,
     rev_sign,
     schouten,
     sort_sign,
@@ -206,3 +208,42 @@ def test_wedge_sign_rule(x, y):
     p, q = x.degree(), y.degree()
     sign = -1 if (p * q) % 2 else 1
     assert x.wedge(y) == y.wedge(x) * sign
+
+
+def act_from_scratch(x, h, h_inv):
+    """The right action written out: substitute by h_inv, then expand
+    each wedge through every minor of h."""
+    out = Polyvector.zero(x.n, x.order)
+    for idx, p in x.terms.items():
+        p2 = subst_matrix(p, h_inv)
+        for cols in combinations(range(x.n), len(idx)):
+            d = minor_det(h, idx, cols)
+            out = out + Polyvector(x.n, x.order, {cols: p2 * d})
+    return out
+
+
+# One matrix pair shared by every example, so later examples read minors
+# and monomial images cached by earlier ones.
+SHEAR = mat(1, [[1, 2, 0], [0, 1, 0], [-1, 0, 1]])
+SHEAR_INV = mat_inverse(SHEAR)
+
+
+@given(small_polyvector(ext=None), small_polyvector(ext=1))
+@settings(max_examples=40, deadline=None)
+def test_cached_action_matches_fresh_matrices(x, y):
+    for _ in range(2):
+        fresh, fresh_inv = Matrix(1, SHEAR.rows), Matrix(1, SHEAR_INV.rows)
+        got = act(x, SHEAR, SHEAR_INV)
+        assert got == act(x, fresh, fresh_inv)
+        assert got == act_from_scratch(x, SHEAR, SHEAR_INV)
+        assert circle_product(y, x, SHEAR) == circle_product(y, x, fresh)
+
+
+def test_action_fills_caches_on_its_matrices():
+    h, hi = mat(1, [[0, 1], [1, 0]]), mat(1, [[0, 1], [1, 0]])
+    x = Polyvector.term(3, (2, 1), (0,), 1)
+    assert hi.memo("monomial images") == {} and h.memo("minors") == {}
+    first = act(x, h, hi)
+    assert hi.memo("monomial images") and h.memo("minors")
+    assert act(x, h, hi) == first == Polyvector.term(3, (1, 2), (1,), 1)
+    assert h == mat(1, [[0, 1], [1, 0]]) and hash(h) == hash(hi)
