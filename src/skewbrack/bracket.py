@@ -7,14 +7,7 @@ gh, and tagged with gh.  Vanishing criteria from the codimension grading
 are provided alongside.
 """
 
-from .cochain import (
-    Cochain,
-    codim_decompose,
-    is_cocycle,
-    is_invariant,
-    is_reduced,
-    project,
-)
+from .cochain import Cochain, is_invariant, is_reduced, project
 from .groups import geometry
 from .linalg import Matrix, echelon_span, kernel_basis, solve_membership
 from .polyvec import circle_product
@@ -99,20 +92,22 @@ def _require(cond, message):
 def gerstenhaber(x, y):
     """Bracket of two G-invariant reduced cocycles.
 
-    Each input must already be invariant (apply reynolds first if not),
-    in reduced form (apply project first if not), and a cocycle.  The
-    result is again an invariant cocycle, of homological degree
-    |x| + |y| - 1, supported in codimension degree i + j.
+    Each input must already be invariant (apply reynolds first if not)
+    and in reduced form (apply project first if not).  Reduced cochains
+    are cocycles: every reduced wedge contains omega_g, and the wedge part
+    of E_g lies in the moved directions, so E_g ^ X_g = 0.  The result is
+    again an invariant cocycle, of homological degree |x| + |y| - 1,
+    supported in codimension degree i + j.  When both inputs have degree
+    0 the bracket is zero (nothing to insert into), and it is returned as
+    the zero cochain of degree 0.
     """
     _require(x.group is y.group, "cochains live over different groups")
     _require(is_invariant(x), "left operand is not G-invariant (apply reynolds first)")
     _require(is_invariant(y), "right operand is not G-invariant (apply reynolds first)")
     _require(is_reduced(x), "left operand is not in reduced form (apply project first)")
     _require(is_reduced(y), "right operand is not in reduced form (apply project first)")
-    _require(is_cocycle(x), "left operand is not a cocycle")
-    _require(is_cocycle(y), "right operand is not a cocycle")
     group = x.group
-    degree = x.degree + y.degree - 1
+    degree = max(x.degree + y.degree - 1, 0)
     comps = {}
     per_terms = {}
     diagnostics = []

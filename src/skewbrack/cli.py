@@ -95,7 +95,10 @@ def load_group_file(path):
     bound = data.get("bound", 1024)
     if not _is_int(bound) or bound < 1:
         raise ValueError(f"{path}: bound must be a positive integer")
-    group = enumerate_group(gens, bound)
+    try:
+        group = enumerate_group(gens, bound)
+    except (ValueError, RuntimeError) as exc:
+        raise ValueError(f"{path}: generators: {exc}") from exc
     return group, names
 
 
@@ -143,7 +146,7 @@ def load_class_file(path, group, to_internal=None):
         try:
             g = resolve_word(group, gref)
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from exc
+            raise ValueError(f"{where}: group: {exc}") from exc
         try:
             coeff = parse_scalar(str(term["coeff"]), order)
         except ValueError as exc:

@@ -12,7 +12,7 @@ from itertools import combinations, combinations_with_replacement
 from operator import attrgetter
 
 from .groups import geometry
-from .linalg import Matrix, echelon_span, kernel_basis, solve_membership
+from .linalg import echelon_span, solve_membership
 from .polyvec import Poly, Polyvector, SparseTerms, act, euler_field
 from .scalars import Cyc
 
@@ -261,11 +261,9 @@ def centralizer(group, g):
             if group.mult(h, g) == group.mult(g, h)]
 
 
-def centralizer_reynolds(group, g, pv, cent=None):
-    """Average a single-component polyvector over the centralizer of g;
-    every term of the average stays attached to g."""
-    if cent is None:
-        cent = centralizer(group, g)
+def centralizer_reynolds(group, g, pv, cent):
+    """Average a single-component polyvector over the centralizer cent of
+    g; every term of the average stays attached to g."""
     n, order = group.dim, group.scalar_order
     total = Polyvector.zero(n, order)
     for h in cent:
@@ -336,49 +334,34 @@ def cohomology_basis(group, p, m):
 def cohomology_dim_direct(group, p, m):
     """Dimension of the (p, m) piece from the full ambient complex.
 
-    Works classwise: at each representative, kernel and image of the
-    Euler wedge are computed by exact linear algebra on all of
-    S(V) (x) Lambda V*, then cut down to centralizer invariants.  No
-    reduced-subspace data is consulted.
+    Works classwise.  At a representative g the Euler wedge d = E_g ^ -
+    commutes with the centralizer average R, so the invariant cohomology
+    has dimension rank R(S) - rank d(R(S)) - rank d(R(T)), where S and T
+    are all of S(V) (x) Lambda V* in degrees (p, m) and (p-1, m-1).
+    No reduced-subspace data is consulted.
     """
     if p > group.dim:
         raise ValueError("exterior degree exceeds the dimension of V")
     n, order = group.dim, group.scalar_order
     zero = Cyc.zero(order)
-    src_keys = ambient_keys(n, p, m)
-    tgt_keys = ambient_keys(n, p + 1, m + 1)
-    below_keys = ambient_keys(n, p - 1, m - 1) if p >= 1 and m >= 1 else []
+
+    def averages(g, cent, q, k):
+        return [centralizer_reynolds(group, g, Polyvector.term(1, exps, idx, order), cent)
+                for idx, exps in ambient_keys(n, q, k)]
+
+    def rank(pvs, q, k):
+        keys = ambient_keys(n, q, k)
+        vectors = [flatten_polyvector(pv, keys, zero) for pv in pvs if not pv.is_zero()]
+        return len(echelon_span(vectors, order))
+
     total = 0
     for cls in group.conj_classes:
         g = cls[0]
         cent = centralizer(group, g)
         e_g = euler_field(group.matrix(g))
-        if tgt_keys:
-            columns = []
-            for idx, exps in src_keys:
-                b = Polyvector.term(1, exps, idx, order)
-                columns.append(flatten_polyvector(e_g.wedge(b), tgt_keys, zero))
-            mat = Matrix(order, [[columns[j][i] for j in range(len(src_keys))]
-                                 for i in range(len(tgt_keys))])
-            kernel = kernel_basis(mat)
-        else:
-            kernel = [tuple(Cyc.one(order) if j == i else zero
-                            for j in range(len(src_keys)))
-                      for i in range(len(src_keys))]
-        averaged_kernel = []
-        for v in kernel:
-            pv = polyvector_from_vector(v, src_keys, n, order)
-            avg = centralizer_reynolds(group, g, pv, cent)
-            if not avg.is_zero():
-                averaged_kernel.append(flatten_polyvector(avg, src_keys, zero))
-        averaged_image = []
-        for idx, exps in below_keys:
-            img = e_g.wedge(Polyvector.term(1, exps, idx, order))
-            if img.is_zero():
-                continue
-            avg = centralizer_reynolds(group, g, img, cent)
-            if not avg.is_zero():
-                averaged_image.append(flatten_polyvector(avg, src_keys, zero))
-        total += (len(echelon_span(averaged_kernel, order))
-                  - len(echelon_span(averaged_image, order)))
+        here = averages(g, cent, p, m)
+        below = averages(g, cent, p - 1, m - 1)
+        total += (rank(here, p, m)
+                  - rank([e_g.wedge(a) for a in here], p + 1, m + 1)
+                  - rank([e_g.wedge(a) for a in below], p, m))
     return total

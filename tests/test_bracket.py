@@ -2,6 +2,7 @@
 perp vanishing test, and the minimal-degree vanishing flag."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +35,9 @@ from skewbrack.fixtures import (
     sign_line_k2,
 )
 from skewbrack.koszul import chain_bracket_cochain
+from skewbrack.cli import load_group_file
+
+GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
 
 
 def trivial_group_k(n):
@@ -105,20 +109,27 @@ def test_rejects_unreduced_input():
 
 def test_reduced_cochains_are_cocycles():
     # reduced wedges contain every moved direction, so the euler factor
-    # always collides with the wedge and the differential vanishes
+    # always collides with the wedge and the differential vanishes; this
+    # is why gerstenhaber does not check that its inputs are cocycles
     rng = random.Random(5)
-    for group in (sign_line_k2(), plane_rotation_pair_k5(2, 2)):
+    groups = [sign_line_k2(), plane_rotation_pair_k5(2, 2)]
+    groups += [load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+               for name in ("s4", "d4", "d5", "rot")]
+    moved = 0  # nonzero projections away from the identity, where E_g != 0
+    for group in groups:
         n = group.dim
-        for _ in range(6):
+        for _ in range(40):
             g = rng.randrange(len(group))
             exps = tuple(rng.randrange(2) for _ in range(n))
-            idx = tuple(sorted(rng.sample(range(n), 2)))
+            idx = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
             c = Cochain.single(group, g,
                                Polyvector.term(rng.randrange(1, 3), exps, idx,
                                                group.scalar_order))
             p = project(c)
             assert is_reduced(p)
             assert is_cocycle(p)
+            moved += g != 0 and not p.is_zero()
+    assert moved > 20
 
 
 def test_rejects_group_mismatch():

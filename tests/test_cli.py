@@ -1,9 +1,15 @@
 """End-to-end tests for the command line interface and its file formats."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewbrack.cli import (
     cochain_to_classfile,
@@ -216,6 +222,24 @@ def test_bracket_perp_fixture_vanishes(capsys):
     assert data["vanishing"]
 
 
+def test_bracket_of_degree_zero_classes_reloads(tmp_path, capsys):
+    # a degree-0 class has no slot to insert into, so the bracket is the
+    # zero class of degree 0, and its class file is a valid operand again
+    group_file = fixture("klein_signs_k3.json")
+    x2 = tmp_path / "x2.json"
+    x2.write_text(json.dumps({"homologicalDegree": 0, "terms": [
+        {"group": "e", "coeff": "1", "exponents": [0, 1, 0], "wedge": []}]}))
+    code, out, _ = run(capsys, "bracket", group_file, str(x2), str(x2), "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result == {"homologicalDegree": 0, "terms": []}
+    again = tmp_path / "result.json"
+    again.write_text(json.dumps(result))
+    code, out, _ = run(capsys, "bracket", group_file, str(again), str(x2), "--json")
+    assert code == 0
+    assert json.loads(out)["result"] == result
+
+
 def test_bracket_project_flag(tmp_path, capsys):
     # x1*d1 at g1 is invariant and a cocycle but carries a moved variable
     unreduced = tmp_path / "unreduced.json"
@@ -284,6 +308,14 @@ def test_class_file_errors(tmp_path, capsys):
     code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
     assert code == 2 and "term 1" in err
 
+    # errors from resolving the group word name the field
+    for gref in ("h1", 99):
+        bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
+            {"group": gref, "coeff": "1", "exponents": [0, 0, 0],
+             "wedge": [1, 2]}]}))
+        code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
+        assert code == 2 and "term 1: group: " in err
+
     bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
         {"group": "g1", "coeff": "1", "exponents": [0, 0, 0],
          "wedge": [2, 1]}]}))
@@ -318,6 +350,130 @@ def test_class_file_errors(tmp_path, capsys):
         load_class_file(str(bad), group)
     code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
     assert code == 2 and "exponents must be" in err
+
+
+# --------------------------------------------------------- input fuzzing
+
+VALID_GROUP = {
+    "dimension": 3,
+    "cyclotomicOrder": 1,
+    "generators": [
+        [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]],
+    ],
+    "names": ["s", "t"],
+    "bound": 64,
+}
+VALID_CLASS = {
+    "homologicalDegree": 2,
+    "terms": [
+        {"group": "s*t", "coeff": "1", "exponents": [0, 1, 0], "wedge": [1, 3]},
+        {"group": "e", "coeff": "-1/2", "exponents": [1, 0, 0], "wedge": [1, 2]},
+    ],
+}
+BAD_VALUES = [None, True, False, "x", 0.5, [], [1], {}, {"a": 1}, -1, 10**30]
+
+
+def field_paths(doc, prefix=()):
+    """Every (path to container, key) below doc, dicts and lists alike."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
+
+
+def mutated(doc, prefix, key, value, delete):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for step in prefix:
+        parent = parent[step]
+    if delete:
+        del parent[key]
+    else:
+        parent[key] = value
+    return doc
+
+
+@st.composite
+def one_mutation(draw):
+    """A valid (group, class) pair with one field of one document deleted
+    (dict keys only) or replaced by a value of the wrong kind or size."""
+    which = draw(st.sampled_from(["group", "class"]))
+    docs = {"group": VALID_GROUP, "class": VALID_CLASS}
+    prefix, key = draw(st.sampled_from(list(field_paths(docs[which]))))
+    delete = isinstance(key, str) and draw(st.booleans())
+    value = None if delete else draw(st.sampled_from(BAD_VALUES))
+    docs[which] = mutated(docs[which], prefix, key, value, delete)
+    return docs
+
+
+def test_valid_fuzz_documents_load(tmp_path, capsys):
+    group_file, class_file = tmp_path / "g.json", tmp_path / "c.json"
+    group_file.write_text(json.dumps(VALID_GROUP))
+    class_file.write_text(json.dumps(VALID_CLASS))
+    code, out, _ = run(capsys, "bracket", str(group_file), str(class_file),
+                       str(class_file), "--reynolds", "--project")
+    assert code == 0 and "zero after" not in out
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=one_mutation())
+def test_malformed_documents_exit_2_naming_the_file(tmp_path_factory, docs):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for which, doc in docs.items():
+        paths[which] = tmp / f"{which}.json"
+        paths[which].write_text(json.dumps(doc))
+    for argv in (["group", str(paths["group"])],
+                 ["bracket", str(paths["group"]), str(paths["class"]),
+                  str(paths["class"]), "--reynolds", "--project"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, lines
+            assert any(lines[0].startswith(f"error: {p}: ") for p in paths.values()), lines
+
+
+def test_validation_survives_python_optimize(tmp_path):
+    # python -O strips assert statements; the loaders must not rely on them
+    sign = [[["-1", "0"], ["0", "1"]]]
+    group_docs = [
+        {"dimension": 2, "cyclotomicOrder": 1},
+        {"dimension": 2, "cyclotomicOrder": 1, "generators": [[["1", "?"], ["0", "1"]]]},
+        {"dimension": 2, "cyclotomicOrder": 1, "generators": [[["1", "1"], ["0", "1"]]]},
+        {"dimension": 2, "cyclotomicOrder": 1, "generators": [[["1", "0"]]]},
+        {"dimension": True, "cyclotomicOrder": 1, "generators": [[["-1"]]]},
+        {"dimension": 2, "cyclotomicOrder": 10**30, "generators": sign},
+    ]
+    term = {"group": "g1", "coeff": "1", "exponents": [0, 0, 0], "wedge": [1, 2]}
+    class_docs = [
+        {"homologicalDegree": 2, "terms": [{**term, "group": "g9"}]},
+        {"homologicalDegree": 2, "terms": [{**term, "wedge": [2, 1]}]},
+        {"homologicalDegree": 2, "terms": [{**term, "wedge": [1, 4]}]},
+        {"homologicalDegree": 2, "terms": [{**term, "coeff": "1/0"}]},
+        {"homologicalDegree": 2, "terms": [{**term, "exponents": [0, 0]}]},
+        {"homologicalDegree": 2, "terms": 5},
+    ]
+    cases = [["group", doc] for doc in group_docs]
+    cases += [["bracket", fixture("klein_signs_k3.json"), doc,
+               fixture("class_wedge12_first.json")] for doc in class_docs]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for pos, (command, *files) in enumerate(cases):
+        bad = tmp_path / f"bad{pos}.json"
+        argv = [command]
+        for f in files:
+            if isinstance(f, dict):
+                bad.write_text(json.dumps(f))
+                f = str(bad)
+            argv.append(f)
+        proc = subprocess.run([sys.executable, "-O", "-m", "skewbrack.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: "), proc.stderr
 
 
 # ---------------------------------------------------------------- verify

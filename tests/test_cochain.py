@@ -3,6 +3,7 @@ action, averaging, reduction, and the cohomology basis builders."""
 
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from skewbrack.cochain import (
     project,
     reynolds,
 )
+from skewbrack.cli import load_group_file
 from skewbrack.fixtures import (
     fixture_groups,
     klein_bracket_pair,
@@ -34,6 +36,8 @@ from skewbrack.fixtures import (
     sign_line_k2,
     swap_group_k2,
 )
+
+GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
 
 
 def mat(order, rows):
@@ -405,6 +409,21 @@ def test_basis_matches_direct_dimension_small():
     for name, group in fixture_groups().items():
         if group.dim > 3:
             continue
+        for p in range(group.dim + 1):
+            for m in range(3):
+                assert (len(cohomology_basis(group, p, m))
+                        == cohomology_dim_direct(group, p, m)), (name, p, m)
+
+
+def test_basis_matches_direct_dimension_nonabelian_cyclotomic():
+    # the direct count shares no reduced-subspace code with the basis, so
+    # check it where the paper needs it: nonabelian groups, non-diagonal
+    # actions and cyclotomic fields
+    groups = {"s3": s3_permuting_k3(), "square": dihedral_k2()}
+    for name in ("d4", "d5"):
+        groups[name] = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+    assert [g.scalar_order for g in groups.values()] == [1, 1, 4, 5]
+    for name, group in groups.items():
         for p in range(group.dim + 1):
             for m in range(3):
                 assert (len(cohomology_basis(group, p, m))
