@@ -124,11 +124,11 @@ def _rref_rows(order, rows):
             continue
         rows[lead], rows[piv] = rows[piv], rows[lead]
         inv = rows[lead][col].inverse()
-        rows[lead] = [e * inv for e in rows[lead]]
+        prow = rows[lead] = [e * inv if e else e for e in rows[lead]]
         for i in range(nrows):
             if i != lead and rows[i][col]:
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[lead])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
         pivots.append(col)
         lead += 1
         if lead == nrows:
@@ -216,7 +216,7 @@ def det(m: Matrix) -> Cyc:
         for i in range(col + 1, n):
             if rows[i][col]:
                 f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[col])]
     return out if sign == 1 else -out
 
 

@@ -2,14 +2,16 @@
 
 Scalars are represented in the power basis 1, z, ..., z^(d-1) of
 Q[x]/Phi_N(x), where Phi_N is the N-th cyclotomic polynomial and
-d = deg Phi_N.  All coefficients are exact rationals, so equality is
-decidable and every computation downstream of this module is exact.
+d = deg Phi_N.  All coefficients are exact rationals, held as integers
+over one common denominator, so equality is decidable and every
+computation downstream of this module is exact.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 _CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
 
@@ -59,38 +61,60 @@ def field_degree(order: int) -> int:
     return len(cyclotomic_polynomial(order)) - 1
 
 
-def _reduce_mod_phi(order, coeffs):
-    # Reduce an ascending rational coefficient list mod Phi_order.
-    phi = cyclotomic_polynomial(order)
-    d = len(phi) - 1
-    coeffs = [Fraction(c) for c in coeffs]
-    for k in range(len(coeffs) - 1, d - 1, -1):
-        c = coeffs[k]
-        if c:
-            for i in range(d + 1):
-                coeffs[k - d + i] -= c * phi[i]
-        coeffs.pop()
-    while len(coeffs) < d:
-        coeffs.append(Fraction(0))
-    return tuple(coeffs)
+_POWERS: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _powers(order):
+    """The power-basis coordinates of z^0, ..., z^(order-1); z^k for any
+    integer k is entry k % order.  Phi_order is monic with integer
+    coefficients, so every entry is a tuple of ints."""
+    table = _POWERS.get(order)
+    if table is None:
+        phi = cyclotomic_polynomial(order)
+        d = len(phi) - 1
+        row = [1] + [0] * (d - 1)
+        rows = []
+        for _ in range(order):
+            rows.append(tuple(row))
+            # times z: shift up one place and fold z^d = -sum phi[i] z^i
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                for i in range(d):
+                    row[i] -= top * phi[i]
+        table = _POWERS[order] = tuple(rows)
+    return table
 
 
 class Cyc:
     """An element of Q(zeta_N) for a fixed N (the `order`).
 
+    The value is sum(num[k] * z^k) / den: `num` holds d ints in the power
+    basis and `den` is a positive int, in lowest terms (gcd(den, *num) is
+    1, and zero has den 1), so equal scalars have equal fields.
+
     Operations between scalars of different orders raise ValueError;
     plain ints and Fractions coerce into any order.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order, coeffs):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        assert len(self.coeffs) == field_degree(order)
+        """The scalar with the given d rational power-basis coefficients."""
+        coeffs = [Fraction(c) for c in coeffs]
+        assert len(coeffs) == field_degree(order)
+        c = _from_fractions(order, coeffs)
+        _set_order(self, order)
+        _set_num(self, c.num)
+        _set_den(self, c.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyc is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     @staticmethod
     def of(value, order: int) -> "Cyc":
@@ -99,10 +123,13 @@ class Cyc:
             if value.order != order:
                 raise ValueError("cyclotomic order mismatch")
             return value
-        d = field_degree(order)
-        c = [Fraction(0)] * d
-        c[0] = Fraction(value)
-        return Cyc(order, c)
+        if isinstance(value, int):
+            num, den = int(value), 1
+        else:
+            value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        d = len(_powers(order)[0])
+        return _make(order, (num,) + (0,) * (d - 1), den)
 
     @staticmethod
     def zero(order: int) -> "Cyc":
@@ -115,8 +142,7 @@ class Cyc:
     @staticmethod
     def zeta(order: int, power: int = 1) -> "Cyc":
         """The root of unity z^power (power may be any integer)."""
-        k = power % order
-        return Cyc(order, _reduce_mod_phi(order, [0] * k + [1]))
+        return _make(order, _powers(order)[power % order], 1)
 
     def _coerce(self, other):
         if isinstance(other, Cyc):
@@ -128,35 +154,49 @@ class Cyc:
         return None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("scalar has a nonzero root-of-unity part")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyc(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        if other.__class__ is not Cyc or other.order != self.order:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            num = [a + b for a, b in zip(self.num, other.num)]
+        else:
+            num = [a * db + b * da for a, b in zip(self.num, other.num)]
+            da *= db
+        return _lowest(self.order, num, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.order, [-a for a in self.coeffs])
+        return _make(self.order, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyc(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        if other.__class__ is not Cyc or other.order != self.order:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            num = [a - b for a, b in zip(self.num, other.num)]
+        else:
+            num = [a * db - b * da for a, b in zip(self.num, other.num)]
+            da *= db
+        return _lowest(self.order, num, da)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -165,28 +205,50 @@ class Cyc:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
+        if other.__class__ is not Cyc or other.order != self.order:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.num, other.num
+        d = len(a)
+        prod = [0] * (2 * d - 1)
+        i = 0
+        for ai in a:
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return Cyc(self.order, _reduce_mod_phi(self.order, prod))
+                k = i
+                for bj in b:
+                    prod[k] += ai * bj
+                    k += 1
+            i += 1
+        # z^k for k >= d is a row of ints, since Phi_N is monic and integral
+        powers = _POWERS[self.order]
+        n = len(powers)
+        for k in range(d, 2 * d - 1):
+            c = prod[k]
+            if c:
+                for i, r in enumerate(powers[k % n]):
+                    prod[i] += c * r
+        del prod[d:]
+        return _lowest(self.order, prod, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        in Q[x] against Phi_N (which is irreducible, so any nonzero
-        scalar is a unit)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero scalar")
+        """Multiplicative inverse.  A rational value swaps its numerator
+        and denominator; any other value is inverted by the extended
+        Euclidean algorithm in Q[x] against Phi_N (which is irreducible,
+        so any nonzero scalar is a unit)."""
+        num, den = self.num, self.den
+        n0 = num[0]
+        if not any(num[1:]):
+            if not n0:
+                raise ZeroDivisionError("inverse of zero scalar")
+            if n0 < 0:
+                return _make(self.order, (-den,) + num[1:], -n0)
+            return _make(self.order, (den,) + num[1:], n0)
+        # (num / den)^-1 = den * num^-1, with num as a polynomial in Q[x]
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, list(self.coeffs)
+        r0, r1 = phi, [Fraction(c) for c in num]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(c for c in r1):
             q, rem = _frac_poly_divmod(r0, r1)
@@ -194,8 +256,7 @@ class Cyc:
             s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
         # r0 is now a nonzero constant gcd
         lead = next(c for c in r0 if c)
-        inv = [c / lead for c in s0]
-        return Cyc(self.order, _reduce_mod_phi(self.order, inv))
+        return _from_fractions(self.order, [c * den / lead for c in s0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -223,21 +284,66 @@ class Cyc:
 
     def __eq__(self, other):
         if isinstance(other, Cyc):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (self.order == other.order and self.num == other.num
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and not any(self.num[1:]))
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        num = self.num
+        if any(num[1:]):
+            return hash((self.order, num, self.den))
+        # equal to the hash of the int or Fraction of the same value
+        return hash(num[0]) if self.den == 1 else hash(Fraction(num[0], self.den))
 
     def __repr__(self):
         return f"Cyc({self.order}, {self})"
 
     def __str__(self):
         return print_scalar(self)
+
+
+_new = object.__new__
+_set_order = Cyc.__dict__["order"].__set__
+_set_num = Cyc.__dict__["num"].__set__
+_set_den = Cyc.__dict__["den"].__set__
+
+
+def _make(order, num, den):
+    # A Cyc from fields already in lowest terms (num a tuple of d ints).
+    c = _new(Cyc)
+    _set_order(c, order)
+    _set_num(c, num)
+    _set_den(c, den)
+    return c
+
+
+def _lowest(order, num, den):
+    # A Cyc from a list of d ints over a positive den, in lowest terms.
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    return _make(order, tuple(num), den)
+
+
+def _from_fractions(order, coeffs):
+    # The Cyc with Fraction coefficients of z^0, z^1, ... (any number of
+    # them): put them over the lcm of their denominators and fold the
+    # powers z^k with k >= d into the basis.
+    powers = _powers(order)
+    n = len(powers)
+    den = lcm(*(c.denominator for c in coeffs))
+    num = [0] * len(powers[0])
+    for k, c in enumerate(coeffs):
+        if c:
+            scaled = c.numerator * (den // c.denominator)
+            for i, r in enumerate(powers[k % n]):
+                num[i] += scaled * r
+    return _lowest(order, num, den)
 
 
 def _frac_poly_divmod(a, b):

@@ -18,7 +18,7 @@ from skewbrack.linalg import (
     solve_membership,
     span_equal,
 )
-from skewbrack.scalars import Cyc
+from skewbrack.scalars import Cyc, field_degree
 
 
 def im(rows, order=1):
@@ -96,18 +96,71 @@ def _rand_matrix(data, order, nrows, ncols):
     )
 
 
+def _rand_scalar(data, order):
+    return Cyc(order, [
+        Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 3)))
+        for _ in range(field_degree(order))
+    ])
+
+
+def _rand_sparse_matrix(data, order, nrows, ncols):
+    # At most half of the entries are nonzero, each from all of Q(zeta_order).
+    cells = nrows * ncols
+    nonzero = data.draw(st.permutations(range(cells)))[: data.draw(st.integers(0, cells // 2))]
+    entries = [Cyc.zero(order)] * cells
+    for cell in nonzero:
+        entries[cell] = _rand_scalar(data, order)
+    return Matrix(order, [entries[i * ncols:(i + 1) * ncols] for i in range(nrows)])
+
+
+def _check_rank_nullity_and_kernel_annihilation(m):
+    ker = kernel_basis(m)
+    assert rank(m) + len(ker) == m.ncols
+    for v in ker:
+        assert all(not x for x in m.apply(v))
+    assert len(image_basis(m)) == rank(m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_rank_nullity_and_kernel_annihilation(data):
     order = data.draw(st.sampled_from([1, 4]))
     nrows = data.draw(st.integers(1, 4))
     ncols = data.draw(st.integers(1, 4))
-    m = _rand_matrix(data, order, nrows, ncols)
-    ker = kernel_basis(m)
-    assert rank(m) + len(ker) == ncols
-    for v in ker:
-        assert all(not x for x in m.apply(v))
-    assert len(image_basis(m)) == rank(m)
+    _check_rank_nullity_and_kernel_annihilation(_rand_matrix(data, order, nrows, ncols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rank_nullity_and_kernel_annihilation_sparse_cyclotomic(data):
+    order = data.draw(st.sampled_from([5, 6]))
+    nrows = data.draw(st.integers(1, 5))
+    ncols = data.draw(st.integers(1, 5))
+    _check_rank_nullity_and_kernel_annihilation(_rand_sparse_matrix(data, order, nrows, ncols))
+
+
+def _laplace_det(rows, order):
+    # Cofactor expansion along the first row.
+    if not rows:
+        return Cyc.one(order)
+    total = Cyc.zero(order)
+    for j, a in enumerate(rows[0]):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = a * _laplace_det(minor, order)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_det_matches_laplace_expansion(data):
+    order = data.draw(st.sampled_from([1, 4, 5, 6]))
+    n = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        m = _rand_sparse_matrix(data, order, n, n)
+    else:
+        m = Matrix(order, [[_rand_scalar(data, order) for _ in range(n)] for _ in range(n)])
+    assert det(m) == _laplace_det([list(r) for r in m.rows], order)
 
 
 @settings(max_examples=60, deadline=None)
