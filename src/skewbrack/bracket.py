@@ -3,14 +3,17 @@
 The bracket of two invariant reduced cocycles is assembled pairwise: for
 components X_g and Y_h, the twisted Schouten commutator is computed by
 the closed circle-product formula, projected to the reduced subspace of
-gh, and tagged with gh.  Vanishing criteria from the codimension grading
-are provided alongside.
+gh, and tagged with gh.  Both inputs are G-invariant, so the projected
+commutator of the conjugate pair (a^-1 g a, a^-1 h a) is the one of
+(g, h) moved by a; it is computed once per orbit of component pairs
+under simultaneous conjugation and moved to the rest of the orbit.
+Vanishing criteria from the codimension grading are provided alongside.
 """
 
 from .cochain import Cochain, is_invariant, is_reduced, project
 from .groups import geometry
 from .linalg import Matrix, echelon_span, kernel_basis, solve_membership
-from .polyvec import circle_product
+from .polyvec import act, circle_product
 from .scalars import Cyc
 
 
@@ -89,6 +92,32 @@ def _require(cond, message):
         raise ValueError(message)
 
 
+def _class_representatives(c):
+    """The components of c at one element of each conjugacy class that
+    meets its support."""
+    reps = {}
+    for cls in c.group.conj_classes:
+        for g in cls:
+            if g in c.terms:
+                reps[g] = c.terms[g]
+                break
+    return Cochain(c.group, c.degree, reps)
+
+
+def _pair_value(group, g, xg, h, yh):
+    """Projected commutator of X_g and Y_h at gh, or the reason it
+    vanishes."""
+    raw = pair_commutator(xg, group.matrix(g), yh, group.matrix(h))
+    if raw.is_zero():
+        return "schouten zero"
+    k = group.mult(g, h)
+    projected = project(Cochain.single(group, k, raw)).component(k)
+    if projected.is_zero():
+        return ("perp-intersection" if moved_intersection(group, g, h)
+                else "projection kill")
+    return projected
+
+
 def gerstenhaber(x, y):
     """Bracket of two G-invariant reduced cocycles.
 
@@ -100,33 +129,48 @@ def gerstenhaber(x, y):
     supported in codimension degree i + j.  When both inputs have degree
     0 the bracket is zero (nothing to insert into), and it is returned as
     the zero cochain of degree 0.
+
+    Invariance gives X_{a^-1 g a} = X_g.a, and p_{a^-1 g a}(X.a) =
+    p_g(X).a, so reduced form is checked on one component per conjugacy
+    class of each support.  Likewise the pair (a^-1 g a, a^-1 h a) has
+    the projected commutator of (g, h) moved by a, and the same vanishing
+    reason: pairs are walked in sorted (g, h) order, each pair not yet
+    reached is computed, and its value is moved to its whole orbit under
+    simultaneous conjugation.
     """
     _require(x.group is y.group, "cochains live over different groups")
     _require(is_invariant(x), "left operand is not G-invariant (apply reynolds first)")
     _require(is_invariant(y), "right operand is not G-invariant (apply reynolds first)")
-    _require(is_reduced(x), "left operand is not in reduced form (apply project first)")
-    _require(is_reduced(y), "right operand is not in reduced form (apply project first)")
+    _require(is_reduced(_class_representatives(x)),
+             "left operand is not in reduced form (apply project first)")
+    _require(is_reduced(_class_representatives(y)),
+             "right operand is not in reduced form (apply project first)")
     group = x.group
     degree = max(x.degree + y.degree - 1, 0)
+    pairs = [(g, h) for g in sorted(x.terms) for h in sorted(y.terms)]
+    values = {}
+    for g, h in pairs:
+        if (g, h) in values:
+            continue
+        value = values[(g, h)] = _pair_value(group, g, x.terms[g], h, y.terms[h])
+        for a in range(1, len(group)):
+            a_inv = group.inverse(a)
+            moved = (group.conjugate(g, a_inv), group.conjugate(h, a_inv))
+            if moved in values:
+                continue
+            values[moved] = (value if isinstance(value, str)
+                             else act(value, group.matrix(a), group.matrix(a_inv)))
     comps = {}
     per_terms = {}
     diagnostics = []
-    for g, xg in sorted(x.terms.items()):
-        gmat = group.matrix(g)
-        for h, yh in sorted(y.terms.items()):
-            raw = pair_commutator(xg, gmat, yh, group.matrix(h))
-            if raw.is_zero():
-                diagnostics.append((g, h, "schouten zero"))
-                continue
-            k = group.mult(g, h)
-            projected = project(Cochain.single(group, k, raw)).component(k)
-            if projected.is_zero():
-                reason = ("perp-intersection" if moved_intersection(group, g, h)
-                          else "projection kill")
-                diagnostics.append((g, h, reason))
-                continue
-            per_terms[(g, h)] = projected
-            comps[k] = comps[k] + projected if k in comps else projected
+    for g, h in pairs:
+        value = values[(g, h)]
+        if isinstance(value, str):
+            diagnostics.append((g, h, value))
+            continue
+        k = group.mult(g, h)
+        per_terms[(g, h)] = value
+        comps[k] = comps[k] + value if k in comps else value
     return BracketReport(Cochain(group, degree, comps), per_terms, diagnostics)
 
 

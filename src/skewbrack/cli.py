@@ -440,6 +440,17 @@ def cmd_verify(args):
 # ------------------------------------------------------------------ main
 
 
+def _nonnegative(text):
+    """argparse type for counts and degrees: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="skewbrack",
@@ -453,9 +464,9 @@ def build_parser():
 
     p_coh = sub.add_parser("cohomology", help="basis of a bidegree piece")
     p_coh.add_argument("file")
-    p_coh.add_argument("--p", type=int, required=True,
+    p_coh.add_argument("--p", type=_nonnegative, required=True,
                        help="exterior (homological) degree")
-    p_coh.add_argument("--m", type=int, required=True,
+    p_coh.add_argument("--m", type=_nonnegative, required=True,
                        help="polynomial degree")
     p_coh.add_argument("--json", action="store_true")
     p_coh.set_defaults(func=cmd_cohomology)
@@ -474,17 +485,17 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="run a verification sweep")
     p_ver.add_argument("suite",
                        choices=["appendix", "homotopy", "schouten", "examples"])
-    p_ver.add_argument("--max", type=int, default=6,
+    p_ver.add_argument("--max", type=_nonnegative, default=6,
                        help="appendix: bound for s, t, z")
-    p_ver.add_argument("--dim", type=int, default=3,
+    p_ver.add_argument("--dim", type=_nonnegative, default=3,
                        help="homotopy/schouten: dimension")
-    p_ver.add_argument("--s", type=int, default=2,
+    p_ver.add_argument("--s", type=_nonnegative, default=2,
                        help="homotopy: bound for the left block")
-    p_ver.add_argument("--z", type=int, default=2,
+    p_ver.add_argument("--z", type=_nonnegative, default=2,
                        help="homotopy: bound for the right block")
-    p_ver.add_argument("--t", type=int, default=3,
+    p_ver.add_argument("--t", type=_nonnegative, default=3,
                        help="homotopy: bound for the middle degree")
-    p_ver.add_argument("--pairs", type=int, default=50,
+    p_ver.add_argument("--pairs", type=_nonnegative, default=50,
                        help="schouten: number of random pairs")
     p_ver.add_argument("--seed", type=int, default=0,
                        help="schouten: random seed")

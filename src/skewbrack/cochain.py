@@ -156,16 +156,6 @@ def is_reduced(c):
     return project(c) == c
 
 
-def codim_decompose(c):
-    """Split by codim V^g; keys are the codimensions that occur."""
-    group = c.group
-    parts = {}
-    for g, pv in c.terms.items():
-        i = geometry(group, g).codim
-        parts.setdefault(i, {})[g] = pv
-    return {i: Cochain(group, c.degree, comps) for i, comps in sorted(parts.items())}
-
-
 def monomials(n, total):
     """Exponent tuples of the given total degree, lexicographic by the
     multiset of variable indices."""

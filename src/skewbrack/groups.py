@@ -12,7 +12,6 @@ from .linalg import (
     kernel_basis,
     mat_inverse,
     rank,
-    span_equal,
 )
 from .polyvec import Poly, Polyvector
 from .scalars import Cyc
@@ -255,14 +254,3 @@ def geometry(group, g):
                                                 adapted, dual_change, omega)
     return geom
 
-
-def conjugate_geometry_check(group, g, h):
-    """Whether h carries the splitting of g to the splitting of h g h^-1."""
-    order = group.scalar_order
-    geo_g = geometry(group, g)
-    geo_c = geometry(group, group.conjugate(g, h))
-    hmat = group.matrix(h)
-    push_fixed = [tuple(hmat.apply(list(v))) for v in geo_g.fixed_basis]
-    push_moved = [tuple(hmat.apply(list(v))) for v in geo_g.moved_basis]
-    return (span_equal(push_fixed, geo_c.fixed_basis, order)
-            and span_equal(push_moved, geo_c.moved_basis, order))

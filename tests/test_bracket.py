@@ -23,6 +23,7 @@ from skewbrack.bracket import (
     gerstenhaber,
     minimal_degree_vanishing,
     moved_intersection,
+    pair_commutator,
     perp_vanishing_applies,
 )
 from skewbrack.fixtures import (
@@ -35,9 +36,10 @@ from skewbrack.fixtures import (
     sign_line_k2,
 )
 from skewbrack.koszul import chain_bracket_cochain
-from skewbrack.cli import load_group_file
+from skewbrack.cli import load_class_file, load_group_file
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
+CLASS_DATA = GROUP_DATA.parent / "classes"
 
 
 def trivial_group_k(n):
@@ -88,6 +90,91 @@ def test_chain_oracle_agrees_on_example():
     assert project(chain) == gerstenhaber(x, y).result
 
 
+# ------------------------------------------------------- orbit transport
+
+
+def pairwise_report(x, y):
+    """per_component_terms and vanishing_diagnostics of [x, y], each pair
+    computed on its own in sorted (g, h) order."""
+    group = x.group
+    terms, reasons = {}, []
+    for g in sorted(x.terms):
+        for h in sorted(y.terms):
+            raw = pair_commutator(x.terms[g], group.matrix(g),
+                                  y.terms[h], group.matrix(h))
+            if raw.is_zero():
+                reasons.append((g, h, "schouten zero"))
+                continue
+            gh = group.mult(g, h)
+            projected = project(Cochain.single(group, gh, raw)).component(gh)
+            if not projected.is_zero():
+                terms[(g, h)] = projected
+            elif moved_intersection(group, g, h):
+                reasons.append((g, h, "perp-intersection"))
+            else:
+                reasons.append((g, h, "projection kill"))
+    return terms, reasons
+
+
+def stored_class(group, name, *stems):
+    """Sum of classes stored for the named group."""
+    total = None
+    for stem in stems:
+        c = load_class_file(str(CLASS_DATA / name / f"{stem}.json"), group)
+        total = c if total is None else total + c
+    return total
+
+
+def orbit_cases():
+    """(label, x, y): multi-component classes of S4, D4 over Q(zeta4), D5
+    over Q(zeta5), and the rotation pair over Q(zeta6); the D4 and D5
+    sums mix nonzero, projection-killed and Schouten-zero pairs."""
+    cases = []
+    for name, left, right in (("s4", ("p2m1_1",), ("p1m1_0",)),
+                              ("s4", ("p1m1_1",), ("p2m1_2",)),
+                              ("s4", ("p2m0_0",), ("p2m0_0",)),
+                              ("d4", ("p2m1_2",), ("p1m1_0",)),
+                              ("d4", ("p2m1_2",), ("p2m1_5",)),
+                              ("d5", ("p2m1_3",), ("p1m1_1",)),
+                              ("d5", ("p2m1_3",), ("p2m1_3",)),
+                              ("rot", ("p2m1_3",), ("p2m1_7",)),
+                              ("rot", ("p2m1_0",), ("p1m1_0",))):
+        group = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+        cases.append((f"{name} {left} x {right}", stored_class(group, name, *left),
+                      stored_class(group, name, *right)))
+    for name, left, p in (("d4", ("p2m1_0", "p2m1_2"), 0),
+                          ("d5", ("p2m1_3", "p2m1_4"), 1)):
+        group = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+        x = stored_class(group, name, *left)
+        y = cohomology_basis(group, p, 2)[0]
+        cases.append((f"{name} {left} x H^({p},2)", x, y))
+        cases.append((f"{name} H^({p},2) x {left}", y, x))
+    _, x, y, _ = rotation_bracket_pair(3, 2)
+    cases.append(("rotation pair fixture", x, y))
+    return cases
+
+
+def test_orbit_transport_matches_pairwise_computation():
+    seen = set()
+    transported = 0
+    for label, x, y in orbit_cases():
+        group = x.group
+        report = gerstenhaber(x, y)
+        terms, reasons = pairwise_report(x, y)
+        assert report.per_component_terms == terms, label
+        assert report.vanishing_diagnostics == reasons, label
+        assert project(chain_bracket_cochain(x, y)) == report.result, label
+        seen.update(reason for _, _, reason in reasons)
+        seen.add("nonzero" if terms else "zero")
+        # every pair but one per orbit takes its value from a conjugate pair
+        orbits = {frozenset((group.conjugate(g, a), group.conjugate(h, a))
+                            for a in range(len(group)))
+                  for g in x.terms for h in y.terms}
+        transported += len(x.terms) * len(y.terms) - len(orbits)
+    assert {"nonzero", "schouten zero", "projection kill"} <= seen
+    assert transported >= 100
+
+
 # -------------------------------------------------------- preconditions
 
 
@@ -105,6 +192,25 @@ def test_rejects_unreduced_input():
     assert is_invariant(bad) and is_cocycle(bad) and not is_reduced(bad)
     with pytest.raises(ValueError, match="project"):
         gerstenhaber(good, bad)
+
+
+def test_rejects_unreduced_input_on_a_conjugacy_class():
+    # S3 permuting coordinates on k^3; d3 at a transposition lacks the
+    # moved covector d1 - d2, so every component of the average is killed
+    # by project, and checking one per conjugacy class must still see it
+    perm = lambda p: Matrix(1, [[Cyc.one(1) if p[j] == i else Cyc.zero(1)
+                                 for j in range(3)] for i in range(3)])
+    group = enumerate_group([perm((1, 0, 2)), perm((1, 2, 0))])
+    swap = resolve_word(group, "g1")
+    bad = reynolds(Cochain.single(group, swap, Polyvector.term(1, (0, 0, 0), (2,), 1)))
+    assert is_invariant(bad) and not is_reduced(bad)
+    assert len(bad.support()) == 3 and project(bad).is_zero()
+    good = Cochain.single(group, 0, Polyvector.term(1, (1, 1, 1), (), 1))
+    assert is_invariant(good) and is_reduced(good)
+    with pytest.raises(ValueError, match="right operand .*project"):
+        gerstenhaber(good, bad)
+    with pytest.raises(ValueError, match="left operand .*project"):
+        gerstenhaber(bad, good)
 
 
 def test_reduced_cochains_are_cocycles():

@@ -151,6 +151,41 @@ def test_cohomology_degree_out_of_range(capsys):
     assert code == 2 and "error" in err
 
 
+def run_usage_error(capsys, *argv):
+    """Run a command that argparse rejects; returns its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--p", "--m"])
+def test_cohomology_rejects_negative_degrees(capsys, flag):
+    args = {"--p": "1", "--m": "0", flag: "-1"}
+    err = run_usage_error(capsys, "cohomology", fixture("sign_k1.json"),
+                          *[t for item in args.items() for t in item])
+    assert f"argument {flag}: must be non-negative" in err
+
+
+@pytest.mark.parametrize("suite, flag", [
+    ("appendix", "--max"),
+    ("homotopy", "--dim"),
+    ("homotopy", "--s"),
+    ("homotopy", "--z"),
+    ("homotopy", "--t"),
+    ("schouten", "--dim"),
+    ("schouten", "--pairs"),
+])
+def test_verify_rejects_negative_bounds(capsys, suite, flag):
+    err = run_usage_error(capsys, "verify", suite, flag, "-3")
+    assert f"argument {flag}: must be non-negative" in err
+
+
+def test_integer_options_still_reject_non_integers(capsys):
+    err = run_usage_error(capsys, "verify", "appendix", "--max", "two")
+    assert "argument --max: invalid int value: 'two'" in err
+
+
 # ----------------------------------------------------------- bracket cmd
 
 

@@ -15,7 +15,6 @@ from skewbrack.groups import enumerate_group, geometry, resolve_word
 from skewbrack.cochain import (
     Cochain,
     act_cochain,
-    codim_decompose,
     cohomology_basis,
     cohomology_dim_direct,
     differential,
@@ -289,24 +288,6 @@ def test_project_on_swap_uses_adapted_coordinates():
             + Polyvector.term(-quarter, (1, 0), (1,), 1)
             + Polyvector.term(-quarter, (0, 1), (1,), 1))
     assert p == want
-
-
-# ------------------------------------------------------- codim features
-
-
-def test_codim_decompose():
-    group = klein_signs_k3()
-    c = (Cochain.single(group, 0, Polyvector.term(1, (0, 0, 0), (0,), 1))
-         + Cochain.single(group, resolve_word(group, "g1"),
-                          Polyvector.term(1, (0, 0, 0), (0,), 1))
-         + Cochain.single(group, resolve_word(group, "g1*g2"),
-                          Polyvector.term(1, (0, 0, 0), (0,), 1)))
-    parts = codim_decompose(c)
-    assert sorted(parts) == [0, 1, 2]
-    assert sum(parts.values(), Cochain.zero(group, 1)) == c
-    for codim, part in parts.items():
-        for g in part.support():
-            assert geometry(group, g).codim == codim
 
 
 # --------------------------------------------------------- is_coboundary

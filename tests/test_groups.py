@@ -7,7 +7,6 @@ from skewbrack.cli import load_group_file
 from skewbrack.fixtures import fixture_groups
 from skewbrack.groups import (
     Group,
-    conjugate_geometry_check,
     enumerate_group,
     geometry,
     resolve_word,
@@ -15,6 +14,8 @@ from skewbrack.groups import (
 from skewbrack.linalg import Matrix, rank, span_equal
 from skewbrack.polyvec import Polyvector, act, euler_field
 from skewbrack.scalars import Cyc
+
+GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
 
 
 def mat(order, rows):
@@ -103,8 +104,7 @@ def brute_force_tables(g):
 
 
 def test_mult_data_matches_matrix_products():
-    s4_file = Path(__file__).resolve().parent.parent / "perfbench/data/groups/s4.json"
-    groups = {**fixture_groups(), "s4": load_group_file(str(s4_file))[0]}
+    groups = {**fixture_groups(), "s4": load_group_file(str(GROUP_DATA / "s4.json"))[0]}
     assert len(groups["s4"]) == 24
     for name, g in groups.items():
         table, inverses, classes = brute_force_tables(g)
@@ -175,12 +175,28 @@ def test_geometry_splitting_invariants():
         assert span_equal(geo.moved_basis, inv.moved_basis, 1)
 
 
+def conjugate_geometry_check(group, g, h):
+    """Whether h carries the splitting of g to the splitting of h g h^-1;
+    the bracket moves each computed pair to its conjugates by this."""
+    order = group.scalar_order
+    geo_g = geometry(group, g)
+    geo_c = geometry(group, group.conjugate(g, h))
+    hmat = group.matrix(h)
+    push_fixed = [tuple(hmat.apply(list(v))) for v in geo_g.fixed_basis]
+    push_moved = [tuple(hmat.apply(list(v))) for v in geo_g.moved_basis]
+    return (span_equal(push_fixed, geo_c.fixed_basis, order)
+            and span_equal(push_moved, geo_c.moved_basis, order))
+
+
 def test_conjugate_geometry():
     swap3 = mat(1, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    g = enumerate_group([swap3, diag(1, -1, -1, 1)])
-    for i in range(len(g)):
-        for j in range(len(g)):
-            assert conjugate_geometry_check(g, i, j)
+    groups = {"swap3": enumerate_group([swap3, diag(1, -1, -1, 1)])}
+    for name in ("s4", "d4", "d5", "rot"):
+        groups[name] = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+    for name, g in groups.items():
+        for i in range(len(g)):
+            for j in range(len(g)):
+                assert conjugate_geometry_check(g, i, j), (name, i, j)
 
 
 def test_euler_field_equivariance_over_group():
