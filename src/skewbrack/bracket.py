@@ -14,7 +14,6 @@ from .cochain import Cochain, is_invariant, is_reduced, project
 from .groups import geometry
 from .linalg import Matrix, echelon_span, kernel_basis, solve_membership
 from .polyvec import act, circle_product
-from .scalars import Cyc
 
 
 class BracketReport:
@@ -50,26 +49,19 @@ def pair_commutator(x, g, y, h):
 
 
 def moved_intersection(group, g, h):
-    """Basis of the intersection of the moved subspaces of g and h."""
-    order = group.scalar_order
-    u = [list(v) for v in geometry(group, g).moved_basis]
-    w = [list(v) for v in geometry(group, h).moved_basis]
-    if not u or not w:
-        return []
-    n = group.dim
-    cols = u + w
-    stacked = Matrix(order, [[cols[j][i] for j in range(len(cols))]
-                             for i in range(n)])
-    vectors = []
-    for rel in kernel_basis(stacked):
-        v = [Cyc.zero(order)] * n
-        for a, basis_vec in zip(rel[:len(u)], u):
-            if a:
-                for i in range(n):
-                    v[i] = v[i] + a * basis_vec[i]
-        if any(v):
-            vectors.append(tuple(v))
-    return echelon_span(vectors, order)
+    """Basis of the intersection of the moved subspaces of g and h.
+
+    The first n - codim rows of an element's dual_change vanish exactly
+    on its moved subspace, so the intersection is the kernel of those
+    rows of g and of h stacked."""
+    n, order = group.dim, group.scalar_order
+    rows = []
+    for geom in (geometry(group, g), geometry(group, h)):
+        rows += geom.dual_change.rows[:n - geom.codim]
+    if not rows:
+        # neither element fixes a nonzero vector
+        return list(Matrix.identity(n, order).rows)
+    return echelon_span(kernel_basis(Matrix(order, rows)), order)
 
 
 def perp_vanishing_applies(group, g, h):

@@ -41,10 +41,12 @@ from .scalars import parse_scalar, print_scalar
 # ----------------------------------------------------------- file formats
 
 # Size bounds on input files, checked before any arithmetic.  The order
-# bounds the field degree and the cost of building Phi_N; the total degree
-# of a class term bounds the work of substituting into it, which grows
-# with each unit of exponent.
+# bounds the field degree and the cost of building Phi_N; the group order
+# bounds the enumeration, which lists that many elements before it refuses
+# an infinite group; the total degree of a class term bounds the work of
+# substituting into it, which grows with each unit of exponent.
 MAX_CYCLOTOMIC_ORDER = 1000
+MAX_GROUP_ORDER = 1024
 MAX_TERM_DEGREE = 16
 
 
@@ -92,9 +94,11 @@ def load_group_file(path):
                 or len(set(names)) != len(names)):
             raise ValueError(f"{path}: names must be distinct nonempty "
                              "strings without '*', one per generator")
-    bound = data.get("bound", 1024)
+    bound = data.get("bound", MAX_GROUP_ORDER)
     if not _is_int(bound) or bound < 1:
         raise ValueError(f"{path}: bound must be a positive integer")
+    if bound > MAX_GROUP_ORDER:
+        raise ValueError(f"{path}: bound must be at most {MAX_GROUP_ORDER}")
     try:
         group = enumerate_group(gens, bound)
     except (ValueError, RuntimeError) as exc:
@@ -440,15 +444,21 @@ def cmd_verify(args):
 # ------------------------------------------------------------------ main
 
 
-def _nonnegative(text):
-    """argparse type for counts and degrees: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _at_least(minimum):
+    """argparse type for counts and degrees: an integer >= minimum, which
+    is 0 or 1."""
+    word = "positive" if minimum else "non-negative"
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {word}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser():
@@ -464,9 +474,9 @@ def build_parser():
 
     p_coh = sub.add_parser("cohomology", help="basis of a bidegree piece")
     p_coh.add_argument("file")
-    p_coh.add_argument("--p", type=_nonnegative, required=True,
+    p_coh.add_argument("--p", type=_at_least(0), required=True,
                        help="exterior (homological) degree")
-    p_coh.add_argument("--m", type=_nonnegative, required=True,
+    p_coh.add_argument("--m", type=_at_least(0), required=True,
                        help="polynomial degree")
     p_coh.add_argument("--json", action="store_true")
     p_coh.set_defaults(func=cmd_cohomology)
@@ -485,17 +495,17 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="run a verification sweep")
     p_ver.add_argument("suite",
                        choices=["appendix", "homotopy", "schouten", "examples"])
-    p_ver.add_argument("--max", type=_nonnegative, default=6,
+    p_ver.add_argument("--max", type=_at_least(1), default=6,
                        help="appendix: bound for s, t, z")
-    p_ver.add_argument("--dim", type=_nonnegative, default=3,
+    p_ver.add_argument("--dim", type=_at_least(1), default=3,
                        help="homotopy/schouten: dimension")
-    p_ver.add_argument("--s", type=_nonnegative, default=2,
+    p_ver.add_argument("--s", type=_at_least(0), default=2,
                        help="homotopy: bound for the left block")
-    p_ver.add_argument("--z", type=_nonnegative, default=2,
+    p_ver.add_argument("--z", type=_at_least(0), default=2,
                        help="homotopy: bound for the right block")
-    p_ver.add_argument("--t", type=_nonnegative, default=3,
+    p_ver.add_argument("--t", type=_at_least(0), default=3,
                        help="homotopy: bound for the middle degree")
-    p_ver.add_argument("--pairs", type=_nonnegative, default=50,
+    p_ver.add_argument("--pairs", type=_at_least(1), default=50,
                        help="schouten: number of random pairs")
     p_ver.add_argument("--seed", type=int, default=0,
                        help="schouten: random seed")

@@ -101,9 +101,12 @@ class Cyc:
 
     def __init__(self, order, coeffs):
         """The scalar with the given d rational power-basis coefficients."""
-        coeffs = [Fraction(c) for c in coeffs]
-        assert len(coeffs) == field_degree(order)
-        c = _from_fractions(order, coeffs)
+        d = len(_powers(order)[0])
+        coeffs = [Fraction(a) for a in coeffs]
+        assert len(coeffs) == d
+        den = lcm(*(a.denominator for a in coeffs))
+        c = _lowest(order, [a.numerator * (den // a.denominator)
+                            for a in coeffs], den)
         _set_order(self, order)
         _set_num(self, c.num)
         _set_den(self, c.den)
@@ -235,9 +238,10 @@ class Cyc:
 
     def inverse(self) -> "Cyc":
         """Multiplicative inverse.  A rational value swaps its numerator
-        and denominator; any other value is inverted by the extended
-        Euclidean algorithm in Q[x] against Phi_N (which is irreducible,
-        so any nonzero scalar is a unit)."""
+        and denominator.  Any other value a is inverted by its norm:
+        c = prod of the Galois conjugates sigma_k(a) (z -> z^k) over the
+        units k != 1 mod N, so that a * c = N(a) is rational and nonzero
+        (Phi_N is irreducible), and 1/a = c * N(a)^-1."""
         num, den = self.num, self.den
         n0 = num[0]
         if not any(num[1:]):
@@ -246,17 +250,21 @@ class Cyc:
             if n0 < 0:
                 return _make(self.order, (-den,) + num[1:], -n0)
             return _make(self.order, (den,) + num[1:], n0)
-        # (num / den)^-1 = den * num^-1, with num as a polynomial in Q[x]
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi, [Fraction(c) for c in num]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c for c in r1):
-            q, rem = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        # r0 is now a nonzero constant gcd
-        lead = next(c for c in r0 if c)
-        return _from_fractions(self.order, [c * den / lead for c in s0])
+        powers = _POWERS[self.order]
+        n = len(powers)
+        c = None
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                # sigma_k maps the lattice of numerators onto itself, so
+                # the conjugate is in lowest terms over the same den
+                conj = [0] * len(num)
+                for i, a in enumerate(num):
+                    if a:
+                        for j, r in enumerate(powers[i * k % n]):
+                            conj[j] += a * r
+                conj = _make(self.order, tuple(conj), den)
+                c = conj if c is None else c * conj
+        return c * (self * c).inverse()
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -328,58 +336,6 @@ def _lowest(order, num, den):
             num = [a // g for a in num]
             den //= g
     return _make(order, tuple(num), den)
-
-
-def _from_fractions(order, coeffs):
-    # The Cyc with Fraction coefficients of z^0, z^1, ... (any number of
-    # them): put them over the lcm of their denominators and fold the
-    # powers z^k with k >= d into the basis.
-    powers = _powers(order)
-    n = len(powers)
-    den = lcm(*(c.denominator for c in coeffs))
-    num = [0] * len(powers[0])
-    for k, c in enumerate(coeffs):
-        if c:
-            scaled = c.numerator * (den // c.denominator)
-            for i, r in enumerate(powers[k % n]):
-                num[i] += scaled * r
-    return _lowest(order, num, den)
-
-
-def _frac_poly_divmod(a, b):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    b = list(b)
-    while b and b[-1] == 0:
-        b.pop()
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b) and a:
-        k = len(a) - len(b)
-        c = a[-1] / b[-1]
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[i + k] -= c * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1 or 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def print_scalar(c: Cyc) -> str:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from skewbrack.scalars import Cyc
-from skewbrack.linalg import Matrix
+from skewbrack.linalg import Matrix, echelon_span, solve_membership
 from skewbrack.polyvec import Polyvector, schouten
 from skewbrack.groups import enumerate_group, geometry, resolve_word
 from skewbrack.cochain import (
@@ -291,6 +291,25 @@ def test_perp_does_not_apply_on_disjoint_moved_spaces():
     t = resolve_word(group, "g2")
     assert not perp_vanishing_applies(group, s, t)
     assert moved_intersection(group, s, t) == []
+
+
+@pytest.mark.parametrize("name", [*fixture_groups(), "d4", "d5", "s4"])
+def test_moved_intersection_is_the_intersection(name):
+    if name in fixture_groups():
+        group = fixture_groups()[name]
+    else:
+        group, _ = load_group_file(GROUP_DATA / f"{name}.json")
+    order = group.scalar_order
+    for g in range(len(group.elements)):
+        u = geometry(group, g).moved_basis
+        for h in range(len(group.elements)):
+            w = geometry(group, h).moved_basis
+            inter = moved_intersection(group, g, h)
+            assert inter == echelon_span(inter, order)
+            for v in inter:
+                assert solve_membership(u, v, order) is not None
+                assert solve_membership(w, v, order) is not None
+            assert len(inter) == len(u) + len(w) - len(echelon_span(u + w, order))
 
 
 def test_perp_false_at_identity():

@@ -95,6 +95,9 @@ def test_group_file_errors(tmp_path, capsys):
                              "generators": sign}),
         ("cyclotomicOrder", {"dimension": 2, "cyclotomicOrder": 5000,
                              "generators": sign}),
+        # too large: refused before enumeration, which would not end soon
+        ("bound", {"dimension": 1, "cyclotomicOrder": 1,
+                   "generators": [[["2"]]], "bound": 65536}),
     ):
         bad.write_text(json.dumps(doc))
         code, _, err = run(capsys, "group", str(bad))
@@ -178,7 +181,13 @@ def test_cohomology_rejects_negative_degrees(capsys, flag):
 ])
 def test_verify_rejects_negative_bounds(capsys, suite, flag):
     err = run_usage_error(capsys, "verify", suite, flag, "-3")
-    assert f"argument {flag}: must be non-negative" in err
+    if flag in ("--max", "--dim", "--pairs"):
+        # a zero bound would pass vacuously, so these start at 1
+        assert f"argument {flag}: must be positive, got -3" in err
+        err = run_usage_error(capsys, "verify", suite, flag, "0")
+        assert f"argument {flag}: must be positive, got 0" in err
+    else:
+        assert f"argument {flag}: must be non-negative, got -3" in err
 
 
 def test_integer_options_still_reject_non_integers(capsys):

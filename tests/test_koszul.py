@@ -23,7 +23,9 @@ from skewbrack.koszul import (
     koszul_diff,
     koszul2_diff,
     phi,
+    schouten_random_check,
     triple_splits,
+    vector_field_commutator,
     xi,
 )
 
@@ -344,3 +346,18 @@ def test_chain_matches_closed_on_reduced_inputs(data):
     if x.is_zero() or y.is_zero():
         return
     assert chain_circle_avatar(x, gmat, y, hmat) == circle_product(x, y, gmat)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_schouten_random_check_compares_every_pair(monkeypatch, seed):
+    # seeds 0, 1, 3 and 4 each draw a zero field for one of their 50 pairs
+    compared = []
+
+    def counting(x, y):
+        assert not x.is_zero() and not y.is_zero()
+        compared.append((x, y))
+        return vector_field_commutator(x, y)
+
+    monkeypatch.setattr("skewbrack.koszul.vector_field_commutator", counting)
+    assert schouten_random_check(50, seed=seed) == (50, [])
+    assert len(compared) == 50

@@ -259,6 +259,7 @@ def test_ring_operations_build_no_fraction():
     try:
         for a, b, q in values:
             a + b, a - b, -a, a * b, a * 2, 3 - b, q.inverse(), a * q.inverse()
+            a.inverse(), a / b
     finally:
         Fraction.__new__ = original
     assert made == []
