@@ -151,7 +151,7 @@ def gerstenhaber(x, y):
             if moved in values:
                 continue
             values[moved] = (value if isinstance(value, str)
-                             else act(value, group.matrix(a), group.matrix(a_inv)))
+                             else act(value, [group.action(a)]))
     comps = {}
     per_terms = {}
     diagnostics = []

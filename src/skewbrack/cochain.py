@@ -87,17 +87,12 @@ def is_cocycle(c):
 
 
 def act_cochain(c, h):
-    """Right action: the component at g moves to h^-1 g h, with the
-    polyvector transported through h."""
+    """Right action: the component at g moves to h^-1 g h, a bijection of
+    G, with the polyvector transported through h."""
     group = c.group
-    hm = group.matrix(h)
-    hm_inv = group.matrix(group.inverse(h))
-    out = {}
-    for g, pv in c.terms.items():
-        k = group.conjugate(g, group.inverse(h))
-        moved = act(pv, hm, hm_inv)
-        out[k] = out[k] + moved if k in out else moved
-    return Cochain(group, c.degree, out)
+    h_inv, pair = group.inverse(h), [group.action(h)]
+    return Cochain(group, c.degree, {group.conjugate(g, h_inv): act(pv, pair)
+                                     for g, pv in c.terms.items()})
 
 
 def reynolds(c):
@@ -144,11 +139,11 @@ def project(c):
         if geom.codim == 0:
             out[g] = pv
             continue
-        adapted = act(pv, geom.adapted, geom.dual_change)
+        adapted = act(pv, [(geom.adapted, geom.dual_change)])
         kept = _filter_reduced_adapted(adapted, group.dim, geom.codim)
         if kept.is_zero():
             continue
-        out[g] = act(kept, geom.dual_change, geom.adapted)
+        out[g] = act(kept, [(geom.dual_change, geom.adapted)])
     return Cochain(group, c.degree, out)
 
 
@@ -254,11 +249,8 @@ def centralizer(group, g):
 def centralizer_reynolds(group, g, pv, cent):
     """Average a single-component polyvector over the centralizer cent of
     g; every term of the average stays attached to g."""
-    n, order = group.dim, group.scalar_order
-    total = Polyvector.zero(n, order)
-    for h in cent:
-        total = total + act(pv, group.matrix(h), group.matrix(group.inverse(h)))
-    return total * Cyc.of(Fraction(1, len(cent)), order)
+    total = act(pv, [group.action(h) for h in cent])
+    return total * Cyc.of(Fraction(1, len(cent)), group.scalar_order)
 
 
 def spread_invariant(group, g, pv):
@@ -268,7 +260,7 @@ def spread_invariant(group, g, pv):
     for h in range(len(group)):
         k = group.conjugate(g, group.inverse(h))
         if k not in comps:
-            comps[k] = act(pv, group.matrix(h), group.matrix(group.inverse(h)))
+            comps[k] = act(pv, [group.action(h)])
     return Cochain(group, pv.degree(), comps)
 
 
@@ -286,7 +278,7 @@ def reduced_basis_at(group, geom, p, m):
         exps = exps_fixed + (0,) * codim
         for head in combinations(range(fixed_cnt), p - codim):
             adapted_term = Polyvector.term(1, exps, head + wedge_tail, order)
-            out.append(act(adapted_term, geom.dual_change, geom.adapted))
+            out.append(act(adapted_term, [(geom.dual_change, geom.adapted)]))
     return out
 
 

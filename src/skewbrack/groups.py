@@ -40,15 +40,17 @@ class Group:
 
     elements[0] is always the identity.  mult_table[i][j] is the index of
     elements[i].matrix * elements[j].matrix.  generator_indices[j] is the
-    index of generators[j].  kernel_indices lists the elements acting as
-    the identity on V (trivial for faithful actions).  The geometry of
-    each element is computed on first use and kept on the group.
+    index of generators[j], and names[j] its name in words.  kernel_indices
+    lists the elements acting as the identity on V (trivial for faithful
+    actions).  The geometry of each element is computed on first use and
+    kept on the group.
     """
 
     __slots__ = (
         "dim",
         "scalar_order",
         "generators",
+        "names",
         "generator_indices",
         "elements",
         "mult_table",
@@ -58,11 +60,12 @@ class Group:
         "_geometries",
     )
 
-    def __init__(self, dim, scalar_order, generators, generator_indices,
+    def __init__(self, dim, scalar_order, generators, names, generator_indices,
                  elements, mult_table, inverses, conj_classes, kernel_indices):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "scalar_order", scalar_order)
         object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "generator_indices", generator_indices)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "mult_table", mult_table)
@@ -86,17 +89,22 @@ class Group:
     def inverse(self, i):
         return self.inverses[i]
 
+    def action(self, i):
+        """The (h, h_inv) matrix pair of element i, as polyvec.act takes it."""
+        return self.matrix(i), self.matrix(self.inverse(i))
+
     def conjugate(self, g, h):
         """Index of h g h^-1."""
         return self.mult(self.mult(h, g), self.inverse(h))
 
 
-def enumerate_group(generators, bound=1024):
+def enumerate_group(generators, bound=1024, names=None):
     """Breadth-first closure of a generator list into a Group.
 
     Deterministic ordering: the identity first, then words in the
-    generators in input order, shortest words first.  Raises ValueError
-    for bad generators and RuntimeError when the closure exceeds bound.
+    generators in input order, shortest words first, written in the names
+    (by default g1, g2, ...).  Raises ValueError for bad generators and
+    RuntimeError when the closure exceeds bound.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -109,6 +117,7 @@ def enumerate_group(generators, bound=1024):
             raise ValueError("generators must share one dimension and scalar order")
         if rank(g) != n:
             raise ValueError("generators must be invertible")
+    names = tuple(names or (f"g{j + 1}" for j in range(len(generators))))
 
     identity = Matrix.identity(n, order)
     elements = [GroupElement(0, identity, "e")]
@@ -129,7 +138,7 @@ def enumerate_group(generators, bound=1024):
                 if k is None:
                     if len(elements) >= bound:
                         raise RuntimeError("group not finite within bound")
-                    word = f"g{j + 1}" if base.word == "e" else f"{base.word}*g{j + 1}"
+                    word = names[j] if base.word == "e" else f"{base.word}*{names[j]}"
                     k = index_of[m] = len(elements)
                     elements.append(GroupElement(k, m, word))
                     reached.append((i, j))
@@ -163,15 +172,16 @@ def enumerate_group(generators, bound=1024):
         conj_classes.append(cls)
 
     kernel_indices = [i for i in range(size) if elements[i].matrix == identity]
-    return Group(n, order, list(generators), tuple(right[0]), elements,
+    return Group(n, order, list(generators), names, tuple(right[0]), elements,
                  mult_table, inverses, conj_classes, kernel_indices)
 
 
 def resolve_word(group, word):
     """Index of the element named by a generator word like "g1*g2".
 
-    Accepts "e" for the identity and bare integers (as int or string)
-    naming an element index directly.
+    A token is a generator's name or g<k> for the k-th generator.  Accepts
+    "e" for the identity and bare integers (as int or string) naming an
+    element index directly.
     """
     if isinstance(word, int):
         if 0 <= word < len(group.elements):
@@ -185,6 +195,8 @@ def resolve_word(group, word):
     i = 0
     for token in text.split("*"):
         token = token.strip()
+        if token in group.names:
+            token = f"g{group.names.index(token) + 1}"
         if not token.startswith("g") or not token[1:].isdigit():
             raise ValueError(f"bad generator token {token!r}")
         k = int(token[1:])

@@ -357,27 +357,28 @@ def minor_row(m: Matrix, rows):
     return got
 
 
-def act(x: Polyvector, h: Matrix, h_inv: Matrix) -> Polyvector:
-    """Right action of a group element (matrix h) on a polyvector:
-    polynomial factors through the inverse substitution, dual-basis
-    wedge factors through minors of h.  Monomial images and minors are
-    read from the caches on h_inv and h."""
+def act(x: Polyvector, pairs) -> Polyvector:
+    """Sum of the right actions on x of the group elements given as
+    (h, h_inv) matrix pairs: polynomial factors go through the inverse
+    substitution, dual-basis wedge factors through minors of h, both
+    cached on the matrices.  One action is a one-pair list."""
     n, order = x.n, x.order
     out = {}
-    for idx, p in x.terms.items():
-        acc = {}
-        for exps, c in p.terms.items():
-            for e, v in monomial_image(h_inv, exps).terms.items():
-                v = v * c
-                acc[e] = acc[e] + v if e in acc else v
-        p2 = Poly(n, order, acc)
-        if not idx:
-            out[idx] = out[idx] + p2 if idx in out else p2
-            continue
-        for cols, d in minor_row(h, idx):
-            q = p2 * d
-            out[cols] = out[cols] + q if cols in out else q
-    return Polyvector(n, order, out)
+    for h, h_inv in pairs:
+        for idx, p in x.terms.items():
+            image = {}
+            for exps, c in p.terms.items():
+                for e, v in monomial_image(h_inv, exps).terms.items():
+                    v = v * c
+                    image[e] = image[e] + v if e in image else v
+            for cols, d in minor_row(h, idx):
+                acc = out.setdefault(cols, {})
+                for e, v in image.items():
+                    if idx:  # the empty minor is 1
+                        v = v * d
+                    acc[e] = acc[e] + v if e in acc else v
+    return Polyvector(n, order, {cols: Poly(n, order, acc)
+                                 for cols, acc in out.items()})
 
 
 def euler_field(g: Matrix) -> Polyvector:

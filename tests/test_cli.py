@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -95,6 +96,17 @@ def test_group_file_errors(tmp_path, capsys):
                              "generators": sign}),
         ("cyclotomicOrder", {"dimension": 2, "cyclotomicOrder": 5000,
                              "generators": sign}),
+        # the first order above the ceiling; a sparse value's inverse at
+        # order 401 took 16 s before refusing the group
+        ("cyclotomicOrder", {"dimension": 1, "cyclotomicOrder": 101,
+                             "generators": [[["1 + 2*z"]]]}),
+        # a name must not read as the identity or as an element index
+        ("names", {"dimension": 2, "cyclotomicOrder": 1, "generators": sign,
+                   "names": ["e"]}),
+        ("names", {"dimension": 2, "cyclotomicOrder": 1, "generators": sign,
+                   "names": ["3"]}),
+        ("names", {"dimension": 2, "cyclotomicOrder": 1, "generators": sign,
+                   "names": [" s"]}),
         # too large: refused before enumeration, which would not end soon
         ("bound", {"dimension": 1, "cyclotomicOrder": 1,
                    "generators": [[["2"]]], "bound": 65536}),
@@ -144,14 +156,31 @@ def test_cohomology_volume_class_on_k5(capsys):
     data = json.loads(out)
     assert data["match"] and data["count"] == data["crossCheck"]
     hits = [t for c in data["classes"] for t in c["terms"]
-            if t["group"] == "g1" and t["wedge"] == [1, 2, 3]]
+            if t["group"] == "s" and t["wedge"] == [1, 2, 3]]
     assert hits
+
+
+def test_cohomology_prints_generator_names(capsys):
+    code, out, _ = run(capsys, "cohomology", fixture("two_sign_pairs_k5.json"),
+                       "--p", "2", "--m", "0")
+    assert code == 0
+    assert "  (d1^d2) s\n" in out and '"group": "s"' in out
+    assert "g1" not in out and "g2" not in out
 
 
 def test_cohomology_degree_out_of_range(capsys):
     code, _, err = run(capsys, "cohomology", fixture("sign_k1.json"),
                        "--p", "2", "--m", "0")
-    assert code == 2 and "error" in err
+    assert code == 2 and err == "error: --p must be at most the dimension 1, got 2\n"
+
+
+def test_cohomology_refuses_oversized_piece_early(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", fixture("two_sign_pairs_k5.json"),
+                         "--p", "2", "--m", "40")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: --m 40 at --p 2 gives 1357510 terms")
 
 
 def run_usage_error(capsys, *argv):
@@ -203,8 +232,20 @@ def test_bracket_two_sign_pairs(capsys):
                        fixture("class_volume3_first.json"),
                        fixture("class_fixed_volume2_second.json"))
     assert code == 0
-    assert "bracket: (d1^d2^d4^d5) g1*g2" in out
+    assert "bracket: (d1^d2^d4^d5) s*t" in out
     assert "grading: D(2) x D(2) -> D(4)" in out
+    assert "  term at (s, t): d1^d2^d4^d5" in out and "g1" not in out
+
+
+def test_bracket_json_prints_generator_names(capsys):
+    code, out, _ = run(capsys, "bracket", fixture("two_sign_pairs_k5.json"),
+                       fixture("class_volume3_first.json"),
+                       fixture("class_fixed_volume2_second.json"), "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["display"] == "(d1^d2^d4^d5) s*t"
+    assert {t["group"] for t in data["result"]["terms"]} == {"s*t"}
+    assert [(t["left"], t["right"]) for t in data["terms"]] == [("s", "t")]
 
 
 def test_bracket_rotation_pair_cyclotomic(capsys):

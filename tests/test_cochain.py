@@ -10,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from skewbrack.scalars import Cyc
 from skewbrack.linalg import Matrix
-from skewbrack.polyvec import Poly, Polyvector, euler_field
+from skewbrack.polyvec import Poly, Polyvector, act, euler_field
 from skewbrack.groups import enumerate_group, geometry, resolve_word
 from skewbrack.cochain import (
     Cochain,
     act_cochain,
+    ambient_keys,
+    centralizer,
+    centralizer_reynolds,
     cohomology_basis,
     cohomology_dim_direct,
     differential,
@@ -409,6 +412,31 @@ def test_basis_matches_direct_dimension_nonabelian_cyclotomic():
             for m in range(3):
                 assert (len(cohomology_basis(group, p, m))
                         == cohomology_dim_direct(group, p, m)), (name, p, m)
+
+
+def test_centralizer_reynolds_is_the_centralizer_average():
+    # one act call over the whole centralizer equals (1/|C|) times the sum
+    # of single actions, and every element of C fixes the result
+    nonzero = 0
+    for name in ("s4", "d5"):
+        group = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+        n, order = group.dim, group.scalar_order
+        for p, m in ((0, 2), (1, 1), (2, 1)):
+            pv = Polyvector.zero(n, order)
+            for k, (idx, exps) in enumerate(ambient_keys(n, p, m)):
+                pv = pv + Polyvector.term(k + 1, exps, idx, order)
+            for cls in group.conj_classes:
+                g = cls[0]
+                cent = centralizer(group, g)
+                avg = centralizer_reynolds(group, g, pv, cent)
+                total = Polyvector.zero(n, order)
+                for h in cent:
+                    total = total + act(pv, [group.action(h)])
+                assert avg == total * Cyc.of(Fraction(1, len(cent)), order), (name, g)
+                nonzero += not avg.is_zero()
+                for h in cent:
+                    assert act(avg, [group.action(h)]) == avg, (name, g, h)
+    assert nonzero
 
 
 def test_cohomology_rejects_bad_degree():

@@ -205,7 +205,7 @@ def test_euler_field_equivariance_over_group():
     for i in range(len(g)):
         for j in range(len(g)):
             k = g.conjugate(i, g.inverse(j))
-            lhs = act(euler_field(g.matrix(i)), g.matrix(j), g.matrix(g.inverse(j)))
+            lhs = act(euler_field(g.matrix(i)), [g.action(j)])
             assert lhs == euler_field(g.matrix(k))
 
 

@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewbrack.cli import load_group_file
 from skewbrack.linalg import Matrix, mat_inverse
 from skewbrack.polyvec import (
     Poly,
@@ -19,6 +21,9 @@ from skewbrack.polyvec import (
     subst_matrix,
 )
 from skewbrack.scalars import Cyc
+
+
+GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
 
 
 def mat(order, rows):
@@ -92,16 +97,16 @@ def test_act_euler_equivariance():
     g = mat(1, [[-1, 0], [0, 1]])
     hi = mat_inverse(h)
     conj = hi * g * h
-    assert act(euler_field(g), h, hi) == euler_field(conj)
+    assert act(euler_field(g), [(h, hi)]) == euler_field(conj)
 
 
 def test_act_composition():
     h1 = mat(1, [[0, 1], [1, 0]])
     h2 = mat(1, [[1, 1], [0, 1]])
     x = Polyvector.term(2, (1, 1), (0,), 1) + Polyvector.term(1, (0, 2), (0, 1), 1)
-    once = act(act(x, h1, mat_inverse(h1)), h2, mat_inverse(h2))
+    once = act(act(x, [(h1, mat_inverse(h1))]), [(h2, mat_inverse(h2))])
     both = h1 * h2
-    assert once == act(x, both, mat_inverse(both))
+    assert once == act(x, [(both, mat_inverse(both))])
 
 
 def test_act_on_wedge_minors():
@@ -109,7 +114,7 @@ def test_act_on_wedge_minors():
     hi = mat_inverse(h)
     d12 = Polyvector.term(1, (0, 0), (0, 1), 1)
     # det h = 1 so the top wedge is fixed
-    assert act(d12, h, hi) == d12
+    assert act(d12, [(h, hi)]) == d12
 
 
 def test_schouten_derivation_commutators():
@@ -171,8 +176,7 @@ def test_printer():
 
 
 @st.composite
-def small_polyvector(draw, n=3, ext=None):
-    order = 1
+def small_polyvector(draw, n=3, ext=None, order=1):
     if ext is None:
         ext = draw(st.integers(min_value=0, max_value=2))
     idxs = draw(
@@ -222,28 +226,54 @@ def act_from_scratch(x, h, h_inv):
     return out
 
 
-# One matrix pair shared by every example, so later examples read minors
-# and monomial images cached by earlier ones.
-SHEAR = mat(1, [[1, 2, 0], [0, 1, 0], [-1, 0, 1]])
-SHEAR_INV = mat_inverse(SHEAR)
+def shear_pair(order):
+    shear = mat(order, [[1, 2, 0], [0, 1, 0], [-1, 0, 1]])
+    return shear, mat_inverse(shear)
 
 
-@given(small_polyvector(ext=None), small_polyvector(ext=1))
+def generator_pool(name):
+    """The shear and the two generators of a dihedral data group, as
+    (h, h_inv) pairs over its field."""
+    group = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+    order = group.scalar_order
+    return order, [shear_pair(order)] + [group.action(i) for i in group.generator_indices]
+
+
+# Matrix pairs shared by every example, so later examples read minors and
+# monomial images cached by earlier ones.
+POOLS = [(1, [shear_pair(1)]), generator_pool("d4"), generator_pool("d5")]
+
+
+@st.composite
+def polyvectors_and_pairs(draw):
+    """Two polyvectors over one field, and a list of one to three matrix
+    pairs over it, repeats allowed."""
+    order, pool = draw(st.sampled_from(POOLS))
+    x = draw(small_polyvector(ext=None, order=order))
+    y = draw(small_polyvector(ext=1, order=order))
+    return x, y, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+
+
+@given(polyvectors_and_pairs())
 @settings(max_examples=40, deadline=None)
-def test_cached_action_matches_fresh_matrices(x, y):
+def test_cached_action_matches_fresh_matrices(drawn):
+    x, y, pairs = drawn
     for _ in range(2):
-        fresh, fresh_inv = Matrix(1, SHEAR.rows), Matrix(1, SHEAR_INV.rows)
-        got = act(x, SHEAR, SHEAR_INV)
-        assert got == act(x, fresh, fresh_inv)
-        assert got == act_from_scratch(x, SHEAR, SHEAR_INV)
-        assert circle_product(y, x, SHEAR) == circle_product(y, x, fresh)
+        got = act(x, pairs)
+        single = scratch = Polyvector.zero(x.n, x.order)
+        for h, h_inv in pairs:
+            fresh = Matrix(h.order, h.rows), Matrix(h.order, h_inv.rows)
+            single = single + act(x, [fresh])
+            scratch = scratch + act_from_scratch(x, h, h_inv)
+            assert circle_product(y, x, h) == circle_product(y, x, fresh[0])
+        assert got == single == scratch
 
 
 def test_action_fills_caches_on_its_matrices():
     h, hi = mat(1, [[0, 1], [1, 0]]), mat(1, [[0, 1], [1, 0]])
     x = Polyvector.term(3, (2, 1), (0,), 1)
     assert hi.memo("monomial images") == {} and h.memo("minors") == {}
-    first = act(x, h, hi)
+    first = act(x, [(h, hi)])
     assert hi.memo("monomial images") and h.memo("minors")
-    assert act(x, h, hi) == first == Polyvector.term(3, (1, 2), (1,), 1)
+    assert act(x, [(h, hi)]) == first == Polyvector.term(3, (1, 2), (1,), 1)
     assert h == mat(1, [[0, 1], [1, 0]]) and hash(h) == hash(hi)
