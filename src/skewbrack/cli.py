@@ -47,11 +47,17 @@ from .scalars import parse_scalar, print_scalar
 # elements before it refuses an infinite group; the total degree of a class
 # term bounds the work of substituting into it.  A cohomology piece has
 # C(n, p) C(m + n - 1, n - 1) terms per element, eliminated densely: on k^5,
-# --p 2 takes 1.3 s at 700 terms and 7.5 s (59 MB) at 2,100.
+# --p 2 takes 1.3 s at 700 terms and 7.5 s (59 MB) at 2,100.  Averaging
+# each term over the centralizer C(g) of each class representative g takes
+# terms * sum_[g] |C(g)| single actions, which grows with the group: on the
+# S5 permutation action --p 1 --m 3 takes 3.1 s at 28,175 actions, --p 3
+# --m 3 4.7 s at 56,350 and --p 2 --m 4 16 s (65 MB) at 112,700, while on
+# the rotation pair --p 2 --m 4 takes 1.3 s at 25,200.
 MAX_CYCLOTOMIC_ORDER = 100
 MAX_GROUP_ORDER = 1024
 MAX_TERM_DEGREE = 16
 MAX_PIECE_TERMS = 1000
+MAX_PIECE_ACTIONS = 30000
 
 
 def _is_int(value):
@@ -238,15 +244,28 @@ def cmd_group(args):
     return 0
 
 
+def piece_size(group, p, m):
+    """The terms per group element of the (p, m) piece, and the single
+    actions its centralizer averages take, terms * sum_[g] |C(g)|."""
+    n = group.dim
+    terms = comb(n, p) * comb(m + n - 1, n - 1)
+    # |C(g)| = |G| / |class of g|
+    return terms, terms * sum(len(group) // len(cls) for cls in group.conj_classes)
+
+
 def cmd_cohomology(args):
     group, _ = load_group_file(args.file)
     n = group.dim
     if args.p > n:
         raise ValueError(f"--p must be at most the dimension {n}, got {args.p}")
-    terms = comb(n, args.p) * comb(args.m + n - 1, n - 1)
+    terms, actions = piece_size(group, args.p, args.m)
     if terms > MAX_PIECE_TERMS:
         raise ValueError(f"--m {args.m} at --p {args.p} gives {terms} terms per "
                          f"group element, more than {MAX_PIECE_TERMS}")
+    if actions > MAX_PIECE_ACTIONS:
+        raise ValueError(f"--m {args.m} at --p {args.p} needs {actions} single "
+                         f"actions to average over the centralizers, more than "
+                         f"{MAX_PIECE_ACTIONS}")
     basis = cohomology_basis(group, args.p, args.m)
     direct = cohomology_dim_direct(group, args.p, args.m)
     classes = [cochain_to_classfile(c) for c in basis]

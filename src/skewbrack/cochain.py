@@ -96,12 +96,20 @@ def act_cochain(c, h):
 
 
 def reynolds(c):
-    """Group average (1/|G|) sum_h c.h; idempotent, image invariant."""
+    """Group average (1/|G|) sum_h c.h; idempotent, image invariant.  The
+    elements h that move a component g to the same h^-1 g h act on it in
+    one act call."""
     group = c.group
-    total = Cochain.zero(group, c.degree)
-    for h in range(len(group)):
-        total = total + act_cochain(c, h)
-    return total * Cyc.of(Fraction(1, len(group)), group.scalar_order)
+    out = {}
+    for g, pv in c.terms.items():
+        moves = {}
+        for h in range(len(group)):
+            moves.setdefault(group.conjugate(g, group.inverse(h)), []).append(group.action(h))
+        for k, pairs in moves.items():
+            image = act(pv, pairs)
+            out[k] = out[k] + image if k in out else image
+    scale = Cyc.of(Fraction(1, len(group)), group.scalar_order)
+    return Cochain(group, c.degree, {k: pv * scale for k, pv in out.items()})
 
 
 def is_invariant(c):

@@ -7,6 +7,14 @@ resulting two-sided element with the contraction map phi, and evaluate
 the outer cochain.  No closed formula is used, so these routines serve
 as an independent check of the fast path in polyvec and bracket.
 
+The contraction on a basis element o(x_I) walks only the Sweedler
+splits of I whose middle block is a wedge of the inner polyvector, and
+keeps only the terms phi can carry onto a wedge of the outer one; all of
+them go through one phi call.  Minors and substitutions are computed
+from scratch, once per chain_bracket_cochain (or chain_circle_avatar)
+call, in dicts local to that call: nothing here reads the caches kept on
+matrices or calls act, minor_row, monomial_image or circle_product.
+
 Conventions:
   * o(v_1, ..., v_k) is the signed sum over permutations of tensor
     words, normalized so o of an increasing index tuple is a basis
@@ -220,16 +228,28 @@ def triple_splits(idx):
     with the sign rearranging idx into their concatenation.  Agrees with
     applying the comultiplication twice."""
     k = len(idx)
+    pos = {v: j for j, v in enumerate(idx)}
     for s1 in range(k + 1):
         for part1 in combinations(idx, s1):
             rest1 = tuple(v for v in idx if v not in part1)
             for s2 in range(len(rest1) + 1):
                 for part2 in combinations(rest1, s2):
                     part3 = tuple(v for v in rest1 if v not in part2)
-                    pos = {v: j for j, v in enumerate(idx)}
                     perm = [pos[v] for v in part1 + part2 + part3]
                     sgn, _ = sort_sign(perm)
                     yield part1, part2, part3, sgn
+
+
+def splits_through(idx, mid):
+    """The triple_splits of the increasing tuple idx whose middle block is
+    mid, an increasing tuple of entries of idx, as (part1, part3, sign)."""
+    pos = {v: j for j, v in enumerate(idx)}
+    rest = tuple(v for v in idx if v not in mid)
+    for s1 in range(len(rest) + 1):
+        for part1 in combinations(rest, s1):
+            part3 = tuple(v for v in rest if v not in part1)
+            sgn, _ = sort_sign([pos[v] for v in part1 + mid + part3])
+            yield part1, part3, sgn
 
 
 def phi(e: KoszulTensor2) -> KoszulElt:
@@ -239,9 +259,11 @@ def phi(e: KoszulTensor2) -> KoszulElt:
     x_i is absorbed into the wedge as o(W, i, U) while the remaining
     middle factors split around it; the permutation sum collapses to
     multiset weights c_coeff(s,t,z,r) (r-1)! (t-r)! alpha_i
-    C(beta, L)."""
+    C(beta, L); the part that depends on (s, t, z, r) alone is computed
+    once per call."""
     n, order = e.n, e.order
     out = {}
+    base = {}
 
     def put(key, c):
         out[key] = out.get(key, Cyc.zero(order)) + c
@@ -261,12 +283,11 @@ def phi(e: KoszulTensor2) -> KoszulElt:
             beta[i] -= 1
             for lpart in sub_multisets(beta):
                 r = sum(lpart) + 1
-                weight = (
-                    c_coeff(s, t, z, r)
-                    * (factorial(r - 1) * factorial(t - r))
-                    * a_i
-                    * prod_comb(beta, lpart)
-                )
+                w = base.get((s, t, z, r))
+                if w is None:
+                    w = base[(s, t, z, r)] = (c_coeff(s, t, z, r)
+                                              * (factorial(r - 1) * factorial(t - r)))
+                weight = w * (a_i * prod_comb(beta, lpart))
                 rest = tuple(b - l for b, l in zip(beta, lpart))
                 key = (wkey, _add_exp(el, lpart), _add_exp(er, rest))
                 put(key, c * (weight * wsgn))
@@ -330,63 +351,125 @@ def act_koszul2(e: KoszulTensor2, m: Matrix) -> KoszulTensor2:
     return KoszulTensor2(n, order, out)
 
 
+def _column_minors(minors, hmat, cols):
+    """The nonzero minors of hmat on the columns cols, as (rows, det)."""
+    got = minors.get(cols)
+    if got is None:
+        got = []
+        for rows in combinations(range(hmat.nrows), len(cols)):
+            d = minor_det(hmat, rows, cols)
+            if not d.is_zero():
+                got.append((rows, d))
+        minors[cols] = got
+    return got
+
+
+def _image(images, gmat, exps):
+    """The terms of subst_matrix(x^exps, gmat)."""
+    got = images.get(exps)
+    if got is None:
+        got = images[exps] = subst_matrix(Poly.monomial(exps, 1, gmat.order), gmat).terms
+    return got
+
+
 def chain_circle_component(
     x: Polyvector,
     gmat: Matrix,
     y: Polyvector,
     hmat: Matrix,
     idx,
+    memo=None,
 ) -> Poly:
     """Value of (x tagged gmat) circle (y tagged hmat) on the resolution
-    basis element o(x_idx), as the polynomial sitting left of the
-    product group tag.
+    basis element o(x_idx), idx increasing, as the polynomial sitting
+    left of the product group tag.
 
     The contraction: comultiply o(x_idx) into Sweedler triples, evaluate
     y on the middle block (a Koszul sign (-1)^(|w1| |y|) moves y past the
     first block), twist the third block by hmat, straighten with phi,
-    then evaluate x on the result with its right leg twisted by gmat."""
+    then evaluate x on the result with its right leg twisted by gmat.
+
+    Only the triples whose middle block is a wedge of y are walked, and
+    only the terms phi can carry onto a wedge of x are kept: a term with
+    blocks U and W and middle monomial x^alpha lands on the wedges
+    W + {i} + U for the variables i of alpha.  All kept terms go through
+    one phi call, which is linear.  `memo` is a pair of dicts the calls
+    of one oracle evaluation share: the nonzero minors of hmat by column
+    block, and the subst_matrix images of monomials under gmat.  Fresh
+    dicts are used when it is omitted."""
     n, order = x.n, x.order
     idx = tuple(idx)
-    value = Poly.zero(n, order)
-    for part1, part2, part3, eps in triple_splits(idx):
-        q = y.pair(part2)
-        if q.is_zero():
+    minors, images = memo if memo is not None else ({}, {})
+    zero = _zero_exp(n)
+    span = set(idx)
+    t2 = {}
+    for mid, q in y.terms.items():
+        if not span.issuperset(mid):
             continue
-        m_deg = len(part2)
-        ksign = -1 if (len(part1) * m_deg) % 2 else 1
-        for rows in combinations(range(n), len(part3)):
-            d = minor_det(hmat, rows, part3)
-            if d.is_zero():
-                continue
-            t2 = {}
-            for em, qc in q.terms.items():
-                key = (part1, rows, _zero_exp(n), em, _zero_exp(n))
-                t2[key] = qc * (eps * ksign) * d
-            straightened = phi(KoszulTensor2(n, order, t2))
-            for (widx, el, er), c in straightened.terms.items():
-                inner = x.pair(widx)
-                if inner.is_zero():
+        # phi lands on wedges of size |idx| - |mid| + 1
+        targets = [set(w) for w in x.terms if len(w) == len(idx) - len(mid) + 1]
+        if not targets:
+            continue
+        pairing = rev_sign(len(mid))
+        for part1, part3, eps in splits_through(idx, mid):
+            ksign = -1 if (len(part1) * len(mid)) % 2 else 1
+            sign = eps * ksign * pairing
+            for rows, d in _column_minors(minors, hmat, part3):
+                outer = set(part1) | set(rows)
+                if len(outer) < len(part1) + len(rows):
                     continue
-                left = Poly.monomial(el, c, order)
-                right = subst_matrix(Poly.monomial(er, 1, order), gmat)
-                value = value + left * inner * right
-    return value
+                # the variables whose absorption gives a wedge of x
+                landing = set()
+                for w in targets:
+                    if outer < w:
+                        landing |= w - outer
+                if not landing:
+                    continue
+                dq = d if sign == 1 else -d
+                for em, qc in q.terms.items():
+                    if not any(em[i] for i in landing):
+                        continue
+                    key = (part1, rows, zero, em, zero)
+                    v = qc * dq
+                    t2[key] = t2[key] + v if key in t2 else v
+    if not t2:
+        return Poly.zero(n, order)
+    acc = {}
+    for (widx, el, er), c in phi(KoszulTensor2(n, order, t2)).terms.items():
+        inner = x.terms.get(widx)
+        if inner is None:
+            continue
+        if rev_sign(len(widx)) == -1:
+            c = -c
+        right = _image(images, gmat, er)
+        for e1, c1 in inner.terms.items():
+            left = _add_exp(el, e1)
+            cc = c * c1
+            for e2, c2 in right.items():
+                e = _add_exp(left, e2)
+                v = cc * c2
+                acc[e] = acc[e] + v if e in acc else v
+    return Poly(n, order, acc)
 
 
 def chain_circle_avatar(
-    x: Polyvector, gmat: Matrix, y: Polyvector, hmat: Matrix
+    x: Polyvector, gmat: Matrix, y: Polyvector, hmat: Matrix, memo=None
 ) -> Polyvector:
     """Polyvector avatar of the chain-level circle product: evaluate on
     every basis wedge of the correct degree and re-express in the d_I
-    basis (the reversed-word pairing sign enters once per component)."""
+    basis (the reversed-word pairing sign enters once per component).
+    The components share `memo` (see chain_circle_component), fresh
+    dicts unless the caller passes them."""
     n, order = x.n, x.order
     deg = x.degree() + y.degree() - 1
     comps = {}
     if deg < 0:
         return Polyvector.zero(n, order)
+    if memo is None:
+        memo = ({}, {})
     rs = rev_sign(deg)
     for idx in combinations(range(n), deg):
-        v = chain_circle_component(x, gmat, y, hmat, idx)
+        v = chain_circle_component(x, gmat, y, hmat, idx, memo)
         if not v.is_zero():
             comps[idx] = v * rs
     return Polyvector(n, order, comps)
@@ -528,7 +611,9 @@ def homotopy_sweep(n, max_s, max_z, max_t, order=1):
 
 def chain_bracket_cochain(x, y):
     """Graded commutator of chain-level circle products, assembled into
-    a cochain through the basis pairing."""
+    a cochain through the basis pairing.  The minors and substitutions
+    of each group element are computed from scratch once for this call,
+    in dicts its component pairs share."""
     from .cochain import Cochain
 
     if x.group is not y.group:
@@ -536,6 +621,8 @@ def chain_bracket_cochain(x, y):
     group = x.group
     sign = -1 if ((x.degree - 1) * (y.degree - 1)) % 2 else 1
     out = {}
+    # per element: its nonzero minors and its images of monomials
+    memos = {k: ({}, {}) for k in {*x.terms, *y.terms}}
 
     def add(k, pv):
         if pv.is_zero():
@@ -544,10 +631,12 @@ def chain_bracket_cochain(x, y):
 
     for a, xg in x.terms.items():
         for b, yh in y.terms.items():
+            ga, gb = group.matrix(a), group.matrix(b)
+            (minors_a, images_a), (minors_b, images_b) = memos[a], memos[b]
             add(group.mult(a, b),
-                chain_circle_avatar(xg, group.matrix(a), yh, group.matrix(b)))
+                chain_circle_avatar(xg, ga, yh, gb, (minors_b, images_a)))
             add(group.mult(b, a),
-                chain_circle_avatar(yh, group.matrix(b), xg, group.matrix(a)) * (-sign))
+                chain_circle_avatar(yh, gb, xg, ga, (minors_a, images_b)) * (-sign))
     return Cochain(group, x.degree + y.degree - 1, out)
 
 

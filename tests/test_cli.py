@@ -13,16 +13,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewbrack.cli import (
+    MAX_PIECE_ACTIONS,
+    MAX_PIECE_TERMS,
     cochain_to_classfile,
     load_class_file,
     load_group_file,
     main,
+    piece_size,
 )
 from skewbrack.cochain import cohomology_basis
 from skewbrack.fixtures import rotation_bracket_pair
 from skewbrack.koszul import appendix_suite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
 
 
 def fixture(name):
@@ -181,6 +185,34 @@ def test_cohomology_refuses_oversized_piece_early(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: --m 40 at --p 2 gives 1357510 terms")
+
+
+def test_cohomology_refuses_piece_too_large_for_its_group(capsys):
+    # 700 terms is under the term bound, but S5's centralizers make the
+    # averages 112,700 single actions
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", str(GROUP_DATA / "s5.json"),
+                         "--p", "2", "--m", "4")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: --m 4 at --p 2 needs 112700 single actions to "
+                   "average over the centralizers, more than 30000\n")
+
+
+def test_piece_bounds_accept_every_piece_in_use():
+    # p, m <= 3 covers every piece the tests and the benchmark compute; the
+    # stored S5 classes have m <= 1
+    groups = {path.stem: load_group_file(str(path))[0]
+              for path in [*FIXTURES.glob("*.json"), *GROUP_DATA.glob("*.json")]
+              if not path.name.startswith("class_")}
+    largest = 0
+    for name, group in groups.items():
+        for p in range(min(group.dim, 3) + 1):
+            for m in range(2 if name == "s5" else 4):
+                terms, actions = piece_size(group, p, m)
+                assert terms <= MAX_PIECE_TERMS and actions <= MAX_PIECE_ACTIONS, (name, p, m)
+                largest = max(largest, actions)
+    assert largest == piece_size(groups["rot"], 3, 3)[1] == 12600
 
 
 def run_usage_error(capsys, *argv):

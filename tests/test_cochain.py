@@ -2,6 +2,7 @@
 action, averaging, reduction, and the cohomology basis builders."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -209,6 +210,45 @@ def test_reynolds_kills_odd_classes():
     group, x, y, _ = klein_bracket_pair()
     assert reynolds(x).is_zero()
     assert reynolds(y).is_zero()
+
+
+_AVERAGED_GROUPS = {}
+
+
+def averaged_group(name):
+    if name not in _AVERAGED_GROUPS:
+        _AVERAGED_GROUPS[name] = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+    return _AVERAGED_GROUPS[name]
+
+
+@st.composite
+def random_cochain(draw):
+    """A cochain on S4 or D5 with a few random terms of one exterior degree
+    and random components, with cyclotomic coefficients on D5."""
+    group = averaged_group(draw(st.sampled_from(["s4", "d5"])))
+    n, order = group.dim, group.scalar_order
+    p = draw(st.integers(0, 2))
+    wedges = list(combinations(range(n), p))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(st.integers(0, len(group) - 1))
+        coeff = Cyc.zeta(order, draw(st.integers(0, order - 1))) * draw(st.sampled_from([-2, -1, 1, 3]))
+        pv = Polyvector.term(coeff, draw(st.tuples(*[st.integers(0, 2)] * n)),
+                             draw(st.sampled_from(wedges)), order)
+        terms[g] = terms[g] + pv if g in terms else pv
+    return Cochain(group, p, terms)
+
+
+@given(random_cochain())
+@settings(max_examples=30, deadline=None)
+def test_reynolds_is_the_group_average(c):
+    group = c.group
+    total = Cochain.zero(group, c.degree)
+    for h in range(len(group)):
+        total = total + act_cochain(c, h)
+    r = reynolds(c)
+    assert r == total * Cyc.of(Fraction(1, len(group)), group.scalar_order)
+    assert is_invariant(r)
 
 
 _ROTATION_PAIR = None

@@ -1,12 +1,23 @@
+import ast
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewbrack.cli import load_group_file
 from skewbrack.linalg import Matrix, mat_inverse
-from skewbrack.polyvec import Poly, Polyvector, circle_product, schouten
+from skewbrack.polyvec import (
+    Poly,
+    Polyvector,
+    circle_product,
+    minor_det,
+    rev_sign,
+    schouten,
+    subst_matrix,
+)
 from skewbrack.scalars import Cyc
 from skewbrack.koszul import (
     KoszulElt,
@@ -24,6 +35,7 @@ from skewbrack.koszul import (
     koszul2_diff,
     phi,
     schouten_random_check,
+    splits_through,
     triple_splits,
     vector_field_commutator,
     xi,
@@ -361,3 +373,139 @@ def test_schouten_random_check_compares_every_pair(monkeypatch, seed):
     monkeypatch.setattr("skewbrack.koszul.vector_field_commutator", counting)
     assert schouten_random_check(50, seed=seed) == (50, [])
     assert len(compared) == 50
+
+
+# ------------------------------------------- pruned contraction vs reference
+
+GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
+_GROUPS = {}
+
+
+def data_group(name):
+    if name not in _GROUPS:
+        _GROUPS[name] = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+    return _GROUPS[name]
+
+
+def reference_component(x, gmat, y, hmat, idx):
+    """The contraction with nothing pruned: every Sweedler triple, pairing
+    through Polyvector.pair, one phi call per split and rows, and minors
+    and substitutions recomputed each time."""
+    n, order = x.n, x.order
+    idx = tuple(idx)
+    zero = (0,) * n
+    value = Poly.zero(n, order)
+    for part1, part2, part3, eps in triple_splits(idx):
+        q = y.pair(part2)
+        if q.is_zero():
+            continue
+        ksign = -1 if (len(part1) * len(part2)) % 2 else 1
+        for rows in combinations(range(n), len(part3)):
+            d = minor_det(hmat, rows, part3)
+            if d.is_zero():
+                continue
+            t2 = {(part1, rows, zero, em, zero): qc * (eps * ksign) * d
+                  for em, qc in q.terms.items()}
+            for (widx, el, er), c in phi(KoszulTensor2(n, order, t2)).terms.items():
+                inner = x.pair(widx)
+                if inner.is_zero():
+                    continue
+                right = subst_matrix(Poly.monomial(er, 1, order), gmat)
+                value = value + Poly.monomial(el, c, order) * inner * right
+    return value
+
+
+def reference_avatar(x, gmat, y, hmat):
+    n, order = x.n, x.order
+    deg = x.degree() + y.degree() - 1
+    if deg < 0:
+        return Polyvector.zero(n, order)
+    rs = rev_sign(deg)
+    return Polyvector(n, order, {
+        idx: reference_component(x, gmat, y, hmat, idx) * rs
+        for idx in combinations(range(n), deg)})
+
+
+@st.composite
+def cyclotomic_polyvector(draw, n, order, degree):
+    """Nonzero polyvector on k^n of the given exterior degree, with
+    cyclotomic coefficients and exponents up to 2."""
+    wedges = list(combinations(range(n), degree))
+    out = Polyvector.zero(n, order)
+    while out.is_zero():
+        for _ in range(draw(st.integers(1, 3))):
+            coeff = Cyc.zeta(order, draw(st.integers(0, order - 1))) * draw(
+                st.sampled_from([-2, -1, 1, 3]))
+            out = out + Polyvector.term(coeff, draw(st.tuples(*[st.integers(0, 2)] * n)),
+                                        draw(st.sampled_from(wedges)), order)
+    return out
+
+
+@st.composite
+def oracle_inputs(draw):
+    """(x, g, y, h) on D4 over Q(z4), D5 over Q(z5) or the Q(z6) rotation
+    pair: two random elements and random homogeneous polyvectors of
+    exterior degrees 0-3."""
+    group = data_group(draw(st.sampled_from(["d4", "d5", "rot"])))
+    n, order = group.dim, group.scalar_order
+    a, b = (draw(st.integers(0, len(group) - 1)) for _ in range(2))
+    x = draw(cyclotomic_polyvector(n, order, draw(st.integers(0, min(n, 3)))))
+    y = draw(cyclotomic_polyvector(n, order, draw(st.integers(0, min(n, 3)))))
+    return x, group.matrix(a), y, group.matrix(b)
+
+
+@given(oracle_inputs())
+@settings(max_examples=40, deadline=None)
+def test_pruned_contraction_matches_the_unpruned_reference(data):
+    x, gmat, y, hmat = data
+    assert chain_circle_avatar(x, gmat, y, hmat) == reference_avatar(x, gmat, y, hmat)
+    # every basis element, including those of the wrong degree and those
+    # no wedge of y fits into
+    for k in range(x.n + 1):
+        for idx in combinations(range(x.n), k):
+            assert (chain_circle_component(x, gmat, y, hmat, idx)
+                    == reference_component(x, gmat, y, hmat, idx)), idx
+
+
+def test_splits_through_is_triple_splits_with_that_middle_block():
+    for k in range(5):
+        for idx in combinations(range(6), k):
+            for size in range(k + 1):
+                for mid in combinations(idx, size):
+                    want = sorted((p1, p3, sgn) for p1, p2, p3, sgn in triple_splits(idx)
+                                  if p2 == mid)
+                    assert sorted(splits_through(idx, mid)) == want, (idx, mid)
+
+
+# ------------------------------------------------------ oracle independence
+
+KOSZUL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "skewbrack" / "koszul.py"
+# the polyvec names the oracle may use: containers, sign and combinatorial
+# helpers, from-scratch minors and substitution, and the plain Schouten
+# bracket it is checked against.  Not act, minor_row, monomial_image,
+# circle_product or euler_field, which belong to the fast path.
+ORACLE_POLYVEC_NAMES = {
+    "Poly", "Polyvector", "SparseTerms", "minor_det", "prod_comb", "rev_sign",
+    "schouten", "sort_sign", "sub_multisets", "subst_matrix",
+}
+
+
+def test_oracle_shares_no_code_with_the_fast_path():
+    tree = ast.parse(KOSZUL_SOURCE.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.setdefault(module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name, set())
+    for module, names in imported.items():
+        # covers both "from .groups import ..." and "from . import groups"
+        for name in (module.split(".")[-1], *names):
+            assert name not in ("bracket", "groups"), (module, name)
+    assert imported.get(".polyvec", set()) <= ORACLE_POLYVEC_NAMES, imported[".polyvec"]
+    memo_calls = [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "memo"]
+    assert not memo_calls, memo_calls
