@@ -12,7 +12,7 @@ Vanishing criteria from the codimension grading are provided alongside.
 
 from .cochain import Cochain, is_invariant, is_reduced, project
 from .groups import geometry
-from .linalg import Matrix, echelon_span, kernel_basis, solve_membership
+from .linalg import Matrix, kernel_basis, rref, solve_membership
 from .polyvec import act, circle_product
 
 
@@ -61,7 +61,7 @@ def moved_intersection(group, g, h):
     if not rows:
         # neither element fixes a nonzero vector
         return list(Matrix.identity(n, order).rows)
-    return echelon_span(kernel_basis(Matrix(order, rows)), order)
+    return list(rref(Matrix(order, kernel_basis(Matrix(order, rows))))[0].rows)
 
 
 def perp_vanishing_applies(group, g, h):

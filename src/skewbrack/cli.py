@@ -46,18 +46,35 @@ from .scalars import parse_scalar, print_scalar
 # conjugates; the group order bounds the enumeration, which lists that many
 # elements before it refuses an infinite group; the total degree of a class
 # term bounds the work of substituting into it.  A cohomology piece has
-# C(n, p) C(m + n - 1, n - 1) terms per element, eliminated densely: on k^5,
-# --p 2 takes 1.3 s at 700 terms and 7.5 s (59 MB) at 2,100.  Averaging
-# each term over the centralizer C(g) of each class representative g takes
-# terms * sum_[g] |C(g)| single actions, which grows with the group: on the
-# S5 permutation action --p 1 --m 3 takes 3.1 s at 28,175 actions, --p 3
-# --m 3 4.7 s at 56,350 and --p 2 --m 4 16 s (65 MB) at 112,700, while on
-# the rotation pair --p 2 --m 4 takes 1.3 s at 25,200.
+# C(n, p) C(m + n - 1, n - 1) terms per element, and both counts eliminate
+# sparse rows over them: on k^5, --p 2 takes 0.5 s at 700 terms and 1.6 s
+# (21 MB) at 2,100.  Averaging each term over the centralizer C(g) of each
+# class representative g takes terms * sum_[g] |C(g)| single actions,
+# which grows with the group: on the S5 permutation action --p 1 --m 3
+# takes 2.3 s at 28,175 actions, --p 3 --m 3 3.8 s at 56,350 and --p 2
+# --m 4 11 s (38 MB) at 112,700, while on the rotation pair --p 2 --m 4
+# takes 0.8 s at 25,200.
 MAX_CYCLOTOMIC_ORDER = 100
 MAX_GROUP_ORDER = 1024
 MAX_TERM_DEGREE = 16
 MAX_PIECE_TERMS = 1000
 MAX_PIECE_ACTIONS = 30000
+
+# The largest value of each size option of each verify suite, checked
+# before any work; the defaults are --max 6, --dim 3, --s 2, --z 2, --t 3
+# and --pairs 50.  appendix takes 1.1 s at --max 12, 2.7 s at 15 and 10 s
+# at 20.  homotopy takes 0.5 s with the defaults, 4.7 s at --dim 4 --s 4
+# --z 4 --t 3, 13 s at --t 4 and 34 s at --t 5, and 15 s at --dim 5 with
+# the other defaults; --s and --z count wedge letters, so more than --dim
+# checks nothing more.  schouten takes about 14 s at its default --dim 3 and
+# ran past 150 s at --dim 4; each random pair costs about 3.5 ms, so
+# --pairs 1000 adds 3.5 s.
+MAX_VERIFY = {
+    "appendix": {"max": 15},
+    "homotopy": {"dim": 4, "s": 4, "z": 4, "t": 4},
+    "schouten": {"dim": 3, "pairs": 1000},
+    "examples": {},
+}
 
 
 def _is_int(value):
@@ -440,6 +457,11 @@ def _verify_examples(args):
 
 
 def cmd_verify(args):
+    for flag, limit in MAX_VERIFY[args.suite].items():
+        value = getattr(args, flag)
+        if value > limit:
+            raise ValueError(f"--{flag} must be at most {limit} for verify "
+                             f"{args.suite}, got {value}")
     runner = {
         "appendix": _verify_appendix,
         "homotopy": _verify_homotopy,

@@ -189,12 +189,12 @@ def flatten_polyvector(pv, keys, zero):
     return out
 
 
-def polyvector_from_vector(vec, keys, n, order):
-    grouped = {}
-    for (idx, exps), c in zip(keys, vec):
-        if c:
-            grouped.setdefault(idx, {})[exps] = c
-    return Polyvector(n, order, {idx: Poly(n, order, t) for idx, t in grouped.items()})
+def _sparse_rows(pvs, keys):
+    """The nonzero polyvectors as sparse rows {column: Cyc}, a term's
+    column being the position of its (wedge, exponents) key in keys."""
+    column = {key: j for j, key in enumerate(keys)}
+    return [{column[idx, exps]: c for idx, p in pv.terms.items() for exps, c in p.terms.items()}
+            for pv in pvs if not pv.is_zero()]
 
 
 def _homogeneous_poly_degree(c):
@@ -300,7 +300,6 @@ def cohomology_basis(group, p, m):
     if p > group.dim:
         raise ValueError("exterior degree exceeds the dimension of V")
     n, order = group.dim, group.scalar_order
-    zero = Cyc.zero(order)
     keys = ambient_keys(n, p, m)
     out = []
     for cls in group.conj_classes:
@@ -310,13 +309,13 @@ def cohomology_basis(group, p, m):
         if not basis:
             continue
         cent = centralizer(group, g)
-        vectors = []
-        for b in basis:
-            avg = centralizer_reynolds(group, g, b, cent)
-            if not avg.is_zero():
-                vectors.append(flatten_polyvector(avg, keys, zero))
-        for row in echelon_span(vectors, order):
-            pv = polyvector_from_vector(row, keys, n, order)
+        averages = [centralizer_reynolds(group, g, b, cent) for b in basis]
+        for row in echelon_span(_sparse_rows(averages, keys), order):
+            grouped = {}
+            for j, c in row.items():
+                idx, exps = keys[j]
+                grouped.setdefault(idx, {})[exps] = c
+            pv = Polyvector(n, order, {idx: Poly(n, order, t) for idx, t in grouped.items()})
             out.append(spread_invariant(group, g, pv))
     return out
 
@@ -333,16 +332,13 @@ def cohomology_dim_direct(group, p, m):
     if p > group.dim:
         raise ValueError("exterior degree exceeds the dimension of V")
     n, order = group.dim, group.scalar_order
-    zero = Cyc.zero(order)
 
     def averages(g, cent, q, k):
         return [centralizer_reynolds(group, g, Polyvector.term(1, exps, idx, order), cent)
                 for idx, exps in ambient_keys(n, q, k)]
 
     def rank(pvs, q, k):
-        keys = ambient_keys(n, q, k)
-        vectors = [flatten_polyvector(pv, keys, zero) for pv in pvs if not pv.is_zero()]
-        return len(echelon_span(vectors, order))
+        return len(echelon_span(_sparse_rows(pvs, ambient_keys(n, q, k)), order))
 
     total = 0
     for cls in group.conj_classes:

@@ -1,8 +1,12 @@
-"""Dense exact linear algebra over a fixed cyclotomic field.
+"""Exact linear algebra over a fixed cyclotomic field.
 
-Everything here is deterministic: row reduction always picks the first
-row with a nonzero entry as pivot, so identical inputs give identical
-outputs (no randomized or hash-ordered choices anywhere).
+Matrices are dense, but every elimination runs on sparse rows
+({column: nonzero Cyc}) in one core, `_echelon`; the dense entry points
+convert to and from it.  Everything is deterministic: the reduced row
+echelon form of a row space is unique, so identical inputs give
+identical outputs (no randomized or hash-ordered choices anywhere).
+`det` is plain Gaussian elimination, kept for the chain-level oracle's
+minors and for tests.
 """
 
 from __future__ import annotations
@@ -107,39 +111,71 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _rref_rows(order, rows):
-    # In-place reduced row echelon form on a list of row lists.
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    lead = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(lead, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
+def _echelon(rows):
+    """Reduced row echelon form of sparse rows ({column: nonzero Cyc}).
+
+    Returns {pivot column: row} with each row 1 at its own pivot and 0 at
+    every other pivot.  Each incoming row is cleared at the known pivots,
+    takes its least column as a new pivot, and that column is cleared
+    from the rows already kept.  The reduced form of a row space is
+    unique, so this equals dense Gauss-Jordan on the same rows."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        for p in [c for c in row if c in pivots]:
+            # a kept row is 0 at every other pivot, so row[p] is unchanged
+            # by the subtractions before this one
+            _axpy(row, -row[p], pivots[p])
+        if not row:
             continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        inv = rows[lead][col].inverse()
-        prow = rows[lead] = [e * inv if e else e for e in rows[lead]]
-        for i in range(nrows):
-            if i != lead and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
-        pivots.append(col)
-        lead += 1
-        if lead == nrows:
-            break
-    return rows, tuple(pivots)
+        p = min(row)
+        inv = row[p].inverse()
+        row = {c: v * inv for c, v in row.items()}
+        for other in pivots.values():
+            f = other.get(p)
+            if f is not None:
+                _axpy(other, -f, row)
+        pivots[p] = row
+    return pivots
+
+
+def _axpy(row, f, other):
+    # row += f * other in place, dropping the entries that cancel
+    for c, v in other.items():
+        v = f * v
+        if c in row:
+            v = row[c] + v
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+        else:
+            row[c] = v
+
+
+def _sparse(rows):
+    return [{j: e for j, e in enumerate(r) if e} for r in rows]
+
+
+def _rref_rows(order, rows, ncols):
+    # Dense rows of the reduced form, nonzero rows by pivot, then the
+    # pivot columns.
+    pivots = _echelon(_sparse(rows))
+    zero = Cyc.zero(order)
+    out = []
+    for p in sorted(pivots):
+        row = pivots[p]
+        out.append([row.get(j, zero) for j in range(ncols)])
+    return out, tuple(sorted(pivots))
 
 
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (matrix, pivot column indices)."""
-    rows, pivots = _rref_rows(m.order, m.rows)
-    return Matrix(m.order, rows) if rows else m, pivots
+    if not m.rows:
+        return m, ()
+    rows, pivots = _rref_rows(m.order, m.rows, m.ncols)
+    zero = (Cyc.zero(m.order),) * m.ncols
+    return Matrix(m.order, rows + [zero] * (m.nrows - len(rows))), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -149,16 +185,17 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix):
     """Basis of the right kernel, one vector per free column, ordered by
     ascending free column index; the free coordinate is set to 1."""
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
+    pivots = _echelon(_sparse(m.rows))
     one, zero = Cyc.one(m.order), Cyc.zero(m.order)
     basis = []
-    for f in free:
+    for f in range(m.ncols):
+        if f in pivots:
+            continue
         v = [zero] * m.ncols
         v[f] = one
-        for i, p in enumerate(pivots):
-            v[p] = -r.rows[i][f]
+        for p, row in pivots.items():
+            if f in row:
+                v[p] = -row[f]
         basis.append(tuple(v))
     return basis
 
@@ -166,8 +203,8 @@ def kernel_basis(m: Matrix):
 def image_basis(m: Matrix):
     """Echelonized basis of the column space (so two computations of the
     same subspace yield literally equal vector lists)."""
-    r, pivots = rref(m.transpose())
-    return [tuple(r.rows[i]) for i in range(len(pivots))]
+    rows, _ = _rref_rows(m.order, list(zip(*m.rows)), m.nrows)
+    return [tuple(r) for r in rows]
 
 
 def solve_membership(vectors, target, order):
@@ -183,12 +220,12 @@ def solve_membership(vectors, target, order):
         return [] if all(not t for t in target) else None
     assert all(len(v) == n for v in vectors)
     aug = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    rows, pivots = _rref_rows(order, aug)
+    pivots = _echelon(_sparse(aug))
     if k in pivots:
         return None
     coeffs = [zero] * k
-    for i, p in enumerate(pivots):
-        coeffs[p] = rows[i][k]
+    for p, row in pivots.items():
+        coeffs[p] = row.get(k, zero)
     return coeffs
 
 
@@ -225,20 +262,20 @@ def mat_inverse(m: Matrix) -> Matrix:
     n = m.nrows
     ident = Matrix.identity(n, m.order)
     aug = [list(r) + list(ir) for r, ir in zip(m.rows, ident.rows)]
-    rows, pivots = _rref_rows(m.order, aug)
+    rows, pivots = _rref_rows(m.order, aug, 2 * n)
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return Matrix(m.order, [r[n:] for r in rows])
 
 
 def echelon_span(vectors, order):
-    """Canonical echelonized basis of the span of the given row vectors."""
-    if not vectors:
-        return []
-    rows, pivots = _rref_rows(order, vectors)
-    return [tuple(rows[i]) for i in range(len(pivots))]
+    """Canonical echelonized basis of the span of the given sparse row
+    vectors ({column: nonzero Cyc}), as sparse rows in pivot order."""
+    pivots = _echelon(vectors)
+    return [pivots[p] for p in sorted(pivots)]
 
 
 def span_equal(vectors_a, vectors_b, order):
-    """Whether two vector lists span the same subspace."""
-    return echelon_span(vectors_a, order) == echelon_span(vectors_b, order)
+    """Whether two lists of dense vectors span the same subspace."""
+    return (echelon_span(_sparse(vectors_a), order)
+            == echelon_span(_sparse(vectors_b), order))

@@ -11,6 +11,7 @@ and the Koszul resolution terms share, is defined here too.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 from math import comb, factorial
@@ -332,28 +333,57 @@ def _term_str(c: Cyc, exps, idx):
 
 
 def monomial_image(m: Matrix, exps) -> Poly:
-    """subst_matrix of the monomial x^exps by m, kept on m after the
-    first call."""
+    """The image of the monomial x^exps under x_i -> sum_k m[k][i] x_k,
+    kept on m.  It is the image of x^(exps - e_i) times that of x_i, for
+    the last variable x_i of the monomial; the chain down to a kept image
+    is walked in a loop, not by recursion."""
     images = m.memo("monomial images")
     got = images.get(exps)
-    if got is None:
-        got = images[exps] = subst_matrix(Poly.monomial(exps, 1, m.order), m)
+    if got is not None:
+        return got
+    chain = []
+    while exps not in images and any(exps):
+        i = max(j for j, e in enumerate(exps) if e)
+        chain.append((exps, i))
+        exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+    got = images.get(exps)
+    if got is None:  # the empty monomial
+        got = images[exps] = Poly.const(1, m.nrows, m.order)
+    for exps, i in reversed(chain):
+        got = images[exps] = got * _variable_image(m, i)
     return got
+
+
+def _variable_image(m: Matrix, i):
+    n = m.nrows
+    return Poly(n, m.order, {_unit(n, k): m.rows[k][i] for k in range(n)})
 
 
 def minor_row(m: Matrix, rows):
     """The nonzero minors of m on the given rows, as (cols, det) pairs
-    with cols increasing: one row of the exterior power of m, kept on m
-    after the first call."""
+    with cols increasing: one row of the exterior power of m, kept on m.
+    Expands along rows[0], over its nonzero entries, against the kept
+    row of rows[1:]."""
     minors = m.memo("minors")
     got = minors.get(rows)
-    if got is None:
-        got = []
-        for cols in combinations(range(m.ncols), len(rows)):
-            d = minor_det(m, rows, cols)
-            if not d.is_zero():
-                got.append((cols, d))
-        got = minors[rows] = tuple(got)
+    if got is not None:
+        return got
+    if not rows:
+        got = minors[rows] = (((), Cyc.one(m.order)),)
+        return got
+    acc = {}
+    rest = minor_row(m, rows[1:])
+    for j, a in enumerate(m.rows[rows[0]]):
+        if not a:
+            continue
+        for cols, d in rest:
+            pos = bisect_left(cols, j)
+            if pos < len(cols) and cols[pos] == j:
+                continue
+            v = a * d if pos % 2 == 0 else -(a * d)
+            key = cols[:pos] + (j,) + cols[pos:]
+            acc[key] = acc[key] + v if key in acc else v
+    got = minors[rows] = tuple((cols, acc[cols]) for cols in sorted(acc) if acc[cols])
     return got
 
 

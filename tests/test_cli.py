@@ -12,9 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewbrack import cli
 from skewbrack.cli import (
     MAX_PIECE_ACTIONS,
     MAX_PIECE_TERMS,
+    MAX_VERIFY,
+    build_parser,
     cochain_to_classfile,
     load_class_file,
     load_group_file,
@@ -628,3 +631,44 @@ def test_verify_examples(capsys):
     code, out, _ = run(capsys, "verify", "examples")
     assert code == 0
     assert "FAIL" not in out
+
+
+VERIFY_SIZE_FLAGS = [(suite, flag) for suite, limits in MAX_VERIFY.items() for flag in limits]
+
+
+@pytest.mark.parametrize("suite, flag", VERIFY_SIZE_FLAGS)
+def test_verify_refuses_oversized_bounds_early(capsys, suite, flag):
+    limit = MAX_VERIFY[suite][flag]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", suite, f"--{flag}", str(limit + 1))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: --{flag} must be at most {limit} for verify {suite}, got {limit + 1}\n"
+
+
+@pytest.mark.parametrize("suite", ["appendix", "homotopy", "schouten"])
+def test_verify_runs_every_option_at_its_maximum(capsys, monkeypatch, suite):
+    # the suite itself is stubbed: at the maximums it would run for seconds
+    seen = []
+    monkeypatch.setattr(cli, f"_verify_{suite}",
+                        lambda args: seen.append(args) or (True, {}, []))
+    argv = [t for flag, limit in MAX_VERIFY[suite].items() for t in (f"--{flag}", str(limit))]
+    code, _, err = run(capsys, "verify", suite, *argv)
+    assert code == 0 and err == ""
+    assert [{flag: getattr(seen[0], flag) for flag in MAX_VERIFY[suite]}] == [MAX_VERIFY[suite]]
+
+
+def test_verify_bounds_accept_the_defaults_and_every_value_in_use():
+    parser = build_parser()
+    used = {  # the values the tests pass, through the CLI or the library
+        "appendix": {"max": [3, 6]},
+        "homotopy": {"dim": [2, 3], "s": [1, 2], "z": [1, 2], "t": [2, 3]},
+        "schouten": {"dim": [1, 2, 3], "pairs": [5, 50]},
+    }
+    assert set(MAX_VERIFY) == {"appendix", "homotopy", "schouten", "examples"}
+    for suite, limits in MAX_VERIFY.items():
+        assert set(limits) == set(used.get(suite, ()))
+        defaults = parser.parse_args(["verify", suite])
+        for flag, limit in limits.items():
+            assert getattr(defaults, flag) <= limit
+            assert max(used[suite][flag]) <= limit

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from skewbrack.linalg import (
     Matrix,
     det,
+    echelon_span,
     image_basis,
     kernel_basis,
     mat_inverse,
@@ -185,3 +186,119 @@ def test_membership_reconstructs_target(data):
         for i in range(n)
     )
     assert rebuilt == target
+
+
+# ------------------------------------------------- the sparse elimination core
+#
+# The dense Gauss-Jordan that the sparse core replaced, kept here as the
+# reference: first nonzero row as pivot, columns left to right.
+
+
+def _reference_rref_rows(order, rows):
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    lead = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(lead, nrows):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        inv = rows[lead][col].inverse()
+        prow = rows[lead] = [e * inv if e else e for e in rows[lead]]
+        for i in range(nrows):
+            if i != lead and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
+        pivots.append(col)
+        lead += 1
+        if lead == nrows:
+            break
+    return rows, tuple(pivots)
+
+
+def _reference_kernel(m):
+    rows, pivots = _reference_rref_rows(m.order, m.rows)
+    one, zero = Cyc.one(m.order), Cyc.zero(m.order)
+    basis = []
+    for f in (j for j in range(m.ncols) if j not in pivots):
+        v = [zero] * m.ncols
+        v[f] = one
+        for i, p in enumerate(pivots):
+            v[p] = -rows[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _reference_membership(vectors, target, order):
+    k = len(vectors)
+    aug = [[v[i] for v in vectors] + [target[i]] for i in range(len(target))]
+    rows, pivots = _reference_rref_rows(order, aug)
+    if k in pivots:
+        return None
+    coeffs = [Cyc.zero(order)] * k
+    for i, p in enumerate(pivots):
+        coeffs[p] = rows[i][k]
+    return coeffs
+
+
+@st.composite
+def elimination_inputs(draw):
+    """A sparse or dense matrix over Q(zeta5) or Q(zeta6), with some rows
+    replaced by zero rows or by copies and multiples of other rows."""
+    order = draw(st.sampled_from([5, 6]))
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    data = draw(st.data())
+    if draw(st.booleans()):
+        m = _rand_sparse_matrix(data, order, nrows, ncols)
+    else:
+        m = Matrix(order, [[_rand_scalar(data, order) for _ in range(ncols)]
+                           for _ in range(nrows)])
+    rows = [list(r) for r in m.rows]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy"]))
+        if kind == "zero":
+            rows[i] = [Cyc.zero(order)] * ncols
+        elif kind == "copy":
+            c = _rand_scalar(data, order)
+            rows[i] = [c * e for e in rows[draw(st.integers(0, nrows - 1))]]
+    return Matrix(order, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(elimination_inputs())
+def test_sparse_core_matches_dense_gauss_jordan(m):
+    order = m.order
+    want_rows, want_pivots = _reference_rref_rows(order, m.rows)
+    got, pivots = rref(m)
+    assert pivots == want_pivots
+    assert got.rows == tuple(tuple(r) for r in want_rows)
+    assert rank(m) == len(want_pivots)
+    sparse = [{j: e for j, e in enumerate(r) if e} for r in m.rows]
+    assert echelon_span(sparse, order) == [
+        {j: e for j, e in enumerate(want_rows[i]) if e} for i in range(len(want_pivots))]
+    assert kernel_basis(m) == _reference_kernel(m)
+    t_rows, t_pivots = _reference_rref_rows(order, m.transpose().rows)
+    assert image_basis(m) == [tuple(t_rows[i]) for i in range(len(t_pivots))]
+    # the last column as the target, inside or outside the span of the rest
+    vectors = [m.column(j) for j in range(m.ncols - 1)]
+    target = m.column(m.ncols - 1)
+    assert (solve_membership(vectors, target, order)
+            == _reference_membership(vectors, target, order))
+    assert (solve_membership(list(m.rows[1:]), m.rows[0], order)
+            == _reference_membership(list(m.rows[1:]), m.rows[0], order))
+    if m.nrows == m.ncols:
+        n = m.nrows
+        ident = Matrix.identity(n, order)
+        aug_rows, aug_pivots = _reference_rref_rows(
+            order, [list(r) + list(i) for r, i in zip(m.rows, ident.rows)])
+        if aug_pivots == tuple(range(n)):
+            assert mat_inverse(m) == Matrix(order, [r[n:] for r in aug_rows])
+        else:
+            with pytest.raises(ValueError):
+                mat_inverse(m)

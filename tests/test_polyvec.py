@@ -15,12 +15,14 @@ from skewbrack.polyvec import (
     euler_field,
     merge_sign,
     minor_det,
+    minor_row,
+    monomial_image,
     rev_sign,
     schouten,
     sort_sign,
     subst_matrix,
 )
-from skewbrack.scalars import Cyc
+from skewbrack.scalars import Cyc, field_degree
 
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
@@ -277,3 +279,57 @@ def test_action_fills_caches_on_its_matrices():
     assert hi.memo("monomial images") and h.memo("minors")
     assert act(x, [(h, hi)]) == first == Polyvector.term(3, (1, 2), (1,), 1)
     assert h == mat(1, [[0, 1], [1, 0]]) and hash(h) == hash(hi)
+
+
+# ---------------------------------------------------- minors and images by recurrence
+
+
+@st.composite
+def square_matrices(draw):
+    """A random square matrix over Q(zeta_N), N in 1, 4, 5, 6: entries
+    zero about half the time, and sometimes a last row that is a multiple
+    of the first, so singular and non-monomial matrices both occur."""
+    order = draw(st.sampled_from([1, 4, 5, 6]))
+    n = draw(st.integers(1, 4))
+    degree = field_degree(order)
+    scalar = st.one_of(
+        st.just(Cyc.zero(order)),
+        st.lists(st.fractions(-3, 3, max_denominator=2), min_size=degree,
+                 max_size=degree).map(lambda cs: Cyc(order, cs)),
+    )
+    rows = [[draw(scalar) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        c = draw(scalar)
+        rows[-1] = [c * e for e in rows[0]]
+    return Matrix(order, rows)
+
+
+@given(square_matrices())
+@settings(max_examples=60, deadline=None)
+def test_minor_row_is_every_nonzero_minor_in_order(m):
+    n = m.nrows
+    # every row set, smallest first, so larger ones expand on kept rows
+    for k in range(n + 1):
+        for rows in combinations(range(n), k):
+            want = []
+            for cols in combinations(range(n), k):
+                d = minor_det(m, rows, cols)
+                if not d.is_zero():
+                    want.append((cols, d))
+            assert minor_row(m, rows) == tuple(want)
+
+
+@given(square_matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_monomial_image_is_the_substitution(m, data):
+    n = m.nrows
+    exponents = st.tuples(*([st.integers(0, 3)] * n))
+    for exps in data.draw(st.lists(exponents, min_size=1, max_size=4)):
+        assert monomial_image(m, exps) == subst_matrix(Poly.monomial(exps, 1, m.order), m)
+
+
+def test_monomial_image_of_high_degree_needs_no_recursion():
+    z = Cyc.zeta(5)
+    m = Matrix(5, [[z, 0], [0, -1]])
+    got = monomial_image(m, (1200, 1))
+    assert got == Poly.monomial((1200, 1), z ** 1200 * -1, 5)
