@@ -72,7 +72,8 @@ def perp_vanishing_applies(group, g, h):
     inter = moved_intersection(group, g, h)
     if not inter:
         return False
-    for gen in group.generators:
+    for k in group.generator_indices:
+        gen = group.matrix(k)
         for v in inter:
             if solve_membership(inter, tuple(gen.apply(list(v))), order) is None:
                 return False

@@ -35,7 +35,7 @@ from .koszul import (
     schouten_random_check,
 )
 from .linalg import Matrix
-from .polyvec import Polyvector
+from .polyvec import Poly, Polyvector
 from .scalars import parse_scalar, print_scalar
 
 
@@ -59,22 +59,6 @@ MAX_GROUP_ORDER = 1024
 MAX_TERM_DEGREE = 16
 MAX_PIECE_TERMS = 1000
 MAX_PIECE_ACTIONS = 30000
-
-# The largest value of each size option of each verify suite, checked
-# before any work; the defaults are --max 6, --dim 3, --s 2, --z 2, --t 3
-# and --pairs 50.  appendix takes 1.1 s at --max 12, 2.7 s at 15 and 10 s
-# at 20.  homotopy takes 0.5 s with the defaults, 4.7 s at --dim 4 --s 4
-# --z 4 --t 3, 13 s at --t 4 and 34 s at --t 5, and 15 s at --dim 5 with
-# the other defaults; --s and --z count wedge letters, so more than --dim
-# checks nothing more.  schouten takes about 14 s at its default --dim 3 and
-# ran past 150 s at --dim 4; each random pair costs about 3.5 ms, so
-# --pairs 1000 adds 3.5 s.
-MAX_VERIFY = {
-    "appendix": {"max": 15},
-    "homotopy": {"dim": 4, "s": 4, "z": 4, "t": 4},
-    "schouten": {"dim": 3, "pairs": 1000},
-    "examples": {},
-}
 
 
 def _is_int(value):
@@ -123,6 +107,12 @@ def load_group_file(path):
             raise ValueError(f"{path}: names must be distinct nonempty strings "
                              "without '*' or surrounding spaces, not 'e' nor "
                              "all digits, one per generator")
+        for pos, name in enumerate(names, 1):
+            # g<k> names the k-th generator in class files
+            if name[0] == "g" and name[1:].isdecimal() and int(name[1:]) != pos:
+                raise ValueError(f"{path}: names must be g<k> only for the "
+                                 f"k-th generator, got {name!r} for generator "
+                                 f"{pos}")
     bound = data.get("bound", MAX_GROUP_ORDER)
     if not _is_int(bound) or bound < 1:
         raise ValueError(f"{path}: bound must be a positive integer")
@@ -183,17 +173,20 @@ def load_class_file(path, group):
                 or any(a >= b for a, b in zip(wedge, wedge[1:]))):
             raise ValueError(f"{where}: wedge must be a strictly increasing "
                              f"list of {p} indices in 1..{n}")
-        pv = Polyvector.term(coeff, tuple(exps),
-                             tuple(i - 1 for i in wedge), order)
-        comps[g] = comps[g] + pv if g in comps else pv
-    return Cochain(group, p, comps)
+        poly = comps.setdefault(g, {}).setdefault(tuple(i - 1 for i in wedge), {})
+        exps = tuple(exps)
+        poly[exps] = poly[exps] + coeff if exps in poly else coeff
+    return Cochain(group, p, {
+        g: Polyvector(n, order, {idx: Poly(n, order, poly)
+                                 for idx, poly in wedges.items()})
+        for g, wedges in comps.items()})
 
 
 def cochain_to_classfile(c):
     """Serialize a cochain to the class-file dictionary form."""
     terms = []
     for g in sorted(c.terms):
-        word = c.group.elements[g].word
+        word = c.group.words[g]
         pv = c.terms[g]
         for idx in sorted(pv.terms, key=lambda i: (len(i), i)):
             poly = pv.terms[idx]
@@ -229,7 +222,7 @@ def cmd_group(args):
         geom = geometry(group, i)
         elements.append({
             "index": i,
-            "word": group.elements[i].word,
+            "word": group.words[i],
             "matrix": _matrix_strings(group.matrix(i)),
             "codim": geom.codim,
             "omega": str(geom.omega),
@@ -327,14 +320,14 @@ def cmd_bracket(args):
     report_obj = gerstenhaber(x, y)
     i, j = _support_codim(x), _support_codim(y)
     result = report_obj.result
-    word = lambda g: group.elements[g].word
+    words = group.words
     report = {
         "result": cochain_to_classfile(result),
         "display": str(result),
         "grading": {"left": i, "right": j, "output": i + j},
-        "terms": [{"left": word(g), "right": word(h), "value": str(pv)}
+        "terms": [{"left": words[g], "right": words[h], "value": str(pv)}
                   for (g, h), pv in sorted(report_obj.per_component_terms.items())],
-        "vanishing": [{"left": word(g), "right": word(h), "reason": reason}
+        "vanishing": [{"left": words[g], "right": words[h], "reason": reason}
                       for g, h, reason in report_obj.vanishing_diagnostics],
     }
     lines = [
@@ -359,7 +352,7 @@ def cmd_bracket(args):
 
 def _verify_appendix(args):
     bound = args.max
-    entries = appendix_suite(bound, bound, bound)
+    entries = appendix_suite(bound)
     failures = [e for e in entries if not e["pass"]]
     names_seen = sorted({e["identity"] for e in entries})
     report = {
@@ -457,18 +450,7 @@ def _verify_examples(args):
 
 
 def cmd_verify(args):
-    for flag, limit in MAX_VERIFY[args.suite].items():
-        value = getattr(args, flag)
-        if value > limit:
-            raise ValueError(f"--{flag} must be at most {limit} for verify "
-                             f"{args.suite}, got {value}")
-    runner = {
-        "appendix": _verify_appendix,
-        "homotopy": _verify_homotopy,
-        "schouten": _verify_schouten,
-        "examples": _verify_examples,
-    }[args.suite]
-    ok, report, lines = runner(args)
+    ok, report, lines = args.run(args)
     report["pass"] = ok
     lines.append("verify: all checks pass" if ok
                  else "verify: FAILURES detected")
@@ -479,18 +461,21 @@ def cmd_verify(args):
 # ------------------------------------------------------------------ main
 
 
-def _at_least(minimum):
-    """argparse type for counts and degrees: an integer >= minimum, which
-    is 0 or 1."""
-    word = "positive" if minimum else "non-negative"
+def _count(least, largest=None):
+    """argparse type for counts and degrees: an integer from least, which
+    is 0 or 1, to largest (unbounded when None)."""
+    word = "positive" if least else "non-negative"
 
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-        if value < minimum:
+        if value < least:
             raise argparse.ArgumentTypeError(f"must be {word}, got {value}")
+        if largest is not None and value > largest:
+            raise argparse.ArgumentTypeError(f"must be at most {largest}, "
+                                             f"got {value}")
         return value
 
     return parse
@@ -509,9 +494,9 @@ def build_parser():
 
     p_coh = sub.add_parser("cohomology", help="basis of a bidegree piece")
     p_coh.add_argument("file")
-    p_coh.add_argument("--p", type=_at_least(0), required=True,
+    p_coh.add_argument("--p", type=_count(0), required=True,
                        help="exterior (homological) degree")
-    p_coh.add_argument("--m", type=_at_least(0), required=True,
+    p_coh.add_argument("--m", type=_count(0), required=True,
                        help="polynomial degree")
     p_coh.add_argument("--json", action="store_true")
     p_coh.set_defaults(func=cmd_cohomology)
@@ -528,24 +513,43 @@ def build_parser():
     p_br.set_defaults(func=cmd_bracket)
 
     p_ver = sub.add_parser("verify", help="run a verification sweep")
-    p_ver.add_argument("suite",
-                       choices=["appendix", "homotopy", "schouten", "examples"])
-    p_ver.add_argument("--max", type=_at_least(1), default=6,
-                       help="appendix: bound for s, t, z")
-    p_ver.add_argument("--dim", type=_at_least(1), default=3,
-                       help="homotopy/schouten: dimension")
-    p_ver.add_argument("--s", type=_at_least(0), default=2,
-                       help="homotopy: bound for the left block")
-    p_ver.add_argument("--z", type=_at_least(0), default=2,
-                       help="homotopy: bound for the right block")
-    p_ver.add_argument("--t", type=_at_least(0), default=3,
-                       help="homotopy: bound for the middle degree")
-    p_ver.add_argument("--pairs", type=_at_least(1), default=50,
-                       help="schouten: number of random pairs")
-    p_ver.add_argument("--seed", type=int, default=0,
-                       help="schouten: random seed")
-    p_ver.add_argument("--json", action="store_true")
-    p_ver.set_defaults(func=cmd_verify)
+    suites = p_ver.add_subparsers(dest="suite", required=True)
+    # A suite takes only its own options, spelled out: schouten would
+    # otherwise read homotopy's --s as its own --seed.  Each size option's
+    # largest value is checked before any work.
+    # appendix takes 1.1 s at --max 12, 2.7 s at 15 and 10 s at 20.
+    p_app = suites.add_parser("appendix", allow_abbrev=False,
+                              help="the coefficient identities")
+    p_app.add_argument("--max", type=_count(1, 15), default=6,
+                       help="bound for s, t, z")
+    # homotopy takes 0.5 s with the defaults, 4.7 s at --dim 4 --s 4 --z 4
+    # --t 3, 13 s at --t 4 and 34 s at --t 5, and 15 s at --dim 5 with the
+    # other defaults; --s and --z count wedge letters, so more than --dim
+    # checks nothing more.
+    p_hom = suites.add_parser("homotopy", allow_abbrev=False,
+                              help="the homotopy residual")
+    p_hom.add_argument("--dim", type=_count(1, 4), default=3, help="dimension")
+    p_hom.add_argument("--s", type=_count(0, 4), default=2,
+                       help="bound for the left block")
+    p_hom.add_argument("--z", type=_count(0, 4), default=2,
+                       help="bound for the right block")
+    p_hom.add_argument("--t", type=_count(0, 4), default=3,
+                       help="bound for the middle degree")
+    # schouten takes about 14 s at its default --dim 3 and ran past 150 s at
+    # --dim 4; each random pair costs about 3.5 ms, so --pairs 1000 adds
+    # 3.5 s.
+    p_sch = suites.add_parser("schouten", allow_abbrev=False,
+                              help="the Schouten bracket laws")
+    p_sch.add_argument("--dim", type=_count(1, 3), default=3, help="dimension")
+    p_sch.add_argument("--pairs", type=_count(1, 1000), default=50,
+                       help="number of random pairs")
+    p_sch.add_argument("--seed", type=int, default=0, help="random seed")
+    p_ex = suites.add_parser("examples", allow_abbrev=False,
+                             help="the worked bracket examples")
+    for p_suite, run in ((p_app, _verify_appendix), (p_hom, _verify_homotopy),
+                         (p_sch, _verify_schouten), (p_ex, _verify_examples)):
+        p_suite.add_argument("--json", action="store_true")
+        p_suite.set_defaults(func=cmd_verify, run=run)
     return parser
 
 

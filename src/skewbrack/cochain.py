@@ -63,8 +63,7 @@ class Cochain(SparseTerms):
             return "0"
         bits = []
         for g in sorted(self.terms):
-            word = self.group.elements[g].word
-            bits.append(f"({self.terms[g]}) {word}")
+            bits.append(f"({self.terms[g]}) {self.group.words[g]}")
         return " + ".join(bits)
 
     def __repr__(self):

@@ -13,46 +13,28 @@ from .linalg import (
     mat_inverse,
     rank,
 )
-from .polyvec import Poly, Polyvector
-from .scalars import Cyc
-
-
-class GroupElement:
-    """One element: stable index, matrix, and the first generator word
-    reaching it during enumeration ("e" for the identity)."""
-
-    __slots__ = ("index", "matrix", "word")
-
-    def __init__(self, index, matrix, word):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "word", word)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElement is immutable")
-
-    def __repr__(self):
-        return f"GroupElement({self.index}, {self.word})"
+from .polyvec import Poly, Polyvector, minor_row
 
 
 class Group:
     """A finite matrix group with its multiplication table.
 
-    elements[0] is always the identity.  mult_table[i][j] is the index of
-    elements[i].matrix * elements[j].matrix.  generator_indices[j] is the
-    index of generators[j], and names[j] its name in words.  kernel_indices
-    lists the elements acting as the identity on V (trivial for faithful
-    actions).  The geometry of each element is computed on first use and
-    kept on the group.
+    matrices[0] is always the identity, and words[i] is the first
+    generator word reaching matrices[i] during enumeration ("e" for the
+    identity).  mult_table[i][j] is the index of matrices[i] * matrices[j].
+    generator_indices[j] is the index of the j-th generator, and names[j]
+    its name in words.  kernel_indices lists the elements acting as the
+    identity on V (trivial for faithful actions).  The geometry of each
+    element is computed on first use and kept on the group.
     """
 
     __slots__ = (
         "dim",
         "scalar_order",
-        "generators",
         "names",
         "generator_indices",
-        "elements",
+        "matrices",
+        "words",
         "mult_table",
         "inverses",
         "conj_classes",
@@ -60,28 +42,28 @@ class Group:
         "_geometries",
     )
 
-    def __init__(self, dim, scalar_order, generators, names, generator_indices,
-                 elements, mult_table, inverses, conj_classes, kernel_indices):
+    def __init__(self, dim, scalar_order, names, generator_indices, matrices,
+                 words, mult_table, inverses, conj_classes, kernel_indices):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "scalar_order", scalar_order)
-        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "generator_indices", generator_indices)
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "words", words)
         object.__setattr__(self, "mult_table", mult_table)
         object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "conj_classes", conj_classes)
         object.__setattr__(self, "kernel_indices", kernel_indices)
-        object.__setattr__(self, "_geometries", [None] * len(elements))
+        object.__setattr__(self, "_geometries", [None] * len(matrices))
 
     def __setattr__(self, name, value):
         raise AttributeError("Group is immutable")
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.matrices)
 
     def matrix(self, i):
-        return self.elements[i].matrix
+        return self.matrices[i]
 
     def mult(self, i, j):
         return self.mult_table[i][j]
@@ -120,36 +102,36 @@ def enumerate_group(generators, bound=1024, names=None):
     names = tuple(names or (f"g{j + 1}" for j in range(len(generators))))
 
     identity = Matrix.identity(n, order)
-    elements = [GroupElement(0, identity, "e")]
+    matrices = [identity]
+    words = ["e"]
     index_of = {identity: 0}
-    # right[i][j] is the index of elements[i] * generators[j]; element k > 0
-    # was first reached as elements[p] * generators[j], (p, j) = reached[k - 1].
+    # right[i][j] is the index of matrices[i] * generators[j]; element k > 0
+    # was first reached as matrices[p] * generators[j], (p, j) = reached[k - 1].
     right = []
     reached = []
     frontier = [0]
     while frontier:
         fresh = []
         for i in frontier:
-            base = elements[i]
             row = []
             for j, gen in enumerate(generators):
-                m = base.matrix * gen
+                m = matrices[i] * gen
                 k = index_of.get(m)
                 if k is None:
-                    if len(elements) >= bound:
+                    if len(matrices) >= bound:
                         raise RuntimeError("group not finite within bound")
-                    word = names[j] if base.word == "e" else f"{base.word}*{names[j]}"
-                    k = index_of[m] = len(elements)
-                    elements.append(GroupElement(k, m, word))
+                    k = index_of[m] = len(matrices)
+                    matrices.append(m)
+                    words.append(f"{words[i]}*{names[j]}" if i else names[j])
                     reached.append((i, j))
                     fresh.append(k)
                 row.append(k)
             right.append(row)
         frontier = fresh
 
-    # i * k = (i * elements[p]) * generators[j] for (p, j) = reached[k - 1],
+    # i * k = (i * matrices[p]) * generators[j] for (p, j) = reached[k - 1],
     # and p < k, so each row fills left to right.
-    size = len(elements)
+    size = len(matrices)
     mult_table = []
     for i in range(size):
         row = [i]
@@ -171,8 +153,8 @@ def enumerate_group(generators, bound=1024, names=None):
             assigned[k] = True
         conj_classes.append(cls)
 
-    kernel_indices = [i for i in range(size) if elements[i].matrix == identity]
-    return Group(n, order, list(generators), names, tuple(right[0]), elements,
+    kernel_indices = [i for i in range(size) if matrices[i] == identity]
+    return Group(n, order, names, tuple(right[0]), matrices, words,
                  mult_table, inverses, conj_classes, kernel_indices)
 
 
@@ -184,7 +166,7 @@ def resolve_word(group, word):
     element index directly.
     """
     if isinstance(word, int):
-        if 0 <= word < len(group.elements):
+        if 0 <= word < len(group):
             return word
         raise ValueError(f"element index {word} out of range")
     text = word.strip()
@@ -200,7 +182,7 @@ def resolve_word(group, word):
         if not token.startswith("g") or not token[1:].isdigit():
             raise ValueError(f"bad generator token {token!r}")
         k = int(token[1:])
-        if not 1 <= k <= len(group.generators):
+        if not 1 <= k <= len(group.generator_indices):
             raise ValueError(f"generator {token!r} out of range")
         i = group.mult(i, group.generator_indices[k - 1])
     return i
@@ -209,22 +191,16 @@ def resolve_word(group, word):
 class GroupGeometry:
     """The splitting V = V^g + (1-g)V for one group element.
 
-    fixed_basis and moved_basis are echelonized vector tuples; adapted has
-    them as columns (fixed first); dual_change = adapted^-1, whose rows are
-    the adapted dual coordinates in terms of the original ones; omega is
-    the wedge of the moved dual coordinates, scaled so its first nonzero
-    coefficient is 1.
+    adapted has a basis of V^g as its first n - codim columns and an
+    echelonized basis of (1-g)V as its last codim columns; dual_change =
+    adapted^-1, whose rows are the adapted dual coordinates in terms of
+    the original ones; omega is the wedge of the last codim rows, the
+    moved dual coordinates, scaled so its first coefficient is 1.
     """
 
-    __slots__ = ("element", "matrix", "fixed_basis", "moved_basis", "codim",
-                 "adapted", "dual_change", "omega")
+    __slots__ = ("codim", "adapted", "dual_change", "omega")
 
-    def __init__(self, element, matrix, fixed_basis, moved_basis, codim,
-                 adapted, dual_change, omega):
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "fixed_basis", fixed_basis)
-        object.__setattr__(self, "moved_basis", moved_basis)
+    def __init__(self, codim, adapted, dual_change, omega):
         object.__setattr__(self, "codim", codim)
         object.__setattr__(self, "adapted", adapted)
         object.__setattr__(self, "dual_change", dual_change)
@@ -236,33 +212,22 @@ class GroupGeometry:
 
 def geometry(group, g):
     """GroupGeometry of the element with index g, computed once per group."""
-    if not 0 <= g < len(group.elements):
+    if not 0 <= g < len(group):
         raise ValueError(f"element index {g} out of range")
     cached = group._geometries[g]
     if cached is not None:
         return cached
     n, order = group.dim, group.scalar_order
-    m = group.matrix(g)
-    diff = Matrix.identity(n, order) - m
-    fixed = [tuple(v) for v in kernel_basis(diff)]
-    moved = [tuple(v) for v in image_basis(diff)]
+    diff = Matrix.identity(n, order) - group.matrix(g)
+    moved = image_basis(diff)
     codim = len(moved)
-    cols = list(fixed) + list(moved)
-    adapted = Matrix(order, [[cols[j][i] for j in range(n)] for i in range(n)])
+    adapted = Matrix(order, kernel_basis(diff) + moved).transpose()
     dual_change = mat_inverse(adapted)
-    omega = Polyvector.from_poly(Poly.const(1, n, order), ())
-    for r in range(n - codim, n):
-        row = dual_change.rows[r]
-        covec = Polyvector(n, order, {
-            (j,): Poly.const(row[j], n, order)
-            for j in range(n) if not row[j].is_zero()
-        })
-        omega = omega.wedge(covec)
-    if codim and not omega.is_zero():
-        lead = omega.terms[min(omega.terms)]
-        lead_c = lead.terms[min(lead.terms)]
-        omega = omega * lead_c.inverse()
-    geom = group._geometries[g] = GroupGeometry(g, m, fixed, moved, codim,
-                                                adapted, dual_change, omega)
+    # the coefficients of the wedge of rows are their minors
+    minors = minor_row(dual_change, tuple(range(n - codim, n)))
+    lead = minors[0][1].inverse()
+    omega = Polyvector(n, order, {cols: Poly.const(d * lead, n, order)
+                                  for cols, d in minors})
+    geom = group._geometries[g] = GroupGeometry(codim, adapted, dual_change,
+                                                omega)
     return geom
-

@@ -487,11 +487,12 @@ def chain_bracket_avatar(
     return first - second * sign
 
 
-def appendix_suite(max_s=6, max_t=6, max_z=6):
+def appendix_suite(bound=6):
     """Exact sweep of the seventeen coefficient identities behind phi.
 
     Returns a list of {identity, tuple, lhs, rhs, pass} entries, one per
-    checked instance, covering every valid (s, t, z, r) in the bounds.
+    checked instance, covering every valid (s, t, z, r) with s, t and z
+    at most bound.
     Identities whose statement needs s >= 1 or z >= 1 start there; terms
     whose scalar factor is zero are dropped before evaluating xi.
     """
@@ -507,8 +508,8 @@ def appendix_suite(max_s=6, max_t=6, max_z=6):
         })
 
     zero = Fraction(0)
-    for s in range(1, max_s + 1):
-        for t in range(1, max_t + 1):
+    for s in range(1, bound + 1):
+        for t in range(1, bound + 1):
             check("lEQ1", (s, t, 0, t),
                   xi(s, t, 0, t) - s * xi(s - 1, t + 1, 0, t + 1), zero)
             check("lEQ2", (s, t, 0, 1),
@@ -523,8 +524,8 @@ def appendix_suite(max_s=6, max_t=6, max_z=6):
                 check("lEQ5", (s, t, 0, r),
                       xi(s, t, 0, r) - xi(s, t, 0, r + 1),
                       s * xi(s - 1, t + 1, 0, r + 1))
-    for z in range(1, max_z + 1):
-        for t in range(1, max_t + 1):
+    for z in range(1, bound + 1):
+        for t in range(1, bound + 1):
             check("rEQ1", (0, t, z, t),
                   xi(0, t, z, t) + z * xi(0, t + 1, z - 1, t + 1),
                   Fraction(1, factorial(t)))
@@ -540,9 +541,9 @@ def appendix_suite(max_s=6, max_t=6, max_z=6):
                 check("rEQ5", (0, t, z, r),
                       xi(0, t, z, r - 1) - xi(0, t, z, r),
                       -z * xi(0, t + 1, z - 1, r))
-    for s in range(1, max_s + 1):
-        for z in range(0, max_z + 1):
-            for t in range(1, max_t + 1):
+    for s in range(1, bound + 1):
+        for z in range(0, bound + 1):
+            for t in range(1, bound + 1):
                 for r in range(1, t + 1):
                     check("lrEQ1", (s, t, z, r),
                           xi(s, t, z, r) + r * xi(s - 1, t + 1, z, r + 1)
@@ -554,9 +555,9 @@ def appendix_suite(max_s=6, max_t=6, max_z=6):
                 if z:
                     lhs6 += z * xi(s, t + 1, z - 1, t + 1)
                 check("lrEQ6", (s, t, z, t), lhs6, zero)
-    for s in range(0, max_s + 1):
-        for z in range(1, max_z + 1):
-            for t in range(1, max_t + 1):
+    for s in range(0, bound + 1):
+        for z in range(1, bound + 1):
+            for t in range(1, bound + 1):
                 for r in range(1, t + 1):
                     check("lrEQ3", (s, t, z, r),
                           r * xi(s, t + 1, z - 1, r + 1), xi(s, t, z, r))
@@ -567,9 +568,9 @@ def appendix_suite(max_s=6, max_t=6, max_z=6):
                 if s:
                     lhs7 -= s * xi(s - 1, t + 1, z, 1)
                 check("lrEQ7", (s, t, z, 1), lhs7, zero)
-    for s in range(0, max_s + 1):
-        for z in range(0, max_z + 1):
-            for t in range(2, max_t + 1):
+    for s in range(0, bound + 1):
+        for z in range(0, bound + 1):
+            for t in range(2, bound + 1):
                 for r in range(1, t):
                     lhs5 = xi(s, t, z, r) - xi(s, t, z, r + 1)
                     if z:
@@ -580,9 +581,10 @@ def appendix_suite(max_s=6, max_t=6, max_z=6):
     return entries
 
 
-def homotopy_sweep(n, max_s, max_z, max_t, order=1):
+def homotopy_sweep(n, max_s, max_z, max_t):
     """Evaluate the homotopy residual on every basis element of the
-    tensor square with |S| <= max_s, |Z| <= max_z, middle degree <= max_t.
+    tensor square over Q with |S| <= max_s, |Z| <= max_z, middle degree
+    <= max_t.
 
     Returns (checked, failures) where failures lists offending
     (S, Z, middle exponent) keys; an empty list is the expected outcome.
@@ -600,7 +602,7 @@ def homotopy_sweep(n, max_s, max_z, max_t, order=1):
                 continue
             for t in range(max_t + 1):
                 for em in monomials(n, t):
-                    e = KoszulTensor2.term(n, order, s_idx, z_idx, zero, em, zero)
+                    e = KoszulTensor2.term(n, 1, s_idx, z_idx, zero, em, zero)
                     if e.is_zero():
                         continue
                     checked += 1
@@ -666,15 +668,17 @@ def vector_field_commutator(x: Polyvector, y: Polyvector) -> Polyvector:
     return Polyvector(n, order, comps)
 
 
-def schouten_random_check(count=50, seed=0, n=3, max_exp=2):
+def schouten_random_check(count=50, seed=0):
     """Compare the chain-level bracket against the derivation commutator
-    on random pairs of vector fields over the trivial group.
+    on random pairs of vector fields on k^3 over the trivial group, each
+    a sum of three terms with exponents at most 2.
 
     Returns (checked, failures); the two computations share nothing, so
     agreement pins down both sign conventions at degree (1, 1).
     """
     import random
 
+    n, max_exp = 3, 2
     rng = random.Random(seed)
     ident = Matrix.identity(n, 1)
 
@@ -699,10 +703,10 @@ def schouten_random_check(count=50, seed=0, n=3, max_exp=2):
     return count, failures
 
 
-def schouten_graded_laws(n, max_poly=2, max_ext=2):
+def schouten_graded_laws(n):
     """Graded antisymmetry on every ordered pair and the graded Jacobi
-    identity on every unordered triple of basis polyvectors with the
-    given polynomial/exterior degree bounds.
+    identity on every unordered triple of basis polyvectors on k^n of
+    polynomial and exterior degree at most 2.
 
     Returns (checked, failures).  Antisymmetry on all ordered pairs plus
     Jacobi on one representative of each triple implies the law for
@@ -710,6 +714,7 @@ def schouten_graded_laws(n, max_poly=2, max_ext=2):
     """
     from .cochain import monomials
 
+    max_poly = max_ext = 2
     basis = []
     for p in range(min(n, max_ext) + 1):
         for idx in combinations(range(n), p):

@@ -247,10 +247,6 @@ class Polyvector(SparseTerms):
         self._init(clean, n=n, order=order)
 
     @staticmethod
-    def from_poly(p: Poly, idx=()):
-        return Polyvector(p.n, p.order, {tuple(idx): p})
-
-    @staticmethod
     def term(coeff, exps, idx, order):
         """Build coeff * x^exps * d_idx, normalizing the index order."""
         sgn, key = sort_sign(idx)

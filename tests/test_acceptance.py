@@ -50,7 +50,7 @@ def trivial_group_k(n):
 
 def test_criterion_01_appendix_identity_sweep():
     start = time.monotonic()
-    entries = appendix_suite(6, 6, 6)
+    entries = appendix_suite(6)
     elapsed = time.monotonic() - start
     names = {e["identity"] for e in entries}
     assert len(names) == 17
@@ -78,7 +78,7 @@ def test_criterion_03_schouten_agreement_and_graded_laws():
     assert checked_r == 50 and fail_r == []
     total = 0
     for n in (1, 2, 3):
-        checked_l, fail_l = schouten_graded_laws(n, max_poly=2, max_ext=2)
+        checked_l, fail_l = schouten_graded_laws(n)
         assert fail_l == []
         total += checked_l
     print(f"criterion 3: PASS - chain bracket equals the derivation "

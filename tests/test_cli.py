@@ -16,7 +16,6 @@ from skewbrack import cli
 from skewbrack.cli import (
     MAX_PIECE_ACTIONS,
     MAX_PIECE_TERMS,
-    MAX_VERIFY,
     build_parser,
     cochain_to_classfile,
     load_class_file,
@@ -24,9 +23,12 @@ from skewbrack.cli import (
     main,
     piece_size,
 )
-from skewbrack.cochain import cohomology_basis
+from skewbrack.cochain import Cochain, cohomology_basis
 from skewbrack.fixtures import rotation_bracket_pair
+from skewbrack.groups import resolve_word
 from skewbrack.koszul import appendix_suite
+from skewbrack.polyvec import Poly, Polyvector
+from skewbrack.scalars import parse_scalar
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
@@ -114,6 +116,9 @@ def test_group_file_errors(tmp_path, capsys):
                    "names": ["3"]}),
         ("names", {"dimension": 2, "cyclotomicOrder": 1, "generators": sign,
                    "names": [" s"]}),
+        # g<k> names the k-th generator in class files, and no other
+        ("names", {"dimension": 2, "cyclotomicOrder": 1, "generators": sign * 2,
+                   "names": ["g2", "g1"]}),
         # too large: refused before enumeration, which would not end soon
         ("bound", {"dimension": 1, "cyclotomicOrder": 1,
                    "generators": [[["2"]]], "bound": 65536}),
@@ -417,6 +422,56 @@ def test_class_file_round_trip_cyclotomic(tmp_path):
         assert cochain_to_classfile(back) == data
 
 
+def test_class_file_sums_repeated_and_cancelling_terms(tmp_path):
+    group, _ = load_group_file(fixture("klein_signs_k3.json"))
+    terms = [  # (group, coeff, exponents, wedge)
+        ("e", "1", [1, 0, 0], [1]),
+        ("g1", "1/2", [0, 2, 0], [2]),
+        ("e", "2", [1, 0, 0], [1]),  # repeated: sums to 3
+        ("e", "1", [0, 1, 0], [3]),
+        ("e", "-1", [0, 1, 0], [3]),  # cancels its wedge term
+        ("g2", "5", [0, 0, 1], [1]),
+        ("g2", "-5", [0, 0, 1], [1]),  # cancels the whole component
+        ("g1", "3", [0, 2, 0], [2]),
+    ]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"homologicalDegree": 1, "terms": [
+        {"group": g, "coeff": c, "exponents": e, "wedge": w} for g, c, e, w in terms]}))
+    comps = {}
+    for g, c, e, w in terms:  # one term at a time, added up
+        pv = Polyvector.term(parse_scalar(c, 1), tuple(e), tuple(i - 1 for i in w), 1)
+        k = resolve_word(group, g)
+        comps[k] = comps[k] + pv if k in comps else pv
+    got = load_class_file(str(path), group)
+    assert got == Cochain(group, 1, comps)
+    assert sorted(got.terms) == [0, resolve_word(group, "g1")]
+
+
+def test_class_file_loads_in_time_linear_in_its_terms(tmp_path):
+    # 4,000 terms at one element over all 969 monomials on k^3 of degree
+    # at most 16; each term once copied its wedge's whole polynomial
+    group, _ = load_group_file(fixture("klein_signs_k3.json"))
+    monos = [(a, b, d - a - b) for d in range(17)
+             for a in range(d + 1) for b in range(d - a + 1)]
+    assert len(monos) == 969
+    terms = [{"group": "e", "coeff": str(k % 7 - 3), "exponents": list(monos[k % 969]),
+              "wedge": [1 + k % 3]} for k in range(4000)]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"homologicalDegree": 1, "terms": terms}))
+    start = time.perf_counter()
+    got = load_class_file(str(path), group)
+    assert time.perf_counter() - start < 1
+    want = {}
+    for t in terms:
+        key = (t["wedge"][0] - 1,), tuple(t["exponents"])
+        want[key] = want.get(key, 0) + int(t["coeff"])
+    polys = {}
+    for (idx, exps), c in want.items():
+        polys.setdefault(idx, {})[exps] = c
+    assert got == Cochain(group, 1, {0: Polyvector(3, 1, {
+        idx: Poly(3, 1, poly) for idx, poly in polys.items()})})
+
+
 def test_class_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     group_file = fixture("klein_signs_k3.json")
@@ -610,7 +665,7 @@ def test_verify_appendix_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["pass"] and data["identities"] == 17 and data["failures"] == []
-    assert data["checked"] == len(appendix_suite(3, 3, 3))
+    assert data["checked"] == len(appendix_suite(3))
 
 
 def test_verify_homotopy_small(capsys):
@@ -633,17 +688,46 @@ def test_verify_examples(capsys):
     assert "FAIL" not in out
 
 
-VERIFY_SIZE_FLAGS = [(suite, flag) for suite, limits in MAX_VERIFY.items() for flag in limits]
+# The size options of each verify suite and the largest value of each; a
+# suite refuses every other option.
+VERIFY_CAPS = {
+    "appendix": {"max": 15},
+    "homotopy": {"dim": 4, "s": 4, "z": 4, "t": 4},
+    "schouten": {"dim": 3, "pairs": 1000},
+    "examples": {},
+}
+VERIFY_SIZE_FLAGS = [(suite, flag) for suite, caps in VERIFY_CAPS.items() for flag in caps]
+
+
+def run_refused(capsys, *argv):
+    """Run a command that argparse refuses within a second, printing
+    nothing on stdout; returns its stderr."""
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    return err
 
 
 @pytest.mark.parametrize("suite, flag", VERIFY_SIZE_FLAGS)
 def test_verify_refuses_oversized_bounds_early(capsys, suite, flag):
-    limit = MAX_VERIFY[suite][flag]
-    start = time.perf_counter()
-    code, out, err = run(capsys, "verify", suite, f"--{flag}", str(limit + 1))
-    assert time.perf_counter() - start < 1
-    assert code == 2 and out == ""
-    assert err == f"error: --{flag} must be at most {limit} for verify {suite}, got {limit + 1}\n"
+    limit = VERIFY_CAPS[suite][flag]
+    err = run_refused(capsys, "verify", suite, f"--{flag}", str(limit + 1))
+    assert err.endswith(f"error: argument --{flag}: must be at most {limit}, "
+                        f"got {limit + 1}\n")
+
+
+@pytest.mark.parametrize("suite, flag, value", [
+    ("examples", "dim", "9"),
+    ("appendix", "pairs", "5"),
+    *((suite, flag, "1") for suite in VERIFY_CAPS
+      for flag in {f for caps in VERIFY_CAPS.values() for f in caps} - set(VERIFY_CAPS[suite])),
+])
+def test_verify_refuses_the_options_of_other_suites(capsys, suite, flag, value):
+    err = run_refused(capsys, "verify", suite, f"--{flag}", value)
+    assert err.endswith(f"error: unrecognized arguments: --{flag} {value}\n")
 
 
 @pytest.mark.parametrize("suite", ["appendix", "homotopy", "schouten"])
@@ -652,10 +736,10 @@ def test_verify_runs_every_option_at_its_maximum(capsys, monkeypatch, suite):
     seen = []
     monkeypatch.setattr(cli, f"_verify_{suite}",
                         lambda args: seen.append(args) or (True, {}, []))
-    argv = [t for flag, limit in MAX_VERIFY[suite].items() for t in (f"--{flag}", str(limit))]
+    argv = [t for flag, limit in VERIFY_CAPS[suite].items() for t in (f"--{flag}", str(limit))]
     code, _, err = run(capsys, "verify", suite, *argv)
     assert code == 0 and err == ""
-    assert [{flag: getattr(seen[0], flag) for flag in MAX_VERIFY[suite]}] == [MAX_VERIFY[suite]]
+    assert [{flag: getattr(seen[0], flag) for flag in VERIFY_CAPS[suite]}] == [VERIFY_CAPS[suite]]
 
 
 def test_verify_bounds_accept_the_defaults_and_every_value_in_use():
@@ -665,10 +749,22 @@ def test_verify_bounds_accept_the_defaults_and_every_value_in_use():
         "homotopy": {"dim": [2, 3], "s": [1, 2], "z": [1, 2], "t": [2, 3]},
         "schouten": {"dim": [1, 2, 3], "pairs": [5, 50]},
     }
-    assert set(MAX_VERIFY) == {"appendix", "homotopy", "schouten", "examples"}
-    for suite, limits in MAX_VERIFY.items():
-        assert set(limits) == set(used.get(suite, ()))
-        defaults = parser.parse_args(["verify", suite])
-        for flag, limit in limits.items():
-            assert getattr(defaults, flag) <= limit
+    for suite, caps in VERIFY_CAPS.items():
+        assert set(caps) == set(used.get(suite, ()))
+        defaults = vars(parser.parse_args(["verify", suite]))
+        # each suite declares its own size options and no other
+        assert set(defaults) - {"command", "suite", "func", "run", "json", "seed"} == set(caps)
+        for flag, limit in caps.items():
+            assert defaults[flag] <= limit
             assert max(used[suite][flag]) <= limit
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["group"], ["cohomology"], ["bracket"], ["verify"],
+    *(["verify", suite] for suite in VERIFY_CAPS),
+])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: skewbrack", *argv]))

@@ -34,10 +34,7 @@ def klein_four():
 def test_enumerate_klein_four():
     g = klein_four()
     assert len(g) == 4
-    assert g.elements[0].word == "e"
-    assert g.elements[1].word == "g1"
-    assert g.elements[2].word == "g2"
-    assert g.elements[3].word == "g1*g2"
+    assert g.words == ["e", "g1", "g2", "g1*g2"]
     assert g.matrix(3) == diag(1, -1, 1, -1)
     assert g.kernel_indices == [0]
     assert g.conj_classes == [(0,), (1,), (2,), (3,)]
@@ -111,7 +108,6 @@ def test_mult_data_matches_matrix_products():
         assert g.mult_table == table, name
         assert g.inverses == inverses, name
         assert g.conj_classes == classes, name
-        assert [g.matrix(i) for i in g.generator_indices] == g.generators, name
 
 
 def test_symmetric_two_conjugacy():
@@ -120,6 +116,14 @@ def test_symmetric_two_conjugacy():
     assert len(g) == 4
     sizes = sorted(len(c) for c in g.conj_classes)
     assert sum(sizes) == 4
+
+
+def bases(group, g):
+    """The fixed and moved bases of g: the first n - codim and the last
+    codim columns of its adapted basis."""
+    geo = geometry(group, g)
+    cols = [geo.adapted.column(j) for j in range(group.dim)]
+    return cols[:group.dim - geo.codim], cols[group.dim - geo.codim:]
 
 
 def test_geometry_is_computed_once_per_group():
@@ -134,7 +138,7 @@ def test_geometry_identity():
     g = klein_four()
     geo = geometry(g, 0)
     assert geo.codim == 0
-    assert geo.moved_basis == []
+    assert bases(g, 0)[1] == []
     assert geo.omega == Polyvector.term(1, (0, 0, 0), (), 1)
 
 
@@ -143,7 +147,7 @@ def test_geometry_sign_flip():
     geo = geometry(g, 1)
     assert geo.codim == 1
     assert geo.omega == Polyvector.term(1, (0, 0, 0), (0,), 1)
-    assert [list(v) for v in geo.moved_basis] == [[Cyc.one(1), Cyc.zero(1), Cyc.zero(1)]]
+    assert [list(v) for v in bases(g, 1)[1]] == [[Cyc.one(1), Cyc.zero(1), Cyc.zero(1)]]
     geo3 = geometry(g, 3)
     assert geo3.codim == 2
     assert geo3.omega == Polyvector.term(1, (0, 0, 0), (0, 2), 1)
@@ -158,34 +162,58 @@ def test_geometry_swap_action():
     # normalized to leading coefficient 1
     assert geo.omega == (Polyvector.term(1, (0, 0), (0,), 1)
                          - Polyvector.term(1, (0, 0), (1,), 1))
-    assert span_equal(geo.fixed_basis, [(Cyc.one(1), Cyc.one(1))], 1)
+    assert span_equal(bases(g, 1)[0], [(Cyc.one(1), Cyc.one(1))], 1)
 
 
 def test_geometry_splitting_invariants():
     swap3 = mat(1, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     g = enumerate_group([swap3, diag(1, -1, -1, 1)])
     for i in range(len(g)):
-        geo = geometry(g, i)
-        assert len(geo.fixed_basis) + geo.codim == g.dim
-        combined = list(geo.fixed_basis) + list(geo.moved_basis)
-        if combined:
-            assert rank(Matrix(1, [list(v) for v in combined])) == len(combined)
-        inv = geometry(g, g.inverse(i))
-        assert span_equal(geo.fixed_basis, inv.fixed_basis, 1)
-        assert span_equal(geo.moved_basis, inv.moved_basis, 1)
+        fixed, moved = bases(g, i)
+        assert rank(geometry(g, i).adapted) == g.dim
+        m = g.matrix(i)
+        assert all(tuple(m.apply(list(v))) == v for v in fixed)
+        inv_fixed, inv_moved = bases(g, g.inverse(i))
+        assert span_equal(fixed, inv_fixed, 1)
+        assert span_equal(moved, inv_moved, 1)
+
+
+def wedge_of_moved_rows(group, g):
+    """omega_g built as the wedge of the moved dual coordinates, the last
+    codim rows of dual_change, scaled so its first coefficient is 1."""
+    geo = geometry(group, g)
+    n, order = group.dim, group.scalar_order
+    const = (0,) * n
+    out = Polyvector.term(1, const, (), order)
+    for row in geo.dual_change.rows[n - geo.codim:]:
+        covector = Polyvector.zero(n, order)
+        for j, c in enumerate(row):
+            covector = covector + Polyvector.term(c, const, (j,), order)
+        out = out.wedge(covector)
+    return out * out.terms[min(out.terms)].terms[const].inverse()
+
+
+@pytest.mark.parametrize("name", [*fixture_groups(), "d4", "d5", "rot", "s4", "s5"])
+def test_omega_is_the_wedge_of_the_moved_dual_rows(name):
+    if name in fixture_groups():
+        group = fixture_groups()[name]
+    else:
+        group, _ = load_group_file(str(GROUP_DATA / f"{name}.json"))
+    for g in range(len(group)):
+        assert geometry(group, g).omega == wedge_of_moved_rows(group, g), (name, g)
 
 
 def conjugate_geometry_check(group, g, h):
     """Whether h carries the splitting of g to the splitting of h g h^-1;
     the bracket moves each computed pair to its conjugates by this."""
     order = group.scalar_order
-    geo_g = geometry(group, g)
-    geo_c = geometry(group, group.conjugate(g, h))
+    fixed_g, moved_g = bases(group, g)
+    fixed_c, moved_c = bases(group, group.conjugate(g, h))
     hmat = group.matrix(h)
-    push_fixed = [tuple(hmat.apply(list(v))) for v in geo_g.fixed_basis]
-    push_moved = [tuple(hmat.apply(list(v))) for v in geo_g.moved_basis]
-    return (span_equal(push_fixed, geo_c.fixed_basis, order)
-            and span_equal(push_moved, geo_c.moved_basis, order))
+    push_fixed = [tuple(hmat.apply(list(v))) for v in fixed_g]
+    push_moved = [tuple(hmat.apply(list(v))) for v in moved_g]
+    return (span_equal(push_fixed, fixed_c, order)
+            and span_equal(push_moved, moved_c, order))
 
 
 def test_conjugate_geometry():
