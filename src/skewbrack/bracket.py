@@ -1,27 +1,27 @@
 """The Gerstenhaber bracket on the group-decorated cochain complex.
 
-The bracket of two invariant reduced cocycles is assembled pairwise: for
-components X_g and Y_h, the twisted Schouten commutator is computed by
-the closed circle-product formula, projected to the reduced subspace of
-gh, and tagged with gh.  Both inputs are G-invariant, so the projected
-commutator of the conjugate pair (a^-1 g a, a^-1 h a) is the one of
-(g, h) moved by a; it is computed once per orbit of component pairs
-under simultaneous conjugation and moved to the rest of the orbit.
-Vanishing criteria from the codimension grading are provided alongside.
+The bracket of two invariant reduced cocycles is assembled pairwise, as
+the paper states it: for components X_g and Y_h, the term at gh is the
+Schouten bracket [X_g, Y_h] of polyvector fields projected to the
+reduced subspace of gh.  Both inputs are G-invariant, so the term of the
+conjugate pair (a^-1 g a, a^-1 h a) is the one of (g, h) moved by a; it
+is computed once per orbit of component pairs under simultaneous
+conjugation and moved to the rest of the orbit.  Vanishing criteria
+from the codimension grading are provided alongside.
 """
 
 from .cochain import Cochain, is_invariant, is_reduced, project
 from .groups import geometry
 from .linalg import Matrix, kernel_basis, rref, solve_membership
-from .polyvec import act, circle_product
+from .polyvec import act, schouten
 
 
 class BracketReport:
     """Bracket value plus per-pair diagnostics.
 
     result: the bracket as a cochain.
-    per_component_terms: (g, h) -> projected pairwise commutator, nonzero
-        entries only; summing them at gh reassembles result.
+    per_component_terms: (g, h) -> projected Schouten bracket of X_g and
+        Y_h, nonzero entries only; summing them at gh reassembles result.
     vanishing_diagnostics: (g, h, reason) for every pair that contributed
         nothing, with reason one of "schouten zero", "perp-intersection",
         "projection kill".
@@ -36,16 +36,6 @@ class BracketReport:
 
     def __setattr__(self, name, value):
         raise AttributeError("BracketReport is immutable")
-
-
-def pair_commutator(x, g, y, h):
-    """Twisted Schouten commutator of two decorated polyvectors, before
-    projection: (X tagged g) circle (Y tagged h) minus the sign-adjusted
-    reverse circle."""
-    sign = -1 if ((x.degree() - 1) * (y.degree() - 1)) % 2 else 1
-    forward = circle_product(x, y, g)
-    backward = circle_product(y, x, h)
-    return forward - backward * sign
 
 
 def moved_intersection(group, g, h):
@@ -97,10 +87,13 @@ def _class_representatives(c):
     return Cochain(c.group, c.degree, reps)
 
 
-def _pair_value(group, g, xg, h, yh):
-    """Projected commutator of X_g and Y_h at gh, or the reason it
-    vanishes."""
-    raw = pair_commutator(xg, group.matrix(g), yh, group.matrix(h))
+def pair_commutator(group, g, xg, h, yh):
+    """The term of X_g and Y_h: the Schouten bracket [X_g, Y_h] projected
+    at gh, or the reason it vanishes.  "schouten zero" means the bracket
+    itself is zero; "perp-intersection" and "projection kill" mean the
+    projection removes it, with and without a nonzero intersection of
+    the moved subspaces of g and h."""
+    raw = schouten(xg, yh)
     if raw.is_zero():
         return "schouten zero"
     k = group.mult(g, h)
@@ -126,10 +119,10 @@ def gerstenhaber(x, y):
     Invariance gives X_{a^-1 g a} = X_g.a, and p_{a^-1 g a}(X.a) =
     p_g(X).a, so reduced form is checked on one component per conjugacy
     class of each support.  Likewise the pair (a^-1 g a, a^-1 h a) has
-    the projected commutator of (g, h) moved by a, and the same vanishing
-    reason: pairs are walked in sorted (g, h) order, each pair not yet
-    reached is computed, and its value is moved to its whole orbit under
-    simultaneous conjugation.
+    the projected Schouten bracket of (g, h) moved by a, and the same
+    vanishing reason: pairs are walked in sorted (g, h) order, each pair
+    not yet reached is computed, and its value is moved to its whole
+    orbit under simultaneous conjugation.
     """
     _require(x.group is y.group, "cochains live over different groups")
     _require(is_invariant(x), "left operand is not G-invariant (apply reynolds first)")
@@ -145,7 +138,7 @@ def gerstenhaber(x, y):
     for g, h in pairs:
         if (g, h) in values:
             continue
-        value = values[(g, h)] = _pair_value(group, g, x.terms[g], h, y.terms[h])
+        value = values[(g, h)] = pair_commutator(group, g, x.terms[g], h, y.terms[h])
         for a in range(1, len(group)):
             a_inv = group.inverse(a)
             moved = (group.conjugate(g, a_inv), group.conjugate(h, a_inv))

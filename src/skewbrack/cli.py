@@ -26,7 +26,7 @@ from .cochain import (
     project,
     reynolds,
 )
-from .groups import enumerate_group, geometry, resolve_word
+from .groups import enumerate_group, geometry, is_ascii_number, resolve_word
 from .koszul import (
     appendix_suite,
     chain_bracket_cochain,
@@ -109,7 +109,7 @@ def load_group_file(path):
                              "all digits, one per generator")
         for pos, name in enumerate(names, 1):
             # g<k> names the k-th generator in class files
-            if name[0] == "g" and name[1:].isdecimal() and int(name[1:]) != pos:
+            if name[0] == "g" and is_ascii_number(name[1:]) and int(name[1:]) != pos:
                 raise ValueError(f"{path}: names must be g<k> only for the "
                                  f"k-th generator, got {name!r} for generator "
                                  f"{pos}")

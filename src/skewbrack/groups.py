@@ -158,6 +158,12 @@ def enumerate_group(generators, bound=1024, names=None):
                  mult_table, inverses, conj_classes, kernel_indices)
 
 
+def is_ascii_number(text):
+    """Whether text is a nonempty run of the digits 0-9.  str.isdigit
+    alone also accepts other scripts' digits and superscripts."""
+    return text.isascii() and text.isdigit()
+
+
 def resolve_word(group, word):
     """Index of the element named by a generator word like "g1*g2".
 
@@ -172,14 +178,14 @@ def resolve_word(group, word):
     text = word.strip()
     if text == "e":
         return 0
-    if text.isdigit():
+    if is_ascii_number(text):
         return resolve_word(group, int(text))
     i = 0
     for token in text.split("*"):
         token = token.strip()
         if token in group.names:
             token = f"g{group.names.index(token) + 1}"
-        if not token.startswith("g") or not token[1:].isdigit():
+        if not token.startswith("g") or not is_ascii_number(token[1:]):
             raise ValueError(f"bad generator token {token!r}")
         k = int(token[1:])
         if not 1 <= k <= len(group.generator_indices):

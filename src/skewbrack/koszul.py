@@ -13,7 +13,9 @@ keeps only the terms phi can carry onto a wedge of the outer one; all of
 them go through one phi call.  Minors and substitutions are computed
 from scratch, once per chain_bracket_cochain (or chain_circle_avatar)
 call, in dicts local to that call: nothing here reads the caches kept on
-matrices or calls act, minor_row, monomial_image or circle_product.
+matrices or calls act, minor_row, monomial_image or circle_product.  The
+fast path's bracket core, schouten, is called only by
+schouten_graded_laws, which checks its graded laws.
 
 Conventions:
   * o(v_1, ..., v_k) is the signed sum over permutations of tensor
@@ -28,8 +30,8 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import factorial
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial
 from operator import attrgetter
 
 from .linalg import Matrix
@@ -39,11 +41,9 @@ from .polyvec import (
     Polyvector,
     SparseTerms,
     minor_det,
-    prod_comb,
     rev_sign,
     schouten,
     sort_sign,
-    sub_multisets,
     subst_matrix,
 )
 
@@ -250,6 +250,17 @@ def splits_through(idx, mid):
             part3 = tuple(v for v in rest if v not in part1)
             sgn, _ = sort_sign([pos[v] for v in part1 + mid + part3])
             yield part1, part3, sgn
+
+
+def sub_multisets(beta):
+    return product(*[range(b + 1) for b in beta])
+
+
+def prod_comb(beta, L):
+    out = 1
+    for b, l in zip(beta, L):
+        out *= comb(b, l)
+    return out
 
 
 def phi(e: KoszulTensor2) -> KoszulElt:

@@ -1,12 +1,12 @@
 """Exact linear algebra over a fixed cyclotomic field.
 
-Matrices are dense, but every elimination runs on sparse rows
-({column: nonzero Cyc}) in one core, `_echelon`; the dense entry points
-convert to and from it.  Everything is deterministic: the reduced row
-echelon form of a row space is unique, so identical inputs give
+Matrices are dense, but every reduction to echelon form runs on sparse
+rows ({column: nonzero Cyc}) in one core, `_echelon`; the dense entry
+points convert to and from it.  Everything is deterministic: the reduced
+row echelon form of a row space is unique, so identical inputs give
 identical outputs (no randomized or hash-ordered choices anywhere).
-`det` is plain Gaussian elimination, kept for the chain-level oracle's
-minors and for tests.
+`det` is a separate dense Gaussian elimination; only the chain-level
+oracle's minors (through `polyvec.minor_det`) and tests call it.
 """
 
 from __future__ import annotations
@@ -274,8 +274,3 @@ def echelon_span(vectors, order):
     pivots = _echelon(vectors)
     return [pivots[p] for p in sorted(pivots)]
 
-
-def span_equal(vectors_a, vectors_b, order):
-    """Whether two lists of dense vectors span the same subspace."""
-    return (echelon_span(_sparse(vectors_a), order)
-            == echelon_span(_sparse(vectors_b), order))

@@ -4,17 +4,17 @@ A polyvector is a sum of terms  p * d_{i_1} ^ ... ^ d_{i_k}  with p a
 polynomial and the d_i dual basis directions; it is stored as a map
 from strictly increasing index tuples to polynomial coefficients.
 These are the reduced representatives of Hochschild cohomology
-components, and the closed bracket formula lives here.  SparseTerms,
-the immutable sparse container that polynomials, polyvectors, cochains
-and the Koszul resolution terms share, is defined here too.
+components.  The Schouten bracket of polyvector fields, which the
+Gerstenhaber bracket projects term by term, and the group action on
+polyvectors live here.  SparseTerms, the immutable sparse container
+that polynomials, polyvectors, cochains and the Koszul resolution terms
+share, is defined here too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, product as iter_product
-from math import comb, factorial
 from operator import attrgetter
 
 from .linalg import Matrix, det
@@ -425,92 +425,38 @@ def euler_field(g: Matrix) -> Polyvector:
     return Polyvector(n, order, comps)
 
 
-def sub_multisets(beta):
-    return iter_product(*[range(b + 1) for b in beta])
-
-
-def _insertions(x: Polyvector, y: Polyvector):
-    """Every insertion of a component q d_J of y at slot pos of a
-    component f d_I of x: yields (f, q, the displaced direction I[pos],
-    sign, normalized wedge key).  The sign is the wedge reordering sign
-    times (-1)^((m-1)(l+d)), which matches the chain-level contraction
-    under the reversed-word pairing (see the oracle agreement tests)."""
+def circle_product(x: Polyvector, y: Polyvector) -> Polyvector:
+    """Circle product of polyvectors: each component q d_J of y is
+    inserted at each slot pos of each component f d_I of x, and f times
+    the derivative of q by the displaced direction I[pos] goes to the
+    normalized wedge.  The sign is the wedge reordering sign times
+    (-1)^((m-1)(pos+d-1)), which matches the chain-level contraction
+    under the reversed-word pairing (see the oracle agreement tests).
+    A slot whose displaced direction q does not depend on adds nothing."""
     assert y.n == x.n
+    inserted = [(idx_j, q, {i for alpha in q.terms for i, e in enumerate(alpha) if e})
+                for idx_j, q in y.terms.items()]
+    acc = {}
     for idx_i, f in x.terms.items():
         d = len(idx_i)
-        for idx_j, q in y.terms.items():
+        for idx_j, q, variables in inserted:
             m = len(idx_j)
             for pos, jl in enumerate(idx_i):
+                if jl not in variables:
+                    continue
                 wsgn, wkey = sort_sign(idx_i[:pos] + idx_j + idx_i[pos + 1:])
                 if wsgn == 0:
                     continue
                 sgn_zeta = -1 if ((m - 1) * (pos + d - 1)) % 2 else 1
-                yield f, q, jl, wsgn * sgn_zeta, wkey
-
-
-def circle_product(x: Polyvector, y: Polyvector, gmat: Matrix) -> Polyvector:
-    """Closed-form circle product of polyvectors, twisted by gmat.
-
-    For components f d_I and q d_J this inserts the d_J block at each
-    slot of d_I, differentiates q by the displaced direction, and
-    splits the remaining polynomial factors around the insertion point;
-    the right-hand split factors are twisted by gmat, through the
-    monomial images cached on it.  The permutation
-    average collapses to multiset weights
-
-        a_i * prod_j C(beta_j, L_j) * |L|! (t-1-|L|)! / t!
-
-    over sub-multisets L of beta = alpha - e_i.
-    """
-    order = x.order
-    acc: dict[tuple, Poly] = {}
-    for f, q, jl, sgn, wkey in _insertions(x, y):
-        for alpha, qc in q.terms.items():
-            a_i = alpha[jl]
-            if a_i == 0:
-                continue
-            t = sum(alpha)
-            beta = list(alpha)
-            beta[jl] -= 1
-            tot = t - 1
-            for L in sub_multisets(beta):
-                ls = sum(L)
-                weight = Fraction(
-                    a_i
-                    * prod_comb(beta, L)
-                    * factorial(ls)
-                    * factorial(tot - ls),
-                    factorial(t),
-                )
-                rest = tuple(b - l for b, l in zip(beta, L))
-                right = monomial_image(gmat, rest)
-                p = f * Poly.monomial(L, qc * (weight * sgn), order) * right
+                p = f * q.deriv(jl) * (wsgn * sgn_zeta)
                 acc[wkey] = acc[wkey] + p if wkey in acc else p
-    return Polyvector(x.n, order, acc)
-
-
-def prod_comb(beta, L):
-    out = 1
-    for b, l in zip(beta, L):
-        out *= comb(b, l)
-    return out
-
-
-def _interior(x: Polyvector, y: Polyvector) -> Polyvector:
-    """Untwisted circle product: at each insertion, f times the
-    derivative of q by the displaced direction.  (With no twist the
-    circle_product weights over L sum to a_i by Vandermonde.)"""
-    acc = {}
-    for f, q, jl, sgn, wkey in _insertions(x, y):
-        p = f * q.deriv(jl) * sgn
-        acc[wkey] = acc[wkey] + p if wkey in acc else p
     return Polyvector(x.n, x.order, acc)
 
 
 def schouten(x: Polyvector, y: Polyvector) -> Polyvector:
     """Schouten bracket of polyvector fields: the graded commutator of
-    the untwisted circle product."""
+    the circle product."""
     dx = x.degree() if not x.is_zero() else 0
     dy = y.degree() if not y.is_zero() else 0
     sign = -1 if ((dx - 1) * (dy - 1)) % 2 else 1
-    return _interior(x, y) - _interior(y, x) * sign
+    return circle_product(x, y) - circle_product(y, x) * sign

@@ -23,7 +23,6 @@ from skewbrack.bracket import (
     gerstenhaber,
     minimal_degree_vanishing,
     moved_intersection,
-    pair_commutator,
     perp_vanishing_applies,
 )
 from skewbrack.fixtures import (
@@ -100,8 +99,7 @@ def pairwise_report(x, y):
     terms, reasons = {}, []
     for g in sorted(x.terms):
         for h in sorted(y.terms):
-            raw = pair_commutator(x.terms[g], group.matrix(g),
-                                  y.terms[h], group.matrix(h))
+            raw = schouten(x.terms[g], y.terms[h])
             if raw.is_zero():
                 reasons.append((g, h, "schouten zero"))
                 continue
@@ -173,6 +171,61 @@ def test_orbit_transport_matches_pairwise_computation():
         transported += len(x.terms) * len(y.terms) - len(orbits)
     assert {"nonzero", "schouten zero", "projection kill"} <= seen
     assert transported >= 100
+
+
+# ------------------------------- oracle agreement and vanishing reasons
+
+
+def zeta3_diag(*powers):
+    """Diagonal matrix over Q(zeta3) with entries zeta^power."""
+    n = len(powers)
+    return Matrix(3, [[Cyc.zeta(3, powers[i]) if i == j else Cyc.zero(3)
+                       for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("generators, pairs, nonzero", [
+    ([(1, 2, 0), (1, 0, 1)], 100, 44),  # Z/3 x Z/3 on k^3
+    ([(1, 0)], 49, 20),                  # Z/3 on k^2
+])
+def test_oracle_agrees_on_zeta3_basis_pairs(generators, pairs, nonzero):
+    # zeta is not its own conjugate, so these actions are not self-dual:
+    # a convention that uses h where h^-1 is meant shows here, while sign
+    # and permutation actions cannot tell the two apart
+    group = enumerate_group([zeta3_diag(*powers) for powers in generators])
+    pool = [c for p in (1, 2) for m in (0, 1, 2) for c in cohomology_basis(group, p, m)]
+    found = 0
+    for x in pool:
+        for y in pool:
+            result = gerstenhaber(x, y).result
+            assert result == project(chain_bracket_cochain(x, y)), (x, y)
+            found += not result.is_zero()
+    assert (len(pool) ** 2, found) == (pairs, nonzero)
+
+
+def test_oracle_agrees_on_a_d5_pair_the_projection_kills():
+    group = load_group_file(str(GROUP_DATA / "d5.json"))[0]
+    x = cohomology_basis(group, 1, 2)[0]
+    y = cohomology_basis(group, 2, 0)[1]
+    report = gerstenhaber(x, y)
+    assert report.result == project(chain_bracket_cochain(x, y))
+    assert report.result.is_zero()
+    assert {reason for _, _, reason in report.vanishing_diagnostics} == {"projection kill"}
+
+
+def test_schouten_zero_means_the_schouten_bracket_is_zero():
+    # [x1^2 d3 at e, d1^d2 at g1] on k^5: the Schouten bracket is
+    # 2 x1 d2^d3, and the projection at g1 removes it, since its wedge
+    # does not contain omega_g1 = d1^d2
+    group = fixture_groups()["two-sign-pairs-k5"]
+    g1 = resolve_word(group, "g1")
+    x = cohomology_basis(group, 1, 2)[4]
+    y = cohomology_basis(group, 2, 0)[2]
+    assert x.terms == {0: Polyvector.term(1, (2, 0, 0, 0, 0), (2,), 1)}
+    assert y.terms == {g1: Polyvector.term(1, (0, 0, 0, 0, 0), (0, 1), 1)}
+    assert not schouten(x.terms[0], y.terms[g1]).is_zero()
+    report = gerstenhaber(x, y)
+    assert report.result.is_zero()
+    assert report.vanishing_diagnostics == [(0, g1, "projection kill")]
 
 
 # -------------------------------------------------------- preconditions

@@ -491,6 +491,15 @@ def test_class_file_errors(tmp_path, capsys):
         code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
         assert code == 2 and "term 1: group: " in err
 
+    # generator numbers and element indices are ASCII digits only: an
+    # Arabic-Indic one or a superscript is a bad token, not a number
+    for gref in ("g\u0661", "\u0661", "g\u00b2", "\u00b2"):
+        bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
+            {"group": gref, "coeff": "1", "exponents": [0, 0, 0],
+             "wedge": [1, 2]}]}))
+        code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
+        assert code == 2 and f"term 1: group: bad generator token {gref!r}" in err
+
     bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
         {"group": "g1", "coeff": "1", "exponents": [0, 0, 0],
          "wedge": [2, 1]}]}))
@@ -581,6 +590,16 @@ def one_mutation(draw):
     value = None if delete else draw(st.sampled_from(BAD_VALUES))
     docs[which] = mutated(docs[which], prefix, key, value, delete)
     return docs
+
+
+def test_name_of_g_and_a_non_ascii_digit_is_a_plain_name(tmp_path):
+    # "g" and an Arabic-Indic one is not g<k>, so it may name generator 2,
+    # and a class file reaches that generator by the name
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**VALID_GROUP, "names": ["s", "g\u0661"]}))
+    group, _ = load_group_file(str(path))
+    assert resolve_word(group, "g\u0661") == resolve_word(group, "g2")
+    assert resolve_word(group, "g\u0661") != resolve_word(group, "g1")
 
 
 def test_valid_fuzz_documents_load(tmp_path, capsys):

@@ -11,7 +11,7 @@ from skewbrack.groups import (
     geometry,
     resolve_word,
 )
-from skewbrack.linalg import Matrix, rank, span_equal
+from skewbrack.linalg import Matrix, echelon_span, rank
 from skewbrack.polyvec import Polyvector, act, euler_field
 from skewbrack.scalars import Cyc
 
@@ -25,6 +25,22 @@ def mat(order, rows):
 def diag(order, *entries):
     n = len(entries)
     return mat(order, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def span_equal(vectors_a, vectors_b, order):
+    """Whether two lists of dense vectors span the same subspace."""
+    def span(vectors):
+        return echelon_span([{j: e for j, e in enumerate(v) if e} for v in vectors], order)
+    return span(vectors_a) == span(vectors_b)
+
+
+def test_span_equal():
+    a = [(Cyc.of(1, 1), Cyc.of(1, 1))]
+    b = [(Cyc.of(2, 1), Cyc.of(2, 1))]
+    c = [(Cyc.of(1, 1), Cyc.of(0, 1))]
+    assert span_equal(a, b, 1)
+    assert not span_equal(a, c, 1)
+    assert span_equal([], [(Cyc.zero(1), Cyc.zero(1))], 1)
 
 
 def klein_four():

@@ -1,7 +1,7 @@
 import ast
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations, permutations, product
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -12,10 +12,11 @@ from skewbrack.linalg import Matrix, mat_inverse
 from skewbrack.polyvec import (
     Poly,
     Polyvector,
-    circle_product,
     minor_det,
+    monomial_image,
     rev_sign,
     schouten,
+    sort_sign,
     subst_matrix,
 )
 from skewbrack.scalars import Cyc
@@ -260,6 +261,73 @@ def test_act_koszul_composition():
     assert act_koszul(act_koszul(e, a), b) == act_koszul(e, b * a)
 
 
+# ------------------------------------------- twisted closed-form reference
+
+
+def twisted_circle_product(x, y, gmat):
+    """Closed-form circle product of polyvectors, twisted by gmat: a
+    reference for the chain-level circle product of decorated inputs.
+
+    For components f d_I and q d_J this inserts the d_J block at each
+    slot of d_I, differentiates q by the displaced direction, and
+    splits the remaining polynomial factors around the insertion point;
+    the right-hand split factors are twisted by gmat.  The permutation
+    average collapses to multiset weights
+
+        a_i * prod_j C(beta_j, L_j) * |L|! (t-1-|L|)! / t!
+
+    over sub-multisets L of beta = alpha - e_i.  The sign is the wedge
+    reordering sign times (-1)^((m-1)(pos+d-1)).  With gmat the identity
+    the weights over L sum to a_i by Vandermonde, which leaves
+    polyvec.circle_product.
+    """
+    order = x.order
+    acc = {}
+    for idx_i, f in x.terms.items():
+        d = len(idx_i)
+        for idx_j, q in y.terms.items():
+            m = len(idx_j)
+            for pos, jl in enumerate(idx_i):
+                wsgn, wkey = sort_sign(idx_i[:pos] + idx_j + idx_i[pos + 1:])
+                if wsgn == 0:
+                    continue
+                sgn = wsgn * (-1 if ((m - 1) * (pos + d - 1)) % 2 else 1)
+                for alpha, qc in q.terms.items():
+                    a_i = alpha[jl]
+                    if a_i == 0:
+                        continue
+                    t = sum(alpha)
+                    beta = list(alpha)
+                    beta[jl] -= 1
+                    for L in product(*[range(b + 1) for b in beta]):
+                        ls = sum(L)
+                        weight = Fraction(
+                            a_i * prod(comb(b, l) for b, l in zip(beta, L))
+                            * factorial(ls) * factorial(t - 1 - ls),
+                            factorial(t),
+                        )
+                        rest = tuple(b - l for b, l in zip(beta, L))
+                        right = monomial_image(gmat, rest)
+                        p = f * Poly.monomial(L, qc * (weight * sgn), order) * right
+                        acc[wkey] = acc[wkey] + p if wkey in acc else p
+    return Polyvector(x.n, order, acc)
+
+
+def test_circle_group_twist():
+    # (d1 g) o (x1 x2 d2) with g = diag(-1,1): the split factor passing
+    # through g flips sign when it is x1
+    g = mat(1, [[-1, 0], [0, 1]])
+    X = Polyvector.term(1, (0, 0), (0,), 1)
+    Y = Polyvector.term(1, (1, 1, 0)[:2], (1,), 1)
+    got = twisted_circle_product(X, Y, g)
+    # consume x1: left split x2 (weight 1/2) plus right split ^g x2 = x2 (1/2)
+    assert got == Polyvector.term(1, (0, 1), (1,), 1)
+    Y2 = Polyvector.term(1, (2, 0), (1,), 1)
+    got2 = twisted_circle_product(X, Y2, g)
+    # consume one x1: left x1 (1/2 each of two copies) + right -x1
+    assert got2.is_zero()
+
+
 def worked_example_small():
     """The rank-one sign action pair on k^3 used in the worked examples."""
     order = 1
@@ -277,7 +345,7 @@ def test_chain_bracket_sign_example():
     assert got == Polyvector.term(-1, (0, 0, 0), (0, 1, 2), 1)
     # and through the closed formula
     sign = -1 if ((x.degree() - 1) * (y.degree() - 1)) % 2 else 1
-    closed = circle_product(x, y, g) - circle_product(y, x, h) * sign
+    closed = twisted_circle_product(x, y, g) - twisted_circle_product(y, x, h) * sign
     assert closed == got
 
 
@@ -291,7 +359,7 @@ def test_chain_bracket_rank_two_example():
     got = chain_bracket_avatar(x, s5, y, t5)
     assert got == Polyvector.term(1, (0, 0, 0, 0, 0), (0, 1, 3, 4), order)
     sign = -1 if ((x.degree() - 1) * (y.degree() - 1)) % 2 else 1
-    closed = circle_product(x, y, s5) - circle_product(y, x, t5) * sign
+    closed = twisted_circle_product(x, y, s5) - twisted_circle_product(y, x, t5) * sign
     assert closed == got
 
 
@@ -357,7 +425,7 @@ def test_chain_matches_closed_on_reduced_inputs(data):
     x, gmat, y, hmat = data
     if x.is_zero() or y.is_zero():
         return
-    assert chain_circle_avatar(x, gmat, y, hmat) == circle_product(x, y, gmat)
+    assert chain_circle_avatar(x, gmat, y, hmat) == twisted_circle_product(x, y, gmat)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -480,13 +548,13 @@ def test_splits_through_is_triple_splits_with_that_middle_block():
 # ------------------------------------------------------ oracle independence
 
 KOSZUL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "skewbrack" / "koszul.py"
-# the polyvec names the oracle may use: containers, sign and combinatorial
-# helpers, from-scratch minors and substitution, and the plain Schouten
-# bracket it is checked against.  Not act, minor_row, monomial_image,
+# the polyvec names the oracle may use: containers, sign helpers,
+# from-scratch minors and substitution, and the Schouten bracket whose
+# graded laws it checks.  Not act, minor_row, monomial_image,
 # circle_product or euler_field, which belong to the fast path.
 ORACLE_POLYVEC_NAMES = {
-    "Poly", "Polyvector", "SparseTerms", "minor_det", "prod_comb", "rev_sign",
-    "schouten", "sort_sign", "sub_multisets", "subst_matrix",
+    "Poly", "Polyvector", "SparseTerms", "minor_det", "rev_sign",
+    "schouten", "sort_sign", "subst_matrix",
 }
 
 
@@ -509,3 +577,9 @@ def test_oracle_shares_no_code_with_the_fast_path():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "memo"]
     assert not memo_calls, memo_calls
+    # schouten is the fast path's bracket core: only the law check names it
+    laws = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "schouten_graded_laws")
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "schouten"]
+    assert uses and all(laws.lineno <= line <= laws.end_lineno for line in uses), uses

@@ -17,7 +17,6 @@ from skewbrack.linalg import (
     rank,
     rref,
     solve_membership,
-    span_equal,
 )
 from skewbrack.scalars import Cyc, field_degree
 
@@ -73,15 +72,6 @@ def test_inverse_and_det():
     assert det(singular).is_zero()
     with pytest.raises(ValueError):
         mat_inverse(singular)
-
-
-def test_span_equal():
-    a = [(Cyc.of(1, 1), Cyc.of(1, 1))]
-    b = [(Cyc.of(2, 1), Cyc.of(2, 1))]
-    c = [(Cyc.of(1, 1), Cyc.of(0, 1))]
-    assert span_equal(a, b, 1)
-    assert not span_equal(a, c, 1)
-    assert span_equal([], [(Cyc.zero(1), Cyc.zero(1))], 1)
 
 
 def _rand_matrix(data, order, nrows, ncols):

@@ -11,7 +11,6 @@ from skewbrack.polyvec import (
     Poly,
     Polyvector,
     act,
-    circle_product,
     euler_field,
     merge_sign,
     minor_det,
@@ -154,21 +153,6 @@ def test_schouten_leibniz():
     assert lhs == rhs
 
 
-def test_circle_group_twist():
-    # (d1 g) o (x1 x2 d2) with g = diag(-1,1): the split factor passing
-    # through g flips sign when it is x1
-    g = mat(1, [[-1, 0], [0, 1]])
-    X = Polyvector.term(1, (0, 0), (0,), 1)
-    Y = Polyvector.term(1, (1, 1, 0)[:2], (1,), 1)
-    got = circle_product(X, Y, g)
-    # consume x1: left split x2 (weight 1/2) plus right split ^g x2 = x2 (1/2)
-    assert got == Polyvector.term(1, (0, 1), (1,), 1)
-    Y2 = Polyvector.term(1, (2, 0), (1,), 1)
-    got2 = circle_product(X, Y2, g)
-    # consume one x1: left x1 (1/2 each of two copies) + right -x1
-    assert got2.is_zero()
-
-
 def test_printer():
     x = Polyvector.term(Fraction(1, 2), (2, 0, 0), (1, 2), 1)
     assert str(x) == "(1/2)*x1^2*d2^d3"
@@ -267,7 +251,6 @@ def test_cached_action_matches_fresh_matrices(drawn):
             fresh = Matrix(h.order, h.rows), Matrix(h.order, h_inv.rows)
             single = single + act(x, [fresh])
             scratch = scratch + act_from_scratch(x, h, h_inv)
-            assert circle_product(y, x, h) == circle_product(y, x, fresh[0])
         assert got == single == scratch
 
 
