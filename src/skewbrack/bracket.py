@@ -76,15 +76,11 @@ def _require(cond, message):
 
 
 def _class_representatives(c):
-    """The components of c at one element of each conjugacy class that
-    meets its support."""
-    reps = {}
-    for cls in c.group.conj_classes:
-        for g in cls:
-            if g in c.terms:
-                reps[g] = c.terms[g]
-                break
-    return Cochain(c.group, c.degree, reps)
+    """The components of an invariant c at the representative cls[0] of
+    each conjugacy class in its support, a union of classes."""
+    return Cochain(c.group, c.degree, {cls[0]: c.terms[cls[0]]
+                                       for cls in c.group.conj_classes
+                                       if cls[0] in c.terms})
 
 
 def pair_commutator(group, g, xg, h, yh):

@@ -49,11 +49,11 @@ from .scalars import parse_scalar, print_scalar
 # C(n, p) C(m + n - 1, n - 1) terms per element, and both counts eliminate
 # sparse rows over them: on k^5, --p 2 takes 0.5 s at 700 terms and 1.6 s
 # (21 MB) at 2,100.  Averaging each term over the centralizer C(g) of each
-# class representative g takes terms * sum_[g] |C(g)| single actions,
-# which grows with the group: on the S5 permutation action --p 1 --m 3
-# takes 2.3 s at 28,175 actions, --p 3 --m 3 3.8 s at 56,350 and --p 2
-# --m 4 11 s (38 MB) at 112,700, while on the rotation pair --p 2 --m 4
-# takes 0.8 s at 25,200.
+# class representative g, kept on the group as group.centralizers, takes
+# terms * sum_[g] |C(g)| single actions, which grows with the group: on
+# the S5 permutation action --p 1 --m 3 takes 2.2 s at 28,175 actions,
+# --p 3 --m 3 3.8 s at 56,350 and --p 2 --m 4 11 s (38 MB) at 112,700,
+# while on the rotation pair --p 2 --m 4 takes 1.1 s at 25,200.
 MAX_CYCLOTOMIC_ORDER = 100
 MAX_GROUP_ORDER = 1024
 MAX_TERM_DEGREE = 16
@@ -67,10 +67,20 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _read_json(path):
+    """The document in the file at path.  A file that does not decode as
+    JSON (truncated, not UTF-8, an integer past Python's digit limit,
+    nested past the recursion limit) raises ValueError naming path."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+
+
 def load_group_file(path):
     """Parse a group file; returns (group, generator names or None)."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: group file must be a JSON object")
     for key in ("dimension", "cyclotomicOrder", "generators"):
@@ -102,11 +112,11 @@ def load_group_file(path):
     if names is not None:
         if (not isinstance(names, list) or len(names) != len(gens)
                 or any(not isinstance(s, str) or not s or "*" in s or s != s.strip()
-                       or s == "e" or s.isdigit() for s in names)
+                       or s == "e" or is_ascii_number(s) for s in names)
                 or len(set(names)) != len(names)):
             raise ValueError(f"{path}: names must be distinct nonempty strings "
                              "without '*' or surrounding spaces, not 'e' nor "
-                             "all digits, one per generator")
+                             "all ASCII digits, one per generator")
         for pos, name in enumerate(names, 1):
             # g<k> names the k-th generator in class files
             if name[0] == "g" and is_ascii_number(name[1:]) and int(name[1:]) != pos:
@@ -127,8 +137,7 @@ def load_group_file(path):
 
 def load_class_file(path, group):
     """Parse a class file against an already-loaded group."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: class file must be a JSON object")
     for key in ("homologicalDegree", "terms"):
@@ -256,11 +265,11 @@ def cmd_group(args):
 
 def piece_size(group, p, m):
     """The terms per group element of the (p, m) piece, and the single
-    actions its centralizer averages take, terms * sum_[g] |C(g)|."""
+    actions its centralizer averages take, terms * sum_[g] |C(g)| over
+    the stored centralizers."""
     n = group.dim
     terms = comb(n, p) * comb(m + n - 1, n - 1)
-    # |C(g)| = |G| / |class of g|
-    return terms, terms * sum(len(group) // len(cls) for cls in group.conj_classes)
+    return terms, terms * sum(len(cent) for cent in group.centralizers)
 
 
 def cmd_cohomology(args):

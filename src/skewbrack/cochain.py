@@ -95,20 +95,21 @@ def act_cochain(c, h):
 
 
 def reynolds(c):
-    """Group average (1/|G|) sum_h c.h; idempotent, image invariant.  The
-    elements h that move a component g to the same h^-1 g h act on it in
-    one act call."""
+    """Group average (1/|G|) sum_h c.h; idempotent, image invariant.  The h
+    moving k to its class representative r are a^-1 C(r), a =
+    conjugators[k], so the average at r is the centralizer average of
+    (1/|class|) sum_k X_k.a^-1, spread over the class."""
     group = c.group
     out = {}
-    for g, pv in c.terms.items():
-        moves = {}
-        for h in range(len(group)):
-            moves.setdefault(group.conjugate(g, group.inverse(h)), []).append(group.action(h))
-        for k, pairs in moves.items():
-            image = act(pv, pairs)
-            out[k] = out[k] + image if k in out else image
-    scale = Cyc.of(Fraction(1, len(group)), group.scalar_order)
-    return Cochain(group, c.degree, {k: pv * scale for k, pv in out.items()})
+    for cls, cent in zip(group.conj_classes, group.centralizers):
+        moved = [act(c.terms[k], [group.action(group.inverse(group.conjugators[k]))])
+                 for k in cls if k in c.terms]
+        if moved:
+            total = sum(moved[1:], moved[0]) * Cyc.of(Fraction(1, len(cls)), group.scalar_order)
+            average = centralizer_reynolds(group, total, cent)
+            if not average.is_zero():
+                out.update(spread_invariant(group, cls, average).terms)
+    return Cochain(group, c.degree, out)
 
 
 def is_invariant(c):
@@ -248,27 +249,19 @@ def is_coboundary(c):
     return True, b
 
 
-def centralizer(group, g):
-    return [h for h in range(len(group))
-            if group.mult(h, g) == group.mult(g, h)]
-
-
-def centralizer_reynolds(group, g, pv, cent):
-    """Average a single-component polyvector over the centralizer cent of
-    g; every term of the average stays attached to g."""
+def centralizer_reynolds(group, pv, cent):
+    """Average a single-component polyvector over a centralizer cent, one
+    of group.centralizers; the average stays at the same element."""
     total = act(pv, [group.action(h) for h in cent])
     return total * Cyc.of(Fraction(1, len(cent)), group.scalar_order)
 
 
-def spread_invariant(group, g, pv):
-    """Extend a centralizer-invariant polyvector at g to the G-invariant
-    cochain supported on the whole conjugacy class of g."""
-    comps = {}
-    for h in range(len(group)):
-        k = group.conjugate(g, group.inverse(h))
-        if k not in comps:
-            comps[k] = act(pv, [group.action(h)])
-    return Cochain(group, pv.degree(), comps)
+def spread_invariant(group, cls, pv):
+    """Extend a polyvector at cls[0], invariant under its centralizer, to
+    the G-invariant cochain on the conjugacy class cls: its component at
+    k is pv moved by conjugators[k]."""
+    return Cochain(group, pv.degree(), {k: act(pv, [group.action(group.conjugators[k])])
+                                        for k in cls})
 
 
 def reduced_basis_at(group, geom, p, m):
@@ -301,21 +294,18 @@ def cohomology_basis(group, p, m):
     n, order = group.dim, group.scalar_order
     keys = ambient_keys(n, p, m)
     out = []
-    for cls in group.conj_classes:
-        g = cls[0]
-        geom = geometry(group, g)
-        basis = reduced_basis_at(group, geom, p, m)
+    for cls, cent in zip(group.conj_classes, group.centralizers):
+        basis = reduced_basis_at(group, geometry(group, cls[0]), p, m)
         if not basis:
             continue
-        cent = centralizer(group, g)
-        averages = [centralizer_reynolds(group, g, b, cent) for b in basis]
+        averages = [centralizer_reynolds(group, b, cent) for b in basis]
         for row in echelon_span(_sparse_rows(averages, keys), order):
             grouped = {}
             for j, c in row.items():
                 idx, exps = keys[j]
                 grouped.setdefault(idx, {})[exps] = c
             pv = Polyvector(n, order, {idx: Poly(n, order, t) for idx, t in grouped.items()})
-            out.append(spread_invariant(group, g, pv))
+            out.append(spread_invariant(group, cls, pv))
     return out
 
 
@@ -332,20 +322,18 @@ def cohomology_dim_direct(group, p, m):
         raise ValueError("exterior degree exceeds the dimension of V")
     n, order = group.dim, group.scalar_order
 
-    def averages(g, cent, q, k):
-        return [centralizer_reynolds(group, g, Polyvector.term(1, exps, idx, order), cent)
+    def averages(cent, q, k):
+        return [centralizer_reynolds(group, Polyvector.term(1, exps, idx, order), cent)
                 for idx, exps in ambient_keys(n, q, k)]
 
     def rank(pvs, q, k):
         return len(echelon_span(_sparse_rows(pvs, ambient_keys(n, q, k)), order))
 
     total = 0
-    for cls in group.conj_classes:
-        g = cls[0]
-        cent = centralizer(group, g)
-        e_g = euler_field(group.matrix(g))
-        here = averages(g, cent, p, m)
-        below = averages(g, cent, p - 1, m - 1)
+    for cls, cent in zip(group.conj_classes, group.centralizers):
+        e_g = euler_field(group.matrix(cls[0]))
+        here = averages(cent, p, m)
+        below = averages(cent, p - 1, m - 1)
         total += (rank(here, p, m)
                   - rank([e_g.wedge(a) for a in here], p + 1, m + 1)
                   - rank([e_g.wedge(a) for a in below], p, m))

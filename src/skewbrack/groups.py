@@ -23,9 +23,12 @@ class Group:
     generator word reaching matrices[i] during enumeration ("e" for the
     identity).  mult_table[i][j] is the index of matrices[i] * matrices[j].
     generator_indices[j] is the index of the j-th generator, and names[j]
-    its name in words.  kernel_indices lists the elements acting as the
-    identity on V (trivial for faithful actions).  The geometry of each
-    element is computed on first use and kept on the group.
+    its name in words.  Each class cls in conj_classes is ascending, with
+    representative r = cls[0]; centralizers[c] is the centralizer of r,
+    ascending, and conjugators[k] the first h with h^-1 r h = k for k in
+    cls.  kernel_indices lists the elements acting as the identity on V
+    (trivial for faithful actions).  The geometry of each element is
+    computed on first use and kept on the group.
     """
 
     __slots__ = (
@@ -38,12 +41,15 @@ class Group:
         "mult_table",
         "inverses",
         "conj_classes",
+        "centralizers",
+        "conjugators",
         "kernel_indices",
         "_geometries",
     )
 
     def __init__(self, dim, scalar_order, names, generator_indices, matrices,
-                 words, mult_table, inverses, conj_classes, kernel_indices):
+                 words, mult_table, inverses, conj_classes, centralizers,
+                 conjugators, kernel_indices):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "scalar_order", scalar_order)
         object.__setattr__(self, "names", names)
@@ -53,6 +59,8 @@ class Group:
         object.__setattr__(self, "mult_table", mult_table)
         object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "conj_classes", conj_classes)
+        object.__setattr__(self, "centralizers", centralizers)
+        object.__setattr__(self, "conjugators", conjugators)
         object.__setattr__(self, "kernel_indices", kernel_indices)
         object.__setattr__(self, "_geometries", [None] * len(matrices))
 
@@ -140,22 +148,23 @@ def enumerate_group(generators, bound=1024, names=None):
         mult_table.append(row)
     inverses = [mult_table[i].index(0) for i in range(size)]
 
-    assigned = [False] * size
-    conj_classes = []
-    for i in range(size):
-        if assigned[i]:
+    # r runs up through the elements in no class yet, so it is the least of
+    # its class, and h = 0 gives conjugators[r] = 0.
+    conj_classes, centralizers, conjugators = [], [], [None] * size
+    for r in range(size):
+        if conjugators[r] is not None:
             continue
-        orbit = set()
-        for h in range(size):
-            orbit.add(mult_table[mult_table[h][i]][inverses[h]])
-        cls = tuple(sorted(orbit))
-        for k in cls:
-            assigned[k] = True
-        conj_classes.append(cls)
+        images = [mult_table[mult_table[inverses[h]][r]][h] for h in range(size)]
+        for h, k in enumerate(images):
+            if conjugators[k] is None:
+                conjugators[k] = h
+        conj_classes.append(tuple(sorted(set(images))))
+        centralizers.append(tuple(h for h, k in enumerate(images) if k == r))
 
     kernel_indices = [i for i in range(size) if matrices[i] == identity]
     return Group(n, order, names, tuple(right[0]), matrices, words,
-                 mult_table, inverses, conj_classes, kernel_indices)
+                 mult_table, inverses, conj_classes, tuple(centralizers),
+                 tuple(conjugators), kernel_indices)
 
 
 def is_ascii_number(text):

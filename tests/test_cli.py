@@ -72,8 +72,27 @@ def test_group_report_two_sign_pairs_json(capsys):
     assert data["kernel"] == ["e"]
 
 
+# Files that do not decode as JSON: truncated, not UTF-8 (a UTF-16
+# byte-order mark), an integer past Python's 4,300-digit limit, and
+# nesting past the recursion limit.
+UNPARSEABLE = [b'{"dimension": 1,', b"\xff\xfe",
+               b'{"dimension": ' + b"1" * 4301 + b"}",
+               b"[" * 100000 + b"]" * 100000]
+
+
+def assert_names_file(code, err, path):
+    """Exit 2 with one stderr line naming the broken file."""
+    assert code == 2
+    assert err.startswith(f"error: {path}: not valid JSON: ") and len(err.splitlines()) == 1, err
+
+
 def test_group_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
+    for raw in UNPARSEABLE:
+        bad.write_bytes(raw)
+        code, _, err = run(capsys, "group", str(bad))
+        assert_names_file(code, err, bad)
+
     bad.write_text('{"dimension": 2, "cyclotomicOrder": 1}')
     code, _, err = run(capsys, "group", str(bad))
     assert code == 2 and "generators" in err
@@ -477,6 +496,12 @@ def test_class_file_errors(tmp_path, capsys):
     group_file = fixture("klein_signs_k3.json")
     ok = fixture("class_wedge12_first.json")
 
+    for raw in UNPARSEABLE:
+        bad.write_bytes(raw)
+        for x, y in ((str(bad), ok), (ok, str(bad))):
+            code, _, err = run(capsys, "bracket", group_file, x, y)
+            assert_names_file(code, err, bad)
+
     bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
         {"group": "g9", "coeff": "1", "exponents": [0, 0, 0],
          "wedge": [1, 2]}]}))
@@ -593,13 +618,15 @@ def one_mutation(draw):
 
 
 def test_name_of_g_and_a_non_ascii_digit_is_a_plain_name(tmp_path):
-    # "g" and an Arabic-Indic one is not g<k>, so it may name generator 2,
-    # and a class file reaches that generator by the name
+    # "g" and an Arabic-Indic one is not g<k>, and a superscript two or an
+    # Arabic-Indic one is not an element index, so each may name generator
+    # 2, and a class file reaches that generator by the name
     path = tmp_path / "g.json"
-    path.write_text(json.dumps({**VALID_GROUP, "names": ["s", "g\u0661"]}))
-    group, _ = load_group_file(str(path))
-    assert resolve_word(group, "g\u0661") == resolve_word(group, "g2")
-    assert resolve_word(group, "g\u0661") != resolve_word(group, "g1")
+    for name in ("g\u0661", "\u00b2", "\u0661"):
+        path.write_text(json.dumps({**VALID_GROUP, "names": ["s", name]}))
+        group, _ = load_group_file(str(path))
+        assert resolve_word(group, name) == resolve_word(group, "g2"), name
+        assert resolve_word(group, name) != resolve_word(group, "g1"), name
 
 
 def test_valid_fuzz_documents_load(tmp_path, capsys):

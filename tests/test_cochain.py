@@ -17,7 +17,6 @@ from skewbrack.cochain import (
     Cochain,
     act_cochain,
     ambient_keys,
-    centralizer,
     centralizer_reynolds,
     cohomology_basis,
     cohomology_dim_direct,
@@ -221,9 +220,9 @@ def averaged_group(name):
 
 @st.composite
 def random_cochain(draw):
-    """A cochain on S4 or D5 with a few random terms of one exterior degree
-    and random components, with cyclotomic coefficients on D5."""
-    group = averaged_group(draw(st.sampled_from(["s4", "d5"])))
+    """A cochain on S4, D5 or S5 with a few random terms of one exterior
+    degree and random components, with cyclotomic coefficients on D5."""
+    group = averaged_group(draw(st.sampled_from(["s4", "d5", "s5"])))
     n, order = group.dim, group.scalar_order
     p = draw(st.integers(0, 2))
     wedges = list(combinations(range(n), p))
@@ -463,10 +462,9 @@ def test_centralizer_reynolds_is_the_centralizer_average():
             pv = Polyvector.zero(n, order)
             for k, (idx, exps) in enumerate(ambient_keys(n, p, m)):
                 pv = pv + Polyvector.term(k + 1, exps, idx, order)
-            for cls in group.conj_classes:
+            for cls, cent in zip(group.conj_classes, group.centralizers):
                 g = cls[0]
-                cent = centralizer(group, g)
-                avg = centralizer_reynolds(group, g, pv, cent)
+                avg = centralizer_reynolds(group, pv, cent)
                 total = Polyvector.zero(n, order)
                 for h in cent:
                     total = total + act(pv, [group.action(h)])

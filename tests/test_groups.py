@@ -100,30 +100,44 @@ def test_mult_table_and_words():
 
 
 def brute_force_tables(g):
-    """Multiplication table, inverses and conjugacy classes from matrix
-    products alone."""
+    """Multiplication table, inverses, conjugacy classes, the centralizer
+    of each class's least element r, and for each element k the first h
+    with h^-1 r h = k, from matrix products alone."""
     mats = [g.matrix(i) for i in range(len(g))]
     index = {m: i for i, m in enumerate(mats)}
     ident = Matrix.identity(g.dim, g.scalar_order)
     table = [[index[a * b] for b in mats] for a in mats]
     inverses = [next(j for j, b in enumerate(mats) if a * b == ident) for a in mats]
     classes = []
+    centralizers = []
+    conjugators = {}
     for i, a in enumerate(mats):
         if any(i in cls for cls in classes):
             continue
         classes.append(tuple(sorted({index[h * a * mats[inverses[k]]]
                                      for k, h in enumerate(mats)})))
-    return table, inverses, classes
+        centralizers.append(tuple(k for k, h in enumerate(mats) if h * a == a * h))
+        for k, h in enumerate(mats):
+            conjugators.setdefault(index[mats[inverses[k]] * a * h], k)
+    return table, inverses, classes, centralizers, tuple(conjugators[k] for k in range(len(g)))
 
 
 def test_mult_data_matches_matrix_products():
-    groups = {**fixture_groups(), "s4": load_group_file(str(GROUP_DATA / "s4.json"))[0]}
-    assert len(groups["s4"]) == 24
+    groups = dict(fixture_groups())
+    for name in ("s4", "d5", "rot", "s5"):
+        groups[name] = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+    assert len(groups["s4"]) == 24 and len(groups["s5"]) == 120
     for name, g in groups.items():
-        table, inverses, classes = brute_force_tables(g)
+        table, inverses, classes, centralizers, conjugators = brute_force_tables(g)
         assert g.mult_table == table, name
         assert g.inverses == inverses, name
         assert g.conj_classes == classes, name
+        assert g.centralizers == tuple(centralizers), name
+        assert g.conjugators == conjugators, name
+        for cls in g.conj_classes:
+            assert g.conjugators[cls[0]] == 0, name
+            for k in cls:
+                assert g.conjugate(cls[0], g.inverse(g.conjugators[k])) == k, (name, k)
 
 
 def test_symmetric_two_conjugacy():
