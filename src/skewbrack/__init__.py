@@ -17,6 +17,8 @@ from .cochain import (
     is_reduced,
     project,
     reynolds,
+    support_codim,
+    volume_form,
 )
 from .bracket import (
     BracketReport,
@@ -53,4 +55,6 @@ __all__ = [
     "resolve_word",
     "reynolds",
     "schouten",
+    "support_codim",
+    "volume_form",
 ]

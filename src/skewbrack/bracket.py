@@ -158,14 +158,14 @@ def gerstenhaber(x, y):
 
 def minimal_degree_vanishing(x, y):
     """Whether both inputs sit in minimal homological degree off the
-    action kernel: every component supported where the group acts
-    nontrivially, with exterior part exactly the volume form (exterior
-    degree equal to codim).  When true, the bracket represents zero."""
+    identity, the one element acting trivially: every component supported
+    at another element, with exterior part exactly the volume form
+    (exterior degree equal to codim).  When true, the bracket represents
+    zero."""
     group = x.group
-    kernel = set(group.kernel_indices)
     for c in (x, y):
         for g in c.terms:
-            if g in kernel:
+            if g == 0:
                 return False
             if geometry(group, g).codim != c.degree:
                 return False

@@ -3,8 +3,10 @@
 A cochain is a finite sum over group elements g of polyvectors X_g, with
 differential given componentwise by left wedge against the Euler field of
 g.  The module provides the G-action, Reynolds averaging, the reduced
-projections p_g, the codimension grading, and exact cohomology
-computations per (exterior degree, polynomial degree) piece.
+projections p_g, the volume forms omega_g (volume_form, the reduced
+basis element of degree (codim, 0)), the codimension grading
+(support_codim), and exact cohomology computations per (exterior
+degree, polynomial degree) piece.
 """
 
 from fractions import Fraction
@@ -50,13 +52,6 @@ class Cochain(SparseTerms):
 
     def support(self):
         return sorted(self.terms)
-
-    def poly_degrees(self):
-        out = set()
-        for pv in self.terms.values():
-            for p in pv.terms.values():
-                out.update(p.degrees())
-        return sorted(out)
 
     def __str__(self):
         if not self.terms:
@@ -181,27 +176,12 @@ def ambient_keys(n, p, m):
     return [(idx, e) for idx in combinations(range(n), p) for e in monomials(n, m)]
 
 
-def flatten_polyvector(pv, keys, zero):
-    out = []
-    for idx, exps in keys:
-        p = pv.terms.get(idx)
-        out.append(p.terms.get(exps, zero) if p is not None else zero)
-    return out
-
-
 def _sparse_rows(pvs, keys):
     """The nonzero polyvectors as sparse rows {column: Cyc}, a term's
     column being the position of its (wedge, exponents) key in keys."""
     column = {key: j for j, key in enumerate(keys)}
     return [{column[idx, exps]: c for idx, p in pv.terms.items() for exps, c in p.terms.items()}
             for pv in pvs if not pv.is_zero()]
-
-
-def _homogeneous_poly_degree(c):
-    degs = c.poly_degrees()
-    if len(degs) != 1:
-        raise ValueError("cochain is not homogeneous in polynomial degree")
-    return degs[0]
 
 
 def is_coboundary(c):
@@ -217,13 +197,22 @@ def is_coboundary(c):
     p = c.degree
     if c.is_zero():
         return True, Cochain.zero(group, max(p - 1, 0))
-    m = _homogeneous_poly_degree(c)
+    degrees = {sum(e) for pv in c.terms.values() for poly in pv.terms.values()
+               for e in poly.terms}
+    if len(degrees) != 1:
+        raise ValueError("cochain is not homogeneous in polynomial degree")
+    (m,) = degrees
     if p == 0 or m == 0:
         return False, None
     n, order = group.dim, group.scalar_order
     zero = Cyc.zero(order)
     src_keys = ambient_keys(n, p - 1, m - 1)
     tgt_keys = ambient_keys(n, p, m)
+
+    def flatten(pv):
+        return [pv.terms[idx].terms.get(exps, zero) if idx in pv.terms else zero
+                for idx, exps in tgt_keys]
+
     witness = {}
     for g, pv in c.terms.items():
         e_g = euler_field(group.matrix(g))
@@ -231,9 +220,9 @@ def is_coboundary(c):
         sources = []
         for idx, exps in src_keys:
             b = Polyvector.term(1, exps, idx, order)
-            columns.append(flatten_polyvector(e_g.wedge(b), tgt_keys, zero))
+            columns.append(flatten(e_g.wedge(b)))
             sources.append(b)
-        target = flatten_polyvector(pv, tgt_keys, zero)
+        target = flatten(pv)
         coeffs = solve_membership(columns, target, order)
         if coeffs is None:
             return False, None
@@ -280,6 +269,23 @@ def reduced_basis_at(group, geom, p, m):
             adapted_term = Polyvector.term(1, exps, head + wedge_tail, order)
             out.append(act(adapted_term, [(geom.dual_change, geom.adapted)]))
     return out
+
+
+def volume_form(group, g):
+    """omega_g, the wedge of the moved dual coordinates of g: the one
+    reduced basis element in degree (codim, 0), scaled so that its
+    coefficient at its least wedge is 1."""
+    geom = geometry(group, g)
+    (omega,) = reduced_basis_at(group, geom, geom.codim, 0)
+    lead = omega.terms[min(omega.terms)].terms[(0,) * group.dim]
+    return omega * lead.inverse()
+
+
+def support_codim(c):
+    """The codimension degree of c: the largest codim of an element in
+    its support, 0 for the zero cochain.  A nonzero bracket of invariant
+    reduced cocycles of codimension degrees i and j has degree i + j."""
+    return max((geometry(c.group, g).codim for g in c.terms), default=0)
 
 
 def cohomology_basis(group, p, m):

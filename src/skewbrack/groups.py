@@ -2,8 +2,9 @@
 
 Enumeration from generators, multiplication data, conjugacy classes, and
 the per-element geometry: the fixed subspace V^g, its canonical complement
-(1-g)V, and the volume form omega_g spanning the top exterior power of the
-dual of the complement.
+(1-g)V and the change to coordinates adapted to that splitting.  The
+volume form omega_g of the complement is a reduced basis element, built
+in cochain.volume_form where it is shown.
 """
 
 from .linalg import (
@@ -13,7 +14,6 @@ from .linalg import (
     mat_inverse,
     rank,
 )
-from .polyvec import Poly, Polyvector, minor_row
 
 
 class Group:
@@ -26,8 +26,8 @@ class Group:
     its name in words.  Each class cls in conj_classes is ascending, with
     representative r = cls[0]; centralizers[c] is the centralizer of r,
     ascending, and conjugators[k] the first h with h^-1 r h = k for k in
-    cls.  kernel_indices lists the elements acting as the identity on V
-    (trivial for faithful actions).  The geometry of each element is
+    cls.  Elements are keyed by their matrices, so the identity is the
+    only element acting trivially on V.  The geometry of each element is
     computed on first use and kept on the group.
     """
 
@@ -43,13 +43,12 @@ class Group:
         "conj_classes",
         "centralizers",
         "conjugators",
-        "kernel_indices",
         "_geometries",
     )
 
     def __init__(self, dim, scalar_order, names, generator_indices, matrices,
                  words, mult_table, inverses, conj_classes, centralizers,
-                 conjugators, kernel_indices):
+                 conjugators):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "scalar_order", scalar_order)
         object.__setattr__(self, "names", names)
@@ -61,7 +60,6 @@ class Group:
         object.__setattr__(self, "conj_classes", conj_classes)
         object.__setattr__(self, "centralizers", centralizers)
         object.__setattr__(self, "conjugators", conjugators)
-        object.__setattr__(self, "kernel_indices", kernel_indices)
         object.__setattr__(self, "_geometries", [None] * len(matrices))
 
     def __setattr__(self, name, value):
@@ -161,10 +159,9 @@ def enumerate_group(generators, bound=1024, names=None):
         conj_classes.append(tuple(sorted(set(images))))
         centralizers.append(tuple(h for h, k in enumerate(images) if k == r))
 
-    kernel_indices = [i for i in range(size) if matrices[i] == identity]
     return Group(n, order, names, tuple(right[0]), matrices, words,
                  mult_table, inverses, conj_classes, tuple(centralizers),
-                 tuple(conjugators), kernel_indices)
+                 tuple(conjugators))
 
 
 def is_ascii_number(text):
@@ -209,17 +206,15 @@ class GroupGeometry:
     adapted has a basis of V^g as its first n - codim columns and an
     echelonized basis of (1-g)V as its last codim columns; dual_change =
     adapted^-1, whose rows are the adapted dual coordinates in terms of
-    the original ones; omega is the wedge of the last codim rows, the
-    moved dual coordinates, scaled so its first coefficient is 1.
+    the original ones, the last codim of them the moved ones.
     """
 
-    __slots__ = ("codim", "adapted", "dual_change", "omega")
+    __slots__ = ("codim", "adapted", "dual_change")
 
-    def __init__(self, codim, adapted, dual_change, omega):
+    def __init__(self, codim, adapted, dual_change):
         object.__setattr__(self, "codim", codim)
         object.__setattr__(self, "adapted", adapted)
         object.__setattr__(self, "dual_change", dual_change)
-        object.__setattr__(self, "omega", omega)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupGeometry is immutable")
@@ -237,12 +232,5 @@ def geometry(group, g):
     moved = image_basis(diff)
     codim = len(moved)
     adapted = Matrix(order, kernel_basis(diff) + moved).transpose()
-    dual_change = mat_inverse(adapted)
-    # the coefficients of the wedge of rows are their minors
-    minors = minor_row(dual_change, tuple(range(n - codim, n)))
-    lead = minors[0][1].inverse()
-    omega = Polyvector(n, order, {cols: Poly.const(d * lead, n, order)
-                                  for cols, d in minors})
-    geom = group._geometries[g] = GroupGeometry(codim, adapted, dual_change,
-                                                omega)
+    geom = group._geometries[g] = GroupGeometry(codim, adapted, mat_inverse(adapted))
     return geom

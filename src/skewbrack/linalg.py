@@ -58,10 +58,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.order, self.rows))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -8,7 +8,10 @@ components.  The Schouten bracket of polyvector fields, which the
 Gerstenhaber bracket projects term by term, and the group action on
 polyvectors live here.  SparseTerms, the immutable sparse container
 that polynomials, polyvectors, cochains and the Koszul resolution terms
-share, is defined here too.
+share, is defined here too.  minor_det and subst_matrix compute a minor
+and a substitution from scratch; in the package only the chain-level
+oracle calls them, and they stay in this module because the benchmark's
+tracer counts them here by name.
 """
 
 from __future__ import annotations
@@ -169,18 +172,6 @@ class Poly(SparseTerms):
 
     __rmul__ = __mul__
 
-    def substitute(self, images):
-        """Substitute x_i -> images[i] (a Poly) for every variable."""
-        assert len(images) == self.n
-        out = Poly.zero(self.n, self.order)
-        for exps, c in self.terms.items():
-            term = Poly.const(c, self.n, self.order)
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * images[i]
-            out = out + term
-        return out
-
     def deriv(self, i):
         out = {}
         for exps, c in self.terms.items():
@@ -189,9 +180,6 @@ class Poly(SparseTerms):
                 e[i] -= 1
                 out[tuple(e)] = c * exps[i]
         return Poly(self.n, self.order, out)
-
-    def degrees(self):
-        return sorted({sum(e) for e in self.terms})
 
     def __str__(self):
         if not self.terms:
@@ -207,11 +195,17 @@ class Poly(SparseTerms):
 def subst_matrix(p: Poly, m: Matrix) -> Poly:
     """Substitute x_i -> sum_k m[k][i] x_k (the linear action with column
     i giving the image of the i-th variable)."""
-    images = [
-        Poly(p.n, p.order, {_unit(p.n, k): m.rows[k][i] for k in range(p.n)})
-        for i in range(p.n)
-    ]
-    return p.substitute(images)
+    n, order = p.n, p.order
+    images = [Poly(n, order, {_unit(n, k): m.rows[k][i] for k in range(n)})
+              for i in range(n)]
+    out = Poly.zero(n, order)
+    for exps, c in p.terms.items():
+        term = Poly.const(c, n, order)
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = term * images[i]
+        out = out + term
+    return out
 
 
 def _unit(n, k):

@@ -6,9 +6,9 @@ import random
 import time
 from math import comb
 
-from skewbrack.scalars import Cyc
+from helpers import trivial_group_k
 from skewbrack.polyvec import Polyvector
-from skewbrack.groups import enumerate_group, geometry, resolve_word
+from skewbrack.groups import geometry, resolve_word
 from skewbrack.cochain import (
     cohomology_basis,
     cohomology_dim_direct,
@@ -16,6 +16,8 @@ from skewbrack.cochain import (
     is_invariant,
     is_reduced,
     reynolds,
+    support_codim,
+    volume_form,
 )
 from skewbrack.bracket import gerstenhaber, perp_vanishing_applies
 from skewbrack.koszul import (
@@ -39,13 +41,6 @@ from skewbrack.fixtures import (
     neg_identity_k2,
     swap_group_k2,
 )
-from skewbrack.linalg import Matrix
-
-
-def trivial_group_k(n):
-    rows = [[Cyc.one(1) if i == j else Cyc.zero(1) for j in range(n)]
-            for i in range(n)]
-    return enumerate_group([Matrix(1, rows)])
 
 
 def test_criterion_01_appendix_identity_sweep():
@@ -91,7 +86,7 @@ def test_criterion_04_sign_pair_worked_example():
     chain = chain_bracket_cochain(x, y)
     assert chain == expected
     gh = resolve_word(group, "g1*g2")
-    omega = geometry(group, gh).omega
+    omega = volume_form(group, gh)
     d2 = Polyvector.term(1, (0, 0, 0), (1,), 1)
     assert chain.component(gh) == omega.wedge(d2)
     assert reynolds(x).is_zero()
@@ -149,8 +144,7 @@ def test_criterion_07_codimension_grading_random_pairs():
             continue
         for _ in range(6):
             x, y = rng.choice(pool), rng.choice(pool)
-            i = max(geometry(group, g).codim for g in x.support())
-            j = max(geometry(group, g).codim for g in y.support())
+            i, j = support_codim(x), support_codim(y)
             report = gerstenhaber(x, y)
             pairs += 1
             assert report.result.degree == x.degree + y.degree - 1
@@ -173,7 +167,7 @@ def test_criterion_08_minimal_degree_vanishing():
             for m in range(3):
                 for c in cohomology_basis(group, p, m):
                     support = c.support()
-                    if any(g in group.kernel_indices for g in support):
+                    if 0 in support:
                         continue
                     if all(geometry(group, g).codim == p for g in support):
                         minimal.append(c)

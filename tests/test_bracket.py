@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import trivial_group_k
 from skewbrack.scalars import Cyc
 from skewbrack.linalg import Matrix, rank, rref, solve_membership
 from skewbrack.polyvec import Polyvector, schouten
@@ -18,6 +19,7 @@ from skewbrack.cochain import (
     is_reduced,
     project,
     reynolds,
+    support_codim,
 )
 from skewbrack.bracket import (
     gerstenhaber,
@@ -39,12 +41,6 @@ from skewbrack.cli import load_class_file, load_group_file
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
 CLASS_DATA = GROUP_DATA.parent / "classes"
-
-
-def trivial_group_k(n):
-    rows = [[Cyc.one(1) if i == j else Cyc.zero(1) for j in range(n)]
-            for i in range(n)]
-    return enumerate_group([Matrix(1, rows)])
 
 
 # ------------------------------------------------------ worked examples
@@ -407,6 +403,15 @@ def test_example_pair_is_not_minimal():
     assert not minimal_degree_vanishing(x, y)
 
 
+def test_identity_component_is_not_minimal():
+    # exterior degree 0 at the identity equals its codim, so only the
+    # identity test keeps such an operand out
+    group, x, y = minimal_pair_k5()
+    one = Cochain.single(group, 0, Polyvector.term(1, (0,) * group.dim, (), 1))
+    assert not minimal_degree_vanishing(one, y)
+    assert not minimal_degree_vanishing(x, one)
+
+
 def test_minimal_classes_from_bases_bracket_to_zero():
     for name, group in fixture_groups().items():
         minimal = []
@@ -414,7 +419,7 @@ def test_minimal_classes_from_bases_bracket_to_zero():
             for m in range(3):
                 for c in cohomology_basis(group, p, m):
                     support = c.support()
-                    if any(g in group.kernel_indices for g in support):
+                    if 0 in support:
                         continue
                     if all(geometry(group, g).codim == p for g in support):
                         minimal.append(c)
@@ -440,8 +445,7 @@ def test_bracket_lands_in_summed_codimension():
         rng.shuffle(pool)
         for x in pool[:4]:
             for y in pool[:4]:
-                i = max((geometry(group, g).codim for g in x.support()), default=0)
-                j = max((geometry(group, g).codim for g in y.support()), default=0)
+                i, j = support_codim(x), support_codim(y)
                 report = gerstenhaber(x, y)
                 pairs += 1
                 if report.result.is_zero():

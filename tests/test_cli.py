@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from skewbrack import cli
 from skewbrack.cli import (
+    MAX_DIMENSION,
     MAX_PIECE_ACTIONS,
     MAX_PIECE_TERMS,
     build_parser,
@@ -117,6 +118,12 @@ def test_group_file_errors(tmp_path, capsys):
                    "bound": True}),
         ("dimension", {"dimension": True, "cyclotomicOrder": 1,
                        "generators": [[["-1"]]]}),
+        # too large: refused before enumeration, which multiplies n x n
+        # matrices, and before group prints omega_g, of up to C(n, n/2) terms
+        ("dimension", {"dimension": MAX_DIMENSION + 1, "cyclotomicOrder": 1,
+                       "generators": [[["-1" if i == j else "0"
+                                        for j in range(MAX_DIMENSION + 1)]
+                                       for i in range(MAX_DIMENSION + 1)]]}),
         ("cyclotomicOrder", {"dimension": 2, "cyclotomicOrder": True,
                              "generators": sign}),
         # too large: refused before any cyclotomic arithmetic
@@ -212,6 +219,31 @@ def test_cohomology_refuses_oversized_piece_early(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: --m 40 at --p 2 gives 1357510 terms")
+
+
+def test_cohomology_refuses_m_past_the_class_file_degree(capsys):
+    # on k^1 every piece has one term, so only this bound stops --m
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cohomology", fixture("sign_k1.json"),
+                         "--p", "0", "--m", "17")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == ("error: --m must be at most 16, the total degree a class "
+                   "file takes, got 17\n")
+
+
+def test_cohomology_classes_at_the_largest_m_load_back(tmp_path, capsys):
+    path = fixture("sign_k1.json")
+    code, out, _ = run(capsys, "cohomology", path, "--p", "0", "--m", "16", "--json")
+    assert code == 0
+    group, _ = load_group_file(path)
+    classes = json.loads(out)["classes"]
+    basis = cohomology_basis(group, 0, 16)
+    assert len(classes) == len(basis) == 1
+    for data, c in zip(classes, basis):
+        saved = tmp_path / "class.json"
+        saved.write_text(json.dumps(data))
+        assert load_class_file(str(saved), group) == c
 
 
 def test_cohomology_refuses_piece_too_large_for_its_group(capsys):

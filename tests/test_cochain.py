@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import mat, trivial_group_k
 from skewbrack.scalars import Cyc
 from skewbrack.linalg import Matrix
 from skewbrack.polyvec import Poly, Polyvector, act, euler_field
@@ -27,6 +28,7 @@ from skewbrack.cochain import (
     is_reduced,
     project,
     reynolds,
+    support_codim,
 )
 from skewbrack.cli import load_group_file
 from skewbrack.fixtures import (
@@ -40,15 +42,6 @@ from skewbrack.fixtures import (
 )
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
-
-
-def mat(order, rows):
-    return Matrix(order, [[Cyc.of(v, order) for v in row] for row in rows])
-
-
-def trivial_group_k(n):
-    return enumerate_group([mat(1, [[1 if i == j else 0 for j in range(n)]
-                                    for i in range(n)])])
 
 
 # ---------------------------------------------------------------- euler
@@ -328,6 +321,15 @@ def test_project_on_swap_uses_adapted_coordinates():
             + Polyvector.term(-quarter, (1, 0), (1,), 1)
             + Polyvector.term(-quarter, (0, 1), (1,), 1))
     assert p == want
+
+
+def test_support_codim_is_the_largest_codim_in_the_support():
+    group = klein_signs_k3()
+    g1, g1g2 = resolve_word(group, "g1"), resolve_word(group, "g1*g2")
+    d1 = Polyvector.term(1, (0, 0, 0), (0,), 1)
+    assert support_codim(Cochain.zero(group, 1)) == 0
+    assert support_codim(Cochain.single(group, g1, d1)) == 1
+    assert support_codim(Cochain(group, 1, {g1: d1, g1g2: d1})) == 2
 
 
 # --------------------------------------------------------- is_coboundary

@@ -11,24 +11,16 @@ fast path, or hides elimination from `linalg.elim`, fails here.  A
 `reynolds` that walks all of G again fails on its `act` count.
 """
 
-import importlib.util
 from pathlib import Path
 
+from helpers import load_tracer
 from skewbrack.bracket import gerstenhaber
 from skewbrack.cli import load_group_file
 from skewbrack.cochain import cohomology_basis, cohomology_dim_direct, reynolds
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACER = ROOT / "perfbench" / "tracer.py"
 D5 = ROOT / "perfbench" / "data" / "groups" / "d5.json"
 S5 = ROOT / "perfbench" / "data" / "groups" / "s5.json"
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_fast_path_calls_no_det_minor_or_substitution():

@@ -3,7 +3,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import mat
 from skewbrack.cli import load_group_file
+from skewbrack.cochain import volume_form
 from skewbrack.fixtures import fixture_groups
 from skewbrack.groups import (
     Group,
@@ -15,11 +17,11 @@ from skewbrack.linalg import Matrix, echelon_span, rank
 from skewbrack.polyvec import Polyvector, act, euler_field
 from skewbrack.scalars import Cyc
 
-GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
-
-
-def mat(order, rows):
-    return Matrix(order, [[Cyc.of(v, order) for v in r] for r in rows])
+ROOT = Path(__file__).resolve().parent.parent
+GROUP_DATA = ROOT / "perfbench" / "data" / "groups"
+GROUP_FILES = {path.stem: path for path in sorted([*(ROOT / "fixtures").glob("*.json"),
+                                                   *GROUP_DATA.glob("*.json")])
+               if not path.name.startswith("class_")}
 
 
 def diag(order, *entries):
@@ -43,6 +45,12 @@ def test_span_equal():
     assert span_equal([], [(Cyc.zero(1), Cyc.zero(1))], 1)
 
 
+def acting_trivially(group):
+    """The elements whose matrix is the identity."""
+    ident = Matrix.identity(group.dim, group.scalar_order)
+    return [i for i in range(len(group)) if group.matrix(i) == ident]
+
+
 def klein_four():
     return enumerate_group([diag(1, -1, 1, 1), diag(1, 1, 1, -1)])
 
@@ -52,7 +60,7 @@ def test_enumerate_klein_four():
     assert len(g) == 4
     assert g.words == ["e", "g1", "g2", "g1*g2"]
     assert g.matrix(3) == diag(1, -1, 1, -1)
-    assert g.kernel_indices == [0]
+    assert acting_trivially(g) == [0]
     assert g.conj_classes == [(0,), (1,), (2,), (3,)]
     assert all(g.inverse(i) == i for i in range(4))
 
@@ -60,7 +68,7 @@ def test_enumerate_klein_four():
 def test_enumerate_trivial_group():
     g = enumerate_group([Matrix.identity(2, 1)])
     assert len(g) == 1
-    assert g.kernel_indices == [0]
+    assert acting_trivially(g) == [0]
 
 
 def test_enumerate_cyclic_three():
@@ -161,7 +169,7 @@ def test_geometry_is_computed_once_per_group():
     assert geometry(g, 3) is geometry(g, 3)
     fresh = klein_four()
     assert geometry(fresh, 3) is not geometry(g, 3)
-    assert geometry(fresh, 3).omega == geometry(g, 3).omega
+    assert geometry(fresh, 3).dual_change == geometry(g, 3).dual_change
 
 
 def test_geometry_identity():
@@ -169,18 +177,18 @@ def test_geometry_identity():
     geo = geometry(g, 0)
     assert geo.codim == 0
     assert bases(g, 0)[1] == []
-    assert geo.omega == Polyvector.term(1, (0, 0, 0), (), 1)
+    assert volume_form(g, 0) == Polyvector.term(1, (0, 0, 0), (), 1)
 
 
 def test_geometry_sign_flip():
     g = klein_four()
     geo = geometry(g, 1)
     assert geo.codim == 1
-    assert geo.omega == Polyvector.term(1, (0, 0, 0), (0,), 1)
+    assert volume_form(g, 1) == Polyvector.term(1, (0, 0, 0), (0,), 1)
     assert [list(v) for v in bases(g, 1)[1]] == [[Cyc.one(1), Cyc.zero(1), Cyc.zero(1)]]
     geo3 = geometry(g, 3)
     assert geo3.codim == 2
-    assert geo3.omega == Polyvector.term(1, (0, 0, 0), (0, 2), 1)
+    assert volume_form(g, 3) == Polyvector.term(1, (0, 0, 0), (0, 2), 1)
 
 
 def test_geometry_swap_action():
@@ -190,8 +198,8 @@ def test_geometry_swap_action():
     assert geo.codim == 1
     # moved line is spanned by (1,-1); its dual covector is (x1-x2)/2,
     # normalized to leading coefficient 1
-    assert geo.omega == (Polyvector.term(1, (0, 0), (0,), 1)
-                         - Polyvector.term(1, (0, 0), (1,), 1))
+    assert volume_form(g, 1) == (Polyvector.term(1, (0, 0), (0,), 1)
+                                 - Polyvector.term(1, (0, 0), (1,), 1))
     assert span_equal(bases(g, 1)[0], [(Cyc.one(1), Cyc.one(1))], 1)
 
 
@@ -223,14 +231,25 @@ def wedge_of_moved_rows(group, g):
     return out * out.terms[min(out.terms)].terms[const].inverse()
 
 
-@pytest.mark.parametrize("name", [*fixture_groups(), "d4", "d5", "rot", "s4", "s5"])
+@pytest.mark.parametrize("name", [*fixture_groups(), *GROUP_FILES])
 def test_omega_is_the_wedge_of_the_moved_dual_rows(name):
     if name in fixture_groups():
         group = fixture_groups()[name]
     else:
-        group, _ = load_group_file(str(GROUP_DATA / f"{name}.json"))
+        group, _ = load_group_file(str(GROUP_FILES[name]))
     for g in range(len(group)):
-        assert geometry(group, g).omega == wedge_of_moved_rows(group, g), (name, g)
+        assert volume_form(group, g) == wedge_of_moved_rows(group, g), (name, g)
+
+
+@pytest.mark.parametrize("name", ["s5", "rot"])
+def test_geometry_computes_no_minors(name):
+    # omega_g is built only where it is shown, so the splitting alone
+    # expands no minor of either change of basis
+    group, _ = load_group_file(str(GROUP_FILES[name]))
+    for g in range(len(group)):
+        geo = geometry(group, g)
+        assert not geo.adapted.memo("minors"), (name, g)
+        assert not geo.dual_change.memo("minors"), (name, g)
 
 
 def conjugate_geometry_check(group, g, h):

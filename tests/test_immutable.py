@@ -17,7 +17,7 @@ def values():
     pv = Polyvector.term(1, (1, 0, 0), (0,), 1)
     return {
         "Group": (group, "dim"),
-        "GroupGeometry": (geometry(group, 1), "omega"),
+        "GroupGeometry": (geometry(group, 1), "dual_change"),
         "BracketReport": (BracketReport(Cochain.zero(group, 1), {}, []), "result"),
         "Matrix": (Matrix.identity(2, 1), "rows"),
         "Cyc": (Cyc.one(3), "num"),

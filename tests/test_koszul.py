@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import mat
 from skewbrack.cli import load_group_file
 from skewbrack.linalg import Matrix, mat_inverse
 from skewbrack.polyvec import (
@@ -41,10 +42,6 @@ from skewbrack.koszul import (
     vector_field_commutator,
     xi,
 )
-
-
-def mat(order, rows):
-    return Matrix(order, [[Cyc.of(v, order) for v in r] for r in rows])
 
 
 def test_xi_values():

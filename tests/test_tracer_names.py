@@ -7,19 +7,9 @@ other test, so this test checks every listed name.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
+from helpers import load_tracer
 from skewbrack.scalars import Cyc
-
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_traced_names_are_callables_of_their_modules():
