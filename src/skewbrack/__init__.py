@@ -9,6 +9,7 @@ from .groups import enumerate_group, geometry, resolve_word
 from .cochain import (
     Cochain,
     cohomology_basis,
+    cohomology_dim_character,
     cohomology_dim_direct,
     differential,
     is_coboundary,
@@ -37,6 +38,7 @@ __all__ = [
     "Poly",
     "Polyvector",
     "cohomology_basis",
+    "cohomology_dim_character",
     "cohomology_dim_direct",
     "differential",
     "enumerate_group",

@@ -22,7 +22,7 @@ from .bracket import gerstenhaber, perp_vanishing_applies
 from .cochain import (
     Cochain,
     cohomology_basis,
-    cohomology_dim_direct,
+    cohomology_dim_character,
     project,
     reynolds,
     support_codim,
@@ -56,14 +56,16 @@ from .scalars import parse_scalar, print_scalar
 # and 8 s at 18 (Python 3.11.7, 2 cores); at n = 16, S6 permuting six
 # coordinates (720 elements) takes 3.0 s and a dense conjugate of it
 # 102 s, which only the group order bounds.  A cohomology piece has
-# C(n, p) C(m + n - 1, n - 1) terms per element, and both counts eliminate
-# sparse rows over them: on k^5, --p 2 takes 0.5 s at 700 terms and 1.6 s
-# (21 MB) at 2,100.  Averaging each term over the centralizer C(g) of each
-# class representative g, kept on the group as group.centralizers, takes
-# terms * sum_[g] |C(g)| single actions, which grows with the group: on
-# the S5 permutation action --p 1 --m 3 takes 2.2 s at 28,175 actions,
-# --p 3 --m 3 3.8 s at 56,350 and --p 2 --m 4 11 s (38 MB) at 112,700,
-# while on the rotation pair --p 2 --m 4 takes 1.1 s at 25,200.
+# C(n, p) C(m + n - 1, n - 1) terms per element, and the basis eliminates
+# sparse rows over them; its cross-check, the character count, reads
+# traces only and costs little.  On k^5, --p 2 takes 0.05 s at 700 terms
+# and 0.13 s (20 MB) at 2,100.  Averaging each term over the centralizer
+# C(g) of each class representative g, kept on the group as
+# group.centralizers, takes terms * sum_[g] |C(g)| single actions, which
+# grows with the group: on the S5 permutation action --p 1 --m 3 takes
+# 0.20 s at 28,175 actions, --p 3 --m 3 0.39 s at 56,350 and --p 2 --m 4
+# 0.78 s (32 MB) at 112,700, while on the rotation pair --p 2 --m 4 takes
+# 0.06 s at 25,200 (Python 3.11.7, 2 cores, with the bounds lifted).
 MAX_CYCLOTOMIC_ORDER = 100
 MAX_DIMENSION = 16
 MAX_GROUP_ORDER = 1024
@@ -302,25 +304,29 @@ def cmd_cohomology(args):
         raise ValueError(f"--m must be at most {MAX_TERM_DEGREE}, the total "
                          f"degree a class file takes, got {args.m}")
     basis = cohomology_basis(group, args.p, args.m)
-    direct = cohomology_dim_direct(group, args.p, args.m)
+    try:
+        count = cohomology_dim_character(group, args.p, args.m)
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     classes = [cochain_to_classfile(c) for c in basis]
     report = {
         "p": args.p,
         "m": args.m,
         "count": len(basis),
-        "crossCheck": direct,
-        "match": len(basis) == direct,
+        "crossCheck": count,
+        "match": len(basis) == count,
         "classes": classes,
     }
     lines = [f"cohomology in exterior degree {args.p}, polynomial degree "
-             f"{args.m}: {len(basis)} classes (cross-check {direct})"]
+             f"{args.m}: {len(basis)} classes (cross-check {count})"]
     for c, data in zip(basis, classes):
         lines.append(f"  {c}")
         lines.append("    " + json.dumps(data))
     _emit(report, lines, args.json)
-    if len(basis) != direct:
+    if len(basis) != count:
         print(f"internal error: basis count {len(basis)} does not match "
-              f"the direct dimension {direct}", file=sys.stderr)
+              f"the character count {count}", file=sys.stderr)
         return 1
     return 0
 

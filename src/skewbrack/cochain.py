@@ -344,3 +344,69 @@ def cohomology_dim_direct(group, p, m):
                   - rank([e_g.wedge(a) for a in here], p + 1, m + 1)
                   - rank([e_g.wedge(a) for a in below], p, m))
     return total
+
+
+def cohomology_dim_character(group, p, m):
+    """Dimension of the (p, m) piece from the character alone.
+
+    The piece is the sum over classes [g] of the C(g)-invariants of
+    S^m(V^g) (x) Lambda^{p-c}(V^g)* (x) det((1-g)V)*, c = codim V^g, and
+    Molien's formula counts them:
+    1/|C(g)| sum_h h_m(h^-1|V^g) e_{p-c}(h|V^g) e_c(h|(1-g)V).  Each h
+    commutes with g, and the mean of the powers of g projects onto V^g,
+    so tr(h^k|V^g) is the mean of chi(h^k g^j) and tr(h^k|(1-g)V) =
+    chi(h^k) - tr(h^k|V^g); Newton's identities turn these power sums
+    into h_m and e_q.  Reads the traces of the matrices and the group's
+    tables only: no action, elimination or geometry, so it shares no
+    code with cohomology_basis.  A class term that is not a nonnegative
+    integer raises ArithmeticError.
+    """
+    if p > group.dim:
+        raise ValueError("exterior degree exceeds the dimension of V")
+    n, order = group.dim, group.scalar_order
+    mult, inverses = group.mult_table, group.inverses
+    chi = [sum((r[i] for i, r in enumerate(a.rows)), Cyc.zero(order))
+           for a in group.matrices]
+    total = 0
+    for cls, cent in zip(group.conj_classes, group.centralizers):
+        g = cls[0]
+        g_powers = [0]
+        while mult[g_powers[-1]][g]:
+            g_powers.append(mult[g_powers[-1]][g])
+        mean = Fraction(1, len(g_powers))
+        fixed_trace = {x: sum((chi[mult[x][y]] for y in g_powers), Cyc.zero(order)) * mean
+                       for x in cent}
+        codim = n - int(fixed_trace[0].as_fraction())
+        q = p - codim
+        if q < 0 or q > n - codim:
+            continue
+        term = Cyc.zero(order)
+        for h in cent:
+            h_powers = [h]
+            while len(h_powers) < max(m, q, codim):
+                h_powers.append(mult[h_powers[-1]][h])
+            fixed = [fixed_trace[x] for x in h_powers]
+            moved = [chi[x] - t for x, t in zip(h_powers, fixed)]
+            fixed_inv = [fixed_trace[inverses[x]] for x in h_powers]
+            term = term + (_newton(fixed_inv, m, 1) * _newton(fixed, q, -1)
+                           * _newton(moved, codim, -1))
+        dim = term * Fraction(1, len(cent))
+        if not dim.is_rational() or dim.den != 1 or dim.num[0] < 0:
+            raise ArithmeticError(f"the character count at class {group.words[g]} "
+                                  f"in degree ({p}, {m}) is {dim}, not a "
+                                  f"nonnegative integer")
+        total += dim.num[0]
+    return total
+
+
+def _newton(power_sums, q, sign):
+    """h_q (sign 1) or e_q (sign -1) of the eigenvalues whose k-th power
+    sum is power_sums[k - 1], by Newton's identities
+    k x_k = sum_i sign^(i-1) x_(k-i) p_i."""
+    out = [1]
+    for k in range(1, q + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            acc = acc + sign ** (i - 1) * out[k - i] * power_sums[i - 1]
+        out.append(acc * Fraction(1, k))
+    return out[q]

@@ -62,18 +62,18 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         assert self.ncols == other.nrows
-        cols = list(zip(*other.rows)) if other.rows else []
+        # each nonzero a = self[i][k] adds a * b into column j for the
+        # nonzero b = other[k][j] only, listed once per row of other
+        right = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
         zero = Cyc.zero(self.order)
         out = []
         for r in self.rows:
-            row = []
-            for c in cols:
-                acc = zero
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+            acc = {}
+            for a, terms in zip(r, right):
+                if a:
+                    for j, b in terms:
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append([acc.get(j, zero) for j in range(other.ncols)])
         return Matrix(self.order, out)
 
     def __sub__(self, other):

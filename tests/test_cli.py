@@ -206,6 +206,23 @@ def test_cohomology_prints_generator_names(capsys):
     assert "g1" not in out and "g2" not in out
 
 
+def test_cohomology_fails_when_the_character_count_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cohomology_dim_character", lambda group, p, m: 5)
+    code, out, err = run(capsys, "cohomology", fixture("trivial_k2.json"),
+                         "--p", "1", "--m", "1")
+    assert code == 1 and "4 classes (cross-check 5)" in out
+    assert err == ("internal error: basis count 4 does not match "
+                   "the character count 5\n")
+
+    def not_an_integer(group, p, m):
+        raise ArithmeticError("the character count is 1/3")
+
+    monkeypatch.setattr(cli, "cohomology_dim_character", not_an_integer)
+    code, _, err = run(capsys, "cohomology", fixture("trivial_k2.json"),
+                       "--p", "1", "--m", "1")
+    assert code == 1 and err == "internal error: the character count is 1/3\n"
+
+
 def test_cohomology_degree_out_of_range(capsys):
     code, _, err = run(capsys, "cohomology", fixture("sign_k1.json"),
                        "--p", "2", "--m", "0")

@@ -13,13 +13,14 @@ from helpers import mat, trivial_group_k
 from skewbrack.scalars import Cyc
 from skewbrack.linalg import Matrix
 from skewbrack.polyvec import Poly, Polyvector, act, euler_field
-from skewbrack.groups import enumerate_group, resolve_word
+from skewbrack.groups import Group, enumerate_group, resolve_word
 from skewbrack.cochain import (
     Cochain,
     act_cochain,
     ambient_keys,
     centralizer_reynolds,
     cohomology_basis,
+    cohomology_dim_character,
     cohomology_dim_direct,
     differential,
     is_coboundary,
@@ -451,6 +452,63 @@ def test_basis_matches_direct_dimension_nonabelian_cyclotomic():
             for m in range(3):
                 assert (len(cohomology_basis(group, p, m))
                         == cohomology_dim_direct(group, p, m)), (name, p, m)
+
+
+def assert_three_counts_agree(group, pieces, direct=lambda p, m: True):
+    for p, m in pieces:
+        count = cohomology_dim_character(group, p, m)
+        assert len(cohomology_basis(group, p, m)) == count, (p, m)
+        if direct(p, m):
+            assert cohomology_dim_direct(group, p, m) == count, (p, m)
+
+
+def zeta3_diagonal(*powers):
+    return Matrix(3, [[Cyc.zeta(3, k) if i == j else Cyc.zero(3)
+                       for j in range(len(powers))] for i, k in enumerate(powers)])
+
+
+@pytest.mark.parametrize("powers", [
+    [(1,)], [(1, 0)], [(1, 1)], [(1, 2, 0), (1, 0, 1)],
+], ids=["z3-k1", "z3-k2-zeta-1", "z3-k2-zeta-zeta", "z3xz3-k3"])
+def test_character_count_agrees_over_zeta3(powers):
+    # these characters are not real, so unlike every self-dual group they
+    # tell h from h^-1: swapping the convention on any factor of the
+    # character count, other than all three at once, fails on one of them
+    group = enumerate_group([zeta3_diagonal(*k) for k in powers])
+    n = group.dim
+    assert_three_counts_agree(group, [(p, m) for p in range(n + 1) for m in range(3)])
+
+
+@pytest.mark.parametrize("name", ["d4", "d5", "rot", "s4"])
+def test_character_count_agrees_on_nonabelian_groups(name):
+    group = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+    n = group.dim
+    assert_three_counts_agree(group, [(p, m) for p in range(min(n, 3) + 1)
+                                      for m in range(3 if n <= 3 else 2)])
+
+
+def test_character_count_agrees_on_s5():
+    # the direct count takes over a second on the m = 3 pieces
+    group = load_group_file(str(GROUP_DATA / "s5.json"))[0]
+    assert_three_counts_agree(group, [(p, m) for p in range(4) for m in range(4)],
+                              direct=lambda p, m: m <= 2)
+
+
+def test_character_count_agrees_on_k5():
+    group = fixture_groups()["two-sign-pairs-k5"]
+    assert_three_counts_agree(group, [(p, m) for p in range(4) for m in range(4)])
+
+
+def test_character_count_rejects_bad_degree_and_a_wrong_centralizer():
+    group = sign_group_k1()
+    with pytest.raises(ValueError):
+        cohomology_dim_character(group, 2, 0)
+    # the identity's centralizer listed as (e, g1, g1): the class term at
+    # (0, 1) is (1 - 1 - 1)/3, which no group gives
+    fields = [getattr(group, name) for name in Group.__slots__[:-1]]
+    fields[Group.__slots__.index("centralizers")] = ((0, 1, 1), (0, 1))
+    with pytest.raises(ArithmeticError, match="not a nonnegative integer"):
+        cohomology_dim_character(Group(*fields), 0, 1)
 
 
 def test_centralizer_reynolds_is_the_centralizer_average():

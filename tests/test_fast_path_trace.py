@@ -8,7 +8,8 @@ left to the chain-level oracle.  This runs cohomology and a bracket on a
 freshly loaded group under the benchmark's tracer (perfbench/tracer.py)
 and reads its counters, so a change that puts one of them back on the
 fast path, or hides elimination from `linalg.elim`, fails here.  A
-`reynolds` that walks all of G again fails on its `act` count.
+`reynolds` that walks all of G again fails on its `act` count, and a
+character count that goes through the fast path fails on its counters.
 """
 
 from pathlib import Path
@@ -16,11 +17,17 @@ from pathlib import Path
 from helpers import load_tracer
 from skewbrack.bracket import gerstenhaber
 from skewbrack.cli import load_group_file
-from skewbrack.cochain import cohomology_basis, cohomology_dim_direct, reynolds
+from skewbrack.cochain import (
+    cohomology_basis,
+    cohomology_dim_character,
+    cohomology_dim_direct,
+    reynolds,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 D5 = ROOT / "perfbench" / "data" / "groups" / "d5.json"
 S5 = ROOT / "perfbench" / "data" / "groups" / "s5.json"
+ROT = ROOT / "perfbench" / "data" / "groups" / "rot.json"
 
 
 def test_fast_path_calls_no_det_minor_or_substitution():
@@ -51,3 +58,19 @@ def test_reynolds_acts_once_per_component_and_once_per_centralizer():
         r = reynolds(c)
     assert r == c
     assert tracer.counts()["polyvec.act.calls"] <= 2 * 20 + 1
+
+
+def test_character_count_shares_no_code_with_the_fast_path():
+    # the CLI's cross-check reads traces and the group's tables only: no
+    # action, elimination, geometry or centralizer average
+    groups = [load_group_file(str(path))[0] for path in (D5, ROT)]
+    tracer = load_tracer().Tracer()
+    with tracer:
+        dims = [cohomology_dim_character(group, p, m)
+                for group in groups for p in range(4) for m in range(3)]
+    counts = tracer.counts()
+    assert sum(dims) > 0
+    assert counts["polyvec.act.calls"] == 0
+    assert counts["linalg.elim.calls"] == 0
+    assert counts["groups.geometry.calls"] == 0
+    assert counts["cochain.centralizer_reynolds.calls"] == 0
