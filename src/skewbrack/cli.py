@@ -58,14 +58,14 @@ from .scalars import parse_scalar, print_scalar
 # 102 s, which only the group order bounds.  A cohomology piece has
 # C(n, p) C(m + n - 1, n - 1) terms per element, and the basis eliminates
 # sparse rows over them; its cross-check, the character count, reads
-# traces only and costs little.  On k^5, --p 2 takes 0.05 s at 700 terms
-# and 0.13 s (20 MB) at 2,100.  Averaging each term over the centralizer
+# traces only and costs little.  On k^5, --p 2 takes 0.08 s at 700 terms
+# and 0.18 s (21 MB) at 2,100.  Averaging each term over the centralizer
 # C(g) of each class representative g, kept on the group as
 # group.centralizers, takes terms * sum_[g] |C(g)| single actions, which
 # grows with the group: on the S5 permutation action --p 1 --m 3 takes
-# 0.20 s at 28,175 actions, --p 3 --m 3 0.39 s at 56,350 and --p 2 --m 4
-# 0.78 s (32 MB) at 112,700, while on the rotation pair --p 2 --m 4 takes
-# 0.06 s at 25,200 (Python 3.11.7, 2 cores, with the bounds lifted).
+# 0.33 s at 28,175 actions, --p 3 --m 3 0.60 s at 56,350 and --p 2 --m 4
+# 1.19 s (32 MB) at 112,700, while on the rotation pair --p 2 --m 4 takes
+# 0.11 s at 25,200 (Python 3.11.7, 2 cores, with the bounds lifted).
 MAX_CYCLOTOMIC_ORDER = 100
 MAX_DIMENSION = 16
 MAX_GROUP_ORDER = 1024

@@ -240,9 +240,9 @@ def is_coboundary(c):
 
 def centralizer_reynolds(group, pv, cent):
     """Average a single-component polyvector over a centralizer cent, one
-    of group.centralizers; the average stays at the same element."""
-    total = act(pv, [group.action(h) for h in cent])
-    return total * Cyc.of(Fraction(1, len(cent)), group.scalar_order)
+    of group.centralizers; the average stays at the same element.  It is
+    one act call over the pairs of cent, which returns their mean."""
+    return act(pv, [group.action(h) for h in cent])
 
 
 def spread_invariant(group, cls, pv):

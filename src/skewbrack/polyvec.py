@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 
 from .linalg import Matrix, det
-from .scalars import Cyc, print_scalar
+from .scalars import Cyc, _lowest, _powers, print_scalar
 
 
 def sort_sign(seq):
@@ -378,27 +379,73 @@ def minor_row(m: Matrix, rows):
 
 
 def act(x: Polyvector, pairs) -> Polyvector:
-    """Sum of the right actions on x of the group elements given as
+    """Mean of the right actions on x of the group elements given as
     (h, h_inv) matrix pairs: polynomial factors go through the inverse
     substitution, dual-basis wedge factors through minors of h, both
-    cached on the matrices.  One action is a one-pair list."""
+    cached on the matrices.  One action is a one-pair list; the average
+    over a centralizer is the list of its pairs.
+
+    Each output coefficient is summed in plain ints, as an unreduced
+    power-basis vector over one denominator: the products c * v * m of
+    x's coefficient, the monomial image's entry and the minor are added
+    in, and a product whose denominator does not divide the running one
+    widens it to their lcm.  The vector is reduced modulo Phi_N and
+    becomes a Cyc once, with the mean's 1/len(pairs) folded into its
+    denominator."""
     n, order = x.n, x.order
-    out = {}
+    powers = _powers(order)
+    d = len(powers[0])
+    out = {}  # cols -> exponents -> [denominator, unreduced numerators...]
     for h, h_inv in pairs:
         for idx, p in x.terms.items():
-            image = {}
+            minors = minor_row(h, idx)
             for exps, c in p.terms.items():
-                for e, v in monomial_image(h_inv, exps).terms.items():
-                    v = v * c
-                    image[e] = image[e] + v if e in image else v
-            for cols, d in minor_row(h, idx):
-                acc = out.setdefault(cols, {})
-                for e, v in image.items():
-                    if idx:  # the empty minor is 1
-                        v = v * d
-                    acc[e] = acc[e] + v if e in acc else v
-    return Polyvector(n, order, {cols: Poly(n, order, acc)
-                                 for cols, acc in out.items()})
+                image = monomial_image(h_inv, exps).terms.items()
+                for cols, m in minors:
+                    # c * m as (place in acc, int) pairs, repeats allowed
+                    cm = [(i + j, a * b) for i, a in enumerate(c.num, 1) if a
+                          for j, b in enumerate(m.num) if b]
+                    cm_den = c.den * m.den
+                    target = out.get(cols)
+                    if target is None:
+                        target = out[cols] = {}
+                    for e, v in image:
+                        den = cm_den * v.den
+                        acc = target.get(e)
+                        if acc is None:
+                            acc = target[e] = [den] + [0] * (3 * d - 2)
+                        up = 1
+                        if den != acc[0]:
+                            if acc[0] % den:  # widen to the lcm
+                                wide = lcm(acc[0], den)
+                                up = wide // acc[0]
+                                acc[:] = [wide] + [a * up for a in acc[1:]]
+                            up = acc[0] // den
+                        for i, a in cm:
+                            a *= up
+                            for j, b in enumerate(v.num, i):
+                                acc[j] += a * b
+    built = {}
+    for cols, target in out.items():
+        terms = {}
+        for e, (den, *vec) in target.items():
+            for k in range(d, len(vec)):  # z^k is row k % order of powers
+                a = vec[k]
+                if a:
+                    for i, r in enumerate(powers[k % order]):
+                        vec[i] += a * r
+            if any(vec[:d]):
+                terms[e] = _lowest(order, vec[:d], den * len(pairs))
+        if terms:
+            built[cols] = _clean(Poly, terms, n=n, order=order)
+    return _clean(Polyvector, built, n=n, order=order)
+
+
+def _clean(cls, terms, **head):
+    """The cls of terms already clean: valid keys and nonzero values."""
+    out = object.__new__(cls)
+    out._init(terms, **head)
+    return out
 
 
 def euler_field(g: Matrix) -> Polyvector:

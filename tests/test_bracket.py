@@ -40,6 +40,7 @@ from skewbrack.koszul import chain_bracket_cochain
 from skewbrack.cli import load_class_file, load_group_file
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
+S4_ROOT_BASIS = Path(__file__).resolve().parent.parent / "fixtures" / "s4_a3_root_basis_k3.json"
 CLASS_DATA = GROUP_DATA.parent / "classes"
 
 
@@ -196,6 +197,19 @@ def test_oracle_agrees_on_zeta3_basis_pairs(generators, pairs, nonzero):
             assert result == project(chain_bracket_cochain(x, y)), (x, y)
             found += not result.is_zero()
     assert (len(pool) ** 2, found) == (pairs, nonzero)
+
+
+def test_oracle_agrees_on_a_non_monomial_group():
+    # S4 in the root basis of A3 acts by matrices that are not monomial
+    group = load_group_file(str(S4_ROOT_BASIS))[0]
+    pool = [c for p, m in ((1, 0), (1, 1), (2, 0), (2, 1)) for c in cohomology_basis(group, p, m)]
+    found = 0
+    for x in pool:
+        for y in pool:
+            result = gerstenhaber(x, y).result
+            assert result == project(chain_bracket_cochain(x, y)), (x, y)
+            found += not result.is_zero()
+    assert (len(pool) ** 2, found) == (9, 4)
 
 
 def test_oracle_agrees_on_a_d5_pair_the_projection_kills():

@@ -43,6 +43,7 @@ from skewbrack.fixtures import (
 )
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
+S4_ROOT_BASIS = Path(__file__).resolve().parent.parent / "fixtures" / "s4_a3_root_basis_k3.json"
 
 
 # ---------------------------------------------------------------- euler
@@ -496,6 +497,16 @@ def test_character_count_agrees_on_s5():
 
 def test_character_count_agrees_on_k5():
     group = fixture_groups()["two-sign-pairs-k5"]
+    assert_three_counts_agree(group, [(p, m) for p in range(4) for m in range(4)])
+
+
+def test_character_count_agrees_on_a_non_monomial_group():
+    # S4 as the Weyl group of A3 in the root basis: its reflections have
+    # two nonzero entries in a column, so monomial images and minors
+    # expand to several terms, which no permutation or diagonal action has
+    group = load_group_file(str(S4_ROOT_BASIS))[0]
+    assert any(sum(1 for e in col if e) > 1
+               for a in group.matrices for col in zip(*a.rows))
     assert_three_counts_agree(group, [(p, m) for p in range(4) for m in range(4)])
 
 

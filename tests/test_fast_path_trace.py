@@ -8,21 +8,26 @@ left to the chain-level oracle.  This runs cohomology and a bracket on a
 freshly loaded group under the benchmark's tracer (perfbench/tracer.py)
 and reads its counters, so a change that puts one of them back on the
 fast path, or hides elimination from `linalg.elim`, fails here.  A
-`reynolds` that walks all of G again fails on its `act` count, and a
+`reynolds` that walks all of G again fails on its `act` count, an `act`
+that multiplies `Cyc`s on warm caches fails on `scalars.mul`, and a
 character count that goes through the fast path fails on its counters.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 from helpers import load_tracer
 from skewbrack.bracket import gerstenhaber
 from skewbrack.cli import load_group_file
 from skewbrack.cochain import (
+    ambient_keys,
     cohomology_basis,
     cohomology_dim_character,
     cohomology_dim_direct,
     reynolds,
 )
+from skewbrack import polyvec
+from skewbrack.polyvec import Polyvector
 
 ROOT = Path(__file__).resolve().parent.parent
 D5 = ROOT / "perfbench" / "data" / "groups" / "d5.json"
@@ -58,6 +63,30 @@ def test_reynolds_acts_once_per_component_and_once_per_centralizer():
         r = reynolds(c)
     assert r == c
     assert tracer.counts()["polyvec.act.calls"] <= 2 * 20 + 1
+
+
+def test_warm_action_multiplies_no_scalars():
+    # once the minors and monomial images are cached on the matrices, act
+    # sums plain ints and builds each output coefficient once: a Cyc
+    # product inside it would show on the scalars.mul counter
+    calls = []
+    for path in (S5, D5):
+        group, _ = load_group_file(str(path))
+        n, order = group.dim, group.scalar_order
+        x = sum((Polyvector.term(Fraction(k + 1, 2), exps, idx, order)
+                 for k, (idx, exps) in enumerate(ambient_keys(n, 2, 2))),
+                Polyvector.zero(n, order))
+        cent = max(group.centralizers, key=len)
+        calls.append((x, [group.action(h) for h in cent]))
+    cold = [polyvec.act(x, pairs) for x, pairs in calls]
+    tracer = load_tracer().Tracer()
+    with tracer:
+        # through the module, so that the tracer's wrapper sees the calls
+        warm = [polyvec.act(x, pairs) for x, pairs in calls]
+    counts = tracer.counts()
+    assert warm == cold and not any(a.is_zero() for a in warm)
+    assert counts["polyvec.act.calls"] == 2
+    assert counts["scalars.mul.calls"] == 0
 
 
 def test_character_count_shares_no_code_with_the_fast_path():

@@ -173,9 +173,9 @@ def small_polyvector(draw, n=3, ext=None, order=1):
     for raw in idxs:
         if len(set(raw)) != len(raw):
             continue
-        exps = draw(st.tuples(*([st.integers(0, 2)] * n)))
-        coeff = draw(st.integers(-3, 3))
-        comps = comps + Polyvector.term(coeff, exps, raw, order)
+        for exps in draw(st.lists(st.tuples(*([st.integers(0, 2)] * n)), min_size=1, max_size=3)):
+            coeff = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3])))
+            comps = comps + Polyvector.term(coeff, exps, raw, order)
     return comps
 
 
@@ -215,32 +215,49 @@ def shear_pair(order):
 
 
 def generator_pool(name):
-    """The shear and the two generators of a dihedral data group, as
-    (h, h_inv) pairs over its field."""
+    """The generators of a data group, as (h, h_inv) pairs over its field."""
     group = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
-    order = group.scalar_order
-    return order, [shear_pair(order)] + [group.action(i) for i in group.generator_indices]
+    return [group.action(i) for i in group.generator_indices]
 
 
-# Matrix pairs shared by every example, so later examples read minors and
-# monomial images cached by earlier ones.
-POOLS = [(1, [shear_pair(1)]), generator_pool("d4"), generator_pool("d5")]
+def tetrahedral_pair():
+    """The dense generator 1/2 [[1+z, 1+z], [-1+z, 1-z]] of the binary
+    tetrahedral group over Q(zeta_4), extended by 1 on a third line."""
+    def half(a, b):
+        return Cyc(4, [Fraction(a, 2), Fraction(b, 2)])
+
+    h = mat(4, [[half(1, 1), half(1, 1), 0], [half(-1, 1), half(1, -1), 0], [0, 0, 1]])
+    return h, mat_inverse(h)
+
+
+# (order, n, matrix pairs): field degrees 1, 2 and 4, monomial and dense
+# actions.  The pairs are shared by every example, so later examples read
+# minors and monomial images cached by earlier ones.
+POOLS = [
+    (1, 3, [shear_pair(1)]),
+    (4, 3, [shear_pair(4)] + generator_pool("d4")),
+    (5, 3, [shear_pair(5)] + generator_pool("d5")),
+    (6, 5, generator_pool("rot")),
+    (4, 3, [tetrahedral_pair(), shear_pair(4)]),
+]
 
 
 @st.composite
 def polyvectors_and_pairs(draw):
     """Two polyvectors over one field, and a list of one to three matrix
     pairs over it, repeats allowed."""
-    order, pool = draw(st.sampled_from(POOLS))
-    x = draw(small_polyvector(ext=None, order=order))
-    y = draw(small_polyvector(ext=1, order=order))
+    order, n, pool = draw(st.sampled_from(POOLS))
+    x = draw(small_polyvector(n=n, ext=None, order=order))
+    y = draw(small_polyvector(n=n, ext=1, order=order))
     return x, y, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
 
 
 @given(polyvectors_and_pairs())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_cached_action_matches_fresh_matrices(drawn):
+    # act over several pairs is the mean of the single actions
     x, y, pairs = drawn
+    mean = Cyc.of(Fraction(1, len(pairs)), x.order)
     for _ in range(2):
         got = act(x, pairs)
         single = scratch = Polyvector.zero(x.n, x.order)
@@ -248,7 +265,7 @@ def test_cached_action_matches_fresh_matrices(drawn):
             fresh = Matrix(h.order, h.rows), Matrix(h.order, h_inv.rows)
             single = single + act(x, [fresh])
             scratch = scratch + act_from_scratch(x, h, h_inv)
-        assert got == single == scratch
+        assert got == single * mean == scratch * mean
 
 
 def test_action_fills_caches_on_its_matrices():
