@@ -50,12 +50,24 @@ from .scalars import parse_scalar, print_scalar
 # term bounds the work of substituting into it, and cohomology --m is held
 # to it so that every printed class loads back.  The dimension n bounds
 # the work per element: a matrix product takes n^3 scalar products, and
-# group prints each omega_g, of up to C(n, n/2) terms.  On a dense order-2
-# action of k^n (-1 on half of a basis, conjugated by a random matrix
-# with entries in {-1, 0, 1}) group takes 0.33 s at n = 14, 2.1 s at 16
-# and 8 s at 18 (Python 3.11.7, 2 cores); at n = 16, S6 permuting six
-# coordinates (720 elements) takes 3.0 s and a dense conjugate of it
-# 102 s, which only the group order bounds.  A cohomology piece has
+# group prints each omega_g, of up to C(n, codim g) terms.  On a dense
+# order-2 action of k^n (-1 on half of a basis, conjugated by a random
+# matrix with entries in {-1, 0, 1}) group takes 0.33 s at n = 14, 2.1 s
+# at 16 and 8 s at 18 (Python 3.11.7, 2 cores).  omega_g wedges the
+# codim moved dual coordinates of g, so it has at most C(k, codim g)
+# terms, k the coordinates that these involve; group refuses a group
+# whose sum of that over its elements is above MAX_GROUP_OMEGA_TERMS,
+# before it builds any omega_g.  S6 permuting six coordinates of k^16
+# (720 elements, a sum of 5,671) takes 2.7 s and prints 777 KB, and
+# (Z/2)^10 flipping ten coordinates of k^12 (one term per omega_g,
+# 1,024) 4.5-4.9 s and 633 KB; a dense conjugate of that S6 (1,122,000)
+# took 102 s and 34 MB and is refused, in about 7 s, most of it in
+# geometry.  Near the bound, on conjugates by a unipotent matrix with
+# entries in {-1, 0, 1}, group takes 4.0 s and prints 634 KB on S6
+# permuting six coordinates of k^8 (a sum of 34,707; enumeration and
+# geometry are half of it) and 1.5 s and 501 KB on (Z/2)^6 flipping six
+# coordinates of k^15 (38,011); at k^16 (67,990, refused) it took 3.0 s
+# and 1.1 MB (Python 3.11.7, 2 cores).  A cohomology piece has
 # C(n, p) C(m + n - 1, n - 1) terms per element, and the basis eliminates
 # sparse rows over them; its cross-check, the character count, reads
 # traces only and costs little.  On k^5, --p 2 takes 0.08 s at 700 terms
@@ -69,6 +81,7 @@ from .scalars import parse_scalar, print_scalar
 MAX_CYCLOTOMIC_ORDER = 100
 MAX_DIMENSION = 16
 MAX_GROUP_ORDER = 1024
+MAX_GROUP_OMEGA_TERMS = 50000
 MAX_TERM_DEGREE = 16
 MAX_PIECE_TERMS = 1000
 MAX_PIECE_ACTIONS = 30000
@@ -241,13 +254,26 @@ def _emit(report, lines, as_json):
 
 def cmd_group(args):
     group, _ = load_group_file(args.file)
-    elements = []
+    codims, terms = [], 0
     for i in range(len(group)):
+        geom = geometry(group, i)
+        codims.append(geom.codim)
+        # omega_g wedges the codim moved dual coordinates, so its wedges
+        # use only the k coordinates that these involve
+        moved = geom.dual_change.rows[group.dim - geom.codim:]
+        terms += comb(sum(map(any, zip(*moved))), geom.codim)
+    if terms > MAX_GROUP_OMEGA_TERMS:
+        raise ValueError(f"{args.file}: the omega_g of the group may have {terms} "
+                         f"terms in all (C(k, codim g) summed over its elements, "
+                         f"k the coordinates its moved dual coordinates involve), "
+                         f"more than {MAX_GROUP_OMEGA_TERMS}")
+    elements = []
+    for i, codim in enumerate(codims):
         elements.append({
             "index": i,
             "word": group.words[i],
             "matrix": _matrix_strings(group.matrix(i)),
-            "codim": geometry(group, i).codim,
+            "codim": codim,
             "omega": str(volume_form(group, i)),
         })
     report = {
@@ -562,9 +588,10 @@ def build_parser():
                        help="bound for the right block")
     p_hom.add_argument("--t", type=_count(0, 4), default=3,
                        help="bound for the middle degree")
-    # schouten takes about 14 s at its default --dim 3 and ran past 150 s at
-    # --dim 4; each random pair costs about 3.5 ms, so --pairs 1000 adds
-    # 3.5 s.
+    # schouten takes about 5.5 s at its default --dim 3, against 9-10 s
+    # before the Schouten bracket summed in integers, and 63 s at --dim 4,
+    # against 126 s (Python 3.11.7, 2 cores, side by side); each random
+    # pair costs about 3.3 ms, so --pairs 1000 adds 3.3 s.
     p_sch = suites.add_parser("schouten", allow_abbrev=False,
                               help="the Schouten bracket laws")
     p_sch.add_argument("--dim", type=_count(1, 3), default=3, help="dimension")

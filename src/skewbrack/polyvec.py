@@ -6,7 +6,12 @@ from strictly increasing index tuples to polynomial coefficients.
 These are the reduced representatives of Hochschild cohomology
 components.  The Schouten bracket of polyvector fields, which the
 Gerstenhaber bracket projects term by term, and the group action on
-polyvectors live here.  SparseTerms, the immutable sparse container
+polyvectors live here.  Both sum in plain ints and build one Cyc per
+output coefficient, through one accumulator: act adds products into
+it directly, and schouten is one circle_product call, which adds both
+circle products of the graded commutator, pair of components by pair,
+so it is bilinear also on input of mixed exterior degree.
+SparseTerms, the immutable sparse container
 that polynomials, polyvectors, cochains and the Koszul resolution terms
 share, is defined here too.  minor_det and subst_matrix compute a minor
 and a substitution from scratch; in the package only the chain-level
@@ -19,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
+from operator import add, attrgetter
 
 from .linalg import Matrix, det
 from .scalars import Cyc, _lowest, _powers, print_scalar
@@ -393,8 +398,7 @@ def act(x: Polyvector, pairs) -> Polyvector:
     becomes a Cyc once, with the mean's 1/len(pairs) folded into its
     denominator."""
     n, order = x.n, x.order
-    powers = _powers(order)
-    d = len(powers[0])
+    size = 3 * len(_powers(order)[0]) - 2
     out = {}  # cols -> exponents -> [denominator, unreduced numerators...]
     for h, h_inv in pairs:
         for idx, p in x.terms.items():
@@ -413,29 +417,44 @@ def act(x: Polyvector, pairs) -> Polyvector:
                         den = cm_den * v.den
                         acc = target.get(e)
                         if acc is None:
-                            acc = target[e] = [den] + [0] * (3 * d - 2)
-                        up = 1
-                        if den != acc[0]:
-                            if acc[0] % den:  # widen to the lcm
-                                wide = lcm(acc[0], den)
-                                up = wide // acc[0]
-                                acc[:] = [wide] + [a * up for a in acc[1:]]
-                            up = acc[0] // den
+                            acc = target[e] = [den] + [0] * size
+                        up = 1 if den == acc[0] else _widen(acc, den)
                         for i, a in cm:
                             a *= up
                             for j, b in enumerate(v.num, i):
                                 acc[j] += a * b
+    return _build(out, n, order, len(pairs))
+
+
+def _widen(acc, den):
+    """Put the accumulator acc = [denominator, numerators...] over a
+    multiple of den, the lcm of the two when den does not divide its
+    own, and return the factor that brings a product over den to it."""
+    if acc[0] % den:
+        wide = lcm(acc[0], den)
+        up = wide // acc[0]
+        acc[:] = [wide] + [a * up for a in acc[1:]]
+    return acc[0] // den
+
+
+def _build(out, n, order, scale=1):
+    """The Polyvector of the accumulators out, a map from wedge to
+    exponents to [denominator, unreduced power-basis numerators...],
+    each divided by scale.  Each vector is reduced modulo Phi_N with the
+    rows of _powers (z^k is row k % N) and becomes one Cyc."""
+    powers = _powers(order)
+    d = len(powers[0])
     built = {}
     for cols, target in out.items():
         terms = {}
         for e, (den, *vec) in target.items():
-            for k in range(d, len(vec)):  # z^k is row k % order of powers
+            for k in range(d, len(vec)):
                 a = vec[k]
                 if a:
                     for i, r in enumerate(powers[k % order]):
                         vec[i] += a * r
             if any(vec[:d]):
-                terms[e] = _lowest(order, vec[:d], den * len(pairs))
+                terms[e] = _lowest(order, vec[:d], den * scale)
         if terms:
             built[cols] = _clean(Poly, terms, n=n, order=order)
     return _clean(Polyvector, built, n=n, order=order)
@@ -467,37 +486,78 @@ def euler_field(g: Matrix) -> Polyvector:
 
 
 def circle_product(x: Polyvector, y: Polyvector) -> Polyvector:
-    """Circle product of polyvectors: each component q d_J of y is
-    inserted at each slot pos of each component f d_I of x, and f times
-    the derivative of q by the displaced direction I[pos] goes to the
-    normalized wedge.  The sign is the wedge reordering sign times
-    (-1)^((m-1)(pos+d-1)), which matches the chain-level contraction
-    under the reversed-word pairing (see the oracle agreement tests).
-    A slot whose displaced direction q does not depend on adds nothing."""
-    assert y.n == x.n
-    inserted = [(idx_j, q, {i for alpha in q.terms for i, e in enumerate(alpha) if e})
-                for idx_j, q in y.terms.items()]
-    acc = {}
-    for idx_i, f in x.terms.items():
-        d = len(idx_i)
-        for idx_j, q, variables in inserted:
-            m = len(idx_j)
-            for pos, jl in enumerate(idx_i):
-                if jl not in variables:
-                    continue
-                wsgn, wkey = sort_sign(idx_i[:pos] + idx_j + idx_i[pos + 1:])
-                if wsgn == 0:
-                    continue
-                sgn_zeta = -1 if ((m - 1) * (pos + d - 1)) % 2 else 1
-                p = f * q.deriv(jl) * (wsgn * sgn_zeta)
-                acc[wkey] = acc[wkey] + p if wkey in acc else p
-    return Polyvector(x.n, x.order, acc)
+    """The graded commutator of the circle product, which is the
+    Schouten bracket: each pair of components f d_I of x and q d_J of y
+    adds f d_I o q d_J - (-1)^((d-1)(m-1)) q d_J o f d_I, with d = |I|
+    and m = |J|, so it is bilinear also on input of mixed exterior
+    degree.  In the circle product f d_I o q d_J, q d_J is inserted at
+    each slot pos of f d_I, and f times the derivative of q by the
+    displaced direction I[pos] goes to the normalized wedge.  The sign
+    is the wedge reordering sign times (-1)^((m-1)(pos+d-1)), which
+    matches the chain-level contraction under the reversed-word pairing
+    (see the oracle agreement tests).  A slot whose displaced direction
+    q does not depend on adds nothing.
+
+    Both products go into one accumulator of plain ints, as in act: the
+    product of two coefficients is their power-basis convolution over
+    the product of their denominators, times the derivative's exponent
+    and the signs; each output coefficient becomes one Cyc at the end."""
+    if x.head != y.head:
+        raise ValueError("polyvector mismatch")
+    n, order = x.head
+    size = 2 * len(_powers(order)[0]) - 1
+    out = {}  # wedge -> exponents -> [denominator, unreduced numerators...]
+    for outer, inner, back in ((x, y, False), (y, x, True)):
+        # each component q d_J of inner as (J, |J|, derivatives), with the
+        # derivative by direction i a list of (exponents, exponent of x_i,
+        # coefficient) for the terms of q that x_i divides
+        inserted = []
+        for idx_j, q in inner.terms.items():
+            derivs = {}
+            for exps, c in q.terms.items():
+                for i, a in enumerate(exps):
+                    if a:
+                        lower = exps[:i] + (a - 1,) + exps[i + 1:]
+                        derivs.setdefault(i, []).append((lower, a, c))
+            inserted.append((idx_j, len(idx_j), derivs))
+        for idx_i, f in outer.terms.items():
+            d = len(idx_i)
+            # each term of f as (exponents, denominator, (place in acc, int) pairs)
+            left = [(e, c.den, [(i, a) for i, a in enumerate(c.num, 1) if a])
+                    for e, c in f.terms.items()]
+            for idx_j, m, derivs in inserted:
+                sign = -1 if back and not ((d - 1) * (m - 1)) % 2 else 1
+                for pos, jl in enumerate(idx_i):
+                    right = derivs.get(jl)
+                    if right is None:
+                        continue
+                    wsgn, wkey = sort_sign(idx_i[:pos] + idx_j + idx_i[pos + 1:])
+                    if wsgn == 0:
+                        continue
+                    if ((m - 1) * (pos + d - 1)) % 2:
+                        wsgn = -wsgn
+                    target = out.get(wkey)
+                    if target is None:
+                        target = out[wkey] = {}
+                    for e1, den1, cf in left:
+                        for e2, k, c in right:
+                            e = tuple(map(add, e1, e2))
+                            den = den1 * c.den
+                            acc = target.get(e)
+                            if acc is None:
+                                acc = target[e] = [den] + [0] * size
+                            up = sign * wsgn * k
+                            if den != acc[0]:
+                                up *= _widen(acc, den)
+                            for i, a in cf:
+                                a *= up
+                                for j, b in enumerate(c.num, i):
+                                    acc[j] += a * b
+    return _build(out, n, order)
 
 
 def schouten(x: Polyvector, y: Polyvector) -> Polyvector:
     """Schouten bracket of polyvector fields: the graded commutator of
-    the circle product."""
-    dx = x.degree() if not x.is_zero() else 0
-    dy = y.degree() if not y.is_zero() else 0
-    sign = -1 if ((dx - 1) * (dy - 1)) % 2 else 1
-    return circle_product(x, y) - circle_product(y, x) * sign
+    the circle product, taken component pair by component pair in one
+    circle_product pass."""
+    return circle_product(x, y)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from skewbrack import cli
 from skewbrack.cli import (
     MAX_DIMENSION,
+    MAX_GROUP_OMEGA_TERMS,
     MAX_PIECE_ACTIONS,
     MAX_PIECE_TERMS,
     build_parser,
@@ -168,6 +170,42 @@ def test_group_generator_names(tmp_path, capsys):
     code, out, _ = run(capsys, "group", str(named))
     assert code == 0
     assert "s*t" in out and "g1" not in out
+
+
+def test_group_refuses_more_omega_terms_than_the_bound(tmp_path, capsys, monkeypatch):
+    # (Z/2)^k on k^16 generated by the reflections that send x_t to -x_t
+    # - 2 (x_k + ... + x_16), t <= k: the moved dual coordinates of the
+    # element flipping S involve S and the last 16 - k coordinates, so
+    # its omega_g has up to C(|S| + 16 - k, |S|) terms
+    def tail_flips(k, tail="-2"):
+        return {"dimension": 16, "cyclotomicOrder": 1,
+                "generators": [[["-1" if i == j == t else tail if i == t and j >= k
+                                 else "1" if i == j else "0" for j in range(16)]
+                                for i in range(16)] for t in range(k)]}
+
+    def most_terms(k):
+        return sum(comb(k, s) * comb(16 - k + s, s) for s in range(k + 1))
+
+    path = tmp_path / "flips.json"
+    built = []
+    monkeypatch.setattr(cli, "volume_form", lambda group, g: built.append(g))
+    path.write_text(json.dumps(tail_flips(7)))
+    code, out, err = run(capsys, "group", str(path))
+    assert most_terms(7) > MAX_GROUP_OMEGA_TERMS
+    assert code == 2 and out == "" and not built
+    assert f"{most_terms(7)} terms" in err and f"more than {MAX_GROUP_OMEGA_TERMS}" in err
+    monkeypatch.undo()
+    path.write_text(json.dumps(tail_flips(6)))
+    code, out, _ = run(capsys, "group", str(path))
+    assert most_terms(6) <= MAX_GROUP_OMEGA_TERMS
+    assert code == 0 and "order: 64" in out
+    # flipping seven coordinates in the standard basis, each omega_g is
+    # one wedge: 128 terms, not the C(23, 7) of an omega_g that could
+    # involve every coordinate
+    path.write_text(json.dumps(tail_flips(7, tail="0")))
+    code, out, _ = run(capsys, "group", str(path))
+    assert comb(23, 7) > MAX_GROUP_OMEGA_TERMS
+    assert code == 0 and "order: 128" in out
 
 
 # -------------------------------------------------------- cohomology cmd

@@ -9,7 +9,9 @@ freshly loaded group under the benchmark's tracer (perfbench/tracer.py)
 and reads its counters, so a change that puts one of them back on the
 fast path, or hides elimination from `linalg.elim`, fails here.  A
 `reynolds` that walks all of G again fails on its `act` count, an `act`
-that multiplies `Cyc`s on warm caches fails on `scalars.mul`, and a
+that multiplies `Cyc`s on warm caches fails on `scalars.mul`, a
+`schouten` that multiplies `Cyc`s or takes the two circle products
+apart fails on `scalars.mul` and `polyvec.circle_product`, and a
 character count that goes through the fast path fails on its counters.
 """
 
@@ -26,8 +28,11 @@ from skewbrack.cochain import (
     cohomology_dim_direct,
     reynolds,
 )
+from skewbrack.koszul import chain_bracket_avatar
+from skewbrack.linalg import Matrix
 from skewbrack import polyvec
 from skewbrack.polyvec import Polyvector
+from skewbrack.scalars import Cyc
 
 ROOT = Path(__file__).resolve().parent.parent
 D5 = ROOT / "perfbench" / "data" / "groups" / "d5.json"
@@ -86,6 +91,29 @@ def test_warm_action_multiplies_no_scalars():
     counts = tracer.counts()
     assert warm == cold and not any(a.is_zero() for a in warm)
     assert counts["polyvec.act.calls"] == 2
+    assert counts["scalars.mul.calls"] == 0
+
+
+def test_schouten_is_one_integer_circle_product():
+    # both circle products of the graded commutator go through one
+    # circle_product call that sums plain ints: a Cyc product inside it
+    # would show on the scalars.mul counter
+    pairs = []
+    for order in (5, 6):
+        z = Cyc.zeta(order)
+        x = (Polyvector.term(z * Fraction(1, 2), (1, 1, 0), (0, 1), order)
+             + Polyvector.term(z ** 2 - 1, (0, 2, 1), (1, 2), order))
+        y = (Polyvector.term(z ** 3 * Fraction(2, 3), (2, 0, 1), (2,), order)
+             + Polyvector.term(Fraction(-1, 2), (0, 1, 0), (0,), order))
+        pairs.append((x, y))
+    want = [chain_bracket_avatar(x, Matrix.identity(3, x.order),
+                                 y, Matrix.identity(3, y.order)) for x, y in pairs]
+    tracer = load_tracer().Tracer()
+    with tracer:
+        got = [polyvec.schouten(x, y) for x, y in pairs]
+    counts = tracer.counts()
+    assert got == want and not any(r.is_zero() for r in got)
+    assert counts["polyvec.circle_product.calls"] == len(pairs)
     assert counts["scalars.mul.calls"] == 0
 
 

@@ -275,8 +275,9 @@ def twisted_circle_product(x, y, gmat):
 
     over sub-multisets L of beta = alpha - e_i.  The sign is the wedge
     reordering sign times (-1)^((m-1)(pos+d-1)).  With gmat the identity
-    the weights over L sum to a_i by Vandermonde, which leaves
-    polyvec.circle_product.
+    the weights over L sum to a_i by Vandermonde, which leaves the
+    untwisted circle product, the first of the two that
+    polyvec.circle_product adds.
     """
     order = x.order
     acc = {}
@@ -379,6 +380,40 @@ def homogeneous_polyvector(draw, n):
 def test_chain_bracket_trivial_group_is_schouten(pair):
     x, y = pair
     idm = Matrix.identity(x.n, 1)
+    assert schouten(x, y) == chain_bracket_avatar(x, idm, y, idm)
+
+
+@st.composite
+def cyclotomic_pair(draw):
+    """Two homogeneous polyvectors on k^n over Q(zeta_N), N in {1, 3, 4,
+    5, 6}, with one to three monomials per wedge and coefficients
+    +-(1 or 2)/(1, 2 or 3) zeta^k: their products leave the power basis
+    and meet unequal denominators."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.sampled_from([1, 3, 4, 5, 6]))
+    coeffs = st.builds(lambda s, a, b, k: Cyc.zeta(order, k) * Fraction(s * a, b),
+                       st.sampled_from([-1, 1]), st.sampled_from([1, 2]),
+                       st.sampled_from([1, 2, 3]), st.integers(0, order - 1))
+
+    def polyvector():
+        wedges = list(combinations(range(n), draw(st.integers(0, min(n, 3)))))
+        out = Polyvector.zero(n, order)
+        for idx in draw(st.lists(st.sampled_from(wedges), min_size=1, max_size=2,
+                                 unique=True)):
+            terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), coeffs,
+                                         min_size=1, max_size=3))
+            for exps, c in terms.items():
+                out = out + Polyvector.term(c, exps, idx, order)
+        return out
+
+    return polyvector(), polyvector()
+
+
+@given(cyclotomic_pair())
+@settings(max_examples=60, deadline=None)
+def test_chain_bracket_trivial_group_is_schouten_over_cyclotomic_fields(pair):
+    x, y = pair
+    idm = Matrix.identity(x.n, x.order)
     assert schouten(x, y) == chain_bracket_avatar(x, idm, y, idm)
 
 

@@ -150,6 +150,17 @@ def test_schouten_leibniz():
     assert lhs == rhs
 
 
+def test_schouten_on_mixed_exterior_degrees():
+    # [x1 d1 + x2 d1^d2, x1^2 d2]: each pair of components takes the sign
+    # of its own exterior degrees
+    a = Polyvector.term(1, (1, 0), (0,), 1)
+    b = Polyvector.term(1, (0, 1), (0, 1), 1)
+    y = Polyvector.term(1, (2, 0), (1,), 1)
+    # 2 x1^2 d2 from the vector fields, and -(x1^2 d2 o x2 d1^d2)
+    assert schouten(a + b, y) == (Polyvector.term(2, (2, 0), (1,), 1)
+                                  + Polyvector.term(-1, (2, 0), (0, 1), 1))
+
+
 def test_printer():
     x = Polyvector.term(Fraction(1, 2), (2, 0, 0), (1, 2), 1)
     assert str(x) == "(1/2)*x1^2*d2^d3"
@@ -195,6 +206,14 @@ def test_wedge_sign_rule(x, y):
     p, q = x.degree(), y.degree()
     sign = -1 if (p * q) % 2 else 1
     assert x.wedge(y) == y.wedge(x) * sign
+
+
+@given(small_polyvector(ext=1, order=5), small_polyvector(ext=2, order=5),
+       small_polyvector(order=5))
+@settings(max_examples=30, deadline=None)
+def test_schouten_bilinear_on_mixed_exterior_degrees(a, b, y):
+    assert schouten(a + b, y) == schouten(a, y) + schouten(b, y)
+    assert schouten(y, a + b) == schouten(y, a) + schouten(y, b)
 
 
 def act_from_scratch(x, h, h_inv):
