@@ -130,14 +130,15 @@ def gerstenhaber(x, y):
     group = x.group
     degree = max(x.degree + y.degree - 1, 0)
     pairs = [(g, h) for g in sorted(x.terms) for h in sorted(y.terms)]
+    mult, inverses = group.mult_table, group.inverses
     values = {}
     for g, h in pairs:
         if (g, h) in values:
             continue
         value = values[(g, h)] = pair_commutator(group, g, x.terms[g], h, y.terms[h])
         for a in range(1, len(group)):
-            a_inv = group.inverse(a)
-            moved = (group.conjugate(g, a_inv), group.conjugate(h, a_inv))
+            a_inv = inverses[a]
+            moved = (mult[mult[a_inv][g]][a], mult[mult[a_inv][h]][a])
             if moved in values:
                 continue
             values[moved] = (value if isinstance(value, str)

@@ -28,7 +28,7 @@ from .cochain import (
     support_codim,
     volume_form,
 )
-from .groups import enumerate_group, geometry, is_ascii_number, resolve_word
+from .groups import enumerate_group, is_ascii_number, resolve_word
 from .koszul import (
     appendix_suite,
     chain_bracket_cochain,
@@ -36,7 +36,7 @@ from .koszul import (
     schouten_graded_laws,
     schouten_random_check,
 )
-from .linalg import Matrix
+from .linalg import Matrix, rank
 from .polyvec import Poly, Polyvector
 from .scalars import parse_scalar, print_scalar
 
@@ -55,14 +55,16 @@ from .scalars import parse_scalar, print_scalar
 # matrix with entries in {-1, 0, 1}) group takes 0.33 s at n = 14, 2.1 s
 # at 16 and 8 s at 18 (Python 3.11.7, 2 cores).  omega_g wedges the
 # codim moved dual coordinates of g, so it has at most C(k, codim g)
-# terms, k the coordinates that these involve; group refuses a group
-# whose sum of that over its elements is above MAX_GROUP_OMEGA_TERMS,
-# before it builds any omega_g.  S6 permuting six coordinates of k^16
+# terms, k the coordinates that these involve: the nonzero columns of
+# 1 - g, whose row space they span.  group refuses a group whose sum of
+# that over its elements is above MAX_GROUP_OMEGA_TERMS, before it
+# builds any omega_g or geometry, reading codim as the rank of 1 - r once
+# per class representative r.  S6 permuting six coordinates of k^16
 # (720 elements, a sum of 5,671) takes 2.7 s and prints 777 KB, and
 # (Z/2)^10 flipping ten coordinates of k^12 (one term per omega_g,
-# 1,024) 4.5-4.9 s and 633 KB; a dense conjugate of that S6 (1,122,000)
-# took 102 s and 34 MB and is refused, in about 7 s, most of it in
-# geometry.  Near the bound, on conjugates by a unipotent matrix with
+# 1,024) 4.5-4.9 s and 633 KB; a dense conjugate of that S6 (about 1.1
+# million) took 102 s and 34 MB and is refused in 1.6-2.0 s, most of it
+# enumerating the group.  Near the bound, on conjugates by a unipotent matrix with
 # entries in {-1, 0, 1}, group takes 4.0 s and prints 634 KB on S6
 # permuting six coordinates of k^8 (a sum of 34,707; enumeration and
 # geometry are half of it) and 1.5 s and 501 KB on (Z/2)^6 flipping six
@@ -254,14 +256,20 @@ def _emit(report, lines, as_json):
 
 def cmd_group(args):
     group, _ = load_group_file(args.file)
-    codims, terms = [], 0
-    for i in range(len(group)):
-        geom = geometry(group, i)
-        codims.append(geom.codim)
-        # omega_g wedges the codim moved dual coordinates, so its wedges
-        # use only the k coordinates that these involve
-        moved = geom.dual_change.rows[group.dim - geom.codim:]
-        terms += comb(sum(map(any, zip(*moved))), geom.codim)
+    ident = Matrix.identity(group.dim, group.scalar_order)
+    codims = [None] * len(group)
+    for cls in group.conj_classes:
+        # codim is a class function
+        codim = rank(ident - group.matrix(cls[0]))
+        for k in cls:
+            codims[k] = codim
+    terms = 0
+    for i, codim in enumerate(codims):
+        # omega_g wedges the codim moved dual coordinates, which span the
+        # row space of 1 - g, so its wedges use only the k coordinates of
+        # the nonzero columns of 1 - g: the columns where g is not 1
+        moved = sum(a != b for a, b in zip(zip(*group.matrix(i).rows), zip(*ident.rows)))
+        terms += comb(moved, codim)
     if terms > MAX_GROUP_OMEGA_TERMS:
         raise ValueError(f"{args.file}: the omega_g of the group may have {terms} "
                          f"terms in all (C(k, codim g) summed over its elements, "

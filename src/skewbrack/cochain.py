@@ -108,9 +108,27 @@ def reynolds(c):
 
 
 def is_invariant(c):
-    """Whether c.h == c for every h in G.  Since (c.h).k == c.(hk), it
-    suffices to check the generators."""
-    return all(act_cochain(c, h) == c for h in c.group.generator_indices)
+    """Whether c.h == c for every h in G, checked one conjugacy class at a
+    time.  c is invariant exactly when its support is a union of whole
+    classes and, for each class cls in it with representative r, X_r is
+    fixed by C(r) and X_k = X_r.a_k for a_k = conjugators[k]: then any
+    h has a_k h = z a_(h^-1 k h) with z in C(r), so X_k.h = X_(h^-1 k h).
+    C(r) fixes X_r when its generators, group.centralizer_gens, do; that
+    is |gens C(r)| + |cls| - 1 act calls per class."""
+    group = c.group
+    terms = c.terms
+    for cls, gens in zip(group.conj_classes, group.centralizer_gens):
+        present = sum(k in terms for k in cls)
+        if not present:
+            continue
+        if present < len(cls):
+            return False
+        xr = terms[cls[0]]
+        if any(act(xr, [group.action(s)]) != xr for s in gens):
+            return False
+        if any(act(xr, [group.action(group.conjugators[k])]) != terms[k] for k in cls[1:]):
+            return False
+    return True
 
 
 def _filter_reduced_adapted(pv, n, codim):
@@ -151,7 +169,17 @@ def project(c):
 
 
 def is_reduced(c):
-    return project(c) == c
+    """Whether project(c) == c: each component with codim > 0, moved once
+    to adapted coordinates, keeps every term under the reduced filter."""
+    group = c.group
+    for g, pv in c.terms.items():
+        geom = geometry(group, g)
+        if geom.codim == 0:
+            continue
+        adapted = act(pv, [(geom.adapted, geom.dual_change)])
+        if _filter_reduced_adapted(adapted, group.dim, geom.codim) != adapted:
+            return False
+    return True
 
 
 def monomials(n, total):

@@ -1,8 +1,9 @@
 """Finite matrix groups acting on V.
 
-Enumeration from generators, multiplication data, conjugacy classes, and
-the per-element geometry: the fixed subspace V^g, its canonical complement
-(1-g)V and the change to coordinates adapted to that splitting.  The
+Enumeration from generators, multiplication data, conjugacy classes with
+their centralizers and generators of these, and the per-element geometry:
+the fixed subspace V^g, its canonical complement (1-g)V and the change to
+coordinates adapted to that splitting.  The
 volume form omega_g of the complement is a reduced basis element, built
 in cochain.volume_form where it is shown.
 """
@@ -25,8 +26,10 @@ class Group:
     generator_indices[j] is the index of the j-th generator, and names[j]
     its name in words.  Each class cls in conj_classes is ascending, with
     representative r = cls[0]; centralizers[c] is the centralizer of r,
-    ascending, and conjugators[k] the first h with h^-1 r h = k for k in
-    cls.  Elements are keyed by their matrices, so the identity is the
+    ascending, centralizer_gens[c] generates it (each h of centralizers[c]
+    in turn, kept when not in the subgroup the ones kept before it
+    generate), and conjugators[k] is the first h with h^-1 r h = k for k
+    in cls.  Elements are keyed by their matrices, so the identity is the
     only element acting trivially on V.  The geometry of each element is
     computed on first use and kept on the group.
     """
@@ -42,13 +45,14 @@ class Group:
         "inverses",
         "conj_classes",
         "centralizers",
+        "centralizer_gens",
         "conjugators",
         "_geometries",
     )
 
     def __init__(self, dim, scalar_order, names, generator_indices, matrices,
                  words, mult_table, inverses, conj_classes, centralizers,
-                 conjugators):
+                 centralizer_gens, conjugators):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "scalar_order", scalar_order)
         object.__setattr__(self, "names", names)
@@ -59,6 +63,7 @@ class Group:
         object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "conj_classes", conj_classes)
         object.__setattr__(self, "centralizers", centralizers)
+        object.__setattr__(self, "centralizer_gens", centralizer_gens)
         object.__setattr__(self, "conjugators", conjugators)
         object.__setattr__(self, "_geometries", [None] * len(matrices))
 
@@ -159,9 +164,37 @@ def enumerate_group(generators, bound=1024, names=None):
         conj_classes.append(tuple(sorted(set(images))))
         centralizers.append(tuple(h for h, k in enumerate(images) if k == r))
 
+    # classes of an abelian group all share one centralizer, G itself
+    gens_of = {}
+    for cent in centralizers:
+        if cent not in gens_of:
+            gens_of[cent] = _generators(cent, mult_table)
+    centralizer_gens = tuple(gens_of[cent] for cent in centralizers)
     return Group(n, order, names, tuple(right[0]), matrices, words,
                  mult_table, inverses, conj_classes, tuple(centralizers),
-                 tuple(conjugators))
+                 centralizer_gens, tuple(conjugators))
+
+
+def _generators(subgroup, mult_table):
+    """Generators of a subgroup given as its ascending elements: each h
+    in turn, kept when the ones kept before it do not generate h.  The
+    subgroup they generate is closed under right multiplication by them
+    through mult_table: an element already reached needs only the new
+    generator, a new one every generator kept."""
+    gens, reached = [], {0}
+    for h in subgroup:
+        if h in reached:
+            continue
+        gens.append(h)
+        queue = [(x, (h,)) for x in reached]
+        while queue:
+            x, by = queue.pop()
+            for s in by:
+                y = mult_table[x][s]
+                if y not in reached:
+                    reached.add(y)
+                    queue.append((y, gens))
+    return tuple(gens)
 
 
 def is_ascii_number(text):

@@ -212,6 +212,27 @@ def test_oracle_agrees_on_a_non_monomial_group():
     assert (len(pool) ** 2, found) == (9, 4)
 
 
+@pytest.mark.parametrize("path, pairs, nonzero", [(GROUP_DATA / "d4.json", 45, 10),
+                                                   (S4_ROOT_BASIS, 6, 2)],
+                         ids=["d4", "s4-root-basis"])
+def test_graded_antisymmetry_on_basis_classes(path, pairs, nonzero):
+    # [x, y] = -(-1)^((|x|-1)(|y|-1)) [y, x] exactly, not only up to a
+    # coboundary: each class has one invariant reduced representative,
+    # and the bracket returns it
+    group = load_group_file(str(path))[0]
+    pool = [c for p, m in ((1, 0), (1, 1), (2, 0), (2, 1)) for c in cohomology_basis(group, p, m)]
+    tried = found = 0
+    for i, x in enumerate(pool):
+        for y in pool[i:]:
+            xy, yx = gerstenhaber(x, y).result, gerstenhaber(y, x).result
+            sign = (-1) ** ((x.degree - 1) * (y.degree - 1))
+            assert xy == yx * Cyc.of(-sign, group.scalar_order), (x, y)
+            assert is_invariant(xy) and is_reduced(xy), (x, y)
+            tried += 1
+            found += not xy.is_zero()
+    assert (tried, found) == (pairs, nonzero)
+
+
 def test_oracle_agrees_on_a_d5_pair_the_projection_kills():
     group = load_group_file(str(GROUP_DATA / "d5.json"))[0]
     x = cohomology_basis(group, 1, 2)[0]

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import load_tracer
 from skewbrack import cli
 from skewbrack.cli import (
     MAX_DIMENSION,
@@ -190,7 +191,12 @@ def test_group_refuses_more_omega_terms_than_the_bound(tmp_path, capsys, monkeyp
     built = []
     monkeypatch.setattr(cli, "volume_form", lambda group, g: built.append(g))
     path.write_text(json.dumps(tail_flips(7)))
-    code, out, err = run(capsys, "group", str(path))
+    # the bound reads codim as a rank per class and k_g off the columns
+    # of 1 - g, so the refusal computes no geometry
+    tracer = load_tracer().Tracer()
+    with tracer:
+        code, out, err = run(capsys, "group", str(path))
+    assert tracer.counts()["groups.geometry.calls"] == 0
     assert most_terms(7) > MAX_GROUP_OMEGA_TERMS
     assert code == 2 and out == "" and not built
     assert f"{most_terms(7)} terms" in err and f"more than {MAX_GROUP_OMEGA_TERMS}" in err

@@ -7,13 +7,13 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import mat, trivial_group_k
 from skewbrack.scalars import Cyc
 from skewbrack.linalg import Matrix
 from skewbrack.polyvec import Poly, Polyvector, act, euler_field
-from skewbrack.groups import Group, enumerate_group, resolve_word
+from skewbrack.groups import Group, enumerate_group, geometry, resolve_word
 from skewbrack.cochain import (
     Cochain,
     act_cochain,
@@ -204,20 +204,21 @@ def test_reynolds_kills_odd_classes():
     assert reynolds(y).is_zero()
 
 
-_AVERAGED_GROUPS = {}
+_LOADED_GROUPS = {}
 
 
-def averaged_group(name):
-    if name not in _AVERAGED_GROUPS:
-        _AVERAGED_GROUPS[name] = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
-    return _AVERAGED_GROUPS[name]
+def loaded_group(path):
+    """The group of a group file, loaded once per test session."""
+    if path not in _LOADED_GROUPS:
+        _LOADED_GROUPS[path] = load_group_file(str(path))[0]
+    return _LOADED_GROUPS[path]
 
 
 @st.composite
 def random_cochain(draw):
     """A cochain on S4, D5 or S5 with a few random terms of one exterior
     degree and random components, with cyclotomic coefficients on D5."""
-    group = averaged_group(draw(st.sampled_from(["s4", "d5", "s5"])))
+    group = loaded_group(GROUP_DATA / f"{draw(st.sampled_from(['s4', 'd5', 's5']))}.json")
     n, order = group.dim, group.scalar_order
     p = draw(st.integers(0, 2))
     wedges = list(combinations(range(n), p))
@@ -601,3 +602,93 @@ def test_project_idempotent_random(c):
     p = project(c)
     assert project(p) == p
     assert is_reduced(p)
+
+
+# The per-class checks against their definitions, on a nonabelian group
+# over Q(zeta4), a non-monomial action and the rotation pair over Q(zeta6)
+CHECKED_GROUPS = [GROUP_DATA / "d4.json", S4_ROOT_BASIS,
+                  S4_ROOT_BASIS.parent / "rotation_pair_k5_z6.json"]
+
+
+@st.composite
+def random_terms(draw, group, p):
+    """A polyvector of exterior degree p and one polynomial degree at most
+    2, with a random coefficient in {0, ±1, 2} times a power of zeta at
+    every term, so that its averages are seldom zero."""
+    n, order = group.dim, group.scalar_order
+    keys = ambient_keys(n, p, draw(st.integers(0, 2)))
+    coeffs = draw(st.lists(st.tuples(st.sampled_from([0, 0, 1, -1, 2]), st.integers(0, order - 1)),
+                           min_size=len(keys), max_size=len(keys)))
+    pv = Polyvector.zero(n, order)
+    for (idx, exps), (c, k) in zip(keys, coeffs):
+        if c:
+            pv = pv + Polyvector.term(Cyc.zeta(order, k) * c, exps, idx, order)
+    return pv
+
+
+@st.composite
+def near_invariant_cochain(draw):
+    """A Reynolds average, as it is or broken at one class: perturbed at
+    one component, with one class member dropped, or with its
+    representative dropped while a conjugate stays."""
+    group = loaded_group(draw(st.sampled_from(CHECKED_GROUPS)))
+    p = draw(st.integers(0, 2))
+    raw = {draw(st.integers(0, len(group) - 1)): draw(random_terms(group, p))
+           for _ in range(draw(st.integers(1, 3)))}
+    terms = dict(reynolds(Cochain(group, p, raw)).terms)
+    assume(terms)
+    classes = [cls for cls in group.conj_classes if cls[0] in terms]
+    how = draw(st.sampled_from(["average", "perturb", "drop", "drop representative"]))
+    if classes and how != "average":
+        cls = draw(st.sampled_from(classes))
+        if how == "perturb":
+            # a conjugate where the class has one, so that the transport
+            # from the representative is what breaks; every class of the
+            # rotation pair is one element, and there the representative
+            k = draw(st.sampled_from(cls[1:] or cls))
+            terms[k] = terms[k] + draw(random_terms(group, p))
+        elif how == "drop":
+            del terms[draw(st.sampled_from(cls))]
+        else:
+            del terms[cls[0]]
+    return Cochain(group, p, terms)
+
+
+@given(near_invariant_cochain())
+@settings(max_examples=60, deadline=None)
+def test_is_invariant_is_invariance_under_every_element(c):
+    assert is_invariant(c) == invariant_under_every_element(c)
+
+
+@st.composite
+def near_reduced_cochain(draw):
+    """Random terms, which the projection mostly changes and partly
+    keeps, their projection, or their projection with one component added
+    that the projection changes or drops: a term with a moved variable,
+    in coordinates adapted to its element.  In exterior degree 0 the
+    projection keeps only the identity's component, so p starts at 1."""
+    group = loaded_group(draw(st.sampled_from(CHECKED_GROUPS)))
+    n, order = group.dim, group.scalar_order
+    p = draw(st.integers(1, 3))
+    raw = Cochain(group, p, {draw(st.integers(0, len(group) - 1)): draw(random_terms(group, p))
+                             for _ in range(draw(st.integers(1, 3)))})
+    how = draw(st.sampled_from(["raw", "projected", "moved variable"]))
+    if how == "raw":
+        return raw
+    c = project(raw)
+    assume(how == "moved variable" or not c.is_zero())
+    if how == "moved variable":
+        g = draw(st.integers(1, len(group) - 1))
+        geom = geometry(group, g)
+        exps = [0] * n
+        exps[n - 1] = 1
+        wedge = draw(st.sampled_from(list(combinations(range(n), p))))
+        term = Polyvector.term(1, tuple(exps), wedge, order)
+        c = c + Cochain.single(group, g, act(term, [(geom.dual_change, geom.adapted)]))
+    return c
+
+
+@given(near_reduced_cochain())
+@settings(max_examples=60, deadline=None)
+def test_is_reduced_is_fixed_by_project(c):
+    assert is_reduced(c) == (project(c) == c)

@@ -8,8 +8,10 @@ left to the chain-level oracle.  This runs cohomology and a bracket on a
 freshly loaded group under the benchmark's tracer (perfbench/tracer.py)
 and reads its counters, so a change that puts one of them back on the
 fast path, or hides elimination from `linalg.elim`, fails here.  A
-`reynolds` that walks all of G again fails on its `act` count, an `act`
-that multiplies `Cyc`s on warm caches fails on `scalars.mul`, a
+`reynolds` that walks all of G again fails on its `act` count, and so
+do bracket preconditions that act on every component with every
+generator of G; an `act` that multiplies `Cyc`s on warm caches fails on
+`scalars.mul`, a
 `schouten` that multiplies `Cyc`s or takes the two circle products
 apart fails on `scalars.mul` and `polyvec.circle_product`, and a
 character count that goes through the fast path fails on its counters.
@@ -18,7 +20,10 @@ character count that goes through the fast path fails on its counters.
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from helpers import load_tracer
+from skewbrack import bracket
 from skewbrack.bracket import gerstenhaber
 from skewbrack.cli import load_group_file
 from skewbrack.cochain import (
@@ -28,6 +33,7 @@ from skewbrack.cochain import (
     cohomology_dim_direct,
     reynolds,
 )
+from skewbrack.groups import geometry
 from skewbrack.koszul import chain_bracket_avatar
 from skewbrack.linalg import Matrix
 from skewbrack import polyvec
@@ -36,6 +42,7 @@ from skewbrack.scalars import Cyc
 
 ROOT = Path(__file__).resolve().parent.parent
 D5 = ROOT / "perfbench" / "data" / "groups" / "d5.json"
+S4 = ROOT / "perfbench" / "data" / "groups" / "s4.json"
 S5 = ROOT / "perfbench" / "data" / "groups" / "s5.json"
 ROT = ROOT / "perfbench" / "data" / "groups" / "rot.json"
 
@@ -131,3 +138,37 @@ def test_character_count_shares_no_code_with_the_fast_path():
     assert counts["linalg.elim.calls"] == 0
     assert counts["groups.geometry.calls"] == 0
     assert counts["cochain.centralizer_reynolds.calls"] == 0
+
+
+def test_preconditions_act_once_per_class_member_and_centralizer_generator():
+    # on S4 (2,0) classes of eight components, invariance is checked per
+    # class: |gens C(r)| + |cls| - 1 act calls, against 2 |cls| when every
+    # component was acted on by every generator of G; reduced form is one
+    # act call per class representative with codim > 0, against two
+    group, _ = load_group_file(str(S4))
+    (x,) = [c for c in cohomology_basis(group, 2, 0) if len(c.terms) == 8]
+    y = x * Cyc.of(-3, 1)
+    expected = 0
+    for c in (x, y):
+        for cls, gens in zip(group.conj_classes, group.centralizer_gens):
+            if cls[0] in c.terms:
+                expected += len(gens) + len(cls) - 1
+                expected += geometry(group, cls[0]).codim > 0
+    assert expected == 2 * (1 + 8 - 1 + 1)
+
+    def traced(skip_preconditions):
+        """The bracket, and its project and act calls."""
+        with pytest.MonkeyPatch.context() as patch:
+            if skip_preconditions:
+                patch.setattr(bracket, "is_invariant", lambda c: True)
+                patch.setattr(bracket, "is_reduced", lambda c: True)
+            tracer = load_tracer().Tracer()
+            with tracer:
+                result = gerstenhaber(x, y).result
+        counts = tracer.counts()
+        assert counts["cochain.act_cochain.calls"] == 0
+        return result, counts["cochain.project.calls"], counts["polyvec.act.calls"]
+
+    checked, unchecked = traced(False), traced(True)
+    assert checked[:2] == unchecked[:2]
+    assert checked[2] - unchecked[2] == expected

@@ -130,10 +130,21 @@ def brute_force_tables(g):
     return table, inverses, classes, centralizers, tuple(conjugators[k] for k in range(len(g)))
 
 
+def closure(elements, table):
+    """The subgroup generated by elements: products of pairs, added until
+    nothing new appears."""
+    out = {0, *elements}
+    while True:
+        more = out | {table[a][b] for a in out for b in out}
+        if more == out:
+            return out
+        out = more
+
+
 def test_mult_data_matches_matrix_products():
     groups = dict(fixture_groups())
-    for name in ("s4", "d5", "rot", "s5"):
-        groups[name] = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+    for name, path in GROUP_FILES.items():
+        groups[name] = load_group_file(str(path))[0]
     assert len(groups["s4"]) == 24 and len(groups["s5"]) == 120
     for name, g in groups.items():
         table, inverses, classes, centralizers, conjugators = brute_force_tables(g)
@@ -146,6 +157,17 @@ def test_mult_data_matches_matrix_products():
             assert g.conjugators[cls[0]] == 0, name
             for k in cls:
                 assert g.conjugate(cls[0], g.inverse(g.conjugators[k])) == k, (name, k)
+        # each generator of a centralizer lies in it and is new: not in
+        # the subgroup the ones kept before it generate; together they
+        # generate all of it
+        assert len(g.centralizer_gens) == len(centralizers), name
+        for cent, gens in zip(centralizers, g.centralizer_gens):
+            kept = set()
+            for s in gens:
+                assert s in cent, (name, s)
+                assert s not in closure(kept, table), (name, s)
+                kept.add(s)
+            assert closure(kept, table) == set(cent), name
 
 
 def test_symmetric_two_conjugacy():
