@@ -12,11 +12,11 @@ from the codimension grading are provided alongside.
 
 from .cochain import Cochain, is_invariant, is_reduced, project
 from .groups import geometry
-from .linalg import Matrix, kernel_basis, rref, solve_membership
+from .linalg import Frozen, Matrix, kernel_basis, rref, solve_membership
 from .polyvec import act, schouten
 
 
-class BracketReport:
+class BracketReport(Frozen):
     """Bracket value plus per-pair diagnostics.
 
     result: the bracket as a cochain.
@@ -30,12 +30,8 @@ class BracketReport:
     __slots__ = ("result", "per_component_terms", "vanishing_diagnostics")
 
     def __init__(self, result, per_component_terms, vanishing_diagnostics):
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "per_component_terms", per_component_terms)
-        object.__setattr__(self, "vanishing_diagnostics", vanishing_diagnostics)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BracketReport is immutable")
+        self._init(result=result, per_component_terms=per_component_terms,
+                   vanishing_diagnostics=vanishing_diagnostics)
 
 
 def moved_intersection(group, g, h):
@@ -63,7 +59,7 @@ def perp_vanishing_applies(group, g, h):
     if not inter:
         return False
     for k in group.generator_indices:
-        gen = group.matrix(k)
+        gen = group.matrices[k]
         for v in inter:
             if solve_membership(inter, tuple(gen.apply(list(v))), order) is None:
                 return False
@@ -92,7 +88,7 @@ def pair_commutator(group, g, xg, h, yh):
     raw = schouten(xg, yh)
     if raw.is_zero():
         return "schouten zero"
-    k = group.mult(g, h)
+    k = group.mult_table[g][h]
     projected = project(Cochain.single(group, k, raw)).component(k)
     if projected.is_zero():
         return ("perp-intersection" if moved_intersection(group, g, h)
@@ -151,7 +147,7 @@ def gerstenhaber(x, y):
         if isinstance(value, str):
             diagnostics.append((g, h, value))
             continue
-        k = group.mult(g, h)
+        k = mult[g][h]
         per_terms[(g, h)] = value
         comps[k] = comps[k] + value if k in comps else value
     return BracketReport(Cochain(group, degree, comps), per_terms, diagnostics)
@@ -162,12 +158,12 @@ def minimal_degree_vanishing(x, y):
     identity, the one element acting trivially: every component supported
     at another element, with exterior part exactly the volume form
     (exterior degree equal to codim).  When true, the bracket represents
-    zero."""
+    zero.  codim is a class function, so it is read at the representative
+    of each class that meets a support."""
     group = x.group
     for c in (x, y):
-        for g in c.terms:
-            if g == 0:
-                return False
-            if geometry(group, g).codim != c.degree:
-                return False
+        if 0 in c.terms or any(geometry(group, cls[0]).codim != c.degree
+                               for cls in group.conj_classes
+                               if not c.terms.keys().isdisjoint(cls)):
+            return False
     return True

@@ -28,7 +28,7 @@ from .cochain import (
     support_codim,
     volume_form,
 )
-from .groups import enumerate_group, is_ascii_number, resolve_word
+from .groups import MAX_GROUP_ORDER, enumerate_group, is_ascii_number, resolve_word
 from .koszul import (
     appendix_suite,
     chain_bracket_cochain,
@@ -45,12 +45,13 @@ from .scalars import parse_scalar, print_scalar
 
 # Size bounds on input, checked before any arithmetic.  The order bounds
 # the field degree and the cost of each inverse, a product of phi(N) - 1
-# conjugates; the group order bounds the enumeration, which lists that many
-# elements before it refuses an infinite group; the total degree of a class
-# term bounds the work of substituting into it, and cohomology --m is held
-# to it so that every printed class loads back.  The dimension n bounds
-# the work per element: a matrix product takes n^3 scalar products, and
-# group prints each omega_g, of up to C(n, codim g) terms.  On a dense
+# conjugates; the group order, groups.MAX_GROUP_ORDER, bounds the
+# enumeration, which lists that many elements before it refuses an
+# infinite group; the total degree of a class term bounds the work of
+# substituting into it, and cohomology --m is held to it so that every
+# printed class loads back.  The dimension n bounds the work per element:
+# a matrix product takes n^3 scalar products, and group prints each
+# omega_g, of up to C(n, codim g) terms.  On a dense
 # order-2 action of k^n (-1 on half of a basis, conjugated by a random
 # matrix with entries in {-1, 0, 1}) group takes 0.33 s at n = 14, 2.1 s
 # at 16 and 8 s at 18 (Python 3.11.7, 2 cores).  omega_g wedges the
@@ -63,13 +64,13 @@ from .scalars import parse_scalar, print_scalar
 # (720 elements, a sum of 5,671) takes 2.7 s and prints 777 KB, and
 # (Z/2)^10 flipping ten coordinates of k^12 (one term per omega_g,
 # 1,024) 4.5-4.9 s and 633 KB; a dense conjugate of that S6 (about 1.1
-# million) took 102 s and 34 MB and is refused in 1.6-2.0 s, most of it
-# enumerating the group.  Near the bound, on conjugates by a unipotent matrix with
-# entries in {-1, 0, 1}, group takes 4.0 s and prints 634 KB on S6
-# permuting six coordinates of k^8 (a sum of 34,707; enumeration and
-# geometry are half of it) and 1.5 s and 501 KB on (Z/2)^6 flipping six
-# coordinates of k^15 (38,011); at k^16 (67,990, refused) it took 3.0 s
-# and 1.1 MB (Python 3.11.7, 2 cores).  A cohomology piece has
+# million) is refused in 1.6-2.0 s, most of it enumerating the group.
+# Near the bound, on conjugates by a unipotent matrix with entries in
+# {-1, 0, 1}, group takes 4.0 s and prints 634 KB on S6 permuting six
+# coordinates of k^8 (a sum of 34,707; enumeration and geometry are half
+# of it) and 1.5 s and 501 KB on (Z/2)^6 flipping six coordinates of
+# k^15 (38,011); at k^16 (67,990, refused) it would take 3.0 s and print
+# 1.1 MB (Python 3.11.7, 2 cores).  A cohomology piece has
 # C(n, p) C(m + n - 1, n - 1) terms per element, and the basis eliminates
 # sparse rows over them; its cross-check, the character count, reads
 # traces only and costs little.  On k^5, --p 2 takes 0.08 s at 700 terms
@@ -82,7 +83,6 @@ from .scalars import parse_scalar, print_scalar
 # 0.11 s at 25,200 (Python 3.11.7, 2 cores, with the bounds lifted).
 MAX_CYCLOTOMIC_ORDER = 100
 MAX_DIMENSION = 16
-MAX_GROUP_ORDER = 1024
 MAX_GROUP_OMEGA_TERMS = 50000
 MAX_TERM_DEGREE = 16
 MAX_PIECE_TERMS = 1000
@@ -260,7 +260,7 @@ def cmd_group(args):
     codims = [None] * len(group)
     for cls in group.conj_classes:
         # codim is a class function
-        codim = rank(ident - group.matrix(cls[0]))
+        codim = rank(ident - group.matrices[cls[0]])
         for k in cls:
             codims[k] = codim
     terms = 0
@@ -268,7 +268,7 @@ def cmd_group(args):
         # omega_g wedges the codim moved dual coordinates, which span the
         # row space of 1 - g, so its wedges use only the k coordinates of
         # the nonzero columns of 1 - g: the columns where g is not 1
-        moved = sum(a != b for a, b in zip(zip(*group.matrix(i).rows), zip(*ident.rows)))
+        moved = sum(a != b for a, b in zip(zip(*group.matrices[i].rows), zip(*ident.rows)))
         terms += comb(moved, codim)
     if terms > MAX_GROUP_OMEGA_TERMS:
         raise ValueError(f"{args.file}: the omega_g of the group may have {terms} "
@@ -280,7 +280,7 @@ def cmd_group(args):
         elements.append({
             "index": i,
             "word": group.words[i],
-            "matrix": _matrix_strings(group.matrix(i)),
+            "matrix": _matrix_strings(group.matrices[i]),
             "codim": codim,
             "omega": str(volume_form(group, i)),
         })
@@ -511,7 +511,8 @@ def _verify_examples(args):
 
 
 def cmd_verify(args):
-    ok, report, lines = args.run(args)
+    # looked up when it runs, so that a replaced _verify_<suite> is seen
+    ok, report, lines = globals()[f"_verify_{args.suite}"](args)
     report["pass"] = ok
     lines.append("verify: all checks pass" if ok
                  else "verify: FAILURES detected")
@@ -596,10 +597,9 @@ def build_parser():
                        help="bound for the right block")
     p_hom.add_argument("--t", type=_count(0, 4), default=3,
                        help="bound for the middle degree")
-    # schouten takes about 5.5 s at its default --dim 3, against 9-10 s
-    # before the Schouten bracket summed in integers, and 63 s at --dim 4,
-    # against 126 s (Python 3.11.7, 2 cores, side by side); each random
-    # pair costs about 3.3 ms, so --pairs 1000 adds 3.3 s.
+    # schouten takes about 5.5 s at its default --dim 3 and 63 s at --dim 4
+    # (Python 3.11.7, 2 cores); each random pair costs about 3.3 ms, so
+    # --pairs 1000 adds 3.3 s.
     p_sch = suites.add_parser("schouten", allow_abbrev=False,
                               help="the Schouten bracket laws")
     p_sch.add_argument("--dim", type=_count(1, 3), default=3, help="dimension")
@@ -608,16 +608,17 @@ def build_parser():
     p_sch.add_argument("--seed", type=int, default=0, help="random seed")
     p_ex = suites.add_parser("examples", allow_abbrev=False,
                              help="the worked bracket examples")
-    for p_suite, run in ((p_app, _verify_appendix), (p_hom, _verify_homotopy),
-                         (p_sch, _verify_schouten), (p_ex, _verify_examples)):
+    for p_suite in (p_app, p_hom, p_sch, p_ex):
         p_suite.add_argument("--json", action="store_true")
-        p_suite.set_defaults(func=cmd_verify, run=run)
+        p_suite.set_defaults(func=cmd_verify)
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, RuntimeError) as exc:

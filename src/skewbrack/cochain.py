@@ -38,7 +38,7 @@ class Cochain(SparseTerms):
             if pv.degree() != degree:
                 raise ValueError("component exterior degree disagrees with cochain degree")
             clean[g] = pv
-        self._init(clean, group=group, degree=degree)
+        self._init(terms=clean, group=group, degree=degree)
 
     @staticmethod
     def single(group, g, pv):
@@ -70,7 +70,7 @@ def differential(c):
     exterior and the polynomial degree by one."""
     out = {}
     for g, pv in c.terms.items():
-        w = euler_field(c.group.matrix(g)).wedge(pv)
+        w = euler_field(c.group.matrices[g]).wedge(pv)
         if not w.is_zero():
             out[g] = w
     return Cochain(c.group, c.degree + 1, out)
@@ -84,8 +84,8 @@ def act_cochain(c, h):
     """Right action: the component at g moves to h^-1 g h, a bijection of
     G, with the polyvector transported through h."""
     group = c.group
-    h_inv, pair = group.inverse(h), [group.action(h)]
-    return Cochain(group, c.degree, {group.conjugate(g, h_inv): act(pv, pair)
+    mult, h_inv, pair = group.mult_table, group.inverses[h], [group.action(h)]
+    return Cochain(group, c.degree, {mult[mult[h_inv][g]][h]: act(pv, pair)
                                      for g, pv in c.terms.items()})
 
 
@@ -97,7 +97,7 @@ def reynolds(c):
     group = c.group
     out = {}
     for cls, cent in zip(group.conj_classes, group.centralizers):
-        moved = [act(c.terms[k], [group.action(group.inverse(group.conjugators[k]))])
+        moved = [act(c.terms[k], [group.action(group.inverses[group.conjugators[k]])])
                  for k in cls if k in c.terms]
         if moved:
             total = sum(moved[1:], moved[0]) * Cyc.of(Fraction(1, len(cls)), group.scalar_order)
@@ -243,7 +243,7 @@ def is_coboundary(c):
 
     witness = {}
     for g, pv in c.terms.items():
-        e_g = euler_field(group.matrix(g))
+        e_g = euler_field(group.matrices[g])
         columns = []
         sources = []
         for idx, exps in src_keys:
@@ -312,8 +312,12 @@ def volume_form(group, g):
 def support_codim(c):
     """The codimension degree of c: the largest codim of an element in
     its support, 0 for the zero cochain.  A nonzero bracket of invariant
-    reduced cocycles of codimension degrees i and j has degree i + j."""
-    return max((geometry(c.group, g).codim for g in c.terms), default=0)
+    reduced cocycles of codimension degrees i and j has degree i + j.
+    codim is a class function, so it is read at the representative of
+    each class that meets the support."""
+    group = c.group
+    return max((geometry(group, cls[0]).codim for cls in group.conj_classes
+                if not c.terms.keys().isdisjoint(cls)), default=0)
 
 
 def cohomology_basis(group, p, m):
@@ -365,7 +369,7 @@ def cohomology_dim_direct(group, p, m):
 
     total = 0
     for cls, cent in zip(group.conj_classes, group.centralizers):
-        e_g = euler_field(group.matrix(cls[0]))
+        e_g = euler_field(group.matrices[cls[0]])
         here = averages(cent, p, m)
         below = averages(cent, p - 1, m - 1)
         total += (rank(here, p, m)

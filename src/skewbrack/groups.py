@@ -9,6 +9,7 @@ in cochain.volume_form where it is shown.
 """
 
 from .linalg import (
+    Frozen,
     Matrix,
     image_basis,
     kernel_basis,
@@ -17,21 +18,28 @@ from .linalg import (
 )
 
 
-class Group:
-    """A finite matrix group with its multiplication table.
+# The most elements enumerate_group lists before it refuses a group as
+# not finite, and the largest "bound" a group file may ask for.
+MAX_GROUP_ORDER = 1024
+
+
+class Group(Frozen):
+    """A finite matrix group, given as its tables, each passed by keyword.
 
     matrices[0] is always the identity, and words[i] is the first
     generator word reaching matrices[i] during enumeration ("e" for the
-    identity).  mult_table[i][j] is the index of matrices[i] * matrices[j].
+    identity).  mult_table[i][j] is the index of matrices[i] * matrices[j],
+    and inverses[i] that of the inverse of matrices[i].
     generator_indices[j] is the index of the j-th generator, and names[j]
     its name in words.  Each class cls in conj_classes is ascending, with
     representative r = cls[0]; centralizers[c] is the centralizer of r,
     ascending, centralizer_gens[c] generates it (each h of centralizers[c]
     in turn, kept when not in the subgroup the ones kept before it
     generate), and conjugators[k] is the first h with h^-1 r h = k for k
-    in cls.  Elements are keyed by their matrices, so the identity is the
-    only element acting trivially on V.  The geometry of each element is
-    computed on first use and kept on the group.
+    in cls.  Readers index these tables directly.  Elements are keyed by
+    their matrices, so the identity is the only element acting trivially
+    on V.  The geometry of each element is computed on first use and kept
+    on the group.
     """
 
     __slots__ = (
@@ -50,48 +58,19 @@ class Group:
         "_geometries",
     )
 
-    def __init__(self, dim, scalar_order, names, generator_indices, matrices,
-                 words, mult_table, inverses, conj_classes, centralizers,
-                 centralizer_gens, conjugators):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "scalar_order", scalar_order)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "generator_indices", generator_indices)
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "mult_table", mult_table)
-        object.__setattr__(self, "inverses", inverses)
-        object.__setattr__(self, "conj_classes", conj_classes)
-        object.__setattr__(self, "centralizers", centralizers)
-        object.__setattr__(self, "centralizer_gens", centralizer_gens)
-        object.__setattr__(self, "conjugators", conjugators)
-        object.__setattr__(self, "_geometries", [None] * len(matrices))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Group is immutable")
+    def __init__(self, **tables):
+        assert tables.keys() == set(Group.__slots__[:-1])
+        self._init(**tables, _geometries=[None] * len(tables["matrices"]))
 
     def __len__(self):
         return len(self.matrices)
 
-    def matrix(self, i):
-        return self.matrices[i]
-
-    def mult(self, i, j):
-        return self.mult_table[i][j]
-
-    def inverse(self, i):
-        return self.inverses[i]
-
     def action(self, i):
         """The (h, h_inv) matrix pair of element i, as polyvec.act takes it."""
-        return self.matrix(i), self.matrix(self.inverse(i))
-
-    def conjugate(self, g, h):
-        """Index of h g h^-1."""
-        return self.mult(self.mult(h, g), self.inverse(h))
+        return self.matrices[i], self.matrices[self.inverses[i]]
 
 
-def enumerate_group(generators, bound=1024, names=None):
+def enumerate_group(generators, bound=MAX_GROUP_ORDER, names=None):
     """Breadth-first closure of a generator list into a Group.
 
     Deterministic ordering: the identity first, then words in the
@@ -170,9 +149,12 @@ def enumerate_group(generators, bound=1024, names=None):
         if cent not in gens_of:
             gens_of[cent] = _generators(cent, mult_table)
     centralizer_gens = tuple(gens_of[cent] for cent in centralizers)
-    return Group(n, order, names, tuple(right[0]), matrices, words,
-                 mult_table, inverses, conj_classes, tuple(centralizers),
-                 centralizer_gens, tuple(conjugators))
+    return Group(dim=n, scalar_order=order, names=names,
+                 generator_indices=tuple(right[0]), matrices=matrices,
+                 words=words, mult_table=mult_table, inverses=inverses,
+                 conj_classes=conj_classes, centralizers=tuple(centralizers),
+                 centralizer_gens=centralizer_gens,
+                 conjugators=tuple(conjugators))
 
 
 def _generators(subgroup, mult_table):
@@ -229,11 +211,11 @@ def resolve_word(group, word):
         k = int(token[1:])
         if not 1 <= k <= len(group.generator_indices):
             raise ValueError(f"generator {token!r} out of range")
-        i = group.mult(i, group.generator_indices[k - 1])
+        i = group.mult_table[i][group.generator_indices[k - 1]]
     return i
 
 
-class GroupGeometry:
+class GroupGeometry(Frozen):
     """The splitting V = V^g + (1-g)V for one group element.
 
     adapted has a basis of V^g as its first n - codim columns and an
@@ -245,12 +227,7 @@ class GroupGeometry:
     __slots__ = ("codim", "adapted", "dual_change")
 
     def __init__(self, codim, adapted, dual_change):
-        object.__setattr__(self, "codim", codim)
-        object.__setattr__(self, "adapted", adapted)
-        object.__setattr__(self, "dual_change", dual_change)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupGeometry is immutable")
+        self._init(codim=codim, adapted=adapted, dual_change=dual_change)
 
 
 def geometry(group, g):
@@ -261,7 +238,7 @@ def geometry(group, g):
     if cached is not None:
         return cached
     n, order = group.dim, group.scalar_order
-    diff = Matrix.identity(n, order) - group.matrix(g)
+    diff = Matrix.identity(n, order) - group.matrices[g]
     moved = image_basis(diff)
     codim = len(moved)
     adapted = Matrix(order, kernel_basis(diff) + moved).transpose()

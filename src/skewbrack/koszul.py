@@ -84,7 +84,7 @@ class KoszulTerms(SparseTerms):
             c = Cyc.of(c, order)
             if not c.is_zero():
                 clean[key] = c
-        self._init(clean, n=n, order=order)
+        self._init(terms=clean, n=n, order=order)
 
 
 class KoszulElt(KoszulTerms):
@@ -644,11 +644,11 @@ def chain_bracket_cochain(x, y):
 
     for a, xg in x.terms.items():
         for b, yh in y.terms.items():
-            ga, gb = group.matrix(a), group.matrix(b)
+            ga, gb = group.matrices[a], group.matrices[b]
             (minors_a, images_a), (minors_b, images_b) = memos[a], memos[b]
-            add(group.mult(a, b),
+            add(group.mult_table[a][b],
                 chain_circle_avatar(xg, ga, yh, gb, (minors_b, images_a)))
-            add(group.mult(b, a),
+            add(group.mult_table[b][a],
                 chain_circle_avatar(yh, gb, xg, ga, (minors_a, images_b)) * (-sign))
     return Cochain(group, x.degree + y.degree - 1, out)
 

@@ -7,6 +7,9 @@ row echelon form of a row space is unique, so identical inputs give
 identical outputs (no randomized or hash-ordered choices anywhere).
 `det` is a separate dense Gaussian elimination; only the chain-level
 oracle's minors (through `polyvec.minor_det`) and tests call it.
+`Frozen`, the immutable base of the matrices, sparse terms, groups,
+geometries and bracket reports, is defined here, the lowest module they
+all import from.
 """
 
 from __future__ import annotations
@@ -14,22 +17,30 @@ from __future__ import annotations
 from .scalars import Cyc
 
 
-class Matrix:
+class Frozen:
+    """Base of the immutable values: a subclass lists its fields in
+    __slots__ and sets them once, in its constructor, through _init."""
+
+    __slots__ = ()
+
+    def _init(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Matrix(Frozen):
     """Immutable dense matrix with Cyc entries (all of one order)."""
 
     __slots__ = ("order", "nrows", "ncols", "rows", "_memo")
 
     def __init__(self, order, rows):
-        object.__setattr__(self, "order", order)
         rows = tuple(tuple(Cyc.of(e, order) for e in r) for r in rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", len(rows[0]) if rows else 0)
-        object.__setattr__(self, "_memo", None)
+        self._init(order=order, rows=rows, nrows=len(rows),
+                   ncols=len(rows[0]) if rows else 0, _memo=None)
         assert all(len(r) == self.ncols for r in rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     def memo(self, name):
         """The dict called `name` of values derived from this matrix (its

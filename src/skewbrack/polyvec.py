@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add, attrgetter
 
-from .linalg import Matrix, det
+from .linalg import Frozen, Matrix, det
 from .scalars import Cyc, _lowest, _powers, print_scalar
 
 
@@ -74,25 +74,18 @@ def merge_sign(a, b):
     return sign, tuple(out)
 
 
-class SparseTerms:
+class SparseTerms(Frozen):
     """Immutable sparse vector: a dict ``terms`` from keys to nonzero
     values, plus header fields (``head``) that two operands must share.
 
     Subclasses list their header fields in ``__slots__``, expose them as
     ``head`` in constructor order, and construct as ``cls(*head, terms)``,
-    dropping zero values and validating keys.  The termwise linear
-    arithmetic, equality and hashing live here.
+    dropping zero values, validating keys and setting every field through
+    ``Frozen._init``.  The termwise linear arithmetic, equality and
+    hashing live here.
     """
 
     __slots__ = ("terms",)
-
-    def _init(self, terms, **head):
-        for name, value in head.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, *head):
@@ -145,7 +138,7 @@ class Poly(SparseTerms):
             if not c.is_zero():
                 assert len(exps) == n and all(e >= 0 for e in exps)
                 clean[tuple(exps)] = c
-        self._init(clean, n=n, order=order)
+        self._init(terms=clean, n=n, order=order)
 
     @staticmethod
     def const(value, n, order):
@@ -244,7 +237,7 @@ class Polyvector(SparseTerms):
             assert all(a < b for a, b in zip(idx, idx[1:]))
             if not p.is_zero():
                 clean[idx] = p
-        self._init(clean, n=n, order=order)
+        self._init(terms=clean, n=n, order=order)
 
     @staticmethod
     def term(coeff, exps, idx, order):
@@ -463,7 +456,7 @@ def _build(out, n, order, scale=1):
 def _clean(cls, terms, **head):
     """The cls of terms already clean: valid keys and nonzero values."""
     out = object.__new__(cls)
-    out._init(terms, **head)
+    out._init(terms=terms, **head)
     return out
 
 

@@ -1,7 +1,10 @@
 """Tests for the projected bracket on invariant reduced cocycles, the
 perp vanishing test, and the minimal-degree vanishing flag."""
 
+import functools
+import json
 import random
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -40,7 +43,9 @@ from skewbrack.koszul import chain_bracket_cochain
 from skewbrack.cli import load_class_file, load_group_file
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
-S4_ROOT_BASIS = Path(__file__).resolve().parent.parent / "fixtures" / "s4_a3_root_basis_k3.json"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+S4_ROOT_BASIS = FIXTURES / "s4_a3_root_basis_k3.json"
+ROTATION_PAIR = FIXTURES / "rotation_pair_k5_z6.json"
 CLASS_DATA = GROUP_DATA.parent / "classes"
 
 
@@ -100,7 +105,7 @@ def pairwise_report(x, y):
             if raw.is_zero():
                 reasons.append((g, h, "schouten zero"))
                 continue
-            gh = group.mult(g, h)
+            gh = group.mult_table[g][h]
             projected = project(Cochain.single(group, gh, raw)).component(gh)
             if not projected.is_zero():
                 terms[(g, h)] = projected
@@ -162,7 +167,8 @@ def test_orbit_transport_matches_pairwise_computation():
         seen.update(reason for _, _, reason in reasons)
         seen.add("nonzero" if terms else "zero")
         # every pair but one per orbit takes its value from a conjugate pair
-        orbits = {frozenset((group.conjugate(g, a), group.conjugate(h, a))
+        mult, inverses = group.mult_table, group.inverses
+        orbits = {frozenset((mult[mult[a][g]][inverses[a]], mult[mult[a][h]][inverses[a]])
                             for a in range(len(group)))
                   for g in x.terms for h in y.terms}
         transported += len(x.terms) * len(y.terms) - len(orbits)
@@ -231,6 +237,36 @@ def test_graded_antisymmetry_on_basis_classes(path, pairs, nonzero):
             tried += 1
             found += not xy.is_zero()
     assert (tried, found) == (pairs, nonzero)
+
+
+@pytest.mark.parametrize("path, triples, nonzero", [(GROUP_DATA / "d4.json", 165, 13),
+                                                     (GROUP_DATA / "d5.json", 220, 16),
+                                                     (ROTATION_PAIR, 2600, 354),
+                                                     (S4_ROOT_BASIS, 10, 2)],
+                         ids=["d4", "d5", "rotation-pair", "s4-root-basis"])
+def test_graded_jacobi_on_basis_classes(path, triples, nonzero):
+    # (-1)^((|x|-1)(|z|-1)) [x, [y, z]] + cyclic = 0 exactly on every
+    # triple with repetition: a bracket of invariant reduced cocycles is
+    # again one, the one representative of its class
+    group = load_group_file(str(path))[0]
+    pool = [c for p, m in ((1, 0), (1, 1), (2, 0), (2, 1)) for c in cohomology_basis(group, p, m)]
+
+    @functools.cache
+    def inner(j, k):
+        return gerstenhaber(pool[j], pool[k]).result
+
+    @functools.cache
+    def term(i, j, k):
+        sign = (-1) ** ((pool[i].degree - 1) * (pool[k].degree - 1))
+        return gerstenhaber(pool[i], inner(j, k)).result * Cyc.of(sign, group.scalar_order)
+
+    tried = found = 0
+    for i, j, k in combinations_with_replacement(range(len(pool)), 3):
+        terms = [term(i, j, k), term(j, k, i), term(k, i, j)]
+        assert (terms[0] + terms[1] + terms[2]).is_zero(), (i, j, k)
+        tried += 1
+        found += any(not t.is_zero() for t in terms)
+    assert (tried, found) == (triples, nonzero)
 
 
 def test_oracle_agrees_on_a_d5_pair_the_projection_kills():
@@ -465,6 +501,59 @@ def test_minimal_classes_from_bases_bracket_to_zero():
 
 
 # --------------------------------------------------- codimension grading
+
+
+def group_files():
+    """Every group file of the fixtures and of the benchmark's data."""
+    paths = [f for f in sorted(FIXTURES.glob("*.json"))
+             if "generators" in json.loads(f.read_text())]
+    return paths + sorted(GROUP_DATA.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", [*fixture_groups(), *(f.name for f in group_files())])
+def test_class_function_readers_equal_their_per_element_definitions(name):
+    # support_codim and minimal_degree_vanishing read codim at class
+    # representatives; on supports that split classes they must still
+    # give the largest codim in the support and the per-element test
+    if name in fixture_groups():
+        group = fixture_groups()[name]
+    else:
+        group = load_group_file(str(next(f for f in group_files() if f.name == name)))[0]
+    rng = random.Random(name)
+    n, size = group.dim, len(group)
+    supports = [[], [0]] + [rng.sample(range(size), rng.randint(1, min(size, 4)))
+                            for _ in range(12)]
+    cochains = []
+    for support in supports:
+        p = geometry(group, rng.choice(support)).codim if support else rng.randint(0, n)
+        pv = Polyvector.term(1, (0,) * n, tuple(range(p)), group.scalar_order)
+        cochains.append(Cochain(group, p, {g: pv for g in support}))
+    split = minimal = 0
+    for x, y in zip(cochains, cochains[1:] + cochains[:1]):
+        codims = [geometry(group, g).codim for g in x.terms]
+        assert support_codim(x) == max(codims, default=0), x.support()
+        for pair in ((x, x), (x, y)):
+            want = all(g != 0 and geometry(group, g).codim == c.degree
+                       for c in pair for g in c.terms)
+            assert minimal_degree_vanishing(*pair) == want, [c.support() for c in pair]
+            minimal += want
+        split += any(0 < len(x.terms.keys() & cls) < len(cls) for cls in group.conj_classes)
+    # the identity is the only element of a trivial group, and never minimal
+    assert minimal > 0 or size == 1
+    # an abelian group has one element per class, so only a nonabelian
+    # one has supports that split a class
+    assert split > 0 or all(len(cls) == 1 for cls in group.conj_classes)
+
+
+def test_support_codim_computes_geometry_at_class_representatives_only():
+    s5 = GROUP_DATA / "s5.json"
+    (c,) = cohomology_basis(load_group_file(str(s5))[0], 2, 0)
+    group = load_group_file(str(s5))[0]
+    c = Cochain(group, c.degree, c.terms)
+    assert len(c.terms) == 20
+    assert support_codim(c) == 2
+    (cls,) = [cls for cls in group.conj_classes if cls[0] in c.terms]
+    assert [g for g, geom in enumerate(group._geometries) if geom is not None] == [cls[0]]
 
 
 def test_bracket_lands_in_summed_codimension():

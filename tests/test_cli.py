@@ -827,6 +827,25 @@ def test_verify_examples(capsys):
     assert "FAIL" not in out
 
 
+def test_main_runs_every_subcommand_on_the_parser_built_at_import(capsys, monkeypatch):
+    # main parses with the parser built once, when the module is loaded
+    def rebuild():
+        raise AssertionError("the parser was rebuilt")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    for argv in (["group", fixture("klein_signs_k3.json")],
+                 ["cohomology", fixture("klein_signs_k3.json"), "--p", "1", "--m", "0"],
+                 ["bracket", fixture("two_sign_pairs_k5.json"),
+                  fixture("class_volume3_first.json"), fixture("class_fixed_volume2_second.json")],
+                 ["verify", "appendix", "--max", "1"],
+                 ["verify", "homotopy", "--dim", "1", "--s", "1", "--z", "1", "--t", "1"],
+                 ["verify", "schouten", "--dim", "1", "--pairs", "1"],
+                 ["verify", "examples", "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
+
+
 # The size options of each verify suite and the largest value of each; a
 # suite refuses every other option.
 VERIFY_CAPS = {

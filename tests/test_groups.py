@@ -48,7 +48,7 @@ def test_span_equal():
 def acting_trivially(group):
     """The elements whose matrix is the identity."""
     ident = Matrix.identity(group.dim, group.scalar_order)
-    return [i for i in range(len(group)) if group.matrix(i) == ident]
+    return [i for i in range(len(group)) if group.matrices[i] == ident]
 
 
 def klein_four():
@@ -59,10 +59,10 @@ def test_enumerate_klein_four():
     g = klein_four()
     assert len(g) == 4
     assert g.words == ["e", "g1", "g2", "g1*g2"]
-    assert g.matrix(3) == diag(1, -1, 1, -1)
+    assert g.matrices[3] == diag(1, -1, 1, -1)
     assert acting_trivially(g) == [0]
     assert g.conj_classes == [(0,), (1,), (2,), (3,)]
-    assert all(g.inverse(i) == i for i in range(4))
+    assert all(g.inverses[i] == i for i in range(4))
 
 
 def test_enumerate_trivial_group():
@@ -97,7 +97,7 @@ def test_mult_table_and_words():
     g = klein_four()
     for i in range(4):
         for j in range(4):
-            assert g.matrix(g.mult(i, j)) == g.matrix(i) * g.matrix(j)
+            assert g.matrices[g.mult_table[i][j]] == g.matrices[i] * g.matrices[j]
     assert resolve_word(g, "e") == 0
     assert resolve_word(g, "g1*g2") == 3
     assert resolve_word(g, "g2*g1") == 3
@@ -111,7 +111,7 @@ def brute_force_tables(g):
     """Multiplication table, inverses, conjugacy classes, the centralizer
     of each class's least element r, and for each element k the first h
     with h^-1 r h = k, from matrix products alone."""
-    mats = [g.matrix(i) for i in range(len(g))]
+    mats = [g.matrices[i] for i in range(len(g))]
     index = {m: i for i, m in enumerate(mats)}
     ident = Matrix.identity(g.dim, g.scalar_order)
     table = [[index[a * b] for b in mats] for a in mats]
@@ -156,7 +156,8 @@ def test_mult_data_matches_matrix_products():
         for cls in g.conj_classes:
             assert g.conjugators[cls[0]] == 0, name
             for k in cls:
-                assert g.conjugate(cls[0], g.inverse(g.conjugators[k])) == k, (name, k)
+                a = g.conjugators[k]
+                assert g.mult_table[g.mult_table[g.inverses[a]][cls[0]]][a] == k, (name, k)
         # each generator of a centralizer lies in it and is new: not in
         # the subgroup the ones kept before it generate; together they
         # generate all of it
@@ -231,9 +232,9 @@ def test_geometry_splitting_invariants():
     for i in range(len(g)):
         fixed, moved = bases(g, i)
         assert rank(geometry(g, i).adapted) == g.dim
-        m = g.matrix(i)
+        m = g.matrices[i]
         assert all(tuple(m.apply(list(v))) == v for v in fixed)
-        inv_fixed, inv_moved = bases(g, g.inverse(i))
+        inv_fixed, inv_moved = bases(g, g.inverses[i])
         assert span_equal(fixed, inv_fixed, 1)
         assert span_equal(moved, inv_moved, 1)
 
@@ -279,8 +280,9 @@ def conjugate_geometry_check(group, g, h):
     the bracket moves each computed pair to its conjugates by this."""
     order = group.scalar_order
     fixed_g, moved_g = bases(group, g)
-    fixed_c, moved_c = bases(group, group.conjugate(g, h))
-    hmat = group.matrix(h)
+    mult = group.mult_table
+    fixed_c, moved_c = bases(group, mult[mult[h][g]][group.inverses[h]])
+    hmat = group.matrices[h]
     push_fixed = [tuple(hmat.apply(list(v))) for v in fixed_g]
     push_moved = [tuple(hmat.apply(list(v))) for v in moved_g]
     return (span_equal(push_fixed, fixed_c, order)
@@ -303,9 +305,9 @@ def test_euler_field_equivariance_over_group():
     g = enumerate_group([swap3, diag(1, -1, -1, 1)])
     for i in range(len(g)):
         for j in range(len(g)):
-            k = g.conjugate(i, g.inverse(j))
-            lhs = act(euler_field(g.matrix(i)), [g.action(j)])
-            assert lhs == euler_field(g.matrix(k))
+            k = g.mult_table[g.mult_table[g.inverses[j]][i]][j]
+            lhs = act(euler_field(g.matrices[i]), [g.action(j)])
+            assert lhs == euler_field(g.matrices[k])
 
 
 def test_codim_subadditive():
@@ -313,5 +315,5 @@ def test_codim_subadditive():
     g = enumerate_group([swap3, diag(1, -1, 1, -1)])
     for i in range(len(g)):
         for j in range(len(g)):
-            cij = geometry(g, g.mult(i, j)).codim
+            cij = geometry(g, g.mult_table[i][j]).codim
             assert cij <= geometry(g, i).codim + geometry(g, j).codim

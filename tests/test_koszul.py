@@ -551,7 +551,7 @@ def oracle_inputs(draw):
     a, b = (draw(st.integers(0, len(group) - 1)) for _ in range(2))
     x = draw(cyclotomic_polyvector(n, order, draw(st.integers(0, min(n, 3)))))
     y = draw(cyclotomic_polyvector(n, order, draw(st.integers(0, min(n, 3)))))
-    return x, group.matrix(a), y, group.matrix(b)
+    return x, group.matrices[a], y, group.matrices[b]
 
 
 @given(oracle_inputs())
