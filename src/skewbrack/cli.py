@@ -10,11 +10,13 @@ file holds {"homologicalDegree": p, "terms": [...]} where each term is
 "exponents": [e1..en], "wedge": [i1 < ... < ip]}; wedge entries are
 1-based, matching the printed names d1..dn.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+141 (128 + SIGPIPE) when the reader of stdout has gone.
 """
 
 import argparse
 import json
+import os
 import sys
 from math import comb
 
@@ -620,8 +622,16 @@ PARSER = build_parser()
 def main(argv=None):
     args = PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
+        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
+            # the reader of stdout has gone (`| head`): exit with the
+            # status of a process that SIGPIPE killed, 128 + 13, with
+            # stdout on /dev/null so that the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

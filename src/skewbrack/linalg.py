@@ -2,9 +2,13 @@
 
 Matrices are dense, but every reduction to echelon form runs on sparse
 rows ({column: nonzero Cyc}) in one core, `_echelon`; the dense entry
-points convert to and from it.  Everything is deterministic: the reduced
-row echelon form of a row space is unique, so identical inputs give
-identical outputs (no randomized or hash-ordered choices anywhere).
+points convert to and from it.  The matrix product sums each entry in
+plain ints on the accumulator of scalars._widen and scalars._reduce, and
+linalg builds its own results through Matrix._of, which coerces no
+entry; the public constructor coerces each one.  Everything is
+deterministic: the reduced row echelon form of a row space is unique,
+so identical inputs give identical outputs (no randomized or
+hash-ordered choices anywhere).
 `det` is a separate dense Gaussian elimination; only the chain-level
 oracle's minors (through `polyvec.minor_det`) and tests call it.
 `Frozen`, the immutable base of the matrices, sparse terms, groups,
@@ -14,18 +18,35 @@ all import from.
 
 from __future__ import annotations
 
-from .scalars import Cyc
+from .scalars import Cyc, _powers, _reduce, _widen
 
 
 class Frozen:
     """Base of the immutable values: a subclass lists its fields in
-    __slots__ and sets them once, in its constructor, through _init."""
+    __slots__ and sets them once, in its constructor, through _init.
+    _init calls each field's slot descriptor setter directly; the
+    setters of a class and its bases are looked up once, when the class
+    is made, and a name that is not a field raises AttributeError."""
 
     __slots__ = ()
+    _setters = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        setters = dict(cls._setters)
+        for name in cls.__dict__.get("__slots__", ()):
+            setters[name] = cls.__dict__[name].__set__
+        cls._setters = setters
 
     def _init(self, **fields):
+        setters = self._setters
         for name, value in fields.items():
-            object.__setattr__(self, name, value)
+            try:
+                setter = setters[name]
+            except KeyError:
+                raise AttributeError(
+                    f"{type(self).__name__} has no field {name!r}") from None
+            setter(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -38,9 +59,20 @@ class Matrix(Frozen):
 
     def __init__(self, order, rows):
         rows = tuple(tuple(Cyc.of(e, order) for e in r) for r in rows)
+        self._fill(order, rows)
+        assert all(len(r) == self.ncols for r in rows)
+
+    @classmethod
+    def _of(cls, order, rows):
+        """The matrix of rows whose entries are already Cycs of this
+        order, as linalg's own results are: no entry is coerced."""
+        m = object.__new__(cls)
+        m._fill(order, tuple(map(tuple, rows)))
+        return m
+
+    def _fill(self, order, rows):
         self._init(order=order, rows=rows, nrows=len(rows),
                    ncols=len(rows[0]) if rows else 0, _memo=None)
-        assert all(len(r) == self.ncols for r in rows)
 
     def memo(self, name):
         """The dict called `name` of values derived from this matrix (its
@@ -50,7 +82,7 @@ class Matrix(Frozen):
         memo = self._memo
         if memo is None:
             memo = {}
-            object.__setattr__(self, "_memo", memo)
+            self._setters["_memo"](self, memo)
         table = memo.get(name)
         if table is None:
             table = memo[name] = {}
@@ -59,7 +91,8 @@ class Matrix(Frozen):
     @staticmethod
     def identity(n, order):
         one, zero = Cyc.one(order), Cyc.zero(order)
-        return Matrix(order, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return Matrix._of(order, [[one if i == j else zero for j in range(n)]
+                                  for i in range(n)])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -70,32 +103,54 @@ class Matrix(Frozen):
         return hash((self.order, self.rows))
 
     def __mul__(self, other):
+        """The product, each entry summed in plain ints as in polyvec.act:
+        the power-basis convolutions of the products a * b of a row's
+        nonzero entries with the nonzero entries of other, over one
+        denominator that widens to an lcm when a product's does not
+        divide it, reduced modulo Phi_N into one Cyc per entry."""
         if not isinstance(other, Matrix):
             return NotImplemented
         assert self.ncols == other.nrows
-        # each nonzero a = self[i][k] adds a * b into column j for the
-        # nonzero b = other[k][j] only, listed once per row of other
+        order = self.order
+        if other.order != order:
+            raise ValueError("cyclotomic order mismatch")
+        size = 2 * len(_powers(order)[0]) - 1
+        # the nonzero entries b = other[k][j] of each row k, as (j, b)
         right = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
-        zero = Cyc.zero(self.order)
+        zero = Cyc.zero(order)
         out = []
         for r in self.rows:
-            acc = {}
+            accs = {}  # column -> [denominator, unreduced numerators...]
             for a, terms in zip(r, right):
-                if a:
-                    for j, b in terms:
-                        acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append([acc.get(j, zero) for j in range(other.ncols)])
-        return Matrix(self.order, out)
+                if not a:
+                    continue
+                # a as (place in acc, int) pairs
+                ai = [(i, x) for i, x in enumerate(a.num, 1) if x]
+                for j, b in terms:
+                    den = a.den * b.den
+                    acc = accs.get(j)
+                    if acc is None:
+                        acc = accs[j] = [den] + [0] * size
+                    up = 1 if den == acc[0] else _widen(acc, den)
+                    for i, x in ai:
+                        x *= up
+                        for k, y in enumerate(b.num, i):
+                            acc[k] += x * y
+            row = [zero] * other.ncols
+            for j, c in _reduce(order, accs).items():
+                row[j] = c
+            out.append(row)
+        return Matrix._of(order, out)
 
     def __sub__(self, other):
         assert self.nrows == other.nrows and self.ncols == other.ncols
-        return Matrix(
+        return Matrix._of(
             self.order,
             [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
         )
 
     def transpose(self):
-        return Matrix(self.order, list(zip(*self.rows)) if self.rows else [])
+        return Matrix._of(self.order, zip(*self.rows))
 
     def column(self, j):
         return tuple(r[j] for r in self.rows)
@@ -182,7 +237,7 @@ def rref(m: Matrix):
         return m, ()
     rows, pivots = _rref_rows(m.order, m.rows, m.ncols)
     zero = (Cyc.zero(m.order),) * m.ncols
-    return Matrix(m.order, rows + [zero] * (m.nrows - len(rows))), pivots
+    return Matrix._of(m.order, rows + [zero] * (m.nrows - len(rows))), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -272,7 +327,7 @@ def mat_inverse(m: Matrix) -> Matrix:
     rows, pivots = _rref_rows(m.order, aug, 2 * n)
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(m.order, [r[n:] for r in rows])
+    return Matrix._of(m.order, [r[n:] for r in rows])
 
 
 def echelon_span(vectors, order):

@@ -6,11 +6,12 @@ from strictly increasing index tuples to polynomial coefficients.
 These are the reduced representatives of Hochschild cohomology
 components.  The Schouten bracket of polyvector fields, which the
 Gerstenhaber bracket projects term by term, and the group action on
-polyvectors live here.  Both sum in plain ints and build one Cyc per
-output coefficient, through one accumulator: act adds products into
-it directly, and schouten is one circle_product call, which adds both
+polyvectors live here.  Three products sum in plain ints and build one
+Cyc per output coefficient, through one accumulator: act adds products
+into it directly; schouten is one circle_product call, which adds both
 circle products of the graded commutator, pair of components by pair,
-so it is bilinear also on input of mixed exterior degree.
+so it is bilinear also on input of mixed exterior degree; and
+Polyvector.wedge adds the merge-signed products of coefficients.
 SparseTerms, the immutable sparse container
 that polynomials, polyvectors, cochains and the Koszul resolution terms
 share, is defined here too.  minor_det and subst_matrix compute a minor
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
 from operator import add, attrgetter
 
 from .linalg import Frozen, Matrix, det
-from .scalars import Cyc, _lowest, _powers, print_scalar
+from .scalars import Cyc, _powers, _reduce, _widen, print_scalar
 
 
 def sort_sign(seq):
@@ -243,10 +243,16 @@ class Polyvector(SparseTerms):
     def term(coeff, exps, idx, order):
         """Build coeff * x^exps * d_idx, normalizing the index order."""
         sgn, key = sort_sign(idx)
+        n = len(exps)
         if sgn == 0:
-            return Polyvector.zero(len(exps), order)
-        p = Poly.monomial(exps, Cyc.of(coeff, order) * sgn, order)
-        return Polyvector(len(exps), order, {key: p})
+            return _clean(Polyvector, {}, n, order)
+        c = Cyc.of(coeff, order)
+        terms = {}
+        if c:
+            assert all(e >= 0 for e in exps)
+            terms[key] = _clean(Poly, {tuple(exps): c if sgn > 0 else -c}, n, order)
+        assert all(0 <= i < n for i in key)
+        return _clean(Polyvector, terms, n, order)
 
     def __mul__(self, other):
         """Scalar or polynomial multiple (polynomials are even, no signs)."""
@@ -278,16 +284,40 @@ class Polyvector(SparseTerms):
         return degs[0]
 
     def wedge(self, other: "Polyvector") -> "Polyvector":
-        assert self.n == other.n
-        acc = {}
+        """The exterior product, each output coefficient summed in plain
+        ints as in act and circle_product: the product of two
+        coefficients is their power-basis convolution over the product of
+        their denominators, times the merge sign of the two wedges."""
+        if self.head != other.head:
+            raise ValueError("polyvector mismatch")
+        n, order = self.head
+        size = 2 * len(_powers(order)[0]) - 1
+        right = [(i2, p2.terms.items()) for i2, p2 in other.terms.items()]
+        out = {}  # wedge -> exponents -> [denominator, unreduced numerators...]
         for i1, p1 in self.terms.items():
-            for i2, p2 in other.terms.items():
+            # each term of p1 as (exponents, denominator, (place in acc, int) pairs)
+            left = [(e, c.den, [(i, a) for i, a in enumerate(c.num, 1) if a])
+                    for e, c in p1.terms.items()]
+            for i2, terms in right:
                 sgn, key = merge_sign(i1, i2)
                 if sgn == 0:
                     continue
-                p = p1 * p2 * sgn
-                acc[key] = acc[key] + p if key in acc else p
-        return Polyvector(self.n, self.order, acc)
+                target = out.get(key)
+                if target is None:
+                    target = out[key] = {}
+                for e1, den1, cf in left:
+                    for e2, c in terms:
+                        e = tuple(map(add, e1, e2))
+                        den = den1 * c.den
+                        acc = target.get(e)
+                        if acc is None:
+                            acc = target[e] = [den] + [0] * size
+                        up = sgn if den == acc[0] else sgn * _widen(acc, den)
+                        for i, a in cf:
+                            a *= up
+                            for j, b in enumerate(c.num, i):
+                                acc[j] += a * b
+        return _build(out, n, order)
 
     def __str__(self):
         if not self.terms:
@@ -419,44 +449,23 @@ def act(x: Polyvector, pairs) -> Polyvector:
     return _build(out, n, order, len(pairs))
 
 
-def _widen(acc, den):
-    """Put the accumulator acc = [denominator, numerators...] over a
-    multiple of den, the lcm of the two when den does not divide its
-    own, and return the factor that brings a product over den to it."""
-    if acc[0] % den:
-        wide = lcm(acc[0], den)
-        up = wide // acc[0]
-        acc[:] = [wide] + [a * up for a in acc[1:]]
-    return acc[0] // den
-
-
 def _build(out, n, order, scale=1):
     """The Polyvector of the accumulators out, a map from wedge to
     exponents to [denominator, unreduced power-basis numerators...],
-    each divided by scale.  Each vector is reduced modulo Phi_N with the
-    rows of _powers (z^k is row k % N) and becomes one Cyc."""
-    powers = _powers(order)
-    d = len(powers[0])
+    each divided by scale and reduced into one Cyc."""
     built = {}
     for cols, target in out.items():
-        terms = {}
-        for e, (den, *vec) in target.items():
-            for k in range(d, len(vec)):
-                a = vec[k]
-                if a:
-                    for i, r in enumerate(powers[k % order]):
-                        vec[i] += a * r
-            if any(vec[:d]):
-                terms[e] = _lowest(order, vec[:d], den * scale)
+        terms = _reduce(order, target, scale)
         if terms:
-            built[cols] = _clean(Poly, terms, n=n, order=order)
-    return _clean(Polyvector, built, n=n, order=order)
+            built[cols] = _clean(Poly, terms, n, order)
+    return _clean(Polyvector, built, n, order)
 
 
-def _clean(cls, terms, **head):
-    """The cls of terms already clean: valid keys and nonzero values."""
+def _clean(cls, terms, n, order):
+    """The Poly or Polyvector of terms already clean: valid keys and
+    nonzero values."""
     out = object.__new__(cls)
-    out._init(terms=terms, **head)
+    out._init(terms=terms, n=n, order=order)
     return out
 
 

@@ -4,7 +4,10 @@ Scalars are represented in the power basis 1, z, ..., z^(d-1) of
 Q[x]/Phi_N(x), where Phi_N is the N-th cyclotomic polynomial and
 d = deg Phi_N.  All coefficients are exact rationals, held as integers
 over one common denominator, so equality is decidable and every
-computation downstream of this module is exact.
+computation downstream of this module is exact.  The bilinear products
+of linalg and polyvec sum each output entry in plain ints instead, as
+unreduced power-basis numerators over one denominator that _widen keeps
+common, and _reduce makes each sum one Cyc.
 """
 
 from __future__ import annotations
@@ -336,6 +339,35 @@ def _lowest(order, num, den):
             num = [a // g for a in num]
             den //= g
     return _make(order, tuple(num), den)
+
+
+def _widen(acc, den):
+    """Put the accumulator acc = [denominator, numerators...] over a
+    multiple of den, the lcm of the two when den does not divide its
+    own, and return the factor that brings a product over den to it."""
+    if acc[0] % den:
+        wide = lcm(acc[0], den)
+        up = wide // acc[0]
+        acc[:] = [wide] + [a * up for a in acc[1:]]
+    return acc[0] // den
+
+
+def _reduce(order, accs, scale=1):
+    """The nonzero Cycs of the accumulators accs, a map from keys to
+    [denominator, unreduced power-basis numerators...], each divided by
+    scale: z^k for k >= d is folded in with row k % N of _powers."""
+    powers = _powers(order)
+    d = len(powers[0])
+    out = {}
+    for key, (den, *vec) in accs.items():
+        for k in range(d, len(vec)):
+            a = vec[k]
+            if a:
+                for i, r in enumerate(powers[k % order]):
+                    vec[i] += a * r
+        if any(vec[:d]):
+            out[key] = _lowest(order, vec[:d], den * scale)
+    return out
 
 
 def print_scalar(c: Cyc) -> str:

@@ -790,6 +790,45 @@ def test_validation_survives_python_optimize(tmp_path):
         assert proc.stderr.startswith("error: "), proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", str(GROUP_DATA / "s5.json"), "--json"],
+    # a report that fits in stdout's buffer meets the broken pipe only
+    # when the buffer is flushed
+    ["group", fixture("klein_signs_k3.json")],
+])
+def test_broken_pipe_on_stdout_exits_as_sigpipe(argv):
+    # `skewbrack group ... --json | head -2`: the reader of stdout has gone
+    # before the report is written, which is neither bad input nor a
+    # failed check; the process ends quietly with 128 + SIGPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    # stdout block-buffered, as in a shell pipeline
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewbrack.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+def test_broken_pipe_on_a_redirected_stdout_is_an_error():
+    # an in-process caller that redirects stdout sees the error reported
+    # as before: no file descriptor of its own is touched
+    class Gone(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    err = io.StringIO()
+    with redirect_stdout(Gone()), redirect_stderr(err):
+        code = main(["group", fixture("klein_signs_k3.json")])
+    assert code == 2
+    assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
+
+
 # ---------------------------------------------------------------- verify
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import mat, trivial_group_k
-from skewbrack.scalars import Cyc
+from skewbrack.scalars import Cyc, field_degree
 from skewbrack.linalg import Matrix
 from skewbrack.polyvec import Poly, Polyvector, act, euler_field
 from skewbrack.groups import Group, enumerate_group, geometry, resolve_word
@@ -93,6 +93,36 @@ def test_differential_squares_to_zero():
         + Polyvector.term(-2, (2, 0, 0), (2,), 1),
     }
     c = Cochain(group, 1, comps)
+    assert differential(differential(c)).is_zero()
+
+
+@pytest.fixture(scope="module")
+def differential_groups():
+    groups = dict(fixture_groups())
+    groups["d5"] = load_group_file(str(GROUP_DATA / "d5.json"))[0]
+    return groups
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_differential_squares_to_zero_on_random_cochains(differential_groups, data):
+    # random components of one exterior degree on random elements, with
+    # coefficients over the group's field (Q(zeta5) on D5)
+    group = differential_groups[data.draw(st.sampled_from(sorted(differential_groups)))]
+    n, order = group.dim, group.scalar_order
+    p = data.draw(st.integers(0, min(n, 2)))
+    comps = {}
+    for g in data.draw(st.lists(st.integers(0, len(group.matrices) - 1),
+                                min_size=1, max_size=3, unique=True)):
+        pv = Polyvector.zero(n, order)
+        for _ in range(data.draw(st.integers(1, 3))):
+            idx = data.draw(st.permutations(range(n)))[:p]
+            exps = data.draw(st.tuples(*([st.integers(0, 2)] * n)))
+            coeff = Cyc(order, [Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+                                for _ in range(field_degree(order))])
+            pv = pv + Polyvector.term(coeff, exps, idx, order)
+        comps[g] = pv
+    c = Cochain(group, p, comps)
     assert differential(differential(c)).is_zero()
 
 

@@ -11,7 +11,7 @@ fast path, or hides elimination from `linalg.elim`, fails here.  A
 `reynolds` that walks all of G again fails on its `act` count, and so
 do bracket preconditions that act on every component with every
 generator of G; an `act` that multiplies `Cyc`s on warm caches fails on
-`scalars.mul`, a
+`scalars.mul`, and so does a `wedge` that multiplies them; a
 `schouten` that multiplies `Cyc`s or takes the two circle products
 apart fails on `scalars.mul` and `polyvec.circle_product`, and a
 character count that goes through the fast path fails on its counters.
@@ -122,6 +122,32 @@ def test_schouten_is_one_integer_circle_product():
     assert got == want and not any(r.is_zero() for r in got)
     assert counts["polyvec.circle_product.calls"] == len(pairs)
     assert counts["scalars.mul.calls"] == 0
+
+
+def test_wedge_multiplies_no_scalars():
+    # wedge sums each output coefficient in plain ints and builds it
+    # once, as act and circle_product do: a Cyc product inside it would
+    # show on the scalars.mul counter
+    def plus(e1, e2):
+        return tuple(a + b for a, b in zip(e1, e2))
+
+    pairs, want = [], []
+    for order in (5, 6):
+        z = Cyc.zeta(order)
+        (a, ea), (b, eb) = (z * Fraction(1, 2), (1, 1, 0)), (z ** 2 - 1, (0, 2, 1))
+        (c, ec), (e, ee) = (z ** 3 * Fraction(2, 3), (2, 0, 1)), (Fraction(-1, 3), (0, 1, 0))
+        x = Polyvector.term(a, ea, (0,), order) + Polyvector.term(b, eb, (1,), order)
+        y = Polyvector.term(c, ec, (2,), order) + Polyvector.term(e, ee, (0, 2), order)
+        pairs.append((x, y))
+        # d1 ^ d1 ^ d3 = 0, and d2 ^ d1 ^ d3 is term's normalization
+        want.append(Polyvector.term(a * c, plus(ea, ec), (0, 2), order)
+                    + Polyvector.term(b * c, plus(eb, ec), (1, 2), order)
+                    + Polyvector.term(b * e, plus(eb, ee), (1, 0, 2), order))
+    tracer = load_tracer().Tracer()
+    with tracer:
+        got = [x.wedge(y) for x, y in pairs]
+    assert got == want and all(len(w.terms) == 3 for w in got)
+    assert tracer.counts()["scalars.mul.calls"] == 0
 
 
 def test_character_count_shares_no_code_with_the_fast_path():

@@ -7,7 +7,7 @@ from skewbrack.bracket import BracketReport
 from skewbrack.cochain import Cochain
 from skewbrack.fixtures import fixture_groups
 from skewbrack.groups import geometry
-from skewbrack.linalg import Matrix
+from skewbrack.linalg import Frozen, Matrix
 from skewbrack.polyvec import Poly, Polyvector
 from skewbrack.scalars import Cyc
 
@@ -36,3 +36,12 @@ def test_values_refuse_attribute_assignment(kind):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert getattr(value, field) is before
+
+
+def test_init_refuses_a_field_it_does_not_have():
+    frozen = [value for value, _ in values().values() if isinstance(value, Frozen)]
+    assert len(frozen) == len(values()) - 1  # all but Cyc
+    for value in frozen:
+        with pytest.raises(AttributeError):
+            value._init(extra=1)
+        assert not hasattr(value, "extra")

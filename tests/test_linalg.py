@@ -94,6 +94,11 @@ def _rand_scalar(data, order):
     ])
 
 
+def _rand_dense_matrix(data, order, nrows, ncols):
+    return Matrix(order, [[_rand_scalar(data, order) for _ in range(ncols)]
+                          for _ in range(nrows)])
+
+
 def _rand_sparse_matrix(data, order, nrows, ncols):
     # At most half of the entries are nonzero, each from all of Q(zeta_order).
     cells = nrows * ncols
@@ -102,6 +107,31 @@ def _rand_sparse_matrix(data, order, nrows, ncols):
     for cell in nonzero:
         entries[cell] = _rand_scalar(data, order)
     return Matrix(order, [entries[i * ncols:(i + 1) * ncols] for i in range(nrows)])
+
+
+def _reference_product(a, b):
+    """a * b entry by entry in Cyc arithmetic."""
+    zero = Cyc.zero(a.order)
+    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)), zero)
+             for j in range(b.ncols)] for i in range(a.nrows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_matches_entrywise_reference(data):
+    # fractional entries over Q(zeta5) and Q(zeta6), dense or sparse, so
+    # that the accumulator widens its denominator to an lcm
+    order = data.draw(st.sampled_from([5, 6]))
+    n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    make = data.draw(st.sampled_from([_rand_dense_matrix, _rand_sparse_matrix]))
+    a, b = make(data, order, n, k), make(data, order, k, m)
+    got = a * b
+    assert got == Matrix(order, _reference_product(a, b))
+    assert (got.nrows, got.ncols) == (n, m)
+    assert all(type(e) is Cyc and e.order == order for r in got.rows for e in r)
+    assert a * Matrix.identity(k, order) == a == Matrix.identity(n, order) * a
+    assert got.transpose() == b.transpose() * a.transpose()
+    assert (got - got).rows == ((Cyc.zero(order),) * m,) * n
 
 
 def _check_rank_nullity_and_kernel_annihilation(m):

@@ -196,24 +196,121 @@ def test_schouten_antisymmetric_on_vector_fields(x, y):
     assert schouten(x, y) == -(schouten(y, x))
 
 
-@given(small_polyvector(), small_polyvector())
-@settings(max_examples=40, deadline=None)
-def test_wedge_sign_rule(x, y):
-    if not x.exterior_degrees() or not y.exterior_degrees():
-        return
-    if len(x.exterior_degrees()) != 1 or len(y.exterior_degrees()) != 1:
-        return
-    p, q = x.degree(), y.degree()
-    sign = -1 if (p * q) % 2 else 1
-    assert x.wedge(y) == y.wedge(x) * sign
-
-
 @given(small_polyvector(ext=1, order=5), small_polyvector(ext=2, order=5),
        small_polyvector(order=5))
 @settings(max_examples=30, deadline=None)
 def test_schouten_bilinear_on_mixed_exterior_degrees(a, b, y):
     assert schouten(a + b, y) == schouten(a, y) + schouten(b, y)
     assert schouten(y, a + b) == schouten(y, a) + schouten(y, b)
+
+
+def cyclotomic_scalar(draw, order):
+    return Cyc(order, [Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+                       for _ in range(field_degree(order))])
+
+
+@st.composite
+def cyclotomic_polyvector(draw, order, ext=None, n=3):
+    """One or two wedges of the given exterior degree (any when None),
+    each with one to three monomials whose coefficients run over
+    Q(zeta_order) with denominators 1 to 3."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, 2)) if ext is None else ext
+        idx = tuple(sorted(draw(st.permutations(range(n)))[:k]))
+        exps = st.tuples(*([st.integers(0, 2)] * n))
+        terms[idx] = Poly(n, order, {e: cyclotomic_scalar(draw, order)
+                                     for e in draw(st.lists(exps, min_size=1, max_size=3))})
+    return Polyvector(n, order, terms)
+
+
+def wedge_termwise(x, y):
+    """x ^ y as {wedge: {exponents: Cyc}}, term by term in Cyc arithmetic:
+    d_I ^ d_J is the sorted wedge times the parity of the inversions of
+    the word I + J, and zero when a direction repeats."""
+    out = {}
+    for i1, p1 in x.terms.items():
+        for i2, p2 in y.terms.items():
+            word = i1 + i2
+            if len(set(word)) < len(word):
+                continue
+            odd = sum(a > b for a, b in combinations(word, 2)) % 2
+            poly = out.setdefault(tuple(sorted(word)), {})
+            for e1, c1 in p1.terms.items():
+                for e2, c2 in p2.terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    c = -(c1 * c2) if odd else c1 * c2
+                    poly[e] = poly[e] + c if e in poly else c
+    out = {k: {e: c for e, c in p.items() if c} for k, p in out.items()}
+    return {k: p for k, p in out.items() if p}
+
+
+@given(st.sampled_from([1, 5, 6]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_wedge_matches_termwise_reference(order, data):
+    x = data.draw(cyclotomic_polyvector(order))
+    y = data.draw(cyclotomic_polyvector(order))
+    got = x.wedge(y)
+    assert got.head == x.head
+    assert {k: dict(p.terms) for k, p in got.terms.items()} == wedge_termwise(x, y)
+    assert all(p.head == x.head for p in got.terms.values())
+
+
+@given(st.sampled_from([1, 5, 6]), st.integers(0, 2), st.integers(0, 2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_wedge_sign_rule(order, p, q, data):
+    # graded commutativity: x ^ y = (-1)^(pq) y ^ x
+    x = data.draw(cyclotomic_polyvector(order, p))
+    y = data.draw(cyclotomic_polyvector(order, q))
+    sign = -1 if (p * q) % 2 else 1
+    assert x.wedge(y) == y.wedge(x) * sign
+
+
+def test_wedge_refuses_operands_of_another_field():
+    x = Polyvector.term(1, (1, 0), (0,), 5)
+    with pytest.raises(ValueError):
+        x.wedge(Polyvector.term(1, (1, 0), (1,), 6))
+
+
+def term_by_constructors(coeff, exps, idx, order):
+    """Polyvector.term through the public Poly and Polyvector constructors."""
+    sgn, key = sort_sign(idx)
+    n = len(exps)
+    if sgn == 0:
+        return Polyvector(n, order)
+    return Polyvector(n, order, {key: Poly(n, order, {tuple(exps): Cyc.of(coeff, order) * sgn})})
+
+
+@pytest.mark.parametrize("coeff, exps, idx, order", [
+    (3, (1, 0, 2), (0, 2), 1),
+    (3, (1, 0, 2), (2, 0), 1),
+    (Fraction(-2, 3), [0, 1, 0], (2, 0, 1), 1),
+    (Fraction(5, 2), (2, 0, 0), (1, 0, 2), 5),
+    (Cyc(5, [Fraction(1, 2), 0, -1, Fraction(1, 3)]), (0, 0, 1), (2, 1), 5),
+    (Cyc.zeta(6, 2), (1, 1, 0), (), 6),
+    (1, (1, 1, 1), (1, 1), 1),
+    (Cyc.one(5), (0, 2, 0), (2, 0, 2), 5),
+    (0, (1, 0, 0), (2, 0), 1),
+    (Cyc.zero(6), (0, 0, 3), (1,), 6),
+])
+def test_term_equals_the_public_construction(coeff, exps, idx, order):
+    got = Polyvector.term(coeff, exps, idx, order)
+    want = term_by_constructors(coeff, exps, idx, order)
+    assert got == want and got.head == want.head == (len(exps), order)
+    assert [(k, p.head, dict(p.terms)) for k, p in got.terms.items()] == [
+        (k, p.head, dict(p.terms)) for k, p in want.terms.items()]
+
+
+@pytest.mark.parametrize("coeff, exps, idx, order, error", [
+    (1, (1, -1, 0), (0,), 1, AssertionError),
+    (1, (1, 0, 0), (3,), 1, AssertionError),
+    (1, (1, 0, 0), (-1, 2), 1, AssertionError),
+    (0, (1, 0, 0), (0, 5), 1, AssertionError),
+    (Cyc.zeta(5), (1, 0, 0), (0,), 6, ValueError),
+])
+def test_term_refuses_bad_exponents_and_indices(coeff, exps, idx, order, error):
+    with pytest.raises(error):
+        Polyvector.term(coeff, exps, idx, order)
 
 
 def act_from_scratch(x, h, h_inv):
