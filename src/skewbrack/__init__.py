@@ -12,7 +12,6 @@ from .cochain import (
     cohomology_dim_character,
     cohomology_dim_direct,
     differential,
-    is_coboundary,
     is_cocycle,
     is_invariant,
     is_reduced,
@@ -45,7 +44,6 @@ __all__ = [
     "euler_field",
     "geometry",
     "gerstenhaber",
-    "is_coboundary",
     "is_cocycle",
     "is_invariant",
     "is_reduced",

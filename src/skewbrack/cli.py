@@ -625,7 +625,7 @@ def main(argv=None):
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
             # the reader of stdout has gone (`| head`): exit with the
             # status of a process that SIGPIPE killed, 128 + 13, with

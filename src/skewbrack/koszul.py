@@ -223,26 +223,12 @@ def diagonal(e: KoszulElt) -> KoszulTensor2:
     return KoszulTensor2(n, order, out)
 
 
-def triple_splits(idx):
-    """Ordered splittings of an increasing index tuple into three blocks,
-    with the sign rearranging idx into their concatenation.  Agrees with
-    applying the comultiplication twice."""
-    k = len(idx)
-    pos = {v: j for j, v in enumerate(idx)}
-    for s1 in range(k + 1):
-        for part1 in combinations(idx, s1):
-            rest1 = tuple(v for v in idx if v not in part1)
-            for s2 in range(len(rest1) + 1):
-                for part2 in combinations(rest1, s2):
-                    part3 = tuple(v for v in rest1 if v not in part2)
-                    perm = [pos[v] for v in part1 + part2 + part3]
-                    sgn, _ = sort_sign(perm)
-                    yield part1, part2, part3, sgn
-
-
 def splits_through(idx, mid):
-    """The triple_splits of the increasing tuple idx whose middle block is
-    mid, an increasing tuple of entries of idx, as (part1, part3, sign)."""
+    """The ordered splittings of the increasing tuple idx into three
+    blocks part1, mid, part3 with the given middle block mid, an
+    increasing tuple of entries of idx, as (part1, part3, sign): the
+    Sweedler triples of the comultiplication applied twice, the sign
+    rearranging idx into part1 + mid + part3."""
     pos = {v: j for j, v in enumerate(idx)}
     rest = tuple(v for v in idx if v not in mid)
     for s1 in range(len(rest) + 1):
@@ -309,57 +295,6 @@ def homotopy_residual(e: KoszulTensor2) -> KoszulElt:
     """d phi(e) + phi(d e) - F(e); identically zero when phi is a
     contracting homotopy for the multiplication chain map."""
     return koszul_diff(phi(e)) + phi(koszul2_diff(e)) - f_k(e)
-
-
-def act_koszul(e: KoszulElt, m: Matrix) -> KoszulElt:
-    """Linear substitution x_i -> sum_k m[k][i] x_k on both outer legs
-    and on the wedge block (through minors of m)."""
-    n, order = e.n, e.order
-    out = {}
-
-    def put(key, c):
-        out[key] = out.get(key, Cyc.zero(order)) + c
-
-    for (idx, el, er), c in e.terms.items():
-        pl = subst_matrix(Poly.monomial(el, 1, order), m)
-        pr = subst_matrix(Poly.monomial(er, 1, order), m)
-        k = len(idx)
-        for rows in combinations(range(n), k):
-            d = minor_det(m, rows, idx)
-            if d.is_zero():
-                continue
-            for e1, c1 in pl.terms.items():
-                for e2, c2 in pr.terms.items():
-                    put((rows, e1, e2), c * d * c1 * c2)
-    return KoszulElt(n, order, out)
-
-
-def act_koszul2(e: KoszulTensor2, m: Matrix) -> KoszulTensor2:
-    """Same substitution action on the tensor square (three polynomial
-    legs, two wedge blocks)."""
-    n, order = e.n, e.order
-    out = {}
-
-    def put(key, c):
-        out[key] = out.get(key, Cyc.zero(order)) + c
-
-    for (s_idx, z_idx, el, em, er), c in e.terms.items():
-        pl = subst_matrix(Poly.monomial(el, 1, order), m)
-        pm = subst_matrix(Poly.monomial(em, 1, order), m)
-        pr = subst_matrix(Poly.monomial(er, 1, order), m)
-        for rows_s in combinations(range(n), len(s_idx)):
-            ds = minor_det(m, rows_s, s_idx)
-            if ds.is_zero():
-                continue
-            for rows_z in combinations(range(n), len(z_idx)):
-                dz = minor_det(m, rows_z, z_idx)
-                if dz.is_zero():
-                    continue
-                for e1, c1 in pl.terms.items():
-                    for e2, c2 in pm.terms.items():
-                        for e3, c3 in pr.terms.items():
-                            put((rows_s, rows_z, e1, e2, e3), c * ds * dz * c1 * c2 * c3)
-    return KoszulTensor2(n, order, out)
 
 
 def _column_minors(minors, hmat, cols):

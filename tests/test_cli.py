@@ -307,6 +307,21 @@ def test_cohomology_classes_at_the_largest_m_load_back(tmp_path, capsys):
         assert load_class_file(str(saved), group) == c
 
 
+def test_cohomology_of_the_binary_tetrahedral_group(capsys):
+    # SL(2, 3) in SL(2) over Q(zeta4), the first group file with an entry
+    # that is not an integer; in exterior degree 0 its classes are the
+    # invariant polynomials, which Klein's forms of degrees 6, 8 and 12
+    # generate
+    path = fixture("binary_tetrahedral_k2_z4.json")
+    code, out, _ = run(capsys, "group", path, "--json")
+    data = json.loads(out)
+    assert code == 0 and data["order"] == 24 and len(data["conjugacyClasses"]) == 7
+    for p, m, count in [(0, 6, 1), (0, 8, 1), (0, 10, 0), (0, 12, 2), (2, 0, 7)]:
+        code, out, _ = run(capsys, "cohomology", path, "--p", str(p), "--m", str(m), "--json")
+        data = json.loads(out)
+        assert code == 0 and data["match"] and data["count"] == count, (p, m, data["count"])
+
+
 def test_cohomology_refuses_piece_too_large_for_its_group(capsys):
     # 700 terms is under the term bound, but S5's centralizers make the
     # averages 112,700 single actions
@@ -750,6 +765,19 @@ def test_malformed_documents_exit_2_naming_the_file(tmp_path_factory, docs):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1, lines
             assert any(lines[0].startswith(f"error: {p}: ") for p in paths.values()), lines
+
+
+@pytest.mark.parametrize("fault", [KeyError, RuntimeError])
+def test_a_fault_inside_a_command_is_not_a_usage_error(monkeypatch, fault):
+    # every input error is a ValueError or an OSError; anything else
+    # raised inside a command is a fault of the program, and it leaves
+    # main rather than exit with 2, the code for bad input
+    def broken(group, p, m):
+        raise fault("fault")
+
+    monkeypatch.setattr(cli, "cohomology_dim_character", broken)
+    with pytest.raises(fault):
+        main(["cohomology", fixture("trivial_k2.json"), "--p", "1", "--m", "1"])
 
 
 def test_validation_survives_python_optimize(tmp_path):

@@ -1,6 +1,8 @@
 """Tests for group-decorated polyvector cochains: differential, group
-action, averaging, reduction, and the cohomology basis builders."""
+action, averaging, reduction, exactness against a linear solve, and the
+cohomology basis builders."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -11,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import mat, trivial_group_k
 from skewbrack.scalars import Cyc, field_degree
-from skewbrack.linalg import Matrix
+from skewbrack.linalg import Matrix, solve_membership
 from skewbrack.polyvec import Poly, Polyvector, act, euler_field
 from skewbrack.groups import Group, enumerate_group, geometry, resolve_word
 from skewbrack.cochain import (
@@ -23,7 +25,6 @@ from skewbrack.cochain import (
     cohomology_dim_character,
     cohomology_dim_direct,
     differential,
-    is_coboundary,
     is_cocycle,
     is_invariant,
     is_reduced,
@@ -44,6 +45,7 @@ from skewbrack.fixtures import (
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
 S4_ROOT_BASIS = Path(__file__).resolve().parent.parent / "fixtures" / "s4_a3_root_basis_k3.json"
+BINARY_TETRAHEDRAL = S4_ROOT_BASIS.parent / "binary_tetrahedral_k2_z4.json"
 
 
 # ---------------------------------------------------------------- euler
@@ -368,6 +370,63 @@ def test_support_codim_is_the_largest_codim_in_the_support():
 # --------------------------------------------------------- is_coboundary
 
 
+def is_coboundary(c):
+    """Exact solve of (differential b) = c in the piece one step below.
+
+    The tests' oracle for exactness, which the package decides by
+    project alone: it shares no code with project and does not assume
+    that each class has one reduced representative.  Returns
+    (True, witness) or (False, None).  When c is invariant and
+    solvable, the witness is averaged so it is invariant too.  Input must
+    be a cocycle, homogeneous in both degrees.
+    """
+    if not is_cocycle(c):
+        raise ValueError("input is not a cocycle")
+    group = c.group
+    p = c.degree
+    if c.is_zero():
+        return True, Cochain.zero(group, max(p - 1, 0))
+    degrees = {sum(e) for pv in c.terms.values() for poly in pv.terms.values()
+               for e in poly.terms}
+    if len(degrees) != 1:
+        raise ValueError("cochain is not homogeneous in polynomial degree")
+    (m,) = degrees
+    if p == 0 or m == 0:
+        return False, None
+    n, order = group.dim, group.scalar_order
+    zero = Cyc.zero(order)
+    src_keys = ambient_keys(n, p - 1, m - 1)
+    tgt_keys = ambient_keys(n, p, m)
+
+    def flatten(pv):
+        return [pv.terms[idx].terms.get(exps, zero) if idx in pv.terms else zero
+                for idx, exps in tgt_keys]
+
+    witness = {}
+    for g, pv in c.terms.items():
+        e_g = euler_field(group.matrices[g])
+        columns = []
+        sources = []
+        for idx, exps in src_keys:
+            b = Polyvector.term(1, exps, idx, order)
+            columns.append(flatten(e_g.wedge(b)))
+            sources.append(b)
+        target = flatten(pv)
+        coeffs = solve_membership(columns, target, order)
+        if coeffs is None:
+            return False, None
+        acc = Polyvector.zero(n, order)
+        for b, coef in zip(sources, coeffs):
+            if coef:
+                acc = acc + b * coef
+        if not acc.is_zero():
+            witness[g] = acc
+    b = Cochain(group, p - 1, witness)
+    if is_invariant(c):
+        b = reynolds(b)
+    return True, b
+
+
 def test_is_coboundary_zero():
     group = sign_line_k2()
     flag, witness = is_coboundary(Cochain.zero(group, 2))
@@ -410,6 +469,53 @@ def test_invariant_coboundary_gets_invariant_witness():
     assert flag
     assert is_invariant(witness)
     assert differential(witness) == dc
+
+
+def exactness_groups():
+    """The small fixture groups, D4 and D5 over Q(zeta4) and Q(zeta5),
+    and the binary tetrahedral group over Q(zeta4)."""
+    groups = {name: group for name, group in fixture_groups().items() if group.dim <= 3}
+    for path in (GROUP_DATA / "d4.json", GROUP_DATA / "d5.json", BINARY_TETRAHEDRAL):
+        groups[path.stem] = loaded_group(path)
+    return groups
+
+
+def seeded_cochain(rng, group, p, m):
+    """A cochain of degree (p, m) on up to three random elements, each
+    with a few random terms whose coefficients are small multiples of
+    powers of zeta."""
+    n, order = group.dim, group.scalar_order
+    keys = ambient_keys(n, p, m)
+    terms = {}
+    for g in rng.sample(range(len(group)), min(3, len(group))):
+        pv = Polyvector.zero(n, order)
+        for idx, exps in rng.sample(keys, min(3, len(keys))):
+            coeff = Cyc.zeta(order, rng.randrange(order)) * rng.choice([1, -1, 2])
+            pv = pv + Polyvector.term(coeff, exps, idx, order)
+        terms[g] = pv
+    return Cochain(group, p, terms)
+
+
+def test_project_decides_exactness_as_the_linear_solve_does():
+    # a cocycle c is a coboundary exactly when project(c) is zero: on
+    # differential(b), and on differential(b) plus a basis class
+    rng = random.Random(3)
+    exact = inexact = 0
+    for name, group in exactness_groups().items():
+        for p in range(1, group.dim + 1):
+            for m in range(1, 3):
+                basis = cohomology_basis(group, p, m)
+                for _ in range(3):
+                    db = differential(seeded_cochain(rng, group, p - 1, m - 1))
+                    cocycles = [db, db + rng.choice(basis)] if basis else [db]
+                    for c in cocycles:
+                        flag, witness = is_coboundary(c)
+                        assert flag == project(c).is_zero(), (name, p, m)
+                        if flag:
+                            assert differential(witness) == c, (name, p, m)
+                        exact += flag and not c.is_zero()
+                        inexact += not flag
+    assert exact >= 100 and inexact >= 80, (exact, inexact)
 
 
 # ----------------------------------------------------- cohomology bases
