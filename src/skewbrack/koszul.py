@@ -7,15 +7,13 @@ resulting two-sided element with the contraction map phi, and evaluate
 the outer cochain.  No closed formula is used, so these routines serve
 as an independent check of the fast path in polyvec and bracket.
 
-The contraction on a basis element o(x_I) walks only the Sweedler
-splits of I whose middle block is a wedge of the inner polyvector, and
-keeps only the terms phi can carry onto a wedge of the outer one; all of
-them go through one phi call.  Minors and substitutions are computed
-from scratch, once per chain_bracket_cochain (or chain_circle_avatar)
-call, in dicts local to that call: nothing here reads the caches kept on
-matrices or calls act, minor_row, monomial_image or circle_product.  The
-fast path's bracket core, schouten, is called only by
-schouten_graded_laws, which checks its graded laws.
+The contraction's tables (minors, substitutions, Sweedler splits, the
+outer polyvector's wedges) are built from scratch once per
+chain_bracket_cochain (or chain_circle_avatar) call, in dicts local to
+it; only phi's integer weights persist.  Nothing here reads the
+caches kept on matrices or calls act, minor_row, monomial_image or
+circle_product.  The fast path's bracket core, schouten, is called only
+by schouten_graded_laws, which checks its graded laws.
 
 Conventions:
   * o(v_1, ..., v_k) is the signed sum over permutations of tensor
@@ -31,11 +29,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, factorial
-from operator import attrgetter
+from math import comb, factorial, prod
+from operator import add, attrgetter, sub
 
 from .linalg import Matrix
-from .scalars import Cyc
+from .scalars import Cyc, _lowest
 from .polyvec import (
     Poly,
     Polyvector,
@@ -68,7 +66,7 @@ def _zero_exp(n):
 
 
 def _add_exp(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class KoszulTerms(SparseTerms):
@@ -85,6 +83,13 @@ class KoszulTerms(SparseTerms):
             if not c.is_zero():
                 clean[key] = c
         self._init(terms=clean, n=n, order=order)
+
+    @classmethod
+    def _clean(cls, n, order, terms):
+        """The element of terms whose values are already nonzero Cycs."""
+        out = object.__new__(cls)
+        out._init(terms=terms, n=n, order=order)
+        return out
 
 
 class KoszulElt(KoszulTerms):
@@ -128,12 +133,20 @@ class KoszulTensor2(KoszulTerms):
         return KoszulTensor2(n, order, {(key1, key2, tuple(el), tuple(em), tuple(er)): c})
 
 
+def _adder(out):
+    """put(key, c) adds c to out[key]."""
+    def put(key, c):
+        out[key] = out[key] + c if key in out else c
+    return put
+
+
 def koszul_diff(e: KoszulElt) -> KoszulElt:
     """Differential of the resolution: d(a o(I) b) contracts one wedge
     index at a time into the left or right polynomial leg with
     alternating signs."""
     n, order = e.n, e.order
     out = {}
+    put = _adder(out)
     for (idx, el, er), c in e.terms.items():
         for j, i in enumerate(idx):
             rest = idx[:j] + idx[j + 1:]
@@ -142,8 +155,8 @@ def koszul_diff(e: KoszulElt) -> KoszulElt:
             k1 = (rest, _add_exp(el, ei), er)
             k2 = (rest, el, _add_exp(er, ei))
             cc = c * sgn
-            out[k1] = out.get(k1, Cyc.zero(order)) + cc
-            out[k2] = out.get(k2, Cyc.zero(order)) - cc
+            put(k1, cc)
+            put(k2, -cc)
     return KoszulElt(n, order, out)
 
 
@@ -154,10 +167,7 @@ def koszul2_diff(e: KoszulTensor2) -> KoszulTensor2:
     hitting the shared middle leg multiply into the middle exponent."""
     n, order = e.n, e.order
     out = {}
-
-    def put(key, c):
-        out[key] = out.get(key, Cyc.zero(order)) + c
-
+    put = _adder(out)
     for (s_idx, z_idx, el, em, er), c in e.terms.items():
         s = len(s_idx)
         for j, i in enumerate(s_idx):
@@ -182,10 +192,7 @@ def f_k(e: KoszulTensor2) -> KoszulElt:
     right factor negatively)."""
     n, order = e.n, e.order
     out = {}
-
-    def put(key, c):
-        out[key] = out.get(key, Cyc.zero(order)) + c
-
+    put = _adder(out)
     for (s_idx, z_idx, el, em, er), c in e.terms.items():
         if not s_idx:
             put((z_idx, _add_exp(el, em), er), c)
@@ -194,32 +201,16 @@ def f_k(e: KoszulTensor2) -> KoszulElt:
     return KoszulElt(n, order, out)
 
 
-def _split_sign(idx, part1, part2):
-    """Sign of the permutation rearranging the increasing tuple idx into
-    the concatenation (part1, part2), both blocks increasing."""
-    pos = {v: k for k, v in enumerate(idx)}
-    perm = [pos[v] for v in part1 + part2]
-    sgn, _ = sort_sign(perm)
-    return sgn
-
-
 def diagonal(e: KoszulElt) -> KoszulTensor2:
     """Comultiplication: split the wedge block into an ordered pair of
     complementary subsets with shuffle signs; outer legs stay put."""
     n, order = e.n, e.order
     out = {}
-
-    def put(key, c):
-        out[key] = out.get(key, Cyc.zero(order)) + c
-
+    put = _adder(out)
     zero = _zero_exp(n)
     for (idx, el, er), c in e.terms.items():
-        k = len(idx)
-        for sz in range(k + 1):
-            for part1 in combinations(idx, sz):
-                part2 = tuple(v for v in idx if v not in part1)
-                sgn = _split_sign(idx, part1, part2)
-                put((part1, part2, el, zero, er), c * sgn)
+        for part1, part2, sgn in splits_through(idx, ()):
+            put((part1, part2, el, zero, er), c * sgn)
     return KoszulTensor2(n, order, out)
 
 
@@ -238,15 +229,7 @@ def splits_through(idx, mid):
             yield part1, part3, sgn
 
 
-def sub_multisets(beta):
-    return product(*[range(b + 1) for b in beta])
-
-
-def prod_comb(beta, L):
-    out = 1
-    for b, l in zip(beta, L):
-        out *= comb(b, l)
-    return out
+_WEIGHTS = {}
 
 
 def phi(e: KoszulTensor2) -> KoszulElt:
@@ -256,19 +239,13 @@ def phi(e: KoszulTensor2) -> KoszulElt:
     x_i is absorbed into the wedge as o(W, i, U) while the remaining
     middle factors split around it; the permutation sum collapses to
     multiset weights c_coeff(s,t,z,r) (r-1)! (t-r)! alpha_i
-    C(beta, L); the part that depends on (s, t, z, r) alone is computed
-    once per call."""
+    C(beta, L).  Each weight is rational and scales a coefficient's
+    integer numerators and denominator; its part that depends on
+    (s, t, z, r) alone is kept in _WEIGHTS as two ints."""
     n, order = e.n, e.order
     out = {}
-    base = {}
-
-    def put(key, c):
-        out[key] = out.get(key, Cyc.zero(order)) + c
-
     for (s_idx, z_idx, el, em, er), c in e.terms.items():
         s, z, t = len(s_idx), len(z_idx), sum(em)
-        if t == 0:
-            continue
         for i in range(n):
             a_i = em[i]
             if a_i == 0:
@@ -278,17 +255,18 @@ def phi(e: KoszulTensor2) -> KoszulElt:
                 continue
             beta = list(em)
             beta[i] -= 1
-            for lpart in sub_multisets(beta):
+            for lpart in product(*[range(b + 1) for b in beta]):
                 r = sum(lpart) + 1
-                w = base.get((s, t, z, r))
+                w = _WEIGHTS.get((s, t, z, r))
                 if w is None:
-                    w = base[(s, t, z, r)] = (c_coeff(s, t, z, r)
-                                              * (factorial(r - 1) * factorial(t - r)))
-                weight = w * (a_i * prod_comb(beta, lpart))
-                rest = tuple(b - l for b, l in zip(beta, lpart))
+                    f = c_coeff(s, t, z, r) * (factorial(r - 1) * factorial(t - r))
+                    w = _WEIGHTS[(s, t, z, r)] = (f.numerator, f.denominator)
+                scale = w[0] * wsgn * a_i * prod(map(comb, beta, lpart))
+                v = _lowest(order, [a * scale for a in c.num], c.den * w[1])
+                rest = tuple(map(sub, beta, lpart))
                 key = (wkey, _add_exp(el, lpart), _add_exp(er, rest))
-                put(key, c * (weight * wsgn))
-    return KoszulElt(n, order, out)
+                out[key] = out[key] + v if key in out else v
+    return KoszulElt._clean(n, order, {k: v for k, v in out.items() if v})
 
 
 def homotopy_residual(e: KoszulTensor2) -> KoszulElt:
@@ -298,14 +276,14 @@ def homotopy_residual(e: KoszulTensor2) -> KoszulElt:
 
 
 def _column_minors(minors, hmat, cols):
-    """The nonzero minors of hmat on the columns cols, as (rows, det)."""
+    """The nonzero minors of hmat on columns cols, as (rows, det, -det)."""
     got = minors.get(cols)
     if got is None:
         got = []
         for rows in combinations(range(hmat.nrows), len(cols)):
             d = minor_det(hmat, rows, cols)
             if not d.is_zero():
-                got.append((rows, d))
+                got.append((rows, d, -d))
         minors[cols] = got
     return got
 
@@ -318,14 +296,28 @@ def _image(images, gmat, exps):
     return got
 
 
-def chain_circle_component(
-    x: Polyvector,
-    gmat: Matrix,
-    y: Polyvector,
-    hmat: Matrix,
-    idx,
-    memo=None,
-) -> Poly:
+class _Landing(dict):
+    """By (part1, rows), the variables whose absorption carries the two
+    blocks onto a wedge of x; `targets` holds x's wedges by size."""
+
+    def __init__(self, x):
+        self.targets = {}
+        for w in x.terms:
+            self.targets.setdefault(len(w), []).append(set(w))
+
+    def __missing__(self, key):
+        part1, rows = key
+        outer, landing = set(part1) | set(rows), set()
+        if len(outer) == len(part1) + len(rows):
+            for w in self.targets.get(len(outer) + 1, ()):
+                if outer < w:
+                    landing |= w - outer
+        got = self[key] = tuple(landing)
+        return got
+
+
+def chain_circle_component(x: Polyvector, gmat: Matrix, y: Polyvector,
+                           hmat: Matrix, idx, memo=None) -> Poly:
     """Value of (x tagged gmat) circle (y tagged hmat) on the resolution
     basis element o(x_idx), idx increasing, as the polynomial sitting
     left of the product group tag.
@@ -339,41 +331,35 @@ def chain_circle_component(
     only the terms phi can carry onto a wedge of x are kept: a term with
     blocks U and W and middle monomial x^alpha lands on the wedges
     W + {i} + U for the variables i of alpha.  All kept terms go through
-    one phi call, which is linear.  `memo` is a pair of dicts the calls
-    of one oracle evaluation share: the nonzero minors of hmat by column
-    block, and the subst_matrix images of monomials under gmat.  Fresh
-    dicts are used when it is omitted."""
+    one phi call, which is linear.  `memo` holds the tables one oracle
+    evaluation shares, each filled as it is read: the nonzero
+    minors of hmat by column block, the subst_matrix images of monomials
+    under gmat, the splits_through lists by (idx, mid), and x's _Landing.
+    Fresh tables are used without it."""
     n, order = x.n, x.order
     idx = tuple(idx)
-    minors, images = memo if memo is not None else ({}, {})
+    minors, images, splits, landing = memo or ({}, {}, {}, _Landing(x))
     zero = _zero_exp(n)
     span = set(idx)
     t2 = {}
     for mid, q in y.terms.items():
-        if not span.issuperset(mid):
-            continue
         # phi lands on wedges of size |idx| - |mid| + 1
-        targets = [set(w) for w in x.terms if len(w) == len(idx) - len(mid) + 1]
-        if not targets:
+        if not span.issuperset(mid) or len(idx) - len(mid) + 1 not in landing.targets:
             continue
         pairing = rev_sign(len(mid))
-        for part1, part3, eps in splits_through(idx, mid):
+        through = splits.get((idx, mid))
+        if through is None:
+            through = splits[(idx, mid)] = list(splits_through(idx, mid))
+        for part1, part3, eps in through:
             ksign = -1 if (len(part1) * len(mid)) % 2 else 1
             sign = eps * ksign * pairing
-            for rows, d in _column_minors(minors, hmat, part3):
-                outer = set(part1) | set(rows)
-                if len(outer) < len(part1) + len(rows):
+            for rows, d, nd in _column_minors(minors, hmat, part3):
+                land = landing[(part1, rows)]
+                if not land:
                     continue
-                # the variables whose absorption gives a wedge of x
-                landing = set()
-                for w in targets:
-                    if outer < w:
-                        landing |= w - outer
-                if not landing:
-                    continue
-                dq = d if sign == 1 else -d
+                dq = d if sign == 1 else nd
                 for em, qc in q.terms.items():
-                    if not any(em[i] for i in landing):
+                    if not any(em[i] for i in land):
                         continue
                     key = (part1, rows, zero, em, zero)
                     v = qc * dq
@@ -404,20 +390,21 @@ def chain_circle_avatar(
     """Polyvector avatar of the chain-level circle product: evaluate on
     every basis wedge of the correct degree and re-express in the d_I
     basis (the reversed-word pairing sign enters once per component).
-    The components share `memo` (see chain_circle_component), fresh
-    dicts unless the caller passes them."""
+    A wedge containing no wedge of y is skipped: its component is zero.
+    The components share `memo` (see chain_circle_component)."""
     n, order = x.n, x.order
     deg = x.degree() + y.degree() - 1
     comps = {}
     if deg < 0:
         return Polyvector.zero(n, order)
-    if memo is None:
-        memo = ({}, {})
+    memo = memo or ({}, {}, {}, _Landing(x))
     rs = rev_sign(deg)
     for idx in combinations(range(n), deg):
-        v = chain_circle_component(x, gmat, y, hmat, idx, memo)
-        if not v.is_zero():
-            comps[idx] = v * rs
+        span = set(idx)
+        if any(map(span.issuperset, y.terms)):
+            v = chain_circle_component(x, gmat, y, hmat, idx, memo)
+            if not v.is_zero():
+                comps[idx] = v * rs
     return Polyvector(n, order, comps)
 
 
@@ -538,30 +525,25 @@ def homotopy_sweep(n, max_s, max_z, max_t):
     from .cochain import monomials
 
     checked, failures = 0, []
-    idx_lists = [c for k in range(n + 1) for c in combinations(range(n), k)]
     zero = (0,) * n
-    for s_idx in idx_lists:
-        if len(s_idx) > max_s:
-            continue
-        for z_idx in idx_lists:
-            if len(z_idx) > max_z:
-                continue
-            for t in range(max_t + 1):
-                for em in monomials(n, t):
-                    e = KoszulTensor2.term(n, 1, s_idx, z_idx, zero, em, zero)
-                    if e.is_zero():
-                        continue
-                    checked += 1
-                    if not homotopy_residual(e).is_zero():
-                        failures.append((s_idx, z_idx, em))
+
+    def wedges(k):
+        return [c for j in range(min(n, k) + 1) for c in combinations(range(n), j)]
+
+    for s_idx, z_idx in product(wedges(max_s), wedges(max_z)):
+        for t in range(max_t + 1):
+            for em in monomials(n, t):
+                e = KoszulTensor2.term(n, 1, s_idx, z_idx, zero, em, zero)
+                checked += 1
+                if not homotopy_residual(e).is_zero():
+                    failures.append((s_idx, z_idx, em))
     return checked, failures
 
 
 def chain_bracket_cochain(x, y):
     """Graded commutator of chain-level circle products, assembled into
-    a cochain through the basis pairing.  The minors and substitutions
-    of each group element are computed from scratch once for this call,
-    in dicts its component pairs share."""
+    a cochain through the basis pairing.  The component pairs share the
+    tables of chain_circle_component's memo, built for this call."""
     from .cochain import Cochain
 
     if x.group is not y.group:
@@ -569,8 +551,11 @@ def chain_bracket_cochain(x, y):
     group = x.group
     sign = -1 if ((x.degree - 1) * (y.degree - 1)) % 2 else 1
     out = {}
-    # per element: its nonzero minors and its images of monomials
-    memos = {k: ({}, {}) for k in {*x.terms, *y.terms}}
+    minors = {k: {} for k in {*x.terms, *y.terms}}
+    images = {k: {} for k in minors}
+    splits = {}
+    land_x = {a: _Landing(xg) for a, xg in x.terms.items()}
+    land_y = {b: _Landing(yh) for b, yh in y.terms.items()}
 
     def add(k, pv):
         if pv.is_zero():
@@ -580,11 +565,10 @@ def chain_bracket_cochain(x, y):
     for a, xg in x.terms.items():
         for b, yh in y.terms.items():
             ga, gb = group.matrices[a], group.matrices[b]
-            (minors_a, images_a), (minors_b, images_b) = memos[a], memos[b]
-            add(group.mult_table[a][b],
-                chain_circle_avatar(xg, ga, yh, gb, (minors_b, images_a)))
-            add(group.mult_table[b][a],
-                chain_circle_avatar(yh, gb, xg, ga, (minors_a, images_b)) * (-sign))
+            add(group.mult_table[a][b], chain_circle_avatar(
+                xg, ga, yh, gb, (minors[b], images[a], splits, land_x[a])))
+            add(group.mult_table[b][a], chain_circle_avatar(
+                yh, gb, xg, ga, (minors[a], images[b], splits, land_y[b])) * (-sign))
     return Cochain(group, x.degree + y.degree - 1, out)
 
 

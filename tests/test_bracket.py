@@ -218,6 +218,23 @@ def test_oracle_agrees_on_a_non_monomial_group():
     assert (len(pool) ** 2, found) == (9, 4)
 
 
+def test_oracle_agrees_on_s5_pairs_with_twenty_component_classes():
+    # of the groups here, only S5 has nonzero per-pair terms at (g, h)
+    # with gh != hg; its (2,1) and (3,0) classes of twenty components
+    # give them, so the oracle checks terms the commuting pairs of every
+    # other group leave out
+    group = load_group_file(str(GROUP_DATA / "s5.json"))[0]
+    mult = group.mult_table
+    pairs = terms = 0
+    for x in [c for p, m in ((1, 0), (2, 1)) for c in cohomology_basis(group, p, m)]:
+        for y in cohomology_basis(group, 3, 0):
+            report = gerstenhaber(x, y)
+            assert report.result == project(chain_bracket_cochain(x, y)), (x, y)
+            pairs += 1
+            terms += sum(mult[g][h] != mult[h][g] for g, h in report.per_component_terms)
+    assert (pairs, terms) == (8, 480)
+
+
 @pytest.mark.parametrize("path, pairs, nonzero", [(GROUP_DATA / "d4.json", 45, 10),
                                                    (S4_ROOT_BASIS, 6, 2)],
                          ids=["d4", "s4-root-basis"])

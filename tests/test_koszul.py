@@ -240,6 +240,59 @@ def test_phi_matches_literal_enumeration():
         assert phi(e) == phi_literal(e)
 
 
+def reference_phi(e: KoszulTensor2) -> KoszulElt:
+    """phi with Fraction weights and one Cyc product per term: the
+    multiset weights c_coeff(s,t,z,r) (r-1)! (t-r)! alpha_i C(beta, L)
+    are built as Fractions and coerced into the field."""
+    n, order = e.n, e.order
+    out = {}
+    for (s_idx, z_idx, el, em, er), c in e.terms.items():
+        s, z, t = len(s_idx), len(z_idx), sum(em)
+        for i in range(n):
+            if em[i] == 0:
+                continue
+            wsgn, wkey = sort_sign(z_idx + (i,) + s_idx)
+            if wsgn == 0:
+                continue
+            beta = list(em)
+            beta[i] -= 1
+            for lpart in product(*[range(b + 1) for b in beta]):
+                r = sum(lpart) + 1
+                weight = (c_coeff(s, t, z, r) * factorial(r - 1) * factorial(t - r)
+                          * em[i] * prod(comb(b, l) for b, l in zip(beta, lpart)))
+                rest = tuple(b - l for b, l in zip(beta, lpart))
+                key = (wkey, tuple(a + l for a, l in zip(el, lpart)),
+                       tuple(a + b for a, b in zip(er, rest)))
+                out[key] = out.get(key, Cyc.zero(order)) + c * (weight * wsgn)
+    return KoszulElt(n, order, out)
+
+
+@st.composite
+def tensor_square_elements(draw):
+    """Elements of the tensor square on k^n, n <= 4, over Q, Q(zeta5) or
+    Q(zeta6): one to four terms with |S|, |Z| <= 2 (the blocks may share
+    an index), middle degree <= 3 and coefficients that are sums of
+    fractional multiples of powers of zeta."""
+    n = draw(st.integers(1, 4))
+    order = draw(st.sampled_from([1, 5, 6]))
+    wedges = [w for k in range(min(n, 2) + 1) for w in combinations(range(n), k)]
+    middles = [em for em in product(range(4), repeat=n) if sum(em) <= 3]
+    outer = st.tuples(*[st.integers(0, 1)] * n)
+    scalar = st.builds(lambda k, a, b: Cyc.zeta(order, k) * Fraction(a, b),
+                       st.integers(0, order - 1), st.integers(-3, 3), st.integers(1, 4))
+    terms = draw(st.dictionaries(
+        st.tuples(st.sampled_from(wedges), st.sampled_from(wedges), outer,
+                  st.sampled_from(middles), outer),
+        st.lists(scalar, min_size=1, max_size=2).map(sum), min_size=1, max_size=4))
+    return KoszulTensor2(n, order, terms)
+
+
+@given(tensor_square_elements())
+@settings(max_examples=200, deadline=None)
+def test_phi_matches_the_fraction_weight_reference(e):
+    assert phi(e) == reference_phi(e)
+
+
 def test_homotopy_residual_small():
     n = 2
     for s_idx in [(), (0,), (1,)]:
@@ -653,6 +706,10 @@ ORACLE_POLYVEC_NAMES = {
     "Poly", "Polyvector", "SparseTerms", "minor_det", "rev_sign",
     "schouten", "sort_sign", "subst_matrix",
 }
+# the scalars names it may use: the type and its lowest-terms constructor,
+# not the integer accumulator (_widen, _reduce, _powers) behind the fast
+# path's products, so a fault there cannot hide on both sides
+ORACLE_SCALARS_NAMES = {"Cyc", "_lowest"}
 
 
 def test_oracle_shares_no_code_with_the_fast_path():
@@ -670,6 +727,9 @@ def test_oracle_shares_no_code_with_the_fast_path():
         for name in (module.split(".")[-1], *names):
             assert name not in ("bracket", "groups"), (module, name)
     assert imported.get(".polyvec", set()) <= ORACLE_POLYVEC_NAMES, imported[".polyvec"]
+    assert imported.get(".scalars", set()) <= ORACLE_SCALARS_NAMES, imported[".scalars"]
+    used = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+    assert not used & {"_widen", "_reduce", "_powers"}, used & {"_widen", "_reduce", "_powers"}
     memo_calls = [node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "memo"]
