@@ -12,8 +12,9 @@ from the codimension grading are provided alongside.
 
 from .cochain import Cochain, is_invariant, is_reduced, project
 from .groups import geometry
-from .linalg import Frozen, Matrix, kernel_basis, rref, solve_membership
+from .linalg import Matrix, kernel_basis, rref, solve_membership
 from .polyvec import act, schouten
+from .scalars import Frozen
 
 
 class BracketReport(Frozen):
@@ -28,10 +29,6 @@ class BracketReport(Frozen):
     """
 
     __slots__ = ("result", "per_component_terms", "vanishing_diagnostics")
-
-    def __init__(self, result, per_component_terms, vanishing_diagnostics):
-        self._init(result=result, per_component_terms=per_component_terms,
-                   vanishing_diagnostics=vanishing_diagnostics)
 
 
 def moved_intersection(group, g, h):

@@ -38,7 +38,7 @@ class Cochain(SparseTerms):
             if pv.degree() != degree:
                 raise ValueError("component exterior degree disagrees with cochain degree")
             clean[g] = pv
-        self._init(terms=clean, group=group, degree=degree)
+        self._init(clean, group, degree)
 
     @staticmethod
     def single(group, g, pv):

@@ -8,14 +8,8 @@ volume form omega_g of the complement is a reduced basis element, built
 in cochain.volume_form where it is shown.
 """
 
-from .linalg import (
-    Frozen,
-    Matrix,
-    image_basis,
-    kernel_basis,
-    mat_inverse,
-    rank,
-)
+from .linalg import Matrix, image_basis, kernel_basis, mat_inverse, rank
+from .scalars import Frozen
 
 
 # The most elements enumerate_group lists before it refuses a group as
@@ -38,8 +32,9 @@ class Group(Frozen):
     generate), and conjugators[k] is the first h with h^-1 r h = k for k
     in cls.  Readers index these tables directly.  Elements are keyed by
     their matrices, so the identity is the only element acting trivially
-    on V.  The geometry of each element is computed on first use and kept
-    on the group.
+    on V.  enumerate_group makes each table a tuple, so none can change
+    under its readers.  The geometry of each element is computed on first
+    use and kept in _geometries, the group's one cache list.
     """
 
     __slots__ = (
@@ -59,8 +54,9 @@ class Group(Frozen):
     )
 
     def __init__(self, **tables):
-        assert tables.keys() == set(Group.__slots__[:-1])
-        self._init(**tables, _geometries=[None] * len(tables["matrices"]))
+        names = Group.__slots__[:-1]
+        assert tables.keys() == set(names)
+        self._init(*map(tables.get, names), [None] * len(tables["matrices"]))
 
     def __len__(self):
         return len(self.matrices)
@@ -127,8 +123,8 @@ def enumerate_group(generators, bound=MAX_GROUP_ORDER, names=None):
         row = [i]
         for p, j in reached:
             row.append(right[row[p]][j])
-        mult_table.append(row)
-    inverses = [mult_table[i].index(0) for i in range(size)]
+        mult_table.append(tuple(row))
+    inverses = tuple(row.index(0) for row in mult_table)
 
     # r runs up through the elements in no class yet, so it is the least of
     # its class, and h = 0 gives conjugators[r] = 0.
@@ -150,9 +146,10 @@ def enumerate_group(generators, bound=MAX_GROUP_ORDER, names=None):
             gens_of[cent] = _generators(cent, mult_table)
     centralizer_gens = tuple(gens_of[cent] for cent in centralizers)
     return Group(dim=n, scalar_order=order, names=names,
-                 generator_indices=tuple(right[0]), matrices=matrices,
-                 words=words, mult_table=mult_table, inverses=inverses,
-                 conj_classes=conj_classes, centralizers=tuple(centralizers),
+                 generator_indices=tuple(right[0]), matrices=tuple(matrices),
+                 words=tuple(words), mult_table=tuple(mult_table),
+                 inverses=inverses, conj_classes=tuple(conj_classes),
+                 centralizers=tuple(centralizers),
                  centralizer_gens=centralizer_gens,
                  conjugators=tuple(conjugators))
 
@@ -225,9 +222,6 @@ class GroupGeometry(Frozen):
     """
 
     __slots__ = ("codim", "adapted", "dual_change")
-
-    def __init__(self, codim, adapted, dual_change):
-        self._init(codim=codim, adapted=adapted, dual_change=dual_change)
 
 
 def geometry(group, g):

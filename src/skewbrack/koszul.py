@@ -82,14 +82,7 @@ class KoszulTerms(SparseTerms):
             c = Cyc.of(c, order)
             if not c.is_zero():
                 clean[key] = c
-        self._init(terms=clean, n=n, order=order)
-
-    @classmethod
-    def _clean(cls, n, order, terms):
-        """The element of terms whose values are already nonzero Cycs."""
-        out = object.__new__(cls)
-        out._init(terms=terms, n=n, order=order)
-        return out
+        self._init(clean, n, order)
 
 
 class KoszulElt(KoszulTerms):
@@ -266,7 +259,7 @@ def phi(e: KoszulTensor2) -> KoszulElt:
                 rest = tuple(map(sub, beta, lpart))
                 key = (wkey, _add_exp(el, lpart), _add_exp(er, rest))
                 out[key] = out[key] + v if key in out else v
-    return KoszulElt._clean(n, order, {k: v for k, v in out.items() if v})
+    return KoszulElt._new({k: v for k, v in out.items() if v}, n, order)
 
 
 def homotopy_residual(e: KoszulTensor2) -> KoszulElt:

@@ -11,45 +11,11 @@ so identical inputs give identical outputs (no randomized or
 hash-ordered choices anywhere).
 `det` is a separate dense Gaussian elimination; only the chain-level
 oracle's minors (through `polyvec.minor_det`) and tests call it.
-`Frozen`, the immutable base of the matrices, sparse terms, groups,
-geometries and bracket reports, is defined here, the lowest module they
-all import from.
 """
 
 from __future__ import annotations
 
-from .scalars import Cyc, _powers, _reduce, _widen
-
-
-class Frozen:
-    """Base of the immutable values: a subclass lists its fields in
-    __slots__ and sets them once, in its constructor, through _init.
-    _init calls each field's slot descriptor setter directly; the
-    setters of a class and its bases are looked up once, when the class
-    is made, and a name that is not a field raises AttributeError."""
-
-    __slots__ = ()
-    _setters = {}
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        setters = dict(cls._setters)
-        for name in cls.__dict__.get("__slots__", ()):
-            setters[name] = cls.__dict__[name].__set__
-        cls._setters = setters
-
-    def _init(self, **fields):
-        setters = self._setters
-        for name, value in fields.items():
-            try:
-                setter = setters[name]
-            except KeyError:
-                raise AttributeError(
-                    f"{type(self).__name__} has no field {name!r}") from None
-            setter(self, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+from .scalars import Cyc, Frozen, _powers, _reduce, _widen
 
 
 class Matrix(Frozen):
@@ -59,33 +25,25 @@ class Matrix(Frozen):
 
     def __init__(self, order, rows):
         rows = tuple(tuple(Cyc.of(e, order) for e in r) for r in rows)
-        self._fill(order, rows)
-        assert all(len(r) == self.ncols for r in rows)
+        ncols = len(rows[0]) if rows else 0
+        assert all(len(r) == ncols for r in rows)
+        self._init(order, len(rows), ncols, rows, {})
 
     @classmethod
     def _of(cls, order, rows):
         """The matrix of rows whose entries are already Cycs of this
         order, as linalg's own results are: no entry is coerced."""
-        m = object.__new__(cls)
-        m._fill(order, tuple(map(tuple, rows)))
-        return m
-
-    def _fill(self, order, rows):
-        self._init(order=order, rows=rows, nrows=len(rows),
-                   ncols=len(rows[0]) if rows else 0, _memo=None)
+        rows = tuple(map(tuple, rows))
+        return cls._new(order, len(rows), len(rows[0]) if rows else 0, rows, {})
 
     def memo(self, name):
         """The dict called `name` of values derived from this matrix (its
         minors, the images of monomials under it), made empty on first
         use.  The entries cannot go stale, since the matrix is immutable,
         and they are freed with it; equality and hashing ignore them."""
-        memo = self._memo
-        if memo is None:
-            memo = {}
-            self._setters["_memo"](self, memo)
-        table = memo.get(name)
+        table = self._memo.get(name)
         if table is None:
-            table = memo[name] = {}
+            table = self._memo[name] = {}
         return table
 
     @staticmethod

@@ -8,7 +8,7 @@ components.  The Schouten bracket of polyvector fields, which the
 Gerstenhaber bracket projects term by term, and the group action on
 polyvectors live here.  Three products sum in plain ints and build one
 Cyc per output coefficient, through one accumulator: act adds products
-into it directly; schouten is one circle_product call, which adds both
+into it directly; schouten is circle_product itself, which adds both
 circle products of the graded commutator, pair of components by pair,
 so it is bilinear also on input of mixed exterior degree; and
 Polyvector.wedge adds the merge-signed products of coefficients.
@@ -26,8 +26,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import add, attrgetter
 
-from .linalg import Frozen, Matrix, det
-from .scalars import Cyc, _powers, _reduce, _widen, print_scalar
+from .linalg import Matrix, det
+from .scalars import Cyc, Frozen, _powers, _reduce, _widen, print_scalar
 
 
 def sort_sign(seq):
@@ -80,9 +80,10 @@ class SparseTerms(Frozen):
 
     Subclasses list their header fields in ``__slots__``, expose them as
     ``head`` in constructor order, and construct as ``cls(*head, terms)``,
-    dropping zero values, validating keys and setting every field through
-    ``Frozen._init``.  The termwise linear arithmetic, equality and
-    hashing live here.
+    dropping zero values, validating keys and ending in the fill
+    ``self._init(terms, *head)``; ``cls._new(terms, *head)`` builds one
+    from terms already clean.  The termwise linear arithmetic, equality
+    and hashing live here.
     """
 
     __slots__ = ("terms",)
@@ -138,7 +139,7 @@ class Poly(SparseTerms):
             if not c.is_zero():
                 assert len(exps) == n and all(e >= 0 for e in exps)
                 clean[tuple(exps)] = c
-        self._init(terms=clean, n=n, order=order)
+        self._init(clean, n, order)
 
     @staticmethod
     def const(value, n, order):
@@ -237,7 +238,7 @@ class Polyvector(SparseTerms):
             assert all(a < b for a, b in zip(idx, idx[1:]))
             if not p.is_zero():
                 clean[idx] = p
-        self._init(terms=clean, n=n, order=order)
+        self._init(clean, n, order)
 
     @staticmethod
     def term(coeff, exps, idx, order):
@@ -245,14 +246,14 @@ class Polyvector(SparseTerms):
         sgn, key = sort_sign(idx)
         n = len(exps)
         if sgn == 0:
-            return _clean(Polyvector, {}, n, order)
+            return Polyvector._new({}, n, order)
         c = Cyc.of(coeff, order)
         terms = {}
         if c:
             assert all(e >= 0 for e in exps)
-            terms[key] = _clean(Poly, {tuple(exps): c if sgn > 0 else -c}, n, order)
+            terms[key] = Poly._new({tuple(exps): c if sgn > 0 else -c}, n, order)
         assert all(0 <= i < n for i in key)
-        return _clean(Polyvector, terms, n, order)
+        return Polyvector._new(terms, n, order)
 
     def __mul__(self, other):
         """Scalar or polynomial multiple (polynomials are even, no signs)."""
@@ -457,16 +458,8 @@ def _build(out, n, order, scale=1):
     for cols, target in out.items():
         terms = _reduce(order, target, scale)
         if terms:
-            built[cols] = _clean(Poly, terms, n, order)
-    return _clean(Polyvector, built, n, order)
-
-
-def _clean(cls, terms, n, order):
-    """The Poly or Polyvector of terms already clean: valid keys and
-    nonzero values."""
-    out = object.__new__(cls)
-    out._init(terms=terms, n=n, order=order)
-    return out
+            built[cols] = Poly._new(terms, n, order)
+    return Polyvector._new(built, n, order)
 
 
 def euler_field(g: Matrix) -> Polyvector:
@@ -558,8 +551,6 @@ def circle_product(x: Polyvector, y: Polyvector) -> Polyvector:
     return _build(out, n, order)
 
 
-def schouten(x: Polyvector, y: Polyvector) -> Polyvector:
-    """Schouten bracket of polyvector fields: the graded commutator of
-    the circle product, taken component pair by component pair in one
-    circle_product pass."""
-    return circle_product(x, y)
+# The Schouten bracket of polyvector fields is the graded commutator of
+# the circle product, which circle_product computes in one pass.
+schouten = circle_product

@@ -8,6 +8,9 @@ computation downstream of this module is exact.  The bilinear products
 of linalg and polyvec sum each output entry in plain ints instead, as
 unreduced power-basis numerators over one denominator that _widen keeps
 common, and _reduce makes each sum one Cyc.
+`Frozen`, the immutable base of every value in the package (these
+scalars, matrices, sparse terms, groups, geometries and bracket
+reports), is defined here, the lowest module they all import from.
 """
 
 from __future__ import annotations
@@ -89,7 +92,55 @@ def _powers(order):
     return table
 
 
-class Cyc:
+_object_new = object.__new__
+
+
+class Frozen:
+    """Base of the immutable values: a subclass lists its fields in
+    __slots__ and sets them once.  Frozen(*fields), also bound as _init,
+    sets them in slot order, the bases' fields first; a constructor that
+    checks its input ends in that fill, and _new(*fields) builds a value
+    whose fields the caller has already made valid.  Both raise
+    TypeError on a wrong number of fields, before they set any."""
+
+    __slots__ = ()
+    _setters = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters += tuple(cls.__dict__[name].__set__
+                              for name in cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *fields):
+        setters = self._setters
+        if len(fields) != len(setters):
+            raise _count_error(type(self), fields)
+        for setter, value in zip(setters, fields):
+            setter(self, value)
+
+    _init = __init__
+
+    @classmethod
+    def _new(cls, *fields):
+        # the fill of __init__, inline: this is the hot constructor
+        setters = cls._setters
+        if len(fields) != len(setters):
+            raise _count_error(cls, fields)
+        self = _object_new(cls)
+        for setter, value in zip(setters, fields):
+            setter(self, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _count_error(cls, fields):
+    return TypeError(f"{cls.__name__} takes {len(cls._setters)} fields, "
+                     f"got {len(fields)}")
+
+
+class Cyc(Frozen):
     """An element of Q(zeta_N) for a fixed N (the `order`).
 
     The value is sum(num[k] * z^k) / den: `num` holds d ints in the power
@@ -110,12 +161,7 @@ class Cyc:
         den = lcm(*(a.denominator for a in coeffs))
         c = _lowest(order, [a.numerator * (den // a.denominator)
                             for a in coeffs], den)
-        _set_order(self, order)
-        _set_num(self, c.num)
-        _set_den(self, c.den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cyc is immutable")
+        self._init(order, c.num, c.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -316,15 +362,13 @@ class Cyc:
         return print_scalar(self)
 
 
-_new = object.__new__
-_set_order = Cyc.__dict__["order"].__set__
-_set_num = Cyc.__dict__["num"].__set__
-_set_den = Cyc.__dict__["den"].__set__
+_set_order, _set_num, _set_den = Cyc._setters
 
 
 def _make(order, num, den):
-    # A Cyc from fields already in lowest terms (num a tuple of d ints).
-    c = _new(Cyc)
+    # A Cyc from fields already in lowest terms (num a tuple of d ints):
+    # Cyc._new inlined, since every arithmetic result is made here.
+    c = _object_new(Cyc)
     _set_order(c, order)
     _set_num(c, num)
     _set_den(c, den)

@@ -382,6 +382,8 @@ def test_rejects_group_mismatch():
     cb = Cochain.single(b, 0, Polyvector.term(1, (0, 0), (0,), 1))
     with pytest.raises(ValueError, match="group"):
         gerstenhaber(ca, cb)
+    with pytest.raises(ValueError, match="group"):
+        chain_bracket_cochain(ca, cb)
 
 
 # ------------------------------------------------------- trivial group

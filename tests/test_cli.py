@@ -97,6 +97,10 @@ def test_group_file_errors(tmp_path, capsys):
         code, _, err = run(capsys, "group", str(bad))
         assert_names_file(code, err, bad)
 
+    bad.write_text('[2, 1]')
+    code, _, err = run(capsys, "group", str(bad))
+    assert code == 2 and err.startswith(f"error: {bad}: group file must be a JSON object")
+
     bad.write_text('{"dimension": 2, "cyclotomicOrder": 1}')
     code, _, err = run(capsys, "group", str(bad))
     assert code == 2 and "generators" in err
@@ -609,6 +613,10 @@ def test_class_file_errors(tmp_path, capsys):
         for x, y in ((str(bad), ok), (ok, str(bad))):
             code, _, err = run(capsys, "bracket", group_file, x, y)
             assert_names_file(code, err, bad)
+
+    bad.write_text('"terms"')
+    code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
+    assert code == 2 and err.startswith(f"error: {bad}: class file must be a JSON object")
 
     bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
         {"group": "g9", "coeff": "1", "exponents": [0, 0, 0],

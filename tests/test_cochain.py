@@ -687,6 +687,8 @@ def test_cohomology_rejects_bad_degree():
     group = sign_group_k1()
     with pytest.raises(ValueError):
         cohomology_basis(group, 2, 0)
+    with pytest.raises(ValueError):
+        cohomology_dim_direct(group, 2, 0)
 
 
 def test_nonabelian_basis_invariance():

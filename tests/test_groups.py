@@ -58,10 +58,10 @@ def klein_four():
 def test_enumerate_klein_four():
     g = klein_four()
     assert len(g) == 4
-    assert g.words == ["e", "g1", "g2", "g1*g2"]
+    assert g.words == ("e", "g1", "g2", "g1*g2")
     assert g.matrices[3] == diag(1, -1, 1, -1)
     assert acting_trivially(g) == [0]
-    assert g.conj_classes == [(0,), (1,), (2,), (3,)]
+    assert g.conj_classes == ((0,), (1,), (2,), (3,))
     assert all(g.inverses[i] == i for i in range(4))
 
 
@@ -86,6 +86,24 @@ def test_enumerate_cyclic_three():
 def test_enumerate_rejects_singular_generator():
     with pytest.raises(ValueError):
         enumerate_group([mat(1, [[1, 0], [1, 0]])])
+
+
+@pytest.mark.parametrize("generators, message", [
+    ([], "at least one"),
+    ([mat(1, [[1, 0]])], "square"),
+    ([mat(1, [[1]]), mat(1, [[1, 0], [0, 1]])], "share"),
+    ([mat(1, [[1]]), mat(4, [[1]])], "share"),
+])
+def test_enumerate_rejects_bad_generator_lists(generators, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_group(generators)
+
+
+def test_geometry_refuses_an_index_out_of_range():
+    g = klein_four()
+    for index in (-1, len(g)):
+        with pytest.raises(ValueError, match="out of range"):
+            geometry(g, index)
 
 
 def test_enumerate_bound():
@@ -148,9 +166,9 @@ def test_mult_data_matches_matrix_products():
     assert len(groups["s4"]) == 24 and len(groups["s5"]) == 120
     for name, g in groups.items():
         table, inverses, classes, centralizers, conjugators = brute_force_tables(g)
-        assert g.mult_table == table, name
-        assert g.inverses == inverses, name
-        assert g.conj_classes == classes, name
+        assert g.mult_table == tuple(map(tuple, table)), name
+        assert g.inverses == tuple(inverses), name
+        assert g.conj_classes == tuple(classes), name
         assert g.centralizers == tuple(centralizers), name
         assert g.conjugators == conjugators, name
         for cls in g.conj_classes:

@@ -1,5 +1,6 @@
-"""Every value type refuses attribute assignment, so a group's tables, a
-kept geometry or a cached minor cannot be changed under its readers."""
+"""Every value type is a scalars.Frozen and refuses attribute assignment,
+and a group's tables are tuples, so a group's tables, a kept geometry or
+a cached minor cannot be changed under its readers."""
 
 import pytest
 
@@ -7,9 +8,9 @@ from skewbrack.bracket import BracketReport
 from skewbrack.cochain import Cochain
 from skewbrack.fixtures import fixture_groups
 from skewbrack.groups import geometry
-from skewbrack.linalg import Frozen, Matrix
+from skewbrack.linalg import Matrix
 from skewbrack.polyvec import Poly, Polyvector
-from skewbrack.scalars import Cyc
+from skewbrack.scalars import Cyc, Frozen
 
 
 def values():
@@ -38,10 +39,26 @@ def test_values_refuse_attribute_assignment(kind):
     assert getattr(value, field) is before
 
 
-def test_init_refuses_a_field_it_does_not_have():
-    frozen = [value for value, _ in values().values() if isinstance(value, Frozen)]
-    assert len(frozen) == len(values()) - 1  # all but Cyc
-    for value in frozen:
-        with pytest.raises(AttributeError):
-            value._init(extra=1)
-        assert not hasattr(value, "extra")
+def test_fill_refuses_a_wrong_field_count_before_setting_any():
+    for value, _ in values().values():
+        assert isinstance(value, Frozen)
+        cls = type(value)
+        fields = [name for k in cls.__mro__ for name in getattr(k, "__slots__", ())]
+        for count in (len(fields) - 1, len(fields) + 1):
+            blank = object.__new__(cls)
+            with pytest.raises(TypeError):
+                blank._init(*range(count))
+            assert not any(hasattr(blank, name) for name in fields)
+            with pytest.raises(TypeError):
+                cls._new(*range(count))
+
+
+def test_group_tables_refuse_item_assignment():
+    group = fixture_groups()["klein-signs-k3"]
+    tables = (group.names, group.generator_indices, group.matrices, group.words,
+              group.mult_table, group.mult_table[1], group.inverses,
+              group.conj_classes, group.centralizers, group.centralizer_gens,
+              group.conjugators)
+    for table in tables:
+        with pytest.raises(TypeError):
+            table[0] = table[0]

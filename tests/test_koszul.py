@@ -578,6 +578,12 @@ def test_chain_matches_closed_on_reduced_inputs(data):
     assert chain_circle_avatar(x, gmat, y, hmat) == twisted_circle_product(x, y, gmat)
 
 
+def test_vector_field_commutator_refuses_a_bivector():
+    x = Polyvector.term(1, (1, 0), (0,), 1)
+    with pytest.raises(ValueError, match="vector fields"):
+        vector_field_commutator(x, Polyvector.term(1, (0, 0), (0, 1), 1))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_schouten_random_check_compares_every_pair(monkeypatch, seed):
     # seeds 0, 1, 3 and 4 each draw a zero field for one of their 50 pairs

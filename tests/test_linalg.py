@@ -116,6 +116,11 @@ def _reference_product(a, b):
              for j in range(b.ncols)] for i in range(a.nrows)]
 
 
+def test_product_refuses_a_matrix_of_another_field():
+    with pytest.raises(ValueError, match="order"):
+        Matrix.identity(2, 4) * Matrix.identity(2, 6)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_product_matches_entrywise_reference(data):

@@ -272,6 +272,15 @@ def test_wedge_refuses_operands_of_another_field():
         x.wedge(Polyvector.term(1, (1, 0), (1,), 6))
 
 
+def test_mixed_operands_are_refused():
+    x = Polyvector.term(1, (1, 0), (0,), 5)
+    other = Polyvector.term(1, (1, 0), (0,), 6)
+    mixed = x + Polyvector.term(1, (0, 0), (0, 1), 5)
+    for call in (lambda: x + other, lambda: schouten(x, other), mixed.degree):
+        with pytest.raises(ValueError):
+            call()
+
+
 def term_by_constructors(coeff, exps, idx, order):
     """Polyvector.term through the public Poly and Polyvector constructors."""
     sgn, key = sort_sign(idx)

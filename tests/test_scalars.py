@@ -50,6 +50,11 @@ def test_known_product_order_four():
     assert (1 + z) * (1 - z) == 2
 
 
+def test_cyclotomic_polynomial_refuses_order_zero():
+    with pytest.raises(ValueError, match="positive"):
+        cyclotomic_polynomial(0)
+
+
 def test_mismatched_orders_raise():
     with pytest.raises(ValueError):
         Cyc.zeta(4) + Cyc.zeta(6)
