@@ -30,16 +30,15 @@ from .cochain import (
     support_codim,
     volume_form,
 )
-from .groups import MAX_GROUP_ORDER, enumerate_group, is_ascii_number, resolve_word
+from .groups import MAX_GROUP_ORDER, check_generator_names, enumerate_group, resolve_word
 from .koszul import (
     appendix_suite,
     chain_bracket_cochain,
     homotopy_sweep,
-    schouten_graded_laws,
     schouten_random_check,
 )
 from .linalg import Matrix, rank
-from .polyvec import Poly, Polyvector
+from .polyvec import Poly, Polyvector, schouten_graded_laws
 from .scalars import parse_scalar, print_scalar
 
 
@@ -142,19 +141,10 @@ def load_group_file(path):
             raise ValueError(f"{path}: generator {pos}: {exc}") from exc
     names = data.get("names")
     if names is not None:
-        if (not isinstance(names, list) or len(names) != len(gens)
-                or any(not isinstance(s, str) or not s or "*" in s or s != s.strip()
-                       or s == "e" or is_ascii_number(s) for s in names)
-                or len(set(names)) != len(names)):
-            raise ValueError(f"{path}: names must be distinct nonempty strings "
-                             "without '*' or surrounding spaces, not 'e' nor "
-                             "all ASCII digits, one per generator")
-        for pos, name in enumerate(names, 1):
-            # g<k> names the k-th generator in class files
-            if name[0] == "g" and is_ascii_number(name[1:]) and int(name[1:]) != pos:
-                raise ValueError(f"{path}: names must be g<k> only for the "
-                                 f"k-th generator, got {name!r} for generator "
-                                 f"{pos}")
+        try:
+            check_generator_names(names, len(gens))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     bound = data.get("bound", MAX_GROUP_ORDER)
     if not _is_int(bound) or bound < 1:
         raise ValueError(f"{path}: bound must be a positive integer")

@@ -10,12 +10,12 @@ degree, polynomial degree) piece.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from operator import attrgetter
 
 from .groups import geometry
 from .linalg import echelon_span
-from .polyvec import Poly, Polyvector, SparseTerms, act, euler_field
+from .polyvec import Poly, Polyvector, SparseTerms, act, euler_field, monomials
 from .scalars import Cyc
 
 
@@ -133,71 +133,43 @@ def is_invariant(c):
     return True
 
 
-def _filter_reduced_adapted(pv, n, codim):
-    """Drop terms outside S(V^g) (x) Lambda(V^g)* wedge omega_g, in adapted
-    coordinates where the moved directions are the last codim ones."""
-    moved = frozenset(range(n - codim, n))
-    comps = {}
-    for idx, p in pv.terms.items():
-        if not moved <= set(idx):
-            continue
-        kept = {e: c for e, c in p.terms.items()
-                if all(e[j] == 0 for j in moved)}
-        if kept:
-            comps[idx] = Poly(pv.n, pv.order, kept)
-    return Polyvector(pv.n, pv.order, comps)
-
-
 def project(c):
     """Componentwise reduced projection p_g.
 
     In coordinates adapted to V = V^g + (1-g)V, kills every polynomial
     term containing a moved variable and every wedge not divisible by
-    omega_g, then transforms back.  It kills every coboundary and keeps
+    omega_g, then transforms back.  A component that loses no term is
+    kept as it is, the same object, so a reduced cochain costs one act
+    per component with codim > 0.  It kills every coboundary and keeps
     the reduced representative of each class, so a cocycle is a
     coboundary exactly when its projection is zero.
     """
     group = c.group
+    n, order = group.dim, group.scalar_order
     out = {}
     for g, pv in c.terms.items():
         geom = geometry(group, g)
-        if geom.codim == 0:
-            out[g] = pv
-            continue
-        adapted = act(pv, [(geom.adapted, geom.dual_change)])
-        kept = _filter_reduced_adapted(adapted, group.dim, geom.codim)
-        if kept.is_zero():
-            continue
-        out[g] = act(kept, [(geom.dual_change, geom.adapted)])
+        if geom.codim:
+            moved = range(n - geom.codim, n)
+            omega = set(moved)
+            adapted = act(pv, [(geom.adapted, geom.dual_change)])
+            kept = {}
+            for idx, p in adapted.terms.items():
+                if omega.issubset(idx):
+                    terms = {e: a for e, a in p.terms.items() if not any(e[j] for j in moved)}
+                    if terms:
+                        kept[idx] = p if len(terms) == len(p.terms) else Poly._new(terms, n, order)
+            if not kept:
+                continue
+            if kept != adapted.terms:
+                pv = act(Polyvector._new(kept, n, order), [(geom.dual_change, geom.adapted)])
+        out[g] = pv
     return Cochain(group, c.degree, out)
 
 
 def is_reduced(c):
-    """Whether project(c) == c: each component with codim > 0, moved once
-    to adapted coordinates, keeps every term under the reduced filter."""
-    group = c.group
-    for g, pv in c.terms.items():
-        geom = geometry(group, g)
-        if geom.codim == 0:
-            continue
-        adapted = act(pv, [(geom.adapted, geom.dual_change)])
-        if _filter_reduced_adapted(adapted, group.dim, geom.codim) != adapted:
-            return False
-    return True
-
-
-def monomials(n, total):
-    """Exponent tuples of the given total degree, lexicographic by the
-    multiset of variable indices."""
-    if n == 0:
-        return [()] if total == 0 else []
-    out = []
-    for combo in combinations_with_replacement(range(n), total):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return out
+    """Whether c is in reduced form: its own projection."""
+    return project(c) == c
 
 
 def ambient_keys(n, p, m):

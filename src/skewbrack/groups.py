@@ -85,6 +85,8 @@ def enumerate_group(generators, bound=MAX_GROUP_ORDER, names=None):
             raise ValueError("generators must share one dimension and scalar order")
         if rank(g) != n:
             raise ValueError("generators must be invertible")
+    if names is not None:
+        check_generator_names(names, len(generators))
     names = tuple(names or (f"g{j + 1}" for j in range(len(generators))))
 
     identity = Matrix.identity(n, order)
@@ -174,6 +176,26 @@ def _generators(subgroup, mult_table):
                     reached.add(y)
                     queue.append((y, gens))
     return tuple(gens)
+
+
+def check_generator_names(names, count):
+    """Raise ValueError unless names, a list or tuple, names count
+    generators so that every word reads back as the element it was
+    written for: distinct nonempty strings without '*' or surrounding
+    spaces, not 'e' (the identity) nor all ASCII digits (an element
+    index), and g<k> only for the k-th generator."""
+    if (not isinstance(names, (list, tuple)) or len(names) != count
+            or any(not isinstance(s, str) or not s or "*" in s or s != s.strip()
+                   or s == "e" or is_ascii_number(s) for s in names)
+            or len(set(names)) != len(names)):
+        raise ValueError("names must be distinct nonempty strings "
+                         "without '*' or surrounding spaces, not 'e' nor "
+                         "all ASCII digits, one per generator")
+    for pos, name in enumerate(names, 1):
+        # g<k> names the k-th generator in class files
+        if name[0] == "g" and is_ascii_number(name[1:]) and int(name[1:]) != pos:
+            raise ValueError(f"names must be g<k> only for the k-th generator, "
+                             f"got {name!r} for generator {pos}")
 
 
 def is_ascii_number(text):

@@ -11,9 +11,10 @@ The contraction's tables (minors, substitutions, Sweedler splits, the
 outer polyvector's wedges) are built from scratch once per
 chain_bracket_cochain (or chain_circle_avatar) call, in dicts local to
 it; only phi's integer weights persist.  Nothing here reads the
-caches kept on matrices or calls act, minor_row, monomial_image or
-circle_product.  The fast path's bracket core, schouten, is called only
-by schouten_graded_laws, which checks its graded laws.
+caches kept on matrices (Matrix.minors, Matrix.images) or calls a
+fast-path product: act, minor_row, monomial_image, circle_product
+(schouten) or Polyvector.wedge.  The fast path's graded-law check,
+polyvec.schouten_graded_laws, lives beside the bracket it checks.
 
 Conventions:
   * o(v_1, ..., v_k) is the signed sum over permutations of tensor
@@ -27,11 +28,13 @@ Conventions:
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from math import comb, factorial, prod
 from operator import add, attrgetter, sub
 
+from .cochain import Cochain
 from .linalg import Matrix
 from .scalars import Cyc, _lowest
 from .polyvec import (
@@ -39,8 +42,8 @@ from .polyvec import (
     Polyvector,
     SparseTerms,
     minor_det,
+    monomials,
     rev_sign,
-    schouten,
     sort_sign,
     subst_matrix,
 )
@@ -515,8 +518,6 @@ def homotopy_sweep(n, max_s, max_z, max_t):
     Returns (checked, failures) where failures lists offending
     (S, Z, middle exponent) keys; an empty list is the expected outcome.
     """
-    from .cochain import monomials
-
     checked, failures = 0, []
     zero = (0,) * n
 
@@ -537,8 +538,6 @@ def chain_bracket_cochain(x, y):
     """Graded commutator of chain-level circle products, assembled into
     a cochain through the basis pairing.  The component pairs share the
     tables of chain_circle_component's memo, built for this call."""
-    from .cochain import Cochain
-
     if x.group is not y.group:
         raise ValueError("cochains live over different groups")
     group = x.group
@@ -599,8 +598,6 @@ def schouten_random_check(count=50, seed=0):
     Returns (checked, failures); the two computations share nothing, so
     agreement pins down both sign conventions at degree (1, 1).
     """
-    import random
-
     n, max_exp = 3, 2
     rng = random.Random(seed)
     ident = Matrix.identity(n, 1)
@@ -624,52 +621,3 @@ def schouten_random_check(count=50, seed=0):
         if got != want:
             failures.append(k)
     return count, failures
-
-
-def schouten_graded_laws(n):
-    """Graded antisymmetry on every ordered pair and the graded Jacobi
-    identity on every unordered triple of basis polyvectors on k^n of
-    polynomial and exterior degree at most 2.
-
-    Returns (checked, failures).  Antisymmetry on all ordered pairs plus
-    Jacobi on one representative of each triple implies the law for
-    every ordering.
-    """
-    from .cochain import monomials
-
-    max_poly = max_ext = 2
-    basis = []
-    for p in range(min(n, max_ext) + 1):
-        for idx in combinations(range(n), p):
-            for d in range(max_poly + 1):
-                for exps in monomials(n, d):
-                    basis.append((Polyvector.term(1, exps, idx, 1), p))
-
-    checked, failures = 0, []
-
-    def sgn(u, v):
-        return -1 if (u * v) % 2 else 1
-
-    for (x, px), (y, py) in combinations_with_replacement(basis, 2):
-        checked += 1
-        if schouten(x, y) != schouten(y, x) * (-sgn(px - 1, py - 1)):
-            failures.append(("antisymmetry", str(x), str(y)))
-
-    cache = {}
-
-    def br(i, j):
-        if (i, j) not in cache:
-            cache[(i, j)] = schouten(basis[i][0], basis[j][0])
-        return cache[(i, j)]
-
-    m = len(basis)
-    for i, j, k in combinations_with_replacement(range(m), 3):
-        a, b, c = basis[i][1] - 1, basis[j][1] - 1, basis[k][1] - 1
-        total = (schouten(basis[i][0], br(j, k)) * sgn(a, c)
-                 + schouten(basis[j][0], br(k, i)) * sgn(b, a)
-                 + schouten(basis[k][0], br(i, j)) * sgn(c, b))
-        checked += 1
-        if not total.is_zero():
-            failures.append(("jacobi", str(basis[i][0]), str(basis[j][0]),
-                             str(basis[k][0])))
-    return checked, failures

@@ -19,32 +19,29 @@ from .scalars import Cyc, Frozen, _powers, _reduce, _widen
 
 
 class Matrix(Frozen):
-    """Immutable dense matrix with Cyc entries (all of one order)."""
+    """Immutable dense matrix with Cyc entries (all of one order).
 
-    __slots__ = ("order", "nrows", "ncols", "rows", "_memo")
+    minors and images are the caches of polyvec.act, empty from either
+    constructor: polyvec.minor_row keeps the rows of the exterior powers
+    of the matrix in minors, and polyvec.monomial_image the images of
+    monomials under it in images.  The entries cannot go stale, since the
+    matrix is immutable, and they are freed with it; equality and
+    hashing ignore them."""
+
+    __slots__ = ("order", "nrows", "ncols", "rows", "minors", "images")
 
     def __init__(self, order, rows):
         rows = tuple(tuple(Cyc.of(e, order) for e in r) for r in rows)
         ncols = len(rows[0]) if rows else 0
         assert all(len(r) == ncols for r in rows)
-        self._init(order, len(rows), ncols, rows, {})
+        self._init(order, len(rows), ncols, rows, {}, {})
 
     @classmethod
     def _of(cls, order, rows):
         """The matrix of rows whose entries are already Cycs of this
         order, as linalg's own results are: no entry is coerced."""
         rows = tuple(map(tuple, rows))
-        return cls._new(order, len(rows), len(rows[0]) if rows else 0, rows, {})
-
-    def memo(self, name):
-        """The dict called `name` of values derived from this matrix (its
-        minors, the images of monomials under it), made empty on first
-        use.  The entries cannot go stale, since the matrix is immutable,
-        and they are freed with it; equality and hashing ignore them."""
-        table = self._memo.get(name)
-        if table is None:
-            table = self._memo[name] = {}
-        return table
+        return cls._new(order, len(rows), len(rows[0]) if rows else 0, rows, {}, {})
 
     @staticmethod
     def identity(n, order):

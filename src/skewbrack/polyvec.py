@@ -5,25 +5,30 @@ polynomial and the d_i dual basis directions; it is stored as a map
 from strictly increasing index tuples to polynomial coefficients.
 These are the reduced representatives of Hochschild cohomology
 components.  The Schouten bracket of polyvector fields, which the
-Gerstenhaber bracket projects term by term, and the group action on
-polyvectors live here.  Three products sum in plain ints and build one
-Cyc per output coefficient, through one accumulator: act adds products
-into it directly; schouten is circle_product itself, which adds both
-circle products of the graded commutator, pair of components by pair,
-so it is bilinear also on input of mixed exterior degree; and
-Polyvector.wedge adds the merge-signed products of coefficients.
-SparseTerms, the immutable sparse container
-that polynomials, polyvectors, cochains and the Koszul resolution terms
-share, is defined here too.  minor_det and subst_matrix compute a minor
-and a substitution from scratch; in the package only the chain-level
-oracle calls them, and they stay in this module because the benchmark's
-tracer counts them here by name.
+Gerstenhaber bracket projects term by term, its graded-law check
+schouten_graded_laws, and the group action on polyvectors live here.
+Three products sum in plain ints and build one Cyc per output
+coefficient, through one accumulator: act adds products into it
+directly, with the minors and monomial images it needs cached on the
+matrices (Matrix.minors, Matrix.images); schouten is circle_product
+itself, which adds both circle products of the graded commutator, pair
+of components by pair, so it is bilinear also on input of mixed
+exterior degree; and Polyvector.wedge adds the products of
+coefficients, signed by sort_sign of the two wedges joined.
+SparseTerms, the immutable sparse container that polynomials,
+polyvectors, cochains and the Koszul resolution terms share, is defined
+here too, and so is monomials, the exponent tuples of one degree.
+minor_det and subst_matrix compute a minor and a substitution from
+scratch; in the package only the chain-level oracle calls them, and
+they stay in this module because the benchmark's tracer counts them
+here by name.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from operator import add, attrgetter
 
 from .linalg import Matrix, det
@@ -50,28 +55,6 @@ def rev_sign(k):
     d_I against the antisymmetrized word o(x_I) evaluates covectors
     against the reversed word, so <d_I, o(x_I)> equals this sign."""
     return -1 if (k * (k - 1) // 2) % 2 else 1
-
-
-def merge_sign(a, b):
-    """Sign of the shuffle merging two increasing tuples; (0, ()) on overlap."""
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return 0, ()
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps over the remaining entries of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
 
 
 class SparseTerms(Frozen):
@@ -288,7 +271,7 @@ class Polyvector(SparseTerms):
         """The exterior product, each output coefficient summed in plain
         ints as in act and circle_product: the product of two
         coefficients is their power-basis convolution over the product of
-        their denominators, times the merge sign of the two wedges."""
+        their denominators, times the sign sorting the two wedges into one."""
         if self.head != other.head:
             raise ValueError("polyvector mismatch")
         n, order = self.head
@@ -300,7 +283,7 @@ class Polyvector(SparseTerms):
             left = [(e, c.den, [(i, a) for i, a in enumerate(c.num, 1) if a])
                     for e, c in p1.terms.items()]
             for i2, terms in right:
-                sgn, key = merge_sign(i1, i2)
+                sgn, key = sort_sign(i1 + i2)
                 if sgn == 0:
                     continue
                 target = out.get(key)
@@ -354,10 +337,10 @@ def _term_str(c: Cyc, exps, idx):
 
 def monomial_image(m: Matrix, exps) -> Poly:
     """The image of the monomial x^exps under x_i -> sum_k m[k][i] x_k,
-    kept on m.  It is the image of x^(exps - e_i) times that of x_i, for
+    kept in m.images.  It is the image of x^(exps - e_i) times that of x_i, for
     the last variable x_i of the monomial; the chain down to a kept image
     is walked in a loop, not by recursion."""
-    images = m.memo("monomial images")
+    images = m.images
     got = images.get(exps)
     if got is not None:
         return got
@@ -381,10 +364,11 @@ def _variable_image(m: Matrix, i):
 
 def minor_row(m: Matrix, rows):
     """The nonzero minors of m on the given rows, as (cols, det) pairs
-    with cols increasing: one row of the exterior power of m, kept on m.
+    with cols increasing: one row of the exterior power of m, kept in
+    m.minors.
     Expands along rows[0], over its nonzero entries, against the kept
     row of rows[1:]."""
-    minors = m.memo("minors")
+    minors = m.minors
     got = minors.get(rows)
     if got is not None:
         return got
@@ -554,3 +538,64 @@ def circle_product(x: Polyvector, y: Polyvector) -> Polyvector:
 # The Schouten bracket of polyvector fields is the graded commutator of
 # the circle product, which circle_product computes in one pass.
 schouten = circle_product
+
+
+def monomials(n, total):
+    """Exponent tuples of the given total degree, lexicographic by the
+    multiset of variable indices."""
+    if n == 0:
+        return [()] if total == 0 else []
+    out = []
+    for combo in combinations_with_replacement(range(n), total):
+        e = [0] * n
+        for i in combo:
+            e[i] += 1
+        out.append(tuple(e))
+    return out
+
+
+def schouten_graded_laws(n):
+    """Graded antisymmetry on every ordered pair and the graded Jacobi
+    identity on every unordered triple of basis polyvectors on k^n of
+    polynomial and exterior degree at most 2.
+
+    Returns (checked, failures).  Antisymmetry on all ordered pairs plus
+    Jacobi on one representative of each triple implies the law for
+    every ordering.
+    """
+    max_poly = max_ext = 2
+    basis = []
+    for p in range(min(n, max_ext) + 1):
+        for idx in combinations(range(n), p):
+            for d in range(max_poly + 1):
+                for exps in monomials(n, d):
+                    basis.append((Polyvector.term(1, exps, idx, 1), p))
+
+    checked, failures = 0, []
+
+    def sgn(u, v):
+        return -1 if (u * v) % 2 else 1
+
+    for (x, px), (y, py) in combinations_with_replacement(basis, 2):
+        checked += 1
+        if schouten(x, y) != schouten(y, x) * (-sgn(px - 1, py - 1)):
+            failures.append(("antisymmetry", str(x), str(y)))
+
+    cache = {}
+
+    def br(i, j):
+        if (i, j) not in cache:
+            cache[(i, j)] = schouten(basis[i][0], basis[j][0])
+        return cache[(i, j)]
+
+    m = len(basis)
+    for i, j, k in combinations_with_replacement(range(m), 3):
+        a, b, c = basis[i][1] - 1, basis[j][1] - 1, basis[k][1] - 1
+        total = (schouten(basis[i][0], br(j, k)) * sgn(a, c)
+                 + schouten(basis[j][0], br(k, i)) * sgn(b, a)
+                 + schouten(basis[k][0], br(i, j)) * sgn(c, b))
+        checked += 1
+        if not total.is_zero():
+            failures.append(("jacobi", str(basis[i][0]), str(basis[j][0]),
+                             str(basis[k][0])))
+    return checked, failures

@@ -7,7 +7,7 @@ import time
 from math import comb
 
 from helpers import trivial_group_k
-from skewbrack.polyvec import Polyvector
+from skewbrack.polyvec import Polyvector, schouten_graded_laws
 from skewbrack.groups import geometry, resolve_word
 from skewbrack.cochain import (
     cohomology_basis,
@@ -24,7 +24,6 @@ from skewbrack.koszul import (
     appendix_suite,
     chain_bracket_cochain,
     homotopy_sweep,
-    schouten_graded_laws,
     schouten_random_check,
 )
 from skewbrack.fixtures import (

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import trivial_group_k
+from helpers import mat, trivial_group_k
 from skewbrack.scalars import Cyc
 from skewbrack.linalg import Matrix, rank, rref, solve_membership
 from skewbrack.polyvec import Polyvector, schouten
@@ -35,6 +35,7 @@ from skewbrack.fixtures import (
     klein_bracket_pair,
     minimal_pair_k5,
     overlap_bracket_pair,
+    overlap_signs_k3,
     plane_rotation_pair_k5,
     rotation_bracket_pair,
     sign_line_k2,
@@ -68,6 +69,15 @@ def test_rotation_sign_pair_bracket():
     report = gerstenhaber(x, y)
     assert report.result == expected
     assert report.result.degree == 4
+
+
+@pytest.mark.parametrize("orders, field", [((2, 3), 6), ((3, 3), 3)])
+def test_rotation_pair_with_a_second_rotation_of_order_three(orders, field):
+    # the second rotation by a primitive cube root of unity, over Q(zeta6)
+    # beside a sign and over Q(zeta3) beside another cube root
+    group, x, y, expected = rotation_bracket_pair(*orders)
+    assert group.scalar_order == field
+    assert gerstenhaber(x, y).result == expected
 
 
 def test_bracket_report_contents():
@@ -430,6 +440,22 @@ def test_perp_does_not_apply_on_disjoint_moved_spaces():
     t = resolve_word(group, "g2")
     assert not perp_vanishing_applies(group, s, t)
     assert moved_intersection(group, s, t) == []
+
+
+def test_perp_does_not_apply_when_a_generator_moves_the_intersection():
+    # g1 = diag(-1, -1, 1) and g2 = diag(1, -1, -1) move subspaces that
+    # meet in the line of e2, which the third generator, the swap of the
+    # last two coordinates, sends to e3
+    group = enumerate_group([mat(1, [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+                             mat(1, [[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
+                             mat(1, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])])
+    assert len(group) == 8
+    g, h = resolve_word(group, "g1"), resolve_word(group, "g2")
+    assert moved_intersection(group, g, h) == [(Cyc.zero(1), Cyc.one(1), Cyc.zero(1))]
+    assert not perp_vanishing_applies(group, g, h)
+    # without the swap the line is stable
+    plain = overlap_signs_k3()
+    assert perp_vanishing_applies(plain, resolve_word(plain, "g1"), resolve_word(plain, "g2"))
 
 
 def moved_basis(group, g):

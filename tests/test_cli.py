@@ -121,6 +121,8 @@ def test_group_file_errors(tmp_path, capsys):
     # JSON booleans are not integers
     sign = [[["-1", "0"], ["0", "1"]]]
     for field, doc in (
+        ("generators", {"dimension": 2, "cyclotomicOrder": 1, "generators": []}),
+        ("generators", {"dimension": 2, "cyclotomicOrder": 1, "generators": "x"}),
         ("bound", {"dimension": 2, "cyclotomicOrder": 1, "generators": sign,
                    "bound": True}),
         ("dimension", {"dimension": True, "cyclotomicOrder": 1,

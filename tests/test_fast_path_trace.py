@@ -10,8 +10,9 @@ and reads its counters, so a change that puts one of them back on the
 fast path, or hides elimination from `linalg.elim`, fails here.  A
 `reynolds` that walks all of G again fails on its `act` count, and so
 do bracket preconditions that act on every component with every
-generator of G; an `act` that multiplies `Cyc`s on warm caches fails on
-`scalars.mul`, and so does a `wedge` that multiplies them; a
+generator of G, and a `project` that moves a component it keeps whole
+back from adapted coordinates; an `act` that multiplies `Cyc`s on warm
+caches fails on `scalars.mul`, and so does a `wedge` that multiplies them; a
 `schouten` that multiplies `Cyc`s or takes the two circle products
 apart fails on `scalars.mul` and `polyvec.circle_product`, and a
 character count that goes through the fast path fails on its counters.
@@ -31,6 +32,7 @@ from skewbrack.cochain import (
     cohomology_basis,
     cohomology_dim_character,
     cohomology_dim_direct,
+    project,
     reynolds,
 )
 from skewbrack.groups import geometry
@@ -170,7 +172,8 @@ def test_preconditions_act_once_per_class_member_and_centralizer_generator():
     # on S4 (2,0) classes of eight components, invariance is checked per
     # class: |gens C(r)| + |cls| - 1 act calls, against 2 |cls| when every
     # component was acted on by every generator of G; reduced form is one
-    # act call per class representative with codim > 0, against two
+    # project of the class representatives per operand, one act call per
+    # representative with codim > 0, against two
     group, _ = load_group_file(str(S4))
     (x,) = [c for c in cohomology_basis(group, 2, 0) if len(c.terms) == 8]
     y = x * Cyc.of(-3, 1)
@@ -196,5 +199,21 @@ def test_preconditions_act_once_per_class_member_and_centralizer_generator():
         return result, counts["cochain.project.calls"], counts["polyvec.act.calls"]
 
     checked, unchecked = traced(False), traced(True)
-    assert checked[:2] == unchecked[:2]
+    assert checked[0] == unchecked[0]
+    assert checked[1] - unchecked[1] == 2
     assert checked[2] - unchecked[2] == expected
+
+
+def test_project_keeps_reduced_components_with_one_act_each():
+    # a reduced cochain loses no term, so each component with codim > 0
+    # goes to adapted coordinates once and is kept as it is, unmoved back
+    group, _ = load_group_file(str(S4))
+    (x,) = [c for c in cohomology_basis(group, 2, 0) if len(c.terms) == 8]
+    moved = sum(geometry(group, g).codim > 0 for g in x.terms)
+    assert moved == 8
+    tracer = load_tracer().Tracer()
+    with tracer:
+        projected = project(x)
+    assert tracer.counts()["polyvec.act.calls"] == moved
+    assert projected.terms.keys() == x.terms.keys()
+    assert all(projected.terms[g] is x.terms[g] for g in x.terms)

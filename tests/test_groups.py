@@ -99,6 +99,38 @@ def test_enumerate_rejects_bad_generator_lists(generators, message):
         enumerate_group(generators)
 
 
+SIGNS = [mat(1, [[-1, 0], [0, 1]]), mat(1, [[1, 0], [0, -1]])]
+
+
+@pytest.mark.parametrize("names, message", [
+    # too few or too many: one name per generator
+    (["a"], "one per generator"),
+    (["a", "b", "c"], "one per generator"),
+    ("ab", "one per generator"),
+    # a repeat, the identity's word or an element index would read back
+    # as another element
+    (["a", "a"], "distinct"),
+    (["e", "b"], "not 'e'"),
+    (["2", "b"], "ASCII digits"),
+    (["", "b"], "nonempty"),
+    (["a*b", "c"], "without '\\*'"),
+    ([" a", "b"], "surrounding spaces"),
+    ([1, "b"], "strings"),
+    # g<k> names the k-th generator, and no other
+    (["g2", "g1"], "g<k> only for the k-th generator, got 'g2' for generator 1"),
+])
+def test_enumerate_refuses_names_that_do_not_read_back(names, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_group(SIGNS, names=names)
+
+
+def test_enumerate_takes_names_that_read_back():
+    g = enumerate_group(SIGNS, names=("s", "g2"))
+    assert g.names == ("s", "g2")
+    assert g.words == ("e", "s", "g2", "s*g2")
+    assert [resolve_word(g, w) for w in g.words] == [0, 1, 2, 3]
+
+
 def test_geometry_refuses_an_index_out_of_range():
     g = klein_four()
     for index in (-1, len(g)):
@@ -289,8 +321,8 @@ def test_geometry_computes_no_minors(name):
     group, _ = load_group_file(str(GROUP_FILES[name]))
     for g in range(len(group)):
         geo = geometry(group, g)
-        assert not geo.adapted.memo("minors"), (name, g)
-        assert not geo.dual_change.memo("minors"), (name, g)
+        assert not geo.adapted.minors, (name, g)
+        assert not geo.dual_change.minors, (name, g)
 
 
 def conjugate_geometry_check(group, g, h):

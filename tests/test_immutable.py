@@ -53,6 +53,21 @@ def test_fill_refuses_a_wrong_field_count_before_setting_any():
                 cls._new(*range(count))
 
 
+def test_equal_sparse_values_hash_equal():
+    # each pair is built apart, its terms given in opposite orders
+    group = fixture_groups()["klein-signs-k3"]
+    x1 = Polyvector.term(1, (1, 0, 0), (0,), 1)
+    x2 = Polyvector.term(2, (0, 1, 0), (1,), 1)
+    pairs = [
+        (Poly(3, 1, {(1, 0, 0): 1, (0, 1, 0): 2}), Poly(3, 1, {(0, 1, 0): 2, (1, 0, 0): 1})),
+        (x1 + x2, x2 + x1),
+        (Cochain(group, 1, {0: x1, 1: x2}), Cochain(group, 1, {1: x2, 0: x1})),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b), a
+        assert len({a, b}) == 1, a
+
+
 def test_group_tables_refuse_item_assignment():
     group = fixture_groups()["klein-signs-k3"]
     tables = (group.names, group.generator_indices, group.matrices, group.words,

@@ -705,13 +705,16 @@ def test_splits_through_is_triple_splits_with_that_middle_block():
 
 KOSZUL_SOURCE = Path(__file__).resolve().parent.parent / "src" / "skewbrack" / "koszul.py"
 # the polyvec names the oracle may use: containers, sign helpers,
-# from-scratch minors and substitution, and the Schouten bracket whose
-# graded laws it checks.  Not act, minor_row, monomial_image,
-# circle_product or euler_field, which belong to the fast path.
+# from-scratch minors and substitution, and the exponent tuples of one
+# degree.  Not act, minor_row, monomial_image, circle_product (schouten)
+# or euler_field, which belong to the fast path.
 ORACLE_POLYVEC_NAMES = {
-    "Poly", "Polyvector", "SparseTerms", "minor_det", "rev_sign",
-    "schouten", "sort_sign", "subst_matrix",
+    "Poly", "Polyvector", "SparseTerms", "minor_det", "monomials",
+    "rev_sign", "sort_sign", "subst_matrix",
 }
+# the fast path's products and the caches they keep on matrices; the
+# oracle neither calls nor reads any of them
+FAST_PATH_NAMES = {"act", "circle_product", "schouten", "minor_row", "monomial_image", "wedge"}
 # the scalars names it may use: the type and its lowest-terms constructor,
 # not the integer accumulator (_widen, _reduce, _powers) behind the fast
 # path's products, so a fault there cannot hide on both sides
@@ -734,15 +737,14 @@ def test_oracle_shares_no_code_with_the_fast_path():
             assert name not in ("bracket", "groups"), (module, name)
     assert imported.get(".polyvec", set()) <= ORACLE_POLYVEC_NAMES, imported[".polyvec"]
     assert imported.get(".scalars", set()) <= ORACLE_SCALARS_NAMES, imported[".scalars"]
+    assert imported.get(".cochain", set()) <= {"Cochain"}, imported[".cochain"]
+    # every import is at the top, where the import checks above see it whole
+    nested = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+    assert not nested, nested
     used = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
     assert not used & {"_widen", "_reduce", "_powers"}, used & {"_widen", "_reduce", "_powers"}
-    memo_calls = [node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "memo"]
-    assert not memo_calls, memo_calls
-    # schouten is the fast path's bracket core: only the law check names it
-    laws = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
-                and node.name == "schouten_graded_laws")
-    uses = [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "schouten"]
-    assert uses and all(laws.lineno <= line <= laws.end_lineno for line in uses), uses
+    assert not used & FAST_PATH_NAMES, used & FAST_PATH_NAMES
+    cache_reads = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in ("minors", "images")]
+    assert not cache_reads, cache_reads

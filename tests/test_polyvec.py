@@ -13,7 +13,6 @@ from skewbrack.polyvec import (
     Polyvector,
     act,
     euler_field,
-    merge_sign,
     minor_det,
     minor_row,
     monomial_image,
@@ -33,12 +32,10 @@ def test_sort_sign():
     assert sort_sign((2, 0, 1)) == (1, (0, 1, 2))
     assert sort_sign((1, 0)) == (-1, (0, 1))
     assert sort_sign((1, 1)) == (0, ())
-
-
-def test_merge_sign():
-    assert merge_sign((0, 2), (1,)) == (-1, (0, 1, 2))
-    assert merge_sign((0,), (1, 2)) == (1, (0, 1, 2))
-    assert merge_sign((0, 1), (1,)) == (0, ())
+    # two increasing wedges joined, as Polyvector.wedge signs them
+    assert sort_sign((0, 2) + (1,)) == (-1, (0, 1, 2))
+    assert sort_sign((0,) + (1, 2)) == (1, (0, 1, 2))
+    assert sort_sign((0, 1) + (1,)) == (0, ())
 
 
 def test_rev_sign():
@@ -79,6 +76,8 @@ def test_pair_uses_reversed_word_sign():
     assert x.pair((0, 2)).is_zero()
     v = Polyvector.term(1, (0, 0, 0), (2,), 1)
     assert v.pair((2,)) == Poly.const(1, 3, 1)
+    # o(x_idx) vanishes on a repeated index
+    assert x.pair((0, 0)) == Poly.zero(3, 1)
 
 
 def test_euler_field():
@@ -396,9 +395,9 @@ def test_cached_action_matches_fresh_matrices(drawn):
 def test_action_fills_caches_on_its_matrices():
     h, hi = mat(1, [[0, 1], [1, 0]]), mat(1, [[0, 1], [1, 0]])
     x = Polyvector.term(3, (2, 1), (0,), 1)
-    assert hi.memo("monomial images") == {} and h.memo("minors") == {}
+    assert hi.images == {} and h.minors == {}
     first = act(x, [(h, hi)])
-    assert hi.memo("monomial images") and h.memo("minors")
+    assert hi.images and h.minors
     assert act(x, [(h, hi)]) == first == Polyvector.term(3, (1, 2), (1,), 1)
     assert h == mat(1, [[0, 1], [1, 0]]) and hash(h) == hash(hi)
 

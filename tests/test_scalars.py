@@ -121,6 +121,19 @@ def test_parse_errors_report_position():
     for bad in ["", "1 +", "1//2", "*z", "1 2", "q", "1/0", "z^", "+1", "1 + + 2"]:
         with pytest.raises(ValueError):
             parse_scalar(bad, 4)
+    with pytest.raises(ValueError, match="expected z after '\\*' at position 2"):
+        parse_scalar("2*3", 4)
+
+
+def test_as_fraction_refuses_an_irrational_scalar():
+    assert Cyc.of(Fraction(-3, 2), 4).as_fraction() == Fraction(-3, 2)
+    with pytest.raises(ValueError):
+        Cyc.zeta(4).as_fraction()
+
+
+def test_a_plain_number_divided_by_a_scalar():
+    assert 2 / Cyc.zeta(5) == Cyc.of(2, 5) * Cyc.zeta(5).inverse()
+    assert Fraction(1, 2) / Cyc.of(3, 5) == Cyc.of(Fraction(1, 6), 5)
 
 
 def test_print_canonical_forms():
