@@ -10,7 +10,7 @@ conjugation and moved to the rest of the orbit.  Vanishing criteria
 from the codimension grading are provided alongside.
 """
 
-from .cochain import Cochain, is_invariant, is_reduced, project
+from .cochain import Cochain, is_invariant, is_reduced, project, support_codims
 from .groups import geometry
 from .linalg import Matrix, kernel_basis, rref, solve_membership
 from .polyvec import act, schouten
@@ -112,6 +112,16 @@ def gerstenhaber(x, y):
     vanishing reason: pairs are walked in sorted (g, h) order, each pair
     not yet reached is computed, and its value is moved to its whole
     orbit under simultaneous conjugation.
+
+    Placing each term v(g, h) at hg instead of gh gives the same bracket.
+    (g, h) -> (hgh^-1, h) maps the pairs with hg = k onto those with
+    product k, and v(hgh^-1, h) = v(g, h).h^-1, which is v(g, h) when
+    codim gh = codim g + codim h, as at every nonzero term the tests
+    meet.  Then 1 - gh = (1-h) + (1-g)h gives (1-gh)V = (1-g)V + (1-h)V
+    and V^gh = V^g meet V^h: h fixes V^gh and the forms vanishing on
+    (1-gh)V, and acts on omega_gh as on omega_h, being 1 on (1-gh)V
+    modulo (1-h)V.  On omega_h it acts trivially, since Y_h = q d_J ^
+    omega_h is nonzero and fixed by h.
     """
     _require(x.group is y.group, "cochains live over different groups")
     _require(is_invariant(x), "left operand is not G-invariant (apply reynolds first)")
@@ -155,12 +165,6 @@ def minimal_degree_vanishing(x, y):
     identity, the one element acting trivially: every component supported
     at another element, with exterior part exactly the volume form
     (exterior degree equal to codim).  When true, the bracket represents
-    zero.  codim is a class function, so it is read at the representative
-    of each class that meets a support."""
-    group = x.group
-    for c in (x, y):
-        if 0 in c.terms or any(geometry(group, cls[0]).codim != c.degree
-                               for cls in group.conj_classes
-                               if not c.terms.keys().isdisjoint(cls)):
-            return False
-    return True
+    zero."""
+    return all(0 not in c.terms and all(k == c.degree for k in support_codims(c))
+               for c in (x, y))

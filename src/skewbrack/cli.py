@@ -234,10 +234,6 @@ def cochain_to_classfile(c):
 # ---------------------------------------------------------------- reports
 
 
-def _matrix_strings(m):
-    return [[print_scalar(e) for e in row] for row in m.rows]
-
-
 def _emit(report, lines, as_json):
     if as_json:
         print(json.dumps(report, indent=2))
@@ -272,7 +268,7 @@ def cmd_group(args):
         elements.append({
             "index": i,
             "word": group.words[i],
-            "matrix": _matrix_strings(group.matrices[i]),
+            "matrix": [[print_scalar(e) for e in row] for row in group.matrices[i].rows],
             "codim": codim,
             "omega": str(volume_form(group, i)),
         })

@@ -5,8 +5,8 @@ differential given componentwise by left wedge against the Euler field of
 g.  The module provides the G-action, Reynolds averaging, the reduced
 projections p_g, the volume forms omega_g (volume_form, the reduced
 basis element of degree (codim, 0)), the codimension grading
-(support_codim), and exact cohomology computations per (exterior
-degree, polynomial degree) piece.
+(support_codims, support_codim), and exact cohomology computations per
+(exterior degree, polynomial degree) piece.
 """
 
 from fractions import Fraction
@@ -95,11 +95,13 @@ def reynolds(c):
     """Group average (1/|G|) sum_h c.h; idempotent, image invariant.  The h
     moving k to its class representative r are a^-1 C(r), a =
     conjugators[k], so the average at r is the centralizer average of
-    (1/|class|) sum_k X_k.a^-1, spread over the class."""
+    (1/|class|) sum_k X_k.a^-1, spread over the class.  X_r itself, whose
+    a is the identity, is summed as it is."""
     group = c.group
     out = {}
     for cls, cent in zip(group.conj_classes, group.centralizers):
-        moved = [act(c.terms[k], [group.action(group.inverses[group.conjugators[k]])])
+        moved = [c.terms[k] if k == cls[0] else
+                 act(c.terms[k], [group.action(group.inverses[group.conjugators[k]])])
                  for k in cls if k in c.terms]
         if moved:
             total = sum(moved[1:], moved[0]) * Cyc.of(Fraction(1, len(cls)), group.scalar_order)
@@ -198,14 +200,16 @@ def centralizer_reynolds(group, pv, cent):
 def spread_invariant(group, cls, pv):
     """Extend a polyvector at cls[0], invariant under its centralizer, to
     the G-invariant cochain on the conjugacy class cls: its component at
-    k is pv moved by conjugators[k]."""
-    return Cochain(group, pv.degree(), {k: act(pv, [group.action(group.conjugators[k])])
-                                        for k in cls})
+    cls[0] is pv itself, and at each other k, in class order, pv moved
+    by conjugators[k]."""
+    moved = {k: act(pv, [group.action(group.conjugators[k])]) for k in cls[1:]}
+    return Cochain(group, pv.degree(), {cls[0]: pv, **moved})
 
 
 def reduced_basis_at(group, geom, p, m):
     """Monomial basis of S^m(V^g) (x) Lambda^{p-codim}(V^g)* wedge omega_g
-    at one element, written in ambient coordinates."""
+    at one element, written in ambient coordinates.  As in project, an
+    element of codim 0, the identity, needs no change of coordinates."""
     n, order = group.dim, group.scalar_order
     codim = geom.codim
     fixed_cnt = n - codim
@@ -216,8 +220,8 @@ def reduced_basis_at(group, geom, p, m):
     for exps_fixed in monomials(fixed_cnt, m):
         exps = exps_fixed + (0,) * codim
         for head in combinations(range(fixed_cnt), p - codim):
-            adapted_term = Polyvector.term(1, exps, head + wedge_tail, order)
-            out.append(act(adapted_term, [(geom.dual_change, geom.adapted)]))
+            term = Polyvector.term(1, exps, head + wedge_tail, order)
+            out.append(act(term, [(geom.dual_change, geom.adapted)]) if codim else term)
     return out
 
 
@@ -231,15 +235,19 @@ def volume_form(group, g):
     return omega * lead.inverse()
 
 
+def support_codims(c):
+    """The codims of the conjugacy classes that meet the support of c, in
+    class order, each read at the class representative."""
+    group = c.group
+    return [geometry(group, cls[0]).codim for cls in group.conj_classes
+            if not c.terms.keys().isdisjoint(cls)]
+
+
 def support_codim(c):
     """The codimension degree of c: the largest codim of an element in
     its support, 0 for the zero cochain.  A nonzero bracket of invariant
-    reduced cocycles of codimension degrees i and j has degree i + j.
-    codim is a class function, so it is read at the representative of
-    each class that meets the support."""
-    group = c.group
-    return max((geometry(group, cls[0]).codim for cls in group.conj_classes
-                if not c.terms.keys().isdisjoint(cls)), default=0)
+    reduced cocycles of codimension degrees i and j has degree i + j."""
+    return max(support_codims(c), default=0)
 
 
 def cohomology_basis(group, p, m):

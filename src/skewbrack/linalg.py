@@ -33,7 +33,8 @@ class Matrix(Frozen):
     def __init__(self, order, rows):
         rows = tuple(tuple(Cyc.of(e, order) for e in r) for r in rows)
         ncols = len(rows[0]) if rows else 0
-        assert all(len(r) == ncols for r in rows)
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("matrix rows differ in length")
         self._init(order, len(rows), ncols, rows, {}, {})
 
     @classmethod
@@ -65,7 +66,8 @@ class Matrix(Frozen):
         divide it, reduced modulo Phi_N into one Cyc per entry."""
         if not isinstance(other, Matrix):
             return NotImplemented
-        assert self.ncols == other.nrows
+        if self.ncols != other.nrows:
+            raise ValueError("matrix shape mismatch")
         order = self.order
         if other.order != order:
             raise ValueError("cyclotomic order mismatch")
@@ -98,7 +100,8 @@ class Matrix(Frozen):
         return Matrix._of(order, out)
 
     def __sub__(self, other):
-        assert self.nrows == other.nrows and self.ncols == other.ncols
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("matrix shape mismatch")
         return Matrix._of(
             self.order,
             [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],

@@ -120,13 +120,10 @@ class Poly(SparseTerms):
         for exps, c in (terms or {}).items():
             c = Cyc.of(c, order)
             if not c.is_zero():
-                assert len(exps) == n and all(e >= 0 for e in exps)
+                if len(exps) != n or any(e < 0 for e in exps):
+                    raise ValueError("poly exponents must be n nonnegative integers")
                 clean[tuple(exps)] = c
         self._init(clean, n, order)
-
-    @staticmethod
-    def const(value, n, order):
-        return Poly(n, order, {(0,) * n: Cyc.of(value, order)})
 
     @staticmethod
     def variable(i, n, order):
@@ -139,9 +136,16 @@ class Poly(SparseTerms):
         return Poly(len(exps), order, {tuple(exps): Cyc.of(coeff, order)})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyc)):
-            return self.scale(Cyc.of(other, self.order))
-        assert isinstance(other, Poly) and self.n == other.n
+        """The product with a scalar or a Poly.  As for a sum, a Poly of
+        another head raises ValueError; any other operand, NotImplemented."""
+        if not isinstance(other, Poly):
+            try:
+                other = Cyc.of(other, self.order)
+            except TypeError:
+                return NotImplemented
+            return self.scale(other)
+        if self.head != other.head:
+            raise ValueError("poly mismatch")
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -183,7 +187,7 @@ def subst_matrix(p: Poly, m: Matrix) -> Poly:
               for i in range(n)]
     out = Poly.zero(n, order)
     for exps, c in p.terms.items():
-        term = Poly.const(c, n, order)
+        term = Poly.monomial((0,) * n, c, order)
         for i, e in enumerate(exps):
             for _ in range(e):
                 term = term * images[i]
@@ -217,8 +221,8 @@ class Polyvector(SparseTerms):
         clean = {}
         for idx, p in (terms or {}).items():
             idx = tuple(idx)
-            assert all(0 <= i < n for i in idx)
-            assert all(a < b for a, b in zip(idx, idx[1:]))
+            if any(not 0 <= i < n for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
+                raise ValueError("polyvector wedges must be increasing indices in 0..n-1")
             if not p.is_zero():
                 clean[idx] = p
         self._init(clean, n, order)
@@ -231,11 +235,11 @@ class Polyvector(SparseTerms):
         if sgn == 0:
             return Polyvector._new({}, n, order)
         c = Cyc.of(coeff, order)
+        if any(not 0 <= i < n for i in key) or (c and any(e < 0 for e in exps)):
+            raise ValueError("term indices must be in 0..n-1, exponents nonnegative")
         terms = {}
         if c:
-            assert all(e >= 0 for e in exps)
             terms[key] = Poly._new({tuple(exps): c if sgn > 0 else -c}, n, order)
-        assert all(0 <= i < n for i in key)
         return Polyvector._new(terms, n, order)
 
     def __mul__(self, other):
@@ -258,14 +262,11 @@ class Polyvector(SparseTerms):
             return Poly.zero(self.n, self.order)
         return p * (sgn * rev_sign(len(key)))
 
-    def exterior_degrees(self):
-        return sorted({len(i) for i in self.terms})
-
     def degree(self):
-        degs = self.exterior_degrees()
+        degs = {len(i) for i in self.terms}
         if len(degs) != 1:
             raise ValueError("polyvector is not homogeneous in exterior degree")
-        return degs[0]
+        return degs.pop()
 
     def wedge(self, other: "Polyvector") -> "Polyvector":
         """The exterior product, each output coefficient summed in plain
@@ -349,17 +350,13 @@ def monomial_image(m: Matrix, exps) -> Poly:
         i = max(j for j, e in enumerate(exps) if e)
         chain.append((exps, i))
         exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+    n = m.nrows
     got = images.get(exps)
     if got is None:  # the empty monomial
-        got = images[exps] = Poly.const(1, m.nrows, m.order)
-    for exps, i in reversed(chain):
-        got = images[exps] = got * _variable_image(m, i)
+        got = images[exps] = Poly.monomial((0,) * n, 1, m.order)
+    for exps, i in reversed(chain):  # times the image of x_i, column i of m
+        got = images[exps] = got * Poly(n, m.order, {_unit(n, k): m.rows[k][i] for k in range(n)})
     return got
-
-
-def _variable_image(m: Matrix, i):
-    n = m.nrows
-    return Poly(n, m.order, {_unit(n, k): m.rows[k][i] for k in range(n)})
 
 
 def minor_row(m: Matrix, rows):

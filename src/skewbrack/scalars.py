@@ -22,43 +22,27 @@ from math import gcd, lcm
 _CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
 
 
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def _int_poly_div_exact(num, den):
-    # Exact division of integer polynomials, ascending coefficients.
-    # den must be monic up to sign of its leading coefficient.
-    num = list(num)
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    dn, dd = len(num) - 1, len(den) - 1
-    quot = [0] * (dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        c = num[dd + k]
-        assert c % den[dd] == 0
-        q = c // den[dd]
-        quot[k] = q
-        for i, dc in enumerate(den):
-            num[i + k] -= q * dc
-    assert all(c == 0 for c in num)
-    return quot
-
-
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending.
 
     Computed by exact division: Phi_n = (x^n - 1) / prod_{d|n, d<n} Phi_d.
+    Each Phi_d is monic with integer coefficients, so long division by it,
+    from the top coefficient down, stays in the integers.
     """
     if n < 1:
         raise ValueError("cyclotomic order must be a positive integer")
     if n not in _CYCLOTOMIC_CACHE:
         num = [-1] + [0] * (n - 1) + [1]
-        for d in _divisors(n):
-            if d < n:
-                num = _int_poly_div_exact(num, cyclotomic_polynomial(d))
+        for d in range(1, n):
+            if n % d == 0:
+                den = cyclotomic_polynomial(d)
+                quot = [0] * (len(num) - len(den) + 1)
+                for k in reversed(range(len(quot))):
+                    q = quot[k] = num[k + len(den) - 1]
+                    for i, c in enumerate(den):
+                        num[i + k] -= q * c
+                assert not any(num), "Phi_d does not divide"
+                num = quot
         _CYCLOTOMIC_CACHE[n] = tuple(num)
     return _CYCLOTOMIC_CACHE[n]
 
@@ -148,16 +132,16 @@ class Cyc(Frozen):
     1, and zero has den 1), so equal scalars have equal fields.
 
     Operations between scalars of different orders raise ValueError;
-    plain ints and Fractions coerce into any order.
+    plain ints and Fractions coerce into any order, through Cyc.of.
     """
 
     __slots__ = ("order", "num", "den")
 
     def __init__(self, order, coeffs):
-        """The scalar with the given d rational power-basis coefficients."""
-        d = len(_powers(order)[0])
-        coeffs = [Fraction(a) for a in coeffs]
-        assert len(coeffs) == d
+        """The scalar with the given d power-basis coefficients, ints or Fractions."""
+        coeffs = [Cyc.of(a, 1).as_fraction() for a in coeffs]
+        if len(coeffs) != len(_powers(order)[0]):
+            raise ValueError("coefficient count is not the field degree")
         den = lcm(*(a.denominator for a in coeffs))
         c = _lowest(order, [a.numerator * (den // a.denominator)
                             for a in coeffs], den)
@@ -170,16 +154,19 @@ class Cyc(Frozen):
 
     @staticmethod
     def of(value, order: int) -> "Cyc":
-        """Embed an int or Fraction (or pass a Cyc through, checking order)."""
+        """The one scalar coercion: an int or a Fraction, or a Cyc of this
+        order passed through (ValueError on another order).  Anything else,
+        a float, a string or a Decimal among them, raises TypeError."""
         if isinstance(value, Cyc):
             if value.order != order:
                 raise ValueError("cyclotomic order mismatch")
             return value
         if isinstance(value, int):
             num, den = int(value), 1
-        else:
-            value = Fraction(value)
+        elif isinstance(value, Fraction):
             num, den = value.numerator, value.denominator
+        else:
+            raise TypeError(f"not an exact scalar: {value!r}")
         d = len(_powers(order)[0])
         return _make(order, (num,) + (0,) * (d - 1), den)
 
@@ -197,13 +184,10 @@ class Cyc(Frozen):
         return _make(order, _powers(order)[power % order], 1)
 
     def _coerce(self, other):
-        if isinstance(other, Cyc):
-            if other.order != self.order:
-                raise ValueError("cyclotomic order mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
+        try:
             return Cyc.of(other, self.order)
-        return None
+        except TypeError:
+            return None
 
     def is_zero(self) -> bool:
         return not any(self.num)

@@ -12,7 +12,7 @@ import pytest
 from helpers import mat, trivial_group_k
 from skewbrack.scalars import Cyc
 from skewbrack.linalg import Matrix, rank, rref, solve_membership
-from skewbrack.polyvec import Polyvector, schouten
+from skewbrack.polyvec import Polyvector, act, schouten
 from skewbrack.groups import enumerate_group, geometry, resolve_word
 from skewbrack.cochain import (
     Cochain,
@@ -233,16 +233,24 @@ def test_oracle_agrees_on_s5_pairs_with_twenty_component_classes():
     # with gh != hg; its (2,1) and (3,0) classes of twenty components
     # give them, so the oracle checks terms the commuting pairs of every
     # other group leave out
+    # Every nonzero term v(g, h) is also fixed by g and by h, at a pair
+    # whose codims add up: the premise of gerstenhaber's argument that
+    # placing the terms at hg instead of gh gives the same bracket
     group = load_group_file(str(GROUP_DATA / "s5.json"))[0]
     mult = group.mult_table
-    pairs = terms = 0
+    pairs = terms = fixed = 0
     for x in [c for p, m in ((1, 0), (2, 1)) for c in cohomology_basis(group, p, m)]:
         for y in cohomology_basis(group, 3, 0):
             report = gerstenhaber(x, y)
             assert report.result == project(chain_bracket_cochain(x, y)), (x, y)
             pairs += 1
             terms += sum(mult[g][h] != mult[h][g] for g, h in report.per_component_terms)
-    assert (pairs, terms) == (8, 480)
+            for (g, h), v in report.per_component_terms.items():
+                codims = [geometry(group, k).codim for k in (g, h, mult[g][h])]
+                assert codims[2] == codims[0] + codims[1], (g, h)
+                assert act(v, [group.action(g)]) == v == act(v, [group.action(h)]), (g, h)
+                fixed += 1
+    assert (pairs, terms, fixed) == (8, 480, 520)
 
 
 @pytest.mark.parametrize("path, pairs, nonzero", [(GROUP_DATA / "d4.json", 45, 10),

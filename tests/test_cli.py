@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import load_tracer
-from skewbrack import cli
+from skewbrack import cli, koszul, polyvec
 from skewbrack.cli import (
     MAX_DIMENSION,
     MAX_GROUP_OMEGA_TERMS,
@@ -30,7 +30,7 @@ from skewbrack.cli import (
 from skewbrack.cochain import Cochain, cohomology_basis
 from skewbrack.fixtures import rotation_bracket_pair
 from skewbrack.groups import resolve_word
-from skewbrack.koszul import appendix_suite
+from skewbrack.koszul import KoszulElt, appendix_suite
 from skewbrack.polyvec import Poly, Polyvector
 from skewbrack.scalars import parse_scalar
 
@@ -902,6 +902,50 @@ def test_verify_examples(capsys):
     code, out, _ = run(capsys, "verify", "examples")
     assert code == 0
     assert "FAIL" not in out
+
+
+def break_xi(xi):
+    # one coefficient off by one, at one tuple
+    return lambda s, t, z, r: xi(s, t, z, r) + ((s, t, z, r) == (1, 2, 0, 2))
+
+
+@pytest.mark.parametrize("argv, target, broken, first", [
+    (["appendix", "--max", "3"], (koszul, "xi"), break_xi,
+     "  FAIL lEQ1 at (1, 2, 0, 2)"),
+    (["homotopy", "--dim", "2", "--s", "1", "--z", "1", "--t", "2"], (koszul, "phi"),
+     lambda phi: lambda e: KoszulElt.zero(*e.head), "  FAIL at S=() Z=() middle=(1, 0)"),
+], ids=["appendix", "homotopy"])
+def test_verify_reports_each_failure(capsys, monkeypatch, argv, target, broken, first):
+    # the piece the suite checks is broken: it exits 1, with one FAIL line
+    # per entry of the JSON failure list
+    monkeypatch.setattr(*target, broken(getattr(*target)))
+    code, out, _ = run(capsys, "verify", *argv)
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("  FAIL ")]
+    assert code == 1 and lines[-1] == "verify: FAILURES detected"
+    assert fails[0] == first and len(fails) == len(lines) - 2
+    code, out, _ = run(capsys, "verify", *argv, "--json")
+    data = json.loads(out)
+    assert code == 1 and data["pass"] is False
+    assert len(data["failures"]) == len(fails)
+
+
+@pytest.mark.parametrize("target, broken, random_failures, law_kinds", [
+    ((koszul, "vector_field_commutator"), lambda f: lambda x, y: -f(x, y),
+     [0, 1, 2, 3, 4], set()),
+    ((polyvec, "schouten"), lambda f: lambda x, y: x.wedge(y), [], {"antisymmetry", "jacobi"}),
+], ids=["commutator-negated", "schouten-as-wedge"])
+def test_verify_schouten_reports_each_failure(capsys, monkeypatch, target, broken,
+                                              random_failures, law_kinds):
+    monkeypatch.setattr(*target, broken(getattr(*target)))
+    argv = ["verify", "schouten", "--dim", "1", "--pairs", "5"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out.splitlines()[-1] == "verify: FAILURES detected"
+    code, out, _ = run(capsys, *argv, "--json")
+    data = json.loads(out)
+    assert code == 1 and data["pass"] is False
+    assert data["randomFailures"] == random_failures
+    assert {f[0] for f in data["lawFailures"]} == law_kinds
 
 
 def test_main_runs_every_subcommand_on_the_parser_built_at_import(capsys, monkeypatch):

@@ -236,6 +236,32 @@ def test_reynolds_kills_odd_classes():
     assert reynolds(y).is_zero()
 
 
+@pytest.mark.parametrize("name", ["s4", "d5"])
+def test_no_action_by_a_known_identity(name, monkeypatch):
+    # reynolds keeps X_r where it is, spread_invariant keeps the average
+    # at cls[0], and reduced_basis_at changes no coordinates at the
+    # identity, whose adapted basis is the identity matrix: no act call
+    # gets a single pair known to be the identity, neither group.action(0)
+    # nor the identity class's geometry pair
+    group = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
+    ident = geometry(group, 0)
+    known = [(group.matrices[0], group.matrices[0]), (ident.dual_change, ident.adapted)]
+    calls = []
+
+    def recording(x, pairs):
+        calls.append(pairs)
+        return act(x, pairs)
+
+    monkeypatch.setattr("skewbrack.cochain.act", recording)
+    basis = [c for p, m in ((0, 1), (1, 1), (2, 0), (2, 1)) for c in cohomology_basis(group, p, m)]
+    assert all(reynolds(c) == c for c in basis)
+    assert len(basis) > 5 and any(0 in c.terms for c in basis)
+    assert len(calls) > 50
+    by_identity = [pairs for pairs in calls if len(pairs) == 1
+                   and any(pairs[0][0] is h and pairs[0][1] is h_inv for h, h_inv in known)]
+    assert not by_identity, len(by_identity)
+
+
 _LOADED_GROUPS = {}
 
 

@@ -22,7 +22,7 @@ def values():
         "BracketReport": (BracketReport(Cochain.zero(group, 1), {}, []), "result"),
         "Matrix": (Matrix.identity(2, 1), "rows"),
         "Cyc": (Cyc.one(3), "num"),
-        "Poly": (Poly.const(1, 2, 1), "terms"),
+        "Poly": (Poly.monomial((0, 0), 1, 1), "terms"),
         "Polyvector": (pv, "terms"),
         "Cochain": (Cochain.single(group, 0, pv), "degree"),
     }

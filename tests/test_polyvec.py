@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -71,11 +74,11 @@ def test_wedge_antisymmetry_and_overlap():
 
 def test_pair_uses_reversed_word_sign():
     x = Polyvector.term(1, (0, 0, 0), (0, 1), 1)
-    assert x.pair((0, 1)) == Poly.const(-1, 3, 1)
-    assert x.pair((1, 0)) == Poly.const(1, 3, 1)
+    assert x.pair((0, 1)) == Poly.monomial((0, 0, 0), -1, 1)
+    assert x.pair((1, 0)) == Poly.monomial((0, 0, 0), 1, 1)
     assert x.pair((0, 2)).is_zero()
     v = Polyvector.term(1, (0, 0, 0), (2,), 1)
-    assert v.pair((2,)) == Poly.const(1, 3, 1)
+    assert v.pair((2,)) == Poly.monomial((0, 0, 0), 1, 1)
     # o(x_idx) vanishes on a repeated index
     assert x.pair((0, 0)) == Poly.zero(3, 1)
 
@@ -289,6 +292,22 @@ def term_by_constructors(coeff, exps, idx, order):
     return Polyvector(n, order, {key: Poly(n, order, {tuple(exps): Cyc.of(coeff, order) * sgn})})
 
 
+def test_poly_times_polyvector_is_polyvector_times_poly():
+    p = Poly(3, 5, {(1, 0, 0): Cyc.zeta(5), (0, 2, 1): 3})
+    x = Polyvector.term(2, (0, 1, 0), (0, 2), 5) + Polyvector.term(-1, (1, 1, 0), (1,), 5)
+    assert p * x == x * p == x.scale(p)
+    assert not (p * x).is_zero() and (p * x).head == x.head
+
+
+@pytest.mark.parametrize("other", [Poly(3, 1, {(0, 0, 1): 1}), Poly(2, 5, {(1, 0): 1})],
+                         ids=["fewer-variables", "other-field"])
+def test_poly_product_refuses_another_head_like_a_sum(other):
+    p = Poly(2, 1, {(1, 0): 1, (0, 1): 2})
+    for op in (lambda: p * other, lambda: other * p, lambda: p + other):
+        with pytest.raises(ValueError, match="poly mismatch"):
+            op()
+
+
 @pytest.mark.parametrize("coeff, exps, idx, order", [
     (3, (1, 0, 2), (0, 2), 1),
     (3, (1, 0, 2), (2, 0), 1),
@@ -310,15 +329,53 @@ def test_term_equals_the_public_construction(coeff, exps, idx, order):
 
 
 @pytest.mark.parametrize("coeff, exps, idx, order, error", [
-    (1, (1, -1, 0), (0,), 1, AssertionError),
-    (1, (1, 0, 0), (3,), 1, AssertionError),
-    (1, (1, 0, 0), (-1, 2), 1, AssertionError),
-    (0, (1, 0, 0), (0, 5), 1, AssertionError),
+    (1, (1, -1, 0), (0,), 1, ValueError),
+    (1, (1, 0, 0), (3,), 1, ValueError),
+    (1, (1, 0, 0), (-1, 2), 1, ValueError),
+    (0, (1, 0, 0), (0, 5), 1, ValueError),
     (Cyc.zeta(5), (1, 0, 0), (0,), 6, ValueError),
 ])
 def test_term_refuses_bad_exponents_and_indices(coeff, exps, idx, order, error):
     with pytest.raises(error):
         Polyvector.term(coeff, exps, idx, order)
+
+
+OPTIMIZED_CHECKS = """
+from skewbrack.linalg import Matrix
+from skewbrack.polyvec import Poly, Polyvector
+from skewbrack.scalars import Cyc
+two, three = Matrix(1, [[1, 2], [3, 4]]), Matrix(1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+cases = [
+    lambda: two * three,
+    lambda: two - three,
+    lambda: Matrix(1, [[1, 2], [3]]),
+    lambda: Poly(2, 1, {(1, 0, 5): 1, (-1, 0): 2}),
+    lambda: Poly(2, 1, {(1, 0): 1}) * Poly(3, 1, {(1, 0, 0): 1}),
+    lambda: Polyvector(2, 1, {(1, 0): Poly(2, 1, {(0, 0): 1})}),
+    lambda: Polyvector(2, 1, {(2,): Poly(2, 1, {(0, 0): 1})}),
+    lambda: Polyvector.term(1, (0, -1), (0,), 1),
+    lambda: Polyvector.term(1, (0, 1), (5,), 1),
+    lambda: Cyc(5, [1, 2]),
+]
+for case in cases:
+    try:
+        got = case()
+    except ValueError:
+        print("ValueError")
+    else:
+        print("accepted", got)
+"""
+
+
+def test_shape_and_head_checks_survive_python_optimize():
+    # python -O strips assert statements; the library's argument checks
+    # raise ValueError instead, so an optimized run refuses the same input
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", OPTIMIZED_CHECKS],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["ValueError"] * 10, (flags, proc.stdout)
 
 
 def act_from_scratch(x, h, h_inv):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from skewbrack.linalg import Matrix
+from skewbrack.polyvec import Poly, Polyvector
 from skewbrack.scalars import (
     Cyc,
     cyclotomic_polynomial,
@@ -60,6 +63,50 @@ def test_mismatched_orders_raise():
         Cyc.zeta(4) + Cyc.zeta(6)
     with pytest.raises(ValueError):
         Cyc.zeta(4) * Cyc.zeta(6)
+
+
+INEXACT = [0.5, 0.1, "3/4", "1", Decimal("0.5"), Decimal(1)]
+
+
+@pytest.mark.parametrize("value", INEXACT, ids=repr)
+def test_every_scalar_taking_constructor_refuses_inexact_values(value):
+    # Cyc.of is the one coercion: an int, a Fraction or a Cyc of the same
+    # order, never whatever Fraction() would parse
+    constructors = [
+        lambda: Cyc.of(value, 1),
+        lambda: Cyc.of(value, 5),
+        lambda: Cyc(4, [value, 0]),
+        lambda: Poly(1, 1, {(1,): value}),
+        lambda: Poly.monomial((0, 2), value, 5),
+        lambda: Polyvector.term(value, (1, 0), (0,), 1),
+        lambda: Matrix(1, [[value]]),
+    ]
+    for build in constructors:
+        with pytest.raises(TypeError):
+            build()
+
+
+@pytest.mark.parametrize("value", INEXACT, ids=repr)
+def test_operators_refuse_inexact_values(value):
+    for a in (Cyc.one(5), Poly.monomial((1,), 1, 1), Polyvector.term(1, (1,), (0,), 1)):
+        for op in (lambda: a * value, lambda: value * a):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(TypeError):
+        Cyc.one(5) + value
+    with pytest.raises(TypeError):
+        Cyc.one(5) / value
+
+
+def test_exact_values_coerce_alike():
+    half = Cyc(5, [Fraction(1, 2), 0, 0, 0])
+    assert Cyc.of(Fraction(1, 2), 5) == half == Cyc.one(5) * Fraction(1, 2)
+    assert Cyc.of(True, 1) == Cyc.of(1, 1) and type(Cyc.of(True, 1).num[0]) is int
+    assert Cyc.of(half, 5) is half
+    with pytest.raises(ValueError):
+        Cyc.of(half, 4)
+    with pytest.raises(ValueError):
+        Cyc(5, [1, 2])
 
 
 def test_inverse_of_zero_raises():
