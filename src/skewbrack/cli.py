@@ -62,16 +62,16 @@ from .scalars import parse_scalar, print_scalar
 # that over its elements is above MAX_GROUP_OMEGA_TERMS, before it
 # builds any omega_g or geometry, reading codim as the rank of 1 - r once
 # per class representative r.  S6 permuting six coordinates of k^16
-# (720 elements, a sum of 5,671) takes 2.7 s and prints 777 KB, and
+# (720 elements, a sum of 5,671) takes 0.8-1.0 s and prints 777 KB, and
 # (Z/2)^10 flipping ten coordinates of k^12 (one term per omega_g,
-# 1,024) 4.5-4.9 s and 633 KB; a dense conjugate of that S6 (about 1.1
-# million) is refused in 1.6-2.0 s, most of it enumerating the group.
-# Near the bound, on conjugates by a unipotent matrix with entries in
-# {-1, 0, 1}, group takes 4.0 s and prints 634 KB on S6 permuting six
-# coordinates of k^8 (a sum of 34,707; enumeration and geometry are half
-# of it) and 1.5 s and 501 KB on (Z/2)^6 flipping six coordinates of
-# k^15 (38,011); at k^16 (67,990, refused) it would take 3.0 s and print
-# 1.1 MB (Python 3.11.7, 2 cores).  A cohomology piece has
+# 1,024) 0.9-1.0 s and 633 KB; a dense conjugate of that S6 (about 1.1
+# million) is refused in 0.16-0.19 s.  Near the bound, on conjugates by
+# a unipotent matrix with entries in {-1, 0, 1}, group takes 1.2-1.4 s
+# and prints 633 KB on S6 permuting six coordinates of k^8 (a sum of
+# 35,720; geometry is 0.56 s of it, enumeration 0.04 s) and 0.7 s and
+# 620 KB on (Z/2)^6 flipping six coordinates of k^15 (42,018); at k^16
+# (66,499, refused) it would take 1.1 s and print 1.0 MB (Python 3.11.7,
+# 2 cores, end to end with the output written to a file).  A cohomology piece has
 # C(n, p) C(m + n - 1, n - 1) terms per element, and the basis eliminates
 # sparse rows over them; its cross-check, the character count, reads
 # traces only and costs little.  On k^5, --p 2 takes 0.08 s at 700 terms

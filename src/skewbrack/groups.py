@@ -1,14 +1,14 @@
 """Finite matrix groups acting on V.
 
-Enumeration from generators, multiplication data, conjugacy classes with
-their centralizers and generators of these, and the per-element geometry:
-the fixed subspace V^g, its canonical complement (1-g)V and the change to
-coordinates adapted to that splitting.  The
-volume form omega_g of the complement is a reduced basis element, built
-in cochain.volume_form where it is shown.
+Enumeration from generators on interned rows, multiplication data,
+conjugacy classes with their centralizers and generators of these, and
+the per-element geometry: the fixed subspace V^g, its canonical
+complement (1-g)V and the coordinates adapted to that splitting.  The
+volume form omega_g of the complement is built in cochain.volume_form.
 """
 
-from .linalg import Matrix, image_basis, kernel_basis, mat_inverse, rank
+from .linalg import (Matrix, _sparse, image_basis, kernel_basis, mat_inverse, rank,
+                     row_times)
 from .scalars import Frozen
 
 
@@ -30,32 +30,21 @@ class Group(Frozen):
     ascending, centralizer_gens[c] generates it (each h of centralizers[c]
     in turn, kept when not in the subgroup the ones kept before it
     generate), and conjugators[k] is the first h with h^-1 r h = k for k
-    in cls.  Readers index these tables directly.  Elements are keyed by
-    their matrices, so the identity is the only element acting trivially
-    on V.  enumerate_group makes each table a tuple, so none can change
-    under its readers.  The geometry of each element is computed on first
-    use and kept in _geometries, the group's one cache list.
+    in cls.  Readers index these tables directly.  enumerate_group keys
+    elements by the rows of their matrices, so the identity is the only
+    element acting trivially on V, and makes each table a tuple, so none
+    can change under its readers.  The geometry of each element is
+    computed on first use and kept in _geometries, the one cache list.
     """
 
-    __slots__ = (
-        "dim",
-        "scalar_order",
-        "names",
-        "generator_indices",
-        "matrices",
-        "words",
-        "mult_table",
-        "inverses",
-        "conj_classes",
-        "centralizers",
-        "centralizer_gens",
-        "conjugators",
-        "_geometries",
-    )
+    __slots__ = ("dim", "scalar_order", "names", "generator_indices", "matrices",
+                 "words", "mult_table", "inverses", "conj_classes", "centralizers",
+                 "centralizer_gens", "conjugators", "_geometries")
 
     def __init__(self, **tables):
         names = Group.__slots__[:-1]
-        assert tables.keys() == set(names)
+        if tables.keys() != set(names):
+            raise ValueError(f"a Group takes exactly the tables {names}")
         self._init(*map(tables.get, names), [None] * len(tables["matrices"]))
 
     def __len__(self):
@@ -89,37 +78,51 @@ def enumerate_group(generators, bound=MAX_GROUP_ORDER, names=None):
         check_generator_names(names, len(generators))
     names = tuple(names or (f"g{j + 1}" for j in range(len(generators))))
 
-    identity = Matrix.identity(n, order)
-    matrices = [identity]
+    # An element is the tuple of its rows' ids in one table.  Row r of
+    # m * s is (row r of m) * s, so memos[j] (row id -> row id) multiplies
+    # each distinct row by generators[j] once.
+    rows, row_ids = [], {}
+
+    def intern(row):
+        k = row_ids.setdefault(row, len(rows))
+        if k == len(rows):
+            rows.append(row)
+        return k
+
+    keys = [tuple(map(intern, Matrix.identity(n, order).rows))]
     words = ["e"]
-    index_of = {identity: 0}
+    index_of = {keys[0]: 0}
+    rights = [_sparse(g.rows) for g in generators]
+    memos = [{} for _ in generators]
     # right[i][j] is the index of matrices[i] * generators[j]; element k > 0
     # was first reached as matrices[p] * generators[j], (p, j) = reached[k - 1].
-    right = []
-    reached = []
-    frontier = [0]
+    right, reached, frontier = [], [], [0]
     while frontier:
         fresh = []
         for i in frontier:
-            row = []
-            for j, gen in enumerate(generators):
-                m = matrices[i] * gen
-                k = index_of.get(m)
+            products = []
+            for j, memo in enumerate(memos):
+                for r in keys[i]:
+                    if r not in memo:
+                        memo[r] = intern(row_times(order, rows[r], rights[j], n))
+                key = tuple([memo[r] for r in keys[i]])
+                k = index_of.get(key)
                 if k is None:
-                    if len(matrices) >= bound:
+                    if len(keys) >= bound:
                         raise RuntimeError("group not finite within bound")
-                    k = index_of[m] = len(matrices)
-                    matrices.append(m)
+                    k = index_of[key] = len(keys)
+                    keys.append(key)
                     words.append(f"{words[i]}*{names[j]}" if i else names[j])
                     reached.append((i, j))
                     fresh.append(k)
-                row.append(k)
-            right.append(row)
+                products.append(k)
+            right.append(products)
         frontier = fresh
+    matrices = tuple(Matrix._of(order, [rows[r] for r in key]) for key in keys)
 
     # i * k = (i * matrices[p]) * generators[j] for (p, j) = reached[k - 1],
     # and p < k, so each row fills left to right.
-    size = len(matrices)
+    size = len(keys)
     mult_table = []
     for i in range(size):
         row = [i]
@@ -148,7 +151,7 @@ def enumerate_group(generators, bound=MAX_GROUP_ORDER, names=None):
             gens_of[cent] = _generators(cent, mult_table)
     centralizer_gens = tuple(gens_of[cent] for cent in centralizers)
     return Group(dim=n, scalar_order=order, names=names,
-                 generator_indices=tuple(right[0]), matrices=tuple(matrices),
+                 generator_indices=tuple(right[0]), matrices=matrices,
                  words=tuple(words), mult_table=tuple(mult_table),
                  inverses=inverses, conj_classes=tuple(conj_classes),
                  centralizers=tuple(centralizers),

@@ -51,7 +51,8 @@ from .polyvec import (
 
 def xi(s, t, z, r):
     """The contraction coefficient (r+z-1)!(t-r+s)! / ((r-1)!(t-r)!(s+t+z)!)."""
-    assert t >= 1 and 1 <= r <= t and s >= 0 and z >= 0
+    if not (t >= 1 and 1 <= r <= t and s >= 0 and z >= 0):
+        raise ValueError("xi needs t >= 1, 1 <= r <= t, s >= 0 and z >= 0")
     return Fraction(
         factorial(r + z - 1) * factorial(t - r + s),
         factorial(r - 1) * factorial(t - r) * factorial(s + t + z),

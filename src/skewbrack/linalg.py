@@ -1,16 +1,14 @@
 """Exact linear algebra over a fixed cyclotomic field.
 
 Matrices are dense, but every reduction to echelon form runs on sparse
-rows ({column: nonzero Cyc}) in one core, `_echelon`; the dense entry
-points convert to and from it.  The matrix product sums each entry in
-plain ints on the accumulator of scalars._widen and scalars._reduce, and
-linalg builds its own results through Matrix._of, which coerces no
-entry; the public constructor coerces each one.  Everything is
-deterministic: the reduced row echelon form of a row space is unique,
-so identical inputs give identical outputs (no randomized or
-hash-ordered choices anywhere).
-`det` is a separate dense Gaussian elimination; only the chain-level
-oracle's minors (through `polyvec.minor_det`) and tests call it.
+rows ({column: nonzero Cyc}) in one core, `_echelon`, and every product
+on one row kernel, `row_times`, which Matrix.__mul__, Matrix.apply and
+groups.enumerate_group call.  linalg builds its own results through
+Matrix._of, which coerces no entry; the public constructor coerces each
+one.  The reduced form of a row space is unique and nothing depends on
+hash order, so identical inputs give identical outputs.  `det` is a
+separate dense Gaussian elimination for the chain-level oracle's minors
+(`polyvec.minor_det`) and tests.
 """
 
 from __future__ import annotations
@@ -59,11 +57,7 @@ class Matrix(Frozen):
         return hash((self.order, self.rows))
 
     def __mul__(self, other):
-        """The product, each entry summed in plain ints as in polyvec.act:
-        the power-basis convolutions of the products a * b of a row's
-        nonzero entries with the nonzero entries of other, over one
-        denominator that widens to an lcm when a product's does not
-        divide it, reduced modulo Phi_N into one Cyc per entry."""
+        """The product, row by row through row_times."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
@@ -71,33 +65,9 @@ class Matrix(Frozen):
         order = self.order
         if other.order != order:
             raise ValueError("cyclotomic order mismatch")
-        size = 2 * len(_powers(order)[0]) - 1
-        # the nonzero entries b = other[k][j] of each row k, as (j, b)
-        right = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
-        zero = Cyc.zero(order)
-        out = []
-        for r in self.rows:
-            accs = {}  # column -> [denominator, unreduced numerators...]
-            for a, terms in zip(r, right):
-                if not a:
-                    continue
-                # a as (place in acc, int) pairs
-                ai = [(i, x) for i, x in enumerate(a.num, 1) if x]
-                for j, b in terms:
-                    den = a.den * b.den
-                    acc = accs.get(j)
-                    if acc is None:
-                        acc = accs[j] = [den] + [0] * size
-                    up = 1 if den == acc[0] else _widen(acc, den)
-                    for i, x in ai:
-                        x *= up
-                        for k, y in enumerate(b.num, i):
-                            acc[k] += x * y
-            row = [zero] * other.ncols
-            for j, c in _reduce(order, accs).items():
-                row[j] = c
-            out.append(row)
-        return Matrix._of(order, out)
+        right = _sparse(other.rows)
+        return Matrix._of(order, [row_times(order, r, right, other.ncols)
+                                  for r in self.rows])
 
     def __sub__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -114,21 +84,43 @@ class Matrix(Frozen):
         return tuple(r[j] for r in self.rows)
 
     def apply(self, vec):
-        """Matrix times column vector."""
-        assert len(vec) == self.ncols
-        zero = Cyc.zero(self.order)
-        out = []
-        for r in self.rows:
-            acc = zero
-            for a, v in zip(r, vec):
-                if a and v:
-                    acc = acc + a * v
-            out.append(acc)
-        return tuple(out)
+        """Matrix times column vector of Cycs: vec times the transpose."""
+        if len(vec) != self.ncols:
+            raise ValueError("vector length does not match the matrix")
+        return row_times(self.order, vec, _sparse(zip(*self.rows)), self.nrows)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in r) for r in self.rows)
         return f"Matrix[{body}]"
+
+
+def row_times(order, row, right, ncols):
+    """row times the matrix whose rows hold the nonzero entries right (as
+    _sparse lists them), a tuple of ncols Cycs.  Each entry is summed in
+    plain ints, as in polyvec.act: the power-basis convolutions of the
+    products a * b over one denominator, widened to an lcm as needed, and
+    reduced modulo Phi_N into one Cyc."""
+    size = 2 * len(_powers(order)[0]) - 1
+    accs = {}  # column -> [denominator, unreduced numerators...]
+    for a, terms in zip(row, right):
+        if not a:
+            continue
+        # a as (place in acc, int) pairs
+        ai = [(i, x) for i, x in enumerate(a.num, 1) if x]
+        for j, b in terms.items():
+            den = a.den * b.den
+            acc = accs.get(j)
+            if acc is None:
+                acc = accs[j] = [den] + [0] * size
+            up = 1 if den == acc[0] else _widen(acc, den)
+            for i, x in ai:
+                x *= up
+                for k, y in enumerate(b.num, i):
+                    acc[k] += x * y
+    out = [Cyc.zero(order)] * ncols
+    for j, c in _reduce(order, accs).items():
+        out[j] = c
+    return tuple(out)
 
 
 def _echelon(rows):
@@ -238,7 +230,8 @@ def solve_membership(vectors, target, order):
     zero = Cyc.zero(order)
     if k == 0:
         return [] if all(not t for t in target) else None
-    assert all(len(v) == n for v in vectors)
+    if any(len(v) != n for v in vectors):
+        raise ValueError("vectors differ in length from the target")
     aug = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(n)]
     pivots = _echelon(_sparse(aug))
     if k in pivots:
@@ -250,7 +243,8 @@ def solve_membership(vectors, target, order):
 
 
 def det(m: Matrix) -> Cyc:
-    assert m.nrows == m.ncols
+    if m.nrows != m.ncols:
+        raise ValueError("matrix is not square")
     order = m.order
     rows = [list(r) for r in m.rows]
     n = m.nrows
@@ -278,7 +272,8 @@ def det(m: Matrix) -> Cyc:
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    assert m.nrows == m.ncols
+    if m.nrows != m.ncols:
+        raise ValueError("matrix is not square")
     n = m.nrows
     ident = Matrix.identity(n, m.order)
     aug = [list(r) + list(ir) for r, ir in zip(m.rows, ident.rows)]

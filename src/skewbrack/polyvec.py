@@ -204,7 +204,8 @@ def _unit(n, k):
 def minor_det(m: Matrix, rows, cols):
     order = m.order
     k = len(rows)
-    assert k == len(cols)
+    if k != len(cols):
+        raise ValueError("a minor needs as many rows as columns")
     if k == 0:
         return Cyc.one(order)
     sub = [[m.rows[r][c] for c in cols] for r in rows]

@@ -41,6 +41,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
                     q = quot[k] = num[k + len(den) - 1]
                     for i, c in enumerate(den):
                         num[i + k] -= q * c
+                # checks this function's own division, not its input
                 assert not any(num), "Phi_d does not divide"
                 num = quot
         _CYCLOTOMIC_CACHE[n] = tuple(num)

@@ -1,9 +1,11 @@
+from math import factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import mat
+from helpers import enumerate_by_whole_products, mat
+from skewbrack import groups
 from skewbrack.cli import load_group_file
 from skewbrack.cochain import volume_form
 from skewbrack.fixtures import fixture_groups
@@ -13,7 +15,7 @@ from skewbrack.groups import (
     geometry,
     resolve_word,
 )
-from skewbrack.linalg import Matrix, echelon_span, rank
+from skewbrack.linalg import Matrix, echelon_span, mat_inverse, rank, row_times
 from skewbrack.polyvec import Polyvector, act, euler_field
 from skewbrack.scalars import Cyc
 
@@ -219,6 +221,78 @@ def test_mult_data_matches_matrix_products():
                 assert s not in closure(kept, table), (name, s)
                 kept.add(s)
             assert closure(kept, table) == set(cent), name
+
+
+def symmetric_generators(n):
+    """A transposition and an n-cycle, permuting the coordinates of k^n."""
+    def permutation(images):
+        return mat(1, [[int(images[i] == j) for j in range(n)] for i in range(n)])
+    return [permutation([1, 0, *range(2, n)]), permutation([*range(1, n), 0])]
+
+
+def dense_conjugate(n):
+    """U^-1 s U for the generators s of symmetric_generators(n), U
+    unipotent with (-1)^(i+j) above the diagonal: a dense action of S_n."""
+    u = mat(1, [[(-1) ** (i + j) if j > i else int(i == j) for j in range(n)]
+                for i in range(n)])
+    u_inv = mat_inverse(u)
+    return [u_inv * s * u for s in symmetric_generators(n)]
+
+
+DENSE = {"s4-dense": 4, "s5-dense": 5}
+ENUMERATED = [*fixture_groups(), *GROUP_FILES, *DENSE]
+
+
+def enumerated_generators(name):
+    """The generators of a fixture group, a group file or a dense S4 or S5."""
+    if name in DENSE:
+        return dense_conjugate(DENSE[name])
+    group = (fixture_groups()[name] if name not in GROUP_FILES
+             else load_group_file(str(GROUP_FILES[name]))[0])
+    return [group.matrices[i] for i in group.generator_indices]
+
+
+def test_dense_conjugates_are_dense_and_faithful():
+    for name, n in DENSE.items():
+        gens = enumerated_generators(name)
+        assert any(sum(map(bool, r)) > 1 for g in gens for r in g.rows), name
+        assert len(enumerate_group(gens)) == factorial(n), name
+
+
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_interned_rows_give_the_tables_of_whole_matrix_products(name):
+    gens = enumerated_generators(name)
+    for names in (None, [f"s{j}" for j in range(1, len(gens) + 1)]):
+        got = enumerate_group(gens, names=names)
+        want = enumerate_by_whole_products(gens, names=names)
+        for table in Group.__slots__[:-1]:
+            assert getattr(got, table) == getattr(want, table), (name, names, table)
+
+
+def count_row_products(monkeypatch, generators):
+    """The group of generators and the number of row_times calls that
+    enumerating it makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return row_times(*args)
+    monkeypatch.setattr(groups, "row_times", counted)
+    return enumerate_group(generators), len(calls)
+
+
+def test_permutation_s5_multiplies_five_rows_by_two_generators(monkeypatch):
+    # 10 row products, where whole products would be 120 * 2 = 240
+    group, count = count_row_products(monkeypatch, symmetric_generators(5))
+    assert len(group) == 120 and count == 10
+
+
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_each_distinct_row_meets_each_generator_at_most_once(monkeypatch, name):
+    gens = enumerated_generators(name)
+    group, count = count_row_products(monkeypatch, gens)
+    distinct = {r for m in group.matrices for r in m.rows}
+    assert count <= len(distinct) * len(gens), name
 
 
 def test_symmetric_two_conjugacy():

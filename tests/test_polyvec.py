@@ -341,10 +341,13 @@ def test_term_refuses_bad_exponents_and_indices(coeff, exps, idx, order, error):
 
 
 OPTIMIZED_CHECKS = """
-from skewbrack.linalg import Matrix
-from skewbrack.polyvec import Poly, Polyvector
+from skewbrack.groups import Group
+from skewbrack.koszul import xi
+from skewbrack.linalg import Matrix, det, mat_inverse, solve_membership
+from skewbrack.polyvec import Poly, Polyvector, minor_det
 from skewbrack.scalars import Cyc
 two, three = Matrix(1, [[1, 2], [3, 4]]), Matrix(1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+wide = Matrix(1, [[1, 2, 3], [4, 5, 6]])
 cases = [
     lambda: two * three,
     lambda: two - three,
@@ -356,6 +359,13 @@ cases = [
     lambda: Polyvector.term(1, (0, -1), (0,), 1),
     lambda: Polyvector.term(1, (0, 1), (5,), 1),
     lambda: Cyc(5, [1, 2]),
+    lambda: Matrix(1, [[1, 2], [3, 4]]).apply([1]),
+    lambda: solve_membership([two.rows[0], three.rows[0]], two.rows[1], 1),
+    lambda: det(wide),
+    lambda: mat_inverse(wide),
+    lambda: minor_det(three, (), (0,)),
+    lambda: xi(-1, 2, 0, 1),
+    lambda: Group(dim=2),
 ]
 for case in cases:
     try:
@@ -375,7 +385,7 @@ def test_shape_and_head_checks_survive_python_optimize():
         proc = subprocess.run([sys.executable, *flags, "-c", OPTIMIZED_CHECKS],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["ValueError"] * 10, (flags, proc.stdout)
+        assert proc.stdout.splitlines() == ["ValueError"] * 17, (flags, proc.stdout)
 
 
 def act_from_scratch(x, h, h_inv):
