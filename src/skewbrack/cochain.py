@@ -32,7 +32,12 @@ class Cochain(SparseTerms):
 
     def __init__(self, group, degree, terms=None):
         clean = {}
+        head, size = (group.dim, group.scalar_order), len(group)
         for g, pv in (terms or {}).items():
+            if type(g) is not int or not 0 <= g < size:
+                raise ValueError("cochain keys must be element indices of its group")
+            if not isinstance(pv, Polyvector) or pv.head != head:
+                raise ValueError("cochain components must be polyvectors of the group's (n, order)")
             if pv.is_zero():
                 continue
             if pv.degree() != degree:
@@ -49,9 +54,6 @@ class Cochain(SparseTerms):
         if got is not None:
             return got
         return Polyvector.zero(self.group.dim, self.group.scalar_order)
-
-    def support(self):
-        return sorted(self.terms)
 
     def __str__(self):
         if not self.terms:
@@ -250,6 +252,13 @@ def support_codim(c):
     return max(support_codims(c), default=0)
 
 
+def _check_piece(group, p, m):
+    """Refuse a bidegree with no piece: p outside 0..dim V, or m < 0."""
+    if not (0 <= p <= group.dim and m >= 0):
+        raise ValueError(f"no cohomology piece in degree ({p}, {m}): the exterior "
+                         f"degree must be in 0..{group.dim} and the polynomial degree >= 0")
+
+
 def cohomology_basis(group, p, m):
     """Deterministic basis of the degree-(p, m) cohomology.
 
@@ -257,8 +266,7 @@ def cohomology_basis(group, p, m):
     representative, average over the centralizer, echelonize, and spread
     each surviving row to its G-invariant class-supported cochain.
     """
-    if p > group.dim:
-        raise ValueError("exterior degree exceeds the dimension of V")
+    _check_piece(group, p, m)
     n, order = group.dim, group.scalar_order
     keys = ambient_keys(n, p, m)
     out = []
@@ -286,8 +294,7 @@ def cohomology_dim_direct(group, p, m):
     are all of S(V) (x) Lambda V* in degrees (p, m) and (p-1, m-1).
     No reduced-subspace data is consulted.
     """
-    if p > group.dim:
-        raise ValueError("exterior degree exceeds the dimension of V")
+    _check_piece(group, p, m)
     n, order = group.dim, group.scalar_order
 
     def averages(cent, q, k):
@@ -323,8 +330,7 @@ def cohomology_dim_character(group, p, m):
     code with cohomology_basis.  A class term that is not a nonnegative
     integer raises ArithmeticError.
     """
-    if p > group.dim:
-        raise ValueError("exterior degree exceeds the dimension of V")
+    _check_piece(group, p, m)
     n, order = group.dim, group.scalar_order
     mult, inverses = group.mult_table, group.inverses
     chi = [sum((r[i] for i, r in enumerate(a.rows)), Cyc.zero(order))

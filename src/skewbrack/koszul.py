@@ -94,14 +94,6 @@ class KoszulElt(KoszulTerms):
 
     __slots__ = ()
 
-    @staticmethod
-    def basis(n, order, idx):
-        """1 (tensor) o(x_idx) (tensor) 1, idx need not be sorted."""
-        sgn, key = sort_sign(idx)
-        if sgn == 0:
-            return KoszulElt.zero(n, order)
-        return KoszulElt(n, order, {(key, _zero_exp(n), _zero_exp(n)): Cyc.of(sgn, order)})
-
     def __repr__(self):
         if not self.terms:
             return "KoszulElt(0)"
@@ -137,24 +129,29 @@ def _adder(out):
     return put
 
 
+def _contractions(idx, left, right):
+    """The terms of d on one wedge block idx between the polynomial legs
+    left and right, as (rest, left, right, sign): letter j of idx is
+    dropped, and x_i = idx[j] is added on the left leg with sign (-1)^j
+    and on the right leg with sign -(-1)^j."""
+    for j, i in enumerate(idx):
+        rest = idx[:j] + idx[j + 1:]
+        sgn = -1 if j % 2 else 1
+        ei = tuple(1 if k == i else 0 for k in range(len(left)))
+        yield rest, _add_exp(left, ei), right, sgn
+        yield rest, left, _add_exp(right, ei), -sgn
+
+
 def koszul_diff(e: KoszulElt) -> KoszulElt:
     """Differential of the resolution: d(a o(I) b) contracts one wedge
     index at a time into the left or right polynomial leg with
     alternating signs."""
-    n, order = e.n, e.order
     out = {}
     put = _adder(out)
     for (idx, el, er), c in e.terms.items():
-        for j, i in enumerate(idx):
-            rest = idx[:j] + idx[j + 1:]
-            sgn = -1 if j % 2 else 1
-            ei = tuple(1 if k == i else 0 for k in range(n))
-            k1 = (rest, _add_exp(el, ei), er)
-            k2 = (rest, el, _add_exp(er, ei))
-            cc = c * sgn
-            put(k1, cc)
-            put(k2, -cc)
-    return KoszulElt(n, order, out)
+        for rest, left, right, sgn in _contractions(idx, el, er):
+            put((rest, left, right), c * sgn)
+    return KoszulElt(e.n, e.order, out)
 
 
 def koszul2_diff(e: KoszulTensor2) -> KoszulTensor2:
@@ -162,25 +159,15 @@ def koszul2_diff(e: KoszulTensor2) -> KoszulTensor2:
     differential on the first factor plus, with the sign of the first
     wedge degree, the differential on the second factor.  Contractions
     hitting the shared middle leg multiply into the middle exponent."""
-    n, order = e.n, e.order
     out = {}
     put = _adder(out)
     for (s_idx, z_idx, el, em, er), c in e.terms.items():
-        s = len(s_idx)
-        for j, i in enumerate(s_idx):
-            rest = s_idx[:j] + s_idx[j + 1:]
-            sgn = -1 if j % 2 else 1
-            ei = tuple(1 if k == i else 0 for k in range(n))
-            put((rest, z_idx, _add_exp(el, ei), em, er), c * sgn)
-            put((rest, z_idx, el, _add_exp(em, ei), er), c * (-sgn))
-        outer = -1 if s % 2 else 1
-        for j, i in enumerate(z_idx):
-            rest = z_idx[:j] + z_idx[j + 1:]
-            sgn = outer * (-1 if j % 2 else 1)
-            ei = tuple(1 if k == i else 0 for k in range(n))
-            put((s_idx, rest, el, _add_exp(em, ei), er), c * sgn)
-            put((s_idx, rest, el, em, _add_exp(er, ei)), c * (-sgn))
-    return KoszulTensor2(n, order, out)
+        for rest, left, mid, sgn in _contractions(s_idx, el, em):
+            put((rest, z_idx, left, mid, er), c * sgn)
+        outer = -1 if len(s_idx) % 2 else 1
+        for rest, mid, right, sgn in _contractions(z_idx, em, er):
+            put((s_idx, rest, el, mid, right), c * (outer * sgn))
+    return KoszulTensor2(e.n, e.order, out)
 
 
 def f_k(e: KoszulTensor2) -> KoszulElt:

@@ -80,9 +80,6 @@ class Matrix(Frozen):
     def transpose(self):
         return Matrix._of(self.order, zip(*self.rows))
 
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def apply(self, vec):
         """Matrix times column vector of Cycs: vec times the transpose."""
         if len(vec) != self.ncols:

@@ -126,12 +126,6 @@ class Poly(SparseTerms):
         self._init(clean, n, order)
 
     @staticmethod
-    def variable(i, n, order):
-        e = [0] * n
-        e[i] = 1
-        return Poly(n, order, {tuple(e): Cyc.one(order)})
-
-    @staticmethod
     def monomial(exps, coeff, order):
         return Poly(len(exps), order, {tuple(exps): Cyc.of(coeff, order)})
 
@@ -224,6 +218,8 @@ class Polyvector(SparseTerms):
             idx = tuple(idx)
             if any(not 0 <= i < n for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError("polyvector wedges must be increasing indices in 0..n-1")
+            if not isinstance(p, Poly) or p.head != (n, order):
+                raise ValueError("polyvector coefficients must be polys of its (n, order)")
             if not p.is_zero():
                 clean[idx] = p
         self._init(clean, n, order)
@@ -250,18 +246,6 @@ class Polyvector(SparseTerms):
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def pair(self, idx) -> Poly:
-        """Evaluation against the antisymmetrized basis element o(x_idx):
-        the coefficient at the normalized index tuple times the
-        reversed-word pairing sign rev_sign(len(idx))."""
-        sgn, key = sort_sign(idx)
-        if sgn == 0:
-            return Poly.zero(self.n, self.order)
-        p = self.terms.get(key)
-        if p is None:
-            return Poly.zero(self.n, self.order)
-        return p * (sgn * rev_sign(len(key)))
 
     def degree(self):
         degs = {len(i) for i in self.terms}

@@ -3,8 +3,10 @@
 import importlib.util
 from pathlib import Path
 
+from skewbrack.cochain import Cochain
 from skewbrack.groups import MAX_GROUP_ORDER, Group, _generators, enumerate_group
 from skewbrack.linalg import Matrix
+from skewbrack.polyvec import act
 from skewbrack.scalars import Cyc
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -18,6 +20,21 @@ def trivial_group_k(n):
     rows = [[Cyc.one(1) if i == j else Cyc.zero(1) for j in range(n)]
             for i in range(n)]
     return enumerate_group([Matrix(1, rows)])
+
+
+def conjugate_group(group, u, u_inv):
+    """The group generated by u^-1 s u for the generators s of group, in
+    the same order and with the same names, so its words and tables are
+    those of group: element i of it is u^-1 (matrices[i]) u."""
+    return enumerate_group([u_inv * group.matrices[i] * u for i in group.generator_indices],
+                           names=group.names)
+
+
+def move_cochain(c, target, u, u_inv):
+    """c moved onto conjugate_group(c.group, u, u_inv): each component
+    acted on by u, which carries a cochain invariant under g to one
+    invariant under u^-1 g u."""
+    return Cochain(target, c.degree, {g: act(pv, [(u, u_inv)]) for g, pv in c.terms.items()})
 
 
 def enumerate_by_whole_products(generators, bound=MAX_GROUP_ORDER, names=None):

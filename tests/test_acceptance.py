@@ -121,7 +121,7 @@ def test_criterion_06_degree_one_pieces_vanish():
             for m in range(4):
                 for c in cohomology_basis(group, p, m):
                     checked += 1
-                    for g in c.support():
+                    for g in sorted(c.terms):
                         assert geometry(group, g).codim != 1, (name, p, m)
     assert checked > 0
     print(f"criterion 6: PASS - no cohomology class meets codimension one "
@@ -150,7 +150,7 @@ def test_criterion_07_codimension_grading_random_pairs():
             if report.result.is_zero():
                 continue
             nonzero += 1
-            for k in report.result.support():
+            for k in sorted(report.result.terms):
                 assert geometry(group, k).codim == i + j, name
     assert pairs >= 20
     print(f"criterion 7: PASS - {pairs} random invariant reduced pairs; "
@@ -165,7 +165,7 @@ def test_criterion_08_minimal_degree_vanishing():
         for p in range(1, min(group.dim, 3) + 1):
             for m in range(3):
                 for c in cohomology_basis(group, p, m):
-                    support = c.support()
+                    support = sorted(c.terms)
                     if 0 in support:
                         continue
                     if all(geometry(group, g).codim == p for g in support):
@@ -214,7 +214,7 @@ def test_criterion_10_perp_vanishing_fixture():
     for p in range(1, 4):
         for m in range(3):
             for c in cohomology_basis(group, p, m):
-                support = set(c.support())
+                support = set(c.terms)
                 if support == {g}:
                     pool_g.append(c)
                 elif support == {h}:

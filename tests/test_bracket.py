@@ -9,14 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import mat, trivial_group_k
+from helpers import conjugate_group, mat, move_cochain, trivial_group_k
 from skewbrack.scalars import Cyc
-from skewbrack.linalg import Matrix, rank, rref, solve_membership
+from skewbrack.linalg import Matrix, mat_inverse, rank, rref, solve_membership
 from skewbrack.polyvec import Polyvector, act, schouten
 from skewbrack.groups import enumerate_group, geometry, resolve_word
 from skewbrack.cochain import (
     Cochain,
     cohomology_basis,
+    cohomology_dim_character,
     is_cocycle,
     is_invariant,
     is_reduced,
@@ -304,6 +305,50 @@ def test_graded_jacobi_on_basis_classes(path, triples, nonzero):
     assert (tried, found) == (triples, nonzero)
 
 
+# (group file, basis classes with p <= 3 and m <= 2, nonzero brackets
+# among their ordered pairs)
+DENSE_COPIES = [(GROUP_DATA / "d4.json", 27, 126), (GROUP_DATA / "d5.json", 30, 144),
+                (S4_ROOT_BASIS, 10, 32), (FIXTURES / "binary_tetrahedral_k2_z4.json", 9, 14)]
+
+
+def test_fast_path_commutes_with_a_change_to_dense_coordinates():
+    # conjugated by the unipotent U with (-1)^(i+j) above the diagonal,
+    # each group acts by matrices that are not monomial, so the zero
+    # skips of the fast path meet other patterns.  Moved by U, every
+    # basis class stays an invariant reduced class, the moved basis is as
+    # large as the character count on the conjugate group, and the move
+    # commutes with the bracket.  Moved by U^-1 instead, classes stop
+    # being invariant on three of the groups, so the checks can fail.
+    wrong = []
+    for path, classes, nonzero in DENSE_COPIES:
+        group = load_group_file(str(path))[0]
+        n, order = group.dim, group.scalar_order
+        u = mat(order, [[(-1) ** (i + j) if i < j else int(i == j) for j in range(n)]
+                        for i in range(n)])
+        u_inv = mat_inverse(u)
+        dense = conjugate_group(group, u, u_inv)
+        assert dense.words == group.words and dense.mult_table == group.mult_table
+        assert any(sum(1 for e in col if e) > 1 for a in dense.matrices for col in zip(*a.rows))
+        pool = []
+        for p in range(min(3, n) + 1):
+            for m in range(3):
+                basis = cohomology_basis(group, p, m)
+                assert len(basis) == cohomology_dim_character(dense, p, m), (path.name, p, m)
+                pool += basis
+        moved = [move_cochain(c, dense, u, u_inv) for c in pool]
+        assert all(is_invariant(c) and is_reduced(c) for c in moved), path.name
+        if not all(is_invariant(move_cochain(c, dense, u_inv, u)) for c in pool):
+            wrong.append(path.stem)
+        found = 0
+        for x, mx in zip(pool, moved):
+            for y, my in zip(pool, moved):
+                xy = gerstenhaber(x, y).result
+                assert gerstenhaber(mx, my).result == move_cochain(xy, dense, u, u_inv), path.name
+                found += not xy.is_zero()
+        assert (len(pool), found) == (classes, nonzero), path.name
+    assert wrong == ["d4", "d5", "s4_a3_root_basis_k3"]
+
+
 def test_oracle_agrees_on_a_d5_pair_the_projection_kills():
     group = load_group_file(str(GROUP_DATA / "d5.json"))[0]
     x = cohomology_basis(group, 1, 2)[0]
@@ -359,7 +404,7 @@ def test_rejects_unreduced_input_on_a_conjugacy_class():
     swap = resolve_word(group, "g1")
     bad = reynolds(Cochain.single(group, swap, Polyvector.term(1, (0, 0, 0), (2,), 1)))
     assert is_invariant(bad) and not is_reduced(bad)
-    assert len(bad.support()) == 3 and project(bad).is_zero()
+    assert len(bad.terms) == 3 and project(bad).is_zero()
     good = Cochain.single(group, 0, Polyvector.term(1, (1, 1, 1), (), 1))
     assert is_invariant(good) and is_reduced(good)
     with pytest.raises(ValueError, match="right operand .*project"):
@@ -470,7 +515,7 @@ def moved_basis(group, g):
     """The last codim columns of g's adapted basis, spanning (1-g)V."""
     geom = geometry(group, g)
     n = group.dim
-    return [geom.adapted.column(j) for j in range(n - geom.codim, n)]
+    return list(zip(*geom.adapted.rows))[n - geom.codim:]
 
 
 @pytest.mark.parametrize("name", [*fixture_groups(), "d4", "d5", "s4"])
@@ -542,7 +587,7 @@ def test_minimal_classes_from_bases_bracket_to_zero():
         for p in range(1, min(group.dim, 3) + 1):
             for m in range(3):
                 for c in cohomology_basis(group, p, m):
-                    support = c.support()
+                    support = sorted(c.terms)
                     if 0 in support:
                         continue
                     if all(geometry(group, g).codim == p for g in support):
@@ -584,11 +629,11 @@ def test_class_function_readers_equal_their_per_element_definitions(name):
     split = minimal = 0
     for x, y in zip(cochains, cochains[1:] + cochains[:1]):
         codims = [geometry(group, g).codim for g in x.terms]
-        assert support_codim(x) == max(codims, default=0), x.support()
+        assert support_codim(x) == max(codims, default=0), sorted(x.terms)
         for pair in ((x, x), (x, y)):
             want = all(g != 0 and geometry(group, g).codim == c.degree
                        for c in pair for g in c.terms)
-            assert minimal_degree_vanishing(*pair) == want, [c.support() for c in pair]
+            assert minimal_degree_vanishing(*pair) == want, [sorted(c.terms) for c in pair]
             minimal += want
         split += any(0 < len(x.terms.keys() & cls) < len(cls) for cls in group.conj_classes)
     # the identity is the only element of a trivial group, and never minimal
@@ -628,6 +673,6 @@ def test_bracket_lands_in_summed_codimension():
                 if report.result.is_zero():
                     continue
                 assert report.result.degree == x.degree + y.degree - 1
-                for k in report.result.support():
+                for k in sorted(report.result.terms):
                     assert geometry(group, k).codim == i + j, name
     assert pairs >= 20

@@ -307,7 +307,7 @@ def bases(group, g):
     """The fixed and moved bases of g: the first n - codim and the last
     codim columns of its adapted basis."""
     geo = geometry(group, g)
-    cols = [geo.adapted.column(j) for j in range(group.dim)]
+    cols = list(zip(*geo.adapted.rows))
     return cols[:group.dim - geo.codim], cols[group.dim - geo.codim:]
 
 

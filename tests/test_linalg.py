@@ -311,8 +311,7 @@ def test_sparse_core_matches_dense_gauss_jordan(m):
     t_rows, t_pivots = _reference_rref_rows(order, m.transpose().rows)
     assert image_basis(m) == [tuple(t_rows[i]) for i in range(len(t_pivots))]
     # the last column as the target, inside or outside the span of the rest
-    vectors = [m.column(j) for j in range(m.ncols - 1)]
-    target = m.column(m.ncols - 1)
+    *vectors, target = zip(*m.rows)
     assert (solve_membership(vectors, target, order)
             == _reference_membership(vectors, target, order))
     assert (solve_membership(list(m.rows[1:]), m.rows[0], order)

@@ -46,8 +46,8 @@ def test_rev_sign():
 
 
 def test_poly_arithmetic():
-    x1 = Poly.variable(0, 2, 1)
-    x2 = Poly.variable(1, 2, 1)
+    x1 = Poly.monomial((1, 0), 1, 1)
+    x2 = Poly.monomial((0, 1), 1, 1)
     sq = (x1 + x2) * (x1 + x2)
     assert sq == x1 * x1 + 2 * (x1 * x2) + x2 * x2
     assert sq.deriv(0) == 2 * x1 + 2 * x2
@@ -58,9 +58,9 @@ def test_poly_arithmetic():
 def test_subst_matrix_columns_give_variable_images():
     # x1 -> x1 + x2 (first column), x2 -> x2
     m = mat(1, [[1, 0], [1, 1]])
-    p = Poly.variable(0, 2, 1)
-    assert subst_matrix(p, m) == Poly.variable(0, 2, 1) + Poly.variable(1, 2, 1)
-    assert subst_matrix(Poly.variable(1, 2, 1), m) == Poly.variable(1, 2, 1)
+    p = Poly.monomial((1, 0), 1, 1)
+    assert subst_matrix(p, m) == Poly.monomial((1, 0), 1, 1) + Poly.monomial((0, 1), 1, 1)
+    assert subst_matrix(Poly.monomial((0, 1), 1, 1), m) == Poly.monomial((0, 1), 1, 1)
 
 
 def test_wedge_antisymmetry_and_overlap():
@@ -70,17 +70,6 @@ def test_wedge_antisymmetry_and_overlap():
     assert d1.wedge(d1).is_zero()
     # normalization in the constructor
     assert Polyvector.term(1, (0, 0), (1, 0), 1) == -(Polyvector.term(1, (0, 0), (0, 1), 1))
-
-
-def test_pair_uses_reversed_word_sign():
-    x = Polyvector.term(1, (0, 0, 0), (0, 1), 1)
-    assert x.pair((0, 1)) == Poly.monomial((0, 0, 0), -1, 1)
-    assert x.pair((1, 0)) == Poly.monomial((0, 0, 0), 1, 1)
-    assert x.pair((0, 2)).is_zero()
-    v = Polyvector.term(1, (0, 0, 0), (2,), 1)
-    assert v.pair((2,)) == Poly.monomial((0, 0, 0), 1, 1)
-    # o(x_idx) vanishes on a repeated index
-    assert x.pair((0, 0)) == Poly.zero(3, 1)
 
 
 def test_euler_field():
@@ -341,6 +330,8 @@ def test_term_refuses_bad_exponents_and_indices(coeff, exps, idx, order, error):
 
 
 OPTIMIZED_CHECKS = """
+from skewbrack.cochain import Cochain
+from skewbrack.fixtures import klein_signs_k3
 from skewbrack.groups import Group
 from skewbrack.koszul import xi
 from skewbrack.linalg import Matrix, det, mat_inverse, solve_membership
@@ -348,6 +339,7 @@ from skewbrack.polyvec import Poly, Polyvector, minor_det
 from skewbrack.scalars import Cyc
 two, three = Matrix(1, [[1, 2], [3, 4]]), Matrix(1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 wide = Matrix(1, [[1, 2, 3], [4, 5, 6]])
+group, x1 = klein_signs_k3(), Polyvector.term(1, (1, 0, 0), (0,), 1)
 cases = [
     lambda: two * three,
     lambda: two - three,
@@ -366,6 +358,14 @@ cases = [
     lambda: minor_det(three, (), (0,)),
     lambda: xi(-1, 2, 0, 1),
     lambda: Group(dim=2),
+    # containers hold only values of their own head, keyed by their own keys
+    lambda: Polyvector(2, 1, {(0,): Poly(3, 5, {(1, 0, 2): 1})}),
+    lambda: Polyvector(2, 1, {(0,): 5}),
+    lambda: Cochain(group, 1, {0: Polyvector.term(1, (1, 0), (0,), 1)}),
+    lambda: Cochain(group, 1, {0: Polyvector.term(1, (1, 0, 0), (0,), 4)}),
+    lambda: Cochain(group, 1, {0: 5}),
+    lambda: Cochain(group, 1, {999: x1}),
+    lambda: Cochain(group, 1, {-1: x1}),
 ]
 for case in cases:
     try:
@@ -385,7 +385,7 @@ def test_shape_and_head_checks_survive_python_optimize():
         proc = subprocess.run([sys.executable, *flags, "-c", OPTIMIZED_CHECKS],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["ValueError"] * 17, (flags, proc.stdout)
+        assert proc.stdout.splitlines() == ["ValueError"] * 24, (flags, proc.stdout)
 
 
 def act_from_scratch(x, h, h_inv):
