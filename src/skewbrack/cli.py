@@ -66,9 +66,9 @@ from .scalars import parse_scalar, print_scalar
 # (Z/2)^10 flipping ten coordinates of k^12 (one term per omega_g,
 # 1,024) 0.9-1.0 s and 633 KB; a dense conjugate of that S6 (about 1.1
 # million) is refused in 0.16-0.19 s.  Near the bound, on conjugates by
-# a unipotent matrix with entries in {-1, 0, 1}, group takes 1.2-1.4 s
+# a unipotent matrix with entries in {-1, 0, 1}, group takes 1.2-1.3 s
 # and prints 633 KB on S6 permuting six coordinates of k^8 (a sum of
-# 35,720; geometry is 0.56 s of it, enumeration 0.04 s) and 0.7 s and
+# 35,720; geometry is 0.45 s of it, enumeration 0.04 s) and 0.7 s and
 # 620 KB on (Z/2)^6 flipping six coordinates of k^15 (42,018); at k^16
 # (66,499, refused) it would take 1.1 s and print 1.0 MB (Python 3.11.7,
 # 2 cores, end to end with the output written to a file).  A cohomology piece has
@@ -107,6 +107,21 @@ def _read_json(path):
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def _literal_parser(order):
+    """parse_scalar at order, each distinct literal text parsed once: a
+    file repeats a few literals (0, 1, -1) many times.  A malformed
+    literal raises at its first occurrence, as each parse does."""
+    parsed = {}
+
+    def parse(text):
+        got = parsed.get(text)
+        if got is None:
+            got = parsed[text] = parse_scalar(text, order)
+        return got
+
+    return parse
+
+
 def load_group_file(path):
     """Parse a group file; returns (group, generator names or None)."""
     data = _read_json(path)
@@ -129,14 +144,13 @@ def load_group_file(path):
     raw_gens = data["generators"]
     if not isinstance(raw_gens, list) or not raw_gens:
         raise ValueError(f"{path}: generators must be a nonempty list")
-    gens = []
+    gens, parse = [], _literal_parser(order)
     for pos, rows in enumerate(raw_gens, 1):
         if (not isinstance(rows, list) or len(rows) != n
                 or any(not isinstance(r, list) or len(r) != n for r in rows)):
             raise ValueError(f"{path}: generator {pos} is not {n}x{n}")
         try:
-            gens.append(Matrix(order, [[parse_scalar(str(e), order) for e in r]
-                                       for r in rows]))
+            gens.append(Matrix(order, [[parse(str(e)) for e in r] for r in rows]))
         except ValueError as exc:
             raise ValueError(f"{path}: generator {pos}: {exc}") from exc
     names = data.get("names")
@@ -171,7 +185,7 @@ def load_class_file(path, group):
     if not isinstance(data["terms"], list):
         raise ValueError(f"{path}: terms must be a list")
     n, order = group.dim, group.scalar_order
-    comps = {}
+    comps, parse = {}, _literal_parser(order)
     for pos, term in enumerate(data["terms"], 1):
         where = f"{path}: term {pos}"
         if not isinstance(term, dict):
@@ -187,7 +201,7 @@ def load_class_file(path, group):
         except ValueError as exc:
             raise ValueError(f"{where}: group: {exc}") from exc
         try:
-            coeff = parse_scalar(str(term["coeff"]), order)
+            coeff = parse(str(term["coeff"]))
         except ValueError as exc:
             raise ValueError(f"{where}: coeff: {exc}") from exc
         exps = term["exponents"]

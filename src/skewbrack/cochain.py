@@ -47,6 +47,10 @@ class Cochain(SparseTerms):
 
     @staticmethod
     def single(group, g, pv):
+        """The cochain whose one component, at g, is the nonzero pv."""
+        if pv.is_zero():
+            raise ValueError("a zero polyvector has no exterior degree; "
+                             "use Cochain.zero(group, degree)")
         return Cochain(group, pv.degree(), {g: pv})
 
     def component(self, g):
@@ -369,12 +373,15 @@ def cohomology_dim_character(group, p, m):
 
 def _newton(power_sums, q, sign):
     """h_q (sign 1) or e_q (sign -1) of the eigenvalues whose k-th power
-    sum is power_sums[k - 1], by Newton's identities
-    k x_k = sum_i sign^(i-1) x_(k-i) p_i."""
-    out = [1]
+    sum is power_sums[k - 1], a nonempty list of Cycs, by Newton's
+    identities k x_k = sum_i sign^(i-1) x_(k-i) p_i: each term is added,
+    or subtracted for sign -1 and i even, and the sum divided by k once."""
+    order = power_sums[0].order
+    out = [Cyc.one(order)]
     for k in range(1, q + 1):
-        acc = 0
-        for i in range(1, k + 1):
-            acc = acc + sign ** (i - 1) * out[k - i] * power_sums[i - 1]
-        out.append(acc * Fraction(1, k))
+        acc = out[k - 1] * power_sums[0]
+        for i in range(2, k + 1):
+            t = out[k - i] * power_sums[i - 1]
+            acc = acc - t if sign < 0 and i % 2 == 0 else acc + t
+        out.append(acc * Cyc.of(Fraction(1, k), order))
     return out[q]

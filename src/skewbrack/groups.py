@@ -7,9 +7,8 @@ complement (1-g)V and the coordinates adapted to that splitting.  The
 volume form omega_g of the complement is built in cochain.volume_form.
 """
 
-from .linalg import (Matrix, _sparse, image_basis, kernel_basis, mat_inverse, rank,
-                     row_times)
-from .scalars import Frozen
+from .linalg import Matrix, _sparse, echelon_span, mat_inverse, rank, row_times
+from .scalars import Cyc, Frozen
 
 
 # The most elements enumerate_group lists before it refuses a group as
@@ -241,7 +240,8 @@ class GroupGeometry(Frozen):
     """The splitting V = V^g + (1-g)V for one group element.
 
     adapted has a basis of V^g as its first n - codim columns and an
-    echelonized basis of (1-g)V as its last codim columns; dual_change =
+    echelonized basis of (1-g)V as its last codim columns, both read off
+    the reduced echelon form of [(1-g)^T | 1]; dual_change =
     adapted^-1, whose rows are the adapted dual coordinates in terms of
     the original ones, the last codim of them the moved ones.
     """
@@ -250,16 +250,37 @@ class GroupGeometry(Frozen):
 
 
 def geometry(group, g):
-    """GroupGeometry of the element with index g, computed once per group."""
+    """GroupGeometry of the element with index g, computed once per group.
+
+    Both bases come from one reduced echelon form, of the n rows of
+    [(1-g)^T | 1]: row i is (column i of 1-g, e_i), so a combination of
+    the rows with coefficients x is ((1-g)x, x).  A reduced row with its
+    pivot in the first block has as that block a vector of the
+    echelonized basis of (1-g)V, the one image_basis(1-g) gives.  A
+    reduced row with its pivot in the second block is 0 in the first, so
+    its second block is a vector that 1-g kills, and these vectors span
+    V^g.  Nothing downstream depends on which basis of V^g this is."""
     if not 0 <= g < len(group):
         raise ValueError(f"element index {g} out of range")
     cached = group._geometries[g]
     if cached is not None:
         return cached
     n, order = group.dim, group.scalar_order
-    diff = Matrix.identity(n, order) - group.matrices[g]
-    moved = image_basis(diff)
-    codim = len(moved)
-    adapted = Matrix(order, kernel_basis(diff) + moved).transpose()
-    geom = group._geometries[g] = GroupGeometry(codim, adapted, mat_inverse(adapted))
+    one, zero = Cyc.one(order), Cyc.zero(order)
+    rows = []
+    for i, col in enumerate(zip(*group.matrices[g].rows)):
+        row = {j: -e for j, e in enumerate(col) if e}
+        row[i] = one - col[i]
+        if not row[i]:
+            del row[i]
+        row[n + i] = one
+        rows.append(row)
+    fixed, moved = [], []
+    for row in echelon_span(rows, order):
+        if min(row) < n:
+            moved.append([row.get(j, zero) for j in range(n)])
+        else:
+            fixed.append([row.get(j, zero) for j in range(n, 2 * n)])
+    adapted = Matrix._of(order, zip(*fixed, *moved))
+    geom = group._geometries[g] = GroupGeometry(len(moved), adapted, mat_inverse(adapted))
     return geom

@@ -77,9 +77,6 @@ class Matrix(Frozen):
             [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
         )
 
-    def transpose(self):
-        return Matrix._of(self.order, zip(*self.rows))
-
     def apply(self, vec):
         """Matrix times column vector of Cycs: vec times the transpose."""
         if len(vec) != self.ncols:

@@ -7,10 +7,12 @@ These are the reduced representatives of Hochschild cohomology
 components.  The Schouten bracket of polyvector fields, which the
 Gerstenhaber bracket projects term by term, its graded-law check
 schouten_graded_laws, and the group action on polyvectors live here.
-Three products sum in plain ints and build one Cyc per output
+Four products sum in plain ints and build one Cyc per output
 coefficient, through one accumulator: act adds products into it
 directly, with the minors and monomial images it needs cached on the
-matrices (Matrix.minors, Matrix.images); schouten is circle_product
+matrices (Matrix.minors, Matrix.images); monomial_image builds each
+image as the kept image of a lower monomial times a column of the
+matrix; schouten is circle_product
 itself, which adds both circle products of the graded commutator, pair
 of components by pair, so it is bilinear also on input of mixed
 exterior degree; and Polyvector.wedge adds the products of
@@ -325,7 +327,10 @@ def monomial_image(m: Matrix, exps) -> Poly:
     """The image of the monomial x^exps under x_i -> sum_k m[k][i] x_k,
     kept in m.images.  It is the image of x^(exps - e_i) times that of x_i, for
     the last variable x_i of the monomial; the chain down to a kept image
-    is walked in a loop, not by recursion."""
+    is walked in a loop, not by recursion.  Each product is summed in
+    plain ints, as in act: a term c x^e of the kept image times an entry
+    v = m[k][i] of column i adds the convolution of c and v, over the
+    product of their denominators, to the accumulator of x^(e + e_k)."""
     images = m.images
     got = images.get(exps)
     if got is not None:
@@ -335,12 +340,29 @@ def monomial_image(m: Matrix, exps) -> Poly:
         i = max(j for j, e in enumerate(exps) if e)
         chain.append((exps, i))
         exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-    n = m.nrows
+    n, order = m.nrows, m.order
     got = images.get(exps)
     if got is None:  # the empty monomial
-        got = images[exps] = Poly.monomial((0,) * n, 1, m.order)
+        got = images[exps] = Poly.monomial((0,) * n, 1, order)
+    size = 2 * len(_powers(order)[0]) - 1
     for exps, i in reversed(chain):  # times the image of x_i, column i of m
-        got = images[exps] = got * Poly(n, m.order, {_unit(n, k): m.rows[k][i] for k in range(n)})
+        column = [(k, row[i]) for k, row in enumerate(m.rows) if row[i]]
+        out = {}  # exponents -> [denominator, unreduced numerators...]
+        for e, c in got.terms.items():
+            # c as (place in acc, int) pairs
+            cf = [(p, a) for p, a in enumerate(c.num, 1) if a]
+            for k, v in column:
+                key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                den = c.den * v.den
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = [den] + [0] * size
+                up = 1 if den == acc[0] else _widen(acc, den)
+                for p, a in cf:
+                    a *= up
+                    for q, b in enumerate(v.num, p):
+                        acc[q] += a * b
+        got = images[exps] = Poly._new(_reduce(order, out), n, order)
     return got
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 from skewbrack.cochain import Cochain
 from skewbrack.groups import MAX_GROUP_ORDER, Group, _generators, enumerate_group
-from skewbrack.linalg import Matrix
+from skewbrack.linalg import Matrix, mat_inverse
 from skewbrack.polyvec import act
 from skewbrack.scalars import Cyc
 
@@ -20,6 +20,14 @@ def trivial_group_k(n):
     rows = [[Cyc.one(1) if i == j else Cyc.zero(1) for j in range(n)]
             for i in range(n)]
     return enumerate_group([Matrix(1, rows)])
+
+
+def alternating_unipotent(n, order):
+    """(U, U^-1) for the unipotent U with (-1)^(i+j) above the diagonal:
+    conjugated by it, a monomial action becomes a dense one."""
+    u = mat(order, [[(-1) ** (i + j) if i < j else int(i == j) for j in range(n)]
+                    for i in range(n)])
+    return u, mat_inverse(u)
 
 
 def conjugate_group(group, u, u_inv):

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import conjugate_group, mat, move_cochain, trivial_group_k
+from helpers import alternating_unipotent, conjugate_group, mat, move_cochain, trivial_group_k
 from skewbrack.scalars import Cyc
-from skewbrack.linalg import Matrix, mat_inverse, rank, rref, solve_membership
+from skewbrack.linalg import Matrix, rank, rref, solve_membership
 from skewbrack.polyvec import Polyvector, act, schouten
 from skewbrack.groups import enumerate_group, geometry, resolve_word
 from skewbrack.cochain import (
@@ -322,10 +322,8 @@ def test_fast_path_commutes_with_a_change_to_dense_coordinates():
     wrong = []
     for path, classes, nonzero in DENSE_COPIES:
         group = load_group_file(str(path))[0]
-        n, order = group.dim, group.scalar_order
-        u = mat(order, [[(-1) ** (i + j) if i < j else int(i == j) for j in range(n)]
-                        for i in range(n)])
-        u_inv = mat_inverse(u)
+        n = group.dim
+        u, u_inv = alternating_unipotent(n, group.scalar_order)
         dense = conjugate_group(group, u, u_inv)
         assert dense.words == group.words and dense.mult_table == group.mult_table
         assert any(sum(1 for e in col if e) > 1 for a in dense.matrices for col in zip(*a.rows))

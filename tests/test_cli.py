@@ -163,6 +163,25 @@ def test_group_file_errors(tmp_path, capsys):
         assert code == 2 and f"{field} must be" in err
 
 
+def test_a_repeated_malformed_literal_fails_at_its_first_occurrence(tmp_path, capsys):
+    # a file parses each distinct literal once; a malformed one still
+    # fails where it first occurs, with the message of its own parse
+    with pytest.raises(ValueError) as info:
+        parse_scalar("z^", 1)
+    bad = tmp_path / "bad.json"
+    broken = [["z^", "0"], ["0", "z^"]]
+    bad.write_text(json.dumps({"dimension": 2, "cyclotomicOrder": 1,
+                               "generators": [[["1", "0"], ["0", "1"]], broken, broken]}))
+    assert run(capsys, "group", str(bad)) == (2, "", f"error: {bad}: generator 2: {info.value}\n")
+
+    terms = [{"group": "e", "coeff": coeff, "exponents": [0, 0, 0], "wedge": [1, 2]}
+             for coeff in ("1", "z^", "z^")]
+    bad.write_text(json.dumps({"homologicalDegree": 2, "terms": terms}))
+    assert (run(capsys, "bracket", fixture("klein_signs_k3.json"), str(bad),
+                fixture("class_wedge12_first.json"))
+            == (2, "", f"error: {bad}: term 2: coeff: {info.value}\n"))
+
+
 def test_group_generator_names(tmp_path, capsys):
     named = tmp_path / "named.json"
     named.write_text(json.dumps({

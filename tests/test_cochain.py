@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import mat, trivial_group_k
+from helpers import alternating_unipotent, conjugate_group, mat, move_cochain, trivial_group_k
 from skewbrack.scalars import Cyc, field_degree
 from skewbrack.linalg import Matrix, solve_membership
-from skewbrack.polyvec import Poly, Polyvector, act, euler_field
+from skewbrack.polyvec import Poly, Polyvector, act, euler_field, monomials
 from skewbrack.groups import Group, enumerate_group, geometry, resolve_word
 from skewbrack.cochain import (
     Cochain,
@@ -382,6 +382,57 @@ def test_project_on_swap_uses_adapted_coordinates():
             + Polyvector.term(-quarter, (1, 0), (1,), 1)
             + Polyvector.term(-quarter, (0, 1), (1,), 1))
     assert p == want
+
+
+def test_project_kills_a_moved_monomial_under_a_kept_wedge():
+    # every wedge of the component contains omega_g, so each is kept, and
+    # yet a term goes: a moved variable divides its monomial
+    klein = klein_signs_k3()
+    g1 = resolve_word(klein, "g1")
+    c = Cochain.single(klein, g1, Polyvector.term(1, (1, 0, 0), (0,), 1)
+                       + Polyvector.term(1, (0, 1, 0), (0,), 1))
+    assert project(c) == Cochain.single(klein, g1, Polyvector.term(1, (0, 1, 0), (0,), 1))
+    # on the swap, x1 = (x1 + x2)/2 + (x1 - x2)/2 and only the fixed half stays
+    swap = swap_group_k2()
+    omega = Polyvector.term(1, (0, 0), (0,), 1) - Polyvector.term(1, (0, 0), (1,), 1)
+    half = Fraction(1, 2)
+    c = Cochain.single(swap, 1, omega * Poly.monomial((1, 0), 1, 1))
+    want = omega * Poly(2, 1, {(1, 0): half, (0, 1): half})
+    assert project(c) == Cochain.single(swap, 1, want)
+
+
+@pytest.mark.parametrize("path", [GROUP_DATA / "d4.json", GROUP_DATA / "d5.json",
+                                  S4_ROOT_BASIS, BINARY_TETRAHEDRAL], ids=lambda p: p.stem)
+def test_project_and_reynolds_commute_with_a_change_to_dense_coordinates(path):
+    # a cochain with a component at every element, neither invariant nor
+    # reduced, moved to the conjugate of its group by the alternating
+    # unipotent U, on which the group acts by dense matrices
+    group = load_group_file(str(path))[0]
+    n, order = group.dim, group.scalar_order
+    u, u_inv = alternating_unipotent(n, order)
+    dense = conjugate_group(group, u, u_inv)
+    rng = random.Random(path.stem)
+    for p in range(min(n, 3) + 1):
+        terms = {}
+        for g in range(len(group)):
+            terms[g] = Polyvector.zero(n, order)
+            for _ in range(3):
+                idx = tuple(sorted(rng.sample(range(n), p)))
+                exps = rng.choice(monomials(n, rng.randint(0, 2)))
+                terms[g] = terms[g] + Polyvector.term(rng.choice([-2, -1, 1, 3]), exps, idx, order)
+        c = Cochain(group, p, terms)
+        projected, averaged = project(c), reynolds(c)
+        assert projected != c and averaged != c, (path.stem, p)
+        moved = move_cochain(c, dense, u, u_inv)
+        assert project(moved) == move_cochain(projected, dense, u, u_inv), (path.stem, p)
+        assert reynolds(moved) == move_cochain(averaged, dense, u, u_inv), (path.stem, p)
+
+
+def test_single_refuses_a_zero_polyvector():
+    # a zero polyvector has no exterior degree to give the cochain
+    with pytest.raises(ValueError, match=r"^a zero polyvector has no exterior degree; "
+                                         r"use Cochain\.zero\(group, degree\)$"):
+        Cochain.single(klein_signs_k3(), 1, Polyvector.zero(3, 1))
 
 
 def test_support_codim_is_the_largest_codim_in_the_support():

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import enumerate_by_whole_products, mat
+from helpers import alternating_unipotent, conjugate_group, enumerate_by_whole_products, mat
 from skewbrack import groups
 from skewbrack.cli import load_group_file
 from skewbrack.cochain import volume_form
@@ -15,7 +15,7 @@ from skewbrack.groups import (
     geometry,
     resolve_word,
 )
-from skewbrack.linalg import Matrix, echelon_span, mat_inverse, rank, row_times
+from skewbrack.linalg import Matrix, echelon_span, image_basis, rank, row_times
 from skewbrack.polyvec import Polyvector, act, euler_field
 from skewbrack.scalars import Cyc
 
@@ -233,9 +233,7 @@ def symmetric_generators(n):
 def dense_conjugate(n):
     """U^-1 s U for the generators s of symmetric_generators(n), U
     unipotent with (-1)^(i+j) above the diagonal: a dense action of S_n."""
-    u = mat(1, [[(-1) ** (i + j) if j > i else int(i == j) for j in range(n)]
-                for i in range(n)])
-    u_inv = mat_inverse(u)
+    u, u_inv = alternating_unipotent(n, 1)
     return [u_inv * s * u for s in symmetric_generators(n)]
 
 
@@ -309,6 +307,35 @@ def bases(group, g):
     geo = geometry(group, g)
     cols = list(zip(*geo.adapted.rows))
     return cols[:group.dim - geo.codim], cols[group.dim - geo.codim:]
+
+
+def split_group(name):
+    """A fixture group, a benchmark group file, or a dense conjugate of
+    one ("dense:<file stem>") by the alternating unipotent matrix."""
+    if name in fixture_groups():
+        return fixture_groups()[name]
+    if name.startswith("dense:"):
+        group = load_group_file(str(GROUP_FILES[name[len("dense:"):]]))[0]
+        return conjugate_group(group, *alternating_unipotent(group.dim, group.scalar_order))
+    return load_group_file(str(GROUP_FILES[name]))[0]
+
+
+@pytest.mark.parametrize("name", [*fixture_groups(), "d4", "d5", "rot", "s4", "s5",
+                                  "dense:d5", "dense:s4_a3_root_basis_k3"])
+def test_geometry_splits_v_into_fixed_vectors_and_the_echelonized_image(name):
+    # the split read off one echelon form of [(1-g)^T | 1]: g fixes the
+    # first n - codim columns of adapted, the last codim are the
+    # echelonized basis of (1-g)V that image_basis gives, and dual_change
+    # is the inverse of adapted
+    group = split_group(name)
+    ident = Matrix.identity(group.dim, group.scalar_order)
+    for g, a in enumerate(group.matrices):
+        geo = geometry(group, g)
+        fixed, moved = bases(group, g)
+        assert all(a.apply(v) == v for v in fixed), (name, g)
+        assert moved == image_basis(ident - a), (name, g)
+        assert geo.dual_change * geo.adapted == ident, (name, g)
+        assert geo.codim == rank(ident - a), (name, g)
 
 
 def test_geometry_is_computed_once_per_group():
