@@ -16,10 +16,14 @@ matrix; schouten is circle_product
 itself, which adds both circle products of the graded commutator, pair
 of components by pair, so it is bilinear also on input of mixed
 exterior degree; and Polyvector.wedge adds the products of
-coefficients, signed by sort_sign of the two wedges joined.
+coefficients, signed by sort_sign of the two wedges joined.  _build
+turns the accumulators of act, circle_product and wedge into a
+Polyvector: scalars._reduce makes each coefficient, and Poly._new and
+Polyvector._new fill the values without checking them again.
 SparseTerms, the immutable sparse container that polynomials,
 polyvectors, cochains and the Koszul resolution terms share, is defined
-here too, and so is monomials, the exponent tuples of one degree.
+here too, and so is monomials, the exponent tuples of one degree, kept
+per (n, total), in a bounded memo, as a tuple that no caller can change.
 minor_det and subst_matrix compute a minor and a substitution from
 scratch; in the package only the chain-level oracle calls them, and
 they stay in this module because the benchmark's tracer counts them
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from operator import add, attrgetter
 
@@ -233,13 +238,13 @@ class Polyvector(SparseTerms):
         n = len(exps)
         if sgn == 0:
             return Polyvector._new({}, n, order)
-        c = Cyc.of(coeff, order)
-        if any(not 0 <= i < n for i in key) or (c and any(e < 0 for e in exps)):
+        c = Cyc.one(order) if coeff.__class__ is int and coeff == 1 else Cyc.of(coeff, order)
+        if key and (key[0] < 0 or key[-1] >= n) or (c and exps and min(exps) < 0):
             raise ValueError("term indices must be in 0..n-1, exponents nonnegative")
-        terms = {}
-        if c:
-            terms[key] = Poly._new({tuple(exps): c if sgn > 0 else -c}, n, order)
-        return Polyvector._new(terms, n, order)
+        if not c:
+            return Polyvector._new({}, n, order)
+        poly = Poly._new({tuple(exps): c if sgn > 0 else -c}, n, order)
+        return Polyvector._new({key: poly}, n, order)
 
     def __mul__(self, other):
         """Scalar or polynomial multiple (polynomials are even, no signs)."""
@@ -544,18 +549,20 @@ def circle_product(x: Polyvector, y: Polyvector) -> Polyvector:
 schouten = circle_product
 
 
+@lru_cache(maxsize=128)
 def monomials(n, total):
     """Exponent tuples of the given total degree, lexicographic by the
-    multiset of variable indices."""
+    multiset of variable indices: a tuple, kept for the last 128
+    (n, total) asked for."""
     if n == 0:
-        return [()] if total == 0 else []
+        return ((),) if total == 0 else ()
     out = []
     for combo in combinations_with_replacement(range(n), total):
         e = [0] * n
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    return out
+    return tuple(out)
 
 
 def schouten_graded_laws(n):

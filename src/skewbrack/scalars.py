@@ -7,16 +7,19 @@ over one common denominator, so equality is decidable and every
 computation downstream of this module is exact.  The bilinear products
 of linalg and polyvec sum each output entry in plain ints instead, as
 unreduced power-basis numerators over one denominator that _widen keeps
-common, and _reduce makes each sum one Cyc.
+common, and _reduce makes each sum one Cyc, straight from its fields.
 `Frozen`, the immutable base of every value in the package (these
 scalars, matrices, sparse terms, groups, geometries and bracket
-reports), is defined here, the lowest module they all import from.
+reports), is defined here, the lowest module they all import from; a
+value of three fields is filled by three setter calls, with no loop,
+and Cyc.zero and Cyc.one are one shared value per order.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 _CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
@@ -82,11 +85,16 @@ _object_new = object.__new__
 
 class Frozen:
     """Base of the immutable values: a subclass lists its fields in
-    __slots__ and sets them once.  Frozen(*fields), also bound as _init,
-    sets them in slot order, the bases' fields first; a constructor that
-    checks its input ends in that fill, and _new(*fields) builds a value
-    whose fields the caller has already made valid.  Both raise
-    TypeError on a wrong number of fields, before they set any."""
+    __slots__ and sets them once, through the slot setters that
+    __init_subclass__ collects in _setters, the bases' fields first.
+    self._init(*fields) sets them in that order, and a constructor that
+    checks its input ends in it; cls._new(*fields) builds a value whose
+    fields the caller has already made valid; Frozen(*fields) is the
+    constructor of a type with nothing to check.  A type of three
+    fields, as Cyc, Poly, Polyvector and Cochain are, gets an _init and
+    a _new with the three setter calls written out; any other count is
+    filled in one loop.  Each raises TypeError on a wrong number of
+    fields, before it sets any."""
 
     __slots__ = ()
     _setters = ()
@@ -95,6 +103,8 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         cls._setters += tuple(cls.__dict__[name].__set__
                               for name in cls.__dict__.get("__slots__", ()))
+        if len(cls._setters) == 3:
+            _fill_three(cls)
 
     def __init__(self, *fields):
         setters = self._setters
@@ -107,7 +117,6 @@ class Frozen:
 
     @classmethod
     def _new(cls, *fields):
-        # the fill of __init__, inline: this is the hot constructor
         setters = cls._setters
         if len(fields) != len(setters):
             raise _count_error(cls, fields)
@@ -123,6 +132,28 @@ class Frozen:
 def _count_error(cls, fields):
     return TypeError(f"{cls.__name__} takes {len(cls._setters)} fields, "
                      f"got {len(fields)}")
+
+
+def _fill_three(cls):
+    # the hot constructors: fixed arity, so a wrong field count is
+    # Python's own TypeError, raised before the body sets anything
+    set_a, set_b, set_c = cls._setters
+
+    def _init(self, a, b, c):
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
+
+    def _new(a, b, c):
+        self = _object_new(cls)
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
+        return self
+
+    _init.__qualname__ = f"{cls.__name__}._init"
+    _new.__qualname__ = f"{cls.__name__}._new"
+    cls._init, cls._new = _init, staticmethod(_new)
 
 
 class Cyc(Frozen):
@@ -148,11 +179,6 @@ class Cyc(Frozen):
                             for a in coeffs], den)
         self._init(order, c.num, c.den)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The power-basis coefficients as Fractions."""
-        return tuple(Fraction(n, self.den) for n in self.num)
-
     @staticmethod
     def of(value, order: int) -> "Cyc":
         """The one scalar coercion: an int or a Fraction, or a Cyc of this
@@ -172,11 +198,15 @@ class Cyc(Frozen):
         return _make(order, (num,) + (0,) * (d - 1), den)
 
     @staticmethod
+    @cache
     def zero(order: int) -> "Cyc":
+        """0 of this order, one shared value per order."""
         return Cyc.of(0, order)
 
     @staticmethod
+    @cache
     def one(order: int) -> "Cyc":
+        """1 of this order, one shared value per order."""
         return Cyc.of(1, order)
 
     @staticmethod
@@ -325,9 +355,9 @@ class Cyc(Frozen):
         return out
 
     def __eq__(self, other):
-        if isinstance(other, Cyc):
-            return (self.order == other.order and self.num == other.num
-                    and self.den == other.den)
+        if other.__class__ is Cyc:
+            return (self.num == other.num and self.den == other.den
+                    and self.order == other.order)
         if isinstance(other, (int, Fraction)):
             return (self.den == other.denominator and self.num[0] == other.numerator
                     and not any(self.num[1:]))
@@ -347,17 +377,8 @@ class Cyc(Frozen):
         return print_scalar(self)
 
 
-_set_order, _set_num, _set_den = Cyc._setters
-
-
-def _make(order, num, den):
-    # A Cyc from fields already in lowest terms (num a tuple of d ints):
-    # Cyc._new inlined, since every arithmetic result is made here.
-    c = _object_new(Cyc)
-    _set_order(c, order)
-    _set_num(c, num)
-    _set_den(c, den)
-    return c
+# A Cyc from fields already in lowest terms (num a tuple of d ints).
+_make = Cyc._new
 
 
 def _lowest(order, num, den):
@@ -384,32 +405,51 @@ def _widen(acc, den):
 def _reduce(order, accs, scale=1):
     """The nonzero Cycs of the accumulators accs, a map from keys to
     [denominator, unreduced power-basis numerators...], each divided by
-    scale: z^k for k >= d is folded in with row k % N of _powers."""
+    scale.  Each accumulator is folded in place, z^k for k >= d with row
+    k % N of _powers, and its first d numerators become the Cyc, divided
+    by their gcd with the denominator."""
     powers = _powers(order)
     d = len(powers[0])
     out = {}
-    for key, (den, *vec) in accs.items():
-        for k in range(d, len(vec)):
-            a = vec[k]
+    if d == 1:  # the field is Q: each accumulator is [denominator, numerator]
+        for key, (den, a) in accs.items():
             if a:
-                for i, r in enumerate(powers[k % order]):
-                    vec[i] += a * r
-        if any(vec[:d]):
-            out[key] = _lowest(order, vec[:d], den * scale)
+                den *= scale
+                g = gcd(den, a)
+                out[key] = _make(order, (a // g,), den // g)
+        return out
+    for key, acc in accs.items():
+        for k in range(d + 1, len(acc)):
+            a = acc[k]
+            if a:
+                for i, r in enumerate(powers[(k - 1) % order], 1):
+                    acc[i] += a * r
+        num = tuple(acc[1:d + 1])
+        if any(num):
+            den = acc[0] * scale
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple(a // g for a in num)
+                den //= g
+            out[key] = _make(order, num, den)
     return out
 
 
 def print_scalar(c: Cyc) -> str:
     """Canonical form: rational coefficients in lowest terms, terms by
-    ascending power of z, e.g. ``1/2 - z + 3*z^2``."""
+    ascending power of z, e.g. ``1/2 - z + 3*z^2``.  Each coefficient is
+    read off num and den, with one gcd."""
     parts = []
-    for k, a in enumerate(c.coeffs):
-        if a == 0:
+    den = c.den
+    for k, a in enumerate(c.num):
+        if not a:
             continue
-        mag = abs(a)
+        g = gcd(a, den)
+        top, bottom = abs(a) // g, den // g
+        mag = str(top) if bottom == 1 else f"{top}/{bottom}"
         if k == 0:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = "z" if k == 1 else f"z^{k}"
         else:
             body = f"{mag}*z" if k == 1 else f"{mag}*z^{k}"

@@ -1,6 +1,7 @@
 """Helpers shared by several test modules."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 from skewbrack.cochain import Cochain
@@ -108,3 +109,31 @@ def load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def fraction_coeffs(c):
+    """The power-basis coefficients of the Cyc c as Fractions."""
+    return tuple(Fraction(n, c.den) for n in c.num)
+
+
+def print_scalar_by_fractions(c):
+    """The reference for scalars.print_scalar: the same canonical text,
+    formatted from the Fraction coefficients."""
+    parts = []
+    for k, a in enumerate(fraction_coeffs(c)):
+        if a == 0:
+            continue
+        mag = abs(a)
+        if k == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = "z" if k == 1 else f"z^{k}"
+        else:
+            body = f"{mag}*z" if k == 1 else f"{mag}*z^{k}"
+        if not parts:
+            parts.append(body if a > 0 else "-" + body)
+        else:
+            parts.append(("+ " if a > 0 else "- ") + body)
+    if not parts:
+        return "0"
+    return " ".join(parts)

@@ -8,6 +8,7 @@ from skewbrack.bracket import BracketReport
 from skewbrack.cochain import Cochain
 from skewbrack.fixtures import fixture_groups
 from skewbrack.groups import geometry
+from skewbrack.koszul import KoszulElt, KoszulTensor2
 from skewbrack.linalg import Matrix
 from skewbrack.polyvec import Poly, Polyvector
 from skewbrack.scalars import Cyc, Frozen
@@ -25,7 +26,19 @@ def values():
         "Poly": (Poly.monomial((0, 0), 1, 1), "terms"),
         "Polyvector": (pv, "terms"),
         "Cochain": (Cochain.single(group, 0, pv), "degree"),
+        "KoszulElt": (KoszulElt(2, 1, {((0,), (0, 0), (1, 0)): 1}), "terms"),
+        "KoszulTensor2": (KoszulTensor2.term(2, 1, (0,), (1,), (0, 0), (1, 0), (0, 0)), "n"),
     }
+
+
+def _value_classes(cls=Frozen):
+    """The classes of values the package builds: the leaves below Frozen."""
+    subs = cls.__subclasses__()
+    return {cls} if not subs else set().union(*map(_value_classes, subs))
+
+
+def test_the_checks_cover_every_value_class():
+    assert {type(value) for value, _ in values().values()} == _value_classes()
 
 
 @pytest.mark.parametrize("kind", list(values()))
@@ -40,6 +53,7 @@ def test_values_refuse_attribute_assignment(kind):
 
 
 def test_fill_refuses_a_wrong_field_count_before_setting_any():
+    # a three-field type's fill has a fixed arity, any other count loops
     for value, _ in values().values():
         assert isinstance(value, Frozen)
         cls = type(value)

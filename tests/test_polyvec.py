@@ -19,6 +19,7 @@ from skewbrack.polyvec import (
     minor_det,
     minor_row,
     monomial_image,
+    monomials,
     rev_sign,
     schouten,
     sort_sign,
@@ -308,6 +309,12 @@ def test_poly_product_refuses_another_head_like_a_sum(other):
     (Cyc.one(5), (0, 2, 0), (2, 0, 2), 5),
     (0, (1, 0, 0), (2, 0), 1),
     (Cyc.zero(6), (0, 0, 3), (1,), 6),
+    # zero before any check: a repeated index, or a zero coefficient
+    # with a negative exponent
+    (1, (0, 0, -1), (1, 1), 1),
+    (1, (0, 0, 0), (5, 5), 1),
+    (0, (0, -1, 0), (0, 2), 1),
+    (Cyc.zero(5), (-1, 0, 0), (), 5),
 ])
 def test_term_equals_the_public_construction(coeff, exps, idx, order):
     got = Polyvector.term(coeff, exps, idx, order)
@@ -323,10 +330,25 @@ def test_term_equals_the_public_construction(coeff, exps, idx, order):
     (1, (1, 0, 0), (-1, 2), 1, ValueError),
     (0, (1, 0, 0), (0, 5), 1, ValueError),
     (Cyc.zeta(5), (1, 0, 0), (0,), 6, ValueError),
+    (Fraction(1, 2), (0, 0, 0), (3, 1, 2), 1, ValueError),
+    (0, (0, 0, 0), (-1,), 1, ValueError),
+    (-3, (0, 0, -2), (), 1, ValueError),
 ])
 def test_term_refuses_bad_exponents_and_indices(coeff, exps, idx, order, error):
     with pytest.raises(error):
         Polyvector.term(coeff, exps, idx, order)
+
+
+def test_monomials_are_kept_where_no_caller_can_change_them():
+    first = monomials(3, 2)
+    assert first is monomials(3, 2) and isinstance(first, tuple)
+    assert first == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+    with pytest.raises((TypeError, AttributeError)):
+        first[0] = (0, 0, 2)
+    with pytest.raises(AttributeError):
+        first.append((3, 0, 0))
+    assert all(type(e) is tuple for e in first)
+    assert monomials(0, 0) == ((),) and monomials(0, 2) == () and monomials(2, 0) == ((0, 0),)
 
 
 OPTIMIZED_CHECKS = """

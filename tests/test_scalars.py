@@ -9,10 +9,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import fraction_coeffs, print_scalar_by_fractions
 from skewbrack.linalg import Matrix
 from skewbrack.polyvec import Poly, Polyvector
 from skewbrack.scalars import (
     Cyc,
+    _reduce,
     cyclotomic_polynomial,
     field_degree,
     parse_scalar,
@@ -240,13 +242,13 @@ def test_ring_operations_match_polynomial_reference(data):
     d = field_degree(order)
     fa, fb = _fractions(data.draw, d), _fractions(data.draw, d)
     a, b = Cyc(order, fa), Cyc(order, fb)
-    assert a.coeffs == _ref_reduce(fa, order)
-    assert (a + b).coeffs == tuple(x + y for x, y in zip(fa, fb))
-    assert (a - b).coeffs == tuple(x - y for x, y in zip(fa, fb))
-    assert (-a).coeffs == tuple(-x for x in fa)
-    assert (a * b).coeffs == _ref_mul(fa, fb, order)
+    assert fraction_coeffs(a) == _ref_reduce(fa, order)
+    assert fraction_coeffs(a + b) == tuple(x + y for x, y in zip(fa, fb))
+    assert fraction_coeffs(a - b) == tuple(x - y for x, y in zip(fa, fb))
+    assert fraction_coeffs(-a) == tuple(-x for x in fa)
+    assert fraction_coeffs(a * b) == _ref_mul(fa, fb, order)
     k = data.draw(st.integers(0, 2 * order))
-    assert Cyc.zeta(order, k).coeffs == _ref_reduce([0] * k + [1], order)
+    assert fraction_coeffs(Cyc.zeta(order, k)) == _ref_reduce([0] * k + [1], order)
     for c in (a, b, a + b, a - b, -a, a * b, a - a, a * 0):
         _assert_canonical(c)
 
@@ -276,7 +278,7 @@ def test_inverse_matches_polynomial_reference(data):
     inv = a.inverse()
     _assert_canonical(inv)
     one = tuple(Fraction(int(i == 0)) for i in range(field_degree(order)))
-    assert _ref_mul(coeffs, inv.coeffs, order) == one
+    assert _ref_mul(coeffs, fraction_coeffs(inv), order) == one
 
 
 @settings(max_examples=100, deadline=None)
@@ -328,3 +330,88 @@ def test_ring_operations_build_no_fraction():
     finally:
         Fraction.__new__ = original
     assert made == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_print_scalar_matches_the_fraction_formatting(data):
+    order = data.draw(st.sampled_from([1, 4, 5, 6]))
+    coeffs = [Fraction(data.draw(st.sampled_from([0, 0, 1, -1, 2, -3, 5, -12, 24])),
+                       data.draw(st.integers(1, 12)))
+              for _ in range(field_degree(order))]
+    c = Cyc(order, coeffs)
+    assert print_scalar(c) == print_scalar_by_fractions(c)
+    assert print_scalar(-c) == print_scalar_by_fractions(-c)
+
+
+def test_equality_agrees_with_hash_across_operand_types():
+    for order in (1, 3, 4, 6):
+        for q in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(-5, 12)):
+            c = Cyc.of(q, order)
+            for other in (q, q.numerator) if q.denominator == 1 else (q,):
+                assert c == other and other == c and hash(c) == hash(other)
+            assert c != q + 1 and c != Cyc.of(q + 1, order)
+    # orders 3 and 6 share a field degree, so their fields can coincide
+    for a, b in ((Cyc.one(3), Cyc.one(6)), (Cyc.zeta(3), Cyc(6, [0, 1])),
+                 (Cyc.of(Fraction(1, 2), 4), Cyc.of(Fraction(1, 2), 5))):
+        assert a != b and b != a and not a == b
+    z = Cyc.zeta(4)
+    assert z == Cyc(4, [0, 1]) and hash(z) == hash(Cyc(4, [0, 1]))
+    assert z != 1 and z != Fraction(1) and z != "z"
+
+
+def test_zero_and_one_are_shared_immutable_values():
+    for order in (1, 4, 5, 12):
+        for make, value in ((Cyc.zero, 0), (Cyc.one, 1)):
+            shared = make(order)
+            assert shared is make(order) and shared == Cyc.of(value, order)
+            with pytest.raises(AttributeError):
+                shared.num = (7,) * len(shared.num)
+            with pytest.raises(AttributeError):
+                shared.extra = 1
+            assert shared == value and shared.order == order
+
+
+REDUCE_ORDERS = [1, 2, 3, 4, 5, 6, 12]
+
+
+def _accumulator(draw, order):
+    """[denominator, unreduced numerators...] with d to 3d - 2 numerators,
+    all of them scaled by a common factor; some sum to zero modulo Phi_N."""
+    d = field_degree(order)
+    length = draw(st.integers(d, 3 * d - 2))
+    kind = draw(st.sampled_from(["random", "zero", "phi"]))
+    if kind == "zero":
+        vec = [0] * length
+    elif kind == "phi":
+        # a multiple of Phi_N (as far as the length allows), zero in the field
+        phi = cyclotomic_polynomial(order)
+        vec = [0] * length
+        if length >= len(phi):
+            shift = draw(st.integers(0, length - len(phi)))
+            k = draw(st.integers(-5, 5))
+            for i, a in enumerate(phi):
+                vec[shift + i] = k * a
+    else:
+        vec = [draw(st.integers(-40, 40)) for _ in range(length)]
+    factor = draw(st.sampled_from([1, 1, 2, 6, 35]))
+    den = draw(st.integers(1, 12)) * factor
+    return [den] + [a * factor for a in vec]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduce_matches_the_checked_constructor(data):
+    order = data.draw(st.sampled_from(REDUCE_ORDERS))
+    accs = {key: _accumulator(data.draw, order) for key in range(data.draw(st.integers(0, 4)))}
+    scale = data.draw(st.sampled_from([1, 2, 3, 12]))
+    want = {}
+    for key, (den, *vec) in accs.items():
+        ref = Cyc(order, _ref_reduce([Fraction(a, den * scale) for a in vec], order))
+        if ref:
+            want[key] = ref
+    got = _reduce(order, {key: list(acc) for key, acc in accs.items()}, scale)
+    assert got == want
+    for c in got.values():
+        assert c.order == order
+        _assert_canonical(c)
