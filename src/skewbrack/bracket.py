@@ -10,7 +10,7 @@ conjugation and moved to the rest of the orbit.  Vanishing criteria
 from the codimension grading are provided alongside.
 """
 
-from .cochain import Cochain, is_invariant, is_reduced, project, support_codims
+from .cochain import Cochain, is_invariant, project_component, support_codims
 from .groups import geometry
 from .linalg import Matrix, kernel_basis, rref, solve_membership
 from .polyvec import act, schouten
@@ -68,14 +68,6 @@ def _require(cond, message):
         raise ValueError(message)
 
 
-def _class_representatives(c):
-    """The components of an invariant c at the representative cls[0] of
-    each conjugacy class in its support, a union of classes."""
-    return Cochain(c.group, c.degree, {cls[0]: c.terms[cls[0]]
-                                       for cls in c.group.conj_classes
-                                       if cls[0] in c.terms})
-
-
 def pair_commutator(group, g, xg, h, yh):
     """The term of X_g and Y_h: the Schouten bracket [X_g, Y_h] projected
     at gh, or the reason it vanishes.  "schouten zero" means the bracket
@@ -85,8 +77,7 @@ def pair_commutator(group, g, xg, h, yh):
     raw = schouten(xg, yh)
     if raw.is_zero():
         return "schouten zero"
-    k = group.mult_table[g][h]
-    projected = project(Cochain.single(group, k, raw)).component(k)
+    projected = project_component(group, group.mult_table[g][h], raw)
     if projected.is_zero():
         return ("perp-intersection" if moved_intersection(group, g, h)
                 else "projection kill")
@@ -126,11 +117,11 @@ def gerstenhaber(x, y):
     _require(x.group is y.group, "cochains live over different groups")
     _require(is_invariant(x), "left operand is not G-invariant (apply reynolds first)")
     _require(is_invariant(y), "right operand is not G-invariant (apply reynolds first)")
-    _require(is_reduced(_class_representatives(x)),
-             "left operand is not in reduced form (apply project first)")
-    _require(is_reduced(_class_representatives(y)),
-             "right operand is not in reduced form (apply project first)")
     group = x.group
+    for side, c in (("left", x), ("right", y)):
+        reps = (cls[0] for cls in group.conj_classes if cls[0] in c.terms)
+        _require(all(project_component(group, r, c.terms[r]) == c.terms[r] for r in reps),
+                 f"{side} operand is not in reduced form (apply project first)")
     degree = max(x.degree + y.degree - 1, 0)
     pairs = [(g, h) for g in sorted(x.terms) for h in sorted(y.terms)]
     mult, inverses = group.mult_table, group.inverses

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from math import comb
 
 from .bracket import gerstenhaber, perp_vanishing_applies
@@ -107,19 +108,9 @@ def _read_json(path):
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _literal_parser(order):
-    """parse_scalar at order, each distinct literal text parsed once: a
-    file repeats a few literals (0, 1, -1) many times.  A malformed
-    literal raises at its first occurrence, as each parse does."""
-    parsed = {}
-
-    def parse(text):
-        got = parsed.get(text)
-        if got is None:
-            got = parsed[text] = parse_scalar(text, order)
-        return got
-
-    return parse
+# parse_scalar, each distinct (text, order) parsed once: files repeat a few
+# literals (0, 1, -1) many times.  A malformed one raises at each use.
+_parse_literal = lru_cache(maxsize=4096)(parse_scalar)
 
 
 def load_group_file(path):
@@ -144,13 +135,13 @@ def load_group_file(path):
     raw_gens = data["generators"]
     if not isinstance(raw_gens, list) or not raw_gens:
         raise ValueError(f"{path}: generators must be a nonempty list")
-    gens, parse = [], _literal_parser(order)
+    gens = []
     for pos, rows in enumerate(raw_gens, 1):
         if (not isinstance(rows, list) or len(rows) != n
                 or any(not isinstance(r, list) or len(r) != n for r in rows)):
             raise ValueError(f"{path}: generator {pos} is not {n}x{n}")
         try:
-            gens.append(Matrix(order, [[parse(str(e)) for e in r] for r in rows]))
+            gens.append(Matrix(order, [[_parse_literal(str(e), order) for e in r] for r in rows]))
         except ValueError as exc:
             raise ValueError(f"{path}: generator {pos}: {exc}") from exc
     names = data.get("names")
@@ -185,7 +176,7 @@ def load_class_file(path, group):
     if not isinstance(data["terms"], list):
         raise ValueError(f"{path}: terms must be a list")
     n, order = group.dim, group.scalar_order
-    comps, parse = {}, _literal_parser(order)
+    comps = {}
     for pos, term in enumerate(data["terms"], 1):
         where = f"{path}: term {pos}"
         if not isinstance(term, dict):
@@ -201,7 +192,7 @@ def load_class_file(path, group):
         except ValueError as exc:
             raise ValueError(f"{where}: group: {exc}") from exc
         try:
-            coeff = parse(str(term["coeff"]))
+            coeff = _parse_literal(str(term["coeff"]), order)
         except ValueError as exc:
             raise ValueError(f"{where}: coeff: {exc}") from exc
         exps = term["exponents"]

@@ -3,7 +3,8 @@
 A cochain is a finite sum over group elements g of polyvectors X_g, with
 differential given componentwise by left wedge against the Euler field of
 g.  The module provides the G-action, Reynolds averaging, the reduced
-projections p_g, the volume forms omega_g (volume_form, the reduced
+projection p_g of a polyvector (project_component) and of a cochain
+(project), the volume forms omega_g (volume_form, the reduced
 basis element of degree (codim, 0)), the codimension grading
 (support_codims, support_codim), and exact cohomology computations per
 (exterior degree, polynomial degree) piece.
@@ -52,12 +53,6 @@ class Cochain(SparseTerms):
             raise ValueError("a zero polyvector has no exterior degree; "
                              "use Cochain.zero(group, degree)")
         return Cochain(group, pv.degree(), {g: pv})
-
-    def component(self, g):
-        got = self.terms.get(g)
-        if got is not None:
-            return got
-        return Polyvector.zero(self.group.dim, self.group.scalar_order)
 
     def __str__(self):
         if not self.terms:
@@ -141,38 +136,42 @@ def is_invariant(c):
     return True
 
 
-def project(c):
-    """Componentwise reduced projection p_g.
+def project_component(group, g, pv):
+    """The reduced projection p_g of a polyvector pv at element g.
 
     In coordinates adapted to V = V^g + (1-g)V, kills every polynomial
     term containing a moved variable and every wedge not divisible by
-    omega_g, then transforms back.  A component that loses no term is
-    kept as it is, the same object, so a reduced cochain costs one act
-    per component with codim > 0.  It kills every coboundary and keeps
-    the reduced representative of each class, so a cocycle is a
-    coboundary exactly when its projection is zero.
+    omega_g, then transforms back.  A polyvector that loses no term is
+    returned as it is, the same object, so a reduced one costs one act
+    when codim g > 0 and none at the identity.
     """
-    group = c.group
+    geom = geometry(group, g)
+    if not geom.codim:
+        return pv
     n, order = group.dim, group.scalar_order
-    out = {}
-    for g, pv in c.terms.items():
-        geom = geometry(group, g)
-        if geom.codim:
-            moved = range(n - geom.codim, n)
-            omega = set(moved)
-            adapted = act(pv, [(geom.adapted, geom.dual_change)])
-            kept = {}
-            for idx, p in adapted.terms.items():
-                if omega.issubset(idx):
-                    terms = {e: a for e, a in p.terms.items() if not any(e[j] for j in moved)}
-                    if terms:
-                        kept[idx] = p if len(terms) == len(p.terms) else Poly._new(terms, n, order)
-            if not kept:
-                continue
-            if kept != adapted.terms:
-                pv = act(Polyvector._new(kept, n, order), [(geom.dual_change, geom.adapted)])
-        out[g] = pv
-    return Cochain(group, c.degree, out)
+    moved = range(n - geom.codim, n)
+    omega = set(moved)
+    adapted = act(pv, [(geom.adapted, geom.dual_change)])
+    kept = {}
+    for idx, p in adapted.terms.items():
+        if omega.issubset(idx):
+            terms = {e: a for e, a in p.terms.items() if not any(e[j] for j in moved)}
+            if terms:
+                kept[idx] = p if len(terms) == len(p.terms) else Poly._new(terms, n, order)
+    if not kept:
+        return Polyvector.zero(n, order)
+    if kept == adapted.terms:
+        return pv
+    return act(Polyvector._new(kept, n, order), [(geom.dual_change, geom.adapted)])
+
+
+def project(c):
+    """project_component at each element of the support: it kills every
+    coboundary and keeps the reduced representative of each class, so a
+    cocycle is a coboundary exactly when its projection is zero."""
+    group = c.group
+    return Cochain(group, c.degree, {g: project_component(group, g, pv)
+                                     for g, pv in c.terms.items()})
 
 
 def is_reduced(c):

@@ -123,17 +123,6 @@ def overlap_bracket_pair():
     return group, x, y
 
 
-def minimal_pair_k5():
-    """Minimal-degree invariant reduced classes (exterior part exactly
-    the volume form) off the kernel, on the two-sign-pairs action."""
-    group = plane_rotation_pair_k5(2, 2)
-    s = resolve_word(group, "g1")
-    t = resolve_word(group, "g2")
-    x = Cochain.single(group, s, Polyvector.term(1, (0, 0, 1, 0, 0), (0, 1), 1))
-    y = Cochain.single(group, t, Polyvector.term(1, (0, 0, 1, 0, 0), (3, 4), 1))
-    return group, x, y
-
-
 def fixture_groups():
     """Name -> group, for sweep-style checks."""
     return {

@@ -10,11 +10,12 @@ as an independent check of the fast path in polyvec and bracket.
 The contraction's tables (minors, substitutions, Sweedler splits, the
 outer polyvector's wedges) are built from scratch once per
 chain_bracket_cochain (or chain_circle_avatar) call, in dicts local to
-it; only phi's integer weights persist.  Nothing here reads the
-caches kept on matrices (Matrix.minors, Matrix.images) or calls a
-fast-path product: act, minor_row, monomial_image, circle_product
-(schouten) or Polyvector.wedge.  The fast path's graded-law check,
-polyvec.schouten_graded_laws, lives beside the bracket it checks.
+it; only phi's integer weights persist, in _weight's functools cache.
+Nothing here reads the caches kept on matrices (Matrix.minors,
+Matrix.images) or calls a fast-path product: act, minor_row,
+monomial_image, circle_product (schouten) or Polyvector.wedge.  The
+fast path's graded-law check, polyvec.schouten_graded_laws, lives
+beside the bracket it checks.
 
 Conventions:
   * o(v_1, ..., v_k) is the signed sum over permutations of tensor
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import comb, factorial, prod
 from operator import add, attrgetter, sub
@@ -63,10 +65,6 @@ def c_coeff(s, t, z, r):
     """Signed contraction coefficient (-1)^(sz+z) xi(s,t,z,r)."""
     sign = -1 if (s * z + z) % 2 else 1
     return sign * xi(s, t, z, r)
-
-
-def _zero_exp(n):
-    return (0,) * n
 
 
 def _add_exp(a, b):
@@ -122,13 +120,6 @@ class KoszulTensor2(KoszulTerms):
         return KoszulTensor2(n, order, {(key1, key2, tuple(el), tuple(em), tuple(er)): c})
 
 
-def _adder(out):
-    """put(key, c) adds c to out[key]."""
-    def put(key, c):
-        out[key] = out[key] + c if key in out else c
-    return put
-
-
 def _contractions(idx, left, right):
     """The terms of d on one wedge block idx between the polynomial legs
     left and right, as (rest, left, right, sign): letter j of idx is
@@ -147,10 +138,10 @@ def koszul_diff(e: KoszulElt) -> KoszulElt:
     index at a time into the left or right polynomial leg with
     alternating signs."""
     out = {}
-    put = _adder(out)
     for (idx, el, er), c in e.terms.items():
         for rest, left, right, sgn in _contractions(idx, el, er):
-            put((rest, left, right), c * sgn)
+            key, v = (rest, left, right), c * sgn
+            out[key] = out[key] + v if key in out else v
     return KoszulElt(e.n, e.order, out)
 
 
@@ -160,13 +151,14 @@ def koszul2_diff(e: KoszulTensor2) -> KoszulTensor2:
     wedge degree, the differential on the second factor.  Contractions
     hitting the shared middle leg multiply into the middle exponent."""
     out = {}
-    put = _adder(out)
     for (s_idx, z_idx, el, em, er), c in e.terms.items():
         for rest, left, mid, sgn in _contractions(s_idx, el, em):
-            put((rest, z_idx, left, mid, er), c * sgn)
+            key, v = (rest, z_idx, left, mid, er), c * sgn
+            out[key] = out[key] + v if key in out else v
         outer = -1 if len(s_idx) % 2 else 1
         for rest, mid, right, sgn in _contractions(z_idx, em, er):
-            put((s_idx, rest, el, mid, right), c * (outer * sgn))
+            key, v = (s_idx, rest, el, mid, right), c * (outer * sgn)
+            out[key] = out[key] + v if key in out else v
     return KoszulTensor2(e.n, e.order, out)
 
 
@@ -176,12 +168,13 @@ def f_k(e: KoszulTensor2) -> KoszulElt:
     right factor negatively)."""
     n, order = e.n, e.order
     out = {}
-    put = _adder(out)
     for (s_idx, z_idx, el, em, er), c in e.terms.items():
         if not s_idx:
-            put((z_idx, _add_exp(el, em), er), c)
+            key = (z_idx, _add_exp(el, em), er)
+            out[key] = out[key] + c if key in out else c
         if not z_idx:
-            put((s_idx, el, _add_exp(em, er)), -c)
+            key, v = (s_idx, el, _add_exp(em, er)), -c
+            out[key] = out[key] + v if key in out else v
     return KoszulElt(n, order, out)
 
 
@@ -190,11 +183,11 @@ def diagonal(e: KoszulElt) -> KoszulTensor2:
     complementary subsets with shuffle signs; outer legs stay put."""
     n, order = e.n, e.order
     out = {}
-    put = _adder(out)
-    zero = _zero_exp(n)
+    zero = (0,) * n
     for (idx, el, er), c in e.terms.items():
         for part1, part2, sgn in splits_through(idx, ()):
-            put((part1, part2, el, zero, er), c * sgn)
+            key, v = (part1, part2, el, zero, er), c * sgn
+            out[key] = out[key] + v if key in out else v
     return KoszulTensor2(n, order, out)
 
 
@@ -213,7 +206,12 @@ def splits_through(idx, mid):
             yield part1, part3, sgn
 
 
-_WEIGHTS = {}
+@cache
+def _weight(s, t, z, r):
+    """c_coeff(s, t, z, r) (r-1)! (t-r)!, the part of phi's weight that
+    depends on (s, t, z, r) alone, as (numerator, denominator)."""
+    f = c_coeff(s, t, z, r) * (factorial(r - 1) * factorial(t - r))
+    return f.numerator, f.denominator
 
 
 def phi(e: KoszulTensor2) -> KoszulElt:
@@ -225,7 +223,7 @@ def phi(e: KoszulTensor2) -> KoszulElt:
     multiset weights c_coeff(s,t,z,r) (r-1)! (t-r)! alpha_i
     C(beta, L).  Each weight is rational and scales a coefficient's
     integer numerators and denominator; its part that depends on
-    (s, t, z, r) alone is kept in _WEIGHTS as two ints."""
+    (s, t, z, r) alone is _weight's, two ints computed once."""
     n, order = e.n, e.order
     out = {}
     for (s_idx, z_idx, el, em, er), c in e.terms.items():
@@ -240,13 +238,9 @@ def phi(e: KoszulTensor2) -> KoszulElt:
             beta = list(em)
             beta[i] -= 1
             for lpart in product(*[range(b + 1) for b in beta]):
-                r = sum(lpart) + 1
-                w = _WEIGHTS.get((s, t, z, r))
-                if w is None:
-                    f = c_coeff(s, t, z, r) * (factorial(r - 1) * factorial(t - r))
-                    w = _WEIGHTS[(s, t, z, r)] = (f.numerator, f.denominator)
-                scale = w[0] * wsgn * a_i * prod(map(comb, beta, lpart))
-                v = _lowest(order, [a * scale for a in c.num], c.den * w[1])
+                w_num, w_den = _weight(s, t, z, sum(lpart) + 1)
+                scale = w_num * wsgn * a_i * prod(map(comb, beta, lpart))
+                v = _lowest(order, [a * scale for a in c.num], c.den * w_den)
                 rest = tuple(map(sub, beta, lpart))
                 key = (wkey, _add_exp(el, lpart), _add_exp(er, rest))
                 out[key] = out[key] + v if key in out else v
@@ -323,7 +317,7 @@ def chain_circle_component(x: Polyvector, gmat: Matrix, y: Polyvector,
     n, order = x.n, x.order
     idx = tuple(idx)
     minors, images, splits, landing = memo or ({}, {}, {}, _Landing(x))
-    zero = _zero_exp(n)
+    zero = (0,) * n
     span = set(idx)
     t2 = {}
     for mid, q in y.terms.items():

@@ -5,16 +5,34 @@ from fractions import Fraction
 from pathlib import Path
 
 from skewbrack.cochain import Cochain
-from skewbrack.groups import MAX_GROUP_ORDER, Group, _generators, enumerate_group
+from skewbrack.fixtures import plane_rotation_pair_k5
+from skewbrack.groups import MAX_GROUP_ORDER, Group, _generators, enumerate_group, resolve_word
 from skewbrack.linalg import Matrix, mat_inverse
-from skewbrack.polyvec import act
-from skewbrack.scalars import Cyc
+from skewbrack.polyvec import Polyvector, act
+from skewbrack.scalars import Cyc, cyclotomic_polynomial
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def mat(order, rows):
     return Matrix(order, [[Cyc.of(v, order) for v in r] for r in rows])
+
+
+def field_degree(order):
+    """The degree of Q(zeta_order) over Q, the length of a Cyc's num."""
+    return len(cyclotomic_polynomial(order)) - 1
+
+
+def minimal_pair_k5():
+    """Minimal-degree invariant reduced classes (exterior part exactly
+    the volume form) off the kernel, on the two-sign-pairs action.
+    Returns (group, x, y)."""
+    group = plane_rotation_pair_k5(2, 2)
+    s = resolve_word(group, "g1")
+    t = resolve_word(group, "g2")
+    x = Cochain.single(group, s, Polyvector.term(1, (0, 0, 1, 0, 0), (0, 1), 1))
+    y = Cochain.single(group, t, Polyvector.term(1, (0, 0, 1, 0, 0), (3, 4), 1))
+    return group, x, y
 
 
 def trivial_group_k(n):

@@ -6,7 +6,7 @@ import random
 import time
 from math import comb
 
-from helpers import trivial_group_k
+from helpers import minimal_pair_k5, trivial_group_k
 from skewbrack.polyvec import Polyvector, schouten_graded_laws
 from skewbrack.groups import geometry, resolve_word
 from skewbrack.cochain import (
@@ -30,7 +30,6 @@ from skewbrack.fixtures import (
     fixture_groups,
     klein_bracket_pair,
     klein_signs_k3,
-    minimal_pair_k5,
     overlap_bracket_pair,
     overlap_signs_k3,
     plane_rotation_pair_k5,
@@ -87,7 +86,7 @@ def test_criterion_04_sign_pair_worked_example():
     gh = resolve_word(group, "g1*g2")
     omega = volume_form(group, gh)
     d2 = Polyvector.term(1, (0, 0, 0), (1,), 1)
-    assert chain.component(gh) == omega.wedge(d2)
+    assert chain.terms[gh] == omega.wedge(d2)
     assert reynolds(x).is_zero()
     assert reynolds(y).is_zero()
     print("criterion 4: PASS - chain bracket of the k^3 sign pair is "

@@ -8,11 +8,19 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import alternating_unipotent, conjugate_group, mat, move_cochain, trivial_group_k
+from helpers import (
+    alternating_unipotent,
+    conjugate_group,
+    mat,
+    minimal_pair_k5,
+    move_cochain,
+    trivial_group_k,
+)
 from skewbrack.scalars import Cyc
-from skewbrack.linalg import Matrix, rank, rref, solve_membership
-from skewbrack.polyvec import Polyvector, act, schouten
+from skewbrack.linalg import Matrix, mat_inverse, rank, rref, solve_membership
+from skewbrack.polyvec import Polyvector, act, monomials, schouten
 from skewbrack.groups import enumerate_group, geometry, resolve_word
 from skewbrack.cochain import (
     Cochain,
@@ -34,7 +42,6 @@ from skewbrack.bracket import (
 from skewbrack.fixtures import (
     fixture_groups,
     klein_bracket_pair,
-    minimal_pair_k5,
     overlap_bracket_pair,
     overlap_signs_k3,
     plane_rotation_pair_k5,
@@ -117,8 +124,8 @@ def pairwise_report(x, y):
                 reasons.append((g, h, "schouten zero"))
                 continue
             gh = group.mult_table[g][h]
-            projected = project(Cochain.single(group, gh, raw)).component(gh)
-            if not projected.is_zero():
+            projected = project(Cochain.single(group, gh, raw)).terms.get(gh)
+            if projected is not None:
                 terms[(g, h)] = projected
             elif moved_intersection(group, g, h):
                 reasons.append((g, h, "perp-intersection"))
@@ -347,6 +354,81 @@ def test_fast_path_commutes_with_a_change_to_dense_coordinates():
     assert wrong == ["d4", "d5", "s4_a3_root_basis_k3"]
 
 
+# every group file: the fixtures' and the benchmark's
+GROUP_FILES = [path for path in sorted(FIXTURES.glob("*.json"))
+               if "generators" in json.loads(path.read_text())]
+GROUP_FILES += sorted(GROUP_DATA.glob("*.json"))
+
+
+@functools.cache
+def loaded_group(path):
+    return load_group_file(str(path))[0]
+
+
+@st.composite
+def coordinate_changes(draw):
+    """(group, U, U^-1) for a group file and a product U of one to three
+    elementary integer matrices on its space: transvections I + a E_ij
+    with |a| <= 2, swaps of two coordinates and sign changes of one, so
+    that det U = +-1 and U^-1 has integer entries too."""
+    group = loaded_group(draw(st.sampled_from(GROUP_FILES)))
+    n, order = group.dim, group.scalar_order
+    u = Matrix.identity(n, order)
+    for _ in range(draw(st.integers(1, 3))):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        kind = draw(st.sampled_from(("add", "swap", "sign") if n > 1 else ("sign",)))
+        if kind == "sign":
+            i = draw(st.integers(0, n - 1))
+            rows[i][i] = -1
+        else:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            if kind == "add":
+                rows[i][j] = draw(st.sampled_from((-2, -1, 1, 2)))
+            else:
+                rows[i][i] = rows[j][j] = 0
+                rows[i][j] = rows[j][i] = 1
+        u = u * mat(order, rows)
+    return group, u, mat_inverse(u)
+
+
+@settings(max_examples=25, deadline=None)
+@given(coordinate_changes(), st.data())
+def test_fast_path_commutes_with_random_integer_changes_of_coordinates(change, data):
+    # the basis classes with p <= 2 and m <= 1, moved to the conjugate
+    # group, are invariant and reduced there and as many as its character
+    # count; gerstenhaber commutes with the move on every ordered pair of
+    # them, and project and reynolds on a random cochain
+    group, u, u_inv = change
+    n, order = group.dim, group.scalar_order
+    dense = conjugate_group(group, u, u_inv)
+    assert dense.words == group.words and dense.mult_table == group.mult_table
+    pool = []
+    for p in range(min(2, n) + 1):
+        for m in range(2):
+            basis = cohomology_basis(group, p, m)
+            assert len(basis) == cohomology_dim_character(dense, p, m), (p, m)
+            pool += basis
+    moved = [move_cochain(c, dense, u, u_inv) for c in pool]
+    assert all(is_invariant(c) and is_reduced(c) for c in moved)
+    for x, mx in zip(pool, moved):
+        for y, my in zip(pool, moved):
+            xy = gerstenhaber(x, y).result
+            assert gerstenhaber(mx, my).result == move_cochain(xy, dense, u, u_inv)
+    p = data.draw(st.integers(0, min(2, n)), label="p")
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 4), label="terms")):
+        g = data.draw(st.integers(0, len(group) - 1), label="element")
+        idx = tuple(sorted(data.draw(st.permutations(range(n)))[:p]))
+        exps = data.draw(st.sampled_from(monomials(n, data.draw(st.integers(0, 2)))))
+        coeff = data.draw(st.sampled_from((-2, -1, 1, 3)), label="coeff")
+        term = Polyvector.term(coeff, exps, idx, order)
+        terms[g] = terms[g] + term if g in terms else term
+    c = Cochain(group, p, terms)
+    moved_c = move_cochain(c, dense, u, u_inv)
+    assert project(moved_c) == move_cochain(project(c), dense, u, u_inv)
+    assert reynolds(moved_c) == move_cochain(reynolds(c), dense, u, u_inv)
+
+
 def test_oracle_agrees_on_a_d5_pair_the_projection_kills():
     group = load_group_file(str(GROUP_DATA / "d5.json"))[0]
     x = cohomology_basis(group, 1, 2)[0]
@@ -470,7 +552,7 @@ def test_trivial_group_bracket_is_schouten():
             continue
         want = schouten(px, py)
         got = gerstenhaber(x, y).result
-        assert got.component(0) == want
+        assert got == Cochain(group, 2, {0: want})
 
 
 # ------------------------------------------------------- perp vanishing

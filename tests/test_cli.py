@@ -164,8 +164,8 @@ def test_group_file_errors(tmp_path, capsys):
 
 
 def test_a_repeated_malformed_literal_fails_at_its_first_occurrence(tmp_path, capsys):
-    # a file parses each distinct literal once; a malformed one still
-    # fails where it first occurs, with the message of its own parse
+    # each distinct literal is parsed once; a malformed one still fails
+    # where it first occurs, with the message of its own parse
     with pytest.raises(ValueError) as info:
         parse_scalar("z^", 1)
     bad = tmp_path / "bad.json"
@@ -180,6 +180,15 @@ def test_a_repeated_malformed_literal_fails_at_its_first_occurrence(tmp_path, ca
     assert (run(capsys, "bracket", fixture("klein_signs_k3.json"), str(bad),
                 fixture("class_wedge12_first.json"))
             == (2, "", f"error: {bad}: term 2: coeff: {info.value}\n"))
+
+
+def test_a_literal_of_non_ascii_digits_is_refused_with_its_generator(tmp_path, capsys):
+    # "-\u0661" is -1 written in Arabic-Indic digits
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dimension": 1, "cyclotomicOrder": 1,
+                               "generators": [[["-\u0661"]]]}))
+    assert run(capsys, "group", str(bad)) == (
+        2, "", f"error: {bad}: generator 1: unexpected character '\u0661' at position 1\n")
 
 
 def test_group_generator_names(tmp_path, capsys):

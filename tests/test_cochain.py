@@ -11,8 +11,15 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import alternating_unipotent, conjugate_group, mat, move_cochain, trivial_group_k
-from skewbrack.scalars import Cyc, field_degree
+from helpers import (
+    alternating_unipotent,
+    conjugate_group,
+    field_degree,
+    mat,
+    move_cochain,
+    trivial_group_k,
+)
+from skewbrack.scalars import Cyc
 from skewbrack.linalg import Matrix, solve_membership
 from skewbrack.polyvec import Poly, Polyvector, act, euler_field, monomials
 from skewbrack.groups import Group, enumerate_group, geometry, resolve_word
@@ -83,7 +90,7 @@ def test_differential_of_degree_zero():
     c = Cochain.single(group, g, Polyvector.term(1, (0, 0), (), 1))
     dc = differential(c)
     assert dc.degree == 1
-    assert dc.component(g) == Polyvector.term(2, (1, 0), (0,), 1)
+    assert dc.terms[g] == Polyvector.term(2, (1, 0), (0,), 1)
     assert not is_cocycle(c)
 
 
@@ -375,7 +382,7 @@ def test_project_on_swap_uses_adapted_coordinates():
     # x1*d1 decomposes over the diagonal/antidiagonal; only the piece with
     # fixed-variable coefficient and antidiagonal wedge factor survives
     c = Cochain.single(group, g, Polyvector.term(1, (1, 0), (0,), 1))
-    p = project(c).component(g)
+    p = project(c).terms[g]
     quarter = Fraction(1, 4)
     want = (Polyvector.term(quarter, (1, 0), (0,), 1)
             + Polyvector.term(quarter, (0, 1), (0,), 1)
@@ -426,6 +433,22 @@ def test_project_and_reynolds_commute_with_a_change_to_dense_coordinates(path):
         moved = move_cochain(c, dense, u, u_inv)
         assert project(moved) == move_cochain(projected, dense, u, u_inv), (path.stem, p)
         assert reynolds(moved) == move_cochain(averaged, dense, u, u_inv), (path.stem, p)
+
+
+@pytest.mark.parametrize("name", list(fixture_groups()))
+def test_dense_copies_of_the_fixture_groups_count_alike(name):
+    # criterion 9's pieces on each fixture group conjugated by the
+    # alternating unipotent U: the basis of the conjugate group, its
+    # character count and its direct count agree
+    group = fixture_groups()[name]
+    n = group.dim
+    u, u_inv = alternating_unipotent(n, group.scalar_order)
+    dense = conjugate_group(group, u, u_inv)
+    for p in range(min(n, 3) + 1):
+        for m in range(4):
+            size = len(cohomology_basis(dense, p, m))
+            assert size == cohomology_dim_character(dense, p, m), (p, m)
+            assert size == cohomology_dim_direct(dense, p, m), (p, m)
 
 
 def test_single_refuses_a_zero_polyvector():

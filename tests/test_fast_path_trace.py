@@ -10,8 +10,8 @@ and reads its counters, so a change that puts one of them back on the
 fast path, or hides elimination from `linalg.elim`, fails here.  A
 `reynolds` that walks all of G again fails on its `act` count, and so
 do bracket preconditions that act on every component with every
-generator of G, and a `project` that moves a component it keeps whole
-back from adapted coordinates; an `act` that multiplies `Cyc`s on warm
+generator of G or project every component, and a `project` that moves
+a component it keeps whole back from adapted coordinates; an `act` that multiplies `Cyc`s on warm
 caches fails on `scalars.mul`, and so does a `wedge` that multiplies them; a
 `schouten` that multiplies `Cyc`s or takes the two circle products
 apart fails on `scalars.mul` and `polyvec.circle_product`, and a
@@ -171,37 +171,40 @@ def test_character_count_shares_no_code_with_the_fast_path():
 def test_preconditions_act_once_per_class_member_and_centralizer_generator():
     # on S4 (2,0) classes of eight components, invariance is checked per
     # class: |gens C(r)| + |cls| - 1 act calls, against 2 |cls| when every
-    # component was acted on by every generator of G; reduced form is one
-    # project of the class representatives per operand, one act call per
-    # representative with codim > 0, against two
+    # component was acted on by every generator of G; reduced form is
+    # checked at the class representatives, one act call per
+    # representative with codim > 0, against sixteen when every
+    # component is projected
     group, _ = load_group_file(str(S4))
     (x,) = [c for c in cohomology_basis(group, 2, 0) if len(c.terms) == 8]
     y = x * Cyc.of(-3, 1)
-    expected = 0
+    invariance = reduced = 0
     for c in (x, y):
         for cls, gens in zip(group.conj_classes, group.centralizer_gens):
             if cls[0] in c.terms:
-                expected += len(gens) + len(cls) - 1
-                expected += geometry(group, cls[0]).codim > 0
-    assert expected == 2 * (1 + 8 - 1 + 1)
+                invariance += len(gens) + len(cls) - 1
+                reduced += geometry(group, cls[0]).codim > 0
+    assert (invariance, reduced) == (2 * (1 + 8 - 1), 2)
+    assert sum(geometry(group, g).codim > 0 for c in (x, y) for g in c.terms) == 16
 
-    def traced(skip_preconditions):
-        """The bracket, and its project and act calls."""
+    def precondition_acts(check_invariance):
+        """The act calls of the bracket's preconditions: every pair is
+        stubbed to vanish, so that nothing else acts."""
         with pytest.MonkeyPatch.context() as patch:
-            if skip_preconditions:
+            patch.setattr(bracket, "pair_commutator", lambda *args: "schouten zero")
+            if not check_invariance:
                 patch.setattr(bracket, "is_invariant", lambda c: True)
-                patch.setattr(bracket, "is_reduced", lambda c: True)
             tracer = load_tracer().Tracer()
             with tracer:
-                result = gerstenhaber(x, y).result
+                assert gerstenhaber(x, y).result.is_zero()
         counts = tracer.counts()
+        # neither check builds or projects a cochain, or acts on one whole
         assert counts["cochain.act_cochain.calls"] == 0
-        return result, counts["cochain.project.calls"], counts["polyvec.act.calls"]
+        assert counts["cochain.project.calls"] == 0
+        return counts["polyvec.act.calls"]
 
-    checked, unchecked = traced(False), traced(True)
-    assert checked[0] == unchecked[0]
-    assert checked[1] - unchecked[1] == 2
-    assert checked[2] - unchecked[2] == expected
+    assert precondition_acts(False) == reduced
+    assert precondition_acts(True) == invariance + reduced
 
 
 def test_project_keeps_reduced_components_with_one_act_each():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import field_degree
 from skewbrack.linalg import (
     Matrix,
     det,
@@ -18,7 +19,7 @@ from skewbrack.linalg import (
     rref,
     solve_membership,
 )
-from skewbrack.scalars import Cyc, field_degree
+from skewbrack.scalars import Cyc
 
 
 def im(rows, order=1):

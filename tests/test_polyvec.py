@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import mat
+from helpers import field_degree, mat
 from skewbrack.cli import load_group_file
 from skewbrack.linalg import Matrix, mat_inverse
 from skewbrack.polyvec import (
@@ -25,7 +25,7 @@ from skewbrack.polyvec import (
     sort_sign,
     subst_matrix,
 )
-from skewbrack.scalars import Cyc, field_degree
+from skewbrack.scalars import Cyc
 
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"

@@ -9,14 +9,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import fraction_coeffs, print_scalar_by_fractions
+from helpers import field_degree, fraction_coeffs, print_scalar_by_fractions
 from skewbrack.linalg import Matrix
 from skewbrack.polyvec import Poly, Polyvector
 from skewbrack.scalars import (
     Cyc,
     _reduce,
     cyclotomic_polynomial,
-    field_degree,
     parse_scalar,
     print_scalar,
 )
@@ -172,6 +171,16 @@ def test_parse_errors_report_position():
             parse_scalar(bad, 4)
     with pytest.raises(ValueError, match="expected z after '\\*' at position 2"):
         parse_scalar("2*3", 4)
+
+
+@pytest.mark.parametrize("text, pos", [("\u0661", 0), ("\uff12/\uff13", 0), ("-\u0661", 1),
+                                       ("1/\u0662", 2), ("z^\u0663", 2), ("1 + \u06f3", 4)])
+def test_literals_take_only_ascii_digits(text, pos):
+    # int() reads other scripts' decimal digits, which \d matches, but a
+    # literal takes 0-9 only, as words and generator names do
+    with pytest.raises(ValueError) as info:
+        parse_scalar(text, 4)
+    assert str(info.value) == f"unexpected character {text[pos]!r} at position {pos}"
 
 
 def test_as_fraction_refuses_an_irrational_scalar():
