@@ -336,22 +336,23 @@ def cohomology_dim_character(group, p, m):
     _check_piece(group, p, m)
     n, order = group.dim, group.scalar_order
     mult, inverses = group.mult_table, group.inverses
-    chi = [sum((r[i] for i, r in enumerate(a.rows)), Cyc.zero(order))
-           for a in group.matrices]
+    diagonals = [[r[i] for i, r in enumerate(a.rows)] for a in group.matrices]
+    chi = [sum(d[1:], d[0]) if d else Cyc.zero(order) for d in diagonals]
     total = 0
     for cls, cent in zip(group.conj_classes, group.centralizers):
         g = cls[0]
         g_powers = [0]
         while mult[g_powers[-1]][g]:
             g_powers.append(mult[g_powers[-1]][g])
-        mean = Fraction(1, len(g_powers))
-        fixed_trace = {x: sum((chi[mult[x][y]] for y in g_powers), Cyc.zero(order)) * mean
+        # g_powers[0] is the identity, so each sum starts from chi[x]
+        mean = Cyc.of(Fraction(1, len(g_powers)), order)
+        fixed_trace = {x: sum((chi[mult[x][y]] for y in g_powers[1:]), chi[x]) * mean
                        for x in cent}
         codim = n - int(fixed_trace[0].as_fraction())
         q = p - codim
         if q < 0 or q > n - codim:
             continue
-        term = Cyc.zero(order)
+        terms = []
         for h in cent:
             h_powers = [h]
             while len(h_powers) < max(m, q, codim):
@@ -359,9 +360,9 @@ def cohomology_dim_character(group, p, m):
             fixed = [fixed_trace[x] for x in h_powers]
             moved = [chi[x] - t for x, t in zip(h_powers, fixed)]
             fixed_inv = [fixed_trace[inverses[x]] for x in h_powers]
-            term = term + (_newton(fixed_inv, m, 1) * _newton(fixed, q, -1)
-                           * _newton(moved, codim, -1))
-        dim = term * Fraction(1, len(cent))
+            terms.append(_newton(fixed_inv, m, 1) * _newton(fixed, q, -1)
+                         * _newton(moved, codim, -1))
+        dim = sum(terms[1:], terms[0]) * Fraction(1, len(cent))
         if not dim.is_rational() or dim.den != 1 or dim.num[0] < 0:
             raise ArithmeticError(f"the character count at class {group.words[g]} "
                                   f"in degree ({p}, {m}) is {dim}, not a "
@@ -374,7 +375,8 @@ def _newton(power_sums, q, sign):
     """h_q (sign 1) or e_q (sign -1) of the eigenvalues whose k-th power
     sum is power_sums[k - 1], a nonempty list of Cycs, by Newton's
     identities k x_k = sum_i sign^(i-1) x_(k-i) p_i: each term is added,
-    or subtracted for sign -1 and i even, and the sum divided by k once."""
+    or subtracted for sign -1 and i even, and the sum divided by k once
+    (for k > 1)."""
     order = power_sums[0].order
     out = [Cyc.one(order)]
     for k in range(1, q + 1):
@@ -382,5 +384,5 @@ def _newton(power_sums, q, sign):
         for i in range(2, k + 1):
             t = out[k - i] * power_sums[i - 1]
             acc = acc - t if sign < 0 and i % 2 == 0 else acc + t
-        out.append(acc * Cyc.of(Fraction(1, k), order))
+        out.append(acc if k == 1 else acc * Cyc.of(Fraction(1, k), order))
     return out[q]

@@ -122,9 +122,10 @@ def _echelon(rows):
 
     Returns {pivot column: row} with each row 1 at its own pivot and 0 at
     every other pivot.  Each incoming row is cleared at the known pivots,
-    takes its least column as a new pivot, and that column is cleared
-    from the rows already kept.  The reduced form of a row space is
-    unique, so this equals dense Gauss-Jordan on the same rows."""
+    takes its least column as a new pivot, is rescaled by the inverse of
+    its entry there unless that entry is already 1, and the column is
+    cleared from the rows already kept.  The reduced form of a row space
+    is unique, so this equals dense Gauss-Jordan on the same rows."""
     pivots = {}
     for row in rows:
         row = dict(row)
@@ -135,8 +136,9 @@ def _echelon(rows):
         if not row:
             continue
         p = min(row)
-        inv = row[p].inverse()
-        row = {c: v * inv for c, v in row.items()}
+        if row[p] != 1:
+            inv = row[p].inverse()
+            row = {c: v * inv for c, v in row.items()}
         for other in pivots.values():
             f = other.get(p)
             if f is not None:

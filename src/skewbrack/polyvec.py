@@ -73,7 +73,8 @@ class SparseTerms(Frozen):
     dropping zero values, validating keys and ending in the fill
     ``self._init(terms, *head)``; ``cls._new(terms, *head)`` builds one
     from terms already clean.  The termwise linear arithmetic, equality
-    and hashing live here.
+    and hashing live here; Poly and Polyvector, compared most often,
+    compare their header fields one by one (_eq_n_order) instead.
     """
 
     __slots__ = ("terms",)
@@ -116,11 +117,20 @@ class SparseTerms(Frozen):
     __mul__ = scale
 
 
+def _eq_n_order(self, other):
+    """Equality of two Polys or two Polyvectors: n, order and the terms,
+    field by field, with no head tuple built for either operand."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return self.n == other.n and self.order == other.order and self.terms == other.terms
+
+
 class Poly(SparseTerms):
     """Polynomial in n variables, exponent-tuple keyed, Cyc coefficients."""
 
     __slots__ = ("n", "order")
     head = property(attrgetter("n", "order"))
+    __eq__, __hash__ = _eq_n_order, SparseTerms.__hash__
 
     def __init__(self, n, order, terms=None):
         clean = {}
@@ -218,6 +228,7 @@ class Polyvector(SparseTerms):
 
     __slots__ = ("n", "order")
     head = property(attrgetter("n", "order"))
+    __eq__, __hash__ = _eq_n_order, SparseTerms.__hash__
 
     def __init__(self, n, order, terms=None):
         clean = {}
@@ -375,14 +386,18 @@ def minor_row(m: Matrix, rows):
     """The nonzero minors of m on the given rows, as (cols, det) pairs
     with cols increasing: one row of the exterior power of m, kept in
     m.minors.
-    Expands along rows[0], over its nonzero entries, against the kept
-    row of rows[1:]."""
+    A single row's minors are its nonzero entries; a longer one expands
+    along rows[0], over its nonzero entries, against the kept row of
+    rows[1:]."""
     minors = m.minors
     got = minors.get(rows)
     if got is not None:
         return got
     if not rows:
         got = minors[rows] = (((), Cyc.one(m.order)),)
+        return got
+    if len(rows) == 1:  # the 1x1 minors are the row's own nonzero entries
+        got = minors[rows] = tuple(((j,), a) for j, a in enumerate(m.rows[rows[0]]) if a)
         return got
     acc = {}
     rest = minor_row(m, rows[1:])

@@ -267,11 +267,18 @@ class Cyc(Frozen):
         return o - self
 
     def __mul__(self, other):
+        """The product.  A factor of 1 returns the other operand, and a
+        factor of -1 its negation, with no convolution, fold or gcd: a
+        Cyc is immutable, so an operand can be handed back as it is."""
         if other.__class__ is not Cyc or other.order != self.order:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
         a, b = self.num, other.num
+        if self.den == 1 and a[0] in (1, -1) and not any(a[1:]):
+            return other if a[0] == 1 else -other
+        if other.den == 1 and b[0] in (1, -1) and not any(b[1:]):
+            return self if b[0] == 1 else -self
         d = len(a)
         prod = [0] * (2 * d - 1)
         i = 0

@@ -747,6 +747,14 @@ def test_character_count_agrees_on_a_non_monomial_group():
     assert_three_counts_agree(group, [(p, m) for p in range(4) for m in range(4)])
 
 
+def test_character_count_agrees_on_the_zero_dimensional_space():
+    # no diagonal entry to start a trace from: every trace is 0
+    group = enumerate_group([Matrix(5, [])])
+    assert group.dim == 0 and len(group) == 1
+    assert_three_counts_agree(group, [(0, m) for m in range(3)])
+    assert cohomology_dim_character(group, 0, 0) == 1
+
+
 def test_character_count_rejects_bad_degree_and_a_wrong_centralizer():
     group = sign_group_k1()
     with pytest.raises(ValueError):

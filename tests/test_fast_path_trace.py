@@ -38,7 +38,7 @@ from skewbrack.cochain import (
 from skewbrack.groups import geometry
 from skewbrack.koszul import chain_bracket_avatar
 from skewbrack.linalg import Matrix
-from skewbrack import polyvec
+from skewbrack import linalg, polyvec
 from skewbrack.polyvec import Polyvector
 from skewbrack.scalars import Cyc
 
@@ -47,6 +47,7 @@ D5 = ROOT / "perfbench" / "data" / "groups" / "d5.json"
 S4 = ROOT / "perfbench" / "data" / "groups" / "s4.json"
 S5 = ROOT / "perfbench" / "data" / "groups" / "s5.json"
 ROT = ROOT / "perfbench" / "data" / "groups" / "rot.json"
+BT = ROOT / "fixtures" / "binary_tetrahedral_k2_z4.json"
 
 
 def test_fast_path_calls_no_det_minor_or_substitution():
@@ -152,14 +153,43 @@ def test_wedge_multiplies_no_scalars():
     assert tracer.counts()["scalars.mul.calls"] == 0
 
 
+def test_echelon_rescales_no_row_whose_pivot_is_one():
+    # each row of a permutation matrix is a single 1 in its own column:
+    # nothing to clear, and no pivot to invert or divide out
+    group, _ = load_group_file(str(S5))
+    perm = next(a for a in group.matrices if all(r[i] == 0 for i, r in enumerate(a.rows)))
+    rows = linalg._sparse(perm.rows)
+    tracer = load_tracer().Tracer()
+    with tracer:
+        pivots = linalg._echelon(rows)
+    counts = tracer.counts()
+    assert sorted(pivots) == list(range(group.dim))
+    assert all(row == {p: 1} for p, row in pivots.items())
+    assert counts["scalars.inverse.calls"] == 0
+    assert counts["scalars.mul.calls"] == 0
+
+
+def test_single_row_minors_are_the_row_itself():
+    # the 1x1 minors are the entries, read off the row with no product
+    # by the empty minor 1
+    z = Cyc.zeta(5)
+    m = Matrix(5, [[z, 0, Fraction(-2, 3)], [1, z ** 3 - 1, 0], [0, 0, -z]])
+    tracer = load_tracer().Tracer()
+    with tracer:
+        got = [polyvec.minor_row(m, (i,)) for i in range(3)]
+    assert got == [tuple(((j,), a) for j, a in enumerate(r) if a) for r in m.rows]
+    assert tracer.counts()["scalars.mul.calls"] == 0
+
+
 def test_character_count_shares_no_code_with_the_fast_path():
     # the CLI's cross-check reads traces and the group's tables only: no
-    # action, elimination, geometry or centralizer average
-    groups = [load_group_file(str(path))[0] for path in (D5, ROT)]
+    # action, elimination, geometry or centralizer average, also on a
+    # nonabelian non-diagonal action over Q(zeta4)
+    groups = [load_group_file(str(path))[0] for path in (D5, ROT, BT)]
     tracer = load_tracer().Tracer()
     with tracer:
         dims = [cohomology_dim_character(group, p, m)
-                for group in groups for p in range(4) for m in range(3)]
+                for group in groups for p in range(group.dim + 1) for m in range(3)]
     counts = tracer.counts()
     assert sum(dims) > 0
     assert counts["polyvec.act.calls"] == 0

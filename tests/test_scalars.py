@@ -308,6 +308,48 @@ def test_equal_values_have_equal_fields(data):
         assert hash(c) == hash(value) and c == value and value == c
 
 
+UNIT_ORDERS = [1, 3, 4, 5, 6, 12]
+
+
+def _unit_factors(order, a):
+    """(factor, sign) for each spelling of 1 and -1 in this order: ints,
+    Fractions, the shared Cyc.one, and a 1 computed from the nonzero a."""
+    computed = a * a.inverse()
+    ones = [1, Fraction(1), Cyc.one(order), computed]
+    return [(u, 1) for u in ones] + [(-u, -1) for u in ones]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_unit_factor_returns_the_other_operand_or_its_negation(data):
+    # a product by 1 or -1 skips the convolution, the fold and the gcd;
+    # it must still be the general product, in lowest terms and immutable
+    order = data.draw(st.sampled_from(UNIT_ORDERS))
+    d = field_degree(order)
+    coeffs = data.draw(st.sampled_from([[Fraction(0)] * d, _fractions(data.draw, d)]))
+    x = Cyc(order, coeffs)
+    a = Cyc(order, _fractions(data.draw, d))
+    if not a:
+        a = Cyc.zeta(order)
+    fields = (x.order, x.num, x.den)
+    for unit, sign in _unit_factors(order, a):
+        want = Cyc(order, [sign * c for c in fraction_coeffs(x)])
+        for got in (x * unit, unit * x):
+            assert got.__class__ is Cyc
+            assert (got.order, got.num, got.den) == (want.order, want.num, want.den)
+            _assert_canonical(got)
+            with pytest.raises(AttributeError):
+                got.num = (7,) * d
+        assert (x.order, x.num, x.den) == fields
+    other = UNIT_ORDERS[(UNIT_ORDERS.index(order) + 1) % len(UNIT_ORDERS)]
+    for unit in (Cyc.one(other), -Cyc.one(other)):
+        with pytest.raises(ValueError):
+            x * unit
+        with pytest.raises(ValueError):
+            unit * x
+    assert Cyc.one(order).__mul__(1.0) is NotImplemented
+
+
 def test_canonical_form_of_equal_rationals():
     halves = [Cyc(4, [Fraction(2, 4), 0]), Cyc.of(Fraction(1, 2), 4), Cyc.one(4) / 2]
     for c in halves:
