@@ -460,14 +460,10 @@ def _verify_schouten(args):
 
 
 def _verify_examples(args):
-    from .fixtures import (
-        klein_bracket_pair,
-        overlap_bracket_pair,
-        rotation_bracket_pair,
-    )
+    from .fixtures import bracket_pair
     results = []
 
-    group, x, y, expected = klein_bracket_pair()
+    group, x, y, expected = bracket_pair("klein-signs-k3")
     chain = chain_bracket_cochain(x, y)
     results.append(("sign pair on k^3: chain bracket", chain == expected))
     results.append(("sign pair on k^3: classes average to zero",
@@ -476,17 +472,17 @@ def _verify_examples(args):
     results.append(("sign pair on k^3: averaged bracket is zero",
                     zero_bracket.is_zero()))
 
-    for orders in ((2, 2), (3, 2)):
-        group, x, y, expected = rotation_bracket_pair(*orders)
+    for name, orders in (("two-sign-pairs-k5", "2,2"), ("rotation-k5-z6", "3,2")):
+        group, x, y, expected = bracket_pair(name)
         rep = gerstenhaber(x, y)
-        tag = f"plane pair k^5 orders {orders[0]},{orders[1]}"
+        tag = f"plane pair k^5 orders {orders}"
         results.append((f"{tag}: bracket is the product volume class",
                         rep.result == expected and not rep.result.is_zero()))
         s, t = resolve_word(group, "g1"), resolve_word(group, "g2")
         results.append((f"{tag}: perp criterion does not apply",
                         not perp_vanishing_applies(group, s, t)))
 
-    group, x, y = overlap_bracket_pair()
+    group, x, y = bracket_pair("overlap-signs-k3")
     g, h = resolve_word(group, "g1"), resolve_word(group, "g2")
     results.append(("overlapping signs on k^3: perp criterion applies",
                     perp_vanishing_applies(group, g, h)))

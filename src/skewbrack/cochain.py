@@ -46,14 +46,6 @@ class Cochain(SparseTerms):
             clean[g] = pv
         self._init(clean, group, degree)
 
-    @staticmethod
-    def single(group, g, pv):
-        """The cochain whose one component, at g, is the nonzero pv."""
-        if pv.is_zero():
-            raise ValueError("a zero polyvector has no exterior degree; "
-                             "use Cochain.zero(group, degree)")
-        return Cochain(group, pv.degree(), {g: pv})
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -4,14 +4,25 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+from skewbrack.cli import load_group_file
 from skewbrack.cochain import Cochain
-from skewbrack.fixtures import plane_rotation_pair_k5
+from skewbrack.fixtures import EXAMPLES
 from skewbrack.groups import MAX_GROUP_ORDER, Group, _generators, enumerate_group, resolve_word
 from skewbrack.linalg import Matrix, mat_inverse
 from skewbrack.polyvec import Polyvector, act
 from skewbrack.scalars import Cyc, cyclotomic_polynomial
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def example_group(name):
+    """The group of the package's example file of that name."""
+    return load_group_file(str(EXAMPLES / name))[0]
+
+
+def single(group, g, pv):
+    """The cochain whose one component, at g, is the nonzero pv."""
+    return Cochain(group, pv.degree(), {g: pv})
 
 
 def mat(order, rows):
@@ -27,11 +38,11 @@ def minimal_pair_k5():
     """Minimal-degree invariant reduced classes (exterior part exactly
     the volume form) off the kernel, on the two-sign-pairs action.
     Returns (group, x, y)."""
-    group = plane_rotation_pair_k5(2, 2)
+    group = example_group("two_sign_pairs_k5_unnamed.json")
     s = resolve_word(group, "g1")
     t = resolve_word(group, "g2")
-    x = Cochain.single(group, s, Polyvector.term(1, (0, 0, 1, 0, 0), (0, 1), 1))
-    y = Cochain.single(group, t, Polyvector.term(1, (0, 0, 1, 0, 0), (3, 4), 1))
+    x = single(group, s, Polyvector.term(1, (0, 0, 1, 0, 0), (0, 1), 1))
+    y = single(group, t, Polyvector.term(1, (0, 0, 1, 0, 0), (3, 4), 1))
     return group, x, y
 
 

@@ -26,19 +26,7 @@ from skewbrack.koszul import (
     homotopy_sweep,
     schouten_random_check,
 )
-from skewbrack.fixtures import (
-    fixture_groups,
-    klein_bracket_pair,
-    klein_signs_k3,
-    overlap_bracket_pair,
-    overlap_signs_k3,
-    plane_rotation_pair_k5,
-    rotation_bracket_pair,
-    sign_group_k1,
-    sign_line_k2,
-    neg_identity_k2,
-    swap_group_k2,
-)
+from skewbrack.fixtures import bracket_pair, fixture_groups
 
 
 def test_criterion_01_appendix_identity_sweep():
@@ -80,7 +68,7 @@ def test_criterion_03_schouten_agreement_and_graded_laws():
 
 
 def test_criterion_04_sign_pair_worked_example():
-    group, x, y, expected = klein_bracket_pair()
+    group, x, y, expected = bracket_pair("klein-signs-k3")
     chain = chain_bracket_cochain(x, y)
     assert chain == expected
     gh = resolve_word(group, "g1*g2")
@@ -94,8 +82,8 @@ def test_criterion_04_sign_pair_worked_example():
 
 
 def test_criterion_05_plane_pair_worked_examples():
-    for orders in ((2, 2), (3, 2)):
-        group, x, y, expected = rotation_bracket_pair(*orders)
+    for name in ("two-sign-pairs-k5", "rotation-k5-z6"):
+        group, x, y, expected = bracket_pair(name)
         report = gerstenhaber(x, y)
         assert report.result == expected
         assert not report.result.is_zero()
@@ -107,12 +95,13 @@ def test_criterion_05_plane_pair_worked_examples():
 
 
 def test_criterion_06_degree_one_pieces_vanish():
+    groups = fixture_groups()
     cases = {
-        "signs on k^3": klein_signs_k3(),
-        "sign on k^1": sign_group_k1(),
-        "sign line on k^2": sign_line_k2(),
-        "minus identity on k^2": neg_identity_k2(),
-        "swap on k^2": swap_group_k2(),
+        "signs on k^3": groups["klein-signs-k3"],
+        "sign on k^1": groups["sign-k1"],
+        "sign line on k^2": groups["sign-line-k2"],
+        "minus identity on k^2": groups["neg-identity-k2"],
+        "swap on k^2": groups["swap-k2"],
     }
     checked = 0
     for name, group in cases.items():
@@ -206,7 +195,7 @@ def test_criterion_09_dimension_cross_check():
 
 
 def test_criterion_10_perp_vanishing_fixture():
-    group, x, y = overlap_bracket_pair()
+    group, x, y = bracket_pair("overlap-signs-k3")
     g, h = resolve_word(group, "g1"), resolve_word(group, "g2")
     assert perp_vanishing_applies(group, g, h)
     pool_g, pool_h = [], []

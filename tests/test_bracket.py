@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     alternating_unipotent,
     conjugate_group,
+    example_group,
     mat,
     minimal_pair_k5,
     move_cochain,
+    single,
     trivial_group_k,
 )
 from skewbrack.scalars import Cyc
@@ -39,22 +41,13 @@ from skewbrack.bracket import (
     moved_intersection,
     perp_vanishing_applies,
 )
-from skewbrack.fixtures import (
-    fixture_groups,
-    klein_bracket_pair,
-    overlap_bracket_pair,
-    overlap_signs_k3,
-    plane_rotation_pair_k5,
-    rotation_bracket_pair,
-    sign_line_k2,
-)
+from skewbrack.fixtures import EXAMPLES, PAIRS, bracket_pair, fixture_groups
 from skewbrack.koszul import chain_bracket_cochain
 from skewbrack.cli import load_class_file, load_group_file
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-S4_ROOT_BASIS = FIXTURES / "s4_a3_root_basis_k3.json"
-ROTATION_PAIR = FIXTURES / "rotation_pair_k5_z6.json"
+S4_ROOT_BASIS = EXAMPLES / "s4_a3_root_basis_k3.json"
+ROTATION_PAIR = EXAMPLES / "rotation_pair_k5_z6.json"
 CLASS_DATA = GROUP_DATA.parent / "classes"
 
 
@@ -62,7 +55,7 @@ CLASS_DATA = GROUP_DATA.parent / "classes"
 
 
 def test_two_sign_pairs_bracket():
-    group, x, y, expected = rotation_bracket_pair(2, 2)
+    group, x, y, expected = bracket_pair("two-sign-pairs-k5")
     report = gerstenhaber(x, y)
     assert report.result == expected
     assert not report.result.is_zero()
@@ -72,7 +65,7 @@ def test_two_sign_pairs_bracket():
 
 
 def test_rotation_sign_pair_bracket():
-    group, x, y, expected = rotation_bracket_pair(3, 2)
+    group, x, y, expected = bracket_pair("rotation-k5-z6")
     assert group.scalar_order == 6
     report = gerstenhaber(x, y)
     assert report.result == expected
@@ -80,16 +73,29 @@ def test_rotation_sign_pair_bracket():
 
 
 @pytest.mark.parametrize("orders, field", [((2, 3), 6), ((3, 3), 3)])
-def test_rotation_pair_with_a_second_rotation_of_order_three(orders, field):
+def test_rotation_pair_with_a_second_rotation_of_order_three(orders, field, tmp_path):
     # the second rotation by a primitive cube root of unity, over Q(zeta6)
-    # beside a sign and over Q(zeta3) beside another cube root
-    group, x, y, expected = rotation_bracket_pair(*orders)
-    assert group.scalar_order == field
+    # beside a sign and over Q(zeta3) beside another cube root: the group
+    # of the rotation-k5-z6 pair with other orders, and the same classes
+    def rotation(order, plane):
+        """z^k and z^-k on coordinates plane and plane + 1, z^k of that order."""
+        k = field // order
+        entries = ["1"] * 5
+        entries[plane:plane + 2] = f"z^{k}", f"z^{field - k}"
+        return [[entries[i] if i == j else "0" for j in range(5)] for i in range(5)]
+
+    path = tmp_path / "rotations.json"
+    path.write_text(json.dumps({"dimension": 5, "cyclotomicOrder": field, "generators": [
+        rotation(orders[0], 0), rotation(orders[1], 3)]}))
+    group, _ = load_group_file(str(path))
+    _, *files = PAIRS["rotation-k5-z6"]
+    x, y, expected = (load_class_file(str(EXAMPLES / file), group) for file in files)
+    assert group.scalar_order == field and len(group) == orders[0] * orders[1]
     assert gerstenhaber(x, y).result == expected
 
 
 def test_bracket_report_contents():
-    group, x, y, _ = rotation_bracket_pair(2, 2)
+    group, x, y, _ = bracket_pair("two-sign-pairs-k5")
     s = resolve_word(group, "g1")
     t = resolve_word(group, "g2")
     report = gerstenhaber(x, y)
@@ -98,13 +104,13 @@ def test_bracket_report_contents():
 
 
 def test_bracket_antisymmetry_on_example():
-    _, x, y, _ = rotation_bracket_pair(2, 2)
+    _, x, y, _ = bracket_pair("two-sign-pairs-k5")
     # |x| = 3, |y| = 2: [y,x] = -(-1)^{(|x|-1)(|y|-1)} [x,y] = -[x,y]
     assert gerstenhaber(y, x).result == -gerstenhaber(x, y).result
 
 
 def test_chain_oracle_agrees_on_example():
-    group, x, y, _ = rotation_bracket_pair(2, 2)
+    group, x, y, _ = bracket_pair("two-sign-pairs-k5")
     chain = chain_bracket_cochain(x, y)
     assert project(chain) == gerstenhaber(x, y).result
 
@@ -124,7 +130,7 @@ def pairwise_report(x, y):
                 reasons.append((g, h, "schouten zero"))
                 continue
             gh = group.mult_table[g][h]
-            projected = project(Cochain.single(group, gh, raw)).terms.get(gh)
+            projected = project(single(group, gh, raw)).terms.get(gh)
             if projected is not None:
                 terms[(g, h)] = projected
             elif moved_intersection(group, g, h):
@@ -167,7 +173,7 @@ def orbit_cases():
         y = cohomology_basis(group, p, 2)[0]
         cases.append((f"{name} {left} x H^({p},2)", x, y))
         cases.append((f"{name} H^({p},2) x {left}", y, x))
-    _, x, y, _ = rotation_bracket_pair(3, 2)
+    _, x, y, _ = bracket_pair("rotation-k5-z6")
     cases.append(("rotation pair fixture", x, y))
     return cases
 
@@ -315,7 +321,7 @@ def test_graded_jacobi_on_basis_classes(path, triples, nonzero):
 # (group file, basis classes with p <= 3 and m <= 2, nonzero brackets
 # among their ordered pairs)
 DENSE_COPIES = [(GROUP_DATA / "d4.json", 27, 126), (GROUP_DATA / "d5.json", 30, 144),
-                (S4_ROOT_BASIS, 10, 32), (FIXTURES / "binary_tetrahedral_k2_z4.json", 9, 14)]
+                (S4_ROOT_BASIS, 10, 32), (EXAMPLES / "binary_tetrahedral_k2_z4.json", 9, 14)]
 
 
 def test_fast_path_commutes_with_a_change_to_dense_coordinates():
@@ -354,8 +360,8 @@ def test_fast_path_commutes_with_a_change_to_dense_coordinates():
     assert wrong == ["d4", "d5", "s4_a3_root_basis_k3"]
 
 
-# every group file: the fixtures' and the benchmark's
-GROUP_FILES = [path for path in sorted(FIXTURES.glob("*.json"))
+# every group file: the package examples and the benchmark's
+GROUP_FILES = [path for path in sorted(EXAMPLES.glob("*.json"))
                if "generators" in json.loads(path.read_text())]
 GROUP_FILES += sorted(GROUP_DATA.glob("*.json"))
 
@@ -459,16 +465,16 @@ def test_schouten_zero_means_the_schouten_bracket_is_zero():
 
 
 def test_rejects_non_invariant_input():
-    _, x, y, _ = klein_bracket_pair()
+    _, x, y, _ = bracket_pair("klein-signs-k3")
     with pytest.raises(ValueError, match="reynolds"):
         gerstenhaber(x, y)
 
 
 def test_rejects_unreduced_input():
-    group = sign_line_k2()
+    group = example_group("sign_line_k2.json")
     g = resolve_word(group, "g1")
-    good = Cochain.single(group, 0, Polyvector.term(1, (0, 1), (1,), 1))
-    bad = Cochain.single(group, g, Polyvector.term(1, (1, 0), (0,), 1))
+    good = single(group, 0, Polyvector.term(1, (0, 1), (1,), 1))
+    bad = single(group, g, Polyvector.term(1, (1, 0), (0,), 1))
     assert is_invariant(bad) and is_cocycle(bad) and not is_reduced(bad)
     with pytest.raises(ValueError, match="project"):
         gerstenhaber(good, bad)
@@ -482,10 +488,10 @@ def test_rejects_unreduced_input_on_a_conjugacy_class():
                                  for j in range(3)] for i in range(3)])
     group = enumerate_group([perm((1, 0, 2)), perm((1, 2, 0))])
     swap = resolve_word(group, "g1")
-    bad = reynolds(Cochain.single(group, swap, Polyvector.term(1, (0, 0, 0), (2,), 1)))
+    bad = reynolds(single(group, swap, Polyvector.term(1, (0, 0, 0), (2,), 1)))
     assert is_invariant(bad) and not is_reduced(bad)
     assert len(bad.terms) == 3 and project(bad).is_zero()
-    good = Cochain.single(group, 0, Polyvector.term(1, (1, 1, 1), (), 1))
+    good = single(group, 0, Polyvector.term(1, (1, 1, 1), (), 1))
     assert is_invariant(good) and is_reduced(good)
     with pytest.raises(ValueError, match="right operand .*project"):
         gerstenhaber(good, bad)
@@ -498,7 +504,7 @@ def test_reduced_cochains_are_cocycles():
     # always collides with the wedge and the differential vanishes; this
     # is why gerstenhaber does not check that its inputs are cocycles
     rng = random.Random(5)
-    groups = [sign_line_k2(), plane_rotation_pair_k5(2, 2)]
+    groups = [example_group("sign_line_k2.json"), example_group("two_sign_pairs_k5_unnamed.json")]
     groups += [load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
                for name in ("s4", "d4", "d5", "rot")]
     moved = 0  # nonzero projections away from the identity, where E_g != 0
@@ -508,7 +514,7 @@ def test_reduced_cochains_are_cocycles():
             g = rng.randrange(len(group))
             exps = tuple(rng.randrange(2) for _ in range(n))
             idx = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
-            c = Cochain.single(group, g,
+            c = single(group, g,
                                Polyvector.term(rng.randrange(1, 3), exps, idx,
                                                group.scalar_order))
             p = project(c)
@@ -520,9 +526,9 @@ def test_reduced_cochains_are_cocycles():
 
 def test_rejects_group_mismatch():
     a = trivial_group_k(2)
-    b = sign_line_k2()
-    ca = Cochain.single(a, 0, Polyvector.term(1, (0, 0), (0,), 1))
-    cb = Cochain.single(b, 0, Polyvector.term(1, (0, 0), (0,), 1))
+    b = example_group("sign_line_k2.json")
+    ca = single(a, 0, Polyvector.term(1, (0, 0), (0,), 1))
+    cb = single(b, 0, Polyvector.term(1, (0, 0), (0,), 1))
     with pytest.raises(ValueError, match="group"):
         gerstenhaber(ca, cb)
     with pytest.raises(ValueError, match="group"):
@@ -546,8 +552,8 @@ def test_trivial_group_bracket_is_schouten():
 
     for _ in range(10):
         px, py = random_pv(1), random_pv(2)
-        x = Cochain.single(group, 0, px)
-        y = Cochain.single(group, 0, py)
+        x = single(group, 0, px)
+        y = single(group, 0, py)
         if px.is_zero() or py.is_zero():
             continue
         want = schouten(px, py)
@@ -559,7 +565,7 @@ def test_trivial_group_bracket_is_schouten():
 
 
 def test_perp_applies_on_overlap_fixture():
-    group, x, y = overlap_bracket_pair()
+    group, x, y = bracket_pair("overlap-signs-k3")
     g = resolve_word(group, "g1")
     h = resolve_word(group, "g2")
     assert perp_vanishing_applies(group, g, h)
@@ -568,7 +574,7 @@ def test_perp_applies_on_overlap_fixture():
 
 
 def test_perp_does_not_apply_on_disjoint_moved_spaces():
-    group = plane_rotation_pair_k5(2, 2)
+    group = example_group("two_sign_pairs_k5_unnamed.json")
     s = resolve_word(group, "g1")
     t = resolve_word(group, "g2")
     assert not perp_vanishing_applies(group, s, t)
@@ -587,7 +593,7 @@ def test_perp_does_not_apply_when_a_generator_moves_the_intersection():
     assert moved_intersection(group, g, h) == [(Cyc.zero(1), Cyc.one(1), Cyc.zero(1))]
     assert not perp_vanishing_applies(group, g, h)
     # without the swap the line is stable
-    plain = overlap_signs_k3()
+    plain = example_group("overlap_signs_k3.json")
     assert perp_vanishing_applies(plain, resolve_word(plain, "g1"), resolve_word(plain, "g2"))
 
 
@@ -618,19 +624,19 @@ def test_moved_intersection_is_the_intersection(name):
 
 
 def test_perp_false_at_identity():
-    group, _, _ = overlap_bracket_pair()
+    group, _, _ = bracket_pair("overlap-signs-k3")
     g = resolve_word(group, "g1")
     assert not perp_vanishing_applies(group, 0, g)
 
 
 def test_perp_self_overlap():
-    group = sign_line_k2()
+    group = example_group("sign_line_k2.json")
     g = resolve_word(group, "g1")
     assert perp_vanishing_applies(group, g, g)
 
 
 def test_overlap_bracket_vanishes():
-    group, x, y = overlap_bracket_pair()
+    group, x, y = bracket_pair("overlap-signs-k3")
     assert is_invariant(x) and is_reduced(x) and is_cocycle(x)
     assert is_invariant(y) and is_reduced(y) and is_cocycle(y)
     report = gerstenhaber(x, y)
@@ -648,7 +654,7 @@ def test_minimal_pair_flag_and_vanishing():
 
 
 def test_example_pair_is_not_minimal():
-    _, x, y, _ = rotation_bracket_pair(2, 2)
+    _, x, y, _ = bracket_pair("two-sign-pairs-k5")
     assert not minimal_degree_vanishing(x, y)
 
 
@@ -656,7 +662,7 @@ def test_identity_component_is_not_minimal():
     # exterior degree 0 at the identity equals its codim, so only the
     # identity test keeps such an operand out
     group, x, y = minimal_pair_k5()
-    one = Cochain.single(group, 0, Polyvector.term(1, (0,) * group.dim, (), 1))
+    one = single(group, 0, Polyvector.term(1, (0,) * group.dim, (), 1))
     assert not minimal_degree_vanishing(one, y)
     assert not minimal_degree_vanishing(x, one)
 
@@ -682,8 +688,8 @@ def test_minimal_classes_from_bases_bracket_to_zero():
 
 
 def group_files():
-    """Every group file of the fixtures and of the benchmark's data."""
-    paths = [f for f in sorted(FIXTURES.glob("*.json"))
+    """Every group file of the package examples and of the benchmark's data."""
+    paths = [f for f in sorted(EXAMPLES.glob("*.json"))
              if "generators" in json.loads(f.read_text())]
     return paths + sorted(GROUP_DATA.glob("*.json"))
 

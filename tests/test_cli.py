@@ -28,18 +28,17 @@ from skewbrack.cli import (
     piece_size,
 )
 from skewbrack.cochain import Cochain, cohomology_basis
-from skewbrack.fixtures import rotation_bracket_pair
+from skewbrack.fixtures import EXAMPLES, bracket_pair
 from skewbrack.groups import resolve_word
 from skewbrack.koszul import KoszulElt, appendix_suite
 from skewbrack.polyvec import Poly, Polyvector
 from skewbrack.scalars import parse_scalar
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
 
 
 def fixture(name):
-    return str(FIXTURES / name)
+    return str(EXAMPLES / name)
 
 
 def run(capsys, *argv):
@@ -91,12 +90,15 @@ def assert_names_file(code, err, path):
 
 
 def test_group_file_errors(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    for raw in UNPARSEABLE:
+    # each document goes to a file of its own name: rewriting one file
+    # costs far more than creating one on some file systems
+    for k, raw in enumerate(UNPARSEABLE):
+        bad = tmp_path / f"unparseable{k}.json"
         bad.write_bytes(raw)
         code, _, err = run(capsys, "group", str(bad))
         assert_names_file(code, err, bad)
 
+    bad = tmp_path / "bad.json"
     bad.write_text('[2, 1]')
     code, _, err = run(capsys, "group", str(bad))
     assert code == 2 and err.startswith(f"error: {bad}: group file must be a JSON object")
@@ -120,7 +122,7 @@ def test_group_file_errors(tmp_path, capsys):
 
     # JSON booleans are not integers
     sign = [[["-1", "0"], ["0", "1"]]]
-    for field, doc in (
+    for k, (field, doc) in enumerate([
         ("generators", {"dimension": 2, "cyclotomicOrder": 1, "generators": []}),
         ("generators", {"dimension": 2, "cyclotomicOrder": 1, "generators": "x"}),
         ("bound", {"dimension": 2, "cyclotomicOrder": 1, "generators": sign,
@@ -157,7 +159,8 @@ def test_group_file_errors(tmp_path, capsys):
         # too large: refused before enumeration, which would not end soon
         ("bound", {"dimension": 1, "cyclotomicOrder": 1,
                    "generators": [[["2"]]], "bound": 65536}),
-    ):
+    ]):
+        bad = tmp_path / f"field{k}.json"
         bad.write_text(json.dumps(doc))
         code, _, err = run(capsys, "group", str(bad))
         assert code == 2 and f"{field} must be" in err
@@ -372,7 +375,7 @@ def test_piece_bounds_accept_every_piece_in_use():
     # p, m <= 3 covers every piece the tests and the benchmark compute; the
     # stored S5 classes have m <= 1
     groups = {path.stem: load_group_file(str(path))[0]
-              for path in [*FIXTURES.glob("*.json"), *GROUP_DATA.glob("*.json")]
+              for path in [*EXAMPLES.glob("*.json"), *GROUP_DATA.glob("*.json")]
               if not path.name.startswith("class_")}
     largest = 0
     for name, group in groups.items():
@@ -557,13 +560,15 @@ def test_bracket_project_flag(tmp_path, capsys):
 
 
 def test_class_file_round_trip(tmp_path):
+    # each class goes to a file of its own name: rewriting one file costs
+    # far more than creating one on some file systems
     group, names = load_group_file(fixture("two_sign_pairs_k5.json"))
     seen = 0
     for p in range(4):
         for m in range(3):
             for c in cohomology_basis(group, p, m):
                 data = cochain_to_classfile(c)
-                path = tmp_path / "c.json"
+                path = tmp_path / f"c{seen}.json"
                 path.write_text(json.dumps(data))
                 back = load_class_file(str(path), group)
                 assert back == c
@@ -573,11 +578,11 @@ def test_class_file_round_trip(tmp_path):
 
 def test_class_file_round_trip_cyclotomic(tmp_path):
     group, _ = load_group_file(fixture("rotation_pair_k5_z6.json"))
-    _, x, y, expected = rotation_bracket_pair(3, 2)
-    for c in (x, y, expected):
-        # the fixture group and the file-loaded group enumerate alike
+    _, x, y, expected = bracket_pair("rotation-k5-z6")
+    for k, c in enumerate((x, y, expected)):
+        # two loads of one group file enumerate alike
         data = cochain_to_classfile(c)
-        path = tmp_path / "c.json"
+        path = tmp_path / f"c{k}.json"
         path.write_text(json.dumps(data))
         back = load_class_file(str(path), group)
         assert cochain_to_classfile(back) == data
@@ -634,16 +639,18 @@ def test_class_file_loads_in_time_linear_in_its_terms(tmp_path):
 
 
 def test_class_file_errors(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
     group_file = fixture("klein_signs_k3.json")
     ok = fixture("class_wedge12_first.json")
 
-    for raw in UNPARSEABLE:
+    # each document goes to a file of its own name, as in test_group_file_errors
+    for k, raw in enumerate(UNPARSEABLE):
+        bad = tmp_path / f"unparseable{k}.json"
         bad.write_bytes(raw)
         for x, y in ((str(bad), ok), (ok, str(bad))):
             code, _, err = run(capsys, "bracket", group_file, x, y)
             assert_names_file(code, err, bad)
 
+    bad = tmp_path / "bad.json"
     bad.write_text('"terms"')
     code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
     assert code == 2 and err.startswith(f"error: {bad}: class file must be a JSON object")
@@ -656,6 +663,7 @@ def test_class_file_errors(tmp_path, capsys):
 
     # errors from resolving the group word name the field
     for gref in ("h1", 99):
+        bad = tmp_path / f"gref-{gref}.json"
         bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
             {"group": gref, "coeff": "1", "exponents": [0, 0, 0],
              "wedge": [1, 2]}]}))
@@ -664,19 +672,22 @@ def test_class_file_errors(tmp_path, capsys):
 
     # generator numbers and element indices are ASCII digits only: an
     # Arabic-Indic one or a superscript is a bad token, not a number
-    for gref in ("g\u0661", "\u0661", "g\u00b2", "\u00b2"):
+    for k, gref in enumerate(("g\u0661", "\u0661", "g\u00b2", "\u00b2")):
+        bad = tmp_path / f"token{k}.json"
         bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
             {"group": gref, "coeff": "1", "exponents": [0, 0, 0],
              "wedge": [1, 2]}]}))
         code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
         assert code == 2 and f"term 1: group: bad generator token {gref!r}" in err
 
+    bad = tmp_path / "wedge-order.json"
     bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
         {"group": "g1", "coeff": "1", "exponents": [0, 0, 0],
          "wedge": [2, 1]}]}))
     code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
     assert code == 2 and "increasing" in err
 
+    bad = tmp_path / "zero-denominator.json"
     bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
         {"group": "g1", "coeff": "1/0", "exponents": [0, 0, 0],
          "wedge": [1, 2]}]}))
@@ -684,7 +695,7 @@ def test_class_file_errors(tmp_path, capsys):
     assert code == 2
 
     term = {"group": "g1", "coeff": "1", "exponents": [0, 0, 0], "wedge": [1, 2]}
-    for field, doc in (
+    for k, (field, doc) in enumerate([
         ("terms", {"homologicalDegree": 2, "terms": 5}),
         ("homologicalDegree", {"homologicalDegree": True, "terms": [term]}),
         ("group", {"homologicalDegree": 2, "terms": [{**term, "group": ["g1"]}]}),
@@ -692,12 +703,14 @@ def test_class_file_errors(tmp_path, capsys):
         ("exponents", {"homologicalDegree": 2,
                        "terms": [{**term, "exponents": [True, 0, 0]}]}),
         ("wedge", {"homologicalDegree": 2, "terms": [{**term, "wedge": [True, 2]}]}),
-    ):
+    ]):
+        bad = tmp_path / f"field{k}.json"
         bad.write_text(json.dumps(doc))
         code, _, err = run(capsys, "bracket", group_file, str(bad), ok)
         assert code == 2 and f"{field} must be" in err
 
     # an unbounded degree is refused at load, before any substitution
+    bad = tmp_path / "degree.json"
     bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
         {**term, "exponents": [10**30, 0, 0]}]}))
     group, _ = load_group_file(group_file)

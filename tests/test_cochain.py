@@ -2,6 +2,7 @@
 action, averaging, reduction, exactness against a linear solve, and the
 cohomology basis builders."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -14,9 +15,11 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (
     alternating_unipotent,
     conjugate_group,
+    example_group,
     field_degree,
     mat,
     move_cochain,
+    single,
     trivial_group_k,
 )
 from skewbrack.scalars import Cyc
@@ -40,38 +43,30 @@ from skewbrack.cochain import (
     support_codim,
 )
 from skewbrack.cli import load_group_file
-from skewbrack.fixtures import (
-    fixture_groups,
-    klein_bracket_pair,
-    klein_signs_k3,
-    plane_rotation_pair_k5,
-    sign_group_k1,
-    sign_line_k2,
-    swap_group_k2,
-)
+from skewbrack.fixtures import EXAMPLES, bracket_pair, fixture_groups
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
-S4_ROOT_BASIS = Path(__file__).resolve().parent.parent / "fixtures" / "s4_a3_root_basis_k3.json"
-BINARY_TETRAHEDRAL = S4_ROOT_BASIS.parent / "binary_tetrahedral_k2_z4.json"
+S4_ROOT_BASIS = EXAMPLES / "s4_a3_root_basis_k3.json"
+BINARY_TETRAHEDRAL = EXAMPLES / "binary_tetrahedral_k2_z4.json"
 
 
 # ---------------------------------------------------------------- euler
 
 
 def test_euler_identity_is_zero():
-    group = sign_line_k2()
+    group = example_group("sign_line_k2.json")
     assert euler_field(group.matrices[0]).is_zero()
 
 
 def test_euler_sign_flip():
-    group = sign_line_k2()
+    group = example_group("sign_line_k2.json")
     g = resolve_word(group, "g1")
     want = Polyvector.term(2, (1, 0), (0,), 1)
     assert euler_field(group.matrices[g]) == want
 
 
 def test_euler_rotation_on_k5():
-    group = plane_rotation_pair_k5(3, 2)
+    group = example_group("rotation_pair_k5_z6.json")
     s = resolve_word(group, "g1")
     e = euler_field(group.matrices[s])
     z = Cyc.zeta(6, 2)  # primitive cube root of unity
@@ -85,9 +80,9 @@ def test_euler_rotation_on_k5():
 
 
 def test_differential_of_degree_zero():
-    group = sign_line_k2()
+    group = example_group("sign_line_k2.json")
     g = resolve_word(group, "g1")
-    c = Cochain.single(group, g, Polyvector.term(1, (0, 0), (), 1))
+    c = single(group, g, Polyvector.term(1, (0, 0), (), 1))
     dc = differential(c)
     assert dc.degree == 1
     assert dc.terms[g] == Polyvector.term(2, (1, 0), (0,), 1)
@@ -95,7 +90,7 @@ def test_differential_of_degree_zero():
 
 
 def test_differential_squares_to_zero():
-    group = klein_signs_k3()
+    group = example_group("klein_signs_k3.json")
     comps = {
         resolve_word(group, "g1"): Polyvector.term(3, (1, 2, 0), (1,), 1),
         resolve_word(group, "g1*g2"): Polyvector.term(1, (0, 1, 1), (0,), 1)
@@ -136,15 +131,15 @@ def test_differential_squares_to_zero_on_random_cochains(differential_groups, da
 
 
 def test_cocycle_detection():
-    group = sign_group_k1()
+    group = example_group("sign_k1.json")
     g = resolve_word(group, "g1")
     # wedge contains the moved direction, so the euler factor dies
-    c = Cochain.single(group, g, Polyvector.term(1, (0,), (0,), 1))
+    c = single(group, g, Polyvector.term(1, (0,), (0,), 1))
     assert is_cocycle(c)
 
 
 def test_degree_mismatch_rejected():
-    group = sign_group_k1()
+    group = example_group("sign_k1.json")
     with pytest.raises(ValueError):
         Cochain(group, 2, {0: Polyvector.term(1, (0,), (0,), 1)})
 
@@ -153,7 +148,7 @@ def test_degree_mismatch_rejected():
 
 
 def test_act_moves_component_to_conjugate():
-    group, x, _, _ = klein_bracket_pair()
+    group, x, _, _ = bracket_pair("klein-signs-k3")
     g = resolve_word(group, "g1")
     h = resolve_word(group, "g2")
     moved = act_cochain(x, h)
@@ -165,8 +160,8 @@ def test_act_moves_component_to_conjugate():
 
 
 def test_act_is_right_action():
-    group = klein_signs_k3()
-    c = Cochain.single(group, resolve_word(group, "g2"),
+    group = example_group("klein_signs_k3.json")
+    c = single(group, resolve_word(group, "g2"),
                        Polyvector.term(1, (1, 0, 2), (0, 2), 1))
     for a in range(len(group)):
         for b in range(len(group)):
@@ -199,13 +194,13 @@ def test_invariance_on_generators_agrees_with_every_element():
     ):
         n = group.dim
         g1, g2 = group.generator_indices
-        c = Cochain.single(group, 0, Polyvector(n, 1, {(): first_only}))
+        c = single(group, 0, Polyvector(n, 1, {(): first_only}))
         assert act_cochain(c, g1) == c and act_cochain(c, g2) != c
         assert not is_invariant(c)
         cases = [c]
         for g in range(len(group)):
             for idx in ((), (0,), (0, 1)):
-                c = Cochain.single(group, g, Polyvector.term(1, (1,) * n, idx, 1))
+                c = single(group, g, Polyvector.term(1, (1,) * n, idx, 1))
                 cases += [c, reynolds(c)]
         verdicts = [is_invariant(c) for c in cases]
         assert verdicts == [invariant_under_every_element(c) for c in cases]
@@ -213,8 +208,8 @@ def test_invariance_on_generators_agrees_with_every_element():
 
 
 def test_act_commutes_with_differential():
-    group = swap_group_k2()
-    c = Cochain.single(group, 1, Polyvector.term(1, (2, 0), (1,), 1))
+    group = example_group("swap_k2.json")
+    c = single(group, 1, Polyvector.term(1, (2, 0), (1,), 1))
     h = 1
     assert act_cochain(differential(c), h) == differential(act_cochain(c, h))
 
@@ -223,8 +218,8 @@ def test_act_commutes_with_differential():
 
 
 def test_reynolds_idempotent_and_invariant():
-    group = klein_signs_k3()
-    c = Cochain.single(group, resolve_word(group, "g1"),
+    group = example_group("klein_signs_k3.json")
+    c = single(group, resolve_word(group, "g1"),
                        Polyvector.term(1, (0, 2, 1), (0, 1), 1))
     r = reynolds(c)
     assert is_invariant(r)
@@ -238,7 +233,7 @@ def test_reynolds_fixes_invariants():
 
 
 def test_reynolds_kills_odd_classes():
-    group, x, y, _ = klein_bracket_pair()
+    group, x, y, _ = bracket_pair("klein-signs-k3")
     assert reynolds(x).is_zero()
     assert reynolds(y).is_zero()
 
@@ -309,57 +304,51 @@ def test_reynolds_is_the_group_average(c):
     assert is_invariant(r)
 
 
-_ROTATION_PAIR = None
-
-
+@functools.cache
 def rotation_pair_cached():
-    global _ROTATION_PAIR
-    if _ROTATION_PAIR is None:
-        from skewbrack.fixtures import rotation_bracket_pair
-        _ROTATION_PAIR = rotation_bracket_pair(2, 2)
-    return _ROTATION_PAIR
+    return bracket_pair("two-sign-pairs-k5")
 
 
 # -------------------------------------------------------------- project
 
 
 def test_project_kills_moved_polynomial():
-    group = sign_group_k1()
+    group = example_group("sign_k1.json")
     g = resolve_word(group, "g1")
-    c = Cochain.single(group, g, Polyvector.term(1, (1,), (0,), 1))
+    c = single(group, g, Polyvector.term(1, (1,), (0,), 1))
     assert project(c).is_zero()
 
 
 def test_project_keeps_reduced_class():
-    group = sign_group_k1()
+    group = example_group("sign_k1.json")
     g = resolve_word(group, "g1")
-    c = Cochain.single(group, g, Polyvector.term(1, (0,), (0,), 1))
+    c = single(group, g, Polyvector.term(1, (0,), (0,), 1))
     assert project(c) == c
     assert is_reduced(c)
 
 
 def test_project_drops_wedge_missing_moved_direction():
-    group = sign_line_k2()
+    group = example_group("sign_line_k2.json")
     g = resolve_word(group, "g1")
     # d2 does not contain the moved direction d1
-    c = Cochain.single(group, g, Polyvector.term(1, (0, 0), (1,), 1))
+    c = single(group, g, Polyvector.term(1, (0, 0), (1,), 1))
     assert project(c).is_zero()
-    keep = Cochain.single(group, g, Polyvector.term(1, (0, 1), (0,), 1))
+    keep = single(group, g, Polyvector.term(1, (0, 1), (0,), 1))
     assert project(keep) == keep
 
 
 def test_project_identity_component_untouched():
-    group = sign_line_k2()
-    c = Cochain.single(group, 0, Polyvector.term(5, (3, 1), (0, 1), 1))
+    group = example_group("sign_line_k2.json")
+    c = single(group, 0, Polyvector.term(5, (3, 1), (0, 1), 1))
     assert project(c) == c
 
 
 def test_project_idempotent_and_kills_coboundaries():
-    group = swap_group_k2()
+    group = example_group("swap_k2.json")
     pieces = [
-        Cochain.single(group, 0, Polyvector.term(2, (1, 1), (0,), 1)),
-        Cochain.single(group, 1, Polyvector.term(1, (1, 0), (0,), 1)),
-        Cochain.single(group, 1, Polyvector.term(-3, (0, 0), (1,), 1)),
+        single(group, 0, Polyvector.term(2, (1, 1), (0,), 1)),
+        single(group, 1, Polyvector.term(1, (1, 0), (0,), 1)),
+        single(group, 1, Polyvector.term(-3, (0, 0), (1,), 1)),
     ]
     for c in pieces:
         p = project(c)
@@ -368,20 +357,20 @@ def test_project_idempotent_and_kills_coboundaries():
 
 
 def test_project_commutes_with_action():
-    group = plane_rotation_pair_k5(3, 2)
+    group = example_group("rotation_pair_k5_z6.json")
     s = resolve_word(group, "g1")
-    c = Cochain.single(group, s, Polyvector.term(1, (0, 1, 1, 0, 0), (0, 1), 6)
+    c = single(group, s, Polyvector.term(1, (0, 1, 1, 0, 0), (0, 1), 6)
                        + Polyvector.term(1, (1, 0, 0, 0, 0), (0, 3), 6))
     for h in range(len(group)):
         assert project(act_cochain(c, h)) == act_cochain(project(c), h)
 
 
 def test_project_on_swap_uses_adapted_coordinates():
-    group = swap_group_k2()
+    group = example_group("swap_k2.json")
     g = 1
     # x1*d1 decomposes over the diagonal/antidiagonal; only the piece with
     # fixed-variable coefficient and antidiagonal wedge factor survives
-    c = Cochain.single(group, g, Polyvector.term(1, (1, 0), (0,), 1))
+    c = single(group, g, Polyvector.term(1, (1, 0), (0,), 1))
     p = project(c).terms[g]
     quarter = Fraction(1, 4)
     want = (Polyvector.term(quarter, (1, 0), (0,), 1)
@@ -394,18 +383,18 @@ def test_project_on_swap_uses_adapted_coordinates():
 def test_project_kills_a_moved_monomial_under_a_kept_wedge():
     # every wedge of the component contains omega_g, so each is kept, and
     # yet a term goes: a moved variable divides its monomial
-    klein = klein_signs_k3()
+    klein = example_group("klein_signs_k3.json")
     g1 = resolve_word(klein, "g1")
-    c = Cochain.single(klein, g1, Polyvector.term(1, (1, 0, 0), (0,), 1)
+    c = single(klein, g1, Polyvector.term(1, (1, 0, 0), (0,), 1)
                        + Polyvector.term(1, (0, 1, 0), (0,), 1))
-    assert project(c) == Cochain.single(klein, g1, Polyvector.term(1, (0, 1, 0), (0,), 1))
+    assert project(c) == single(klein, g1, Polyvector.term(1, (0, 1, 0), (0,), 1))
     # on the swap, x1 = (x1 + x2)/2 + (x1 - x2)/2 and only the fixed half stays
-    swap = swap_group_k2()
+    swap = example_group("swap_k2.json")
     omega = Polyvector.term(1, (0, 0), (0,), 1) - Polyvector.term(1, (0, 0), (1,), 1)
     half = Fraction(1, 2)
-    c = Cochain.single(swap, 1, omega * Poly.monomial((1, 0), 1, 1))
+    c = single(swap, 1, omega * Poly.monomial((1, 0), 1, 1))
     want = omega * Poly(2, 1, {(1, 0): half, (0, 1): half})
-    assert project(c) == Cochain.single(swap, 1, want)
+    assert project(c) == single(swap, 1, want)
 
 
 @pytest.mark.parametrize("path", [GROUP_DATA / "d4.json", GROUP_DATA / "d5.json",
@@ -451,19 +440,12 @@ def test_dense_copies_of_the_fixture_groups_count_alike(name):
             assert size == cohomology_dim_direct(dense, p, m), (p, m)
 
 
-def test_single_refuses_a_zero_polyvector():
-    # a zero polyvector has no exterior degree to give the cochain
-    with pytest.raises(ValueError, match=r"^a zero polyvector has no exterior degree; "
-                                         r"use Cochain\.zero\(group, degree\)$"):
-        Cochain.single(klein_signs_k3(), 1, Polyvector.zero(3, 1))
-
-
 def test_support_codim_is_the_largest_codim_in_the_support():
-    group = klein_signs_k3()
+    group = example_group("klein_signs_k3.json")
     g1, g1g2 = resolve_word(group, "g1"), resolve_word(group, "g1*g2")
     d1 = Polyvector.term(1, (0, 0, 0), (0,), 1)
     assert support_codim(Cochain.zero(group, 1)) == 0
-    assert support_codim(Cochain.single(group, g1, d1)) == 1
+    assert support_codim(single(group, g1, d1)) == 1
     assert support_codim(Cochain(group, 1, {g1: d1, g1g2: d1})) == 2
 
 
@@ -528,24 +510,24 @@ def is_coboundary(c):
 
 
 def test_is_coboundary_zero():
-    group = sign_line_k2()
+    group = example_group("sign_line_k2.json")
     flag, witness = is_coboundary(Cochain.zero(group, 2))
     assert flag
     assert witness.is_zero() and witness.degree == 1
 
 
 def test_is_coboundary_requires_cocycle():
-    group = sign_line_k2()
+    group = example_group("sign_line_k2.json")
     g = resolve_word(group, "g1")
-    c = Cochain.single(group, g, Polyvector.term(1, (0, 0), (), 1))
+    c = single(group, g, Polyvector.term(1, (0, 0), (), 1))
     with pytest.raises(ValueError):
         is_coboundary(c)
 
 
 def test_is_coboundary_finds_witness():
-    group = sign_line_k2()
+    group = example_group("sign_line_k2.json")
     g = resolve_word(group, "g1")
-    c = Cochain.single(group, g, Polyvector.term(1, (2, 1), (), 1))
+    c = single(group, g, Polyvector.term(1, (2, 1), (), 1))
     dc = differential(c)
     flag, witness = is_coboundary(dc)
     assert flag
@@ -553,16 +535,16 @@ def test_is_coboundary_finds_witness():
 
 
 def test_reduced_class_is_not_coboundary():
-    group = sign_group_k1()
+    group = example_group("sign_k1.json")
     g = resolve_word(group, "g1")
-    c = Cochain.single(group, g, Polyvector.term(1, (0,), (0,), 1))
+    c = single(group, g, Polyvector.term(1, (0,), (0,), 1))
     flag, witness = is_coboundary(c)
     assert not flag and witness is None
 
 
 def test_invariant_coboundary_gets_invariant_witness():
-    group = swap_group_k2()
-    c = reynolds(Cochain.single(group, 1, Polyvector.term(1, (2, 0), (), 1)))
+    group = example_group("swap_k2.json")
+    c = reynolds(single(group, 1, Polyvector.term(1, (2, 0), (), 1)))
     dc = differential(c)
     assert is_invariant(dc)
     flag, witness = is_coboundary(dc)
@@ -633,7 +615,7 @@ def test_trivial_group_dimension_formula():
 
 
 def test_sign_k1_cohomology_table():
-    group = sign_group_k1()
+    group = example_group("sign_k1.json")
     table = {}
     for p in range(2):
         for m in range(4):
@@ -645,8 +627,7 @@ def test_sign_k1_cohomology_table():
 
 
 def test_neg_identity_k2_has_volume_class():
-    from skewbrack.fixtures import neg_identity_k2
-    group = neg_identity_k2()
+    group = example_group("neg_identity_k2.json")
     basis = cohomology_basis(group, 2, 0)
     flip = resolve_word(group, "g1")
     assert len(basis) == 2  # d1^d2 at the identity and at -1
@@ -756,7 +737,7 @@ def test_character_count_agrees_on_the_zero_dimensional_space():
 
 
 def test_character_count_rejects_bad_degree_and_a_wrong_centralizer():
-    group = sign_group_k1()
+    group = example_group("sign_k1.json")
     with pytest.raises(ValueError):
         cohomology_dim_character(group, 2, 0)
     # the identity's centralizer listed as (e, g1, g1): the class term at
@@ -792,7 +773,7 @@ def test_centralizer_reynolds_is_the_centralizer_average():
 
 
 def test_cohomology_rejects_bad_degree():
-    group = sign_group_k1()
+    group = example_group("sign_k1.json")
     with pytest.raises(ValueError):
         cohomology_basis(group, 2, 0)
     with pytest.raises(ValueError):
@@ -828,7 +809,7 @@ def test_nonabelian_basis_invariance():
 
 
 def small_cochains():
-    group = sign_line_k2()
+    group = example_group("sign_line_k2.json")
 
     def build(data):
         comps = {}
@@ -942,7 +923,7 @@ def near_reduced_cochain(draw):
         exps[n - 1] = 1
         wedge = draw(st.sampled_from(list(combinations(range(n), p))))
         term = Polyvector.term(1, tuple(exps), wedge, order)
-        c = c + Cochain.single(group, g, act(term, [(geom.dual_change, geom.adapted)]))
+        c = c + single(group, g, act(term, [(geom.dual_change, geom.adapted)]))
     return c
 
 

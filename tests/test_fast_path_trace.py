@@ -35,6 +35,7 @@ from skewbrack.cochain import (
     project,
     reynolds,
 )
+from skewbrack.fixtures import EXAMPLES
 from skewbrack.groups import geometry
 from skewbrack.koszul import chain_bracket_avatar
 from skewbrack.linalg import Matrix
@@ -47,7 +48,7 @@ D5 = ROOT / "perfbench" / "data" / "groups" / "d5.json"
 S4 = ROOT / "perfbench" / "data" / "groups" / "s4.json"
 S5 = ROOT / "perfbench" / "data" / "groups" / "s5.json"
 ROT = ROOT / "perfbench" / "data" / "groups" / "rot.json"
-BT = ROOT / "fixtures" / "binary_tetrahedral_k2_z4.json"
+BT = EXAMPLES / "binary_tetrahedral_k2_z4.json"
 
 
 def test_fast_path_calls_no_det_minor_or_substitution():

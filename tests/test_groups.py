@@ -8,7 +8,7 @@ from helpers import alternating_unipotent, conjugate_group, enumerate_by_whole_p
 from skewbrack import groups
 from skewbrack.cli import load_group_file
 from skewbrack.cochain import volume_form
-from skewbrack.fixtures import fixture_groups
+from skewbrack.fixtures import EXAMPLES, fixture_groups
 from skewbrack.groups import (
     Group,
     enumerate_group,
@@ -21,7 +21,7 @@ from skewbrack.scalars import Cyc
 
 ROOT = Path(__file__).resolve().parent.parent
 GROUP_DATA = ROOT / "perfbench" / "data" / "groups"
-GROUP_FILES = {path.stem: path for path in sorted([*(ROOT / "fixtures").glob("*.json"),
+GROUP_FILES = {path.stem: path for path in sorted([*EXAMPLES.glob("*.json"),
                                                    *GROUP_DATA.glob("*.json")])
                if not path.name.startswith("class_")}
 
@@ -191,6 +191,14 @@ def closure(elements, table):
         if more == out:
             return out
         out = more
+
+
+def test_the_three_copies_of_the_rotation_pair_are_identical():
+    # perfbench/make_data.py copies fixtures/rotation_pair_k5_z6.json to
+    # rot.json, and the package ships the same file as an example
+    copies = [ROOT / "fixtures" / "rotation_pair_k5_z6.json",
+              EXAMPLES / "rotation_pair_k5_z6.json", GROUP_DATA / "rot.json"]
+    assert len({path.read_bytes() for path in copies}) == 1
 
 
 def test_mult_data_matches_matrix_products():

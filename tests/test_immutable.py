@@ -4,6 +4,7 @@ a cached minor cannot be changed under its readers."""
 
 import pytest
 
+from helpers import single
 from skewbrack.bracket import BracketReport
 from skewbrack.cochain import Cochain
 from skewbrack.fixtures import fixture_groups
@@ -25,7 +26,7 @@ def values():
         "Cyc": (Cyc.one(3), "num"),
         "Poly": (Poly.monomial((0, 0), 1, 1), "terms"),
         "Polyvector": (pv, "terms"),
-        "Cochain": (Cochain.single(group, 0, pv), "degree"),
+        "Cochain": (single(group, 0, pv), "degree"),
         "KoszulElt": (KoszulElt(2, 1, {((0,), (0, 0), (1, 0)): 1}), "terms"),
         "KoszulTensor2": (KoszulTensor2.term(2, 1, (0,), (1,), (0, 0), (1, 0), (0, 0)), "n"),
     }

@@ -353,7 +353,7 @@ def test_monomials_are_kept_where_no_caller_can_change_them():
 
 OPTIMIZED_CHECKS = """
 from skewbrack.cochain import Cochain
-from skewbrack.fixtures import klein_signs_k3
+from skewbrack.fixtures import fixture_groups
 from skewbrack.groups import Group
 from skewbrack.koszul import xi
 from skewbrack.linalg import Matrix, det, mat_inverse, solve_membership
@@ -361,7 +361,7 @@ from skewbrack.polyvec import Poly, Polyvector, minor_det
 from skewbrack.scalars import Cyc
 two, three = Matrix(1, [[1, 2], [3, 4]]), Matrix(1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 wide = Matrix(1, [[1, 2, 3], [4, 5, 6]])
-group, x1 = klein_signs_k3(), Polyvector.term(1, (1, 0, 0), (0,), 1)
+group, x1 = fixture_groups()["klein-signs-k3"], Polyvector.term(1, (1, 0, 0), (0,), 1)
 cases = [
     lambda: two * three,
     lambda: two - three,
