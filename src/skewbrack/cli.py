@@ -239,11 +239,13 @@ def cochain_to_classfile(c):
 # ---------------------------------------------------------------- reports
 
 
-def _emit(report, lines, as_json):
+def _emit(report, text, as_json):
+    """Print the report as JSON, or else the lines that text() yields;
+    the text is built only when it is printed."""
     if as_json:
         print(json.dumps(report, indent=2))
     else:
-        for line in lines:
+        for line in text():
             print(line)
 
 
@@ -287,21 +289,22 @@ def cmd_group(args):
         # a matrix group acts faithfully: only the identity acts trivially
         "kernel": [group.words[0]],
     }
-    lines = [
-        f"order: {report['order']}",
-        f"dimension: {report['dimension']}",
-        f"cyclotomic order: {report['cyclotomicOrder']}",
-        "conjugacy classes: " + "  ".join(
-            "{" + ", ".join(cls) + "}" for cls in report["conjugacyClasses"]),
-        "kernel: " + ", ".join(report["kernel"]),
-        "elements:",
-    ]
-    for el in elements:
-        lines.append(f"  [{el['index']}] {el['word']}  codim {el['codim']}"
-                     f"  omega {el['omega']}")
-        for row in el["matrix"]:
-            lines.append("      [ " + "  ".join(row) + " ]")
-    _emit(report, lines, args.json)
+
+    def text():
+        yield f"order: {report['order']}"
+        yield f"dimension: {report['dimension']}"
+        yield f"cyclotomic order: {report['cyclotomicOrder']}"
+        yield "conjugacy classes: " + "  ".join(
+            "{" + ", ".join(cls) + "}" for cls in report["conjugacyClasses"])
+        yield "kernel: " + ", ".join(report["kernel"])
+        yield "elements:"
+        for el in elements:
+            yield (f"  [{el['index']}] {el['word']}  codim {el['codim']}"
+                   f"  omega {el['omega']}")
+            for row in el["matrix"]:
+                yield "      [ " + "  ".join(row) + " ]"
+
+    _emit(report, text, args.json)
     return 0
 
 
@@ -345,12 +348,15 @@ def cmd_cohomology(args):
         "match": len(basis) == count,
         "classes": classes,
     }
-    lines = [f"cohomology in exterior degree {args.p}, polynomial degree "
-             f"{args.m}: {len(basis)} classes (cross-check {count})"]
-    for c, data in zip(basis, classes):
-        lines.append(f"  {c}")
-        lines.append("    " + json.dumps(data))
-    _emit(report, lines, args.json)
+
+    def text():
+        yield (f"cohomology in exterior degree {args.p}, polynomial degree "
+               f"{args.m}: {len(basis)} classes (cross-check {count})")
+        for c, data in zip(basis, classes):
+            yield f"  {c}"
+            yield "    " + json.dumps(data)
+
+    _emit(report, text, args.json)
     if len(basis) != count:
         print(f"internal error: basis count {len(basis)} does not match "
               f"the character count {count}", file=sys.stderr)
@@ -384,20 +390,21 @@ def cmd_bracket(args):
         "vanishing": [{"left": words[g], "right": words[h], "reason": reason}
                       for g, h, reason in report_obj.vanishing_diagnostics],
     }
-    lines = [
-        f"bracket: {result}",
-        f"grading: D({i}) x D({j}) -> D({i + j})",
-    ]
     if zero_operands:
         report["zeroOperands"] = zero_operands
-        lines += [f"{side} operand is zero after {' '.join(steps)}"
-                  for side in zero_operands]
-    for t in report["terms"]:
-        lines.append(f"  term at ({t['left']}, {t['right']}): {t['value']}")
-    for v in report["vanishing"]:
-        lines.append(f"  vanished at ({v['left']}, {v['right']}): {v['reason']}")
-    lines.append("class file: " + json.dumps(report["result"]))
-    _emit(report, lines, args.json)
+
+    def text():
+        yield f"bracket: {report['display']}"
+        yield f"grading: D({i}) x D({j}) -> D({i + j})"
+        for side in zero_operands:
+            yield f"{side} operand is zero after {' '.join(steps)}"
+        for t in report["terms"]:
+            yield f"  term at ({t['left']}, {t['right']}): {t['value']}"
+        for v in report["vanishing"]:
+            yield f"  vanished at ({v['left']}, {v['right']}): {v['reason']}"
+        yield "class file: " + json.dumps(report["result"])
+
+    _emit(report, text, args.json)
     return 0
 
 
@@ -505,7 +512,7 @@ def cmd_verify(args):
     report["pass"] = ok
     lines.append("verify: all checks pass" if ok
                  else "verify: FAILURES detected")
-    _emit(report, lines, args.json)
+    _emit(report, lambda: lines, args.json)
     return 0 if ok else 1
 
 

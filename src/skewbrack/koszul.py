@@ -7,10 +7,21 @@ resulting two-sided element with the contraction map phi, and evaluate
 the outer cochain.  No closed formula is used, so these routines serve
 as an independent check of the fast path in polyvec and bracket.
 
-The contraction's tables (minors, substitutions, Sweedler splits, the
-outer polyvector's wedges) are built from scratch once per
-chain_bracket_cochain (or chain_circle_avatar) call, in dicts local to
-it; only phi's integer weights persist, in _weight's functools cache.
+The contraction's tables (minors, substitutions, signed Sweedler
+splits, and each operand's wedges, landing sets and monomial supports)
+are built from scratch once per chain_bracket_cochain (or
+chain_circle_avatar) call, in dicts local to it; all but the wedges and
+supports are computed entry by entry, on the first read.  Only phi's integer weights persist, in the functools
+caches of _weight and _phi_plan.  Two shortcuts keep the work down, and
+each is exact.  A circle product x o y is zero, with no component
+evaluated, when no monomial of y has a variable of a wedge of x: phi
+keeps a term only if its middle monomial has a variable of its landing
+set, and every landing set lies inside x's wedges.  And phi sums each
+output coefficient in plain ints over one denominator, building one Cyc
+per output key, since its weights are rational.  The values the oracle
+builds itself (the tensor-square element handed to phi, each
+component's polynomial, each avatar's polyvector) are filled through
+_new, with no second check.
 Nothing here reads the caches kept on matrices (Matrix.minors,
 Matrix.images) or calls a fast-path product: act, minor_row,
 monomial_image, circle_product (schouten) or Polyvector.wedge.  The
@@ -214,6 +225,33 @@ def _weight(s, t, z, r):
     return f.numerator, f.denominator
 
 
+@cache
+def _phi_plan(s_idx, z_idx, el, em, er):
+    """What phi makes of the term x^el o(x_S) x^em o(x_Z) x^er with
+    coefficient 1: a tuple of (key, numerator, denominator), one per
+    absorbed variable and split of the rest of the middle monomial, the
+    keys repeating where two of them land on one output term.  Kept
+    across calls, one entry per distinct term key that phi meets; the
+    oracle's keys have zero outer legs, so it adds one per pair of
+    wedge blocks and monomial of an inner operand."""
+    s, z, t = len(s_idx), len(z_idx), sum(em)
+    plan = []
+    for i, a_i in enumerate(em):
+        if a_i == 0:
+            continue
+        wsgn, wkey = sort_sign(z_idx + (i,) + s_idx)
+        if wsgn == 0:
+            continue
+        beta = list(em)
+        beta[i] -= 1
+        for lpart in product(*[range(b + 1) for b in beta]):
+            w_num, w_den = _weight(s, t, z, sum(lpart) + 1)
+            rest = tuple(map(sub, beta, lpart))
+            plan.append(((wkey, _add_exp(el, lpart), _add_exp(er, rest)),
+                         w_num * wsgn * a_i * prod(map(comb, beta, lpart)), w_den))
+    return tuple(plan)
+
+
 def phi(e: KoszulTensor2) -> KoszulElt:
     """Contracting homotopy straightening the tensor square into the
     resolution.  On a term with wedge blocks U (left factor) and W
@@ -222,29 +260,37 @@ def phi(e: KoszulTensor2) -> KoszulElt:
     middle factors split around it; the permutation sum collapses to
     multiset weights c_coeff(s,t,z,r) (r-1)! (t-r)! alpha_i
     C(beta, L).  Each weight is rational and scales a coefficient's
-    integer numerators and denominator; its part that depends on
-    (s, t, z, r) alone is _weight's, two ints computed once."""
+    integer numerators and denominator; _phi_plan lists the weights of
+    one term key, computed once.  A rational weight keeps the power
+    basis, so each output key is summed in plain ints, as
+    [denominator, numerators...] over one denominator that each addend
+    widens when it does not divide it, and _lowest makes the sum one
+    Cyc."""
     n, order = e.n, e.order
-    out = {}
-    for (s_idx, z_idx, el, em, er), c in e.terms.items():
-        s, z, t = len(s_idx), len(z_idx), sum(em)
-        for i in range(n):
-            a_i = em[i]
-            if a_i == 0:
+    out = {}  # key -> [denominator, numerators...]
+    for term, c in e.terms.items():
+        num, cden = c.num, c.den
+        for key, scale, w_den in _phi_plan(*term):
+            den = cden * w_den
+            acc = out.get(key)
+            if acc is None:
+                out[key] = [den, *[a * scale for a in num]]
                 continue
-            wsgn, wkey = sort_sign(z_idx + (i,) + s_idx)
-            if wsgn == 0:
-                continue
-            beta = list(em)
-            beta[i] -= 1
-            for lpart in product(*[range(b + 1) for b in beta]):
-                w_num, w_den = _weight(s, t, z, sum(lpart) + 1)
-                scale = w_num * wsgn * a_i * prod(map(comb, beta, lpart))
-                v = _lowest(order, [a * scale for a in c.num], c.den * w_den)
-                rest = tuple(map(sub, beta, lpart))
-                key = (wkey, _add_exp(el, lpart), _add_exp(er, rest))
-                out[key] = out[key] + v if key in out else v
-    return KoszulElt._new({k: v for k, v in out.items() if v}, n, order)
+            top = acc[0]
+            if top % den:
+                # over a common multiple of both denominators
+                wide = den if den % top == 0 else top * den
+                up = wide // top
+                acc[:] = [wide, *[a * up for a in acc[1:]]]
+                top = wide
+            scale *= top // den
+            for j, a in enumerate(num, 1):
+                acc[j] += a * scale
+    terms = {}
+    for key, (den, *sums) in out.items():
+        if any(sums):
+            terms[key] = _lowest(order, sums, den)
+    return KoszulElt._new(terms, n, order)
 
 
 def homotopy_residual(e: KoszulTensor2) -> KoszulElt:
@@ -253,45 +299,101 @@ def homotopy_residual(e: KoszulTensor2) -> KoszulElt:
     return koszul_diff(phi(e)) + phi(koszul2_diff(e)) - f_k(e)
 
 
-def _column_minors(minors, hmat, cols):
-    """The nonzero minors of hmat on columns cols, as (rows, det, -det)."""
-    got = minors.get(cols)
-    if got is None:
-        got = []
-        for rows in combinations(range(hmat.nrows), len(cols)):
+class _Minors(dict):
+    """By column block, the nonzero minors of hmat on those columns, as
+    (rows, det, -det), computed on the first read.  Only the row blocks
+    of rows that are nonzero on the columns are tried: a minor with a
+    zero row is zero."""
+
+    def __init__(self, hmat):
+        self.hmat = hmat
+
+    def __missing__(self, cols):
+        hmat = self.hmat
+        live = [r for r, row in enumerate(hmat.rows) if any(row[c] for c in cols)]
+        got = self[cols] = []
+        for rows in combinations(live, len(cols)):
             d = minor_det(hmat, rows, cols)
-            if not d.is_zero():
+            if d:
                 got.append((rows, d, -d))
-        minors[cols] = got
-    return got
+        return got
 
 
-def _image(images, gmat, exps):
-    """The terms of subst_matrix(x^exps, gmat)."""
-    got = images.get(exps)
-    if got is None:
-        got = images[exps] = subst_matrix(Poly.monomial(exps, 1, gmat.order), gmat).terms
-    return got
+class _Images(dict):
+    """By exponent tuple, the terms of subst_matrix(x^exps, gmat),
+    computed on the first read; the constant monomial, which every
+    substitution fixes, is there from the start."""
+
+    def __init__(self, gmat):
+        self.gmat = gmat
+        zero = (0,) * gmat.nrows
+        self[zero] = {zero: Cyc.one(gmat.order)}
+
+    def __missing__(self, exps):
+        gmat = self.gmat
+        got = self[exps] = subst_matrix(Poly.monomial(exps, 1, gmat.order), gmat).terms
+        return got
 
 
-class _Landing(dict):
-    """By (part1, rows), the variables whose absorption carries the two
-    blocks onto a wedge of x; `targets` holds x's wedges by size."""
+class _Splits(dict):
+    """By (idx, mid), the splits_through triples as (part1, part3,
+    sign), the sign times the pairing sign of mid and the Koszul sign
+    (-1)^(|part1| |mid|) that moves the middle cochain past part1."""
 
-    def __init__(self, x):
-        self.targets = {}
-        for w in x.terms:
+    def __missing__(self, key):
+        idx, mid = key
+        pairing = rev_sign(len(mid))
+        got = self[key] = [
+            (part1, part3, -eps * pairing if len(part1) * len(mid) % 2 else eps * pairing)
+            for part1, part3, eps in splits_through(idx, mid)]
+        return got
+
+
+def _support(exps):
+    """The variables of a monomial, as a bitmask."""
+    return sum(1 << i for i, e in enumerate(exps) if e)
+
+
+class _Operand(dict):
+    """The tables of one polyvector p of a circle product; variables
+    are held as bitmasks.
+
+    As the inner operand: `monomials`, p's terms as wedge -> list of
+    (exponents, _support, coefficient), and `support`, the union of the
+    supports of all of them.
+    As the outer operand: `targets`, p's wedges by size, `reach`, the
+    variables of all of them, and, as a dict by (part1, rows), the
+    variables whose absorption carries the two blocks onto a wedge of
+    p, computed on the first read: the landing set, inside reach."""
+
+    def __init__(self, p):
+        self.targets, reach = {}, 0
+        for w in p.terms:
             self.targets.setdefault(len(w), []).append(set(w))
+            for i in w:
+                reach |= 1 << i
+        self.reach, self.monomials, support = reach, {}, 0
+        for w, q in p.terms.items():
+            mons = self.monomials[w] = [(e, _support(e), c) for e, c in q.terms.items()]
+            for _, bits, _ in mons:
+                support |= bits
+        self.support = support
 
     def __missing__(self, key):
         part1, rows = key
-        outer, landing = set(part1) | set(rows), set()
-        if len(outer) == len(part1) + len(rows):
-            for w in self.targets.get(len(outer) + 1, ()):
-                if outer < w:
-                    landing |= w - outer
-        got = self[key] = tuple(landing)
-        return got
+        blocks, landing = set(part1) | set(rows), 0
+        if len(blocks) == len(part1) + len(rows):
+            for w in self.targets.get(len(blocks) + 1, ()):
+                if blocks < w:
+                    (i,) = w - blocks
+                    landing |= 1 << i
+        self[key] = landing
+        return landing
+
+
+def _tables(x, gmat, y, hmat):
+    """Fresh tables of one circle product, as chain_circle_component's memo."""
+    return _Minors(hmat), _Images(gmat), _Splits(), _Operand(x), _Operand(y)
 
 
 def chain_circle_component(x: Polyvector, gmat: Matrix, y: Polyvector,
@@ -312,54 +414,47 @@ def chain_circle_component(x: Polyvector, gmat: Matrix, y: Polyvector,
     one phi call, which is linear.  `memo` holds the tables one oracle
     evaluation shares, each filled as it is read: the nonzero
     minors of hmat by column block, the subst_matrix images of monomials
-    under gmat, the splits_through lists by (idx, mid), and x's _Landing.
-    Fresh tables are used without it."""
+    under gmat, the signed splits_through lists by (idx, mid), and the
+    _Operand tables of x and of y.  Fresh tables are used without it."""
     n, order = x.n, x.order
     idx = tuple(idx)
-    minors, images, splits, landing = memo or ({}, {}, {}, _Landing(x))
+    minors, images, splits, outer, inner = memo or _tables(x, gmat, y, hmat)
     zero = (0,) * n
     span = set(idx)
     t2 = {}
-    for mid, q in y.terms.items():
-        # phi lands on wedges of size |idx| - |mid| + 1
-        if not span.issuperset(mid) or len(idx) - len(mid) + 1 not in landing.targets:
+    for mid, mons in inner.monomials.items():
+        if not span.issuperset(mid):
             continue
-        pairing = rev_sign(len(mid))
-        through = splits.get((idx, mid))
-        if through is None:
-            through = splits[(idx, mid)] = list(splits_through(idx, mid))
-        for part1, part3, eps in through:
-            ksign = -1 if (len(part1) * len(mid)) % 2 else 1
-            sign = eps * ksign * pairing
-            for rows, d, nd in _column_minors(minors, hmat, part3):
-                land = landing[(part1, rows)]
-                if not land:
+        for part1, part3, sign in splits[(idx, mid)]:
+            for rows, d, nd in minors[part3]:
+                landing = outer[(part1, rows)]
+                if not landing:
                     continue
                 dq = d if sign == 1 else nd
-                for em, qc in q.terms.items():
-                    if not any(em[i] for i in land):
-                        continue
-                    key = (part1, rows, zero, em, zero)
-                    v = qc * dq
-                    t2[key] = t2[key] + v if key in t2 else v
+                for em, support, qc in mons:
+                    if support & landing:
+                        key = (part1, rows, zero, em, zero)
+                        v = qc * dq
+                        t2[key] = t2[key] + v if key in t2 else v
+    t2 = {k: v for k, v in t2.items() if v}
     if not t2:
-        return Poly.zero(n, order)
+        return Poly._new({}, n, order)
     acc = {}
-    for (widx, el, er), c in phi(KoszulTensor2(n, order, t2)).terms.items():
-        inner = x.terms.get(widx)
-        if inner is None:
+    for (widx, el, er), c in phi(KoszulTensor2._new(t2, n, order)).terms.items():
+        inner_x = x.terms.get(widx)
+        if inner_x is None:
             continue
         if rev_sign(len(widx)) == -1:
             c = -c
-        right = _image(images, gmat, er)
-        for e1, c1 in inner.terms.items():
+        right = images[er]
+        for e1, c1 in inner_x.terms.items():
             left = _add_exp(el, e1)
             cc = c * c1
             for e2, c2 in right.items():
                 e = _add_exp(left, e2)
                 v = cc * c2
                 acc[e] = acc[e] + v if e in acc else v
-    return Poly(n, order, acc)
+    return Poly._new({e: v for e, v in acc.items() if v}, n, order)
 
 
 def chain_circle_avatar(
@@ -368,22 +463,35 @@ def chain_circle_avatar(
     """Polyvector avatar of the chain-level circle product: evaluate on
     every basis wedge of the correct degree and re-express in the d_I
     basis (the reversed-word pairing sign enters once per component).
-    A wedge containing no wedge of y is skipped: its component is zero.
-    The components share `memo` (see chain_circle_component)."""
+    The components share `memo` (see chain_circle_component).
+
+    Two skips, each of components that are zero.  A wedge containing no
+    wedge of y is skipped.  And when no monomial of y has a variable of
+    a wedge of x, no component is evaluated at all: a term is kept only
+    if its middle monomial has a variable of its landing set, and every
+    landing set lies inside x's wedges.  That takes every y with
+    constant coefficients."""
+    return _circle_avatar(x, gmat, y, hmat, x.degree() + y.degree() - 1, 1,
+                          memo or _tables(x, gmat, y, hmat))
+
+
+def _circle_avatar(x, gmat, y, hmat, deg, sign, memo):
+    """chain_circle_avatar of the given exterior degree deg, times the
+    sign, +1 or -1, folded into the reversed-word pairing sign."""
     n, order = x.n, x.order
-    deg = x.degree() + y.degree() - 1
+    outer, inner = memo[3:]
+    if deg < 0 or not outer.reach & inner.support:
+        return Polyvector._new({}, n, order)
+    negate = rev_sign(deg) != sign
     comps = {}
-    if deg < 0:
-        return Polyvector.zero(n, order)
-    memo = memo or ({}, {}, {}, _Landing(x))
-    rs = rev_sign(deg)
     for idx in combinations(range(n), deg):
         span = set(idx)
         if any(map(span.issuperset, y.terms)):
             v = chain_circle_component(x, gmat, y, hmat, idx, memo)
-            if not v.is_zero():
-                comps[idx] = v * rs
-    return Polyvector(n, order, comps)
+            if v.terms:
+                comps[idx] = (Poly._new({e: -c for e, c in v.terms.items()}, n, order)
+                              if negate else v)
+    return Polyvector._new(comps, n, order)
 
 
 def chain_bracket_avatar(
@@ -525,25 +633,26 @@ def chain_bracket_cochain(x, y):
     group = x.group
     sign = -1 if ((x.degree - 1) * (y.degree - 1)) % 2 else 1
     out = {}
-    minors = {k: {} for k in {*x.terms, *y.terms}}
-    images = {k: {} for k in minors}
-    splits = {}
-    land_x = {a: _Landing(xg) for a, xg in x.terms.items()}
-    land_y = {b: _Landing(yh) for b, yh in y.terms.items()}
+    minors = {k: _Minors(group.matrices[k]) for k in {*x.terms, *y.terms}}
+    images = {k: _Images(group.matrices[k]) for k in minors}
+    splits = _Splits()
+    ops_x = {a: _Operand(xg) for a, xg in x.terms.items()}
+    ops_y = {b: _Operand(yh) for b, yh in y.terms.items()}
 
     def add(k, pv):
         if pv.is_zero():
             return
         out[k] = out[k] + pv if k in out else pv
 
+    deg = x.degree + y.degree - 1
     for a, xg in x.terms.items():
         for b, yh in y.terms.items():
             ga, gb = group.matrices[a], group.matrices[b]
-            add(group.mult_table[a][b], chain_circle_avatar(
-                xg, ga, yh, gb, (minors[b], images[a], splits, land_x[a])))
-            add(group.mult_table[b][a], chain_circle_avatar(
-                yh, gb, xg, ga, (minors[a], images[b], splits, land_y[b])) * (-sign))
-    return Cochain(group, x.degree + y.degree - 1, out)
+            add(group.mult_table[a][b], _circle_avatar(
+                xg, ga, yh, gb, deg, 1, (minors[b], images[a], splits, ops_x[a], ops_y[b])))
+            add(group.mult_table[b][a], _circle_avatar(
+                yh, gb, xg, ga, deg, -sign, (minors[a], images[b], splits, ops_y[b], ops_x[a])))
+    return Cochain(group, deg, out)
 
 
 def vector_field_commutator(x: Polyvector, y: Polyvector) -> Polyvector:

@@ -5,7 +5,7 @@ from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import mat
 from skewbrack.cli import load_group_file
@@ -269,25 +269,49 @@ def reference_phi(e: KoszulTensor2) -> KoszulElt:
 
 @st.composite
 def tensor_square_elements(draw):
-    """Elements of the tensor square on k^n, n <= 4, over Q, Q(zeta5) or
-    Q(zeta6): one to four terms with |S|, |Z| <= 2 (the blocks may share
-    an index), middle degree <= 3 and coefficients that are sums of
-    fractional multiples of powers of zeta."""
+    """Elements of the tensor square on k^n, n <= 4, over Q, Q(zeta4),
+    Q(zeta5) or Q(zeta6): up to four terms with |S|, |Z| <= 2 (the blocks
+    may share an index), middle degree <= 3 and coefficients that are
+    sums of fractional multiples of powers of zeta, and a family of terms
+    whose images under phi share their keys: one middle monomial and one
+    pair of outer legs, with S and Z splitting one wedge in every way
+    (the wedge o(Z, i, S) and the legs then agree), each with a
+    coefficient of its own denominator, so that phi adds terms of
+    different denominators into one output coefficient."""
     n = draw(st.integers(1, 4))
-    order = draw(st.sampled_from([1, 5, 6]))
+    order = draw(st.sampled_from([1, 4, 5, 6]))
     wedges = [w for k in range(min(n, 2) + 1) for w in combinations(range(n), k)]
     middles = [em for em in product(range(4), repeat=n) if sum(em) <= 3]
     outer = st.tuples(*[st.integers(0, 1)] * n)
     scalar = st.builds(lambda k, a, b: Cyc.zeta(order, k) * Fraction(a, b),
-                       st.integers(0, order - 1), st.integers(-3, 3), st.integers(1, 4))
+                       st.integers(0, order - 1), st.integers(-3, 3), st.integers(1, 7))
     terms = draw(st.dictionaries(
         st.tuples(st.sampled_from(wedges), st.sampled_from(wedges), outer,
                   st.sampled_from(middles), outer),
-        st.lists(scalar, min_size=1, max_size=2).map(sum), min_size=1, max_size=4))
+        st.lists(scalar, min_size=1, max_size=2).map(sum), max_size=4))
+    el, em, er = draw(st.tuples(outer, st.sampled_from(middles[1:]), outer))
+    block = draw(st.sampled_from(wedges))
+    for k in range(len(block) + 1):
+        for s_idx in combinations(block, k):
+            z_idx = tuple(v for v in block if v not in s_idx)
+            terms[(s_idx, z_idx, el, em, er)] = draw(scalar)
     return KoszulTensor2(n, order, terms)
 
 
+# Four terms that phi carries onto the one output key (o(x1, x2), 1, 1),
+# with weights -1/2 or 1/2, over denominators 6, 8, 96 and 2 in turn: the
+# second divides neither way into the first, the third is a multiple of
+# the sum so far, and the fourth divides it.
+WIDENING = KoszulTensor2(2, 4, {
+    ((0,), (), (0, 0), (0, 1), (0, 0)): Fraction(1, 3),
+    ((), (0,), (0, 0), (0, 1), (0, 0)): Cyc.zeta(4) * Fraction(1, 4),
+    ((1,), (), (0, 0), (1, 0), (0, 0)): Fraction(5, 48),
+    ((), (1,), (0, 0), (1, 0), (0, 0)): 1,
+})
+
+
 @given(tensor_square_elements())
+@example(WIDENING)
 @settings(max_examples=200, deadline=None)
 def test_phi_matches_the_fraction_weight_reference(e):
     assert phi(e) == reference_phi(e)
@@ -694,6 +718,82 @@ def test_pruned_contraction_matches_the_unpruned_reference(data):
         for idx in combinations(range(x.n), k):
             assert (chain_circle_component(x, gmat, y, hmat, idx)
                     == reference_component(x, gmat, y, hmat, idx)), idx
+
+
+@st.composite
+def skip_inputs(draw):
+    """(x, g, y, h, near) as oracle_inputs draws them, with x of exterior
+    degree 1-3 and y's monomials kept off every variable of x's wedges,
+    constants included, so that chain_circle_avatar skips the product;
+    when near is True, one monomial of y also has exactly one of those
+    variables, a near miss that the skip must not take."""
+    group = data_group(draw(st.sampled_from(["d4", "d5", "rot"])))
+    n, order = group.dim, group.scalar_order
+    a, b = (draw(st.integers(0, len(group) - 1)) for _ in range(2))
+    x = draw(cyclotomic_polyvector(n, order, draw(st.integers(1, min(n, 3)))))
+    reach = sorted(set().union(*x.terms))
+    wedges = list(combinations(range(n), draw(st.integers(0, min(n, 3)))))
+    coeffs = st.builds(lambda k, c: Cyc.zeta(order, k) * c,
+                       st.integers(0, order - 1), st.sampled_from([-2, -1, 1, 3]))
+
+    def off_reach():
+        return [0 if i in reach else draw(st.integers(0, 2)) for i in range(n)]
+
+    terms = {(tuple(off_reach()), draw(st.sampled_from(wedges))): draw(coeffs)
+             for _ in range(draw(st.integers(1, 3)))}
+    near = draw(st.booleans())
+    if near:
+        exps = off_reach()
+        exps[draw(st.sampled_from(reach))] = draw(st.integers(1, 2))
+        terms[(tuple(exps), draw(st.sampled_from(wedges)))] = draw(coeffs)
+    y = Polyvector.zero(n, order)
+    for (exps, wedge), c in terms.items():
+        y = y + Polyvector.term(c, exps, wedge, order)
+    return x, group.matrices[a], y, group.matrices[b], near
+
+
+@given(skip_inputs())
+@settings(max_examples=40, deadline=None)
+def test_skipped_products_match_the_unpruned_reference(data):
+    x, gmat, y, hmat, near = data
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = counted_components(monkeypatch)
+        got = chain_circle_avatar(x, gmat, y, hmat)
+    assert got == reference_avatar(x, gmat, y, hmat)
+    if not near:
+        assert calls == [] and got.is_zero()
+
+
+def counted_components(monkeypatch):
+    """The list of the idx of each chain_circle_component call that
+    koszul makes from now on."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[4])
+        return chain_circle_component(*args)
+
+    monkeypatch.setattr("skewbrack.koszul.chain_circle_component", counting)
+    return calls
+
+
+def test_the_skip_evaluates_no_component(monkeypatch):
+    # D4 on k^3: x = d1 ^ d2, and y = (x3 + 1) d3 has no monomial in x1 or
+    # x2, so x o y is zero with no component evaluated; the near miss
+    # y' = (x1 x3 + 1) d3 is evaluated, and is nonzero
+    group = data_group("d4")
+    order = group.scalar_order
+    gmat, hmat = group.matrices[1], group.matrices[2]
+    x = Polyvector.term(1, (0, 0, 0), (0, 1), order)
+    one_d3 = Polyvector.term(1, (0, 0, 0), (2,), order)
+    y = Polyvector.term(1, (0, 0, 1), (2,), order) + one_d3
+    near = Polyvector.term(1, (1, 0, 1), (2,), order) + one_d3
+    calls = counted_components(monkeypatch)
+    assert chain_circle_avatar(x, gmat, y, hmat).is_zero()
+    assert calls == []
+    got = chain_circle_avatar(x, gmat, near, hmat)
+    assert calls and not got.is_zero()
+    assert got == reference_avatar(x, gmat, near, hmat)
 
 
 def test_splits_through_is_triple_splits_with_that_middle_block():
