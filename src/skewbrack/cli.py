@@ -507,8 +507,7 @@ def _verify_examples(args):
 
 
 def cmd_verify(args):
-    # looked up when it runs, so that a replaced _verify_<suite> is seen
-    ok, report, lines = globals()[f"_verify_{args.suite}"](args)
+    ok, report, lines = args.run(args)
     report["pass"] = ok
     lines.append("verify: all checks pass" if ok
                  else "verify: FAILURES detected")
@@ -604,9 +603,10 @@ def build_parser():
     p_sch.add_argument("--seed", type=int, default=0, help="random seed")
     p_ex = suites.add_parser("examples", allow_abbrev=False,
                              help="the worked bracket examples")
-    for p_suite in (p_app, p_hom, p_sch, p_ex):
+    for p_suite, run in ((p_app, _verify_appendix), (p_hom, _verify_homotopy),
+                         (p_sch, _verify_schouten), (p_ex, _verify_examples)):
         p_suite.add_argument("--json", action="store_true")
-        p_suite.set_defaults(func=cmd_verify)
+        p_suite.set_defaults(func=cmd_verify, run=run)
     return parser
 
 

@@ -120,15 +120,15 @@ class KoszulTensor2(KoszulTerms):
     __slots__ = ()
 
     @staticmethod
-    def term(n, order, s_idx, z_idx, el, em, er, coeff=1):
+    def term(n, order, s_idx, z_idx, el, em, er):
         sgn1, key1 = sort_sign(s_idx)
         if sgn1 == 0:
             return KoszulTensor2.zero(n, order)
         sgn2, key2 = sort_sign(z_idx)
         if sgn2 == 0:
             return KoszulTensor2.zero(n, order)
-        c = Cyc.of(coeff, order) * (sgn1 * sgn2)
-        return KoszulTensor2(n, order, {(key1, key2, tuple(el), tuple(em), tuple(er)): c})
+        key = (key1, key2, tuple(el), tuple(em), tuple(er))
+        return KoszulTensor2(n, order, {key: Cyc.of(sgn1 * sgn2, order)})
 
 
 def _contractions(idx, left, right):
@@ -458,12 +458,12 @@ def chain_circle_component(x: Polyvector, gmat: Matrix, y: Polyvector,
 
 
 def chain_circle_avatar(
-    x: Polyvector, gmat: Matrix, y: Polyvector, hmat: Matrix, memo=None
+    x: Polyvector, gmat: Matrix, y: Polyvector, hmat: Matrix
 ) -> Polyvector:
     """Polyvector avatar of the chain-level circle product: evaluate on
     every basis wedge of the correct degree and re-express in the d_I
     basis (the reversed-word pairing sign enters once per component).
-    The components share `memo` (see chain_circle_component).
+    The components share one set of tables (see chain_circle_component).
 
     Two skips, each of components that are zero.  A wedge containing no
     wedge of y is skipped.  And when no monomial of y has a variable of
@@ -472,7 +472,7 @@ def chain_circle_avatar(
     landing set lies inside x's wedges.  That takes every y with
     constant coefficients."""
     return _circle_avatar(x, gmat, y, hmat, x.degree() + y.degree() - 1, 1,
-                          memo or _tables(x, gmat, y, hmat))
+                          _tables(x, gmat, y, hmat))
 
 
 def _circle_avatar(x, gmat, y, hmat, deg, sign, memo):

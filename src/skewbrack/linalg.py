@@ -2,13 +2,12 @@
 
 Matrices are dense, but every reduction to echelon form runs on sparse
 rows ({column: nonzero Cyc}) in one core, `_echelon`, and every product
-on one row kernel, `row_times`, which Matrix.__mul__, Matrix.apply and
-groups.enumerate_group call.  linalg builds its own results through
-Matrix._of, which coerces no entry; the public constructor coerces each
-one.  The reduced form of a row space is unique and nothing depends on
-hash order, so identical inputs give identical outputs.  `det` is a
-separate dense Gaussian elimination for the chain-level oracle's minors
-(`polyvec.minor_det`) and tests.
+on one row kernel, `row_times`, which Matrix.apply and groups.enumerate_group
+call.  linalg builds its own results through Matrix._of, which coerces no
+entry; the public constructor coerces each one.  The reduced form of a row
+space is unique and nothing depends on hash order, so identical inputs give
+identical outputs.  `det` is a separate dense Gaussian elimination for the
+chain-level oracle's minors (`polyvec.minor_det`) and tests.
 """
 
 from __future__ import annotations
@@ -55,19 +54,6 @@ class Matrix(Frozen):
 
     def __hash__(self):
         return hash((self.order, self.rows))
-
-    def __mul__(self, other):
-        """The product, row by row through row_times."""
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("matrix shape mismatch")
-        order = self.order
-        if other.order != order:
-            raise ValueError("cyclotomic order mismatch")
-        right = _sparse(other.rows)
-        return Matrix._of(order, [row_times(order, r, right, other.ncols)
-                                  for r in self.rows])
 
     def __sub__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):

@@ -332,30 +332,6 @@ class Cyc(Frozen):
                 c = conj if c is None else c * conj
         return c * (self * c).inverse()
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = Cyc.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if other.__class__ is Cyc:
             return (self.num == other.num and self.den == other.den

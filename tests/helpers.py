@@ -29,6 +29,20 @@ def mat(order, rows):
     return Matrix(order, [[Cyc.of(v, order) for v in r] for r in rows])
 
 
+def matmul(first, *rest):
+    """The product of the matrices, left to right: each entry a sum of Cyc
+    products, with nothing from linalg but the Matrix constructor, so it
+    shares no code with the row kernel linalg.row_times."""
+    out = first
+    for b in rest:
+        if out.ncols != b.nrows:
+            raise ValueError("matrix shape mismatch")
+        zero = Cyc.zero(out.order)
+        out = Matrix(out.order, [[sum((x * b.rows[k][j] for k, x in enumerate(r) if x), zero)
+                                  for j in range(b.ncols)] for r in out.rows])
+    return out
+
+
 def field_degree(order):
     """The degree of Q(zeta_order) over Q, the length of a Cyc's num."""
     return len(cyclotomic_polynomial(order)) - 1
@@ -64,7 +78,7 @@ def conjugate_group(group, u, u_inv):
     """The group generated by u^-1 s u for the generators s of group, in
     the same order and with the same names, so its words and tables are
     those of group: element i of it is u^-1 (matrices[i]) u."""
-    return enumerate_group([u_inv * group.matrices[i] * u for i in group.generator_indices],
+    return enumerate_group([matmul(u_inv, group.matrices[i], u) for i in group.generator_indices],
                            names=group.names)
 
 
@@ -79,7 +93,7 @@ def enumerate_by_whole_products(generators, bound=MAX_GROUP_ORDER, names=None):
     """The reference for groups.enumerate_group on valid generators: the
     same breadth-first search, but each element is keyed by its whole
     matrix, and every element is multiplied by every generator as a
-    whole matrix product."""
+    whole matrix product, by matmul."""
     names = tuple(names or (f"g{j + 1}" for j in range(len(generators))))
     identity = Matrix.identity(generators[0].nrows, generators[0].order)
     matrices, words, index_of = [identity], ["e"], {identity: 0}
@@ -91,7 +105,7 @@ def enumerate_by_whole_products(generators, bound=MAX_GROUP_ORDER, names=None):
         for i in frontier:
             row = []
             for j, gen in enumerate(generators):
-                m = matrices[i] * gen
+                m = matmul(matrices[i], gen)
                 k = index_of.get(m)
                 if k is None:
                     if len(matrices) >= bound:

@@ -15,6 +15,7 @@ from helpers import (
     conjugate_group,
     example_group,
     mat,
+    matmul,
     minimal_pair_k5,
     move_cochain,
     single,
@@ -393,7 +394,7 @@ def coordinate_changes(draw):
             else:
                 rows[i][i] = rows[j][j] = 0
                 rows[i][j] = rows[j][i] = 1
-        u = u * mat(order, rows)
+        u = matmul(u, mat(order, rows))
     return group, u, mat_inverse(u)
 
 

@@ -194,6 +194,19 @@ def test_a_literal_of_non_ascii_digits_is_refused_with_its_generator(tmp_path, c
         2, "", f"error: {bad}: generator 1: unexpected character '\u0661' at position 1\n")
 
 
+@pytest.mark.parametrize("order, generator", [
+    (1, [["1", "1"], ["1", "1"]]),
+    # determinant -1 - z^2 = 0 over Q(zeta4)
+    (4, [["1", "z"], ["z", "-1"]]),
+])
+def test_a_singular_generator_is_refused(tmp_path, capsys, order, generator):
+    bad = tmp_path / "singular.json"
+    bad.write_text(json.dumps({"dimension": 2, "cyclotomicOrder": order,
+                               "generators": [generator]}))
+    assert run(capsys, "group", str(bad)) == (
+        2, "", f"error: {bad}: generators: generators must be invertible\n")
+
+
 def test_group_generator_names(tmp_path, capsys):
     named = tmp_path / "named.json"
     named.write_text(json.dumps({
@@ -1052,10 +1065,12 @@ def test_verify_refuses_the_options_of_other_suites(capsys, suite, flag, value):
 
 @pytest.mark.parametrize("suite", ["appendix", "homotopy", "schouten"])
 def test_verify_runs_every_option_at_its_maximum(capsys, monkeypatch, suite):
-    # the suite itself is stubbed: at the maximums it would run for seconds
+    # the suite itself is stubbed: at the maximums it would run for seconds;
+    # each suite is bound to its subparser, so the parser is built again
     seen = []
     monkeypatch.setattr(cli, f"_verify_{suite}",
                         lambda args: seen.append(args) or (True, {}, []))
+    monkeypatch.setattr(cli, "PARSER", build_parser())
     argv = [t for flag, limit in VERIFY_CAPS[suite].items() for t in (f"--{flag}", str(limit))]
     code, _, err = run(capsys, "verify", suite, *argv)
     assert code == 0 and err == ""

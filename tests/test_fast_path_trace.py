@@ -113,8 +113,8 @@ def test_schouten_is_one_integer_circle_product():
     for order in (5, 6):
         z = Cyc.zeta(order)
         x = (Polyvector.term(z * Fraction(1, 2), (1, 1, 0), (0, 1), order)
-             + Polyvector.term(z ** 2 - 1, (0, 2, 1), (1, 2), order))
-        y = (Polyvector.term(z ** 3 * Fraction(2, 3), (2, 0, 1), (2,), order)
+             + Polyvector.term(Cyc.zeta(order, 2) - 1, (0, 2, 1), (1, 2), order))
+        y = (Polyvector.term(Cyc.zeta(order, 3) * Fraction(2, 3), (2, 0, 1), (2,), order)
              + Polyvector.term(Fraction(-1, 2), (0, 1, 0), (0,), order))
         pairs.append((x, y))
     want = [chain_bracket_avatar(x, Matrix.identity(3, x.order),
@@ -138,8 +138,9 @@ def test_wedge_multiplies_no_scalars():
     pairs, want = [], []
     for order in (5, 6):
         z = Cyc.zeta(order)
-        (a, ea), (b, eb) = (z * Fraction(1, 2), (1, 1, 0)), (z ** 2 - 1, (0, 2, 1))
-        (c, ec), (e, ee) = (z ** 3 * Fraction(2, 3), (2, 0, 1)), (Fraction(-1, 3), (0, 1, 0))
+        z2, z3 = Cyc.zeta(order, 2), Cyc.zeta(order, 3)
+        (a, ea), (b, eb) = (z * Fraction(1, 2), (1, 1, 0)), (z2 - 1, (0, 2, 1))
+        (c, ec), (e, ee) = (z3 * Fraction(2, 3), (2, 0, 1)), (Fraction(-1, 3), (0, 1, 0))
         x = Polyvector.term(a, ea, (0,), order) + Polyvector.term(b, eb, (1,), order)
         y = Polyvector.term(c, ec, (2,), order) + Polyvector.term(e, ee, (0, 2), order)
         pairs.append((x, y))
@@ -174,7 +175,7 @@ def test_single_row_minors_are_the_row_itself():
     # the 1x1 minors are the entries, read off the row with no product
     # by the empty minor 1
     z = Cyc.zeta(5)
-    m = Matrix(5, [[z, 0, Fraction(-2, 3)], [1, z ** 3 - 1, 0], [0, 0, -z]])
+    m = Matrix(5, [[z, 0, Fraction(-2, 3)], [1, Cyc.zeta(5, 3) - 1, 0], [0, 0, -z]])
     tracer = load_tracer().Tracer()
     with tracer:
         got = [polyvec.minor_row(m, (i,)) for i in range(3)]

@@ -4,7 +4,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import alternating_unipotent, conjugate_group, enumerate_by_whole_products, mat
+from helpers import (
+    alternating_unipotent,
+    conjugate_group,
+    enumerate_by_whole_products,
+    mat,
+    matmul,
+)
 from skewbrack import groups
 from skewbrack.cli import load_group_file
 from skewbrack.cochain import volume_form
@@ -140,6 +146,28 @@ def test_geometry_refuses_an_index_out_of_range():
             geometry(g, index)
 
 
+# [[1, z], [z, -1]] over Q(zeta4) has determinant -1 - z^2 = 0
+REFUSED_GENERATORS = {
+    "singular-q": ([mat(1, [[1, 1], [1, 1]])], "generators must be invertible"),
+    "singular-zeta4": ([mat(4, [[1, Cyc.zeta(4)], [Cyc.zeta(4), -1]])],
+                       "generators must be invertible"),
+    "two-fields": ([Matrix.identity(2, 4), Matrix.identity(2, 6)],
+                   "generators must share one dimension and scalar order"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED_GENERATORS)
+def test_bad_generators_are_refused_before_any_row_product(monkeypatch, name):
+    # row_times trusts its caller with the order and the shapes; the
+    # enumeration, its one caller on matrices read from input, checks them
+    generators, message = REFUSED_GENERATORS[name]
+    calls = []
+    monkeypatch.setattr(groups, "row_times", lambda *args: calls.append(args))
+    with pytest.raises(ValueError) as info:
+        enumerate_group(generators)
+    assert str(info.value) == message and calls == []
+
+
 def test_enumerate_bound():
     with pytest.raises(RuntimeError):
         enumerate_group([mat(1, [[1, 1], [0, 1]])], bound=50)
@@ -149,7 +177,7 @@ def test_mult_table_and_words():
     g = klein_four()
     for i in range(4):
         for j in range(4):
-            assert g.matrices[g.mult_table[i][j]] == g.matrices[i] * g.matrices[j]
+            assert g.matrices[g.mult_table[i][j]] == matmul(g.matrices[i], g.matrices[j])
     assert resolve_word(g, "e") == 0
     assert resolve_word(g, "g1*g2") == 3
     assert resolve_word(g, "g2*g1") == 3
@@ -166,19 +194,20 @@ def brute_force_tables(g):
     mats = [g.matrices[i] for i in range(len(g))]
     index = {m: i for i, m in enumerate(mats)}
     ident = Matrix.identity(g.dim, g.scalar_order)
-    table = [[index[a * b] for b in mats] for a in mats]
-    inverses = [next(j for j, b in enumerate(mats) if a * b == ident) for a in mats]
+    table = [[index[matmul(a, b)] for b in mats] for a in mats]
+    inverses = [next(j for j, b in enumerate(mats) if matmul(a, b) == ident) for a in mats]
     classes = []
     centralizers = []
     conjugators = {}
     for i, a in enumerate(mats):
         if any(i in cls for cls in classes):
             continue
-        classes.append(tuple(sorted({index[h * a * mats[inverses[k]]]
+        classes.append(tuple(sorted({index[matmul(h, a, mats[inverses[k]])]
                                      for k, h in enumerate(mats)})))
-        centralizers.append(tuple(k for k, h in enumerate(mats) if h * a == a * h))
+        centralizers.append(tuple(k for k, h in enumerate(mats)
+                                  if matmul(h, a) == matmul(a, h)))
         for k, h in enumerate(mats):
-            conjugators.setdefault(index[mats[inverses[k]] * a * h], k)
+            conjugators.setdefault(index[matmul(mats[inverses[k]], a, h)], k)
     return table, inverses, classes, centralizers, tuple(conjugators[k] for k in range(len(g)))
 
 
@@ -242,7 +271,7 @@ def dense_conjugate(n):
     """U^-1 s U for the generators s of symmetric_generators(n), U
     unipotent with (-1)^(i+j) above the diagonal: a dense action of S_n."""
     u, u_inv = alternating_unipotent(n, 1)
-    return [u_inv * s * u for s in symmetric_generators(n)]
+    return [matmul(u_inv, s, u) for s in symmetric_generators(n)]
 
 
 DENSE = {"s4-dense": 4, "s5-dense": 5}
@@ -342,7 +371,7 @@ def test_geometry_splits_v_into_fixed_vectors_and_the_echelonized_image(name):
         fixed, moved = bases(group, g)
         assert all(a.apply(v) == v for v in fixed), (name, g)
         assert moved == image_basis(ident - a), (name, g)
-        assert geo.dual_change * geo.adapted == ident, (name, g)
+        assert matmul(geo.dual_change, geo.adapted) == ident, (name, g)
         assert geo.codim == rank(ident - a), (name, g)
 
 

@@ -33,13 +33,19 @@ def test_cyclotomic_polynomials_small_orders():
 
 
 def test_zeta_relations():
-    # z^N = 1 and the minimal polynomial kills Phi_N(z).
+    # Cyc.zeta(N, k) is the product of k factors z, z^N = 1, and the
+    # minimal polynomial kills Phi_N(z).
     for order in (1, 2, 3, 4, 6, 5, 8, 12):
         z = Cyc.zeta(order)
-        assert z ** order == Cyc.one(order)
+        powers = [Cyc.one(order)]
+        for _ in range(order):
+            powers.append(powers[-1] * z)
+        assert powers == [Cyc.zeta(order, k) for k in range(order + 1)]
+        assert powers[order] == Cyc.one(order)
+        assert Cyc.zeta(order, -1) * z == Cyc.one(order)
         acc = Cyc.zero(order)
         for k, c in enumerate(cyclotomic_polynomial(order)):
-            acc = acc + Cyc.of(c, order) * z ** k
+            acc = acc + Cyc.of(c, order) * powers[k]
         assert acc.is_zero()
 
 
@@ -96,7 +102,7 @@ def test_operators_refuse_inexact_values(value):
     with pytest.raises(TypeError):
         Cyc.one(5) + value
     with pytest.raises(TypeError):
-        Cyc.one(5) / value
+        value - Cyc.one(5)
 
 
 def test_exact_values_coerce_alike():
@@ -142,8 +148,9 @@ def test_inverse_round_trip(data):
     a = _random_scalar(data.draw, order)
     if a.is_zero():
         return
-    assert a * a.inverse() == Cyc.one(order)
-    assert (Cyc.one(order) / a) * a == Cyc.one(order)
+    inv = a.inverse()
+    assert a * inv == Cyc.one(order) and inv * a == Cyc.one(order)
+    assert inv.inverse() == a
 
 
 @given(st.data())
@@ -159,7 +166,7 @@ def test_parse_forms():
     assert parse_scalar("z", 4) == Cyc.zeta(4)
     assert parse_scalar("z^2", 4) == -1
     assert parse_scalar("2*z", 4) == Cyc.zeta(4) * 2
-    assert parse_scalar("1/2*z^3", 4) == Cyc.zeta(4, 3) / 2
+    assert parse_scalar("1/2*z^3", 4) == Cyc.zeta(4, 3) * Fraction(1, 2)
     assert parse_scalar("-z + 1", 4) == Cyc.one(4) - Cyc.zeta(4)
     assert parse_scalar(" 1/2 - z ", 4) == Cyc.of(Fraction(1, 2), 4) - Cyc.zeta(4)
     assert parse_scalar("z^5", 4) == Cyc.zeta(4)
@@ -189,15 +196,10 @@ def test_as_fraction_refuses_an_irrational_scalar():
         Cyc.zeta(4).as_fraction()
 
 
-def test_a_plain_number_divided_by_a_scalar():
-    assert 2 / Cyc.zeta(5) == Cyc.of(2, 5) * Cyc.zeta(5).inverse()
-    assert Fraction(1, 2) / Cyc.of(3, 5) == Cyc.of(Fraction(1, 6), 5)
-
-
 def test_print_canonical_forms():
     assert print_scalar(Cyc.zero(4)) == "0"
     assert print_scalar(Cyc.of(Fraction(-3, 2), 4)) == "-3/2"
-    a = Cyc.of(Fraction(1, 2), 6) - Cyc.zeta(6) + 3 * Cyc.zeta(6) ** 2
+    a = Cyc.of(Fraction(1, 2), 6) - Cyc.zeta(6) + 3 * Cyc.zeta(6, 2)
     # order 6 has degree 2, so z^2 folds into the basis: z^2 = z - 1
     assert print_scalar(a) == "-5/2 + 2*z"
 
@@ -297,9 +299,11 @@ def test_equal_values_have_equal_fields(data):
     d = field_degree(order)
     a = Cyc(order, _fractions(data.draw, d))
     b = Cyc(order, _fractions(data.draw, d))
-    routes = [a, a + b - b, a * 1, a / 1]
+    routes = [a, a + b - b, a * 1]
+    if a:
+        routes.append(a.inverse().inverse())
     if b:
-        routes.append((a * b) / b)
+        routes.append((a * b) * b.inverse())
     for c in routes:
         assert (c.num, c.den, hash(c)) == (a.num, a.den, hash(a))
     q = Fraction(data.draw(st.integers(-50, 50)), data.draw(st.integers(1, 20)))
@@ -351,7 +355,7 @@ def test_a_unit_factor_returns_the_other_operand_or_its_negation(data):
 
 
 def test_canonical_form_of_equal_rationals():
-    halves = [Cyc(4, [Fraction(2, 4), 0]), Cyc.of(Fraction(1, 2), 4), Cyc.one(4) / 2]
+    halves = [Cyc(4, [Fraction(2, 4), 0]), Cyc.of(Fraction(1, 2), 4), Cyc.of(2, 4).inverse()]
     for c in halves:
         assert (c.num, c.den, hash(c)) == ((1, 0), 2, hash(Fraction(1, 2)))
     zero = Cyc(6, [Fraction(0, 5), Fraction(0, 7)])
@@ -377,7 +381,7 @@ def test_ring_operations_build_no_fraction():
     try:
         for a, b, q in values:
             a + b, a - b, -a, a * b, a * 2, 3 - b, q.inverse(), a * q.inverse()
-            a.inverse(), a / b
+            a.inverse(), a * b.inverse()
     finally:
         Fraction.__new__ = original
     assert made == []
