@@ -190,8 +190,10 @@ def _sparse_rows(pvs, keys):
 def centralizer_reynolds(group, pv, cent):
     """Average a single-component polyvector over a centralizer cent, one
     of group.centralizers; the average stays at the same element.  It is
-    one act call over the pairs of cent, which returns their mean."""
-    return act(pv, [group.action(h) for h in cent])
+    one act call over the pairs of cent, read off group.actions, which
+    returns their mean."""
+    actions = group.actions
+    return act(pv, [actions[h] for h in cent])
 
 
 def spread_invariant(group, cls, pv):

@@ -32,26 +32,33 @@ class Group(Frozen):
     in cls.  Readers index these tables directly.  enumerate_group keys
     elements by the rows of their matrices, so the identity is the only
     element acting trivially on V, and makes each table a tuple, so none
-    can change under its readers.  The geometry of each element is
-    computed on first use and kept in _geometries, the one cache list.
+    can change under its readers.  __init__ builds one more table from
+    these: actions[i] is the (h, h_inv) matrix pair of element i,
+    (matrices[i], matrices[inverses[i]]), as polyvec.act takes it, made
+    once per group, so every action on the group reads the same pair and
+    the caches on its matrices.  The geometry of each element is computed
+    on first use and kept in _geometries, the one cache list.
     """
 
     __slots__ = ("dim", "scalar_order", "names", "generator_indices", "matrices",
                  "words", "mult_table", "inverses", "conj_classes", "centralizers",
-                 "centralizer_gens", "conjugators", "_geometries")
+                 "centralizer_gens", "conjugators", "actions", "_geometries")
 
     def __init__(self, **tables):
-        names = Group.__slots__[:-1]
+        names = Group.__slots__[:-2]
         if tables.keys() != set(names):
             raise ValueError(f"a Group takes exactly the tables {names}")
-        self._init(*map(tables.get, names), [None] * len(tables["matrices"]))
+        matrices, inverses = tables["matrices"], tables["inverses"]
+        actions = tuple([(h, matrices[j]) for h, j in zip(matrices, inverses)])
+        self._init(*map(tables.get, names), actions, [None] * len(matrices))
 
     def __len__(self):
         return len(self.matrices)
 
     def action(self, i):
-        """The (h, h_inv) matrix pair of element i, as polyvec.act takes it."""
-        return self.matrices[i], self.matrices[self.inverses[i]]
+        """The (h, h_inv) matrix pair of element i, actions[i], for the
+        callers that act with one element."""
+        return self.actions[i]
 
 
 def enumerate_group(generators, bound=MAX_GROUP_ORDER, names=None):

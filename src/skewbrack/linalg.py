@@ -19,11 +19,14 @@ class Matrix(Frozen):
     """Immutable dense matrix with Cyc entries (all of one order).
 
     minors and images are the caches of polyvec.act, empty from either
-    constructor: polyvec.minor_row keeps the rows of the exterior powers
-    of the matrix in minors, and polyvec.monomial_image the images of
-    monomials under it in images.  The entries cannot go stale, since the
-    matrix is immutable, and they are freed with it; equality and
-    hashing ignore them."""
+    constructor, and hold plain ints only, in the form act's loops read:
+    polyvec.minor_row keeps the rows of the exterior powers of the matrix
+    in minors, each minor as (cols, denominator, (place, numerator) pairs
+    of its nonzero power-basis coordinates), and polyvec.monomial_image
+    the images of monomials under it in images, each term as (exponents,
+    denominator, numerators).  No Cyc copy is kept beside them.  The
+    entries cannot go stale, since the matrix is immutable, and they are
+    freed with it; equality and hashing ignore them."""
 
     __slots__ = ("order", "nrows", "ncols", "rows", "minors", "images")
 
@@ -64,9 +67,15 @@ class Matrix(Frozen):
         )
 
     def apply(self, vec):
-        """Matrix times column vector of Cycs: vec times the transpose."""
+        """Matrix times column vector of Cycs: vec times the transpose.
+        A vector of another length, or with a scalar of another order,
+        raises ValueError."""
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match the matrix")
+        for a in vec:
+            if a.order != self.order:
+                raise ValueError(f"vector scalar of order {a.order} "
+                                 f"on a matrix of order {self.order}")
         return row_times(self.order, vec, _sparse(zip(*self.rows)), self.nrows)
 
     def __repr__(self):

@@ -7,12 +7,14 @@ These are the reduced representatives of Hochschild cohomology
 components.  The Schouten bracket of polyvector fields, which the
 Gerstenhaber bracket projects term by term, its graded-law check
 schouten_graded_laws, and the group action on polyvectors live here.
-Four products sum in plain ints and build one Cyc per output
-coefficient, through one accumulator: act adds products into it
+The products here sum in plain ints and reduce each output
+coefficient once, through one accumulator: act adds products into it
 directly, with the minors and monomial images it needs cached on the
-matrices (Matrix.minors, Matrix.images); monomial_image builds each
-image as the kept image of a lower monomial times a column of the
-matrix; schouten is circle_product
+matrices (Matrix.minors, Matrix.images) in integer form, the one form
+each cache keeps; minor_row expands each row of minors along its first
+row, and monomial_image builds each image as the kept image of a lower
+monomial times a column of the matrix, both summing in plain ints;
+schouten is circle_product
 itself, which adds both circle products of the graded commutator, pair
 of components by pair, so it is bilinear also on input of mixed
 exterior degree; and Polyvector.wedge adds the products of
@@ -339,14 +341,16 @@ def _term_str(c: Cyc, exps, idx):
     return f"({cs})*" + "*".join(factors)
 
 
-def monomial_image(m: Matrix, exps) -> Poly:
+def monomial_image(m: Matrix, exps):
     """The image of the monomial x^exps under x_i -> sum_k m[k][i] x_k,
-    kept in m.images.  It is the image of x^(exps - e_i) times that of x_i, for
-    the last variable x_i of the monomial; the chain down to a kept image
-    is walked in a loop, not by recursion.  Each product is summed in
-    plain ints, as in act: a term c x^e of the kept image times an entry
-    v = m[k][i] of column i adds the convolution of c and v, over the
-    product of their denominators, to the accumulator of x^(e + e_k)."""
+    kept in m.images in the form act reads: a tuple of terms (exponents,
+    denominator, numerators), each coefficient in lowest terms.  It is
+    the image of x^(exps - e_i) times that of x_i, for the last variable
+    x_i of the monomial; the chain down to a kept image is walked in a
+    loop, not by recursion.  Each product is summed in plain ints: a term
+    c x^e of the kept image times an entry v = m[k][i] of column i adds
+    the convolution of c and v, over the product of their denominators,
+    to the accumulator of x^(e + e_k)."""
     images = m.images
     got = images.get(exps)
     if got is not None:
@@ -356,20 +360,20 @@ def monomial_image(m: Matrix, exps) -> Poly:
         i = max(j for j, e in enumerate(exps) if e)
         chain.append((exps, i))
         exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-    n, order = m.nrows, m.order
+    order = m.order
     got = images.get(exps)
-    if got is None:  # the empty monomial
-        got = images[exps] = Poly.monomial((0,) * n, 1, order)
+    if got is None:  # the empty monomial, whose image is 1
+        got = images[exps] = ((exps, 1, _powers(order)[0]),)
     size = 2 * len(_powers(order)[0]) - 1
     for exps, i in reversed(chain):  # times the image of x_i, column i of m
         column = [(k, row[i]) for k, row in enumerate(m.rows) if row[i]]
         out = {}  # exponents -> [denominator, unreduced numerators...]
-        for e, c in got.terms.items():
+        for e, c_den, c_num in got:
             # c as (place in acc, int) pairs
-            cf = [(p, a) for p, a in enumerate(c.num, 1) if a]
+            cf = [(p, a) for p, a in enumerate(c_num, 1) if a]
             for k, v in column:
                 key = e[:k] + (e[k] + 1,) + e[k + 1:]
-                den = c.den * v.den
+                den = c_den * v.den
                 acc = out.get(key)
                 if acc is None:
                     acc = out[key] = [den] + [0] * size
@@ -378,40 +382,57 @@ def monomial_image(m: Matrix, exps) -> Poly:
                     a *= up
                     for q, b in enumerate(v.num, p):
                         acc[q] += a * b
-        got = images[exps] = Poly._new(_reduce(order, out), n, order)
+        got = images[exps] = tuple((e, c.den, c.num) for e, c in _reduce(order, out).items())
     return got
 
 
 def minor_row(m: Matrix, rows):
-    """The nonzero minors of m on the given rows, as (cols, det) pairs
-    with cols increasing: one row of the exterior power of m, kept in
-    m.minors.
+    """The nonzero minors of m on the given rows, with their columns
+    increasing: one row of the exterior power of m, kept in m.minors in
+    the form act reads, each minor as (cols, denominator, pairs), pairs
+    the (place, numerator) pairs of its nonzero power-basis coordinates
+    and the minor in lowest terms.
     A single row's minors are its nonzero entries; a longer one expands
     along rows[0], over its nonzero entries, against the kept row of
-    rows[1:]."""
+    rows[1:], each product summed in plain ints as in monomial_image."""
     minors = m.minors
     got = minors.get(rows)
     if got is not None:
         return got
     if not rows:
-        got = minors[rows] = (((), Cyc.one(m.order)),)
+        got = minors[rows] = (((), 1, ((0, 1),)),)
         return got
     if len(rows) == 1:  # the 1x1 minors are the row's own nonzero entries
-        got = minors[rows] = tuple(((j,), a) for j, a in enumerate(m.rows[rows[0]]) if a)
+        got = minors[rows] = tuple(((j,), a.den, tuple((p, b) for p, b in enumerate(a.num) if b))
+                                   for j, a in enumerate(m.rows[rows[0]]) if a)
         return got
-    acc = {}
+    order = m.order
+    size = 2 * len(_powers(order)[0]) - 1
     rest = minor_row(m, rows[1:])
+    out = {}  # cols -> [denominator, unreduced numerators...]
     for j, a in enumerate(m.rows[rows[0]]):
         if not a:
             continue
-        for cols, d in rest:
+        # a as (place in acc, int) pairs
+        af = [(p, x) for p, x in enumerate(a.num, 1) if x]
+        for cols, d_den, df in rest:
             pos = bisect_left(cols, j)
             if pos < len(cols) and cols[pos] == j:
                 continue
-            v = a * d if pos % 2 == 0 else -(a * d)
             key = cols[:pos] + (j,) + cols[pos:]
-            acc[key] = acc[key] + v if key in acc else v
-    got = minors[rows] = tuple((cols, acc[cols]) for cols in sorted(acc) if acc[cols])
+            den = a.den * d_den
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = [den] + [0] * size
+            up = 1 if den == acc[0] else _widen(acc, den)
+            if pos % 2:
+                up = -up
+            for p, x in af:
+                x *= up
+                for q, y in df:
+                    acc[p + q] += x * y
+    got = minors[rows] = tuple((cols, c.den, tuple((p, b) for p, b in enumerate(c.num) if b))
+                               for cols, c in sorted(_reduce(order, out).items()))
     return got
 
 
@@ -419,41 +440,67 @@ def act(x: Polyvector, pairs) -> Polyvector:
     """Mean of the right actions on x of the group elements given as
     (h, h_inv) matrix pairs: polynomial factors go through the inverse
     substitution, dual-basis wedge factors through minors of h, both
-    cached on the matrices.  One action is a one-pair list; the average
-    over a centralizer is the list of its pairs.
+    cached on the matrices in integer form.  One action is a one-pair
+    list; the average over a centralizer is the list of its pairs.  A
+    pair whose matrices are not n x n over x's order raises ValueError.
 
     Each output coefficient is summed in plain ints, as an unreduced
     power-basis vector over one denominator: the products c * v * m of
     x's coefficient, the monomial image's entry and the minor are added
     in, and a product whose denominator does not divide the running one
-    widens it to their lcm.  The vector is reduced modulo Phi_N and
-    becomes a Cyc once, with the mean's 1/len(pairs) folded into its
-    denominator."""
+    widens it to their lcm.  x's coefficients are turned into integer
+    pairs once per call, and each c * m once per pair, by plain loops.
+    The vector is reduced modulo Phi_N and becomes a Cyc once, with the
+    mean's 1/len(pairs) folded into its denominator."""
     n, order = x.n, x.order
     size = 3 * len(_powers(order)[0]) - 2
+    # each component of x as (wedge, its terms), a term as (exponents,
+    # denominator, (place in acc, int) pairs)
+    comps = []
+    for idx, p in x.terms.items():
+        terms = []
+        for e, c in p.terms.items():
+            cf = []
+            for i, a in enumerate(c.num, 1):
+                if a:
+                    cf.append((i, a))
+            terms.append((e, c.den, cf))
+        comps.append((idx, terms))
     out = {}  # cols -> exponents -> [denominator, unreduced numerators...]
     for h, h_inv in pairs:
-        for idx, p in x.terms.items():
-            minors = minor_row(h, idx)
-            for exps, c in p.terms.items():
-                image = monomial_image(h_inv, exps).terms.items()
-                for cols, m in minors:
+        if not (h.order == h_inv.order == order
+                and h.nrows == h.ncols == h_inv.nrows == h_inv.ncols == n):
+            raise ValueError(f"an action on k^{n} over Q(zeta_{order}) takes "
+                             f"{n} x {n} matrices of order {order}")
+        # the caches read directly, their fill functions called on a miss
+        kept_minors, kept_images = h.minors, h_inv.images
+        for idx, terms in comps:
+            minors = kept_minors.get(idx)
+            if minors is None:
+                minors = minor_row(h, idx)
+            for exps, c_den, cf in terms:
+                image = kept_images.get(exps)
+                if image is None:
+                    image = monomial_image(h_inv, exps)
+                for cols, m_den, mf in minors:
                     # c * m as (place in acc, int) pairs, repeats allowed
-                    cm = [(i + j, a * b) for i, a in enumerate(c.num, 1) if a
-                          for j, b in enumerate(m.num) if b]
-                    cm_den = c.den * m.den
+                    cm = []
+                    for i, a in cf:
+                        for j, b in mf:
+                            cm.append((i + j, a * b))
+                    cm_den = c_den * m_den
                     target = out.get(cols)
                     if target is None:
                         target = out[cols] = {}
-                    for e, v in image:
-                        den = cm_den * v.den
+                    for e, v_den, v_num in image:
+                        den = cm_den * v_den
                         acc = target.get(e)
                         if acc is None:
                             acc = target[e] = [den] + [0] * size
                         up = 1 if den == acc[0] else _widen(acc, den)
                         for i, a in cm:
                             a *= up
-                            for j, b in enumerate(v.num, i):
+                            for j, b in enumerate(v_num, i):
                                 acc[j] += a * b
     return _build(out, n, order, len(pairs))
 

@@ -173,13 +173,15 @@ def test_echelon_rescales_no_row_whose_pivot_is_one():
 
 def test_single_row_minors_are_the_row_itself():
     # the 1x1 minors are the entries, read off the row with no product
-    # by the empty minor 1
+    # by the empty minor 1, each kept as (cols, denominator, nonzero
+    # (place, numerator) pairs)
     z = Cyc.zeta(5)
     m = Matrix(5, [[z, 0, Fraction(-2, 3)], [1, Cyc.zeta(5, 3) - 1, 0], [0, 0, -z]])
     tracer = load_tracer().Tracer()
     with tracer:
         got = [polyvec.minor_row(m, (i,)) for i in range(3)]
-    assert got == [tuple(((j,), a) for j, a in enumerate(r) if a) for r in m.rows]
+    assert got == [tuple(((j,), a.den, tuple((p, b) for p, b in enumerate(a.num) if b))
+                         for j, a in enumerate(r) if a) for r in m.rows]
     assert tracer.counts()["scalars.mul.calls"] == 0
 
 

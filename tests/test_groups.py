@@ -304,6 +304,19 @@ def test_interned_rows_give_the_tables_of_whole_matrix_products(name):
             assert getattr(got, table) == getattr(want, table), (name, names, table)
 
 
+@pytest.mark.parametrize("name", [*fixture_groups(), *GROUP_FILES])
+def test_action_pairs_are_built_once_from_the_tables(name):
+    # every fixture group, example group file and benchmark group
+    group = (fixture_groups()[name] if name not in GROUP_FILES
+             else load_group_file(str(GROUP_FILES[name]))[0])
+    mats, inverses = group.matrices, group.inverses
+    assert group.actions == tuple((mats[i], mats[inverses[i]]) for i in range(len(group)))
+    for i, (h, h_inv) in enumerate(group.actions):
+        # the group's own matrices, so actions read the caches on them
+        assert h is mats[i] and h_inv is mats[inverses[i]], (name, i)
+        assert group.action(i) is group.actions[i], (name, i)
+
+
 def count_row_products(monkeypatch, generators):
     """The group of generators and the number of row_times calls that
     enumerating it makes."""

@@ -14,7 +14,6 @@ from skewbrack.polyvec import (
     Poly,
     Polyvector,
     minor_det,
-    monomial_image,
     rev_sign,
     schouten,
     sort_sign,
@@ -447,7 +446,7 @@ def twisted_circle_product(x, y, gmat):
                             factorial(t),
                         )
                         rest = tuple(b - l for b, l in zip(beta, L))
-                        right = monomial_image(gmat, rest)
+                        right = subst_matrix(Poly.monomial(rest, 1, order), gmat)
                         p = f * Poly.monomial(L, qc * (weight * sgn), order) * right
                         acc[wkey] = acc[wkey] + p if wkey in acc else p
     return Polyvector(x.n, order, acc)

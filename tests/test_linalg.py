@@ -46,6 +46,16 @@ def test_kernel_basis_structure():
     assert all(not x for x in m.apply(v))
 
 
+def test_apply_refuses_a_vector_of_another_order():
+    # order-5 and order-6 scalars on an order-4 matrix: both orders named
+    for order, vec in ((5, [Cyc.zeta(5), Cyc.one(5)]), (6, [Cyc.zeta(6), Cyc.one(6)]),
+                       (6, [Cyc.one(4), Cyc.zeta(6)])):
+        with pytest.raises(ValueError, match=f"order {order} on a matrix of order 4"):
+            Matrix.identity(2, 4).apply(vec)
+    vec = (Cyc.zeta(4), Cyc.one(4))
+    assert Matrix.identity(2, 4).apply(list(vec)) == vec
+
+
 def test_image_of_one_minus_reflection():
     # 1 - g for g = diag(-1, 1) has image spanned by e1.
     g = im([[-1, 0], [0, 1]])

@@ -481,14 +481,43 @@ def test_cached_action_matches_fresh_matrices(drawn):
         assert got == single * mean == scratch * mean
 
 
+def ints_only(value):
+    """Whether value is an int or a tuple of such values, nested."""
+    if isinstance(value, tuple):
+        return all(ints_only(v) for v in value)
+    return type(value) is int
+
+
 def test_action_fills_caches_on_its_matrices():
     h, hi = mat(1, [[0, 1], [1, 0]]), mat(1, [[0, 1], [1, 0]])
     x = Polyvector.term(3, (2, 1), (0,), 1)
     assert hi.images == {} and h.minors == {}
     first = act(x, [(h, hi)])
-    assert hi.images and h.minors
+    # one form per cache, of ints only: minors as (cols, denominator,
+    # (place, numerator) pairs), image terms as (exponents, denominator,
+    # numerators); x^(2,1) is reached from the kept images of 1, x1, x1^2
+    assert h.minors == {(0,): (((1,), 1, ((0, 1),)),)}
+    assert hi.images == {(0, 0): (((0, 0), 1, (1,)),), (1, 0): (((0, 1), 1, (1,)),),
+                         (2, 0): (((0, 2), 1, (1,)),), (2, 1): (((1, 2), 1, (1,)),)}
+    assert ints_only(tuple(h.minors.values())) and ints_only(tuple(hi.images.values()))
     assert act(x, [(h, hi)]) == first == Polyvector.term(3, (1, 2), (1,), 1)
     assert h == mat(1, [[0, 1], [1, 0]]) and hash(h) == hash(hi)
+
+
+def test_action_refuses_pairs_of_another_order_or_size():
+    x4 = Polyvector.term(1, (1, 0), (0,), 4)
+    z6 = Matrix(6, [[Cyc.zeta(6), 0], [0, 1]])
+    z5 = Matrix(5, [[Cyc.zeta(5), 0], [0, 1]])
+    three = Matrix(4, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    two = Matrix.identity(2, 4)
+    for pair in [(z6, mat_inverse(z6)), (z5, mat_inverse(z5)), (three, three),
+                 (two, mat_inverse(z6)), (two, three)]:
+        with pytest.raises(ValueError, match="2 x 2 matrices of order 4"):
+            act(x4, [pair])
+        # checked on every pair, also after a good one
+        with pytest.raises(ValueError):
+            act(x4, [(two, two), pair])
+    assert act(x4, [(two, two)]) == x4
 
 
 # ---------------------------------------------------- minors and images by recurrence
@@ -524,11 +553,13 @@ def test_minor_row_is_every_nonzero_minor_in_order(m):
     # every row set, smallest first, so larger ones expand on kept rows
     for k in range(n + 1):
         for rows in combinations(range(n), k):
+            # each kept as (cols, denominator, nonzero (place, numerator)
+            # pairs) of the from-scratch minor in lowest terms
             want = []
             for cols in combinations(range(n), k):
                 d = minor_det(m, rows, cols)
                 if not d.is_zero():
-                    want.append((cols, d))
+                    want.append((cols, d.den, tuple((p, a) for p, a in enumerate(d.num) if a)))
             assert minor_row(m, rows) == tuple(want)
 
 
@@ -538,11 +569,18 @@ def test_monomial_image_is_the_substitution(m, data):
     n = m.nrows
     exponents = st.tuples(*([st.integers(0, 3)] * n))
     for exps in data.draw(st.lists(exponents, min_size=1, max_size=4)):
-        assert monomial_image(m, exps) == subst_matrix(Poly.monomial(exps, 1, m.order), m)
+        # the terms, each as (exponents, denominator, numerators) of the
+        # from-scratch coefficient in lowest terms, each exponent once
+        got = monomial_image(m, exps)
+        want = subst_matrix(Poly.monomial(exps, 1, m.order), m)
+        assert len({e for e, _, _ in got}) == len(got)
+        assert {e: (den, num) for e, den, num in got} == {
+            e: (c.den, c.num) for e, c in want.terms.items()}
 
 
 def test_monomial_image_of_high_degree_needs_no_recursion():
     z = Cyc.zeta(5)
     m = Matrix(5, [[z, 0], [0, -1]])
     got = monomial_image(m, (1200, 1))
-    assert got == Poly.monomial((1200, 1), -Cyc.zeta(5, 1200), 5)
+    c = -Cyc.zeta(5, 1200)
+    assert got == (((1200, 1), c.den, c.num),)
