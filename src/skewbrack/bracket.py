@@ -24,15 +24,16 @@ class BracketReport(Frozen):
     per_component_terms: (g, h) -> projected Schouten bracket of X_g and
         Y_h, nonzero entries only; summing them at gh reassembles result.
     vanishing_diagnostics: (g, h, reason) for every pair that contributed
-        nothing, with reason one of "schouten zero", "perp-intersection",
-        "projection kill".
+        nothing, with reason "schouten zero" or "projection kill"
+        (pair_commutator says why there is no third).
     """
 
     __slots__ = ("result", "per_component_terms", "vanishing_diagnostics")
 
 
 def moved_intersection(group, g, h):
-    """Basis of the intersection of the moved subspaces of g and h.
+    """Basis of the intersection of the moved subspaces of g and h, the
+    subspace perp_vanishing_applies tests for stability.
 
     The first n - codim rows of an element's dual_change vanish exactly
     on its moved subspace, so the intersection is the kernel of those
@@ -69,19 +70,24 @@ def _require(cond, message):
 
 
 def pair_commutator(group, g, xg, h, yh):
-    """The term of X_g and Y_h: the Schouten bracket [X_g, Y_h] projected
-    at gh, or the reason it vanishes.  "schouten zero" means the bracket
-    itself is zero; "perp-intersection" and "projection kill" mean the
-    projection removes it, with and without a nonzero intersection of
-    the moved subspaces of g and h."""
+    """The term of reduced X_g and Y_h: the Schouten bracket [X_g, Y_h]
+    projected at gh, or the reason it vanishes.  "schouten zero" means
+    the bracket itself is zero; "projection kill" means the projection
+    removes it.
+
+    When the moved subspaces (1-g)V and (1-h)V meet in a nonzero w, the
+    bracket itself is zero, so the projection never removes a nonzero
+    bracket there.  X_g is a sum of terms f P with f constant along
+    (1-g)V and P a constant polyvector divisible by omega_g, so by w;
+    likewise Y_h of terms q Q.  Constant polyvectors commute, so
+    [f P, q Q] = +-f (i_dq P) ^ Q +- q (i_df Q) ^ P.  Writing P = w ^ P',
+    dq(w) = 0 gives i_dq P = -w ^ i_dq P', whose wedge with Q, also
+    divisible by w, is 0; the second term vanishes the same way."""
     raw = schouten(xg, yh)
     if raw.is_zero():
         return "schouten zero"
     projected = project_component(group, group.mult_table[g][h], raw)
-    if projected.is_zero():
-        return ("perp-intersection" if moved_intersection(group, g, h)
-                else "projection kill")
-    return projected
+    return "projection kill" if projected.is_zero() else projected
 
 
 def gerstenhaber(x, y):
@@ -136,7 +142,7 @@ def gerstenhaber(x, y):
             if moved in values:
                 continue
             values[moved] = (value if isinstance(value, str)
-                             else act(value, [group.action(a)]))
+                             else act(value, [group.actions[a]]))
     comps = {}
     per_terms = {}
     diagnostics = []

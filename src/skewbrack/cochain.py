@@ -79,7 +79,7 @@ def act_cochain(c, h):
     package calls it; it is the tests' definition of invariance, and it
     stays here because the benchmark's tracer counts it here by name."""
     group = c.group
-    mult, h_inv, pair = group.mult_table, group.inverses[h], [group.action(h)]
+    mult, h_inv, pair = group.mult_table, group.inverses[h], [group.actions[h]]
     return Cochain(group, c.degree, {mult[mult[h_inv][g]][h]: act(pv, pair)
                                      for g, pv in c.terms.items()})
 
@@ -94,7 +94,7 @@ def reynolds(c):
     out = {}
     for cls, cent in zip(group.conj_classes, group.centralizers):
         moved = [c.terms[k] if k == cls[0] else
-                 act(c.terms[k], [group.action(group.inverses[group.conjugators[k]])])
+                 act(c.terms[k], [group.actions[group.inverses[group.conjugators[k]]]])
                  for k in cls if k in c.terms]
         if moved:
             total = sum(moved[1:], moved[0]) * Cyc.of(Fraction(1, len(cls)), group.scalar_order)
@@ -121,9 +121,9 @@ def is_invariant(c):
         if present < len(cls):
             return False
         xr = terms[cls[0]]
-        if any(act(xr, [group.action(s)]) != xr for s in gens):
+        if any(act(xr, [group.actions[s]]) != xr for s in gens):
             return False
-        if any(act(xr, [group.action(group.conjugators[k])]) != terms[k] for k in cls[1:]):
+        if any(act(xr, [group.actions[group.conjugators[k]]]) != terms[k] for k in cls[1:]):
             return False
     return True
 
@@ -201,7 +201,7 @@ def spread_invariant(group, cls, pv):
     the G-invariant cochain on the conjugacy class cls: its component at
     cls[0] is pv itself, and at each other k, in class order, pv moved
     by conjugators[k]."""
-    moved = {k: act(pv, [group.action(group.conjugators[k])]) for k in cls[1:]}
+    moved = {k: act(pv, [group.actions[group.conjugators[k]]]) for k in cls[1:]}
     return Cochain(group, pv.degree(), {cls[0]: pv, **moved})
 
 

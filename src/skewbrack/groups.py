@@ -36,7 +36,8 @@ class Group(Frozen):
     these: actions[i] is the (h, h_inv) matrix pair of element i,
     (matrices[i], matrices[inverses[i]]), as polyvec.act takes it, made
     once per group, so every action on the group reads the same pair and
-    the caches on its matrices.  The geometry of each element is computed
+    the caches on its matrices; a caller acting with element i indexes
+    actions[i] too.  The geometry of each element is computed
     on first use and kept in _geometries, the one cache list.
     """
 
@@ -54,11 +55,6 @@ class Group(Frozen):
 
     def __len__(self):
         return len(self.matrices)
-
-    def action(self, i):
-        """The (h, h_inv) matrix pair of element i, actions[i], for the
-        callers that act with one element."""
-        return self.actions[i]
 
 
 def enumerate_group(generators, bound=MAX_GROUP_ORDER, names=None):

@@ -170,8 +170,6 @@ class Poly(SparseTerms):
                     out[e] = c
         return Poly(self.n, self.order, out)
 
-    __rmul__ = __mul__
-
     def deriv(self, i):
         out = {}
         for exps, c in self.terms.items():
@@ -260,12 +258,10 @@ class Polyvector(SparseTerms):
         return Polyvector._new({key: poly}, n, order)
 
     def __mul__(self, other):
-        """Scalar or polynomial multiple (polynomials are even, no signs)."""
-        if isinstance(other, (int, Fraction, Cyc, Poly)):
+        """Scalar multiple."""
+        if isinstance(other, (int, Fraction, Cyc)):
             return self.scale(other)
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def degree(self):
         degs = {len(i) for i in self.terms}

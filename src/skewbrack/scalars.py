@@ -159,7 +159,8 @@ class Cyc(Frozen):
     1, and zero has den 1), so equal scalars have equal fields.
 
     Operations between scalars of different orders raise ValueError;
-    plain ints and Fractions coerce into any order, through Cyc.of.
+    plain ints and Fractions coerce into any order, through Cyc.of, as
+    the right operand, or as either factor of a product.
     """
 
     __slots__ = ("order", "num", "den")
@@ -242,8 +243,6 @@ class Cyc(Frozen):
             da *= db
         return _lowest(self.order, num, da)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _make(self.order, tuple(-a for a in self.num), self.den)
 
@@ -259,12 +258,6 @@ class Cyc(Frozen):
             num = [a * db - b * da for a, b in zip(self.num, other.num)]
             da *= db
         return _lowest(self.order, num, da)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         """The product.  A factor of 1 returns the other operand, and a

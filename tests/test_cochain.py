@@ -243,7 +243,7 @@ def test_no_action_by_a_known_identity(name, monkeypatch):
     # reynolds keeps X_r where it is, spread_invariant keeps the average
     # at cls[0], and reduced_basis_at changes no coordinates at the
     # identity, whose adapted basis is the identity matrix: no act call
-    # gets a single pair known to be the identity, neither group.action(0)
+    # gets a single pair known to be the identity, neither group.actions[0]
     # nor the identity class's geometry pair
     group = load_group_file(str(GROUP_DATA / f"{name}.json"))[0]
     ident = geometry(group, 0)
@@ -388,12 +388,14 @@ def test_project_kills_a_moved_monomial_under_a_kept_wedge():
     c = single(klein, g1, Polyvector.term(1, (1, 0, 0), (0,), 1)
                        + Polyvector.term(1, (0, 1, 0), (0,), 1))
     assert project(c) == single(klein, g1, Polyvector.term(1, (0, 1, 0), (0,), 1))
-    # on the swap, x1 = (x1 + x2)/2 + (x1 - x2)/2 and only the fixed half stays
+    # on the swap, x1 omega with omega = d1 - d2: x1 = (x1 + x2)/2 +
+    # (x1 - x2)/2 and only the fixed half stays
     swap = example_group("swap_k2.json")
-    omega = Polyvector.term(1, (0, 0), (0,), 1) - Polyvector.term(1, (0, 0), (1,), 1)
     half = Fraction(1, 2)
-    c = single(swap, 1, omega * Poly.monomial((1, 0), 1, 1))
-    want = omega * Poly(2, 1, {(1, 0): half, (0, 1): half})
+    x1 = Poly.monomial((1, 0), 1, 1)
+    mean = Poly(2, 1, {(1, 0): half, (0, 1): half})
+    c = single(swap, 1, Polyvector(2, 1, {(0,): x1, (1,): -x1}))
+    want = Polyvector(2, 1, {(0,): mean, (1,): -mean})
     assert project(c) == single(swap, 1, want)
 
 
@@ -765,11 +767,11 @@ def test_centralizer_reynolds_is_the_centralizer_average():
                 avg = centralizer_reynolds(group, pv, cent)
                 total = Polyvector.zero(n, order)
                 for h in cent:
-                    total = total + act(pv, [group.action(h)])
+                    total = total + act(pv, [group.actions[h]])
                 assert avg == total * Cyc.of(Fraction(1, len(cent)), order), (name, g)
                 nonzero += not avg.is_zero()
                 for h in cent:
-                    assert act(avg, [group.action(h)]) == avg, (name, g, h)
+                    assert act(avg, [group.actions[h]]) == avg, (name, g, h)
     assert nonzero
 
 

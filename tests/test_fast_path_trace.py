@@ -93,7 +93,7 @@ def test_warm_action_multiplies_no_scalars():
                  for k, (idx, exps) in enumerate(ambient_keys(n, 2, 2))),
                 Polyvector.zero(n, order))
         cent = max(group.centralizers, key=len)
-        calls.append((x, [group.action(h) for h in cent]))
+        calls.append((x, [group.actions[h] for h in cent]))
     cold = [polyvec.act(x, pairs) for x, pairs in calls]
     tracer = load_tracer().Tracer()
     with tracer:

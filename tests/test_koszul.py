@@ -287,7 +287,7 @@ def tensor_square_elements(draw):
     terms = draw(st.dictionaries(
         st.tuples(st.sampled_from(wedges), st.sampled_from(wedges), outer,
                   st.sampled_from(middles), outer),
-        st.lists(scalar, min_size=1, max_size=2).map(sum), max_size=4))
+        st.lists(scalar, min_size=1, max_size=2).map(lambda cs: sum(cs, Cyc.zero(order))), max_size=4))
     el, em, er = draw(st.tuples(outer, st.sampled_from(middles[1:]), outer))
     block = draw(st.sampled_from(wedges))
     for k in range(len(block) + 1):
