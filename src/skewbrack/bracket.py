@@ -12,7 +12,7 @@ from the codimension grading are provided alongside.
 
 from .cochain import Cochain, is_invariant, project_component, support_codims
 from .groups import geometry
-from .linalg import Matrix, kernel_basis, rref, solve_membership
+from .linalg import Matrix, _sparse, kernel_basis, row_times, rref, solve_membership
 from .polyvec import act, schouten
 from .scalars import Frozen
 
@@ -52,14 +52,15 @@ def perp_vanishing_applies(group, g, h):
     """Whether the intersection of the two moved subspaces is nonzero and
     stable under every generator; when that holds for all conjugates, the
     bracket of classes supported on the two conjugacy classes vanishes."""
-    order = group.scalar_order
+    n, order = group.dim, group.scalar_order
     inter = moved_intersection(group, g, h)
     if not inter:
         return False
     for k in group.generator_indices:
-        gen = group.matrices[k]
+        # gen * v is v times the transpose: the rows of _sparse are gen's columns
+        columns = _sparse(zip(*group.matrices[k].rows))
         for v in inter:
-            if solve_membership(inter, tuple(gen.apply(list(v))), order) is None:
+            if solve_membership(inter, row_times(order, v, columns, n), order) is None:
                 return False
     return True
 

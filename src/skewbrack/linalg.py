@@ -2,12 +2,13 @@
 
 Matrices are dense, but every reduction to echelon form runs on sparse
 rows ({column: nonzero Cyc}) in one core, `_echelon`, and every product
-on one row kernel, `row_times`, which Matrix.apply and groups.enumerate_group
-call.  linalg builds its own results through Matrix._of, which coerces no
-entry; the public constructor coerces each one.  The reduced form of a row
-space is unique and nothing depends on hash order, so identical inputs give
-identical outputs.  `det` is a separate dense Gaussian elimination for the
-chain-level oracle's minors (`polyvec.minor_det`) and tests.
+on one row kernel, `row_times`, which groups.enumerate_group and
+bracket.perp_vanishing_applies call.  linalg builds its own results
+through Matrix._of, which coerces no entry; the public constructor
+coerces each one.  The reduced form of a row space is unique and nothing
+depends on hash order, so identical inputs give identical outputs.
+`det` is a separate dense Gaussian elimination for the chain-level
+oracle's minors (`polyvec.minor_det`) and tests.
 """
 
 from __future__ import annotations
@@ -65,18 +66,6 @@ class Matrix(Frozen):
             self.order,
             [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
         )
-
-    def apply(self, vec):
-        """Matrix times column vector of Cycs: vec times the transpose.
-        A vector of another length, or with a scalar of another order,
-        raises ValueError."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match the matrix")
-        for a in vec:
-            if a.order != self.order:
-                raise ValueError(f"vector scalar of order {a.order} "
-                                 f"on a matrix of order {self.order}")
-        return row_times(self.order, vec, _sparse(zip(*self.rows)), self.nrows)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in r) for r in self.rows)

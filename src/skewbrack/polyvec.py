@@ -75,8 +75,7 @@ class SparseTerms(Frozen):
     dropping zero values, validating keys and ending in the fill
     ``self._init(terms, *head)``; ``cls._new(terms, *head)`` builds one
     from terms already clean.  The termwise linear arithmetic, equality
-    and hashing live here; Poly and Polyvector, compared most often,
-    compare their header fields one by one (_eq_n_order) instead.
+    and hashing live here.
     """
 
     __slots__ = ("terms",)
@@ -119,20 +118,11 @@ class SparseTerms(Frozen):
     __mul__ = scale
 
 
-def _eq_n_order(self, other):
-    """Equality of two Polys or two Polyvectors: n, order and the terms,
-    field by field, with no head tuple built for either operand."""
-    if type(other) is not type(self):
-        return NotImplemented
-    return self.n == other.n and self.order == other.order and self.terms == other.terms
-
-
 class Poly(SparseTerms):
     """Polynomial in n variables, exponent-tuple keyed, Cyc coefficients."""
 
     __slots__ = ("n", "order")
     head = property(attrgetter("n", "order"))
-    __eq__, __hash__ = _eq_n_order, SparseTerms.__hash__
 
     def __init__(self, n, order, terms=None):
         clean = {}
@@ -228,7 +218,6 @@ class Polyvector(SparseTerms):
 
     __slots__ = ("n", "order")
     head = property(attrgetter("n", "order"))
-    __eq__, __hash__ = _eq_n_order, SparseTerms.__hash__
 
     def __init__(self, n, order, terms=None):
         clean = {}
@@ -342,15 +331,12 @@ def monomial_image(m: Matrix, exps):
     kept in m.images in the form act reads: a tuple of terms (exponents,
     denominator, numerators), each coefficient in lowest terms.  It is
     the image of x^(exps - e_i) times that of x_i, for the last variable
-    x_i of the monomial; the chain down to a kept image is walked in a
-    loop, not by recursion.  Each product is summed in plain ints: a term
-    c x^e of the kept image times an entry v = m[k][i] of column i adds
-    the convolution of c and v, over the product of their denominators,
-    to the accumulator of x^(e + e_k)."""
+    x_i of the monomial; the chain down to a kept image, empty when x^exps
+    is kept, is walked in a loop.  Each product is summed in plain ints: a
+    term c x^e of the kept image times an entry v = m[k][i] of column i
+    adds the convolution of c and v, over the product of their
+    denominators, to the accumulator of x^(e + e_k)."""
     images = m.images
-    got = images.get(exps)
-    if got is not None:
-        return got
     chain = []
     while exps not in images and any(exps):
         i = max(j for j, e in enumerate(exps) if e)
@@ -388,19 +374,15 @@ def minor_row(m: Matrix, rows):
     the form act reads, each minor as (cols, denominator, pairs), pairs
     the (place, numerator) pairs of its nonzero power-basis coordinates
     and the minor in lowest terms.
-    A single row's minors are its nonzero entries; a longer one expands
-    along rows[0], over its nonzero entries, against the kept row of
-    rows[1:], each product summed in plain ints as in monomial_image."""
+    The row expands along rows[0], over its nonzero entries, against the
+    kept row of rows[1:], for a single row the empty minor 1, each
+    product summed in plain ints as in monomial_image."""
     minors = m.minors
     got = minors.get(rows)
     if got is not None:
         return got
     if not rows:
         got = minors[rows] = (((), 1, ((0, 1),)),)
-        return got
-    if len(rows) == 1:  # the 1x1 minors are the row's own nonzero entries
-        got = minors[rows] = tuple(((j,), a.den, tuple((p, b) for p, b in enumerate(a.num) if b))
-                                   for j, a in enumerate(m.rows[rows[0]]) if a)
         return got
     order = m.order
     size = 2 * len(_powers(order)[0]) - 1

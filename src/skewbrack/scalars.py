@@ -247,17 +247,7 @@ class Cyc(Frozen):
         return _make(self.order, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        if other.__class__ is not Cyc or other.order != self.order:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        da, db = self.den, other.den
-        if da == db:
-            num = [a - b for a, b in zip(self.num, other.num)]
-        else:
-            num = [a * db - b * da for a, b in zip(self.num, other.num)]
-            da *= db
-        return _lowest(self.order, num, da)
+        return self + -other
 
     def __mul__(self, other):
         """The product.  A factor of 1 returns the other operand, and a

@@ -43,6 +43,12 @@ def matmul(first, *rest):
     return out
 
 
+def matvec(m, v):
+    """m times the column vector v, as a tuple: the one column of matmul's
+    product, so it shares no code with the row kernel linalg.row_times."""
+    return tuple(r[0] for r in matmul(m, Matrix(m.order, [[x] for x in v])).rows)
+
+
 def field_degree(order):
     """The degree of Q(zeta_order) over Q, the length of a Cyc's num."""
     return len(cyclotomic_polynomial(order)) - 1

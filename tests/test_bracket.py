@@ -16,6 +16,7 @@ from helpers import (
     example_group,
     mat,
     matmul,
+    matvec,
     minimal_pair_k5,
     move_cochain,
     single,
@@ -648,6 +649,37 @@ def test_reduced_components_with_meeting_moved_subspaces_have_zero_schouten_brac
                     nonzero_elsewhere = any(not schouten(x, y).is_zero()
                                             for x in bases[g] for y in bases[h])
     assert meeting == 12695 and nonzero_elsewhere
+
+
+def perp_by_matvec(group, g, h):
+    """The reference for perp_vanishing_applies: the intersection of the
+    moved subspaces is nonzero, and each generator's images of its basis,
+    taken by matvec, add nothing to its rank."""
+    inter = moved_intersection(group, g, h)
+    order = group.scalar_order
+    return bool(inter) and all(
+        rank(Matrix(order, inter + [matvec(group.matrices[k], v) for v in inter])) == len(inter)
+        for k in group.generator_indices)
+
+
+def test_perp_matches_the_matvec_reference_on_class_representatives():
+    # every ordered pair of class representatives of the example groups,
+    # D4 and D5: non-diagonal actions, and cyclotomic ones.  Each is also
+    # conjugated to a dense action, on which g and its transpose move the
+    # intersection differently
+    paths = [path for path in GROUP_FILES if path.parent == EXAMPLES or path.stem in ("d4", "d5")]
+    seen = set()
+    for path in paths:
+        plain = loaded_group(path)
+        dense = conjugate_group(plain, *alternating_unipotent(plain.dim, plain.scalar_order))
+        for group in (plain, dense):
+            reps = [c[0] for c in group.conj_classes]
+            for g in reps:
+                for h in reps:
+                    want = perp_by_matvec(group, g, h)
+                    assert perp_vanishing_applies(group, g, h) == want, (path.stem, g, h)
+                    seen.add(want)
+    assert seen == {True, False}
 
 
 def test_perp_false_at_identity():

@@ -172,9 +172,9 @@ def test_echelon_rescales_no_row_whose_pivot_is_one():
 
 
 def test_single_row_minors_are_the_row_itself():
-    # the 1x1 minors are the entries, read off the row with no product
-    # by the empty minor 1, each kept as (cols, denominator, nonzero
-    # (place, numerator) pairs)
+    # the 1x1 minors are the entries, expanded against the kept empty
+    # minor 1 in plain ints with no Cyc product, each kept as (cols,
+    # denominator, nonzero (place, numerator) pairs)
     z = Cyc.zeta(5)
     m = Matrix(5, [[z, 0, Fraction(-2, 3)], [1, Cyc.zeta(5, 3) - 1, 0], [0, 0, -z]])
     tracer = load_tracer().Tracer()

@@ -10,6 +10,7 @@ from helpers import (
     enumerate_by_whole_products,
     mat,
     matmul,
+    matvec,
 )
 from skewbrack import groups
 from skewbrack.cli import load_group_file
@@ -381,7 +382,7 @@ def test_geometry_splits_v_into_fixed_vectors_and_the_echelonized_image(name):
     for g, a in enumerate(group.matrices):
         geo = geometry(group, g)
         fixed, moved = bases(group, g)
-        assert all(a.apply(v) == v for v in fixed), (name, g)
+        assert all(matvec(a, v) == v for v in fixed), (name, g)
         assert moved == image_basis(ident - a), (name, g)
         assert matmul(geo.dual_change, geo.adapted) == ident, (name, g)
         assert geo.codim == rank(ident - a), (name, g)
@@ -433,7 +434,7 @@ def test_geometry_splitting_invariants():
         fixed, moved = bases(g, i)
         assert rank(geometry(g, i).adapted) == g.dim
         m = g.matrices[i]
-        assert all(tuple(m.apply(list(v))) == v for v in fixed)
+        assert all(matvec(m, v) == v for v in fixed)
         inv_fixed, inv_moved = bases(g, g.inverses[i])
         assert span_equal(fixed, inv_fixed, 1)
         assert span_equal(moved, inv_moved, 1)
@@ -483,8 +484,8 @@ def conjugate_geometry_check(group, g, h):
     mult = group.mult_table
     fixed_c, moved_c = bases(group, mult[mult[h][g]][group.inverses[h]])
     hmat = group.matrices[h]
-    push_fixed = [tuple(hmat.apply(list(v))) for v in fixed_g]
-    push_moved = [tuple(hmat.apply(list(v))) for v in moved_g]
+    push_fixed = [matvec(hmat, v) for v in fixed_g]
+    push_moved = [matvec(hmat, v) for v in moved_g]
     return (span_equal(push_fixed, fixed_c, order)
             and span_equal(push_moved, moved_c, order))
 

@@ -132,7 +132,7 @@ def _random_scalar(draw, order):
 
 @given(st.data())
 def test_field_axioms(data):
-    order = data.draw(st.sampled_from([1, 2, 3, 4, 6, 8]))
+    order = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8]))
     a = _random_scalar(data.draw, order)
     b = _random_scalar(data.draw, order)
     c = _random_scalar(data.draw, order)
@@ -140,6 +140,20 @@ def test_field_axioms(data):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a + (-a) == Cyc.zero(order)
+    # subtraction is the sum with the negation, checked termwise
+    assert (a - b) + b == a and a - b == -(b - a)
+    fa, fb = fraction_coeffs(a), fraction_coeffs(b)
+    assert fraction_coeffs(a - b) == tuple(x - y for x, y in zip(fa, fb))
+    for q in (1, Fraction(1, 3)):
+        assert fraction_coeffs(a - q) == (fa[0] - q,) + fa[1:]
+    # a scalar of another order, or an inexact one, on either side
+    other = Cyc.one(7 if order == 5 else 5)
+    for op in (lambda: a - other, lambda: other - a):
+        with pytest.raises(ValueError):
+            op()
+    for op in (lambda: a - 0.5, lambda: 0.5 - a):
+        with pytest.raises(TypeError):
+            op()
 
 
 @given(st.data())
