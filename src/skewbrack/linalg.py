@@ -20,14 +20,15 @@ class Matrix(Frozen):
     """Immutable dense matrix with Cyc entries (all of one order).
 
     minors and images are the caches of polyvec.act, empty from either
-    constructor, and hold plain ints only, in the form act's loops read:
-    polyvec.minor_row keeps the rows of the exterior powers of the matrix
-    in minors, each minor as (cols, denominator, (place, numerator) pairs
-    of its nonzero power-basis coordinates), and polyvec.monomial_image
-    the images of monomials under it in images, each term as (exponents,
-    denominator, numerators).  No Cyc copy is kept beside them.  The
-    entries cannot go stale, since the matrix is immutable, and they are
-    freed with it; equality and hashing ignore them."""
+    constructor, and hold plain ints only, in the one shape act's loops
+    read: polyvec.minor_row keeps the rows of the exterior powers of the
+    matrix in minors, and polyvec.monomial_image the images of monomials
+    under it in images, each minor and each image term as (key,
+    denominator, (place, numerator) pairs of its nonzero power-basis
+    coordinates), the key its columns or its exponents.  No Cyc copy is
+    kept beside them.  The entries cannot go stale, since the matrix is
+    immutable, and they are freed with it; equality and hashing ignore
+    them."""
 
     __slots__ = ("order", "nrows", "ncols", "rows", "minors", "images")
 

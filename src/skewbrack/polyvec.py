@@ -8,20 +8,23 @@ components.  The Schouten bracket of polyvector fields, which the
 Gerstenhaber bracket projects term by term, its graded-law check
 schouten_graded_laws, and the group action on polyvectors live here.
 The products here sum in plain ints and reduce each output
-coefficient once, through one accumulator: act adds products into it
-directly, with the minors and monomial images it needs cached on the
-matrices (Matrix.minors, Matrix.images) in integer form, the one form
-each cache keeps; minor_row expands each row of minors along its first
-row, and monomial_image builds each image as the kept image of a lower
-monomial times a column of the matrix, both summing in plain ints;
-schouten is circle_product
-itself, which adds both circle products of the graded commutator, pair
-of components by pair, so it is bilinear also on input of mixed
-exterior degree; and Polyvector.wedge adds the products of
-coefficients, signed by sort_sign of the two wedges joined.  _build
-turns the accumulators of act, circle_product and wedge into a
-Polyvector: scalars._reduce makes each coefficient, and Poly._new and
-Polyvector._new fill the values without checking them again.
+coefficient once, through one accumulator.  A term in integer form is
+(key, denominator, (place, numerator) pairs of its nonzero power-basis
+coordinates), and _convolve is the one loop that adds the products of
+two sums of such terms at the sums of their exponents: wedge calls it
+once per pair of wedges, signed by sort_sign of the two joined;
+circle_product, which schouten is, once per insertion slot, for both
+circle products of the graded commutator, pair of components by pair,
+so it is bilinear also on input of mixed exterior degree; and
+monomial_image once per step of its chain, a column of the matrix
+times the kept image of a lower monomial.  act adds its products into
+the accumulator directly, with the minors and monomial images it needs
+cached on the matrices (Matrix.minors, Matrix.images), both in that
+one integer form; minor_row expands each row of minors along its first
+row, in plain ints too.  _build turns the accumulators of act,
+circle_product and wedge into a Polyvector: scalars._reduce makes each
+coefficient, and Poly._new and Polyvector._new fill the values without
+checking them again.
 SparseTerms, the immutable sparse container that polynomials,
 polyvectors, cochains and the Koszul resolution terms share, is defined
 here too, and so is monomials, the exponent tuples of one degree, kept
@@ -259,39 +262,25 @@ class Polyvector(SparseTerms):
         return degs.pop()
 
     def wedge(self, other: "Polyvector") -> "Polyvector":
-        """The exterior product, each output coefficient summed in plain
-        ints as in act and circle_product: the product of two
-        coefficients is their power-basis convolution over the product of
-        their denominators, times the sign sorting the two wedges into one."""
+        """The exterior product: each pair of wedges adds the products of
+        their coefficients, through _convolve, times the sign sorting the
+        two wedges into one."""
         if self.head != other.head:
             raise ValueError("polyvector mismatch")
         n, order = self.head
+        if not (self.terms and other.terms):  # zero, with no operand converted
+            return Polyvector._new({}, n, order)
         size = 2 * len(_powers(order)[0]) - 1
-        right = [(i2, p2.terms.items()) for i2, p2 in other.terms.items()]
+        right = _int_comps(other)
         out = {}  # wedge -> exponents -> [denominator, unreduced numerators...]
-        for i1, p1 in self.terms.items():
-            # each term of p1 as (exponents, denominator, (place in acc, int) pairs)
-            left = [(e, c.den, [(i, a) for i, a in enumerate(c.num, 1) if a])
-                    for e, c in p1.terms.items()]
+        for i1, left in _int_comps(self):
             for i2, terms in right:
                 sgn, key = sort_sign(i1 + i2)
-                if sgn == 0:
-                    continue
-                target = out.get(key)
-                if target is None:
-                    target = out[key] = {}
-                for e1, den1, cf in left:
-                    for e2, c in terms:
-                        e = tuple(map(add, e1, e2))
-                        den = den1 * c.den
-                        acc = target.get(e)
-                        if acc is None:
-                            acc = target[e] = [den] + [0] * size
-                        up = sgn if den == acc[0] else sgn * _widen(acc, den)
-                        for i, a in cf:
-                            a *= up
-                            for j, b in enumerate(c.num, i):
-                                acc[j] += a * b
+                if sgn:
+                    target = out.get(key)
+                    if target is None:
+                        target = out[key] = {}
+                    _convolve(target, left, terms, sgn, size)
         return _build(out, n, order)
 
     def __str__(self):
@@ -326,45 +315,70 @@ def _term_str(c: Cyc, exps, idx):
     return f"({cs})*" + "*".join(factors)
 
 
+def _int_comps(x: Polyvector):
+    """The components of x as (wedge, terms), each term in integer form:
+    (exponents, denominator, (place, numerator) pairs of its nonzero
+    power-basis coordinates)."""
+    return [(idx, [(e, c.den, [(i, a) for i, a in enumerate(c.num) if a])
+                   for e, c in p.terms.items()])
+            for idx, p in x.terms.items()]
+
+
+def _convolve(target, left, right, up, size):
+    """Add up times the product of the sums of integer-form terms left
+    and right into target (exponents -> [denominator, unreduced
+    numerators...], size + 1 entries): each pair of terms adds the
+    power-basis convolution of its coefficients, over the product of
+    their denominators, widened by _widen as needed, at the sum of its
+    exponents.  The one loop of wedge, circle_product and monomial_image."""
+    for e1, den1, cf in left:
+        for e2, den2, pairs in right:
+            e = tuple(map(add, e1, e2))
+            den = den1 * den2
+            acc = target.get(e)
+            if acc is None:
+                acc = target[e] = [den] + [0] * size
+            f = up if den == acc[0] else up * _widen(acc, den)
+            for i, a in cf:
+                a *= f
+                i += 1  # place i + j is acc[i + j + 1], after the denominator
+                for j, b in pairs:
+                    acc[i + j] += a * b
+
+
+def _kept(items):
+    """The (key, Cyc) items in the form of the caches act reads: (key,
+    denominator, (place, numerator) pairs of the nonzero coordinates).
+    Tuples of list comprehensions, which build faster than generators."""
+    return tuple([(key, c.den, tuple([(p, b) for p, b in enumerate(c.num) if b]))
+                  for key, c in items])
+
+
 def monomial_image(m: Matrix, exps):
     """The image of the monomial x^exps under x_i -> sum_k m[k][i] x_k,
-    kept in m.images in the form act reads: a tuple of terms (exponents,
-    denominator, numerators), each coefficient in lowest terms.  It is
-    the image of x^(exps - e_i) times that of x_i, for the last variable
-    x_i of the monomial; the chain down to a kept image, empty when x^exps
-    is kept, is walked in a loop.  Each product is summed in plain ints: a
-    term c x^e of the kept image times an entry v = m[k][i] of column i
-    adds the convolution of c and v, over the product of their
-    denominators, to the accumulator of x^(e + e_k)."""
+    kept in m.images as a tuple of terms in m.minors's form: (exponents,
+    denominator, (place, numerator) pairs), each coefficient in lowest
+    terms.  It is the image of x_i, column i of m as terms of unit
+    exponents, times the kept image of x^(exps - e_i), for the last
+    variable x_i of the monomial, one _convolve call; the chain down to
+    a kept image, empty when x^exps is kept, is walked in a loop."""
     images = m.images
     chain = []
     while exps not in images and any(exps):
         i = max(j for j, e in enumerate(exps) if e)
         chain.append((exps, i))
         exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-    order = m.order
     got = images.get(exps)
     if got is None:  # the empty monomial, whose image is 1
-        got = images[exps] = ((exps, 1, _powers(order)[0]),)
+        got = images[exps] = ((exps, 1, ((0, 1),)),)
+    order, n = m.order, m.nrows
     size = 2 * len(_powers(order)[0]) - 1
-    for exps, i in reversed(chain):  # times the image of x_i, column i of m
-        column = [(k, row[i]) for k, row in enumerate(m.rows) if row[i]]
+    for exps, i in reversed(chain):
+        column = [(_unit(n, k), v.den, [(p, a) for p, a in enumerate(v.num) if a])
+                  for k, row in enumerate(m.rows) if (v := row[i])]
         out = {}  # exponents -> [denominator, unreduced numerators...]
-        for e, c_den, c_num in got:
-            # c as (place in acc, int) pairs
-            cf = [(p, a) for p, a in enumerate(c_num, 1) if a]
-            for k, v in column:
-                key = e[:k] + (e[k] + 1,) + e[k + 1:]
-                den = c_den * v.den
-                acc = out.get(key)
-                if acc is None:
-                    acc = out[key] = [den] + [0] * size
-                up = 1 if den == acc[0] else _widen(acc, den)
-                for p, a in cf:
-                    a *= up
-                    for q, b in enumerate(v.num, p):
-                        acc[q] += a * b
-        got = images[exps] = tuple((e, c.den, c.num) for e, c in _reduce(order, out).items())
+        _convolve(out, column, got, 1, size)
+        got = images[exps] = _kept(_reduce(order, out).items())
     return got
 
 
@@ -409,8 +423,7 @@ def minor_row(m: Matrix, rows):
                 x *= up
                 for q, y in df:
                     acc[p + q] += x * y
-    got = minors[rows] = tuple((cols, c.den, tuple((p, b) for p, b in enumerate(c.num) if b))
-                               for cols, c in sorted(_reduce(order, out).items()))
+    got = minors[rows] = _kept(sorted(_reduce(order, out).items()))
     return got
 
 
@@ -470,7 +483,7 @@ def act(x: Polyvector, pairs) -> Polyvector:
                     target = out.get(cols)
                     if target is None:
                         target = out[cols] = {}
-                    for e, v_den, v_num in image:
+                    for e, v_den, vf in image:
                         den = cm_den * v_den
                         acc = target.get(e)
                         if acc is None:
@@ -478,8 +491,8 @@ def act(x: Polyvector, pairs) -> Polyvector:
                         up = 1 if den == acc[0] else _widen(acc, den)
                         for i, a in cm:
                             a *= up
-                            for j, b in enumerate(v_num, i):
-                                acc[j] += a * b
+                            for j, b in vf:
+                                acc[i + j] += a * b
     return _build(out, n, order, len(pairs))
 
 
@@ -526,33 +539,31 @@ def circle_product(x: Polyvector, y: Polyvector) -> Polyvector:
     (see the oracle agreement tests).  A slot whose displaced direction
     q does not depend on adds nothing.
 
-    Both products go into one accumulator of plain ints, as in act: the
-    product of two coefficients is their power-basis convolution over
-    the product of their denominators, times the derivative's exponent
-    and the signs; each output coefficient becomes one Cyc at the end."""
+    Both products go into one accumulator of plain ints, one _convolve
+    call per insertion slot, with the signs as its factor; each output
+    coefficient becomes one Cyc at the end."""
     if x.head != y.head:
         raise ValueError("polyvector mismatch")
     n, order = x.head
     size = 2 * len(_powers(order)[0]) - 1
     out = {}  # wedge -> exponents -> [denominator, unreduced numerators...]
-    for outer, inner, back in ((x, y, False), (y, x, True)):
+    xs, ys = _int_comps(x), _int_comps(y)
+    for outer, inner, back in ((xs, ys, False), (ys, xs, True)):
         # each component q d_J of inner as (J, |J|, derivatives), with the
-        # derivative by direction i a list of (exponents, exponent of x_i,
-        # coefficient) for the terms of q that x_i divides
+        # derivative by direction i the terms of q that x_i divides, each
+        # lowered by x_i and its numerators times the exponent of x_i
         inserted = []
-        for idx_j, q in inner.terms.items():
+        for idx_j, terms in inner:
             derivs = {}
-            for exps, c in q.terms.items():
+            for exps, den, cf in terms:
                 for i, a in enumerate(exps):
                     if a:
                         lower = exps[:i] + (a - 1,) + exps[i + 1:]
-                        derivs.setdefault(i, []).append((lower, a, c))
+                        derivs.setdefault(i, []).append(
+                            (lower, den, [(p, a * b) for p, b in cf] if a > 1 else cf))
             inserted.append((idx_j, len(idx_j), derivs))
-        for idx_i, f in outer.terms.items():
+        for idx_i, left in outer:
             d = len(idx_i)
-            # each term of f as (exponents, denominator, (place in acc, int) pairs)
-            left = [(e, c.den, [(i, a) for i, a in enumerate(c.num, 1) if a])
-                    for e, c in f.terms.items()]
             for idx_j, m, derivs in inserted:
                 sign = -1 if back and not ((d - 1) * (m - 1)) % 2 else 1
                 for pos, jl in enumerate(idx_i):
@@ -567,20 +578,7 @@ def circle_product(x: Polyvector, y: Polyvector) -> Polyvector:
                     target = out.get(wkey)
                     if target is None:
                         target = out[wkey] = {}
-                    for e1, den1, cf in left:
-                        for e2, k, c in right:
-                            e = tuple(map(add, e1, e2))
-                            den = den1 * c.den
-                            acc = target.get(e)
-                            if acc is None:
-                                acc = target[e] = [den] + [0] * size
-                            up = sign * wsgn * k
-                            if den != acc[0]:
-                                up *= _widen(acc, den)
-                            for i, a in cf:
-                                a *= up
-                                for j, b in enumerate(c.num, i):
-                                    acc[j] += a * b
+                    _convolve(target, left, right, sign * wsgn, size)
     return _build(out, n, order)
 
 

@@ -12,7 +12,8 @@ fast path, or hides elimination from `linalg.elim`, fails here.  A
 do bracket preconditions that act on every component with every
 generator of G or project every component, and a `project` that moves
 a component it keeps whole back from adapted coordinates; an `act` that multiplies `Cyc`s on warm
-caches fails on `scalars.mul`, and so does a `wedge` that multiplies them; a
+caches fails on `scalars.mul`, and so does a `wedge` that multiplies them,
+and a `monomial_image` that multiplies or inverts them on a cold cache; a
 `schouten` that multiplies `Cyc`s or takes the two circle products
 apart fails on `scalars.mul` and `polyvec.circle_product`, and a
 character count that goes through the fast path fails on its counters.
@@ -183,6 +184,29 @@ def test_single_row_minors_are_the_row_itself():
     assert got == [tuple(((j,), a.den, tuple((p, b) for p, b in enumerate(a.num) if b))
                          for j, a in enumerate(r) if a) for r in m.rows]
     assert tracer.counts()["scalars.mul.calls"] == 0
+
+
+def test_cold_monomial_images_multiply_and_invert_no_scalars():
+    # a fresh matrix over Q(zeta4) with entries of denominator 2: each
+    # image is a column times a kept image, summed in plain ints and
+    # reduced once, with no Cyc product or inverse, also when the cache
+    # starts empty
+    group, _ = load_group_file(str(BT))
+    h = next(a for a in group.matrices if any(e.den > 1 for r in a.rows for e in r))
+    m = Matrix(h.order, h.rows)
+    exps = [(i, j) for i in range(4) for j in range(4)]
+    tracer = load_tracer().Tracer()
+    with tracer:
+        got = [polyvec.monomial_image(m, e) for e in exps]
+    counts = tracer.counts()
+    for e, image in zip(exps, got):
+        want = polyvec.subst_matrix(polyvec.Poly.monomial(e, 1, m.order), m)
+        assert {k: (den, pairs) for k, den, pairs in image} == {
+            k: (c.den, tuple((p, a) for p, a in enumerate(c.num) if a))
+            for k, c in want.terms.items()}
+    assert any(den > 1 for image in got for _, den, _ in image)
+    assert counts["scalars.mul.calls"] == 0
+    assert counts["scalars.inverse.calls"] == 0
 
 
 def test_character_count_shares_no_code_with_the_fast_path():

@@ -258,6 +258,57 @@ def test_wedge_sign_rule(order, p, q, data):
     assert x.wedge(y) == y.wedge(x) * sign
 
 
+def schouten_termwise(x, y):
+    """[x, y] as {wedge: {exponents: Cyc}}, term by term in Cyc arithmetic,
+    from the definition: each pair of components f d_I of x and q d_J of
+    y adds f d_I o q d_J - (-1)^((d-1)(m-1)) q d_J o f d_I, with d = |I|
+    and m = |J|.  The circle product f d_I o q d_J puts d_J in place of
+    each direction I[pos] that q depends on, times f and the derivative of
+    q by x_I[pos]; the word I[:pos] + J + I[pos+1:] is sorted, signed by
+    the parity of its inversions and by (-1)^((m-1)(pos+d-1))."""
+    out = {}
+
+    def add_circle(i1, p1, i2, p2, sign):
+        d, m = len(i1), len(i2)
+        for pos, k in enumerate(i1):
+            word = i1[:pos] + i2 + i1[pos + 1:]
+            if len(set(word)) < len(word):
+                continue
+            odd = (sum(a > b for a, b in combinations(word, 2)) + (m - 1) * (pos + d - 1)) % 2
+            poly = out.setdefault(tuple(sorted(word)), {})
+            for e1, c1 in p1.terms.items():
+                for e2, c2 in p2.terms.items():
+                    if not e2[k]:
+                        continue
+                    e = [a + b for a, b in zip(e1, e2)]
+                    e[k] -= 1
+                    e = tuple(e)
+                    c = c1 * c2 * (-e2[k] * sign if odd else e2[k] * sign)
+                    poly[e] = poly[e] + c if e in poly else c
+
+    for i1, p1 in x.terms.items():
+        for i2, p2 in y.terms.items():
+            add_circle(i1, p1, i2, p2, 1)
+            add_circle(i2, p2, i1, p1, -1 if (len(i1) - 1) * (len(i2) - 1) % 2 == 0 else 1)
+    out = {k: {e: c for e, c in p.items() if c} for k, p in out.items()}
+    return {k: p for k, p in out.items() if p}
+
+
+@given(st.sampled_from([1, 5, 6]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_schouten_matches_termwise_reference(order, data):
+    # mixed exterior degrees, coefficients over Q(zeta_order) with
+    # denominators 1 to 3: the widening, the derivative's exponents and
+    # the slot signs of the integer loop are all checked against Cyc
+    # arithmetic
+    x = data.draw(cyclotomic_polyvector(order))
+    y = data.draw(cyclotomic_polyvector(order))
+    got = schouten(x, y)
+    assert got.head == x.head
+    assert {k: dict(p.terms) for k, p in got.terms.items()} == schouten_termwise(x, y)
+    assert all(p.head == x.head for p in got.terms.values())
+
+
 def test_wedge_refuses_operands_of_another_field():
     x = Polyvector.term(1, (1, 0), (0,), 5)
     with pytest.raises(ValueError):
@@ -485,13 +536,13 @@ def test_action_fills_caches_on_its_matrices():
     x = Polyvector.term(3, (2, 1), (0,), 1)
     assert hi.images == {} and h.minors == {}
     first = act(x, [(h, hi)])
-    # one form per cache, of ints only: minors as (cols, denominator,
-    # (place, numerator) pairs), image terms as (exponents, denominator,
-    # numerators); x^(2,1) is reached from the kept images of 1, x1, x1^2,
-    # and the minors of row 0 from the kept empty minor
+    # one form for both caches, of ints only: each minor and each image
+    # term as (key, denominator, (place, numerator) pairs), the key its
+    # columns or exponents; x^(2,1) is reached from the kept images of 1,
+    # x1, x1^2, and the minors of row 0 from the kept empty minor
     assert h.minors == {(): (((), 1, ((0, 1),)),), (0,): (((1,), 1, ((0, 1),)),)}
-    assert hi.images == {(0, 0): (((0, 0), 1, (1,)),), (1, 0): (((0, 1), 1, (1,)),),
-                         (2, 0): (((0, 2), 1, (1,)),), (2, 1): (((1, 2), 1, (1,)),)}
+    assert hi.images == {(0, 0): (((0, 0), 1, ((0, 1),)),), (1, 0): (((0, 1), 1, ((0, 1),)),),
+                         (2, 0): (((0, 2), 1, ((0, 1),)),), (2, 1): (((1, 2), 1, ((0, 1),)),)}
     assert ints_only(tuple(h.minors.values())) and ints_only(tuple(hi.images.values()))
     assert act(x, [(h, hi)]) == first == Polyvector.term(3, (1, 2), (1,), 1)
     assert h == mat(1, [[0, 1], [1, 0]]) and hash(h) == hash(hi)
@@ -562,13 +613,15 @@ def test_monomial_image_is_the_substitution(m, data):
     n = m.nrows
     exponents = st.tuples(*([st.integers(0, 3)] * n))
     for exps in data.draw(st.lists(exponents, min_size=1, max_size=4)):
-        # the terms, each as (exponents, denominator, numerators) of the
-        # from-scratch coefficient in lowest terms, each exponent once
+        # the terms, each as (exponents, denominator, nonzero (place,
+        # numerator) pairs) of the from-scratch coefficient in lowest
+        # terms, each exponent once
         got = monomial_image(m, exps)
         want = subst_matrix(Poly.monomial(exps, 1, m.order), m)
         assert len({e for e, _, _ in got}) == len(got)
-        assert {e: (den, num) for e, den, num in got} == {
-            e: (c.den, c.num) for e, c in want.terms.items()}
+        assert {e: (den, pairs) for e, den, pairs in got} == {
+            e: (c.den, tuple((p, a) for p, a in enumerate(c.num) if a))
+            for e, c in want.terms.items()}
 
 
 def test_monomial_image_of_high_degree_needs_no_recursion():
@@ -576,4 +629,4 @@ def test_monomial_image_of_high_degree_needs_no_recursion():
     m = Matrix(5, [[z, 0], [0, -1]])
     got = monomial_image(m, (1200, 1))
     c = -Cyc.zeta(5, 1200)
-    assert got == (((1200, 1), c.den, c.num),)
+    assert got == (((1200, 1), c.den, tuple((p, a) for p, a in enumerate(c.num) if a)),)
