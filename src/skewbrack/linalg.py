@@ -7,8 +7,9 @@ bracket.perp_vanishing_applies call.  linalg builds its own results
 through Matrix._of, which coerces no entry; the public constructor
 coerces each one.  The reduced form of a row space is unique and nothing
 depends on hash order, so identical inputs give identical outputs.
-`det` is a separate dense Gaussian elimination for the chain-level
-oracle's minors (`polyvec.minor_det`) and tests.
+`_echelon` is the one elimination; `det`, for the chain-level oracle's
+minors (`polyvec.minor_det`), is a cofactor expansion that divides by
+nothing.
 """
 
 from __future__ import annotations
@@ -224,32 +225,29 @@ def solve_membership(vectors, target, order):
 
 
 def det(m: Matrix) -> Cyc:
+    """The determinant by cofactor expansion along the rows, last row
+    first: the nonzero minors of the rows below, by their columns, as
+    polyvec.minor_row keeps them in plain ints, here in Cyc sums and
+    products only, so no entry is inverted.  A dense n x n matrix costs
+    up to n 2^(n-1) products; the chain-level oracle, the one caller in
+    the package, takes minors of at most one row on the benchmark."""
     if m.nrows != m.ncols:
         raise ValueError("matrix is not square")
-    order = m.order
-    rows = [list(r) for r in m.rows]
-    n = m.nrows
-    sign = 1
-    out = Cyc.one(order)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return Cyc.zero(order)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        p = rows[col][col]
-        out = out * p
-        inv = p.inverse()
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[col])]
-    return out if sign == 1 else -out
+    zero = Cyc.zero(m.order)
+    below = {(): Cyc.one(m.order)}
+    for row in reversed(m.rows):
+        minors = {}
+        for j, a in enumerate(row):
+            if not a:
+                continue
+            for cols, d in below.items():
+                if j not in cols:
+                    pos = sum(c < j for c in cols)
+                    key = cols[:pos] + (j,) + cols[pos:]
+                    got = minors.get(key, zero)
+                    minors[key] = got - a * d if pos % 2 else got + a * d
+        below = {cols: d for cols, d in minors.items() if d}
+    return below.get(tuple(range(m.nrows)), zero)
 
 
 def mat_inverse(m: Matrix) -> Matrix:

@@ -206,14 +206,9 @@ def _unit(n, k):
 
 
 def minor_det(m: Matrix, rows, cols):
-    order = m.order
-    k = len(rows)
-    if k != len(cols):
+    if len(rows) != len(cols):
         raise ValueError("a minor needs as many rows as columns")
-    if k == 0:
-        return Cyc.one(order)
-    sub = [[m.rows[r][c] for c in cols] for r in rows]
-    return det(Matrix(order, sub))
+    return det(Matrix._of(m.order, [[m.rows[r][c] for c in cols] for r in rows]))
 
 
 class Polyvector(SparseTerms):

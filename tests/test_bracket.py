@@ -14,6 +14,7 @@ from helpers import (
     alternating_unipotent,
     conjugate_group,
     example_group,
+    load_tracer,
     mat,
     matmul,
     matvec,
@@ -45,6 +46,7 @@ from skewbrack.bracket import (
     perp_vanishing_applies,
 )
 from skewbrack.fixtures import EXAMPLES, PAIRS, bracket_pair, fixture_groups
+from skewbrack import koszul
 from skewbrack.koszul import chain_bracket_cochain
 from skewbrack.cli import load_class_file, load_group_file
 
@@ -241,6 +243,33 @@ def test_oracle_agrees_on_a_non_monomial_group():
             assert result == project(chain_bracket_cochain(x, y)), (x, y)
             found += not result.is_zero()
     assert (len(pool) ** 2, found) == (9, 4)
+
+
+def test_oracle_agrees_on_dense_cyclotomic_conjugates_and_inverts_nothing():
+    # the nonabelian D4 over Q(zeta4) and D5 over Q(zeta5), and the
+    # cyclic rotation pair over Q(zeta6), each conjugated to an action
+    # that is not monomial.  The oracle's minors come from a determinant
+    # that divides by nothing, so the chain brackets invert no scalar
+    cases = [(GROUP_DATA / "d4.json", ((1, 0), (1, 1), (2, 0), (2, 1)), 81, 26),
+             (GROUP_DATA / "d5.json", ((1, 0), (1, 1), (2, 0), (2, 1)), 100, 28),
+             (ROTATION_PAIR, ((1, 0), (1, 1), (2, 0)), 169, 72)]
+    for path, pieces, pairs, nonzero in cases:
+        group = load_group_file(str(path))[0]
+        dense = conjugate_group(group, *alternating_unipotent(group.dim, group.scalar_order))
+        assert any(sum(1 for e in col if e) > 1 for a in dense.matrices for col in zip(*a.rows))
+        pool = [c for p, m in pieces for c in cohomology_basis(dense, p, m)]
+        operands = [(x, y) for x in pool for y in pool]
+        want = [gerstenhaber(x, y).result for x, y in operands]
+        tracer = load_tracer().Tracer()
+        with tracer:
+            # through the module, so that the tracer's wrapper sees the calls
+            chains = [koszul.chain_bracket_cochain(x, y) for x, y in operands]
+        counts = tracer.counts()
+        assert [project(c) for c in chains] == want, path.name
+        assert (len(operands), sum(not w.is_zero() for w in want)) == (pairs, nonzero), path.name
+        assert counts["koszul.chain_bracket_cochain.calls"] == pairs
+        assert counts["polyvec.minor_det.calls"] > 0
+        assert counts["scalars.inverse.calls"] == 0, path.name
 
 
 def test_oracle_agrees_on_s5_pairs_with_twenty_component_classes():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,28 +171,38 @@ def test_rank_nullity_and_kernel_annihilation_sparse_cyclotomic(data):
     _check_rank_nullity_and_kernel_annihilation(_rand_sparse_matrix(data, order, nrows, ncols))
 
 
-def _laplace_det(rows, order):
-    # Cofactor expansion along the first row.
-    if not rows:
-        return Cyc.one(order)
+def _leibniz_det(rows, order):
+    # The sum over permutations of the products of one entry per row and
+    # column, each signed by its count of inversions: no elimination and
+    # no expansion by minors.
     total = Cyc.zero(order)
-    for j, a in enumerate(rows[0]):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = a * _laplace_det(minor, order)
-        total = total + term if j % 2 == 0 else total - term
+    for perm in permutations(range(len(rows))):
+        term = Cyc.one(order)
+        for row, j in zip(rows, perm):
+            term = term * row[j]
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
     return total
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_det_matches_laplace_expansion(data):
+def test_det_matches_the_leibniz_sum(data):
+    # fractional entries over Q, Q(zeta4), Q(zeta5) and Q(zeta6), dense,
+    # sparse, or singular by a repeated row, from the empty matrix to 5 x 5
     order = data.draw(st.sampled_from([1, 4, 5, 6]))
-    n = data.draw(st.integers(1, 4))
-    if data.draw(st.booleans()):
-        m = _rand_sparse_matrix(data, order, n, n)
-    else:
-        m = Matrix(order, [[_rand_scalar(data, order) for _ in range(n)] for _ in range(n)])
-    assert det(m) == _laplace_det([list(r) for r in m.rows], order)
+    n = data.draw(st.integers(0, 5))
+    make = data.draw(st.sampled_from([_rand_dense_matrix, _rand_sparse_matrix]))
+    rows = [list(r) for r in make(data, order, n, n).rows]
+    repeated = n > 1 and data.draw(st.booleans())
+    if repeated:
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        rows[j] = rows[i]
+    want = _leibniz_det(rows, order)
+    got = det(Matrix(order, rows))
+    assert type(got) is Cyc and got.order == order
+    assert got == want
+    assert not repeated or want.is_zero()
 
 
 @settings(max_examples=60, deadline=None)
