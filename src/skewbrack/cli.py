@@ -177,6 +177,7 @@ def load_class_file(path, group):
         raise ValueError(f"{path}: terms must be a list")
     n, order = group.dim, group.scalar_order
     comps = {}
+    resolved = {}  # group word or index -> element index, each resolved once
     for pos, term in enumerate(data["terms"], 1):
         where = f"{path}: term {pos}"
         if not isinstance(term, dict):
@@ -187,10 +188,12 @@ def load_class_file(path, group):
         gref = term["group"]
         if not isinstance(gref, str) and not _is_int(gref):
             raise ValueError(f"{where}: group must be a word or an element index")
-        try:
-            g = resolve_word(group, gref)
-        except ValueError as exc:
-            raise ValueError(f"{where}: group: {exc}") from exc
+        g = resolved.get(gref)
+        if g is None:
+            try:
+                g = resolved[gref] = resolve_word(group, gref)
+            except ValueError as exc:
+                raise ValueError(f"{where}: group: {exc}") from exc
         try:
             coeff = _parse_literal(str(term["coeff"]), order)
         except ValueError as exc:

@@ -25,11 +25,12 @@ class Cochain(SparseTerms):
 
     Absent components are zero.  The group is carried along so actions and
     differentials can resolve matrices and conjugation without extra
-    arguments.
+    arguments; its scalar order, ``order``, is the group's.
     """
 
     __slots__ = ("group", "degree")
     head = property(attrgetter("group", "degree"))
+    order = property(attrgetter("group.scalar_order"))
 
     def __init__(self, group, degree, terms=None):
         clean = {}

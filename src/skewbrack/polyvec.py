@@ -77,18 +77,22 @@ class SparseTerms(Frozen):
     ``head`` in constructor order, and construct as ``cls(*head, terms)``,
     dropping zero values, validating keys and ending in the fill
     ``self._init(terms, *head)``; ``cls._new(terms, *head)`` builds one
-    from terms already clean.  The termwise linear arithmetic, equality
-    and hashing live here.
+    from terms already clean.  The constructor guards what comes from
+    outside.  The termwise linear arithmetic, equality and hashing live
+    here, and the arithmetic fills its results through ``_new``: valid
+    operands of one type and head give valid keys, and a sum drops the
+    values that cancel, a zero Cyc or a container with no terms.  A
+    multiple coerces its scalar once, through Cyc.of at the operand's
+    ``order``, before it reads a term, so a zero operand refuses the
+    scalars a nonzero one does; a nonzero multiple of a nonzero value is
+    nonzero in a field.
     """
 
     __slots__ = ("terms",)
 
     @classmethod
     def zero(cls, *head):
-        return cls(*head, {})
-
-    def _like(self, terms):
-        return type(self)(*self.head, terms)
+        return cls._new({}, *head)
 
     def is_zero(self):
         return not self.terms
@@ -102,21 +106,29 @@ class SparseTerms(Frozen):
         return hash((self.head, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        if self.head != other.head:
+        if self.head != other.head or type(other) is not type(self):
             raise ValueError(f"{type(self).__name__.lower()} mismatch")
         out = dict(self.terms)
         for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return self._like(out)
+            if k in out:
+                v = out[k] + v
+                if v.is_zero():
+                    del out[k]
+                    continue
+            out[k] = v
+        return self._new(out, *self.head)
 
     def __neg__(self):
-        return self._like({k: -v for k, v in self.terms.items()})
+        return self._new({k: -v for k, v in self.terms.items()}, *self.head)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        return self._like({k: v * c for k, v in self.terms.items()})
+        c = Cyc.of(c, self.order)
+        if c.is_zero():
+            return self.zero(*self.head)
+        return self._new({k: v * c for k, v in self.terms.items()}, *self.head)
 
     __mul__ = scale
 
@@ -161,7 +173,7 @@ class Poly(SparseTerms):
                     out[e] = out[e] + c
                 else:
                     out[e] = c
-        return Poly(self.n, self.order, out)
+        return Poly._new({e: c for e, c in out.items() if c}, self.n, self.order)
 
     def deriv(self, i):
         out = {}
@@ -169,8 +181,8 @@ class Poly(SparseTerms):
             if exps[i]:
                 e = list(exps)
                 e[i] -= 1
-                out[tuple(e)] = c * exps[i]
-        return Poly(self.n, self.order, out)
+                out[tuple(e)] = c * exps[i]  # nonzero in characteristic 0
+        return Poly._new(out, self.n, self.order)
 
     def __str__(self):
         if not self.terms:

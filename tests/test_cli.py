@@ -626,6 +626,33 @@ def test_class_file_sums_repeated_and_cancelling_terms(tmp_path):
     assert sorted(got.terms) == [0, resolve_word(group, "g1")]
 
 
+def test_class_file_resolves_each_distinct_group_word_once(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(group, word):
+        calls.append(word)
+        return resolve_word(group, word)
+
+    monkeypatch.setattr(cli, "resolve_word", spy)
+    group, _ = load_group_file(str(GROUP_DATA / "s4.json"))
+    path = GROUP_DATA.parent / "classes" / "s4" / "p2m1_2.json"
+    words = [t["group"] for t in json.loads(path.read_text())["terms"]]
+    assert len(words) == 72
+    got = load_class_file(str(path), group)
+    assert calls == list(dict.fromkeys(words)) and len(calls) == 8
+    assert sorted(got.terms) == sorted({resolve_word(group, w) for w in words})
+
+    # a bad word still fails at the first term that names it
+    calls.clear()
+    term = {"coeff": "1", "exponents": [0, 0, 0, 0], "wedge": [1, 2]}
+    bad = tmp_path / "bad-word.json"
+    bad.write_text(json.dumps({"homologicalDegree": 2, "terms": [
+        {**term, "group": w} for w in ("g1", "g1", "h1", "h1")]}))
+    with pytest.raises(ValueError, match=r"term 3: group: bad generator token 'h1'$"):
+        load_class_file(str(bad), group)
+    assert calls == ["g1", "h1"]
+
+
 def test_class_file_loads_in_time_linear_in_its_terms(tmp_path):
     # 4,000 terms at one element over all 969 monomials on k^3 of degree
     # at most 16; each term once copied its wedge's whole polynomial
