@@ -6,8 +6,8 @@ Schouten bracket [X_g, Y_h] of polyvector fields projected to the
 reduced subspace of gh.  Both inputs are G-invariant, so the term of the
 conjugate pair (a^-1 g a, a^-1 h a) is the one of (g, h) moved by a; it
 is computed once per orbit of component pairs under simultaneous
-conjugation and moved to the rest of the orbit.  Vanishing criteria
-from the codimension grading are provided alongside.
+conjugation and moved along the generators to the rest of the orbit.
+Vanishing criteria from the codimension grading are provided alongside.
 """
 
 from .cochain import Cochain, is_invariant, project_component, support_codims
@@ -107,9 +107,13 @@ def gerstenhaber(x, y):
     p_g(X).a, so reduced form is checked on one component per conjugacy
     class of each support.  Likewise the pair (a^-1 g a, a^-1 h a) has
     the projected Schouten bracket of (g, h) moved by a, and the same
-    vanishing reason: pairs are walked in sorted (g, h) order, each pair
-    not yet reached is computed, and its value is moved to its whole
-    orbit under simultaneous conjugation.
+    vanishing reason: pairs are walked in sorted (g, h) order, and each
+    pair not yet reached is computed.  Its orbit under simultaneous
+    conjugation is then walked along the generators: from a reached pair
+    (p, q) with value v, each generator s reaches (s^-1 p s, s^-1 q s)
+    with value v.s, and a vanishing reason is copied as it is.  Since
+    (v.a).s = v.(as), that is the value moved by the element reaching
+    it, one act with a generator's matrices per pair of the orbit.
 
     Placing each term v(g, h) at hg instead of gh gives the same bracket.
     (g, h) -> (hgh^-1, h) maps the pairs with hg = k onto those with
@@ -131,19 +135,22 @@ def gerstenhaber(x, y):
                  f"{side} operand is not in reduced form (apply project first)")
     degree = max(x.degree + y.degree - 1, 0)
     pairs = [(g, h) for g in sorted(x.terms) for h in sorted(y.terms)]
-    mult, inverses = group.mult_table, group.inverses
+    mult, inverses, actions = group.mult_table, group.inverses, group.actions
     values = {}
     for g, h in pairs:
         if (g, h) in values:
             continue
-        value = values[(g, h)] = pair_commutator(group, g, x.terms[g], h, y.terms[h])
-        for a in range(1, len(group)):
-            a_inv = inverses[a]
-            moved = (mult[mult[a_inv][g]][a], mult[mult[a_inv][h]][a])
-            if moved in values:
-                continue
-            values[moved] = (value if isinstance(value, str)
-                             else act(value, [group.actions[a]]))
+        values[(g, h)] = pair_commutator(group, g, x.terms[g], h, y.terms[h])
+        reached = [(g, h)]
+        for p, q in reached:  # grows while it is walked
+            value = values[(p, q)]
+            for s in group.generator_indices:
+                s_inv = inverses[s]
+                moved = (mult[mult[s_inv][p]][s], mult[mult[s_inv][q]][s])
+                if moved not in values:
+                    values[moved] = (value if isinstance(value, str)
+                                     else act(value, [actions[s]]))
+                    reached.append(moved)
     comps = {}
     per_terms = {}
     diagnostics = []

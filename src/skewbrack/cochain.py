@@ -112,15 +112,19 @@ def is_invariant(c):
     fixed by C(r) and X_k = X_r.a_k for a_k = conjugators[k]: then any
     h has a_k h = z a_(h^-1 k h) with z in C(r), so X_k.h = X_(h^-1 k h).
     C(r) fixes X_r when its generators, group.centralizer_gens, do; that
-    is |gens C(r)| + |cls| - 1 act calls per class."""
+    is |gens C(r)| + |cls| - 1 act calls per class.  The classes of the
+    support are found from their representatives: it is a union of
+    whole classes exactly when every member of the classes whose
+    representative it holds is in it and their sizes add up to its own,
+    which tests membership only within those classes before any act."""
     group = c.group
     terms = c.terms
-    for cls, gens in zip(group.conj_classes, group.centralizer_gens):
-        present = sum(k in terms for k in cls)
-        if not present:
-            continue
-        if present < len(cls):
-            return False
+    present = [(cls, gens) for cls, gens in zip(group.conj_classes, group.centralizer_gens)
+               if cls[0] in terms]
+    if (sum(len(cls) for cls, _ in present) != len(terms)
+            or not all(k in terms for cls, _ in present for k in cls[1:])):
+        return False
+    for cls, gens in present:
         xr = terms[cls[0]]
         if any(act(xr, [group.actions[s]]) != xr for s in gens):
             return False

@@ -81,11 +81,13 @@ class SparseTerms(Frozen):
     outside.  The termwise linear arithmetic, equality and hashing live
     here, and the arithmetic fills its results through ``_new``: valid
     operands of one type and head give valid keys, and a sum drops the
-    values that cancel, a zero Cyc or a container with no terms.  A
-    multiple coerces its scalar once, through Cyc.of at the operand's
-    ``order``, before it reads a term, so a zero operand refuses the
-    scalars a nonzero one does; a nonzero multiple of a nonzero value is
-    nonzero in a field.
+    values that cancel, a zero Cyc or a container with no terms.  A sum
+    or difference with anything but a SparseTerms is NotImplemented, so
+    Python's TypeError names the operator.  A multiple coerces its
+    scalar once, through Cyc.of at the operand's ``order``, before it
+    reads a term, so a zero operand refuses the scalars a nonzero one
+    does, and ``_times`` scales the values of every level with that one
+    Cyc; a nonzero multiple of a nonzero value is nonzero in a field.
     """
 
     __slots__ = ("terms",)
@@ -106,6 +108,8 @@ class SparseTerms(Frozen):
         return hash((self.head, frozenset(self.terms.items())))
 
     def __add__(self, other):
+        if not isinstance(other, SparseTerms):
+            return NotImplemented
         if self.head != other.head or type(other) is not type(self):
             raise ValueError(f"{type(self).__name__.lower()} mismatch")
         out = dict(self.terms)
@@ -122,13 +126,21 @@ class SparseTerms(Frozen):
         return self._new({k: -v for k, v in self.terms.items()}, *self.head)
 
     def __sub__(self, other):
+        if not isinstance(other, SparseTerms):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c):
         c = Cyc.of(c, self.order)
         if c.is_zero():
             return self.zero(*self.head)
-        return self._new({k: v * c for k, v in self.terms.items()}, *self.head)
+        return self._times(c)
+
+    def _times(self, c):
+        """The multiple by c, a nonzero Cyc of this order: a Cyc value is
+        multiplied by it, and a container value scaled the same way."""
+        return self._new({k: v * c if v.__class__ is Cyc else v._times(c)
+                          for k, v in self.terms.items()}, *self.head)
 
     __mul__ = scale
 

@@ -46,7 +46,7 @@ from skewbrack.bracket import (
     perp_vanishing_applies,
 )
 from skewbrack.fixtures import EXAMPLES, PAIRS, bracket_pair, fixture_groups
-from skewbrack import koszul
+from skewbrack import bracket, koszul
 from skewbrack.koszul import chain_bracket_cochain
 from skewbrack.cli import load_class_file, load_group_file
 
@@ -153,9 +153,11 @@ def stored_class(group, name, *stems):
 
 
 def orbit_cases():
-    """(label, x, y): multi-component classes of S4, D4 over Q(zeta4), D5
-    over Q(zeta5), and the rotation pair over Q(zeta6); the D4 and D5
-    sums mix nonzero, projection-killed and Schouten-zero pairs."""
+    """(label, x, y): multi-component classes of S4, S5, D4 over Q(zeta4),
+    D5 over Q(zeta5), and the rotation pair over Q(zeta6); the D4 and D5
+    sums mix nonzero, projection-killed and Schouten-zero pairs.  The S5
+    classes have twenty components, so orbits of up to 120 pairs are
+    walked several generator steps deep."""
     cases = []
     for name, left, right in (("s4", ("p2m1_1",), ("p1m1_0",)),
                               ("s4", ("p1m1_1",), ("p2m1_2",)),
@@ -176,16 +178,30 @@ def orbit_cases():
         y = cohomology_basis(group, p, 2)[0]
         cases.append((f"{name} {left} x H^({p},2)", x, y))
         cases.append((f"{name} H^({p},2) x {left}", y, x))
+    group = load_group_file(str(GROUP_DATA / "s5.json"))[0]
+    x, y = (next(c for c in cohomology_basis(group, p, m) if len(c.terms) == 20)
+            for p, m in ((2, 1), (3, 0)))
+    cases.append(("s5 H^(2,1) x H^(3,0)", x, y))
+    cases.append(("s5 H^(2,1) x H^(2,1)", x, x))
     _, x, y, _ = bracket_pair("rotation-k5-z6")
     cases.append(("rotation pair fixture", x, y))
     return cases
+
+
+def conjugation_orbits(x, y):
+    """The orbits of the component pairs of x and y under simultaneous
+    conjugation by every element of the group."""
+    group = x.group
+    mult, inverses = group.mult_table, group.inverses
+    return {frozenset((mult[mult[a][g]][inverses[a]], mult[mult[a][h]][inverses[a]])
+                      for a in range(len(group)))
+            for g in x.terms for h in y.terms}
 
 
 def test_orbit_transport_matches_pairwise_computation():
     seen = set()
     transported = 0
     for label, x, y in orbit_cases():
-        group = x.group
         report = gerstenhaber(x, y)
         terms, reasons = pairwise_report(x, y)
         assert report.per_component_terms == terms, label
@@ -194,13 +210,35 @@ def test_orbit_transport_matches_pairwise_computation():
         seen.update(reason for _, _, reason in reasons)
         seen.add("nonzero" if terms else "zero")
         # every pair but one per orbit takes its value from a conjugate pair
-        mult, inverses = group.mult_table, group.inverses
-        orbits = {frozenset((mult[mult[a][g]][inverses[a]], mult[mult[a][h]][inverses[a]])
-                            for a in range(len(group)))
-                  for g in x.terms for h in y.terms}
-        transported += len(x.terms) * len(y.terms) - len(orbits)
+        transported += len(x.terms) * len(y.terms) - len(conjugation_orbits(x, y))
     assert seen == {"nonzero", "zero", "schouten zero", "projection kill"}
     assert transported >= 100
+
+
+def test_orbit_transport_acts_once_per_moved_nonzero_pair_with_a_generator(monkeypatch):
+    # gerstenhaber acts only to transport values: each act moves a value
+    # one generator step, and each pair of a nonzero orbit but the one
+    # computed costs one act, however deep the walk goes
+    acts = []
+
+    def counted(pv, pairs):
+        acts.append(pairs)
+        return act(pv, pairs)
+
+    monkeypatch.setattr(bracket, "act", counted)
+    total = 0
+    for label, x, y in orbit_cases():
+        group = x.group
+        generator_pairs = [group.actions[s] for s in group.generator_indices]
+        acts.clear()
+        report = gerstenhaber(x, y)
+        assert all(len(pairs) == 1 and any(pairs[0] is gp for gp in generator_pairs)
+                   for pairs in acts), label
+        want = sum(len(orbit) - 1 for orbit in conjugation_orbits(x, y)
+                   if next(iter(orbit)) in report.per_component_terms)
+        assert len(acts) == want, label
+        total += want
+    assert total >= 100
 
 
 # ------------------------------- oracle agreement and vanishing reasons

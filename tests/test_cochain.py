@@ -902,6 +902,29 @@ def test_is_invariant_is_invariance_under_every_element(c):
     assert is_invariant(c) == invariant_under_every_element(c)
 
 
+class CountingTerms(dict):
+    """A terms dict that counts its membership tests."""
+
+    tests = 0
+
+    def __contains__(self, key):
+        self.tests += 1
+        return super().__contains__(key)
+
+
+def test_is_invariant_tests_membership_only_in_the_classes_of_the_support():
+    # x1 d1 + ... + x5 d5 at the identity of S5: one test per class
+    # representative and none of the other 119 elements
+    group = load_group_file(str(GROUP_DATA / "s5.json"))[0]
+    n = group.dim
+    pv = Polyvector(n, 1, {(i,): Poly.monomial(tuple(int(j == i) for j in range(n)), 1, 1)
+                           for i in range(n)})
+    terms = CountingTerms({0: pv})
+    c = Cochain._new(terms, group, 1)
+    assert is_invariant(c)
+    assert terms.tests <= len(group.conj_classes) + len(terms) < len(group)
+
+
 @st.composite
 def near_reduced_cochain(draw):
     """Random terms, which the projection mostly changes and partly

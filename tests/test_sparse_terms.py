@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewbrack.cli import load_group_file
+from skewbrack.cli import load_class_file, load_group_file
 from skewbrack.cochain import Cochain
 from skewbrack.fixtures import EXAMPLES
 from skewbrack.koszul import KoszulElt, KoszulTensor2
@@ -21,6 +21,7 @@ from skewbrack.polyvec import Poly, Polyvector, SparseTerms
 from skewbrack.scalars import Cyc
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+CLASSES = WORKLOADS.parent / "data" / "classes"
 
 # groups for cochains: Klein four over Q on k^3, binary tetrahedral over
 # Q(zeta4) on k^2
@@ -278,3 +279,44 @@ def test_a_combination_of_stored_classes_calls_no_checking_constructor(monkeypat
                     want[(g, idx, exps)] = want.get((g, idx, exps), zero) + v * c
     assert total == build("cochain", (group, 2), want) and not total.is_zero()
     assert_clean(total)
+
+
+# a sum or difference with anything but a SparseTerms value is left to
+# Python, whose TypeError names the operator written; "cyc" stands for
+# a Cyc of the value's own order
+NOT_TERMS = [1, Fraction(1, 2), "cyc", "1", 0.5]
+
+
+@pytest.mark.parametrize("op", ["+", "-"])
+@pytest.mark.parametrize("kind", ["poly", "polyvector", "cochain", "koszul"])
+@pytest.mark.parametrize("other", NOT_TERMS, ids=["int", "Fraction", "Cyc", "str", "float"])
+def test_a_sum_with_a_non_terms_operand_is_a_type_error_naming_the_operator(kind, op, other):
+    x, _, _ = valued(kind, False)
+    if other == "cyc":
+        other = Cyc.zeta(x.order)
+    with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \{op}"):
+        x + other if op == "+" else x - other
+
+
+def test_a_multiple_of_a_stored_class_coerces_its_scalar_once(monkeypatch):
+    # the stored S4 (2,1) class of eight components, each a polyvector of
+    # several polys: one Cyc.of for the scalar, none per level or value
+    group = load_group_file(str(CLASSES.parent / "groups" / "s4.json"))[0]
+    x = load_class_file(str(CLASSES / "s4" / "p2m1_2.json"), group)
+    assert len(x.terms) == 8
+    calls = []
+    of = Cyc.of
+
+    def counted(value, order):
+        calls.append(value)
+        return of(value, order)
+
+    monkeypatch.setattr(Cyc, "of", staticmethod(counted))
+    got = x * Fraction(-3, 2)
+    monkeypatch.undo()
+    assert calls == [Fraction(-3, 2)]
+    c = Cyc.of(Fraction(-3, 2), group.scalar_order)
+    want = {(g, idx, exps): v * c for g, pv in x.terms.items()
+            for idx, p in pv.terms.items() for exps, v in p.terms.items()}
+    assert got == build("cochain", (group, 2), want)
+    assert_clean(got)
