@@ -62,6 +62,8 @@ class Matrix(Frozen):
         return hash((self.order, self.rows))
 
     def __sub__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shape mismatch")
         return Matrix._of(

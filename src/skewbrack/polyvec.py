@@ -38,7 +38,6 @@ here by name.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from operator import add, attrgetter
@@ -81,13 +80,14 @@ class SparseTerms(Frozen):
     outside.  The termwise linear arithmetic, equality and hashing live
     here, and the arithmetic fills its results through ``_new``: valid
     operands of one type and head give valid keys, and a sum drops the
-    values that cancel, a zero Cyc or a container with no terms.  A sum
-    or difference with anything but a SparseTerms is NotImplemented, so
-    Python's TypeError names the operator.  A multiple coerces its
-    scalar once, through Cyc.of at the operand's ``order``, before it
-    reads a term, so a zero operand refuses the scalars a nonzero one
-    does, and ``_times`` scales the values of every level with that one
-    Cyc; a nonzero multiple of a nonzero value is nonzero in a field.
+    values that cancel, a zero Cyc or a container with no terms.  Every
+    operator returns NotImplemented for a foreign operand, so Python's
+    TypeError names it, and raises ValueError for a value of the same
+    kind with another head.  ``__mul__``, the one scalar multiple, coerces
+    its scalar once, through Cyc.of at ``order``, before it reads a term,
+    so a zero operand refuses the scalars a nonzero one does; what Cyc.of
+    refuses with TypeError is foreign.  ``_times`` scales every level with
+    that one Cyc; a nonzero multiple of a nonzero value is nonzero in a field.
     """
 
     __slots__ = ("terms",)
@@ -130,8 +130,11 @@ class SparseTerms(Frozen):
             return NotImplemented
         return self + (-other)
 
-    def scale(self, c):
-        c = Cyc.of(c, self.order)
+    def __mul__(self, c):
+        try:
+            c = Cyc.of(c, self.order)
+        except TypeError:
+            return NotImplemented
         if c.is_zero():
             return self.zero(*self.head)
         return self._times(c)
@@ -141,8 +144,6 @@ class SparseTerms(Frozen):
         multiplied by it, and a container value scaled the same way."""
         return self._new({k: v * c if v.__class__ is Cyc else v._times(c)
                           for k, v in self.terms.items()}, *self.head)
-
-    __mul__ = scale
 
 
 class Poly(SparseTerms):
@@ -166,14 +167,11 @@ class Poly(SparseTerms):
         return Poly(len(exps), order, {tuple(exps): Cyc.of(coeff, order)})
 
     def __mul__(self, other):
-        """The product with a scalar or a Poly.  As for a sum, a Poly of
-        another head raises ValueError; any other operand, NotImplemented."""
+        """The product with a Poly; as for a sum, a Poly of another head
+        raises ValueError.  Any other operand is a scalar multiple, which
+        SparseTerms.__mul__ makes."""
         if not isinstance(other, Poly):
-            try:
-                other = Cyc.of(other, self.order)
-            except TypeError:
-                return NotImplemented
-            return self.scale(other)
+            return SparseTerms.__mul__(self, other)
         if self.head != other.head:
             raise ValueError("poly mismatch")
         out = {}
@@ -267,12 +265,6 @@ class Polyvector(SparseTerms):
             return Polyvector._new({}, n, order)
         poly = Poly._new({tuple(exps): c if sgn > 0 else -c}, n, order)
         return Polyvector._new({key: poly}, n, order)
-
-    def __mul__(self, other):
-        """Scalar multiple."""
-        if isinstance(other, (int, Fraction, Cyc)):
-            return self.scale(other)
-        return NotImplemented
 
     def degree(self):
         degs = {len(i) for i in self.terms}

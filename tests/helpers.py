@@ -80,6 +80,29 @@ def alternating_unipotent(n, order):
     return u, mat_inverse(u)
 
 
+def imprimitive_reflection_group(m, p, n):
+    """G(m, p, n) of Shephard and Todd, for p dividing m and n >= 2: the
+    n x n monomial matrices over Q(zeta_m) whose nonzero entries are m-th
+    roots of unity with product an (m/p)-th root of unity, m^n n!/p of
+    them.  Generated by the transpositions of coordinates i and i+1, the
+    transposition of the first two twisted by zeta_m and zeta_m^-1, and
+    diag(zeta_m^p, 1, ..., 1) when p < m."""
+    def monomial(images):
+        # images[j] = (i, c): column j is c at row i
+        rows = [[Cyc.zero(m)] * n for _ in range(n)]
+        for j, (i, c) in enumerate(images):
+            rows[i][j] = c
+        return Matrix(m, rows)
+
+    fixed = [(j, Cyc.one(m)) for j in range(n)]
+    generators = [monomial(fixed[:i] + [fixed[i + 1], fixed[i]] + fixed[i + 2:])
+                  for i in range(n - 1)]
+    generators.append(monomial([(1, Cyc.zeta(m)), (0, Cyc.zeta(m, -1))] + fixed[2:]))
+    if p < m:
+        generators.append(monomial([(0, Cyc.zeta(m, p))] + fixed[1:]))
+    return enumerate_group(generators)
+
+
 def conjugate_group(group, u, u_inv):
     """The group generated by u^-1 s u for the generators s of group, in
     the same order and with the same names, so its words and tables are

@@ -22,6 +22,7 @@ from skewbrack.linalg import (
     rref,
     solve_membership,
 )
+from skewbrack.polyvec import Polyvector
 from skewbrack.scalars import Cyc
 
 
@@ -53,6 +54,22 @@ def test_image_of_one_minus_reflection():
     one_minus = Matrix.identity(2, 1) - g
     basis = image_basis(one_minus)
     assert basis == [(Cyc.one(1), Cyc.zero(1))]
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), Cyc.one(1), "polyvector"],
+                         ids=["int", "Fraction", "Cyc", "Polyvector"])
+def test_a_matrix_minus_a_non_matrix_is_a_type_error_naming_the_operator(other):
+    if other == "polyvector":
+        other = Polyvector.term(1, (1,), (0,), 1)
+    one = Matrix.identity(1, 1)
+    assert Matrix.__sub__(one, other) is NotImplemented
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+        one - other
+
+
+def test_matrices_of_two_shapes_do_not_subtract():
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        Matrix.identity(2, 1) - im([[1, 0, 0], [0, 1, 0]])
 
 
 def test_solve_membership():

@@ -90,7 +90,6 @@ OPERATORS = {
     "SparseTerms.__sub__": "koszul",
     "SparseTerms.__mul__": "workloads",
     "Poly.__mul__": "polyvec",
-    "Polyvector.__mul__": "polyvec",
 }
 # forward operator -> the syntax that applies it
 SYNTAX = {"__add__": ast.Add, "__sub__": ast.Sub, "__mul__": ast.Mult, "__matmul__": ast.MatMult,

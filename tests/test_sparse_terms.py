@@ -6,6 +6,7 @@ terms, on Poly, Polyvector, Cochain and KoszulElt.
 """
 
 import importlib.util
+import operator
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -281,21 +282,40 @@ def test_a_combination_of_stored_classes_calls_no_checking_constructor(monkeypat
     assert_clean(total)
 
 
-# a sum or difference with anything but a SparseTerms value is left to
-# Python, whose TypeError names the operator written; "cyc" stands for
-# a Cyc of the value's own order
+# an operand an operator does not take is left to Python, whose
+# TypeError names the operator written: for a sum or difference,
+# anything but a SparseTerms value; for a multiple, anything Cyc.of
+# refuses as inexact, a value of another kind among them.  "cyc" stands
+# for a Cyc of the value's own order, and "other" for a value of another
+# kind, a Poly beside a Polyvector and a Polyvector beside the rest
 NOT_TERMS = [1, Fraction(1, 2), "cyc", "1", 0.5]
+NOT_SCALARS = ["1", 0.5, "other"]
+NOT_TAKEN = [(op, other) for op in "+-" for other in NOT_TERMS] + [("*", other)
+                                                                   for other in NOT_SCALARS]
+OPERATORS = {"+": ("__add__", operator.add), "-": ("__sub__", operator.sub),
+             "*": ("__mul__", operator.mul)}
 
 
-@pytest.mark.parametrize("op", ["+", "-"])
-@pytest.mark.parametrize("kind", ["poly", "polyvector", "cochain", "koszul"])
-@pytest.mark.parametrize("other", NOT_TERMS, ids=["int", "Fraction", "Cyc", "str", "float"])
-def test_a_sum_with_a_non_terms_operand_is_a_type_error_naming_the_operator(kind, op, other):
-    x, _, _ = valued(kind, False)
+@pytest.mark.parametrize("kind", ["poly", "polyvector", "cochain", "koszul", "koszul2"])
+@pytest.mark.parametrize("op, other", NOT_TAKEN,
+                         ids=[op + (other if other in ("cyc", "other") else type(other).__name__)
+                              for op, other in NOT_TAKEN])
+def test_an_operand_an_operator_does_not_take_is_a_type_error_naming_it(kind, op, other):
+    if kind == "koszul2":
+        x = KoszulTensor2.term(2, 4, (0,), (1,), (0, 0), (1, 0), (0, 0))
+    else:
+        x, _, _ = valued(kind, False)
     if other == "cyc":
         other = Cyc.zeta(x.order)
-    with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \{op}"):
-        x + other if op == "+" else x - other
+    elif other == "other":
+        other = valued("poly" if kind == "polyvector" else "polyvector", False)[0]
+    name, apply = OPERATORS[op]
+    assert not x.is_zero() and getattr(type(x), name)(x, other) is NotImplemented
+    # str's own reflected product runs after ours declines
+    message = ("can't multiply sequence" if op == "*" and other == "1"
+               else rf"unsupported operand type\(s\) for \{op}")
+    with pytest.raises(TypeError, match=message):
+        apply(x, other)
 
 
 def test_a_multiple_of_a_stored_class_coerces_its_scalar_once(monkeypatch):
