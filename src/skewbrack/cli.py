@@ -38,7 +38,7 @@ from .koszul import (
     homotopy_sweep,
     schouten_random_check,
 )
-from .linalg import Matrix, rank
+from .linalg import Matrix, echelon_span, one_minus_columns
 from .polyvec import Poly, Polyvector, schouten_graded_laws
 from .scalars import parse_scalar, print_scalar
 
@@ -61,18 +61,20 @@ from .scalars import parse_scalar, print_scalar
 # terms, k the coordinates that these involve: the nonzero columns of
 # 1 - g, whose row space they span.  group refuses a group whose sum of
 # that over its elements is above MAX_GROUP_OMEGA_TERMS, before it
-# builds any omega_g or geometry, reading codim as the rank of 1 - r once
-# per class representative r.  S6 permuting six coordinates of k^16
-# (720 elements, a sum of 5,671) takes 0.8-1.0 s and prints 777 KB, and
-# (Z/2)^10 flipping ten coordinates of k^12 (one term per omega_g,
-# 1,024) 0.9-1.0 s and 633 KB; a dense conjugate of that S6 (about 1.1
-# million) is refused in 0.16-0.19 s.  Near the bound, on conjugates by
-# a unipotent matrix with entries in {-1, 0, 1}, group takes 1.2-1.3 s
-# and prints 633 KB on S6 permuting six coordinates of k^8 (a sum of
-# 35,720; geometry is 0.45 s of it, enumeration 0.04 s) and 0.7 s and
-# 620 KB on (Z/2)^6 flipping six coordinates of k^15 (42,018); at k^16
-# (66,499, refused) it would take 1.1 s and print 1.0 MB (Python 3.11.7,
-# 2 cores, end to end with the output written to a file).  A cohomology piece has
+# builds any omega_g or geometry.  It reads codim once per class
+# representative r, as the echelon_span length of the columns of 1 - r
+# from linalg.one_minus_columns, and k by comparing columns with the
+# identity's.  S6 permuting six coordinates of k^16 (720 elements, a sum
+# of 5,671) takes 0.8-1.0 s and prints 777 KB, and (Z/2)^10 flipping ten
+# coordinates of k^12 (one term per omega_g, 1,024) 0.9-1.0 s and 633 KB;
+# a dense conjugate of that S6 (about 1.1 million) is refused in
+# 0.16-0.19 s.  Near the bound, on conjugates by a unipotent matrix with
+# entries in {-1, 0, 1}, group takes 1.2-1.3 s and prints 633 KB on S6
+# permuting six coordinates of k^8 (a sum of 35,720; geometry is 0.45 s
+# of it, enumeration 0.04 s) and 0.7 s and 620 KB on (Z/2)^6 flipping
+# six coordinates of k^15 (42,018); at k^16 (66,499, refused) it would
+# take 1.1 s and print 1.0 MB (Python 3.11.7, 2 cores, end to end with
+# the output written to a file).  A cohomology piece has
 # C(n, p) C(m + n - 1, n - 1) terms per element, and the basis eliminates
 # sparse rows over them; its cross-check, the character count, reads
 # traces only and costs little.  On k^5, --p 2 takes 0.08 s at 700 terms
@@ -257,8 +259,8 @@ def cmd_group(args):
     ident = Matrix.identity(group.dim, group.scalar_order)
     codims = [None] * len(group)
     for cls in group.conj_classes:
-        # codim is a class function
-        codim = rank(ident - group.matrices[cls[0]])
+        # codim is a class function, the rank of 1 - g
+        codim = len(echelon_span(one_minus_columns(group.matrices[cls[0]]), group.scalar_order))
         for k in cls:
             codims[k] = codim
     terms = 0

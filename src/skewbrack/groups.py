@@ -7,7 +7,7 @@ complement (1-g)V and the coordinates adapted to that splitting.  The
 volume form omega_g of the complement is built in cochain.volume_form.
 """
 
-from .linalg import Matrix, _sparse, echelon_span, mat_inverse, rank, row_times
+from .linalg import Matrix, _sparse, echelon_span, mat_inverse, one_minus_columns, rank, row_times
 from .scalars import Cyc, Frozen
 
 
@@ -256,13 +256,14 @@ def geometry(group, g):
     """GroupGeometry of the element with index g, computed once per group.
 
     Both bases come from one reduced echelon form, of the n rows of
-    [(1-g)^T | 1]: row i is (column i of 1-g, e_i), so a combination of
-    the rows with coefficients x is ((1-g)x, x).  A reduced row with its
-    pivot in the first block has as that block a vector of the
-    echelonized basis of (1-g)V, the one image_basis(1-g) gives.  A
-    reduced row with its pivot in the second block is 0 in the first, so
-    its second block is a vector that 1-g kills, and these vectors span
-    V^g.  Nothing downstream depends on which basis of V^g this is."""
+    [(1-g)^T | 1]: row i is (column i of 1-g, e_i), the column from
+    linalg.one_minus_columns, so a combination of the rows with
+    coefficients x is ((1-g)x, x).  A reduced row with its pivot in the
+    first block has as that block a vector of the echelonized basis of
+    (1-g)V, the one image_basis(1-g) gives.  A reduced row with its pivot
+    in the second block is 0 in the first, so its second block is a
+    vector that 1-g kills, and these vectors span V^g.  Nothing
+    downstream depends on which basis of V^g this is."""
     if not 0 <= g < len(group):
         raise ValueError(f"element index {g} out of range")
     cached = group._geometries[g]
@@ -270,14 +271,9 @@ def geometry(group, g):
         return cached
     n, order = group.dim, group.scalar_order
     one, zero = Cyc.one(order), Cyc.zero(order)
-    rows = []
-    for i, col in enumerate(zip(*group.matrices[g].rows)):
-        row = {j: -e for j, e in enumerate(col) if e}
-        row[i] = one - col[i]
-        if not row[i]:
-            del row[i]
+    rows = one_minus_columns(group.matrices[g])
+    for i, row in enumerate(rows):
         row[n + i] = one
-        rows.append(row)
     fixed, moved = [], []
     for row in echelon_span(rows, order):
         if min(row) < n:

@@ -1,15 +1,16 @@
 """Exact linear algebra over a fixed cyclotomic field.
 
-Matrices are dense, but every reduction to echelon form runs on sparse
-rows ({column: nonzero Cyc}) in one core, `_echelon`, and every product
-on one row kernel, `row_times`, which groups.enumerate_group and
-bracket.perp_vanishing_applies call.  linalg builds its own results
-through Matrix._of, which coerces no entry; the public constructor
-coerces each one.  The reduced form of a row space is unique and nothing
-depends on hash order, so identical inputs give identical outputs.
-`_echelon` is the one elimination; `det`, for the chain-level oracle's
-minors (`polyvec.minor_det`), is a cofactor expansion that divides by
-nothing.
+Matrices are dense and have no arithmetic operator.  Every reduction to
+echelon form runs on sparse rows ({column: nonzero Cyc}) in one core,
+`_echelon`; every product on one row kernel, `row_times`, which
+groups.enumerate_group and bracket.perp_vanishing_applies call; and
+every 1 - g in one builder, `one_minus_columns`.  linalg builds its own
+results through Matrix._of, which coerces no entry; the public
+constructor coerces each one.  The reduced form of a row space is
+unique and nothing depends on hash order, so identical inputs give
+identical outputs.  `_echelon` is the one elimination; `det`, for the
+chain-level oracle's minors (`polyvec.minor_det`), is a cofactor
+expansion that divides by nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .scalars import Cyc, Frozen, _powers, _reduce, _widen
 
 
 class Matrix(Frozen):
-    """Immutable dense matrix with Cyc entries (all of one order).
+    """Immutable dense matrix of Cyc entries of one order, with no arithmetic.
 
     minors and images are the caches of polyvec.act, empty from either
     constructor, and hold plain ints only, in the one shape act's loops
@@ -61,16 +62,6 @@ class Matrix(Frozen):
     def __hash__(self):
         return hash((self.order, self.rows))
 
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("matrix shape mismatch")
-        return Matrix._of(
-            self.order,
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)],
-        )
-
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in r) for r in self.rows)
         return f"Matrix[{body}]"
@@ -103,6 +94,22 @@ def row_times(order, row, right, ncols):
     for j, c in _reduce(order, accs).items():
         out[j] = c
     return tuple(out)
+
+
+def one_minus_columns(m: Matrix):
+    """The columns of 1 - m as sparse rows ({j: nonzero Cyc}), the one
+    place 1 - g is formed: codim g is the length of their echelon_span,
+    groups.geometry echelonizes them beside the identity, and column i
+    is the d_i component of polyvec.euler_field."""
+    if m.nrows != m.ncols:
+        raise ValueError("matrix is not square")
+    one = Cyc.one(m.order)
+    columns = [{j: -e for j, e in enumerate(col) if e} for col in zip(*m.rows)]
+    for i, row in enumerate(columns):
+        row[i] = one - m.rows[i][i]
+        if not row[i]:
+            del row[i]
+    return columns
 
 
 def _echelon(rows):

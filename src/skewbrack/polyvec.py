@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from operator import add, attrgetter
 
-from .linalg import Matrix, det
+from .linalg import Matrix, det, one_minus_columns
 from .scalars import Cyc, Frozen, _powers, _reduce, _widen, print_scalar
 
 
@@ -521,20 +521,13 @@ def _build(out, n, order, scale=1):
 
 def euler_field(g: Matrix) -> Polyvector:
     """The degree (1,1) element sum_i (x_i - g.x_i) d_i whose left wedge
-    multiplication is the differential on the g-component."""
+    multiplication is the differential on the g-component.  Its d_i
+    component is column i of 1 - g, from linalg.one_minus_columns, which
+    refuses a matrix that is not square."""
     n, order = g.nrows, g.order
-    comps = {}
-    for i in range(n):
-        terms = {_unit(n, i): Cyc.one(order)}
-        for k in range(n):
-            c = g.rows[k][i]
-            if not c.is_zero():
-                e = _unit(n, k)
-                terms[e] = terms.get(e, Cyc.zero(order)) - c
-        p = Poly(n, order, terms)
-        if not p.is_zero():
-            comps[(i,)] = p
-    return Polyvector(n, order, comps)
+    comps = {(i,): Poly._new({_unit(n, k): c for k, c in col.items()}, n, order)
+             for i, col in enumerate(one_minus_columns(g)) if col}
+    return Polyvector._new(comps, n, order)
 
 
 def circle_product(x: Polyvector, y: Polyvector) -> Polyvector:

@@ -49,6 +49,15 @@ def matvec(m, v):
     return tuple(r[0] for r in matmul(m, Matrix(m.order, [[x] for x in v])).rows)
 
 
+def one_minus(m):
+    """1 - m entry by entry, each a Cyc difference, with nothing from
+    linalg but the Matrix constructor, so it shares no code with the
+    builder linalg.one_minus_columns."""
+    one, zero = Cyc.one(m.order), Cyc.zero(m.order)
+    return Matrix(m.order, [[(one if i == j else zero) - e for j, e in enumerate(r)]
+                            for i, r in enumerate(m.rows)])
+
+
 def field_degree(order):
     """The degree of Q(zeta_order) over Q, the length of a Cyc's num."""
     return len(cyclotomic_polynomial(order)) - 1

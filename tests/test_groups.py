@@ -8,9 +8,11 @@ from helpers import (
     alternating_unipotent,
     conjugate_group,
     enumerate_by_whole_products,
+    imprimitive_reflection_group,
     mat,
     matmul,
     matvec,
+    one_minus,
 )
 from skewbrack import groups
 from skewbrack.cli import load_group_file
@@ -22,9 +24,10 @@ from skewbrack.groups import (
     geometry,
     resolve_word,
 )
-from skewbrack.linalg import Matrix, echelon_span, image_basis, rank, row_times
+from skewbrack.linalg import Matrix, echelon_span, image_basis, one_minus_columns, rank, row_times
 from skewbrack.polyvec import Polyvector, act, euler_field
 from skewbrack.scalars import Cyc
+from test_reflection_groups import CASES as REFLECTION_CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 GROUP_DATA = ROOT / "perfbench" / "data" / "groups"
@@ -383,9 +386,29 @@ def test_geometry_splits_v_into_fixed_vectors_and_the_echelonized_image(name):
         geo = geometry(group, g)
         fixed, moved = bases(group, g)
         assert all(matvec(a, v) == v for v in fixed), (name, g)
-        assert moved == image_basis(ident - a), (name, g)
+        assert moved == image_basis(one_minus(a)), (name, g)
         assert matmul(geo.dual_change, geo.adapted) == ident, (name, g)
-        assert geo.codim == rank(ident - a), (name, g)
+        assert geo.codim == rank(one_minus(a)), (name, g)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["plain", "dense"])
+@pytest.mark.parametrize("name", [*GROUP_FILES, *REFLECTION_CASES],
+                         ids=[*GROUP_FILES, *(f"G{case}" for case in REFLECTION_CASES)])
+def test_one_minus_columns_are_the_columns_of_one_minus_g(name, dense):
+    # every element of the example and benchmark groups, of the G(m, p, n)
+    # that test_reflection_groups checks, and of their dense conjugates
+    if name in GROUP_FILES:
+        group = load_group_file(str(GROUP_FILES[name]))[0]
+    else:
+        group = imprimitive_reflection_group(*name)
+    if dense:
+        group = conjugate_group(group, *alternating_unipotent(group.dim, group.scalar_order))
+    zero = Cyc.zero(group.scalar_order)
+    for g, a in enumerate(group.matrices):
+        got = one_minus_columns(a)
+        assert all(v for col in got for v in col.values()), (name, g)
+        assert [tuple(col.get(j, zero) for j in range(group.dim)) for col in got] == list(
+            zip(*one_minus(a).rows)), (name, g)
 
 
 def test_geometry_is_computed_once_per_group():

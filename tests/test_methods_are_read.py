@@ -79,12 +79,11 @@ def test_every_module_function_is_read_outside_the_tests():
 OPERATORS = {
     "Cyc.__add__": "linalg",
     "Cyc.__neg__": "linalg",
-    "Cyc.__sub__": "groups",
+    "Cyc.__sub__": "linalg",
     "Cyc.__mul__": "linalg",
     # the tracer's METHODS wraps it by name, read from Cyc.__dict__, so
     # every traced run needs it
     "Cyc.__rmul__": "tracer",
-    "Matrix.__sub__": "cli",
     "SparseTerms.__add__": "polyvec",
     "SparseTerms.__neg__": "polyvec",
     "SparseTerms.__sub__": "koszul",

@@ -6,7 +6,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import field_degree, mat, matmul
 from skewbrack.cli import load_group_file
@@ -79,6 +79,43 @@ def test_euler_field():
     # (x1 - (-x1)) d1 = 2 x1 d1; x2 fixed contributes nothing
     assert e == Polyvector.term(2, (1, 0), (0,), 1)
     assert euler_field(Matrix.identity(2, 1)).is_zero()
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 4], [2, 5], [3, 6]]],
+                         ids=["2x3", "3x2"])
+def test_euler_field_refuses_a_matrix_that_is_not_square(rows):
+    with pytest.raises(ValueError, match="matrix is not square"):
+        euler_field(Matrix(1, rows))
+
+
+def euler_by_terms(g):
+    """sum_i (x_i - sum_k g[k][i] x_k) d_i, one Polyvector.term at a time."""
+    n, order = g.nrows, g.order
+    unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    out = Polyvector.zero(n, order)
+    for i in range(n):
+        out = out + Polyvector.term(1, unit[i], (i,), order)
+        for k in range(n):
+            out = out - Polyvector.term(g.rows[k][i], unit[k], (i,), order)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_euler_field_of_dense_matrices_is_the_sum_over_columns(data):
+    # every entry nonzero and g[0][1] != g[1][0], so reading rows of g in
+    # place of columns changes the field
+    order = data.draw(st.sampled_from([1, 5, 6]))
+    n = data.draw(st.integers(2, 4))
+    # a nonzero first power-basis coordinate makes the entry nonzero
+    rest = st.lists(st.fractions(-3, 3, max_denominator=3), min_size=field_degree(order) - 1,
+                    max_size=field_degree(order) - 1)
+    first = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+    entries = st.builds(lambda c, cs: Cyc(order, [c, *cs]), first, rest)
+    rows = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    assume(rows[0][1] != rows[1][0])
+    g = Matrix(order, rows)
+    assert euler_field(g) == euler_by_terms(g)
 
 
 def test_act_euler_equivariance():
@@ -401,14 +438,13 @@ from skewbrack.fixtures import fixture_groups
 from skewbrack.groups import Group, enumerate_group
 from skewbrack.koszul import xi
 from skewbrack.linalg import Matrix, det, mat_inverse, solve_membership
-from skewbrack.polyvec import Poly, Polyvector, minor_det
+from skewbrack.polyvec import Poly, Polyvector, euler_field, minor_det
 from skewbrack.scalars import Cyc
 two, three = Matrix(1, [[1, 2], [3, 4]]), Matrix(1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 wide = Matrix(1, [[1, 2, 3], [4, 5, 6]])
 group, x1 = fixture_groups()["klein-signs-k3"], Polyvector.term(1, (1, 0, 0), (0,), 1)
 cases = [
     lambda: enumerate_group([two, three]),
-    lambda: two - three,
     lambda: Matrix(1, [[1, 2], [3]]),
     lambda: Poly(2, 1, {(1, 0, 5): 1, (-1, 0): 2}),
     lambda: Poly(2, 1, {(1, 0): 1}) * Poly(3, 1, {(1, 0, 0): 1}),
@@ -420,6 +456,8 @@ cases = [
     lambda: solve_membership([two.rows[0], three.rows[0]], two.rows[1], 1),
     lambda: det(wide),
     lambda: mat_inverse(wide),
+    lambda: euler_field(wide),
+    lambda: euler_field(Matrix(1, zip(*wide.rows))),
     lambda: minor_det(three, (), (0,)),
     lambda: xi(-1, 2, 0, 1),
     lambda: Group(dim=2),
@@ -450,7 +488,7 @@ def test_shape_and_head_checks_survive_python_optimize():
         proc = subprocess.run([sys.executable, *flags, "-c", OPTIMIZED_CHECKS],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["ValueError"] * 23, (flags, proc.stdout)
+        assert proc.stdout.splitlines() == ["ValueError"] * 24, (flags, proc.stdout)
 
 
 def act_from_scratch(x, h, h_inv):

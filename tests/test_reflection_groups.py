@@ -3,11 +3,13 @@ Todd, "Finite unitary reflection groups", Canad. J. Math. 6 (1954)) as
 a test family: nonabelian, over Q(zeta_m), and, conjugated by
 alternating_unipotent, acting by matrices that are not monomial.  On
 each, the three cohomology counts agree, and the bracket of basis
-classes equals the chain-level oracle's."""
+classes equals the chain-level oracle's: on a fixed list of groups, and
+on groups Hypothesis draws from the family."""
 
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import alternating_unipotent, conjugate_group, imprimitive_reflection_group
 from skewbrack.bracket import gerstenhaber
@@ -64,3 +66,31 @@ def test_counts_agree_and_brackets_equal_the_oracle(case, dense):
             assert result == project(chain_bracket_cochain(x, y)), (x, y)
             nonzero += not result.is_zero()
     assert (len(pool) ** 2, nonzero) == found
+
+
+# every G(m, p, n) with m <= 6, p dividing m, n in {2, 3} and order at
+# most 200
+DRAWN = [(m, p, n) for n in (2, 3) for m in range(1, 7) for p in range(1, m + 1)
+         if m % p == 0 and m ** n * factorial(n) // p <= 200]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_drawn_groups_agree_on_counts_and_with_the_oracle(data):
+    m, p, n = data.draw(st.sampled_from(DRAWN), label="(m, p, n)")
+    group = imprimitive_reflection_group(m, p, n)
+    if data.draw(st.booleans(), label="dense"):
+        group = conjugate_group(group, *alternating_unipotent(n, m))
+    q, k = data.draw(st.integers(0, n), label="q"), data.draw(st.integers(0, 2), label="k")
+    count = len(cohomology_basis(group, q, k))
+    assert count == cohomology_dim_character(group, q, k) == cohomology_dim_direct(group, q, k)
+    # one basis class from each of two pieces with q >= 1 that the
+    # character count finds nonzero; (1, 1) is nonzero on every G(m, p, n)
+    pieces = [(q, k) for q in range(1, n + 1) for k in range(3)
+              if cohomology_dim_character(group, q, k)]
+    pair = []
+    for _ in range(2):
+        piece = data.draw(st.sampled_from(pieces), label="piece")
+        pair.append(data.draw(st.sampled_from(cohomology_basis(group, *piece)), label="class"))
+    x, y = pair
+    assert gerstenhaber(x, y).result == project(chain_bracket_cochain(x, y))
