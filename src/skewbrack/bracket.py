@@ -12,7 +12,7 @@ Vanishing criteria from the codimension grading are provided alongside.
 
 from .cochain import Cochain, is_invariant, project_component, support_codims
 from .groups import geometry
-from .linalg import Matrix, _sparse, kernel_basis, row_times, rref, solve_membership
+from .linalg import Matrix, kernel_basis, row_times, rref, solve_membership
 from .polyvec import act, schouten
 from .scalars import Frozen
 
@@ -45,22 +45,22 @@ def moved_intersection(group, g, h):
     if not rows:
         # neither element fixes a nonzero vector
         return list(Matrix.identity(n, order).rows)
-    return list(rref(Matrix(order, kernel_basis(Matrix(order, rows))))[0].rows)
+    return list(rref(Matrix._of(order, kernel_basis(Matrix._of(order, rows))))[0].rows)
 
 
 def perp_vanishing_applies(group, g, h):
     """Whether the intersection of the two moved subspaces is nonzero and
     stable under every generator; when that holds for all conjugates, the
     bracket of classes supported on the two conjugacy classes vanishes."""
-    n, order = group.dim, group.scalar_order
+    order = group.scalar_order
     inter = moved_intersection(group, g, h)
     if not inter:
         return False
     for k in group.generator_indices:
-        # gen * v is v times the transpose: the rows of _sparse are gen's columns
-        columns = _sparse(zip(*group.matrices[k].rows))
+        # gen * v is v times the transpose of gen
+        transpose = Matrix._of(order, zip(*group.matrices[k].rows))
         for v in inter:
-            if solve_membership(inter, row_times(order, v, columns, n), order) is None:
+            if solve_membership(inter, row_times(v, transpose), order) is None:
                 return False
     return True
 

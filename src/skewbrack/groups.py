@@ -7,7 +7,7 @@ complement (1-g)V and the coordinates adapted to that splitting.  The
 volume form omega_g of the complement is built in cochain.volume_form.
 """
 
-from .linalg import Matrix, _sparse, echelon_span, mat_inverse, one_minus_columns, rank, row_times
+from .linalg import Matrix, echelon_span, mat_inverse, one_minus_columns, rank, row_times
 from .scalars import Cyc, Frozen
 
 
@@ -94,7 +94,6 @@ def enumerate_group(generators, bound=MAX_GROUP_ORDER, names=None):
     keys = [tuple(map(intern, Matrix.identity(n, order).rows))]
     words = ["e"]
     index_of = {keys[0]: 0}
-    rights = [_sparse(g.rows) for g in generators]
     memos = [{} for _ in generators]
     # right[i][j] is the index of matrices[i] * generators[j]; element k > 0
     # was first reached as matrices[p] * generators[j], (p, j) = reached[k - 1].
@@ -106,7 +105,7 @@ def enumerate_group(generators, bound=MAX_GROUP_ORDER, names=None):
             for j, memo in enumerate(memos):
                 for r in keys[i]:
                     if r not in memo:
-                        memo[r] = intern(row_times(order, rows[r], rights[j], n))
+                        memo[r] = intern(row_times(rows[r], generators[j]))
                 key = tuple([memo[r] for r in keys[i]])
                 k = index_of.get(key)
                 if k is None:

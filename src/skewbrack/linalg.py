@@ -1,16 +1,16 @@
 """Exact linear algebra over a fixed cyclotomic field.
 
-Matrices are dense and have no arithmetic operator.  Every reduction to
-echelon form runs on sparse rows ({column: nonzero Cyc}) in one core,
-`_echelon`; every product on one row kernel, `row_times`, which
-groups.enumerate_group and bracket.perp_vanishing_applies call; and
-every 1 - g in one builder, `one_minus_columns`.  linalg builds its own
-results through Matrix._of, which coerces no entry; the public
-constructor coerces each one.  The reduced form of a row space is
-unique and nothing depends on hash order, so identical inputs give
-identical outputs.  `_echelon` is the one elimination; `det`, for the
-chain-level oracle's minors (`polyvec.minor_det`), is a cofactor
-expansion that divides by nothing.
+Matrices are dense and have no arithmetic operator.  Only linalg turns
+one into sparse rows ({column: nonzero Cyc}), on which `_echelon`, the
+one elimination, runs every reduction to echelon form.  Every product
+runs on one row kernel, `row_times(row, m)`, which reads the order,
+width and rows of the Matrix m, and every 1 - g is formed in one
+builder, `one_minus_columns`.  linalg builds its own results through
+Matrix._of, which coerces no entry; the public constructor coerces
+each one.  The reduced form of a row space is unique and nothing
+depends on hash order, so identical inputs give identical outputs.
+`det`, for the chain-level oracle's minors (`polyvec.minor_det`), is a
+cofactor expansion that divides by nothing.
 """
 
 from __future__ import annotations
@@ -67,20 +67,24 @@ class Matrix(Frozen):
         return f"Matrix[{body}]"
 
 
-def row_times(order, row, right, ncols):
-    """row times the matrix whose rows hold the nonzero entries right (as
-    _sparse lists them), a tuple of ncols Cycs.  Each entry is summed in
-    plain ints, as in polyvec.act: the power-basis convolutions of the
-    products a * b over one denominator, widened to an lcm as needed, and
-    reduced modulo Phi_N into one Cyc."""
+def row_times(row, m: Matrix):
+    """row times m, a tuple of m.ncols Cycs of m's order, as
+    groups.enumerate_group multiplies by a generator and
+    bracket.perp_vanishing_applies by a generator's transpose.  Each
+    entry is summed in plain ints, as in polyvec.act: the power-basis
+    convolutions of the nonzero products a * b over one denominator,
+    widened to an lcm as needed, and reduced modulo Phi_N into one Cyc."""
+    order = m.order
     size = 2 * len(_powers(order)[0]) - 1
     accs = {}  # column -> [denominator, unreduced numerators...]
-    for a, terms in zip(row, right):
+    for a, right in zip(row, m.rows):
         if not a:
             continue
         # a as (place in acc, int) pairs
         ai = [(i, x) for i, x in enumerate(a.num, 1) if x]
-        for j, b in terms.items():
+        for j, b in enumerate(right):
+            if not b:
+                continue
             den = a.den * b.den
             acc = accs.get(j)
             if acc is None:
@@ -90,7 +94,7 @@ def row_times(order, row, right, ncols):
                 x *= up
                 for k, y in enumerate(b.num, i):
                     acc[k] += x * y
-    out = [Cyc.zero(order)] * ncols
+    out = [Cyc.zero(order)] * m.ncols
     for j, c in _reduce(order, accs).items():
         out[j] = c
     return tuple(out)
@@ -160,25 +164,16 @@ def _sparse(rows):
     return [{j: e for j, e in enumerate(r) if e} for r in rows]
 
 
-def _rref_rows(order, rows, ncols):
-    # Dense rows of the reduced form, nonzero rows by pivot, then the
-    # pivot columns.
-    pivots = _echelon(_sparse(rows))
-    zero = Cyc.zero(order)
-    out = []
-    for p in sorted(pivots):
-        row = pivots[p]
-        out.append([row.get(j, zero) for j in range(ncols)])
-    return out, tuple(sorted(pivots))
-
-
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (matrix, pivot column indices)."""
     if not m.rows:
         return m, ()
-    rows, pivots = _rref_rows(m.order, m.rows, m.ncols)
-    zero = (Cyc.zero(m.order),) * m.ncols
-    return Matrix._of(m.order, rows + [zero] * (m.nrows - len(rows))), pivots
+    pivots = _echelon(_sparse(m.rows))
+    cols = tuple(sorted(pivots))
+    zero = Cyc.zero(m.order)
+    rows = [[pivots[p].get(j, zero) for j in range(m.ncols)] for p in cols]
+    rows += [(zero,) * m.ncols] * (m.nrows - len(cols))
+    return Matrix._of(m.order, rows), cols
 
 
 def rank(m: Matrix) -> int:
@@ -206,8 +201,8 @@ def kernel_basis(m: Matrix):
 def image_basis(m: Matrix):
     """Echelonized basis of the column space (so two computations of the
     same subspace yield literally equal vector lists)."""
-    rows, _ = _rref_rows(m.order, list(zip(*m.rows)), m.nrows)
-    return [tuple(r) for r in rows]
+    r, pivots = rref(Matrix._of(m.order, zip(*m.rows)))
+    return list(r.rows[:len(pivots)])
 
 
 def solve_membership(vectors, target, order):
@@ -216,15 +211,18 @@ def solve_membership(vectors, target, order):
     Returns the coefficient list of the solution with all free
     parameters set to zero, or None when target is outside the span.
     """
-    n = len(target)
     k = len(vectors)
     zero = Cyc.zero(order)
     if k == 0:
         return [] if all(not t for t in target) else None
-    if any(len(v) != n for v in vectors):
+    if any(len(v) != len(target) for v in vectors):
         raise ValueError("vectors differ in length from the target")
-    aug = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    pivots = _echelon(_sparse(aug))
+    # row i of the augmented system, column k holding target[i]
+    aug = _sparse(zip(*vectors))
+    for row, t in zip(aug, target):
+        if t:
+            row[k] = t
+    pivots = _echelon(aug)
     if k in pivots:
         return None
     coeffs = [zero] * k
@@ -260,15 +258,15 @@ def det(m: Matrix) -> Cyc:
 
 
 def mat_inverse(m: Matrix) -> Matrix:
+    """The inverse, read off the reduced form of m beside the identity."""
     if m.nrows != m.ncols:
         raise ValueError("matrix is not square")
-    n = m.nrows
-    ident = Matrix.identity(n, m.order)
-    aug = [list(r) + list(ir) for r, ir in zip(m.rows, ident.rows)]
-    rows, pivots = _rref_rows(m.order, aug, 2 * n)
-    if pivots != tuple(range(n)):
+    n, one, zero = m.nrows, Cyc.one(m.order), Cyc.zero(m.order)
+    pivots = _echelon({**row, n + i: one} for i, row in enumerate(_sparse(m.rows)))
+    if any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
-    return Matrix._of(m.order, [r[n:] for r in rows])
+    return Matrix._of(m.order, [[pivots[p].get(n + j, zero) for j in range(n)]
+                                for p in range(n)])
 
 
 def echelon_span(vectors, order):

@@ -13,7 +13,8 @@ do bracket preconditions that act on every component with every
 generator of G or project every component, and a `project` that moves
 a component it keeps whole back from adapted coordinates; an `act` that multiplies `Cyc`s on warm
 caches fails on `scalars.mul`, and so does a `wedge` that multiplies them,
-and a `monomial_image` that multiplies or inverts them on a cold cache; a
+a `monomial_image` that multiplies or inverts them on a cold cache, and a
+`row_times` that multiplies or inverts them; a
 `schouten` that multiplies `Cyc`s or takes the two circle products
 apart fails on `scalars.mul` and `polyvec.circle_product`, and a
 character count that goes through the fast path fails on its counters.
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import load_tracer
+from helpers import load_tracer, matmul
 from skewbrack import bracket
 from skewbrack.bracket import gerstenhaber
 from skewbrack.cli import load_group_file
@@ -170,6 +171,26 @@ def test_echelon_rescales_no_row_whose_pivot_is_one():
     assert all(row == {p: 1} for p, row in pivots.items())
     assert counts["scalars.inverse.calls"] == 0
     assert counts["scalars.mul.calls"] == 0
+
+
+def test_row_products_multiply_and_invert_no_scalars():
+    # fractional entries over Q(zeta5) and Q(zeta6), so that the sums widen
+    # their denominators: each entry of a row times a matrix is summed in
+    # plain ints and reduced once, with no Cyc product or inverse
+    mats = []
+    for order in (5, 6):
+        z, z2 = Cyc.zeta(order), Cyc.zeta(order, 2)
+        mats.append(Matrix(order, [[z * Fraction(1, 2), 0, Fraction(-2, 3)],
+                                   [1, z2 - 1, z * Fraction(3, 5)],
+                                   [0, Fraction(1, 7), z2 * Fraction(-5, 4)]]))
+    want = [r for m in mats for r in matmul(m, m).rows]
+    tracer = load_tracer().Tracer()
+    with tracer:
+        got = [linalg.row_times(r, m) for m in mats for r in m.rows]
+    counts = tracer.counts()
+    assert got == want
+    assert counts["scalars.mul.calls"] == 0
+    assert counts["scalars.inverse.calls"] == 0
 
 
 def test_single_row_minors_are_the_row_itself():

@@ -162,8 +162,9 @@ REFUSED_GENERATORS = {
 
 @pytest.mark.parametrize("name", REFUSED_GENERATORS)
 def test_bad_generators_are_refused_before_any_row_product(monkeypatch, name):
-    # row_times trusts its caller with the order and the shapes; the
-    # enumeration, its one caller on matrices read from input, checks them
+    # row_times reads the order and the shapes off the matrix it is given
+    # and checks neither; the enumeration, its one caller on matrices read
+    # from input, checks the generators before its first row product
     generators, message = REFUSED_GENERATORS[name]
     calls = []
     monkeypatch.setattr(groups, "row_times", lambda *args: calls.append(args))

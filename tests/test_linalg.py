@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from helpers import field_degree, matmul, matvec, one_minus
 from skewbrack.linalg import (
     Matrix,
-    _sparse,
     det,
     echelon_span,
     image_basis,
@@ -81,6 +80,11 @@ def test_inverse_and_det():
     assert det(singular).is_zero()
     with pytest.raises(ValueError):
         mat_inverse(singular)
+    # -1 - z^2 = 0: singular over Q(zeta4) though no entry is zero
+    singular = Matrix(order, [[1, z], [z, -1]])
+    assert det(singular).is_zero()
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        mat_inverse(singular)
 
 
 def _rand_matrix(data, order, nrows, ncols):
@@ -120,23 +124,30 @@ def _rand_sparse_matrix(data, order, nrows, ncols):
 
 def row_product(a, b):
     """a * b, each row of a multiplied by b in row_times, which returns a
-    tuple of b.ncols Cycs of a's order."""
-    right = _sparse(b.rows)
-    rows = [row_times(a.order, r, right, b.ncols) for r in a.rows]
+    tuple of b.ncols Cycs of b's order."""
+    rows = [row_times(r, b) for r in a.rows]
     assert all(type(r) is tuple and len(r) == b.ncols for r in rows)
-    assert all(type(e) is Cyc and e.order == a.order for r in rows for e in r)
-    return Matrix(a.order, rows)
+    assert all(type(e) is Cyc and e.order == b.order for r in rows for e in r)
+    return Matrix(b.order, rows)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_product_matches_entrywise_reference(data):
     # fractional entries over Q(zeta5) and Q(zeta6), dense or sparse, so
-    # that the accumulator widens its denominator to an lcm
+    # that the accumulator widens its denominator to an lcm; a may be a
+    # single 1 x k row or hold a zero row, which multiplies no entry of b
     order = data.draw(st.sampled_from([5, 6]))
+    shape = data.draw(st.sampled_from(["any", "one row", "zero row"]))
     n, k, m = (data.draw(st.integers(1, 4)) for _ in range(3))
+    if shape == "one row":
+        n = 1
     make = data.draw(st.sampled_from([_rand_dense_matrix, _rand_sparse_matrix]))
     a, b = make(data, order, n, k), make(data, order, k, m)
+    if shape == "zero row":
+        rows = list(a.rows)
+        rows[data.draw(st.integers(0, n - 1))] = (Cyc.zero(order),) * k
+        a = Matrix(order, rows)
     got = row_product(a, b)
     assert got == matmul(a, b)
     assert (got.nrows, got.ncols) == (n, m)
