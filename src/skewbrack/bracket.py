@@ -11,10 +11,9 @@ Vanishing criteria from the codimension grading are provided alongside.
 """
 
 from .cochain import Cochain, is_invariant, project_component, support_codims
-from .groups import geometry
-from .linalg import Matrix, kernel_basis, row_times, rref, solve_membership
+from .linalg import echelon_span, one_minus_columns
 from .polyvec import act, schouten
-from .scalars import Frozen
+from .scalars import Cyc, Frozen
 
 
 class BracketReport(Frozen):
@@ -32,37 +31,33 @@ class BracketReport(Frozen):
 
 
 def moved_intersection(group, g, h):
-    """Basis of the intersection of the moved subspaces of g and h, the
-    subspace perp_vanishing_applies tests for stability.
+    """The reduced echelon basis of (1-g)V meet (1-h)V, as dense tuples.
 
-    The first n - codim rows of an element's dual_change vanish exactly
-    on its moved subspace, so the intersection is the kernel of those
-    rows of g and of h stacked."""
-    n, order = group.dim, group.scalar_order
-    rows = []
-    for geom in (geometry(group, g), geometry(group, h)):
-        rows += geom.dual_change.rows[:n - geom.codim]
-    if not rows:
-        # neither element fixes a nonzero vector
-        return list(Matrix.identity(n, order).rows)
-    return list(rref(Matrix._of(order, kernel_basis(Matrix._of(order, rows))))[0].rows)
+    Zassenhaus: in the echelon form of a row (w, 0) per column w of 1 - h
+    and (u, u) per column u of 1 - g, a row with its pivot in the second
+    block is (a + b, a) = (0, a) with a in (1-g)V and -a = b in (1-h)V;
+    these a are the reduced echelon basis of the intersection.  The
+    (w, 0) rows go first, so the dependent ones vanish on n columns."""
+    n, zero = group.dim, Cyc.zero(group.scalar_order)
+    rows = one_minus_columns(group.matrices[h])
+    rows += [u | {n + j: e for j, e in u.items()} for u in one_minus_columns(group.matrices[g])]
+    return [tuple(row.get(n + j, zero) for j in range(n))
+            for row in echelon_span(rows, group.scalar_order) if min(row) >= n]
 
 
 def perp_vanishing_applies(group, g, h):
-    """Whether the intersection of the two moved subspaces is nonzero and
-    stable under every generator; when that holds for all conjugates, the
-    bracket of classes supported on the two conjugacy classes vanishes."""
-    order = group.scalar_order
+    """Whether the intersection W of the two moved subspaces is nonzero
+    and stable under every generator; when that holds for all conjugates,
+    the bracket of classes supported on the two conjugacy classes
+    vanishes.  A generator s carries (1-g)V onto (1-sgs^-1)V, so sW is
+    the intersection for sgs^-1 and shs^-1, and a reduced echelon basis
+    is unique: s keeps W exactly when the two are equal."""
+    mult, inverses = group.mult_table, group.inverses
     inter = moved_intersection(group, g, h)
-    if not inter:
-        return False
-    for k in group.generator_indices:
-        # gen * v is v times the transpose of gen
-        transpose = Matrix._of(order, zip(*group.matrices[k].rows))
-        for v in inter:
-            if solve_membership(inter, row_times(v, transpose), order) is None:
-                return False
-    return True
+    return bool(inter) and all(
+        moved_intersection(group, mult[mult[s][g]][inverses[s]],
+                           mult[mult[s][h]][inverses[s]]) == inter
+        for s in group.generator_indices)
 
 
 def _require(cond, message):

@@ -256,7 +256,7 @@ def _emit(report, text, as_json):
 
 def cmd_group(args):
     group, _ = load_group_file(args.file)
-    ident = Matrix.identity(group.dim, group.scalar_order)
+    ident = group.matrices[0]
     codims = [None] * len(group)
     for cls in group.conj_classes:
         # codim is a class function, the rank of 1 - g

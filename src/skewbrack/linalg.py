@@ -5,10 +5,13 @@ one into sparse rows ({column: nonzero Cyc}), on which `_echelon`, the
 one elimination, runs every reduction to echelon form.  Every product
 runs on one row kernel, `row_times(row, m)`, which reads the order,
 width and rows of the Matrix m, and every 1 - g is formed in one
-builder, `one_minus_columns`.  linalg builds its own results through
-Matrix._of, which coerces no entry; the public constructor coerces
-each one.  The reduced form of a row space is unique and nothing
-depends on hash order, so identical inputs give identical outputs.
+builder, `one_minus_columns`.  `kernel_basis`, `image_basis` and
+`solve_membership` have no reader in the package, only the benchmark's
+tracer, which counts them as elimination.  linalg builds its own
+results through Matrix._of, which coerces no entry; the public
+constructor coerces each one.  The reduced form of a row space is
+unique and nothing depends on hash order, so identical inputs give
+identical outputs.
 `det`, for the chain-level oracle's minors (`polyvec.minor_det`), is a
 cofactor expansion that divides by nothing.
 """
@@ -69,8 +72,7 @@ class Matrix(Frozen):
 
 def row_times(row, m: Matrix):
     """row times m, a tuple of m.ncols Cycs of m's order, as
-    groups.enumerate_group multiplies by a generator and
-    bracket.perp_vanishing_applies by a generator's transpose.  Each
+    groups.enumerate_group multiplies by a generator.  Each
     entry is summed in plain ints, as in polyvec.act: the power-basis
     convolutions of the nonzero products a * b over one denominator,
     widened to an lcm as needed, and reduced modulo Phi_N into one Cyc."""
@@ -103,8 +105,9 @@ def row_times(row, m: Matrix):
 def one_minus_columns(m: Matrix):
     """The columns of 1 - m as sparse rows ({j: nonzero Cyc}), the one
     place 1 - g is formed: codim g is the length of their echelon_span,
-    groups.geometry echelonizes them beside the identity, and column i
-    is the d_i component of polyvec.euler_field."""
+    groups.geometry echelonizes them beside the identity,
+    bracket.moved_intersection those of two elements together, and
+    column i is the d_i component of polyvec.euler_field."""
     if m.nrows != m.ncols:
         raise ValueError("matrix is not square")
     one = Cyc.one(m.order)

@@ -14,6 +14,7 @@ from helpers import (
     alternating_unipotent,
     conjugate_group,
     example_group,
+    imprimitive_reflection_group,
     load_tracer,
     mat,
     matmul,
@@ -672,12 +673,17 @@ def moved_basis(group, g):
     return list(zip(*geom.adapted.rows))[n - geom.codim:]
 
 
-@pytest.mark.parametrize("name", [*fixture_groups(), "d4", "d5", "s4"])
+# the dense conjugates move the columns of 1 - g away from its rows, so
+# an intersection of the rows' spans fails there
+@pytest.mark.parametrize("name", [*fixture_groups(), "d4", "d5", "s4",
+                                  "s4-dense", "d5-dense", "rot-dense"])
 def test_moved_intersection_is_the_intersection(name):
     if name in fixture_groups():
         group = fixture_groups()[name]
     else:
-        group, _ = load_group_file(GROUP_DATA / f"{name}.json")
+        group, _ = load_group_file(GROUP_DATA / f"{name.removesuffix('-dense')}.json")
+        if name.endswith("-dense"):
+            group = conjugate_group(group, *alternating_unipotent(group.dim, group.scalar_order))
     order = group.scalar_order
     for g in range(len(group)):
         u = moved_basis(group, g)
@@ -731,20 +737,21 @@ def perp_by_matvec(group, g, h):
 
 def test_perp_matches_the_matvec_reference_on_class_representatives():
     # every ordered pair of class representatives of the example groups,
-    # D4 and D5: non-diagonal actions, and cyclotomic ones.  Each is also
-    # conjugated to a dense action, on which g and its transpose move the
-    # intersection differently
+    # D4, D5, G(3,3,3) and G(4,4,3): non-diagonal actions, and cyclotomic
+    # ones.  Each is also conjugated to a dense action, on which g and its
+    # transpose move the intersection differently
     paths = [path for path in GROUP_FILES if path.parent == EXAMPLES or path.stem in ("d4", "d5")]
+    named = [(path.stem, loaded_group(path)) for path in paths]
+    named += [(f"G{case}", imprimitive_reflection_group(*case)) for case in ((3, 3, 3), (4, 4, 3))]
     seen = set()
-    for path in paths:
-        plain = loaded_group(path)
+    for name, plain in named:
         dense = conjugate_group(plain, *alternating_unipotent(plain.dim, plain.scalar_order))
         for group in (plain, dense):
             reps = [c[0] for c in group.conj_classes]
             for g in reps:
                 for h in reps:
                     want = perp_by_matvec(group, g, h)
-                    assert perp_vanishing_applies(group, g, h) == want, (path.stem, g, h)
+                    assert perp_vanishing_applies(group, g, h) == want, (name, g, h)
                     seen.add(want)
     assert seen == {True, False}
 

@@ -18,6 +18,8 @@ a `monomial_image` that multiplies or inverts them on a cold cache, and a
 `schouten` that multiplies `Cyc`s or takes the two circle products
 apart fails on `scalars.mul` and `polyvec.circle_product`, and a
 character count that goes through the fast path fails on its counters.
+A perp test that reads geometry or solves a system per basis vector
+fails on `groups.geometry` and `linalg.elim`.
 """
 
 from fractions import Fraction
@@ -284,6 +286,23 @@ def test_preconditions_act_once_per_class_member_and_centralizer_generator():
 
     assert precondition_acts(False) == reduced
     assert precondition_acts(True) == invariance + reduced
+
+
+def test_perp_is_one_echelon_per_intersection_and_reads_no_geometry():
+    # the intersection of the moved subspaces is one echelon form of the
+    # columns of 1 - g and 1 - h, and each generator's image of it is
+    # another, of the conjugate pair: no geometry, transpose or
+    # membership system per basis vector.  The intersection here is the
+    # line of e2, which both generators keep
+    group, _ = load_group_file(str(EXAMPLES / "overlap_signs_k3.json"))
+    g, h = group.generator_indices
+    tracer = load_tracer().Tracer()
+    with tracer:
+        assert bracket.perp_vanishing_applies(group, g, h)
+    counts = tracer.counts()
+    assert counts["groups.geometry.calls"] == 0
+    assert counts["linalg.elim.calls"] == 1 + len(group.generator_indices)
+    assert counts["bracket.moved_intersection.calls"] == 1 + len(group.generator_indices)
 
 
 def test_project_keeps_reduced_components_with_one_act_each():

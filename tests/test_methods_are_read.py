@@ -30,6 +30,10 @@ UNREAD_FUNCTIONS = {
                            "benchmark (ROADMAP item 11)",
     "linalg.image_basis": "perfbench/tracer.py counts it as elimination by name; it "
                           "moves with the benchmark (ROADMAP item 11)",
+    "linalg.kernel_basis": "perfbench/tracer.py counts it as elimination by name; it "
+                           "moves with the benchmark (ROADMAP item 11)",
+    "linalg.solve_membership": "perfbench/tracer.py counts it as elimination by name; it "
+                               "moves with the benchmark (ROADMAP item 11)",
     "koszul.diagonal": "the comultiplication that the chain-level cup product of "
                        "ROADMAP item 4 reads",
     "cochain.is_cocycle": "public, in the README; the checks of ROADMAP items 4 and 12 "
