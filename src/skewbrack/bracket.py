@@ -51,13 +51,14 @@ def perp_vanishing_applies(group, g, h):
     the bracket of classes supported on the two conjugacy classes
     vanishes.  A generator s carries (1-g)V onto (1-sgs^-1)V, so sW is
     the intersection for sgs^-1 and shs^-1, and a reduced echelon basis
-    is unique: s keeps W exactly when the two are equal."""
+    is unique: s keeps W exactly when the two are equal.  A generator
+    that conjugates the pair to itself keeps W with no elimination."""
     mult, inverses = group.mult_table, group.inverses
     inter = moved_intersection(group, g, h)
-    return bool(inter) and all(
-        moved_intersection(group, mult[mult[s][g]][inverses[s]],
-                           mult[mult[s][h]][inverses[s]]) == inter
-        for s in group.generator_indices)
+    conjugates = [(mult[mult[s][g]][inverses[s]], mult[mult[s][h]][inverses[s]])
+                  for s in group.generator_indices]
+    return bool(inter) and all(moved_intersection(group, *pair) == inter
+                               for pair in conjugates if pair != (g, h))
 
 
 def _require(cond, message):
@@ -98,17 +99,18 @@ def gerstenhaber(x, y):
     0 the bracket is zero (nothing to insert into), and it is returned as
     the zero cochain of degree 0.
 
-    Invariance gives X_{a^-1 g a} = X_g.a, and p_{a^-1 g a}(X.a) =
-    p_g(X).a, so reduced form is checked on one component per conjugacy
-    class of each support.  Likewise the pair (a^-1 g a, a^-1 h a) has
-    the projected Schouten bracket of (g, h) moved by a, and the same
+    Invariance is checked by is_invariant, |cls| act calls per class cls
+    of each support.  It gives X_{a^-1 g a} = X_g.a, and p_{a^-1 g a}(X.a)
+    = p_g(X).a, so reduced form is checked on one component per conjugacy
+    class of each support.  Likewise the pair (a^-1 g a, a^-1 h a) has the
+    projected Schouten bracket of (g, h) moved by a, and the same
     vanishing reason: pairs are walked in sorted (g, h) order, and each
     pair not yet reached is computed.  Its orbit under simultaneous
     conjugation is then walked along the generators: from a reached pair
     (p, q) with value v, each generator s reaches (s^-1 p s, s^-1 q s)
     with value v.s, and a vanishing reason is copied as it is.  Since
-    (v.a).s = v.(as), that is the value moved by the element reaching
-    it, one act with a generator's matrices per pair of the orbit.
+    (v.a).s = v.(as), that is the value moved by the element reaching it,
+    one act with a generator's matrices per pair of the orbit.
 
     Placing each term v(g, h) at hg instead of gh gives the same bracket.
     (g, h) -> (hgh^-1, h) maps the pairs with hg = k onto those with

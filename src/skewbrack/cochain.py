@@ -111,12 +111,28 @@ def is_invariant(c):
     classes and, for each class cls in it with representative r, X_r is
     fixed by C(r) and X_k = X_r.a_k for a_k = conjugators[k]: then any
     h has a_k h = z a_(h^-1 k h) with z in C(r), so X_k.h = X_(h^-1 k h).
-    C(r) fixes X_r when its generators, group.centralizer_gens, do; that
-    is |gens C(r)| + |cls| - 1 act calls per class.  The classes of the
-    support are found from their representatives: it is a union of
-    whole classes exactly when every member of the classes whose
-    representative it holds is in it and their sizes add up to its own,
-    which tests membership only within those classes before any act."""
+    C(r) fixes X_r exactly when X_r is the mean of its images under the
+    generators of C(r), group.centralizer_gens, which one act call over
+    their pairs computes; with the |cls| - 1 members, that is |cls| act
+    calls per class.  The trivial centralizer, of the identity alone, has
+    no generators and fixes X_r with no call.
+
+    Why the mean decides: embed Q(zeta_N) in C.  C(r) is finite and act
+    keeps the bidegree, so C(r) has an invariant positive-definite
+    Hermitian form on the polyvectors of X_r's degrees (the average of
+    any one over C(r)).  If x = X_r is the mean of x.s over the generators
+    s, then |x|^2 = mean Re<x.s, x> <= mean |x.s| |x| = |x|^2, so
+    Cauchy-Schwarz holds with equality for each s, and with |x.s| = |x|
+    that forces x.s = x: every generator, so all of C(r), fixes x.
+    Conversely a fixed x is its own mean: act divides the summed
+    numerators by len(pairs) exactly, so the mean is equal to x
+    coefficient for coefficient.
+
+    The classes of the support are found from their representatives: it
+    is a union of whole classes exactly when every member of the classes
+    whose representative it holds is in it and their sizes add up to its
+    own, which tests membership only within those classes before any
+    act."""
     group = c.group
     terms = c.terms
     present = [(cls, gens) for cls, gens in zip(group.conj_classes, group.centralizer_gens)
@@ -126,7 +142,7 @@ def is_invariant(c):
         return False
     for cls, gens in present:
         xr = terms[cls[0]]
-        if any(act(xr, [group.actions[s]]) != xr for s in gens):
+        if gens and act(xr, [group.actions[s] for s in gens]) != xr:
             return False
         if any(act(xr, [group.actions[group.conjugators[k]]]) != terms[k] for k in cls[1:]):
             return False

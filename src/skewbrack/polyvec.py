@@ -443,8 +443,9 @@ def act(x: Polyvector, pairs) -> Polyvector:
     (h, h_inv) matrix pairs: polynomial factors go through the inverse
     substitution, dual-basis wedge factors through minors of h, both
     cached on the matrices in integer form.  One action is a one-pair
-    list; the average over a centralizer is the list of its pairs.  A
-    pair whose matrices are not n x n over x's order raises ValueError.
+    list; the average over a centralizer is the list of its pairs.  An
+    empty list, which has no mean, raises ValueError, and so does a pair
+    whose matrices are not n x n over x's order.
 
     Each output coefficient is summed in plain ints, as an unreduced
     power-basis vector over one denominator: the products c * v * m of
@@ -454,6 +455,8 @@ def act(x: Polyvector, pairs) -> Polyvector:
     pairs once per call, and each c * m once per pair, by plain loops.
     The vector is reduced modulo Phi_N and becomes a Cyc once, with the
     mean's 1/len(pairs) folded into its denominator."""
+    if not pairs:
+        raise ValueError("act takes a nonempty list of (h, h_inv) pairs, not []")
     n, order = x.n, x.order
     size = 3 * len(_powers(order)[0]) - 2
     # each component of x as (wedge, its terms), a term as (exponents,

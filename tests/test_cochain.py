@@ -17,6 +17,7 @@ from helpers import (
     conjugate_group,
     example_group,
     field_degree,
+    imprimitive_reflection_group,
     mat,
     move_cochain,
     single,
@@ -40,6 +41,7 @@ from skewbrack.cochain import (
     is_reduced,
     project,
     reynolds,
+    spread_invariant,
     support_codim,
 )
 from skewbrack.cli import load_group_file
@@ -900,6 +902,60 @@ def near_invariant_cochain(draw):
 @settings(max_examples=60, deadline=None)
 def test_is_invariant_is_invariance_under_every_element(c):
     assert is_invariant(c) == invariant_under_every_element(c)
+
+
+@functools.cache
+def reflection_group(m, p, n, dense):
+    """G(m, p, n) over Q(zeta_m), conjugated to a dense action or not."""
+    group = imprimitive_reflection_group(m, p, n)
+    return conjugate_group(group, *alternating_unipotent(n, m)) if dense else group
+
+
+@st.composite
+def fixed_by_the_first_generator(draw):
+    """A class representative of G(m, p, n) whose centralizer has two or
+    more generators, and a polyvector at it averaged over the powers of
+    the first of them, or over the whole centralizer: the first
+    generator fixes it and the others may not."""
+    case = draw(st.sampled_from([(3, 1, 2), (4, 2, 2), (4, 4, 2), (6, 3, 2), (3, 3, 3), (4, 4, 3)]))
+    group = reflection_group(*case, draw(st.booleans()))
+    c = draw(st.sampled_from([c for c, gens in enumerate(group.centralizer_gens)
+                              if len(gens) >= 2]))
+    gens = group.centralizer_gens[c]
+    if draw(st.booleans()):
+        over = [gens[0]]
+        while over[-1]:
+            over.append(group.mult_table[over[-1]][gens[0]])
+    else:
+        over = group.centralizers[c]
+    x = act(draw(random_terms(group, draw(st.integers(0, 2)))), [group.actions[h] for h in over])
+    assume(not x.is_zero())
+    return group, group.conj_classes[c], gens, x
+
+
+@given(fixed_by_the_first_generator())
+@settings(max_examples=40, deadline=None)
+def test_one_averaged_action_decides_centralizer_invariance(drawn):
+    # the mean of x's images under the generators of C(r) is x only when
+    # each generator fixes x (is_invariant's docstring); the first one
+    # always does here.  The dense conjugates act unitarily only for a
+    # form averaged over the group, not for the standard one
+    group, cls, gens, x = drawn
+    actions = group.actions
+    assert act(x, [actions[gens[0]]]) == x
+    fixed = all(act(x, [actions[s]]) == x for s in gens)
+    assert (act(x, [actions[s] for s in gens]) == x) == fixed
+    c = spread_invariant(group, cls, x)
+    assert is_invariant(c) == fixed == invariant_under_every_element(c)
+
+
+def test_is_invariant_holds_on_the_trivial_group():
+    # the centralizer of the identity alone has no generators, so no
+    # mean is taken: a nonzero cochain there is invariant
+    group = trivial_group_k(2)
+    assert group.centralizer_gens == ((),)
+    c = single(group, 0, Polyvector.term(3, (1, 2), (0,), 1))
+    assert not c.is_zero() and is_invariant(c) and invariant_under_every_element(c)
 
 
 class CountingTerms(dict):

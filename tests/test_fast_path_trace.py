@@ -10,7 +10,8 @@ and reads its counters, so a change that puts one of them back on the
 fast path, or hides elimination from `linalg.elim`, fails here.  A
 `reynolds` that walks all of G again fails on its `act` count, and so
 do bracket preconditions that act on every component with every
-generator of G or project every component, and a `project` that moves
+generator of G, or on a class representative once per generator of its
+centralizer, or project every component, and a `project` that moves
 a component it keeps whole back from adapted coordinates; an `act` that multiplies `Cyc`s on warm
 caches fails on `scalars.mul`, and so does a `wedge` that multiplies them,
 a `monomial_image` that multiplies or inverts them on a cold cache, and a
@@ -32,6 +33,7 @@ from skewbrack import bracket
 from skewbrack.bracket import gerstenhaber
 from skewbrack.cli import load_group_file
 from skewbrack.cochain import (
+    Cochain,
     ambient_keys,
     cohomology_basis,
     cohomology_dim_character,
@@ -44,7 +46,7 @@ from skewbrack.groups import geometry
 from skewbrack.koszul import chain_bracket_avatar
 from skewbrack.linalg import Matrix
 from skewbrack import linalg, polyvec
-from skewbrack.polyvec import Polyvector
+from skewbrack.polyvec import Poly, Polyvector
 from skewbrack.scalars import Cyc
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -250,12 +252,12 @@ def test_character_count_shares_no_code_with_the_fast_path():
 
 
 def test_preconditions_act_once_per_class_member_and_centralizer_generator():
-    # on S4 (2,0) classes of eight components, invariance is checked per
-    # class: |gens C(r)| + |cls| - 1 act calls, against 2 |cls| when every
-    # component was acted on by every generator of G; reduced form is
-    # checked at the class representatives, one act call per
-    # representative with codim > 0, against sixteen when every
-    # component is projected
+    # invariance is checked per class: |cls| act calls, one averaged over
+    # the generators of C(r) and one per other member, against 2 |cls|
+    # on S4 (2,0) classes of eight components when every component was
+    # acted on by every generator of G; reduced form is checked at the
+    # class representatives, one act call per representative with
+    # codim > 0, against sixteen when every component is projected
     group, _ = load_group_file(str(S4))
     (x,) = [c for c in cohomology_basis(group, 2, 0) if len(c.terms) == 8]
     y = x * Cyc.of(-3, 1)
@@ -263,12 +265,13 @@ def test_preconditions_act_once_per_class_member_and_centralizer_generator():
     for c in (x, y):
         for cls, gens in zip(group.conj_classes, group.centralizer_gens):
             if cls[0] in c.terms:
-                invariance += len(gens) + len(cls) - 1
+                assert len(gens) == 1
+                invariance += len(cls)
                 reduced += geometry(group, cls[0]).codim > 0
-    assert (invariance, reduced) == (2 * (1 + 8 - 1), 2)
+    assert (invariance, reduced) == (2 * 8, 2)
     assert sum(geometry(group, g).codim > 0 for c in (x, y) for g in c.terms) == 16
 
-    def precondition_acts(check_invariance):
+    def precondition_acts(x, y, check_invariance):
         """The act calls of the bracket's preconditions: every pair is
         stubbed to vanish, so that nothing else acts."""
         with pytest.MonkeyPatch.context() as patch:
@@ -284,25 +287,42 @@ def test_preconditions_act_once_per_class_member_and_centralizer_generator():
         assert counts["cochain.project.calls"] == 0
         return counts["polyvec.act.calls"]
 
-    assert precondition_acts(False) == reduced
-    assert precondition_acts(True) == invariance + reduced
+    assert precondition_acts(x, y, False) == reduced
+    assert precondition_acts(x, y, True) == invariance + reduced
+
+    # x1 d1 + ... + x5 d5 at the identity of S5, whose centralizer G has
+    # two generators: one act call for each operand's one class, where a
+    # call per generator makes two, and no reduced-form call at codim 0
+    group, _ = load_group_file(str(S5))
+    n = group.dim
+    pv = Polyvector(n, 1, {(i,): Poly.monomial(tuple(int(j == i) for j in range(n)), 1, 1)
+                           for i in range(n)})
+    e = Cochain(group, 1, {0: pv})
+    assert group.conj_classes[0] == (0,) and len(group.centralizer_gens[0]) == 2
+    assert precondition_acts(e, e, False) == 0
+    assert precondition_acts(e, e, True) == 2
 
 
 def test_perp_is_one_echelon_per_intersection_and_reads_no_geometry():
     # the intersection of the moved subspaces is one echelon form of the
-    # columns of 1 - g and 1 - h, and each generator's image of it is
-    # another, of the conjugate pair: no geometry, transpose or
-    # membership system per basis vector.  The intersection here is the
-    # line of e2, which both generators keep
+    # columns of 1 - g and 1 - h, and the image of it under each
+    # generator that moves the pair is another, of the conjugate pair: no
+    # geometry, transpose or membership system per basis vector.  The
+    # intersection here is the line of e2, which both generators keep;
+    # the group is abelian, so neither moves the pair, and the one
+    # echelon form decides
     group, _ = load_group_file(str(EXAMPLES / "overlap_signs_k3.json"))
     g, h = group.generator_indices
+    mult, inverses = group.mult_table, group.inverses
+    moving = sum((mult[mult[s][g]][inverses[s]], mult[mult[s][h]][inverses[s]]) != (g, h)
+                 for s in group.generator_indices)
     tracer = load_tracer().Tracer()
     with tracer:
         assert bracket.perp_vanishing_applies(group, g, h)
     counts = tracer.counts()
     assert counts["groups.geometry.calls"] == 0
-    assert counts["linalg.elim.calls"] == 1 + len(group.generator_indices)
-    assert counts["bracket.moved_intersection.calls"] == 1 + len(group.generator_indices)
+    assert counts["linalg.elim.calls"] == 1 + moving == 1
+    assert counts["bracket.moved_intersection.calls"] == 1 + moving == 1
 
 
 def test_project_keeps_reduced_components_with_one_act_each():

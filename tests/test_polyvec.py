@@ -602,6 +602,12 @@ def test_action_refuses_pairs_of_another_order_or_size():
     assert act(x4, [(two, two)]) == x4
 
 
+def test_action_refuses_an_empty_list_of_pairs():
+    # the mean of no actions is not zero: it has no value
+    with pytest.raises(ValueError, match=r"nonempty list .* not \[\]"):
+        act(Polyvector.term(1, (1, 0), (0,), 4), [])
+
+
 # ---------------------------------------------------- minors and images by recurrence
 
 
