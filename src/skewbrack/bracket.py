@@ -52,13 +52,14 @@ def perp_vanishing_applies(group, g, h):
     vanishes.  A generator s carries (1-g)V onto (1-sgs^-1)V, so sW is
     the intersection for sgs^-1 and shs^-1, and a reduced echelon basis
     is unique: s keeps W exactly when the two are equal.  A generator
-    that conjugates the pair to itself keeps W with no elimination."""
+    that conjugates the pair to itself keeps W with no elimination, and
+    generators that conjugate it to one pair share one elimination."""
     mult, inverses = group.mult_table, group.inverses
     inter = moved_intersection(group, g, h)
     conjugates = [(mult[mult[s][g]][inverses[s]], mult[mult[s][h]][inverses[s]])
                   for s in group.generator_indices]
     return bool(inter) and all(moved_intersection(group, *pair) == inter
-                               for pair in conjugates if pair != (g, h))
+                               for pair in dict.fromkeys(conjugates) if pair != (g, h))
 
 
 def _require(cond, message):

@@ -506,7 +506,7 @@ def chain_bracket_avatar(
     return first - second * sign
 
 
-def appendix_suite(bound=6):
+def appendix_suite(bound):
     """Exact sweep of the seventeen coefficient identities behind phi.
 
     Returns a list of {identity, tuple, lhs, rhs, pass} entries, one per
@@ -681,7 +681,7 @@ def vector_field_commutator(x: Polyvector, y: Polyvector) -> Polyvector:
     return Polyvector(n, order, comps)
 
 
-def schouten_random_check(count=50, seed=0):
+def schouten_random_check(count, seed):
     """Compare the chain-level bracket against the derivation commutator
     on random pairs of vector fields on k^3 over the trivial group, each
     a sum of three terms with exponents at most 2.

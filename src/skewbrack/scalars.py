@@ -424,93 +424,34 @@ def print_scalar(c: Cyc) -> str:
 
 
 # 0-9, as in words, not \d, which takes other scripts' digits too ("\u0661")
-_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([z*/^+-]))")
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ValueError(f"unexpected character {text[bad]!r} at position {bad}")
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        else:
-            tokens.append((m.group(2), None, m.start(2)))
-        pos = m.end()
-    return tokens
+_FOREIGN = re.compile(r"[^\s0-9z*/^+-]")
+# one term: sign, numerator, denominator, '*', z and its exponent
+_TERM = re.compile(r"\s*([+-]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?\s*(\*)?)?"
+                   r"\s*(z(?:\s*\^\s*([0-9]+))?)?")
 
 
 def parse_scalar(text: str, order: int) -> Cyc:
-    """Parse a scalar literal: signed sums of ``p``, ``p/q``, ``z``,
-    ``z^k``, ``p*z^k``, ``p/q*z^k``.  Raises ValueError on malformed
-    input, reporting the offending position."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty scalar literal")
-    i = 0
-    total = Cyc.zero(order)
-
-    def fail(msg, idx):
-        pos = tokens[idx][2] if idx < len(tokens) else len(text)
-        raise ValueError(f"{msg} at position {pos}")
-
-    first = True
-    while i < len(tokens):
-        if first:
-            sign = 1
-            if tokens[i][0] == "-":
-                sign = -1
-                i += 1
-        else:
-            if tokens[i][0] == "+":
-                sign = 1
-            elif tokens[i][0] == "-":
-                sign = -1
-            else:
-                fail("expected '+' or '-'", i)
-            i += 1
-        if i >= len(tokens):
-            fail("dangling sign", i)
-        coeff = Fraction(1)
-        has_coeff = False
-        if tokens[i][0] == "int":
-            num = tokens[i][1]
-            i += 1
-            coeff = Fraction(num)
-            has_coeff = True
-            if i < len(tokens) and tokens[i][0] == "/":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "int":
-                    fail("expected denominator", i)
-                if tokens[i][1] == 0:
-                    fail("zero denominator", i)
-                coeff /= tokens[i][1]
-                i += 1
-        zpow = None
-        if has_coeff and i < len(tokens) and tokens[i][0] == "*":
-            i += 1
-            if i >= len(tokens) or tokens[i][0] != "z":
-                fail("expected z after '*'", i)
-        if i < len(tokens) and tokens[i][0] == "z":
-            i += 1
-            zpow = 1
-            if i < len(tokens) and tokens[i][0] == "^":
-                i += 1
-                if i >= len(tokens) or tokens[i][0] != "int":
-                    fail("expected integer exponent", i)
-                zpow = tokens[i][1]
-                i += 1
-        elif not has_coeff:
-            fail("expected a term", i)
-        term = Cyc.of(coeff, order)
-        if zpow is not None:
-            term = term * Cyc.zeta(order, zpow)
-        total = total + (term if sign > 0 else -term)
-        first = False
-    return total
+    """Parse a scalar literal: a sum of terms p, p/q, z, z^k, p*z^k and
+    p/q*z^k (digits 0-9, q > 0, any k >= 0, '*' optional, whitespace
+    between any two tokens), each after the first signed, the first
+    signed '-' or not at all.  A character no literal holds raises
+    ValueError("unexpected character ... at position k"), any other
+    malformed input ValueError("malformed scalar literal at position k")."""
+    bad = _FOREIGN.search(text)
+    if bad:
+        raise ValueError(f"unexpected character {bad.group()!r} at position {bad.start()}")
+    end, pos, total = len(text.rstrip()), 0, Cyc.zero(order)
+    while True:
+        m = _TERM.match(text, pos)
+        sign, p, q, star, z, k = m.groups()
+        at = (m.start(1) if (sign == "+" if pos == 0 else not sign)  # a wrong sign
+              else m.start(3) if q and not int(q)  # a zero denominator
+              else m.end() if not z and (star or not p) else None)  # '*' or nothing, no z
+        if at is not None:
+            raise ValueError(f"malformed scalar literal at position {at}")
+        n = int(sign + (p or "1"))
+        total = total + (Cyc.of(Fraction(n, int(q)) if q else n, order)
+                         * Cyc.zeta(order, int(k or 1) if z else 0))
+        pos = m.end()
+        if pos >= end:
+            return total

@@ -42,7 +42,7 @@ from skewbrack.cochain import (
     reynolds,
 )
 from skewbrack.fixtures import EXAMPLES
-from skewbrack.groups import geometry
+from skewbrack.groups import geometry, resolve_word
 from skewbrack.koszul import chain_bracket_avatar
 from skewbrack.linalg import Matrix
 from skewbrack import linalg, polyvec
@@ -50,6 +50,7 @@ from skewbrack.polyvec import Poly, Polyvector
 from skewbrack.scalars import Cyc
 
 ROOT = Path(__file__).resolve().parent.parent
+D4 = ROOT / "perfbench" / "data" / "groups" / "d4.json"
 D5 = ROOT / "perfbench" / "data" / "groups" / "d5.json"
 S4 = ROOT / "perfbench" / "data" / "groups" / "s4.json"
 S5 = ROOT / "perfbench" / "data" / "groups" / "s5.json"
@@ -305,24 +306,30 @@ def test_preconditions_act_once_per_class_member_and_centralizer_generator():
 
 def test_perp_is_one_echelon_per_intersection_and_reads_no_geometry():
     # the intersection of the moved subspaces is one echelon form of the
-    # columns of 1 - g and 1 - h, and the image of it under each
-    # generator that moves the pair is another, of the conjugate pair: no
-    # geometry, transpose or membership system per basis vector.  The
-    # intersection here is the line of e2, which both generators keep;
-    # the group is abelian, so neither moves the pair, and the one
-    # echelon form decides
+    # columns of 1 - g and 1 - h, and the image of it under the
+    # generators is one more for each distinct conjugate pair other than
+    # (g, h): no geometry, transpose or membership system per basis vector
+    def echelons(group, g, h):
+        mult, inverses = group.mult_table, group.inverses
+        pairs = {(mult[mult[s][g]][inverses[s]], mult[mult[s][h]][inverses[s]])
+                 for s in group.generator_indices} - {(g, h)}
+        tracer = load_tracer().Tracer()
+        with tracer:
+            assert bracket.perp_vanishing_applies(group, g, h)
+        counts = tracer.counts()
+        assert counts["groups.geometry.calls"] == 0
+        assert counts["bracket.moved_intersection.calls"] == counts["linalg.elim.calls"]
+        assert counts["linalg.elim.calls"] == 1 + len(pairs)
+        return counts["linalg.elim.calls"]
+
+    # the line of e2, which both generators keep; the group is abelian,
+    # so neither moves the pair, and the one echelon form decides
     group, _ = load_group_file(str(EXAMPLES / "overlap_signs_k3.json"))
-    g, h = group.generator_indices
-    mult, inverses = group.mult_table, group.inverses
-    moving = sum((mult[mult[s][g]][inverses[s]], mult[mult[s][h]][inverses[s]]) != (g, h)
-                 for s in group.generator_indices)
-    tracer = load_tracer().Tracer()
-    with tracer:
-        assert bracket.perp_vanishing_applies(group, g, h)
-    counts = tracer.counts()
-    assert counts["groups.geometry.calls"] == 0
-    assert counts["linalg.elim.calls"] == 1 + moving == 1
-    assert counts["bracket.moved_intersection.calls"] == 1 + moving == 1
+    assert echelons(group, *group.generator_indices) == 1
+    # the line of e3 for the pair (g1*g2, g2*g1) of D4: each generator
+    # conjugates it to (g2*g1, g1*g2), one pair and one echelon form more
+    group, _ = load_group_file(str(D4))
+    assert echelons(group, resolve_word(group, "g1*g2"), resolve_word(group, "g2*g1")) == 2
 
 
 def test_project_keeps_reduced_components_with_one_act_each():

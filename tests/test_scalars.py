@@ -186,12 +186,41 @@ def test_parse_forms():
     assert parse_scalar("z^5", 4) == Cyc.zeta(4)
 
 
+# the grammar apart from the parser: a term is one of these forms, '*'
+# may be left out, and any whitespace may stand around any token
+_FORMS = ["p", "p/q", "z", "z^k", "p*z^k", "p/q*z^k"]
+_SPACE = st.text(alphabet=" \t", max_size=2)
+
+
+@given(st.data())
+def test_every_term_form_parses_to_its_value(data):
+    order = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
+    tokens, value = [], Cyc.zero(order)
+    for i in range(data.draw(st.integers(1, 4))):
+        # every term after the first has a sign; the first only '-', if any
+        sign = data.draw(st.sampled_from(["+", "-"] if i else ["", "-"]))
+        p, q = data.draw(st.integers(0, 99)), data.draw(st.integers(1, 99))
+        k, star = data.draw(st.integers(0, 3 * order)), data.draw(st.sampled_from(["*", ""]))
+        form = data.draw(st.sampled_from(_FORMS))
+        tokens += [sign] + [{"p": str(p), "q": str(q), "k": str(k), "*": star}.get(c, c)
+                            for c in form]
+        coeff = Fraction(p if "p" in form else 1, q if "q" in form else 1)
+        power = k if "k" in form else int("z" in form)
+        value = value + Cyc.of(-coeff if sign == "-" else coeff, order) * Cyc.zeta(order, power)
+    text = "".join(data.draw(_SPACE) + t for t in tokens if t) + data.draw(_SPACE)
+    assert parse_scalar(text, order) == value
+
+
 def test_parse_errors_report_position():
-    for bad in ["", "1 +", "1//2", "*z", "1 2", "q", "1/0", "z^", "+1", "1 + + 2"]:
-        with pytest.raises(ValueError):
-            parse_scalar(bad, 4)
-    with pytest.raises(ValueError, match="expected z after '\\*' at position 2"):
-        parse_scalar("2*3", 4)
+    # a '/' or '^' with no integer after it is reported where it stands
+    refusals = {"": 0, " ": 1, "+1": 0, "-": 1, "1 2": 2, "2*3": 2, "2**z": 2,
+                "1//2": 1, "1/0": 2, "z^": 1, "z^-1": 1, "z z": 2, "1/2/3": 3,
+                "1 + + 2": 4, "1 +": 3, "*z": 0, "z 2": 2, "  +z": 2, "1/00 + z": 2,
+                "2*": 2, "1* + z": 3}
+    for text, pos in refusals.items():
+        with pytest.raises(ValueError) as info:
+            parse_scalar(text, 4)
+        assert str(info.value) == f"malformed scalar literal at position {pos}", text
 
 
 @pytest.mark.parametrize("text, pos", [("\u0661", 0), ("\uff12/\uff13", 0), ("-\u0661", 1),
