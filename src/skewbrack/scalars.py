@@ -444,11 +444,14 @@ def parse_scalar(text: str, order: int) -> Cyc:
     while True:
         m = _TERM.match(text, pos)
         sign, p, q, star, z, k = m.groups()
-        at = (m.start(1) if (sign == "+" if pos == 0 else not sign)  # a wrong sign
-              else m.start(3) if q and not int(q)  # a zero denominator
-              else m.end() if not z and (star or not p) else None)  # '*' or nothing, no z
-        if at is not None:
-            raise ValueError(f"malformed scalar literal at position {at}")
+        # the first term is signed '-' or not at all, every later one signed
+        if pos == 0 and sign == "+" or pos and not sign:
+            raise ValueError(f"malformed scalar literal at position {m.start(1)}")
+        if q and not int(q):
+            raise ValueError(f"malformed scalar literal at position {m.start(3)}")
+        # a '*' with no z after it, or a term with neither number nor z
+        if not z and (star or not p):
+            raise ValueError(f"malformed scalar literal at position {m.end()}")
         n = int(sign + (p or "1"))
         total = total + (Cyc.of(Fraction(n, int(q)) if q else n, order)
                          * Cyc.zeta(order, int(k or 1) if z else 0))

@@ -221,6 +221,11 @@ def test_parse_errors_report_position():
         with pytest.raises(ValueError) as info:
             parse_scalar(text, 4)
         assert str(info.value) == f"malformed scalar literal at position {pos}", text
+    # an ASCII letter other than z is named where it stands, before any grammar
+    for text, pos in {"q": 0, "1 + x": 4, "2*3q": 3}.items():
+        with pytest.raises(ValueError) as info:
+            parse_scalar(text, 4)
+        assert str(info.value) == f"unexpected character {text[pos]!r} at position {pos}"
 
 
 @pytest.mark.parametrize("text, pos", [("\u0661", 0), ("\uff12/\uff13", 0), ("-\u0661", 1),
