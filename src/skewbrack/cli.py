@@ -419,19 +419,19 @@ def cmd_bracket(args):
 def _verify_appendix(args):
     bound = args.max
     entries = appendix_suite(bound)
-    failures = [e for e in entries if not e["pass"]]
-    names_seen = sorted({e["identity"] for e in entries})
+    names = {name for name, _, _ in entries}
+    failures = [{"identity": name, "tuple": list(tup)}
+                for name, tup, holds in entries if not holds]
     report = {
         "suite": "appendix",
-        "identities": len(names_seen),
+        "identities": len(names),
         "checked": len(entries),
-        "failures": [{"identity": e["identity"], "tuple": list(e["tuple"])}
-                     for e in failures],
+        "failures": failures,
     }
-    lines = [f"appendix: {len(names_seen) - len({f['identity'] for f in report['failures']})}"
-             f"/{len(names_seen)} identities pass ({len(entries)} tuples, "
+    lines = [f"appendix: {len(names - {f['identity'] for f in failures})}"
+             f"/{len(names)} identities pass ({len(entries)} tuples, "
              f"bound {bound})"]
-    for f in report["failures"]:
+    for f in failures:
         lines.append(f"  FAIL {f['identity']} at {tuple(f['tuple'])}")
     return not failures, report, lines
 

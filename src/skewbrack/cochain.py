@@ -32,10 +32,10 @@ class Cochain(SparseTerms):
     head = property(attrgetter("group", "degree"))
     order = property(attrgetter("group.scalar_order"))
 
-    def __init__(self, group, degree, terms=None):
+    def __init__(self, group, degree, terms):
         clean = {}
         head, size = (group.dim, group.scalar_order), len(group)
-        for g, pv in (terms or {}).items():
+        for g, pv in terms.items():
             if type(g) is not int or not 0 <= g < size:
                 raise ValueError("cochain keys must be element indices of its group")
             if not isinstance(pv, Polyvector) or pv.head != head:

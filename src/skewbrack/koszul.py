@@ -6,6 +6,8 @@ inner cochain on the middle leg, twist the right leg, straighten the
 resulting two-sided element with the contraction map phi, and evaluate
 the outer cochain.  No closed formula is used, so these routines serve
 as an independent check of the fast path in polyvec and bracket.
+The seventeen coefficient identities phi rests on are checked by
+appendix_suite, one table of linear relations on xi.
 
 The contraction's tables (minors, substitutions, signed Sweedler
 splits, and each operand's wedges, landing sets and monomial supports)
@@ -89,9 +91,9 @@ class KoszulTerms(SparseTerms):
     __slots__ = ("n", "order")
     head = property(attrgetter("n", "order"))
 
-    def __init__(self, n, order, terms=None):
+    def __init__(self, n, order, terms):
         clean = {}
-        for key, c in (terms or {}).items():
+        for key, c in terms.items():
             c = Cyc.of(c, order)
             if not c.is_zero():
                 clean[key] = c
@@ -397,7 +399,7 @@ def _tables(x, gmat, y, hmat):
 
 
 def chain_circle_component(x: Polyvector, gmat: Matrix, y: Polyvector,
-                           hmat: Matrix, idx, memo=None) -> Poly:
+                           hmat: Matrix, idx, memo) -> Poly:
     """Value of (x tagged gmat) circle (y tagged hmat) on the resolution
     basis element o(x_idx), idx increasing, as the polynomial sitting
     left of the product group tag.
@@ -415,10 +417,10 @@ def chain_circle_component(x: Polyvector, gmat: Matrix, y: Polyvector,
     evaluation shares, each filled as it is read: the nonzero
     minors of hmat by column block, the subst_matrix images of monomials
     under gmat, the signed splits_through lists by (idx, mid), and the
-    _Operand tables of x and of y.  Fresh tables are used without it."""
+    _Operand tables of x and of y, as _tables builds them."""
     n, order = x.n, x.order
     idx = tuple(idx)
-    minors, images, splits, outer, inner = memo or _tables(x, gmat, y, hmat)
+    minors, images, splits, outer, inner = memo
     zero = (0,) * n
     span = set(idx)
     t2 = {}
@@ -509,95 +511,62 @@ def chain_bracket_avatar(
 def appendix_suite(bound):
     """Exact sweep of the seventeen coefficient identities behind phi.
 
-    Returns a list of {identity, tuple, lhs, rhs, pass} entries, one per
-    checked instance, covering every valid (s, t, z, r) with s, t and z
-    at most bound.
-    Identities whose statement needs s >= 1 or z >= 1 start there; terms
-    whose scalar factor is zero are dropped before evaluating xi.
+    One row per identity, in the paper's order: its name, its domain
+    (every valid (s, t, z, r) of its statement with s, t and z at most
+    bound), its right-hand side (0 or 1/t!) and its left side, a linear
+    relation on xi given as the (c, s', t', z', r') terms of
+    c * xi(s', t', z', r').  A term whose coefficient is zero is dropped
+    before xi is evaluated, so no relation asks xi for s - 1 or z - 1
+    below 0.  Returns (identity, (s, t, z, r), holds) triples, one per
+    checked instance.
     """
-    entries = []
+    pos, nat = range(1, bound + 1), range(bound + 1)
 
-    def check(name, tup, lhs, rhs):
-        entries.append({
-            "identity": name,
-            "tuple": tup,
-            "lhs": lhs,
-            "rhs": rhs,
-            "pass": lhs == rhs,
-        })
+    def domain(ss, zs, rs):
+        return [(s, t, z, r) for s in ss for z in zs for t in pos for r in rs(t)]
 
-    zero = Fraction(0)
-    for s in range(1, bound + 1):
-        for t in range(1, bound + 1):
-            check("lEQ1", (s, t, 0, t),
-                  xi(s, t, 0, t) - s * xi(s - 1, t + 1, 0, t + 1), zero)
-            check("lEQ2", (s, t, 0, 1),
-                  xi(s, t, 0, 1) + s * xi(s - 1, t + 1, 0, 1),
-                  Fraction(1, factorial(t)))
-            for r in range(1, t + 1):
-                check("lEQ3", (s, t, 0, r), xi(s, t, 0, r),
-                      xi(s - 1, t, 0, r) - r * xi(s - 1, t + 1, 0, r + 1))
-                check("lEQ4", (s, t, 0, r), xi(s, t, 0, r),
-                      (t - r + 1) * xi(s - 1, t + 1, 0, r))
-            for r in range(1, t):
-                check("lEQ5", (s, t, 0, r),
-                      xi(s, t, 0, r) - xi(s, t, 0, r + 1),
-                      s * xi(s - 1, t + 1, 0, r + 1))
-    for z in range(1, bound + 1):
-        for t in range(1, bound + 1):
-            check("rEQ1", (0, t, z, t),
-                  xi(0, t, z, t) + z * xi(0, t + 1, z - 1, t + 1),
-                  Fraction(1, factorial(t)))
-            check("rEQ2", (0, t, z, 1),
-                  xi(0, t, z, 1) - z * xi(0, t + 1, z - 1, 1), zero)
-            for r in range(1, t + 1):
-                check("rEQ3", (0, t, z, r),
-                      r * xi(0, t + 1, z - 1, r + 1), xi(0, t, z, r))
-                check("rEQ4", (0, t, z, r),
-                      xi(0, t, z - 1, r) - (t - r + 1) * xi(0, t + 1, z - 1, r),
-                      xi(0, t, z, r))
-            for r in range(2, t + 1):
-                check("rEQ5", (0, t, z, r),
-                      xi(0, t, z, r - 1) - xi(0, t, z, r),
-                      -z * xi(0, t + 1, z - 1, r))
-    for s in range(1, bound + 1):
-        for z in range(0, bound + 1):
-            for t in range(1, bound + 1):
-                for r in range(1, t + 1):
-                    check("lrEQ1", (s, t, z, r),
-                          xi(s, t, z, r) + r * xi(s - 1, t + 1, z, r + 1)
-                          - xi(s - 1, t, z, r), zero)
-                    check("lrEQ2", (s, t, z, r),
-                          (t - r + 1) * xi(s - 1, t + 1, z, r) - xi(s, t, z, r),
-                          zero)
-                lhs6 = -s * xi(s - 1, t + 1, z, t + 1) + xi(s, t, z, t)
-                if z:
-                    lhs6 += z * xi(s, t + 1, z - 1, t + 1)
-                check("lrEQ6", (s, t, z, t), lhs6, zero)
-    for s in range(0, bound + 1):
-        for z in range(1, bound + 1):
-            for t in range(1, bound + 1):
-                for r in range(1, t + 1):
-                    check("lrEQ3", (s, t, z, r),
-                          r * xi(s, t + 1, z - 1, r + 1), xi(s, t, z, r))
-                    check("lrEQ4", (s, t, z, r),
-                          xi(s, t, z, r) + (t - r + 1) * xi(s, t + 1, z - 1, r),
-                          xi(s, t, z - 1, r))
-                lhs7 = z * xi(s, t + 1, z - 1, 1) - xi(s, t, z, 1)
-                if s:
-                    lhs7 -= s * xi(s - 1, t + 1, z, 1)
-                check("lrEQ7", (s, t, z, 1), lhs7, zero)
-    for s in range(0, bound + 1):
-        for z in range(0, bound + 1):
-            for t in range(2, bound + 1):
-                for r in range(1, t):
-                    lhs5 = xi(s, t, z, r) - xi(s, t, z, r + 1)
-                    if z:
-                        lhs5 += z * xi(s, t + 1, z - 1, r + 1)
-                    if s:
-                        lhs5 -= s * xi(s - 1, t + 1, z, r + 1)
-                    check("lrEQ5", (s, t, z, r), lhs5, zero)
-    return entries
+    zero, unit = (lambda s, t, z, r: 0), (lambda s, t, z, r: Fraction(1, factorial(t)))
+    last, first, every = (lambda t: (t,)), (lambda t: (1,)), (lambda t: range(1, t + 1))
+    below, above = (lambda t: range(1, t)), (lambda t: range(2, t + 1))
+    table = [
+        ("lEQ1", domain(pos, (0,), last), zero, lambda s, t, z, r: [
+            (1, s, t, 0, t), (-s, s - 1, t + 1, 0, t + 1)]),
+        ("lEQ2", domain(pos, (0,), first), unit, lambda s, t, z, r: [
+            (1, s, t, 0, 1), (s, s - 1, t + 1, 0, 1)]),
+        ("lEQ3", domain(pos, (0,), every), zero, lambda s, t, z, r: [
+            (1, s, t, 0, r), (-1, s - 1, t, 0, r), (r, s - 1, t + 1, 0, r + 1)]),
+        ("lEQ4", domain(pos, (0,), every), zero, lambda s, t, z, r: [
+            (1, s, t, 0, r), (-(t - r + 1), s - 1, t + 1, 0, r)]),
+        ("lEQ5", domain(pos, (0,), below), zero, lambda s, t, z, r: [
+            (1, s, t, 0, r), (-1, s, t, 0, r + 1), (-s, s - 1, t + 1, 0, r + 1)]),
+        ("rEQ1", domain((0,), pos, last), unit, lambda s, t, z, r: [
+            (1, 0, t, z, t), (z, 0, t + 1, z - 1, t + 1)]),
+        ("rEQ2", domain((0,), pos, first), zero, lambda s, t, z, r: [
+            (1, 0, t, z, 1), (-z, 0, t + 1, z - 1, 1)]),
+        ("rEQ3", domain((0,), pos, every), zero, lambda s, t, z, r: [
+            (r, 0, t + 1, z - 1, r + 1), (-1, 0, t, z, r)]),
+        ("rEQ4", domain((0,), pos, every), zero, lambda s, t, z, r: [
+            (1, 0, t, z - 1, r), (-(t - r + 1), 0, t + 1, z - 1, r), (-1, 0, t, z, r)]),
+        ("rEQ5", domain((0,), pos, above), zero, lambda s, t, z, r: [
+            (1, 0, t, z, r - 1), (-1, 0, t, z, r), (z, 0, t + 1, z - 1, r)]),
+        ("lrEQ1", domain(pos, nat, every), zero, lambda s, t, z, r: [
+            (1, s, t, z, r), (r, s - 1, t + 1, z, r + 1), (-1, s - 1, t, z, r)]),
+        ("lrEQ2", domain(pos, nat, every), zero, lambda s, t, z, r: [
+            (t - r + 1, s - 1, t + 1, z, r), (-1, s, t, z, r)]),
+        ("lrEQ3", domain(nat, pos, every), zero, lambda s, t, z, r: [
+            (r, s, t + 1, z - 1, r + 1), (-1, s, t, z, r)]),
+        ("lrEQ4", domain(nat, pos, every), zero, lambda s, t, z, r: [
+            (1, s, t, z, r), (t - r + 1, s, t + 1, z - 1, r), (-1, s, t, z - 1, r)]),
+        ("lrEQ5", domain(nat, nat, below), zero, lambda s, t, z, r: [
+            (1, s, t, z, r), (-1, s, t, z, r + 1), (z, s, t + 1, z - 1, r + 1),
+            (-s, s - 1, t + 1, z, r + 1)]),
+        ("lrEQ6", domain(pos, nat, last), zero, lambda s, t, z, r: [
+            (-s, s - 1, t + 1, z, t + 1), (1, s, t, z, t), (z, s, t + 1, z - 1, t + 1)]),
+        ("lrEQ7", domain(nat, pos, first), zero, lambda s, t, z, r: [
+            (z, s, t + 1, z - 1, 1), (-1, s, t, z, 1), (-s, s - 1, t + 1, z, 1)]),
+    ]
+    return [(name, tup, sum(c * xi(*args) for c, *args in terms(*tup) if c) == rhs(*tup))
+            for name, tuples, rhs, terms in table for tup in tuples]
 
 
 def homotopy_sweep(n, max_s, max_z, max_t):

@@ -152,9 +152,9 @@ class Poly(SparseTerms):
     __slots__ = ("n", "order")
     head = property(attrgetter("n", "order"))
 
-    def __init__(self, n, order, terms=None):
+    def __init__(self, n, order, terms):
         clean = {}
-        for exps, c in (terms or {}).items():
+        for exps, c in terms.items():
             c = Cyc.of(c, order)
             if not c.is_zero():
                 if len(exps) != n or any(e < 0 for e in exps):
@@ -239,9 +239,9 @@ class Polyvector(SparseTerms):
     __slots__ = ("n", "order")
     head = property(attrgetter("n", "order"))
 
-    def __init__(self, n, order, terms=None):
+    def __init__(self, n, order, terms):
         clean = {}
-        for idx, p in (terms or {}).items():
+        for idx, p in terms.items():
             idx = tuple(idx)
             if any(not 0 <= i < n for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError("polyvector wedges must be increasing indices in 0..n-1")

@@ -423,17 +423,18 @@ def print_scalar(c: Cyc) -> str:
     return " ".join(parts)
 
 
-# 0-9, as in words, not \d, which takes other scripts' digits too ("\u0661")
-_FOREIGN = re.compile(r"[^\s0-9z*/^+-]")
+# 0-9, as in words, not \d, which takes other scripts' digits too ("\u0661"),
+# and a space or a tab, not \s, which takes "\u3000", "\x1c" and "\n" too
+_FOREIGN = re.compile(r"[^ \t0-9z*/^+-]")
 # one term: sign, numerator, denominator, '*', z and its exponent
-_TERM = re.compile(r"\s*([+-]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?\s*(\*)?)?"
-                   r"\s*(z(?:\s*\^\s*([0-9]+))?)?")
+_TERM = re.compile(r"[ \t]*([+-]?)[ \t]*(?:([0-9]+)(?:[ \t]*/[ \t]*([0-9]+))?[ \t]*(\*)?)?"
+                   r"[ \t]*(z(?:[ \t]*\^[ \t]*([0-9]+))?)?")
 
 
 def parse_scalar(text: str, order: int) -> Cyc:
     """Parse a scalar literal: a sum of terms p, p/q, z, z^k, p*z^k and
-    p/q*z^k (digits 0-9, q > 0, any k >= 0, '*' optional, whitespace
-    between any two tokens), each after the first signed, the first
+    p/q*z^k (digits 0-9, q > 0, any k >= 0, '*' optional, spaces and
+    tabs between any two tokens), each after the first signed, the first
     signed '-' or not at all.  A character no literal holds raises
     ValueError("unexpected character ... at position k"), any other
     malformed input ValueError("malformed scalar literal at position k")."""

@@ -33,9 +33,9 @@ def test_criterion_01_appendix_identity_sweep():
     start = time.monotonic()
     entries = appendix_suite(6)
     elapsed = time.monotonic() - start
-    names = {e["identity"] for e in entries}
+    names = {name for name, _, _ in entries}
     assert len(names) == 17
-    failures = [e for e in entries if not e["pass"]]
+    failures = [(name, tup) for name, tup, holds in entries if not holds]
     assert failures == []
     assert elapsed < 10.0
     print(f"criterion 1: PASS - 17/17 coefficient identities on "

@@ -2,6 +2,7 @@ import ast
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,8 @@ from skewbrack.polyvec import (
 from skewbrack.scalars import Cyc
 from skewbrack.koszul import (
     KoszulElt,
+    _tables,
+    appendix_suite,
     KoszulTensor2,
     c_coeff,
     chain_bracket_avatar,
@@ -60,6 +63,23 @@ def test_c_coeff_values():
     # sign alternates with z (and s z)
     assert c_coeff(0, 1, 1, 1) == -xi(0, 1, 1, 1)
     assert c_coeff(1, 1, 2, 1) == xi(1, 1, 2, 1)
+
+
+@pytest.mark.parametrize("b", range(1, 9))
+def test_appendix_domains_follow_the_statements(b):
+    # instances of each identity, counted from its statement: s, t and z
+    # range over 1..b, or 0..b where the statement allows 0, and r is t, 1,
+    # any of 1..t, or one of the t - 1 values below t or above 1
+    s_t, s_t_r = b * b, b * b * (b + 1) // 2
+    want = {"lEQ1": s_t, "lEQ2": s_t, "rEQ1": s_t, "rEQ2": s_t,
+            "lEQ3": s_t_r, "lEQ4": s_t_r, "rEQ3": s_t_r, "rEQ4": s_t_r,
+            "lEQ5": b * b * (b - 1) // 2, "rEQ5": b * b * (b - 1) // 2,
+            **dict.fromkeys(["lrEQ1", "lrEQ2", "lrEQ3", "lrEQ4"], b * (b + 1) * b * (b + 1) // 2),
+            "lrEQ5": (b + 1) ** 2 * b * (b - 1) // 2,
+            "lrEQ6": b * b * (b + 1), "lrEQ7": b * b * (b + 1)}
+    got = Counter(name for name, _, _ in appendix_suite(b))
+    # at b = 1 the domains of lEQ5, rEQ5 and lrEQ5 are empty: 14 identities
+    assert got == {name: n for name, n in want.items() if n}
 
 
 def test_koszul_diff_degree_one():
@@ -561,7 +581,7 @@ def test_chain_bracket_trivial_group_is_schouten_over_cyclotomic_fields(pair):
 def test_chain_circle_component_degree_mismatch_is_zero_padding():
     g, h, x, y = worked_example_small()
     # wrong-degree basis elements simply pair to zero
-    assert chain_circle_component(x, g, y, h, (0, 1)).is_zero()
+    assert chain_circle_component(x, g, y, h, (0, 1), _tables(x, g, y, h)).is_zero()
 
 
 @st.composite
@@ -712,10 +732,11 @@ def test_pruned_contraction_matches_the_unpruned_reference(data):
     x, gmat, y, hmat = data
     assert chain_circle_avatar(x, gmat, y, hmat) == reference_avatar(x, gmat, y, hmat)
     # every basis element, including those of the wrong degree and those
-    # no wedge of y fits into
+    # no wedge of y fits into, on one set of tables
+    memo = _tables(x, gmat, y, hmat)
     for k in range(x.n + 1):
         for idx in combinations(range(x.n), k):
-            assert (chain_circle_component(x, gmat, y, hmat, idx)
+            assert (chain_circle_component(x, gmat, y, hmat, idx, memo)
                     == reference_component(x, gmat, y, hmat, idx)), idx
 
 

@@ -366,7 +366,7 @@ def term_by_constructors(coeff, exps, idx, order):
     sgn, key = sort_sign(idx)
     n = len(exps)
     if sgn == 0:
-        return Polyvector(n, order)
+        return Polyvector.zero(n, order)
     return Polyvector(n, order, {key: Poly(n, order, {tuple(exps): Cyc.of(coeff, order) * sgn})})
 
 

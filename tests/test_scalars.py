@@ -187,7 +187,7 @@ def test_parse_forms():
 
 
 # the grammar apart from the parser: a term is one of these forms, '*'
-# may be left out, and any whitespace may stand around any token
+# may be left out, and spaces and tabs may stand around any token
 _FORMS = ["p", "p/q", "z", "z^k", "p*z^k", "p/q*z^k"]
 _SPACE = st.text(alphabet=" \t", max_size=2)
 
@@ -229,10 +229,13 @@ def test_parse_errors_report_position():
 
 
 @pytest.mark.parametrize("text, pos", [("\u0661", 0), ("\uff12/\uff13", 0), ("-\u0661", 1),
-                                       ("1/\u0662", 2), ("z^\u0663", 2), ("1 + \u06f3", 4)])
+                                       ("1/\u0662", 2), ("z^\u0663", 2), ("1 + \u06f3", 4),
+                                       ("1\u3000+\u30002", 1), ("1\x1c+\x1f2", 1), ("1\n+ 2", 1),
+                                       ("\x851", 0), ("1\r", 1)])
 def test_literals_take_only_ascii_digits(text, pos):
     # int() reads other scripts' decimal digits, which \d matches, but a
-    # literal takes 0-9 only, as words and generator names do
+    # literal takes 0-9 only, as words and generator names do; and \s and
+    # str.isspace take more whitespace than a literal's space or tab
     with pytest.raises(ValueError) as info:
         parse_scalar(text, 4)
     assert str(info.value) == f"unexpected character {text[pos]!r} at position {pos}"
