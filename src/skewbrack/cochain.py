@@ -361,12 +361,18 @@ def cohomology_dim_character(group, p, m):
             g_powers.append(mult[g_powers[-1]][g])
         # g_powers[0] is the identity, so each sum starts from chi[x]
         mean = Cyc.of(Fraction(1, len(g_powers)), order)
-        fixed_trace = {x: sum((chi[mult[x][y]] for y in g_powers[1:]), chi[x]) * mean
-                       for x in cent}
+
+        def trace(x):
+            return sum((chi[mult[x][y]] for y in g_powers[1:]), chi[x]) * mean
+
+        # codim from the identity's trace first: a class the piece misses
+        # builds no other trace
+        fixed_trace = {0: trace(0)}
         codim = n - int(fixed_trace[0].as_fraction())
         q = p - codim
         if q < 0 or q > n - codim:
             continue
+        fixed_trace.update((x, trace(x)) for x in cent if x)
         terms = []
         for h in cent:
             h_powers = [h]

@@ -21,10 +21,14 @@ times the kept image of a lower monomial.  act adds its products into
 the accumulator directly, with the minors and monomial images it needs
 cached on the matrices (Matrix.minors, Matrix.images), both in that
 one integer form; minor_row expands each row of minors along its first
-row, in plain ints too.  _build turns the accumulators of act,
-circle_product and wedge into a Polyvector: scalars._reduce makes each
-coefficient, and Poly._new and Polyvector._new fill the values without
-checking them again.
+row, in plain ints too.  Over Q (cyclotomic order 1 or 2) every such
+term holds the one pair (0, numerator), and act and _convolve each
+branch once per call to a degree-1 loop that adds plain-int products
+into [denominator, numerator] accumulators; over Q(zeta_N) of degree
+above 1 the general loop is the only path.  _build turns the
+accumulators of act, circle_product and wedge into a Polyvector:
+scalars._reduce makes each coefficient, and Poly._new and
+Polyvector._new fill the values without checking them again.
 SparseTerms, the immutable sparse container that polynomials,
 polyvectors, cochains and the Koszul resolution terms share, is defined
 here too, and so is monomials, the exponent tuples of one degree, kept
@@ -341,7 +345,24 @@ def _convolve(target, left, right, up, size):
     numerators...], size + 1 entries): each pair of terms adds the
     power-basis convolution of its coefficients, over the product of
     their denominators, widened by _widen as needed, at the sum of its
-    exponents.  The one loop of wedge, circle_product and monomial_image."""
+    exponents.  The one loop of wedge, circle_product and monomial_image.
+    Over Q (size 1) each term holds the one pair (0, numerator), and the
+    degree-1 loop adds plain-int products into [denominator, numerator]."""
+    if size == 1:
+        for e1, den1, ((_, a),) in left:
+            a *= up
+            for e2, den2, ((_, b),) in right:
+                e = tuple(map(add, e1, e2))
+                den = den1 * den2
+                acc = target.get(e)
+                if acc is None:
+                    target[e] = [den, a * b]
+                elif den == acc[0]:
+                    acc[1] += a * b
+                else:
+                    f = _widen(acc, den)  # rescales acc[1]: read it after
+                    acc[1] += a * b * f
+        return
     for e1, den1, cf in left:
         for e2, den2, pairs in right:
             e = tuple(map(add, e1, e2))
@@ -454,23 +475,33 @@ def act(x: Polyvector, pairs) -> Polyvector:
     widens it to their lcm.  x's coefficients are turned into integer
     pairs once per call, and each c * m once per pair, by plain loops.
     The vector is reduced modulo Phi_N and becomes a Cyc once, with the
-    mean's 1/len(pairs) folded into its denominator."""
+    mean's 1/len(pairs) folded into its denominator.  Over Q, where every
+    coefficient, minor and image term holds one (0, numerator) pair, x is
+    converted once to (exponents, denominator, numerator) terms and each
+    product goes into a [denominator, numerator] accumulator, widened
+    through _widen as in the general loop."""
     if not pairs:
         raise ValueError("act takes a nonempty list of (h, h_inv) pairs, not []")
     n, order = x.n, x.order
-    size = 3 * len(_powers(order)[0]) - 2
+    degree = len(_powers(order)[0])
+    size = 3 * degree - 2
     # each component of x as (wedge, its terms), a term as (exponents,
-    # denominator, (place in acc, int) pairs)
-    comps = []
-    for idx, p in x.terms.items():
-        terms = []
-        for e, c in p.terms.items():
-            cf = []
-            for i, a in enumerate(c.num, 1):
-                if a:
-                    cf.append((i, a))
-            terms.append((e, c.den, cf))
-        comps.append((idx, terms))
+    # denominator, (place in acc, int) pairs), or over Q (exponents,
+    # denominator, numerator)
+    if degree == 1:
+        comps = [(idx, [(e, c.den, c.num[0]) for e, c in p.terms.items()])
+                 for idx, p in x.terms.items()]
+    else:
+        comps = []
+        for idx, p in x.terms.items():
+            terms = []
+            for e, c in p.terms.items():
+                cf = []
+                for i, a in enumerate(c.num, 1):
+                    if a:
+                        cf.append((i, a))
+                terms.append((e, c.den, cf))
+            comps.append((idx, terms))
     out = {}  # cols -> exponents -> [denominator, unreduced numerators...]
     for h, h_inv in pairs:
         if not (h.order == h_inv.order == order
@@ -487,6 +518,23 @@ def act(x: Polyvector, pairs) -> Polyvector:
                 image = kept_images.get(exps)
                 if image is None:
                     image = monomial_image(h_inv, exps)
+                if degree == 1:  # each minor and image term holds one (0, b)
+                    for cols, m_den, ((_, b),) in minors:
+                        cm, cm_den = cf * b, c_den * m_den
+                        target = out.get(cols)
+                        if target is None:
+                            target = out[cols] = {}
+                        for e, v_den, ((_, v),) in image:
+                            den = cm_den * v_den
+                            acc = target.get(e)
+                            if acc is None:
+                                target[e] = [den, cm * v]
+                            elif den == acc[0]:
+                                acc[1] += cm * v
+                            else:
+                                up = _widen(acc, den)  # rescales acc[1]: read it after
+                                acc[1] += cm * v * up
+                    continue
                 for cols, m_den, mf in minors:
                     # c * m as (place in acc, int) pairs, repeats allowed
                     cm = []

@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import field_degree, mat, matmul
+from helpers import example_group, field_degree, mat, matmul
 from skewbrack.cli import load_group_file
-from skewbrack.linalg import Matrix, mat_inverse
+from skewbrack.linalg import Matrix, det, mat_inverse
 from skewbrack.polyvec import (
     Poly,
     Polyvector,
     act,
+    circle_product,
     euler_field,
     minor_det,
     minor_row,
@@ -606,6 +607,63 @@ def test_action_refuses_an_empty_list_of_pairs():
     # the mean of no actions is not zero: it has no value
     with pytest.raises(ValueError, match=r"nonempty list .* not \[\]"):
         act(Polyvector.term(1, (1, 0), (0,), 4), [])
+
+
+# ---------------------------------------------------- the degree-1 path against the general one
+
+
+ROOT_S4 = example_group("s4_a3_root_basis_k3.json")
+
+
+def over_zeta3(value):
+    """A rational Polyvector or Matrix rebuilt over Q(zeta_3), whose
+    products run the general loops of act and _convolve."""
+    def lift(c):
+        return Cyc.of(c.as_fraction(), 3)
+
+    if isinstance(value, Matrix):
+        return Matrix(3, [[lift(c) for c in r] for r in value.rows])
+    return Polyvector(value.n, 3, {idx: Poly(value.n, 3, {e: lift(c) for e, c in p.terms.items()})
+                                   for idx, p in value.terms.items()})
+
+
+def rational_coefficients(x):
+    """x as {(wedge, exponents): Fraction}; as_fraction refuses a
+    coefficient with a root-of-unity part."""
+    return {(idx, e): c.as_fraction() for idx, p in x.terms.items() for e, c in p.terms.items()}
+
+
+@st.composite
+def rational_conjugator(draw):
+    """An invertible 3 x 3 matrix over Q with denominators 1 to 3, and
+    its inverse, so that products of kept minors and images carry
+    denominators that do not divide one another and _widen runs."""
+    u = Matrix(1, [[draw(st.fractions(-3, 3, max_denominator=3)) for _ in range(3)]
+                   for _ in range(3)])
+    assume(det(u))
+    return u, mat_inverse(u)
+
+
+@given(small_polyvector(), small_polyvector(), rational_conjugator(),
+       st.sampled_from(ROOT_S4.centralizers))
+@settings(max_examples=60, deadline=None)
+def test_degree_one_path_matches_the_general_loop(x, y, pair, cent):
+    # the same rational inputs over Q (the degree-1 path) and over
+    # Q(zeta_3) (the general loop), compared coefficient by coefficient
+    u, u_inv = pair
+    # the centralizer of a class of the root-basis S4, conjugated by u,
+    # with fresh matrices, so minors and images are filled on both paths
+    pairs = [(matmul(u_inv, h, u), matmul(u_inv, h_inv, u))
+             for h, h_inv in (ROOT_S4.actions[k] for k in cent)]
+    x3, y3 = over_zeta3(x), over_zeta3(y)
+    lifted = [(over_zeta3(h), over_zeta3(h_inv)) for h, h_inv in pairs]
+    for rational, general in [
+            (act(x, [pair]), act(x3, [(over_zeta3(u), over_zeta3(u_inv))])),
+            (act(x, pairs), act(x3, lifted)),
+            (x.wedge(y), x3.wedge(y3)),
+            (circle_product(x, y), circle_product(x3, y3))]:
+        assert rational.order == 1 and general.order == 3
+        assert rational_coefficients(rational) == rational_coefficients(general)
 
 
 # ---------------------------------------------------- minors and images by recurrence
