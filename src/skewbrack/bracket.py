@@ -67,6 +67,25 @@ def _require(cond, message):
         raise ValueError(message)
 
 
+def _proven(c, key, check):
+    """Whether c passes check, whose result each source value keeps
+    under key in its proof memo (Cochain.proof): a value from the
+    constructor is its own one source, and any other c passes when every
+    source does and is checked itself otherwise."""
+    proof = c.proof
+    if proof.__class__ is dict:
+        if key not in proof:
+            proof[key] = check(c)
+        return proof[key]
+    return all(_proven(s, key, check) for s in proof) or check(c)
+
+
+def _reduced_at_representatives(c):
+    group, terms = c.group, c.terms
+    return all(project_component(group, cls[0], terms[cls[0]]) == terms[cls[0]]
+               for cls in group.conj_classes if cls[0] in terms)
+
+
 def pair_commutator(group, g, xg, h, yh):
     """The term of reduced X_g and Y_h: the Schouten bracket [X_g, Y_h]
     projected at gh, or the reason it vanishes.  "schouten zero" means
@@ -103,15 +122,22 @@ def gerstenhaber(x, y):
     Invariance is checked by is_invariant, |cls| act calls per class cls
     of each support.  It gives X_{a^-1 g a} = X_g.a, and p_{a^-1 g a}(X.a)
     = p_g(X).a, so reduced form is checked on one component per conjugacy
-    class of each support.  Likewise the pair (a^-1 g a, a^-1 h a) has the
-    projected Schouten bracket of (g, h) moved by a, and the same
-    vanishing reason: pairs are walked in sorted (g, h) order, and each
-    pair not yet reached is computed.  Its orbit under simultaneous
-    conjugation is then walked along the generators: from a reached pair
-    (p, q) with value v, each generator s reaches (s^-1 p s, s^-1 q s)
-    with value v.s, and a vanishing reason is copied as it is.  Since
-    (v.a).s = v.(as), that is the value moved by the element reaching it,
-    one act with a generator's matrices per pair of the orbit.
+    class of each support.  Each operand is proven through _proven, once
+    per source (Cochain.proof): a value from the constructor is checked
+    once, and the result kept in its memo; a sum, difference or multiple
+    passes a check when all its sources do, since the action and
+    project_component are linear, and is checked itself otherwise.  The
+    checks run in the same order and raise the same messages either
+    way, and no operand that fails them is accepted.  Likewise the pair
+    (a^-1 g a, a^-1 h a) has the projected Schouten bracket of (g, h)
+    moved by a, and the same vanishing reason: pairs are walked in
+    sorted (g, h) order, and each pair not yet reached is computed.  Its
+    orbit under simultaneous conjugation is then walked along the
+    generators: from a reached pair (p, q) with value v, each generator
+    s reaches (s^-1 p s, s^-1 q s) with value v.s, and a vanishing reason
+    is copied as it is.  Since (v.a).s = v.(as), that is the value moved
+    by the element reaching it, one act with a generator's matrices per
+    pair of the orbit.
 
     Placing each term v(g, h) at hg instead of gh gives the same bracket.
     (g, h) -> (hgh^-1, h) maps the pairs with hg = k onto those with
@@ -124,12 +150,13 @@ def gerstenhaber(x, y):
     omega_h is nonzero and fixed by h.
     """
     _require(x.group is y.group, "cochains live over different groups")
-    _require(is_invariant(x), "left operand is not G-invariant (apply reynolds first)")
-    _require(is_invariant(y), "right operand is not G-invariant (apply reynolds first)")
+    _require(_proven(x, "invariant", is_invariant),
+             "left operand is not G-invariant (apply reynolds first)")
+    _require(_proven(y, "invariant", is_invariant),
+             "right operand is not G-invariant (apply reynolds first)")
     group = x.group
     for side, c in (("left", x), ("right", y)):
-        reps = (cls[0] for cls in group.conj_classes if cls[0] in c.terms)
-        _require(all(project_component(group, r, c.terms[r]) == c.terms[r] for r in reps),
+        _require(_proven(c, "reduced", _reduced_at_representatives),
                  f"{side} operand is not in reduced form (apply project first)")
     degree = max(x.degree + y.degree - 1, 0)
     pairs = [(g, h) for g in sorted(x.terms) for h in sorted(y.terms)]

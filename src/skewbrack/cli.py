@@ -340,7 +340,7 @@ def cmd_cohomology(args):
                          f"degree a class file takes, got {args.m}")
     basis = cohomology_basis(group, args.p, args.m)
     try:
-        count = cohomology_dim_character(group, args.p, args.m)
+        count = sum(cohomology_dim_character(group, args.p, args.m))
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -26,9 +26,20 @@ class Cochain(SparseTerms):
     Absent components are zero.  The group is carried along so actions and
     differentials can resolve matrices and conjugation without extra
     arguments; its scalar order, ``order``, is the group's.
+
+    proof is the cache of bracket.gerstenhaber's two preconditions.  A
+    value from the constructor is its own source and holds a dict, empty
+    at first, in which the bracket keeps the result of each check it
+    runs on the value, under the fixed keys "invariant" and "reduced".
+    A sum, difference or multiple holds instead the tuple of the source
+    values it was built from, each once by identity, and the zero
+    cochain holds none: both checks are linear, so it passes a check
+    that all of them pass.  The entries cannot go stale, since the value
+    is immutable, and they are freed with it; equality and hashing
+    ignore them.
     """
 
-    __slots__ = ("group", "degree")
+    __slots__ = ("group", "degree", "proof")
     head = property(attrgetter("group", "degree"))
     order = property(attrgetter("group.scalar_order"))
 
@@ -45,7 +56,19 @@ class Cochain(SparseTerms):
             if pv.degree() != degree:
                 raise ValueError("component exterior degree disagrees with cochain degree")
             clean[g] = pv
-        self._init(clean, group, degree)
+        self._init(clean, group, degree, {})
+
+    @classmethod
+    def zero(cls, group, degree):
+        return cls._new({}, group, degree, ())
+
+    def _derived(self, terms, *operands):
+        sources = {}  # id -> source: each once, and every one alive here
+        for c in operands:
+            proof = c.proof
+            for s in (c,) if proof.__class__ is dict else proof:
+                sources[id(s)] = s
+        return Cochain._new(terms, self.group, self.degree, tuple(sources.values()))
 
     def __str__(self):
         if not self.terms:
@@ -334,18 +357,20 @@ def cohomology_dim_direct(group, p, m):
 
 
 def cohomology_dim_character(group, p, m):
-    """Dimension of the (p, m) piece from the character alone.
+    """Dimensions of the (p, m) piece per conjugacy class, from the
+    character alone: one count per class of group.conj_classes, in that
+    order, and the dimension of the piece is their sum.
 
     The piece is the sum over classes [g] of the C(g)-invariants of
     S^m(V^g) (x) Lambda^{p-c}(V^g)* (x) det((1-g)V)*, c = codim V^g, and
-    Molien's formula counts them:
+    Molien's formula counts each:
     1/|C(g)| sum_h h_m(h^-1|V^g) e_{p-c}(h|V^g) e_c(h|(1-g)V).  Each h
     commutes with g, and the mean of the powers of g projects onto V^g,
     so tr(h^k|V^g) is the mean of chi(h^k g^j) and tr(h^k|(1-g)V) =
     chi(h^k) - tr(h^k|V^g); Newton's identities turn these power sums
     into h_m and e_q.  Reads the traces of the matrices and the group's
     tables only: no action, elimination or geometry, so it shares no
-    code with cohomology_basis.  A class term that is not a nonnegative
+    code with cohomology_basis.  A class count that is not a nonnegative
     integer raises ArithmeticError.
     """
     _check_piece(group, p, m)
@@ -353,7 +378,7 @@ def cohomology_dim_character(group, p, m):
     mult, inverses = group.mult_table, group.inverses
     diagonals = [[r[i] for i, r in enumerate(a.rows)] for a in group.matrices]
     chi = [sum(d[1:], d[0]) if d else Cyc.zero(order) for d in diagonals]
-    total = 0
+    counts = []
     for cls, cent in zip(group.conj_classes, group.centralizers):
         g = cls[0]
         g_powers = [0]
@@ -371,6 +396,7 @@ def cohomology_dim_character(group, p, m):
         codim = n - int(fixed_trace[0].as_fraction())
         q = p - codim
         if q < 0 or q > n - codim:
+            counts.append(0)
             continue
         fixed_trace.update((x, trace(x)) for x in cent if x)
         terms = []
@@ -388,8 +414,8 @@ def cohomology_dim_character(group, p, m):
             raise ArithmeticError(f"the character count at class {group.words[g]} "
                                   f"in degree ({p}, {m}) is {dim}, not a "
                                   f"nonnegative integer")
-        total += dim.num[0]
-    return total
+        counts.append(dim.num[0])
+    return counts
 
 
 def _newton(power_sums, q, sign):

@@ -80,18 +80,21 @@ class SparseTerms(Frozen):
     ``head`` in constructor order, and construct as ``cls(*head, terms)``,
     dropping zero values, validating keys and ending in the fill
     ``self._init(terms, *head)``; ``cls._new(terms, *head)`` builds one
-    from terms already clean.  The constructor guards what comes from
-    outside.  The termwise linear arithmetic, equality and hashing live
-    here, and the arithmetic fills its results through ``_new``: valid
-    operands of one type and head give valid keys, and a sum drops the
-    values that cancel, a zero Cyc or a container with no terms.  Every
-    operator returns NotImplemented for a foreign operand, so Python's
-    TypeError names it, and raises ValueError for a value of the same
-    kind with another head.  ``__mul__``, the one scalar multiple, coerces
-    its scalar once, through Cyc.of at ``order``, before it reads a term,
-    so a zero operand refuses the scalars a nonzero one does; what Cyc.of
-    refuses with TypeError is foreign.  ``_times`` scales every level with
-    that one Cyc; a nonzero multiple of a nonzero value is nonzero in a field.
+    from terms already clean (Cochain adds a last field, its proof).
+    The constructor guards what comes from outside.  The termwise
+    linear arithmetic, equality and hashing live here, and the
+    arithmetic fills its results through ``_derived``, which is ``_new``
+    on the head and is given the operands, whose sources Cochain keeps:
+    valid operands of one type and head give valid keys, and a sum
+    drops the values that cancel, a zero Cyc or a container with no
+    terms.  Every operator returns NotImplemented for a foreign operand,
+    so Python's TypeError names it, and raises ValueError for a value of
+    the same kind with another head.  ``__mul__``, the one scalar
+    multiple, coerces its scalar once, through Cyc.of at ``order``,
+    before it reads a term, so a zero operand refuses the scalars a
+    nonzero one does; what Cyc.of refuses with TypeError is foreign.
+    ``_times`` scales every level with that one Cyc; a nonzero multiple
+    of a nonzero value is nonzero in a field.
     """
 
     __slots__ = ("terms",)
@@ -124,10 +127,10 @@ class SparseTerms(Frozen):
                     del out[k]
                     continue
             out[k] = v
-        return self._new(out, *self.head)
+        return self._derived(out, self, other)
 
     def __neg__(self):
-        return self._new({k: -v for k, v in self.terms.items()}, *self.head)
+        return self._derived({k: -v for k, v in self.terms.items()}, self)
 
     def __sub__(self, other):
         if not isinstance(other, SparseTerms):
@@ -146,8 +149,13 @@ class SparseTerms(Frozen):
     def _times(self, c):
         """The multiple by c, a nonzero Cyc of this order: a Cyc value is
         multiplied by it, and a container value scaled the same way."""
-        return self._new({k: v * c if v.__class__ is Cyc else v._times(c)
-                          for k, v in self.terms.items()}, *self.head)
+        return self._derived({k: v * c if v.__class__ is Cyc else v._times(c)
+                              for k, v in self.terms.items()}, self)
+
+    def _derived(self, terms, *operands):
+        """The result of this type and head with these terms, made by
+        the arithmetic from operands; Cochain keeps their sources."""
+        return self._new(terms, *self.head)
 
 
 class Poly(SparseTerms):

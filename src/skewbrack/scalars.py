@@ -11,8 +11,8 @@ common, and _reduce makes each sum one Cyc, straight from its fields.
 `Frozen`, the immutable base of every value in the package (these
 scalars, matrices, sparse terms, groups, geometries and bracket
 reports), is defined here, the lowest module they all import from; a
-value of three fields is filled by three setter calls, with no loop,
-and Cyc.zero and Cyc.one are one shared value per order.
+value of three or four fields is filled by its setter calls, with no
+loop, and Cyc.zero and Cyc.one are one shared value per order.
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ class Frozen:
     checks its input ends in it; cls._new(*fields) builds a value whose
     fields the caller has already made valid; Frozen(*fields) is the
     constructor of a type with nothing to check.  A type of three
-    fields, as Cyc, Poly, Polyvector and Cochain are, gets an _init and
-    a _new with the three setter calls written out; any other count is
-    filled in one loop.  Each raises TypeError on a wrong number of
-    fields, before it sets any."""
+    fields, as Cyc, Poly and Polyvector are, or of four, as Cochain is
+    with its proof, gets an _init and a _new with the setter calls
+    written out; any other count is filled in one loop.  Each raises
+    TypeError on a wrong number of fields, before it sets any."""
 
     __slots__ = ()
     _setters = ()
@@ -98,8 +98,8 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         cls._setters += tuple(cls.__dict__[name].__set__
                               for name in cls.__dict__.get("__slots__", ()))
-        if len(cls._setters) == 3:
-            _fill_three(cls)
+        if len(cls._setters) in (3, 4):
+            _fill_fixed(cls)
 
     def __init__(self, *fields):
         setters = self._setters
@@ -129,22 +129,39 @@ def _count_error(cls, fields):
                      f"got {len(fields)}")
 
 
-def _fill_three(cls):
+def _fill_fixed(cls):
     # the hot constructors: fixed arity, so a wrong field count is
     # Python's own TypeError, raised before the body sets anything
-    set_a, set_b, set_c = cls._setters
+    if len(cls._setters) == 3:
+        set_a, set_b, set_c = cls._setters
 
-    def _init(self, a, b, c):
-        set_a(self, a)
-        set_b(self, b)
-        set_c(self, c)
+        def _init(self, a, b, c):
+            set_a(self, a)
+            set_b(self, b)
+            set_c(self, c)
 
-    def _new(a, b, c):
-        self = _object_new(cls)
-        set_a(self, a)
-        set_b(self, b)
-        set_c(self, c)
-        return self
+        def _new(a, b, c):
+            self = _object_new(cls)
+            set_a(self, a)
+            set_b(self, b)
+            set_c(self, c)
+            return self
+    else:
+        set_a, set_b, set_c, set_d = cls._setters
+
+        def _init(self, a, b, c, d):
+            set_a(self, a)
+            set_b(self, b)
+            set_c(self, c)
+            set_d(self, d)
+
+        def _new(a, b, c, d):
+            self = _object_new(cls)
+            set_a(self, a)
+            set_b(self, b)
+            set_c(self, c)
+            set_d(self, d)
+            return self
 
     _init.__qualname__ = f"{cls.__name__}._init"
     _new.__qualname__ = f"{cls.__name__}._new"

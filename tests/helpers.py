@@ -25,6 +25,15 @@ def single(group, g, pv):
     return Cochain(group, pv.degree(), {g: pv})
 
 
+def basis_by_class(group, basis):
+    """How many of the basis classes lie on each conjugacy class of
+    group, in class order; each must lie on exactly one."""
+    on = [[k for k, cls in enumerate(group.conj_classes) if not c.terms.keys().isdisjoint(cls)]
+          for c in basis]
+    assert all(len(ks) == 1 for ks in on), on
+    return [sum(ks == [k] for ks in on) for k in range(len(group.conj_classes))]
+
+
 def mat(order, rows):
     return Matrix(order, [[Cyc.of(v, order) for v in r] for r in rows])
 

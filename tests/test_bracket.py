@@ -5,6 +5,7 @@ import functools
 import json
 import random
 from itertools import combinations_with_replacement
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -413,7 +414,7 @@ def test_fast_path_commutes_with_a_change_to_dense_coordinates():
         for p in range(min(3, n) + 1):
             for m in range(3):
                 basis = cohomology_basis(group, p, m)
-                assert len(basis) == cohomology_dim_character(dense, p, m), (path.name, p, m)
+                assert len(basis) == sum(cohomology_dim_character(dense, p, m)), (path.name, p, m)
                 pool += basis
         moved = [move_cochain(c, dense, u, u_inv) for c in pool]
         assert all(is_invariant(c) and is_reduced(c) for c in moved), path.name
@@ -481,7 +482,7 @@ def test_fast_path_commutes_with_random_integer_changes_of_coordinates(change, d
     for p in range(min(2, n) + 1):
         for m in range(2):
             basis = cohomology_basis(group, p, m)
-            assert len(basis) == cohomology_dim_character(dense, p, m), (p, m)
+            assert len(basis) == sum(cohomology_dim_character(dense, p, m)), (p, m)
             pool += basis
     moved = [move_cochain(c, dense, u, u_inv) for c in pool]
     assert all(is_invariant(c) and is_reduced(c) for c in moved)
@@ -591,6 +592,115 @@ def test_reduced_cochains_are_cocycles():
             assert is_cocycle(p)
             moved += g != 0 and not p.is_zero()
     assert moved > 20
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_sums_and_multiples_are_proven_through_their_sources(side):
+    # b lies on the five-element conjugacy class of D5; c, its component
+    # at the class representative alone, is not invariant, and u is
+    # invariant but not reduced.  An operand built from a refused source
+    # is checked itself, with the message of an operand built any other
+    # way, also after that source has been refused once
+    group = loaded_group(GROUP_DATA / "d5.json")
+    (b,) = [c for c in cohomology_basis(group, 2, 0) if len(c.terms) == 5]
+    other = cohomology_basis(group, 1, 1)[0]
+    r = min(b.terms)
+    c = single(group, r, b.terms[r])
+    averages = (reynolds(single(group, r, Polyvector.term(1, exps, idx, group.scalar_order)))
+                for exps in monomials(3, 1) for idx in ((0, 1), (0, 2), (1, 2)))
+    u = next(a for a in averages if not a.is_zero() and not is_reduced(a))
+    assert not is_invariant(c) and is_invariant(u)
+
+    def bracket_with(z):
+        return gerstenhaber(z, other) if side == "left" else gerstenhaber(other, z)
+
+    want = bracket_with(b).result
+    for bad, message in ((c, f"{side} operand is not G-invariant (apply reynolds first)"),
+                         (u, f"{side} operand is not in reduced form (apply project first)")):
+        for z in (b + bad, -bad, b - bad, bad * 3):
+            with pytest.raises(ValueError) as refused:
+                bracket_with(z)
+            assert str(refused.value) == message
+        assert bracket_with(b + bad - bad).result == want
+    assert bracket_with(Cochain.zero(group, 2)).result.is_zero()
+
+
+# the G(m, p, n) the soundness test draws from: m <= 4, n in {2, 3} and
+# order at most 100
+SOUNDNESS_FAMILY = [(m, p, n) for n in (2, 3) for m in range(2, 5) for p in range(1, m + 1)
+                    if m % p == 0 and m ** n * factorial(n) // p <= 100]
+
+
+@functools.cache
+def soundness_pieces(key):
+    """The group and its basis classes of each nonzero piece (p, m) with
+    p <= 2 and m <= 1; each call of the test sees the same class objects,
+    and so what earlier brackets kept on them."""
+    if isinstance(key, str):
+        group = loaded_group(GROUP_DATA / f"{key}.json")
+    else:
+        group = imprimitive_reflection_group(*key)
+    pieces = {(p, m): cohomology_basis(group, p, m)
+              for p in range(min(group.dim, 2) + 1) for m in range(2)}
+    return group, {piece: basis for piece, basis in pieces.items() if basis}
+
+
+@st.composite
+def combined_operands(draw, group, piece, basis):
+    """A sum, difference, negation or multiple of basis classes of the
+    piece and of up to two strays, cochains of its degree that need not
+    be invariant or reduced: a term at a drawn element, as it is or
+    averaged over G.  It starts from a class, a stray or the zero
+    cochain."""
+    (p, m), n, order = piece, group.dim, group.scalar_order
+    parts = list(basis)
+    for _ in range(draw(st.integers(0, 2), label="strays")):
+        g = draw(st.integers(0, len(group) - 1), label="element")
+        idx = tuple(sorted(draw(st.permutations(range(n)), label="wedge")[:p]))
+        exps = draw(st.sampled_from(monomials(n, m)), label="exponents")
+        stray = single(group, g, Polyvector.term(1, exps, idx, order))
+        parts.append(reynolds(stray) if draw(st.booleans(), label="averaged") else stray)
+    value = (Cochain.zero(group, p) if draw(st.integers(0, 3), label="from zero") == 0
+             else draw(st.sampled_from(parts), label="start"))
+    for _ in range(draw(st.integers(0, 4), label="steps")):
+        step = draw(st.sampled_from(["+", "-", "neg", "*"]), label="step")
+        if step == "neg":
+            value = -value
+        elif step == "*":
+            value = value * draw(st.sampled_from((-2, -1, 0, 2, 3)), label="scalar")
+        else:
+            part = draw(st.sampled_from(parts), label="part")
+            value = value + part if step == "+" else value - part
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bracket_accepts_exactly_the_invariant_reduced_combinations(data):
+    # gerstenhaber proves an operand through the sources it was built
+    # from, and checks it itself when a source fails: it accepts the
+    # operands that pass is_invariant and is_reduced directly, and
+    # refuses the others with the message of the first check in its
+    # order that fails
+    key = data.draw(st.sampled_from(["d4", "d5", "s4", "G(m, p, n)"]), label="group")
+    if key == "G(m, p, n)":
+        key = data.draw(st.sampled_from(SOUNDNESS_FAMILY), label="(m, p, n)")
+    group, pieces = soundness_pieces(key)
+    x_piece = data.draw(st.sampled_from(sorted(pieces)), label="x piece")
+    y_piece = data.draw(st.sampled_from(sorted(pieces)), label="y piece")
+    x = data.draw(combined_operands(group, x_piece, pieces[x_piece]), label="x")
+    y = data.draw(combined_operands(group, y_piece, pieces[y_piece]), label="y")
+    checks = [(is_invariant(x), "left operand is not G-invariant (apply reynolds first)"),
+              (is_invariant(y), "right operand is not G-invariant (apply reynolds first)"),
+              (is_reduced(x), "left operand is not in reduced form (apply project first)"),
+              (is_reduced(y), "right operand is not in reduced form (apply project first)")]
+    want = next((message for passed, message in checks if not passed), None)
+    try:
+        gerstenhaber(x, y)
+    except ValueError as refused:
+        assert str(refused) == want
+    else:
+        assert want is None
 
 
 def test_rejects_group_mismatch():

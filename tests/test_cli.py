@@ -301,7 +301,7 @@ def test_cohomology_prints_generator_names(capsys):
 
 
 def test_cohomology_fails_when_the_character_count_disagrees(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "cohomology_dim_character", lambda group, p, m: 5)
+    monkeypatch.setattr(cli, "cohomology_dim_character", lambda group, p, m: [5])
     code, out, err = run(capsys, "cohomology", fixture("trivial_k2.json"),
                          "--p", "1", "--m", "1")
     assert code == 1 and "4 classes (cross-check 5)" in out

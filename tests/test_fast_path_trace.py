@@ -11,7 +11,8 @@ fast path, or hides elimination from `linalg.elim`, fails here.  A
 `reynolds` that walks all of G again fails on its `act` count, and so
 do bracket preconditions that act on every component with every
 generator of G, or on a class representative once per generator of its
-centralizer, or project every component, and a `project` that moves
+centralizer, or project every component, or check a class again at
+every bracket it enters, and a `project` that moves
 a component it keeps whole back from adapted coordinates; an `act` that multiplies `Cyc`s on warm
 caches fails on `scalars.mul`, and so does a `wedge` that multiplies them,
 a `monomial_image` that multiplies or inverts them on a cold cache, and a
@@ -242,7 +243,7 @@ def test_character_count_shares_no_code_with_the_fast_path():
     groups = [load_group_file(str(path))[0] for path in (D5, ROT, BT)]
     tracer = load_tracer().Tracer()
     with tracer:
-        dims = [cohomology_dim_character(group, p, m)
+        dims = [sum(cohomology_dim_character(group, p, m))
                 for group in groups for p in range(group.dim + 1) for m in range(3)]
     counts = tracer.counts()
     assert sum(dims) > 0
@@ -252,16 +253,55 @@ def test_character_count_shares_no_code_with_the_fast_path():
     assert counts["cochain.centralizer_reynolds.calls"] == 0
 
 
+def fresh(c):
+    """c again through the constructor: a value of its own, whose proof
+    memo is empty, so that the bracket checks it."""
+    return Cochain(c.group, c.degree, c.terms)
+
+
+def precondition_acts(pairs, check_invariance=True):
+    """The act calls of the preconditions of the bracket of each pair:
+    every pair of components is stubbed to vanish, so that nothing else
+    acts."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bracket, "pair_commutator", lambda *args: "schouten zero")
+        if not check_invariance:
+            patch.setattr(bracket, "is_invariant", lambda c: True)
+        tracer = load_tracer().Tracer()
+        with tracer:
+            assert all(gerstenhaber(x, y).result.is_zero() for x, y in pairs)
+    counts = tracer.counts()
+    # neither check builds or projects a cochain, or acts on one whole
+    assert counts["cochain.act_cochain.calls"] == 0
+    assert counts["cochain.project.calls"] == 0
+    return counts["polyvec.act.calls"]
+
+
+def checks_acts(group, c):
+    """The act calls of checking c once: |cls| per class of its support,
+    one averaged over the generators of C(r) (none when C(r) has none)
+    and one per other member, and one per representative with codim > 0
+    for reduced form."""
+    invariance = reduced = 0
+    for cls, gens in zip(group.conj_classes, group.centralizer_gens):
+        if cls[0] in c.terms:
+            invariance += bool(gens) + len(cls) - 1
+            reduced += geometry(group, cls[0]).codim > 0
+    return invariance, reduced
+
+
 def test_preconditions_act_once_per_class_member_and_centralizer_generator():
     # invariance is checked per class: |cls| act calls, one averaged over
     # the generators of C(r) and one per other member, against 2 |cls|
     # on S4 (2,0) classes of eight components when every component was
     # acted on by every generator of G; reduced form is checked at the
     # class representatives, one act call per representative with
-    # codim > 0, against sixteen when every component is projected
+    # codim > 0, against sixteen when every component is projected.
+    # y is built through the constructor, so it is checked itself, not
+    # through x as a multiple of x would be
     group, _ = load_group_file(str(S4))
     (x,) = [c for c in cohomology_basis(group, 2, 0) if len(c.terms) == 8]
-    y = x * Cyc.of(-3, 1)
+    y = Cochain(group, 2, {g: pv * Cyc.of(-3, 1) for g, pv in x.terms.items()})
     invariance = reduced = 0
     for c in (x, y):
         for cls, gens in zip(group.conj_classes, group.centralizer_gens):
@@ -272,24 +312,8 @@ def test_preconditions_act_once_per_class_member_and_centralizer_generator():
     assert (invariance, reduced) == (2 * 8, 2)
     assert sum(geometry(group, g).codim > 0 for c in (x, y) for g in c.terms) == 16
 
-    def precondition_acts(x, y, check_invariance):
-        """The act calls of the bracket's preconditions: every pair is
-        stubbed to vanish, so that nothing else acts."""
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bracket, "pair_commutator", lambda *args: "schouten zero")
-            if not check_invariance:
-                patch.setattr(bracket, "is_invariant", lambda c: True)
-            tracer = load_tracer().Tracer()
-            with tracer:
-                assert gerstenhaber(x, y).result.is_zero()
-        counts = tracer.counts()
-        # neither check builds or projects a cochain, or acts on one whole
-        assert counts["cochain.act_cochain.calls"] == 0
-        assert counts["cochain.project.calls"] == 0
-        return counts["polyvec.act.calls"]
-
-    assert precondition_acts(x, y, False) == reduced
-    assert precondition_acts(x, y, True) == invariance + reduced
+    assert precondition_acts([(fresh(x), fresh(y))], False) == reduced
+    assert precondition_acts([(fresh(x), fresh(y))]) == invariance + reduced
 
     # x1 d1 + ... + x5 d5 at the identity of S5, whose centralizer G has
     # two generators: one act call for each operand's one class, where a
@@ -300,8 +324,29 @@ def test_preconditions_act_once_per_class_member_and_centralizer_generator():
                            for i in range(n)})
     e = Cochain(group, 1, {0: pv})
     assert group.conj_classes[0] == (0,) and len(group.centralizer_gens[0]) == 2
-    assert precondition_acts(e, e, False) == 0
-    assert precondition_acts(e, e, True) == 2
+    assert precondition_acts([(fresh(e), fresh(e))], False) == 0
+    assert precondition_acts([(fresh(e), fresh(e))]) == 2
+
+
+def test_preconditions_check_each_basis_class_once_over_all_pairs():
+    # every ordered pair of the n (2,1) classes of S4 bracketed: each
+    # class is checked at its first bracket and kept proven, so the
+    # preconditions act as often as checking the n classes once, where
+    # checking both operands of every bracket acts n times as often; a
+    # sum, difference or multiple of the classes is proven through them
+    # and acts not at all
+    group, _ = load_group_file(str(S4))
+    basis = [fresh(b) for b in cohomology_basis(group, 2, 1)]
+    once = sum(sum(checks_acts(group, b)) for b in basis)
+    assert len(basis) == 3 and once > 0
+    assert precondition_acts([(x, y) for x in basis for y in basis]) == once
+    a, b, c = basis
+    combinations = [a * 2 + b, b - c, -c, Cochain.zero(group, 2) + a * Cyc.of(-3, 1)]
+    assert precondition_acts([(x, y) for x in combinations for y in combinations]) == 0
+    # the same classes checked once per bracket, as each operand was
+    # before proofs were kept
+    fresh_pairs = [(fresh(x), fresh(y)) for x in basis for y in basis]
+    assert precondition_acts(fresh_pairs) == 2 * len(basis) * once
 
 
 def test_perp_is_one_echelon_per_intersection_and_reads_no_geometry():

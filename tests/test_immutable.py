@@ -54,7 +54,7 @@ def test_values_refuse_attribute_assignment(kind):
 
 
 def test_fill_refuses_a_wrong_field_count_before_setting_any():
-    # a three-field type's fill has a fixed arity, any other count loops
+    # a three- or four-field type's fill has a fixed arity, any other count loops
     for value, _ in values().values():
         assert isinstance(value, Frozen)
         cls = type(value)

@@ -11,7 +11,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import alternating_unipotent, conjugate_group, imprimitive_reflection_group
+from helpers import (
+    alternating_unipotent,
+    basis_by_class,
+    conjugate_group,
+    imprimitive_reflection_group,
+)
 from skewbrack.bracket import gerstenhaber
 from skewbrack.cochain import (
     cohomology_basis,
@@ -52,7 +57,7 @@ def test_counts_agree_and_brackets_equal_the_oracle(case, dense):
     for q in range(n + 1):
         for k in range(3):
             basis = cohomology_basis(group, q, k)
-            assert len(basis) == cohomology_dim_character(group, q, k), (q, k)
+            assert len(basis) == sum(cohomology_dim_character(group, q, k)), (q, k)
             assert len(basis) == cohomology_dim_direct(group, q, k), (q, k)
             if basis:
                 pieces[q, k] = basis
@@ -66,6 +71,16 @@ def test_counts_agree_and_brackets_equal_the_oracle(case, dense):
             assert result == project(chain_bracket_cochain(x, y)), (x, y)
             nonzero += not result.is_zero()
     assert (len(pool) ** 2, nonzero) == found
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"G{case}" for case in CASES])
+def test_character_count_per_class_is_the_basis_per_class(case):
+    m, p, n = case
+    group = imprimitive_reflection_group(m, p, n)
+    for q in range(n + 1):
+        for k in range(3):
+            counts = cohomology_dim_character(group, q, k)
+            assert counts == basis_by_class(group, cohomology_basis(group, q, k)), (q, k)
 
 
 # every G(m, p, n) with m <= 6, p dividing m, n in {2, 3} and order at
@@ -83,11 +98,11 @@ def test_drawn_groups_agree_on_counts_and_with_the_oracle(data):
         group = conjugate_group(group, *alternating_unipotent(n, m))
     q, k = data.draw(st.integers(0, n), label="q"), data.draw(st.integers(0, 2), label="k")
     count = len(cohomology_basis(group, q, k))
-    assert count == cohomology_dim_character(group, q, k) == cohomology_dim_direct(group, q, k)
+    assert count == sum(cohomology_dim_character(group, q, k)) == cohomology_dim_direct(group, q, k)
     # one basis class from each of two pieces with q >= 1 that the
     # character count finds nonzero; (1, 1) is nonzero on every G(m, p, n)
     pieces = [(q, k) for q in range(1, n + 1) for k in range(3)
-              if cohomology_dim_character(group, q, k)]
+              if sum(cohomology_dim_character(group, q, k))]
     pair = []
     for _ in range(2):
         piece = data.draw(st.sampled_from(pieces), label="piece")
