@@ -524,6 +524,55 @@ def test_bracket_perp_fixture_vanishes(capsys):
     assert data["vanishing"]
 
 
+S4_CLASSES = GROUP_DATA.parent / "classes" / "s4"
+
+
+def s4_over_zeta3(tmp_path):
+    # S4 permuting coordinates over Q takes the degree-1 loops of act and
+    # _convolve, and the same matrices over Q(zeta3) the general ones
+    q = str(GROUP_DATA / "s4.json")
+    doc = json.loads(Path(q).read_text())
+    doc["cyclotomicOrder"] = 3
+    z3 = tmp_path / "s4_z3.json"
+    z3.write_text(json.dumps(doc))
+    classes = [str(S4_CLASSES / "p2m1_1.json"), str(S4_CLASSES / "p1m1_1.json")]
+    return [([command, q, *args, "--json"], [command, str(z3), *args, "--json"])
+            for command, args in (("cohomology", ["--p", "2", "--m", "1"]), ("bracket", classes))]
+
+
+def s4_bracket_averaged_first(tmp_path):
+    # the operands are invariant and reduced, so averaging and projecting
+    # them first changes nothing; reynolds moves the seven components of
+    # the eight-component class that are not its representative
+    argv = ["bracket", str(GROUP_DATA / "s4.json"), str(S4_CLASSES / "p2m1_2.json"),
+            str(S4_CLASSES / "p1m1_1.json"), "--json"]
+    return [(argv, [*argv, "--reynolds", "--project"])]
+
+
+def rotation_pair_literals_rewritten(tmp_path):
+    # the same values in other accepted forms: z^8 = z^2 over Q(zeta6),
+    # '*' left out, whitespace between tokens, an unreduced fraction
+    files = [fixture(f"{name}.json") for name in
+             ("rotation_pair_k5_z6", "class_volume3_first", "class_fixed_volume2_second")]
+    rewritten = [tmp_path / Path(path).name for path in files]
+    for path, new in zip(files, rewritten):
+        text = Path(path).read_text()
+        text = text.replace('"z^2"', '" z ^ 8 "').replace('"z^4"', '"1 z^4"')
+        new.write_text(text.replace('"1"', '"2/2 * z^0"'))
+    assert '" z ^ 8 "' in rewritten[0].read_text()
+    assert '"2/2 * z^0"' in rewritten[1].read_text()
+    return [(["bracket", *files, "--json"], ["bracket", *map(str, rewritten), "--json"])]
+
+
+@pytest.mark.parametrize("derive", [s4_over_zeta3, s4_bracket_averaged_first,
+                                    rotation_pair_literals_rewritten])
+def test_equivalent_inputs_give_the_same_output(tmp_path, capsys, derive):
+    for argv, same in derive(tmp_path):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert run(capsys, *same) == (0, out, "")
+
+
 def test_bracket_of_degree_zero_classes_reloads(tmp_path, capsys):
     # a degree-0 class has no slot to insert into, so the bracket is the
     # zero class of degree 0, and its class file is a valid operand again
