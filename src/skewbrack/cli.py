@@ -327,6 +327,9 @@ def cmd_cohomology(args):
     n = group.dim
     if args.p > n:
         raise ValueError(f"--p must be at most the dimension {n}, got {args.p}")
+    if args.m > MAX_TERM_DEGREE:
+        raise ValueError(f"--m must be at most {MAX_TERM_DEGREE}, the total "
+                         f"degree a class file takes, got {args.m}")
     terms, actions = piece_size(group, args.p, args.m)
     if terms > MAX_PIECE_TERMS:
         raise ValueError(f"--m {args.m} at --p {args.p} gives {terms} terms per "
@@ -335,9 +338,6 @@ def cmd_cohomology(args):
         raise ValueError(f"--m {args.m} at --p {args.p} needs {actions} single "
                          f"actions to average over the centralizers, more than "
                          f"{MAX_PIECE_ACTIONS}")
-    if args.m > MAX_TERM_DEGREE:
-        raise ValueError(f"--m must be at most {MAX_TERM_DEGREE}, the total "
-                         f"degree a class file takes, got {args.m}")
     basis = cohomology_basis(group, args.p, args.m)
     try:
         count = sum(cohomology_dim_character(group, args.p, args.m))

@@ -43,7 +43,7 @@ class Cochain(SparseTerms):
     head = property(attrgetter("group", "degree"))
     order = property(attrgetter("group.scalar_order"))
 
-    def __init__(self, group, degree, terms):
+    def __new__(cls, group, degree, terms):
         clean = {}
         head, size = (group.dim, group.scalar_order), len(group)
         for g, pv in terms.items():
@@ -56,7 +56,7 @@ class Cochain(SparseTerms):
             if pv.degree() != degree:
                 raise ValueError("component exterior degree disagrees with cochain degree")
             clean[g] = pv
-        self._init(clean, group, degree, {})
+        return cls._new(clean, group, degree, {})
 
     @classmethod
     def zero(cls, group, degree):

@@ -32,7 +32,7 @@ class Group(Frozen):
     in cls.  Readers index these tables directly.  enumerate_group keys
     elements by the rows of their matrices, so the identity is the only
     element acting trivially on V, and makes each table a tuple, so none
-    can change under its readers.  __init__ builds one more table from
+    can change under its readers.  __new__ builds one more table from
     these: actions[i] is the (h, h_inv) matrix pair of element i,
     (matrices[i], matrices[inverses[i]]), as polyvec.act takes it, made
     once per group, so every action on the group reads the same pair and
@@ -45,13 +45,13 @@ class Group(Frozen):
                  "words", "mult_table", "inverses", "conj_classes", "centralizers",
                  "centralizer_gens", "conjugators", "actions", "_geometries")
 
-    def __init__(self, **tables):
+    def __new__(cls, **tables):
         names = Group.__slots__[:-2]
         if tables.keys() != set(names):
             raise ValueError(f"a Group takes exactly the tables {names}")
         matrices, inverses = tables["matrices"], tables["inverses"]
         actions = tuple([(h, matrices[j]) for h, j in zip(matrices, inverses)])
-        self._init(*map(tables.get, names), actions, [None] * len(matrices))
+        return cls._new(*map(tables.get, names), actions, [None] * len(matrices))
 
     def __len__(self):
         return len(self.matrices)

@@ -91,13 +91,13 @@ class KoszulTerms(SparseTerms):
     __slots__ = ("n", "order")
     head = property(attrgetter("n", "order"))
 
-    def __init__(self, n, order, terms):
+    def __new__(cls, n, order, terms):
         clean = {}
         for key, c in terms.items():
             c = Cyc.of(c, order)
             if not c.is_zero():
                 clean[key] = c
-        self._init(clean, n, order)
+        return cls._new(clean, n, order)
 
 
 class KoszulElt(KoszulTerms):
@@ -357,8 +357,8 @@ def _support(exps):
 
 
 class _Operand(dict):
-    """The tables of one polyvector p of a circle product; variables
-    are held as bitmasks.
+    """The tables of one polyvector p of a circle product, and p itself
+    as `value`; variables are held as bitmasks.
 
     As the inner operand: `monomials`, p's terms as wedge -> list of
     (exponents, _support, coefficient), and `support`, the union of the
@@ -369,7 +369,7 @@ class _Operand(dict):
     p, computed on the first read: the landing set, inside reach."""
 
     def __init__(self, p):
-        self.targets, reach = {}, 0
+        self.value, self.targets, reach = p, {}, 0
         for w in p.terms:
             self.targets.setdefault(len(w), []).append(set(w))
             for i in w:
@@ -398,11 +398,10 @@ def _tables(x, gmat, y, hmat):
     return _Minors(hmat), _Images(gmat), _Splits(), _Operand(x), _Operand(y)
 
 
-def chain_circle_component(x: Polyvector, gmat: Matrix, y: Polyvector,
-                           hmat: Matrix, idx, memo) -> Poly:
+def chain_circle_component(idx, memo) -> Poly:
     """Value of (x tagged gmat) circle (y tagged hmat) on the resolution
     basis element o(x_idx), idx increasing, as the polynomial sitting
-    left of the product group tag.
+    left of the product group tag, for the operands `memo` was built from.
 
     The contraction: comultiply o(x_idx) into Sweedler triples, evaluate
     y on the middle block (a Koszul sign (-1)^(|w1| |y|) moves y past the
@@ -417,10 +416,12 @@ def chain_circle_component(x: Polyvector, gmat: Matrix, y: Polyvector,
     evaluation shares, each filled as it is read: the nonzero
     minors of hmat by column block, the subst_matrix images of monomials
     under gmat, the signed splits_through lists by (idx, mid), and the
-    _Operand tables of x and of y, as _tables builds them."""
-    n, order = x.n, x.order
-    idx = tuple(idx)
+    _Operand tables of x and of y, as _tables builds them; x, y, n and
+    the order are read from the last two."""
     minors, images, splits, outer, inner = memo
+    x = outer.value
+    n, order = x.head
+    idx = tuple(idx)
     zero = (0,) * n
     span = set(idx)
     t2 = {}
@@ -473,23 +474,22 @@ def chain_circle_avatar(
     if its middle monomial has a variable of its landing set, and every
     landing set lies inside x's wedges.  That takes every y with
     constant coefficients."""
-    return _circle_avatar(x, gmat, y, hmat, x.degree() + y.degree() - 1, 1,
-                          _tables(x, gmat, y, hmat))
+    return _circle_avatar(x.degree() + y.degree() - 1, 1, _tables(x, gmat, y, hmat))
 
 
-def _circle_avatar(x, gmat, y, hmat, deg, sign, memo):
+def _circle_avatar(deg, sign, memo):
     """chain_circle_avatar of the given exterior degree deg, times the
     sign, +1 or -1, folded into the reversed-word pairing sign."""
-    n, order = x.n, x.order
     outer, inner = memo[3:]
+    n, order = outer.value.head
     if deg < 0 or not outer.reach & inner.support:
         return Polyvector._new({}, n, order)
     negate = rev_sign(deg) != sign
     comps = {}
     for idx in combinations(range(n), deg):
         span = set(idx)
-        if any(map(span.issuperset, y.terms)):
-            v = chain_circle_component(x, gmat, y, hmat, idx, memo)
+        if any(map(span.issuperset, inner.value.terms)):
+            v = chain_circle_component(idx, memo)
             if v.terms:
                 comps[idx] = (Poly._new({e: -c for e, c in v.terms.items()}, n, order)
                               if negate else v)
@@ -614,13 +614,12 @@ def chain_bracket_cochain(x, y):
         out[k] = out[k] + pv if k in out else pv
 
     deg = x.degree + y.degree - 1
-    for a, xg in x.terms.items():
-        for b, yh in y.terms.items():
-            ga, gb = group.matrices[a], group.matrices[b]
+    for a in x.terms:
+        for b in y.terms:
             add(group.mult_table[a][b], _circle_avatar(
-                xg, ga, yh, gb, deg, 1, (minors[b], images[a], splits, ops_x[a], ops_y[b])))
+                deg, 1, (minors[b], images[a], splits, ops_x[a], ops_y[b])))
             add(group.mult_table[b][a], _circle_avatar(
-                yh, gb, xg, ga, deg, -sign, (minors[a], images[b], splits, ops_y[b], ops_x[a])))
+                deg, -sign, (minors[a], images[b], splits, ops_y[b], ops_x[a])))
     return Cochain(group, deg, out)
 
 

@@ -37,12 +37,12 @@ class Matrix(Frozen):
 
     __slots__ = ("order", "nrows", "ncols", "rows", "minors", "images")
 
-    def __init__(self, order, rows):
+    def __new__(cls, order, rows):
         rows = tuple(tuple(Cyc.of(e, order) for e in r) for r in rows)
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("matrix rows differ in length")
-        self._init(order, len(rows), ncols, rows, {}, {})
+        return cls._new(order, len(rows), ncols, rows, {}, {})
 
     @classmethod
     def _of(cls, order, rows):

@@ -78,9 +78,9 @@ class SparseTerms(Frozen):
 
     Subclasses list their header fields in ``__slots__``, expose them as
     ``head`` in constructor order, and construct as ``cls(*head, terms)``,
-    dropping zero values, validating keys and ending in the fill
-    ``self._init(terms, *head)``; ``cls._new(terms, *head)`` builds one
-    from terms already clean (Cochain adds a last field, its proof).
+    whose ``__new__`` drops zero values, validates keys and returns the
+    one fill, ``cls._new(terms, *head)``, which builds a value from
+    terms already clean (Cochain adds a last field, its proof).
     The constructor guards what comes from outside.  The termwise
     linear arithmetic, equality and hashing live here, and the
     arithmetic fills its results through ``_derived``, which is ``_new``
@@ -164,7 +164,7 @@ class Poly(SparseTerms):
     __slots__ = ("n", "order")
     head = property(attrgetter("n", "order"))
 
-    def __init__(self, n, order, terms):
+    def __new__(cls, n, order, terms):
         clean = {}
         for exps, c in terms.items():
             c = Cyc.of(c, order)
@@ -172,7 +172,7 @@ class Poly(SparseTerms):
                 if len(exps) != n or any(e < 0 for e in exps):
                     raise ValueError("poly exponents must be n nonnegative integers")
                 clean[tuple(exps)] = c
-        self._init(clean, n, order)
+        return cls._new(clean, n, order)
 
     @staticmethod
     def monomial(exps, coeff, order):
@@ -251,7 +251,7 @@ class Polyvector(SparseTerms):
     __slots__ = ("n", "order")
     head = property(attrgetter("n", "order"))
 
-    def __init__(self, n, order, terms):
+    def __new__(cls, n, order, terms):
         clean = {}
         for idx, p in terms.items():
             idx = tuple(idx)
@@ -261,7 +261,7 @@ class Polyvector(SparseTerms):
                 raise ValueError("polyvector coefficients must be polys of its (n, order)")
             if not p.is_zero():
                 clean[idx] = p
-        self._init(clean, n, order)
+        return cls._new(clean, n, order)
 
     @staticmethod
     def term(coeff, exps, idx, order):

@@ -10,9 +10,10 @@ unreduced power-basis numerators over one denominator that _widen keeps
 common, and _reduce makes each sum one Cyc, straight from its fields.
 `Frozen`, the immutable base of every value in the package (these
 scalars, matrices, sparse terms, groups, geometries and bracket
-reports), is defined here, the lowest module they all import from; a
-value of three or four fields is filled by its setter calls, with no
-loop, and Cyc.zero and Cyc.one are one shared value per order.
+reports), is defined here, the lowest module they all import from;
+every value is made by one fill, _new, which for three or four fields
+is the setter calls with no loop, and Cyc.zero and Cyc.one are one
+shared value per order.
 """
 
 from __future__ import annotations
@@ -82,12 +83,14 @@ class Frozen:
     """Base of the immutable values: a subclass lists its fields in
     __slots__ and sets them once, through the slot setters that
     __init_subclass__ collects in _setters, the bases' fields first.
-    self._init(*fields) sets them in that order, and a constructor that
-    checks its input ends in it; cls._new(*fields) builds a value whose
-    fields the caller has already made valid; Frozen(*fields) is the
-    constructor of a type with nothing to check.  A type of three
-    fields, as Cyc, Poly and Polyvector are, or of four, as Cochain is
-    with its proof, gets an _init and a _new with the setter calls
+    cls._new(*fields), the one fill, builds a value whose fields the
+    caller has already made valid, set in that order.  A type with
+    input to check defines __new__, which checks it and returns
+    cls._new(...); Frozen(*fields) is the constructor of a type with
+    nothing to check.  No value type defines __init__, so
+    object.__init__ ignores the constructor's arguments.  A type of
+    three fields, as Cyc, Poly and Polyvector are, or of four, as
+    Cochain is with its proof, gets a _new with the setter calls
     written out; any other count is filled in one loop.  Each raises
     TypeError on a wrong number of fields, before it sets any."""
 
@@ -101,20 +104,15 @@ class Frozen:
         if len(cls._setters) in (3, 4):
             _fill_fixed(cls)
 
-    def __init__(self, *fields):
-        setters = self._setters
-        if len(fields) != len(setters):
-            raise _count_error(type(self), fields)
-        for setter, value in zip(setters, fields):
-            setter(self, value)
-
-    _init = __init__
+    def __new__(cls, *fields):
+        return cls._new(*fields)
 
     @classmethod
     def _new(cls, *fields):
         setters = cls._setters
         if len(fields) != len(setters):
-            raise _count_error(cls, fields)
+            raise TypeError(f"{cls.__name__} takes {len(setters)} fields, "
+                            f"got {len(fields)}")
         self = _object_new(cls)
         for setter, value in zip(setters, fields):
             setter(self, value)
@@ -124,21 +122,11 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _count_error(cls, fields):
-    return TypeError(f"{cls.__name__} takes {len(cls._setters)} fields, "
-                     f"got {len(fields)}")
-
-
 def _fill_fixed(cls):
-    # the hot constructors: fixed arity, so a wrong field count is
-    # Python's own TypeError, raised before the body sets anything
+    # the hot fills: fixed arity, so a wrong field count is Python's
+    # own TypeError, raised before the body sets anything
     if len(cls._setters) == 3:
         set_a, set_b, set_c = cls._setters
-
-        def _init(self, a, b, c):
-            set_a(self, a)
-            set_b(self, b)
-            set_c(self, c)
 
         def _new(a, b, c):
             self = _object_new(cls)
@@ -149,12 +137,6 @@ def _fill_fixed(cls):
     else:
         set_a, set_b, set_c, set_d = cls._setters
 
-        def _init(self, a, b, c, d):
-            set_a(self, a)
-            set_b(self, b)
-            set_c(self, c)
-            set_d(self, d)
-
         def _new(a, b, c, d):
             self = _object_new(cls)
             set_a(self, a)
@@ -163,9 +145,8 @@ def _fill_fixed(cls):
             set_d(self, d)
             return self
 
-    _init.__qualname__ = f"{cls.__name__}._init"
     _new.__qualname__ = f"{cls.__name__}._new"
-    cls._init, cls._new = _init, staticmethod(_new)
+    cls._new = staticmethod(_new)
 
 
 class Cyc(Frozen):
@@ -182,15 +163,14 @@ class Cyc(Frozen):
 
     __slots__ = ("order", "num", "den")
 
-    def __init__(self, order, coeffs):
+    def __new__(cls, order, coeffs):
         """The scalar with the given d power-basis coefficients, ints or Fractions."""
         coeffs = [Cyc.of(a, 1).as_fraction() for a in coeffs]
         if len(coeffs) != len(_powers(order)[0]):
             raise ValueError("coefficient count is not the field degree")
         den = lcm(*(a.denominator for a in coeffs))
-        c = _lowest(order, [a.numerator * (den // a.denominator)
-                            for a in coeffs], den)
-        self._init(order, c.num, c.den)
+        return _lowest(order, [a.numerator * (den // a.denominator)
+                               for a in coeffs], den)
 
     @staticmethod
     def of(value, order: int) -> "Cyc":

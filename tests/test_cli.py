@@ -326,10 +326,21 @@ def test_cohomology_degree_out_of_range(capsys):
 def test_cohomology_refuses_oversized_piece_early(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "cohomology", fixture("two_sign_pairs_k5.json"),
-                         "--p", "2", "--m", "40")
+                         "--p", "2", "--m", "16")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err.startswith("error: --m 40 at --p 2 gives 1357510 terms")
+    assert err.startswith("error: --m 16 at --p 2 gives 48450 terms")
+
+
+def test_cohomology_refuses_a_huge_m_before_sizing_the_piece(capsys):
+    # the piece of a 2,000-digit --m has a count past Python's digit limit
+    # for printing an int, so --m is checked before the piece is sized
+    huge = "9" * 2000
+    code, out, err = run(capsys, "cohomology", fixture("two_sign_pairs_k5.json"),
+                         "--p", "0", "--m", huge)
+    assert code == 2 and out == ""
+    assert err == ("error: --m must be at most 16, the total degree a class "
+                   f"file takes, got {huge}\n")
 
 
 def test_cohomology_refuses_m_past_the_class_file_degree(capsys):

@@ -767,7 +767,7 @@ def test_character_count_rejects_bad_degree_and_a_wrong_centralizer():
         cohomology_dim_character(group, 2, 0)
     # the identity's centralizer listed as (e, g1, g1): the class term at
     # (0, 1) is (1 - 1 - 1)/3, which no group gives; the last two slots,
-    # actions and _geometries, are built in __init__, not passed
+    # actions and _geometries, are built in __new__, not passed
     fields = {name: getattr(group, name) for name in Group.__slots__[:-2]}
     fields["centralizers"] = ((0, 1, 1), (0, 1))
     with pytest.raises(ArithmeticError, match="not a nonnegative integer"):

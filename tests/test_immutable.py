@@ -2,13 +2,15 @@
 and a group's tables are tuples, so a group's tables, a kept geometry or
 a cached minor cannot be changed under its readers."""
 
+import inspect
+
 import pytest
 
 from helpers import single
 from skewbrack.bracket import BracketReport
 from skewbrack.cochain import Cochain
 from skewbrack.fixtures import fixture_groups
-from skewbrack.groups import geometry
+from skewbrack.groups import GroupGeometry, geometry
 from skewbrack.koszul import KoszulElt, KoszulTensor2
 from skewbrack.linalg import Matrix
 from skewbrack.polyvec import Poly, Polyvector
@@ -54,18 +56,28 @@ def test_values_refuse_attribute_assignment(kind):
 
 
 def test_fill_refuses_a_wrong_field_count_before_setting_any():
-    # a three- or four-field type's fill has a fixed arity, any other count loops
+    # a three- or four-field type's fill has a fixed arity, any other count
+    # loops; a checking constructor is a __new__ that returns cls._new(...),
+    # and a type with nothing to check is built by Frozen.__new__
     for value, _ in values().values():
         assert isinstance(value, Frozen)
         cls = type(value)
+        assert not any("__init__" in vars(k) or "_init" in vars(k)
+                       for k in cls.__mro__ if issubclass(k, Frozen)), cls
         fields = [name for k in cls.__mro__ for name in getattr(k, "__slots__", ())]
         for count in (len(fields) - 1, len(fields) + 1):
-            blank = object.__new__(cls)
-            with pytest.raises(TypeError):
-                blank._init(*range(count))
-            assert not any(hasattr(blank, name) for name in fields)
             with pytest.raises(TypeError):
                 cls._new(*range(count))
+        if cls.__new__ is Frozen.__new__:
+            args = len(fields)
+        else:
+            args = sum(p.kind is p.POSITIONAL_OR_KEYWORD
+                       for p in inspect.signature(cls.__new__).parameters.values()) - 1
+        for count in {max(args - 1, 0), args + 1} - {args}:
+            with pytest.raises(TypeError):
+                cls(*range(count))
+    assert {type(value) for value, _ in values().values()
+            if type(value).__new__ is Frozen.__new__} == {GroupGeometry, BracketReport}
 
 
 def test_equal_sparse_values_hash_equal():

@@ -581,7 +581,7 @@ def test_chain_bracket_trivial_group_is_schouten_over_cyclotomic_fields(pair):
 def test_chain_circle_component_degree_mismatch_is_zero_padding():
     g, h, x, y = worked_example_small()
     # wrong-degree basis elements simply pair to zero
-    assert chain_circle_component(x, g, y, h, (0, 1), _tables(x, g, y, h)).is_zero()
+    assert chain_circle_component((0, 1), _tables(x, g, y, h)).is_zero()
 
 
 @st.composite
@@ -736,7 +736,7 @@ def test_pruned_contraction_matches_the_unpruned_reference(data):
     memo = _tables(x, gmat, y, hmat)
     for k in range(x.n + 1):
         for idx in combinations(range(x.n), k):
-            assert (chain_circle_component(x, gmat, y, hmat, idx, memo)
+            assert (chain_circle_component(idx, memo)
                     == reference_component(x, gmat, y, hmat, idx)), idx
 
 
@@ -790,7 +790,7 @@ def counted_components(monkeypatch):
     calls = []
 
     def counting(*args):
-        calls.append(args[4])
+        calls.append(args[0])
         return chain_circle_component(*args)
 
     monkeypatch.setattr("skewbrack.koszul.chain_circle_component", counting)

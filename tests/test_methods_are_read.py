@@ -11,9 +11,11 @@ stay unread are listed in UNREAD_FUNCTIONS, each with its reason.  The
 read check skips dunders, so the arithmetic operators the classes keep
 are pinned in OPERATORS, each with the module that applies it.  A
 reflected form is pinned like any other operator: it needs a reader of
-its own, not only its forward form's.  And a default that no call
+its own, not only its forward form's.  A default that no call
 overrides is a parameter with one value, so some call there sets each
-defaulted parameter.  Tests do not count as readers.
+defaulted parameter.  And each parameter of a function or method in the
+package is read in its own body; the few that stay unread are listed in
+UNREAD_PARAMETERS, each with its reason.  Tests do not count as readers.
 """
 
 import ast
@@ -179,12 +181,46 @@ def test_every_defaulted_parameter_is_set_by_some_call():
             cls = methods.get(f)
             static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
             # self or cls is bound, and a class call counts for __init__
+            # and __new__
             bound = int(cls is not None and not static)
             names = {f.name} | ({c for c in bases if derives(c, cls)}
-                                if f.name == "__init__" else set())
+                                if f.name in ("__init__", "__new__") else set())
             for position, param in defaulted(f):
                 if not any(name in names and (None in keywords or param in keywords or (
                         position is not None and count > position - bound))
                            for name, count, keywords in calls):
                     unset.append(f"{path.stem}.{cls + '.' if cls else ''}{f.name}({param})")
     assert not unset, unset
+
+
+# module.function(parameter) -> why it stays unread in its own body
+UNREAD_PARAMETERS = {
+    "linalg.echelon_span(order)": "perfbench/tracer.py's ELIMINATION lambda takes "
+                                  "(vectors, order); it moves with the benchmark "
+                                  "(ROADMAP item 11)",
+    "polyvec.SparseTerms._derived(operands)": "the hook's signature, which "
+                                              "Cochain._derived reads",
+    "cli._verify_examples(args)": "a suite's run(args) signature",
+}
+
+
+def test_every_parameter_is_read_in_its_own_body():
+    # self, cls and the parameters of a dunder, whose signature Python
+    # fixes, are exempt; a lambda is no FunctionDef
+    unread = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        methods = {f: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, ast.FunctionDef)}
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef) or f.name.startswith("__") and f.name.endswith("__"):
+                continue
+            args = f.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            read = {node.id for stmt in f.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            cls = methods.get(f)
+            unread += [f"{path.stem}.{cls + '.' if cls else ''}{f.name}({param})"
+                       for param in params if param not in read | {"self", "cls"}]
+    assert set(unread) == UNREAD_PARAMETERS.keys(), set(unread) ^ UNREAD_PARAMETERS.keys()
