@@ -143,6 +143,22 @@ def test_every_arithmetic_operator_is_applied_by_the_program():
                        for node in nodes), name
 
 
+def functions():
+    """(module, class name or None, FunctionDef) of each function and
+    method under src/skewbrack."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        methods = {f: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, ast.FunctionDef)}
+        for f in ast.walk(tree):
+            if isinstance(f, ast.FunctionDef):
+                yield path.stem, methods.get(f), f
+
+
+def label(module, cls, f):
+    return f"{module}.{cls + '.' if cls else ''}{f.name}"
+
+
 def defaulted(f):
     """(position, name) of each parameter of f with a default value; the
     position is None for a keyword-only one."""
@@ -171,25 +187,17 @@ def test_every_defaulted_parameter_is_set_by_some_call():
         return cls == base or any(derives(b, base) for b in bases.get(cls, ()))
 
     unset = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text())
-        methods = {f: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                   for f in cls.body if isinstance(f, ast.FunctionDef)}
-        for f in ast.walk(tree):
-            if not isinstance(f, ast.FunctionDef):
-                continue
-            cls = methods.get(f)
-            static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
-            # self or cls is bound, and a class call counts for __init__
-            # and __new__
-            bound = int(cls is not None and not static)
-            names = {f.name} | ({c for c in bases if derives(c, cls)}
-                                if f.name in ("__init__", "__new__") else set())
-            for position, param in defaulted(f):
-                if not any(name in names and (None in keywords or param in keywords or (
-                        position is not None and count > position - bound))
-                           for name, count, keywords in calls):
-                    unset.append(f"{path.stem}.{cls + '.' if cls else ''}{f.name}({param})")
+    for module, cls, f in functions():
+        static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+        # self or cls is bound, and a class call counts for __init__ and __new__
+        bound = int(cls is not None and not static)
+        names = {f.name} | ({c for c in bases if derives(c, cls)}
+                            if f.name in ("__init__", "__new__") else set())
+        for position, param in defaulted(f):
+            if not any(name in names and (None in keywords or param in keywords or (
+                    position is not None and count > position - bound))
+                       for name, count, keywords in calls):
+                unset.append(f"{label(module, cls, f)}({param})")
     assert not unset, unset
 
 
@@ -208,19 +216,14 @@ def test_every_parameter_is_read_in_its_own_body():
     # self, cls and the parameters of a dunder, whose signature Python
     # fixes, are exempt; a lambda is no FunctionDef
     unread = []
-    for path in SOURCES:
-        tree = ast.parse(path.read_text())
-        methods = {f: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                   for f in cls.body if isinstance(f, ast.FunctionDef)}
-        for f in ast.walk(tree):
-            if not isinstance(f, ast.FunctionDef) or f.name.startswith("__") and f.name.endswith("__"):
-                continue
-            args = f.args
-            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
-                                      args.vararg, args.kwarg) if a is not None]
-            read = {node.id for stmt in f.body for node in ast.walk(stmt)
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-            cls = methods.get(f)
-            unread += [f"{path.stem}.{cls + '.' if cls else ''}{f.name}({param})"
-                       for param in params if param not in read | {"self", "cls"}]
+    for module, cls, f in functions():
+        if f.name.startswith("__") and f.name.endswith("__"):
+            continue
+        args = f.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        read = {node.id for stmt in f.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{label(module, cls, f)}({param})"
+                   for param in params if param not in read | {"self", "cls"}]
     assert set(unread) == UNREAD_PARAMETERS.keys(), set(unread) ^ UNREAD_PARAMETERS.keys()
