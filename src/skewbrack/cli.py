@@ -597,9 +597,9 @@ def build_parser():
                        help="bound for the right block")
     p_hom.add_argument("--t", type=_count(0, 4), default=3,
                        help="bound for the middle degree")
-    # schouten takes about 5.5 s at its default --dim 3 and 63 s at --dim 4
-    # (Python 3.11.7, 2 cores); each random pair costs about 3.3 ms, so
-    # --pairs 1000 adds 3.3 s.
+    # schouten takes about 3.0 s at its default --dim 3, and its laws
+    # about 36 s at --dim 4 (in process, Python 3.11.7, 2 cores); each
+    # random pair costs about 1.1 ms, so --pairs 1000 adds 1.1 s.
     p_sch = suites.add_parser("schouten", allow_abbrev=False,
                               help="the Schouten bracket laws")
     p_sch.add_argument("--dim", type=_count(1, 3), default=3, help="dimension")

@@ -13,16 +13,20 @@ coefficient once, through one accumulator.  A term in integer form is
 coordinates), and _convolve is the one loop that adds the products of
 two sums of such terms at the sums of their exponents: wedge calls it
 once per pair of wedges, signed by sort_sign of the two joined;
-circle_product, which schouten is, once per insertion slot, for both
-circle products of the graded commutator, pair of components by pair,
-so it is bilinear also on input of mixed exterior degree; and
-monomial_image once per step of its chain, a column of the matrix
-times the kept image of a lower monomial.  act adds its products into
-the accumulator directly, with the minors and monomial images it needs
+circle_product, which schouten is, once per insertion slot that meets
+a derivative, for both circle products of the graded commutator: it
+tables each operand's derivatives by direction once, walks each slot
+of a component only into the components listed under the slot's
+direction, and signs each product by the exterior degrees of its own
+two components, so it is bilinear also on input of mixed exterior
+degree; and monomial_image once per step of its chain, a column of the
+matrix times the kept image of a lower monomial.  act adds its products
+into the accumulator directly, with the minors and monomial images it needs
 cached on the matrices (Matrix.minors, Matrix.images), both in that
 one integer form; minor_row expands each row of minors along its first
 row, in plain ints too.  Over Q (cyclotomic order 1 or 2) every such
-term holds the one pair (0, numerator), and act and _convolve each
+term holds the one pair (0, numerator), which _int_comps builds
+directly for wedge and circle_product, and act and _convolve each
 branch once per call to a degree-1 loop that adds plain-int products
 into [denominator, numerator] accumulators; over Q(zeta_N) of degree
 above 1 the general loop is the only path.  _build turns the
@@ -287,9 +291,9 @@ class Polyvector(SparseTerms):
     def wedge(self, other: "Polyvector") -> "Polyvector":
         """The exterior product: each pair of wedges adds the products of
         their coefficients, through _convolve, times the sign sorting the
-        two wedges into one."""
-        if self.head != other.head:
-            raise ValueError("polyvector mismatch")
+        two wedges into one.  An operand that is not a Polyvector raises
+        TypeError, and a Polyvector of another head ValueError."""
+        _check_operands(self, other)
         n, order = self.head
         if not (self.terms and other.terms):  # zero, with no operand converted
             return Polyvector._new({}, n, order)
@@ -341,7 +345,12 @@ def _term_str(c: Cyc, exps, idx):
 def _int_comps(x: Polyvector):
     """The components of x as (wedge, terms), each term in integer form:
     (exponents, denominator, (place, numerator) pairs of its nonzero
-    power-basis coordinates)."""
+    power-basis coordinates).  Over Q (order at most 2) that is the one
+    pair (0, numerator), built directly, the shape _convolve's degree-1
+    loop unpacks."""
+    if x.order <= 2:
+        return [(idx, [(e, c.den, ((0, c.num[0]),)) for e, c in p.terms.items()])
+                for idx, p in x.terms.items()]
     return [(idx, [(e, c.den, [(i, a) for i, a in enumerate(c.num) if a])
                    for e, c in p.terms.items()])
             for idx, p in x.terms.items()]
@@ -473,8 +482,9 @@ def act(x: Polyvector, pairs) -> Polyvector:
     substitution, dual-basis wedge factors through minors of h, both
     cached on the matrices in integer form.  One action is a one-pair
     list; the average over a centralizer is the list of its pairs.  An
-    empty list, which has no mean, raises ValueError, and so does a pair
-    whose matrices are not n x n over x's order.
+    x that is not a Polyvector raises TypeError.  An empty list, which
+    has no mean, raises ValueError, and so does a pair whose matrices
+    are not n x n over x's order.
 
     Each output coefficient is summed in plain ints, as an unreduced
     power-basis vector over one denominator: the products c * v * m of
@@ -488,6 +498,8 @@ def act(x: Polyvector, pairs) -> Polyvector:
     converted once to (exponents, denominator, numerator) terms and each
     product goes into a [denominator, numerator] accumulator, widened
     through _widen as in the general loop."""
+    if not isinstance(x, Polyvector):
+        raise TypeError(f"act takes a Polyvector, not {type(x).__name__}")
     if not pairs:
         raise ValueError("act takes a nonempty list of (h, h_inv) pairs, not []")
     n, order = x.n, x.order
@@ -602,47 +614,72 @@ def circle_product(x: Polyvector, y: Polyvector) -> Polyvector:
     (see the oracle agreement tests).  A slot whose displaced direction
     q does not depend on adds nothing.
 
-    Both products go into one accumulator of plain ints, one _convolve
-    call per insertion slot, with the signs as its factor; each output
-    coefficient becomes one Cyc at the end."""
-    if x.head != y.head:
-        raise ValueError("polyvector mismatch")
+    Each operand's derivatives are tabled once, by direction: direction
+    i lists the components q d_J whose q depends on x_i, each with the
+    terms of dq/dx_i.  A slot pos of f d_I is walked only into the
+    components listed under I[pos], so every slot visited meets a
+    nonzero derivative, and only a join that repeats a direction is
+    skipped.  A one-vector f d_i joins to J itself, with sign +1 and
+    no sort.  Both products go into one accumulator of plain ints, one
+    _convolve call per slot visited, with the signs as its factor; each
+    output coefficient becomes one Cyc at the end.  An operand that is
+    not a Polyvector raises TypeError, and a Polyvector of another head
+    ValueError."""
+    _check_operands(x, y)
     n, order = x.head
     size = 2 * len(_powers(order)[0]) - 1
     out = {}  # wedge -> exponents -> [denominator, unreduced numerators...]
     xs, ys = _int_comps(x), _int_comps(y)
-    for outer, inner, back in ((xs, ys, False), (ys, xs, True)):
-        # each component q d_J of inner as (J, |J|, derivatives), with the
-        # derivative by direction i the terms of q that x_i divides, each
-        # lowered by x_i and its numerators times the exponent of x_i
-        inserted = []
-        for idx_j, terms in inner:
-            derivs = {}
-            for exps, den, cf in terms:
-                for i, a in enumerate(exps):
-                    if a:
-                        lower = exps[:i] + (a - 1,) + exps[i + 1:]
-                        derivs.setdefault(i, []).append(
-                            (lower, den, [(p, a * b) for p, b in cf] if a > 1 else cf))
-            inserted.append((idx_j, len(idx_j), derivs))
+    for outer, by_dir, back in ((xs, _derivatives(ys), False), (ys, _derivatives(xs), True)):
         for idx_i, left in outer:
             d = len(idx_i)
-            for idx_j, m, derivs in inserted:
-                sign = -1 if back and not ((d - 1) * (m - 1)) % 2 else 1
-                for pos, jl in enumerate(idx_i):
-                    right = derivs.get(jl)
-                    if right is None:
-                        continue
-                    wsgn, wkey = sort_sign(idx_i[:pos] + idx_j + idx_i[pos + 1:])
-                    if wsgn == 0:
-                        continue
-                    if ((m - 1) * (pos + d - 1)) % 2:
+            for pos, jl in enumerate(idx_i):
+                for idx_j, m, right in by_dir.get(jl, ()):
+                    if d == 1:
+                        wsgn, wkey = 1, idx_j
+                    else:
+                        wsgn, wkey = sort_sign(idx_i[:pos] + idx_j + idx_i[pos + 1:])
+                        if wsgn == 0:
+                            continue
+                        if ((m - 1) * (pos + d - 1)) % 2:
+                            wsgn = -wsgn
+                    if back and not ((d - 1) * (m - 1)) % 2:
                         wsgn = -wsgn
                     target = out.get(wkey)
                     if target is None:
                         target = out[wkey] = {}
-                    _convolve(target, left, right, sign * wsgn, size)
+                    _convolve(target, left, right, wsgn, size)
     return _build(out, n, order)
+
+
+def _derivatives(comps):
+    """The derivative table of components in _int_comps's form: direction
+    i -> (J, |J|, terms of dq/dx_i) for each component q d_J whose q
+    depends on x_i, the terms of q that x_i divides, each lowered by x_i
+    and its numerators times the exponent of x_i."""
+    by_dir = {}
+    for idx_j, terms in comps:
+        derivs = {}
+        for exps, den, cf in terms:
+            for i, a in enumerate(exps):
+                if a:
+                    lower = exps[:i] + (a - 1,) + exps[i + 1:]
+                    derivs.setdefault(i, []).append(
+                        (lower, den, [(p, a * b) for p, b in cf] if a > 1 else cf))
+        m = len(idx_j)
+        for i, right in derivs.items():
+            by_dir.setdefault(i, []).append((idx_j, m, right))
+    return by_dir
+
+
+def _check_operands(x, y):
+    """TypeError naming the type of an operand that is not a Polyvector,
+    and ValueError for two Polyvectors of different heads."""
+    for v in (x, y):
+        if not isinstance(v, Polyvector):
+            raise TypeError(f"a polyvector product takes Polyvectors, not {type(v).__name__}")
+    if x.head != y.head:
+        raise ValueError("polyvector mismatch")
 
 
 # The Schouten bracket of polyvector fields is the graded commutator of
@@ -667,13 +704,15 @@ def monomials(n, total):
 
 
 def schouten_graded_laws(n):
-    """Graded antisymmetry on every ordered pair and the graded Jacobi
-    identity on every unordered triple of basis polyvectors on k^n of
-    polynomial and exterior degree at most 2.
+    """Graded antisymmetry on every unordered pair, a pair with itself
+    included, and the graded Jacobi identity on every unordered triple
+    of basis polyvectors on k^n of polynomial and exterior degree at
+    most 2.
 
-    Returns (checked, failures).  Antisymmetry on all ordered pairs plus
-    Jacobi on one representative of each triple implies the law for
-    every ordering.
+    Returns (checked, failures).  Each pair is checked once, since
+    antisymmetry on its reverse is the same identity; with it, Jacobi
+    on one representative of each triple implies the law for every
+    ordering.
     """
     max_poly = max_ext = 2
     basis = []

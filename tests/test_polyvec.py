@@ -241,14 +241,15 @@ def cyclotomic_scalar(draw, order):
 
 @st.composite
 def cyclotomic_polyvector(draw, order, ext=None, n=3):
-    """One or two wedges of the given exterior degree (any when None),
-    each with one to three monomials whose coefficients run over
-    Q(zeta_order) with denominators 1 to 3."""
+    """One to three wedges of the given exterior degree (any up to 3,
+    and at most n, when None), each with one to three monomials of
+    exponents up to 3, whose coefficients run over Q(zeta_order) with
+    denominators 1 to 3."""
     terms = {}
-    for _ in range(draw(st.integers(1, 2))):
-        k = draw(st.integers(0, 2)) if ext is None else ext
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, min(n, 3))) if ext is None else ext
         idx = tuple(sorted(draw(st.permutations(range(n)))[:k]))
-        exps = st.tuples(*([st.integers(0, 2)] * n))
+        exps = st.tuples(*([st.integers(0, 3)] * n))
         terms[idx] = Poly(n, order, {e: cyclotomic_scalar(draw, order)
                                      for e in draw(st.lists(exps, min_size=1, max_size=3))})
     return Polyvector(n, order, terms)
@@ -278,8 +279,9 @@ def wedge_termwise(x, y):
 @given(st.sampled_from([1, 5, 6]), st.data())
 @settings(max_examples=80, deadline=None)
 def test_wedge_matches_termwise_reference(order, data):
-    x = data.draw(cyclotomic_polyvector(order))
-    y = data.draw(cyclotomic_polyvector(order))
+    n = data.draw(st.integers(1, 5))
+    x = data.draw(cyclotomic_polyvector(order, n=n))
+    y = data.draw(cyclotomic_polyvector(order, n=n))
     got = x.wedge(y)
     assert got.head == x.head
     assert {k: dict(p.terms) for k, p in got.terms.items()} == wedge_termwise(x, y)
@@ -335,12 +337,14 @@ def schouten_termwise(x, y):
 @given(st.sampled_from([1, 5, 6]), st.data())
 @settings(max_examples=80, deadline=None)
 def test_schouten_matches_termwise_reference(order, data):
-    # mixed exterior degrees, coefficients over Q(zeta_order) with
-    # denominators 1 to 3: the widening, the derivative's exponents and
-    # the slot signs of the integer loop are all checked against Cyc
-    # arithmetic
-    x = data.draw(cyclotomic_polyvector(order))
-    y = data.draw(cyclotomic_polyvector(order))
+    # mixed exterior degrees up to 3 on k^1 to k^5, coefficients over
+    # Q(zeta_order) with denominators 1 to 3: the widening, the
+    # derivative's exponents up to 3, the slot signs, the inner
+    # components listed under one direction and the joins that repeat a
+    # direction are all checked against Cyc arithmetic
+    n = data.draw(st.integers(1, 5))
+    x = data.draw(cyclotomic_polyvector(order, n=n))
+    y = data.draw(cyclotomic_polyvector(order, n=n))
     got = schouten(x, y)
     assert got.head == x.head
     assert {k: dict(p.terms) for k, p in got.terms.items()} == schouten_termwise(x, y)
@@ -360,6 +364,15 @@ def test_mixed_operands_are_refused():
     for call in (lambda: x + other, lambda: schouten(x, other), mixed.degree):
         with pytest.raises(ValueError):
             call()
+    # an operand that is not a Polyvector, even a Poly of the same head,
+    # is refused by its type, on either side of the bracket
+    q = Polyvector.term(1, (1, 0), (0,), 1)
+    one = Matrix.identity(2, 1)
+    for foreign in (Poly.zero(2, 1), Poly(2, 1, {(1, 0): 1}), 1, None):
+        for call in (lambda: schouten(q, foreign), lambda: schouten(foreign, q),
+                     lambda: q.wedge(foreign), lambda: act(foreign, [(one, one)])):
+            with pytest.raises(TypeError, match=type(foreign).__name__):
+                call()
 
 
 def term_by_constructors(coeff, exps, idx, order):
