@@ -31,7 +31,8 @@ from .cochain import (
     support_codim,
     volume_form,
 )
-from .groups import MAX_GROUP_ORDER, check_generator_names, enumerate_group, resolve_word
+from .groups import (MAX_GROUP_ORDER, check_generator_names, enumerate_group,
+                     is_ascii_number, resolve_word)
 from .koszul import (
     appendix_suite,
     chain_bracket_cochain,
@@ -100,10 +101,10 @@ def _is_int(value):
 
 
 def _read_json(path):
-    """The document in the file at path.  A file that does not decode as
-    JSON (truncated, not UTF-8, an integer past Python's digit limit,
-    nested past the recursion limit) raises ValueError naming path."""
-    with open(path) as fh:
+    """The JSON document in the file at path, read as UTF-8 (RFC 8259) in
+    any locale.  One that does not decode (truncated, not UTF-8, an int
+    past Python's digit limit, nested too deep) raises ValueError naming path."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
@@ -523,21 +524,27 @@ def cmd_verify(args):
 # ------------------------------------------------------------------ main
 
 
+def _ascii_int(text):
+    """argparse type for an integer: an optional - and 0-9 only, unlike int()."""
+    try:
+        if is_ascii_number(text[1:] if text[:1] == "-" else text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _count(least, largest=None):
     """argparse type for counts and degrees: an integer from least, which
     is 0 or 1, to largest (unbounded when None)."""
     word = "positive" if least else "non-negative"
 
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        value = _ascii_int(text)
         if value < least:
             raise argparse.ArgumentTypeError(f"must be {word}, got {value}")
         if largest is not None and value > largest:
-            raise argparse.ArgumentTypeError(f"must be at most {largest}, "
-                                             f"got {value}")
+            raise argparse.ArgumentTypeError(f"must be at most {largest}, got {value}")
         return value
 
     return parse
@@ -605,7 +612,7 @@ def build_parser():
     p_sch.add_argument("--dim", type=_count(1, 3), default=3, help="dimension")
     p_sch.add_argument("--pairs", type=_count(1, 1000), default=50,
                        help="number of random pairs")
-    p_sch.add_argument("--seed", type=int, default=0, help="random seed")
+    p_sch.add_argument("--seed", type=_ascii_int, default=0, help="random seed")
     p_ex = suites.add_parser("examples", allow_abbrev=False,
                              help="the worked bracket examples")
     for p_suite, run in ((p_app, _verify_appendix), (p_hom, _verify_homotopy),

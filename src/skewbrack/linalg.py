@@ -25,15 +25,13 @@ class Matrix(Frozen):
     """Immutable dense matrix of Cyc entries of one order, with no arithmetic.
 
     minors and images are the caches of polyvec.act, empty from either
-    constructor, and hold plain ints only, in the one shape act's loops
-    read: polyvec.minor_row keeps the rows of the exterior powers of the
-    matrix in minors, and polyvec.monomial_image the images of monomials
-    under it in images, each minor and each image term as (key,
-    denominator, (place, numerator) pairs of its nonzero power-basis
-    coordinates), the key its columns or its exponents.  No Cyc copy is
-    kept beside them.  The entries cannot go stale, since the matrix is
-    immutable, and they are freed with it; equality and hashing ignore
-    them."""
+    constructor, and hold plain ints only, in the integer form of
+    polyvec._int_terms: polyvec.minor_row keeps the rows of the exterior
+    powers of the matrix in minors, keyed by columns, and
+    polyvec.monomial_image the images of monomials under it in images,
+    keyed by exponents.  No Cyc copy is kept beside them.  The entries
+    cannot go stale, since the matrix is immutable, and they are freed
+    with it; equality and hashing ignore them."""
 
     __slots__ = ("order", "nrows", "ncols", "rows", "minors", "images")
 
@@ -75,7 +73,9 @@ def row_times(row, m: Matrix):
     groups.enumerate_group multiplies by a generator.  Each
     entry is summed in plain ints, as in polyvec.act: the power-basis
     convolutions of the nonzero products a * b over one denominator,
-    widened to an lcm as needed, and reduced modulo Phi_N into one Cyc."""
+    widened to an lcm as needed, and reduced modulo Phi_N into one Cyc.
+    row is converted here, as m's rows are read densely; polyvec's
+    integer form for it measured slower."""
     order = m.order
     size = 2 * len(_powers(order)[0]) - 1
     accs = {}  # column -> [denominator, unreduced numerators...]

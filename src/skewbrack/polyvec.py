@@ -7,29 +7,26 @@ These are the reduced representatives of Hochschild cohomology
 components.  The Schouten bracket of polyvector fields, which the
 Gerstenhaber bracket projects term by term, its graded-law check
 schouten_graded_laws, and the group action on polyvectors live here.
-The products here sum in plain ints and reduce each output
-coefficient once, through one accumulator.  A term in integer form is
-(key, denominator, (place, numerator) pairs of its nonzero power-basis
-coordinates), and _convolve is the one loop that adds the products of
-two sums of such terms at the sums of their exponents: wedge calls it
-once per pair of wedges, signed by sort_sign of the two joined;
-circle_product, which schouten is, once per insertion slot that meets
-a derivative, for both circle products of the graded commutator: it
-tables each operand's derivatives by direction once, walks each slot
-of a component only into the components listed under the slot's
-direction, and signs each product by the exterior degrees of its own
-two components, so it is bilinear also on input of mixed exterior
-degree; and monomial_image once per step of its chain, a column of the
-matrix times the kept image of a lower monomial.  act adds its products
-into the accumulator directly, with the minors and monomial images it needs
-cached on the matrices (Matrix.minors, Matrix.images), both in that
-one integer form; minor_row expands each row of minors along its first
-row, in plain ints too.  Over Q (cyclotomic order 1 or 2) every such
-term holds the one pair (0, numerator), which _int_comps builds
-directly for wedge and circle_product, and act and _convolve each
-branch once per call to a degree-1 loop that adds plain-int products
-into [denominator, numerator] accumulators; over Q(zeta_N) of degree
-above 1 the general loop is the only path.  _build turns the
+The products here sum in plain ints, in the integer form that
+_int_terms builds and describes, and reduce each output coefficient
+once.  _convolve is the one loop that adds the products of two sums of
+such terms at the sums of their exponents: wedge calls it once per pair
+of wedges, signed by sort_sign of the two joined; circle_product, which
+schouten is, once per insertion slot that meets a derivative, for both
+circle products of the graded commutator: it tables each operand's
+derivatives by direction once, walks each slot of a component only into
+the components listed under the slot's direction, and signs each
+product by the exterior degrees of its own two components, so it is
+bilinear also on input of mixed exterior degree; and monomial_image
+once per step of its chain, a column of the matrix times the kept image
+of a lower monomial.  act adds its products into the accumulator
+directly, with the minors and monomial images it needs cached on the
+matrices (Matrix.minors, Matrix.images) in that form; minor_row expands
+each row of minors along its first row, in plain ints too.  Over Q
+(cyclotomic order 1 or 2) _convolve branches once per call, and act
+once per term of x and pair, to a degree-1 loop that adds plain-int
+products into [denominator, numerator] accumulators; over Q(zeta_N) of
+degree above 1 the general loop is the only path.  _build turns the
 accumulators of act, circle_product and wedge into a Polyvector:
 scalars._reduce makes each coefficient, and Poly._new and
 Polyvector._new fill the values without checking them again.
@@ -342,18 +339,21 @@ def _term_str(c: Cyc, exps, idx):
     return f"({cs})*" + "*".join(factors)
 
 
+def _int_terms(items, order):
+    """The (key, nonzero Cyc) items in integer form, the shape the
+    products here sum and Matrix.minors and Matrix.images keep: a tuple
+    of (key, denominator, (place, numerator) pairs of the nonzero
+    power-basis coordinates), places from 0; over Q (order at most 2)
+    the one pair (0, numerator), built directly."""
+    if order <= 2:
+        return tuple([(key, c.den, ((0, c.num[0]),)) for key, c in items])
+    return tuple([(key, c.den, tuple([(p, a) for p, a in enumerate(c.num) if a]))
+                  for key, c in items])
+
+
 def _int_comps(x: Polyvector):
-    """The components of x as (wedge, terms), each term in integer form:
-    (exponents, denominator, (place, numerator) pairs of its nonzero
-    power-basis coordinates).  Over Q (order at most 2) that is the one
-    pair (0, numerator), built directly, the shape _convolve's degree-1
-    loop unpacks."""
-    if x.order <= 2:
-        return [(idx, [(e, c.den, ((0, c.num[0]),)) for e, c in p.terms.items()])
-                for idx, p in x.terms.items()]
-    return [(idx, [(e, c.den, [(i, a) for i, a in enumerate(c.num) if a])
-                   for e, c in p.terms.items()])
-            for idx, p in x.terms.items()]
+    """x's components as (wedge, _int_terms of its coefficients)."""
+    return [(idx, _int_terms(p.terms.items(), x.order)) for idx, p in x.terms.items()]
 
 
 def _convolve(target, left, right, up, size):
@@ -395,48 +395,38 @@ def _convolve(target, left, right, up, size):
                     acc[i + j] += a * b
 
 
-def _kept(items):
-    """The (key, Cyc) items in the form of the caches act reads: (key,
-    denominator, (place, numerator) pairs of the nonzero coordinates).
-    Tuples of list comprehensions, which build faster than generators."""
-    return tuple([(key, c.den, tuple([(p, b) for p, b in enumerate(c.num) if b]))
-                  for key, c in items])
-
-
 def monomial_image(m: Matrix, exps):
     """The image of the monomial x^exps under x_i -> sum_k m[k][i] x_k,
-    kept in m.images as a tuple of terms in m.minors's form: (exponents,
-    denominator, (place, numerator) pairs), each coefficient in lowest
-    terms.  It is the image of x_i, column i of m as terms of unit
-    exponents, times the kept image of x^(exps - e_i), for the last
-    variable x_i of the monomial, one _convolve call; the chain down to
-    a kept image, empty when x^exps is kept, is walked in a loop."""
+    kept in m.images in _int_terms's form keyed by exponents, each
+    coefficient in lowest terms.  It is the image of x_i, column i of m
+    as terms of unit exponents, times the kept image of x^(exps - e_i),
+    for the last variable x_i of the monomial, one _convolve call; the
+    chain down to a kept image, empty when x^exps is kept, is walked in
+    a loop."""
     images = m.images
     chain = []
     while exps not in images and any(exps):
         i = max(j for j, e in enumerate(exps) if e)
         chain.append((exps, i))
         exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+    order, n = m.order, m.nrows
     got = images.get(exps)
     if got is None:  # the empty monomial, whose image is 1
-        got = images[exps] = ((exps, 1, ((0, 1),)),)
-    order, n = m.order, m.nrows
+        got = images[exps] = _int_terms([(exps, Cyc.one(order))], order)
     size = 2 * len(_powers(order)[0]) - 1
     for exps, i in reversed(chain):
-        column = [(_unit(n, k), v.den, [(p, a) for p, a in enumerate(v.num) if a])
-                  for k, row in enumerate(m.rows) if (v := row[i])]
+        column = _int_terms([(_unit(n, k), v) for k, row in enumerate(m.rows)
+                             if (v := row[i])], order)
         out = {}  # exponents -> [denominator, unreduced numerators...]
         _convolve(out, column, got, 1, size)
-        got = images[exps] = _kept(_reduce(order, out).items())
+        got = images[exps] = _int_terms(_reduce(order, out).items(), order)
     return got
 
 
 def minor_row(m: Matrix, rows):
     """The nonzero minors of m on the given rows, with their columns
     increasing: one row of the exterior power of m, kept in m.minors in
-    the form act reads, each minor as (cols, denominator, pairs), pairs
-    the (place, numerator) pairs of its nonzero power-basis coordinates
-    and the minor in lowest terms.
+    _int_terms's form keyed by columns, each minor in lowest terms.
     The row expands along rows[0], over its nonzero entries, against the
     kept row of rows[1:], for a single row the empty minor 1, each
     product summed in plain ints as in monomial_image."""
@@ -444,24 +434,21 @@ def minor_row(m: Matrix, rows):
     got = minors.get(rows)
     if got is not None:
         return got
-    if not rows:
-        got = minors[rows] = (((), 1, ((0, 1),)),)
-        return got
     order = m.order
+    if not rows:
+        got = minors[rows] = _int_terms([((), Cyc.one(order))], order)
+        return got
     size = 2 * len(_powers(order)[0]) - 1
     rest = minor_row(m, rows[1:])
     out = {}  # cols -> [denominator, unreduced numerators...]
-    for j, a in enumerate(m.rows[rows[0]]):
-        if not a:
-            continue
-        # a as (place in acc, int) pairs
-        af = [(p, x) for p, x in enumerate(a.num, 1) if x]
+    for j, a_den, af in _int_terms([(j, a) for j, a in enumerate(m.rows[rows[0]]) if a],
+                                   order):
         for cols, d_den, df in rest:
             pos = bisect_left(cols, j)
             if pos < len(cols) and cols[pos] == j:
                 continue
             key = cols[:pos] + (j,) + cols[pos:]
-            den = a.den * d_den
+            den = a_den * d_den
             acc = out.get(key)
             if acc is None:
                 acc = out[key] = [den] + [0] * size
@@ -470,9 +457,10 @@ def minor_row(m: Matrix, rows):
                 up = -up
             for p, x in af:
                 x *= up
+                p += 1  # place p + q is acc[p + q + 1], after the denominator
                 for q, y in df:
                     acc[p + q] += x * y
-    got = minors[rows] = _kept(sorted(_reduce(order, out).items()))
+    got = minors[rows] = _int_terms(sorted(_reduce(order, out).items()), order)
     return got
 
 
@@ -491,13 +479,15 @@ def act(x: Polyvector, pairs) -> Polyvector:
     x's coefficient, the monomial image's entry and the minor are added
     in, and a product whose denominator does not divide the running one
     widens it to their lcm.  x's coefficients are turned into integer
-    pairs once per call, and each c * m once per pair, by plain loops.
-    The vector is reduced modulo Phi_N and becomes a Cyc once, with the
-    mean's 1/len(pairs) folded into its denominator.  Over Q, where every
-    coefficient, minor and image term holds one (0, numerator) pair, x is
-    converted once to (exponents, denominator, numerator) terms and each
-    product goes into a [denominator, numerator] accumulator, widened
-    through _widen as in the general loop."""
+    pairs once per call, and each c * m once per pair, by plain loops;
+    x not by _int_terms, as places from 1 let c * m land at i + j and
+    every shared form measured slower.  The vector is reduced modulo
+    Phi_N and becomes a Cyc once, with the mean's 1/len(pairs) folded
+    into its denominator.  Over Q, where every coefficient, minor and
+    image term holds one (0, numerator) pair, x is converted once to
+    (exponents, denominator, numerator) terms and each product goes into
+    a [denominator, numerator] accumulator, widened through _widen as in
+    the general loop."""
     if not isinstance(x, Polyvector):
         raise TypeError(f"act takes a Polyvector, not {type(x).__name__}")
     if not pairs:

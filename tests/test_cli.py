@@ -89,6 +89,28 @@ def assert_names_file(code, err, path):
     assert err.startswith(f"error: {path}: not valid JSON: ") and len(err.splitlines()) == 1, err
 
 
+def test_group_file_reads_as_utf8_in_an_ascii_locale(tmp_path):
+    # RFC 8259 has JSON in UTF-8: a non-ASCII generator name reads the
+    # same under the C locale with locale coercion and UTF-8 mode off;
+    # --json escapes it, so stdout's encoding plays no part
+    doc = json.loads(Path(fixture("sign_k1.json")).read_text(encoding="utf-8"))
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps({**doc, "names": ["\u03c3"]}, ensure_ascii=False),
+                    encoding="utf-8")
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    base["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for locale in ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+                   {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}):
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "skewbrack.cli", "group", str(path), "--json"],
+            capture_output=True, text=True, env={**base, **locale}, timeout=60))
+    ascii_run, utf8_run = runs
+    assert ascii_run.returncode == utf8_run.returncode == 0, ascii_run.stderr
+    assert ascii_run.stdout == utf8_run.stdout
+    assert json.loads(ascii_run.stdout)["elements"][1]["word"] == "\u03c3"
+
+
 def test_group_file_errors(tmp_path, capsys):
     # each document goes to a file of its own name: rewriting one file
     # costs far more than creating one on some file systems
@@ -450,6 +472,30 @@ def test_verify_rejects_negative_bounds(capsys, suite, flag):
 def test_integer_options_still_reject_non_integers(capsys):
     err = run_usage_error(capsys, "verify", "appendix", "--max", "two")
     assert "argument --max: invalid int value: 'two'" in err
+    # digits past Python's 4,300-digit limit on int()
+    err = run_usage_error(capsys, "verify", "appendix", "--max", "1" * 4301)
+    assert "argument --max: invalid int value: '111" in err, err[-200:]
+
+
+@pytest.mark.parametrize("text", ["\u0661", "1_0", " 1", "+1"])
+@pytest.mark.parametrize("command, flag", [
+    (["cohomology", fixture("sign_k1.json"), "--p", "1"], "--m"),
+    (["verify", "schouten"], "--pairs"),
+    (["verify", "schouten"], "--seed"),
+])
+def test_integer_options_take_ascii_digits_only(capsys, command, flag, text):
+    # int() alone reads an Arabic-Indic one, 1_0, " 1" and +1; an option
+    # takes a - and 0-9 only, as scalar literals do
+    err = run_usage_error(capsys, *command, flag, text)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1, err
+    assert errors[0].endswith(f": error: argument {flag}: invalid int value: {text!r}"), err
+
+
+def test_a_negative_seed_still_runs(capsys):
+    code, out, _ = run(capsys, "verify", "schouten", "--dim", "1", "--pairs", "1",
+                       "--seed", "-3")
+    assert code == 0 and out.splitlines()[-1] == "verify: all checks pass"
 
 
 # ----------------------------------------------------------- bracket cmd

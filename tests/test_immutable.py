@@ -1,6 +1,8 @@
 """Every value type is a scalars.Frozen and refuses attribute assignment,
 and a group's tables are tuples, so a group's tables, a kept geometry or
-a cached minor cannot be changed under its readers."""
+a cached minor cannot be changed under its readers.  The checking
+constructors, and the shape checks of linalg, minor_det and xi, refuse
+malformed input with their exact messages."""
 
 import inspect
 
@@ -10,10 +12,10 @@ from helpers import single
 from skewbrack.bracket import BracketReport
 from skewbrack.cochain import Cochain
 from skewbrack.fixtures import fixture_groups
-from skewbrack.groups import GroupGeometry, geometry
-from skewbrack.koszul import KoszulElt, KoszulTensor2
-from skewbrack.linalg import Matrix
-from skewbrack.polyvec import Poly, Polyvector
+from skewbrack.groups import Group, GroupGeometry, geometry
+from skewbrack.koszul import KoszulElt, KoszulTensor2, xi
+from skewbrack.linalg import Matrix, det, mat_inverse, solve_membership
+from skewbrack.polyvec import Poly, Polyvector, minor_det
 from skewbrack.scalars import Cyc, Frozen
 
 
@@ -104,3 +106,63 @@ def test_group_tables_refuse_item_assignment():
     for table in tables:
         with pytest.raises(TypeError):
             table[0] = table[0]
+
+
+XI_DOMAIN = "xi needs t >= 1, 1 <= r <= t, s >= 0 and z >= 0"
+
+
+def _refusals():
+    """Each refusal as (call, its exact ValueError message)."""
+    group = fixture_groups()["klein-signs-k3"]
+    x1 = Polyvector.term(1, (1, 0, 0), (0,), 1)
+    on_k2 = Polyvector.term(1, (1, 0), (0,), 1)
+    row = Matrix(1, [[1, 0]])
+    tables = ("('dim', 'scalar_order', 'names', 'generator_indices', 'matrices', "
+              "'words', 'mult_table', 'inverses', 'conj_classes', 'centralizers', "
+              "'centralizer_gens', 'conjugators')")
+    keys = "cochain keys must be element indices of its group"
+    return {
+        "Cochain key out of range": (lambda: Cochain(group, 1, {4: x1}), keys),
+        "Cochain key not an int": (lambda: Cochain(group, 1, {"e": x1}), keys),
+        "Cochain foreign component": (
+            lambda: Cochain(group, 1, {0: on_k2}),
+            "cochain components must be polyvectors of the group's (n, order)"),
+        "Poly short exponents": (lambda: Poly(2, 1, {(1,): 1}),
+                                 "poly exponents must be n nonnegative integers"),
+        "Poly negative exponent": (lambda: Poly(2, 1, {(-1, 0): 1}),
+                                   "poly exponents must be n nonnegative integers"),
+        "Polyvector bad wedge": (
+            lambda: Polyvector(2, 1, {(1, 0): Poly.monomial((0, 0), 1, 1)}),
+            "polyvector wedges must be increasing indices in 0..n-1"),
+        "Polyvector foreign coefficient": (
+            lambda: Polyvector(2, 1, {(0,): Poly.monomial((0, 0, 0), 1, 1)}),
+            "polyvector coefficients must be polys of its (n, order)"),
+        "Matrix ragged rows": (lambda: Matrix(1, [[1, 0], [1]]), "matrix rows differ in length"),
+        "Group wrong tables": (lambda: Group(dim=1),
+                               f"a Group takes exactly the tables {tables}"),
+        "det not square": (lambda: det(row), "matrix is not square"),
+        "mat_inverse not square": (lambda: mat_inverse(row), "matrix is not square"),
+        "minor_det unequal": (lambda: minor_det(Matrix.identity(2, 1), (0,), (0, 1)),
+                              "a minor needs as many rows as columns"),
+        "solve_membership lengths": (
+            lambda: solve_membership([[Cyc.one(1), Cyc.one(1)]], [Cyc.one(1)], 1),
+            "vectors differ in length from the target"),
+        "xi t = 0": (lambda: xi(0, 0, 0, 1), XI_DOMAIN),
+        "xi r > t": (lambda: xi(0, 1, 0, 2), XI_DOMAIN),
+        "xi s < 0": (lambda: xi(-1, 1, 0, 1), XI_DOMAIN),
+        "xi z < 0": (lambda: xi(0, 1, -1, 1), XI_DOMAIN),
+    }
+
+
+@pytest.mark.parametrize("case", list(_refusals()))
+def test_checks_refuse_with_their_exact_messages(case):
+    call, message = _refusals()[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("s_idx, z_idx", [((0, 0), (1,)), ((0,), (1, 1))])
+def test_koszul_tensor_term_on_a_repeated_index_is_zero(s_idx, z_idx):
+    got = KoszulTensor2.term(2, 1, s_idx, z_idx, (0, 0), (1, 0), (0, 0))
+    assert got == KoszulTensor2.zero(2, 1) and got.is_zero()

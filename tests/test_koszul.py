@@ -841,9 +841,11 @@ ORACLE_POLYVEC_NAMES = {
 # oracle neither calls nor reads any of them
 FAST_PATH_NAMES = {"act", "circle_product", "schouten", "minor_row", "monomial_image", "wedge"}
 # the scalars names it may use: the type and its lowest-terms constructor,
-# not the integer accumulator (_widen, _reduce, _powers) behind the fast
-# path's products, so a fault there cannot hide on both sides
+# not the integer form (polyvec._int_terms) and accumulator (_widen,
+# _reduce, _powers) behind the fast path's products, so a fault there
+# cannot hide on both sides
 ORACLE_SCALARS_NAMES = {"Cyc", "_lowest"}
+INTEGER_FORM_NAMES = {"_int_terms", "_widen", "_reduce", "_powers"}
 
 
 def test_oracle_shares_no_code_with_the_fast_path():
@@ -868,7 +870,7 @@ def test_oracle_shares_no_code_with_the_fast_path():
               if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
     assert not nested, nested
     used = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
-    assert not used & {"_widen", "_reduce", "_powers"}, used & {"_widen", "_reduce", "_powers"}
+    assert not used & INTEGER_FORM_NAMES, used & INTEGER_FORM_NAMES
     assert not used & FAST_PATH_NAMES, used & FAST_PATH_NAMES
     cache_reads = [node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr in ("minors", "images")]

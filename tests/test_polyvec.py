@@ -14,6 +14,7 @@ from skewbrack.linalg import Matrix, det, mat_inverse
 from skewbrack.polyvec import (
     Poly,
     Polyvector,
+    _int_terms,
     act,
     circle_product,
     euler_field,
@@ -26,7 +27,7 @@ from skewbrack.polyvec import (
     sort_sign,
     subst_matrix,
 )
-from skewbrack.scalars import Cyc
+from skewbrack.scalars import Cyc, _reduce
 
 
 GROUP_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "groups"
@@ -737,6 +738,28 @@ def test_monomial_image_is_the_substitution(m, data):
         assert {e: (den, pairs) for e, den, pairs in got} == {
             e: (c.den, tuple((p, a) for p, a in enumerate(c.num) if a))
             for e, c in want.terms.items()}
+
+
+@given(st.sampled_from([1, 2, 4, 5, 6, 12]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_int_terms_round_trip_through_reduce(order, data):
+    # nonzero coefficients with denominators up to 6, each put back into
+    # an accumulator [denominator, numerators...] at its places + 1 and
+    # reduced: _reduce gives each coefficient back, already lowest
+    degree = field_degree(order)
+    scalar = st.lists(st.fractions(-5, 5, max_denominator=6), min_size=degree,
+                      max_size=degree).map(lambda cs: Cyc(order, cs)).filter(bool)
+    items = list(enumerate(data.draw(st.lists(scalar, max_size=4))))
+    terms = _int_terms(items, order)
+    accs = {}
+    for key, den, pairs in terms:
+        acc = accs[key] = [den] + [0] * degree
+        for p, a in pairs:
+            acc[p + 1] = a
+    assert _reduce(order, accs) == dict(items)
+    if order <= 2:  # the Q shortcut is the general comprehension
+        assert terms == tuple((key, c.den, tuple((p, a) for p, a in enumerate(c.num) if a))
+                              for key, c in items)
 
 
 def test_monomial_image_of_high_degree_needs_no_recursion():
